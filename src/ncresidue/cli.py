@@ -1,7 +1,8 @@
 """Command-line interface exposing the calculus.
 
-Exit codes: 0 success, 1 parse error, 2 validation/domain error,
-3 insufficient expansion depth, 4 property-check failure.
+Exit codes: 0 success, 1 parse error or unreadable input file,
+2 validation/domain error, 3 insufficient expansion depth,
+4 property-check failure.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ EXIT_INSUFFICIENT = 3
 EXIT_PROPERTY = 4
 
 
+class _UnreadableInput(Exception):
+    """A document file that could not be read; exits like a parse error."""
+
+
 def _read_document(path: str, stdin_used: list[bool]):
     if path == "-":
         if stdin_used[0]:
@@ -62,10 +67,20 @@ def _read_document(path: str, stdin_used: list[bool]):
         stdin_used[0] = True
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise _UnreadableInput(f"cannot read {path}: {reason}") from None
     if text.lstrip().startswith("{"):
-        return symbol_from_json(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply") from None
+        return symbol_from_json(data)
     return parse_symbol(text)
 
 
@@ -414,6 +429,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except _UnreadableInput as exc:
+        print(exc, file=sys.stderr)
         return EXIT_PARSE
     except InsufficientExpansionError as exc:
         print(f"insufficient expansion: {exc}", file=sys.stderr)

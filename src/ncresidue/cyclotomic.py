@@ -59,6 +59,8 @@ def _int_poly_quotient(num: list[int], den: tuple[int, ...]) -> list[int]:
 def _reduce(order: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
+    if len(dense) == deg:
+        return tuple(dense)  # already on the power basis
     work = list(dense) + [Fraction(0)] * max(0, deg - len(dense))
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
@@ -165,9 +167,11 @@ class CyclotomicScalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             if other == 0:
                 return CyclotomicScalar(1, [0])
-            return CyclotomicScalar(self.order, [c * other for c in self.coeffs])
+            return CyclotomicScalar(self.order, [c * other if c else c for c in self.coeffs])
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

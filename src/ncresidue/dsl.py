@@ -498,11 +498,27 @@ def _coeff_from_json(data, exact: bool):
     if not isinstance(data, dict) or "re" not in data or "im" not in data:
         raise ValidationError("coeff must be an object with re and im fields")
     re_v, im_v = data["re"], data["im"]
-    if exact:
-        if isinstance(re_v, float) or isinstance(im_v, float):
-            raise ValidationError("exact symbols require string or integer coefficients")
-        return ComplexRational(Fraction(str(re_v)), Fraction(str(im_v)))
-    return complex(float(Fraction(str(re_v))), float(Fraction(str(im_v))))
+    if exact and (isinstance(re_v, float) or isinstance(im_v, float)):
+        raise ValidationError("exact symbols require string or integer coefficients")
+    try:
+        if exact:
+            return ComplexRational(Fraction(str(re_v)), Fraction(str(im_v)))
+        return complex(float(Fraction(str(re_v))), float(Fraction(str(im_v))))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad coefficient {re_v!r}, {im_v!r}: {exc}") from None
+
+
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but true/false is no degree or exponent
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(_json_int(v, what) for v in value)
 
 
 def symbol_to_json(sym) -> dict:
@@ -580,24 +596,35 @@ def symbol_from_json(data: dict):
     theta = None
     if "theta" in data and data["theta"] is not None:
         raw = data["theta"]
-        if isinstance(raw, str):
-            theta = Theta.from_rational(Fraction(raw))
-        elif isinstance(raw, int):
-            theta = Theta.from_rational(Fraction(raw))
-        else:
-            theta = Theta.from_float(float(raw))
+        try:
+            if isinstance(raw, (str, int)):
+                theta = Theta.from_rational(Fraction(raw))
+            else:
+                theta = Theta.from_float(float(raw))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad theta {raw!r}: {exc}") from None
         if dim != 2:
             raise ValidationError("twisted symbols require dim 2")
     system = _system_and_check(theta)
     blocks: dict[int, dict] = {}
-    for block in data.get("blocks", []):
-        deg = int(block["deg"])
+    block_list = data.get("blocks", [])
+    if not isinstance(block_list, list):
+        raise ValidationError("blocks must be a list")
+    for block in block_list:
+        if not isinstance(block, dict) or "deg" not in block:
+            raise ValidationError("each block must be an object with a deg field")
+        deg = _json_int(block["deg"], "block deg")
         bucket = blocks.setdefault(deg, {})
-        for term in block.get("terms", []):
-            alpha = tuple(int(a) for a in term.get("alpha", (0,) * dim))
+        term_list = block.get("terms", [])
+        if not isinstance(term_list, list):
+            raise ValidationError(f"terms of block deg {deg} must be a list")
+        for term in term_list:
+            if not isinstance(term, dict) or "coeff" not in term:
+                raise ValidationError("each term must be an object with a coeff field")
+            alpha = _json_ints(term.get("alpha", (0,) * dim), "alpha")
             if len(alpha) != dim or any(a < 0 for a in alpha):
                 raise ValidationError(f"bad xi multi-index {list(alpha)}")
-            npow = int(term.get("npow", 0))
+            npow = _json_int(term.get("npow", 0), "npow")
             if sum(alpha) + npow != deg:
                 raise ValidationError(
                     f"term of degree {sum(alpha) + npow} in a block declared deg {deg}"
@@ -607,7 +634,7 @@ def symbol_from_json(data: dict):
             if theta is None:
                 if has_nc:
                     raise ValidationError("nc terms require a theta field")
-                mode = tuple(int(k) for k in term.get("mode", (0,) * dim))
+                mode = _json_ints(term.get("mode", (0,) * dim), "mode")
                 if len(mode) != dim:
                     raise ValidationError(f"bad Fourier mode {term.get('mode')}")
                 coeff = _coeff_from_json(term["coeff"], exact=True)
@@ -615,15 +642,17 @@ def symbol_from_json(data: dict):
             else:
                 if has_mode:
                     raise ValidationError("e-modes cannot appear in a twisted symbol")
-                mode = tuple(int(k) for k in term.get("nc", (0, 0)))
+                mode = _json_ints(term.get("nc", (0, 0)), "nc")
                 if len(mode) != 2:
                     raise ValidationError(f"bad U/V exponents {term.get('nc')}")
                 coeff = _coeff_from_json(term["coeff"], exact=theta.is_exact)
                 if theta.is_exact:
                     scalar = CyclotomicScalar.from_complex_rational(coeff)
                     if "phase" in term:
-                        q, b = term["phase"]
-                        scalar = scalar * CyclotomicScalar.root_of_unity(int(q), int(b))
+                        phase = _json_ints(term["phase"], "phase")
+                        if len(phase) != 2:
+                            raise ValidationError(f"bad phase {term['phase']}")
+                        scalar = scalar * CyclotomicScalar.root_of_unity(*phase)
                 else:
                     scalar = coeff
                 T.bag_add(system, bucket, (mode, alpha, npow), scalar)

@@ -73,6 +73,12 @@ class ComplexRational:
         return ComplexRational(-self.re, -self.im)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational multiplier scales each part; no complex product
+            if other == 1:
+                return self
+            re, im = self.re, self.im
+            return ComplexRational(re * other if re else re, im * other if im else im)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

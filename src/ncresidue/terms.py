@@ -353,6 +353,14 @@ def compose_components(
     ``floor=None`` and no other bound the caller must guarantee that the
     series terminates (left factor polynomial in xi, or right factor free
     of modes) or the loop would not end.
+
+    The xi-derivative tower of each left component is kept raw: the levels
+    are the bags ``partial_xi_terms`` returns, never canonicalized.  Each
+    emitted degree is canonicalized once at the end, which suffices because
+    the canonical form of a function is unique and ``canonical_terms``
+    accepts any homogeneous raw bag.  An empty raw level is a zero
+    derivative, so the tower may stop there; a nonempty raw level can still
+    denote zero, which only costs levels that contribute nothing.
     """
     wanted = None if degrees is None else set(degrees)
     out: dict[int, dict] = {}
@@ -372,9 +380,7 @@ def compose_components(
                         parent = _bump(gamma, j, -1)
                         pt = prev.get(parent)
                         if pt:
-                            d = canonical_terms(
-                                system, n, a_deg - k, partial_xi_terms(system, pt, j)
-                            )
+                            d = partial_xi_terms(system, pt, j)
                             if d:
                                 cur[gamma] = d
                 levels.append(cur)

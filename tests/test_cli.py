@@ -195,3 +195,34 @@ def test_stdin_cannot_feed_two_documents(files, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("dim 2 order 0 floor 0"))
     code, _, err = run(capsys, "compose", "-", "-")
     assert code == cli.EXIT_VALIDATION
+
+
+_TERM = {"coeff": {"re": "1", "im": "0"}, "alpha": [0, 0], "npow": 0}
+
+
+@pytest.mark.parametrize(
+    "text, code, prefix",
+    [
+        ('{"dim": 2, "order": 0, "floor": 0, "blocks": [{"deg": 0, "ter',
+         cli.EXIT_PARSE, "parse error: invalid JSON"),
+        (json.dumps({"dim": 2, "order": 0, "floor": 0,
+                     "blocks": [{"deg": 0, "terms": [dict(_TERM, npow="x")]}]}),
+         cli.EXIT_VALIDATION, "validation error: npow"),
+        (json.dumps({"dim": 2, "order": 0, "floor": 0,
+                     "blocks": [{"deg": None, "terms": [_TERM]}]}),
+         cli.EXIT_VALIDATION, "validation error: block deg"),
+        ('{"blocks": ' + "[" * 100000 + "]" * 100000 + "}",
+         cli.EXIT_PARSE, "parse error: invalid JSON"),
+        (None, cli.EXIT_PARSE, "cannot read "),
+    ],
+    ids=["truncated-json", "npow-text", "deg-null", "deep-json", "missing-file"],
+)
+def test_malformed_or_missing_document_gives_one_line(tmp_path, capsys, text, code, prefix):
+    p = tmp_path / "doc.json"
+    if text is not None:
+        p.write_text(text)
+    got, out, err = run(capsys, "residue", str(p))
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and "Traceback" not in err

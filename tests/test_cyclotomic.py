@@ -63,6 +63,26 @@ def test_phase_matches_float():
         assert abs(exact - approx) < 1e-12
 
 
+@pytest.mark.parametrize("q", [1, 4, 5, 12, 30])
+def test_scaling_matches_fully_reduced_construction(q):
+    rng = random.Random(q)
+    for _ in range(5):
+        # longer than phi(q), with some zeros, so construction reduces
+        dense = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) * rng.randint(0, 1)
+                 for _ in range(q + 3)]
+        x = CyclotomicScalar(q, dense)
+        for k in (0, 1, -1, 7, Fraction(-3, 4)):
+            y = x * k
+            ref = CyclotomicScalar(q, [c * k for c in dense])
+            assert y == ref and y == k * x
+            if k != 0:
+                assert (y.order, y.coeffs) == (ref.order, ref.coeffs)
+        # a vector already on the power basis reduces to itself
+        assert CyclotomicScalar(q, x.coeffs).coeffs == x.coeffs
+        padded = CyclotomicScalar(q, list(x.coeffs) + [Fraction(0)] * q)
+        assert padded.coeffs == x.coeffs
+
+
 def test_cross_order_equality():
     i = CyclotomicScalar.from_complex_rational(ComplexRational(0, 1))
     assert CyclotomicScalar.root_of_unity(4, 1) == i

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncresidue.errors import DomainError, ValidationError
+from ncresidue.terms import RATIONAL_SYSTEM
 from ncresidue.scalars import (
     ComplexRational,
     PiGradedScalar,
@@ -51,6 +52,24 @@ def test_complex_rational_division(a, b):
             a / b
     else:
         assert (a / b) * b == a
+
+
+SCALE_FACTORS = [0, 1, -1, 7, Fraction(-3, 4)]
+
+
+@given(complex_rationals)
+def test_rational_system_scaling_matches_complex_product(s):
+    for k in SCALE_FACTORS:
+        full = s * ComplexRational(k)  # the general complex product
+        scaled = [RATIONAL_SYSTEM.times_fraction(s, Fraction(k)), s * k]
+        if isinstance(k, int):
+            scaled.append(RATIONAL_SYSTEM.times_int(s, k))
+        for v in scaled:
+            assert v == full and hash(v) == hash(full)
+            for part in (v.re, v.im):
+                assert isinstance(part, Fraction)
+                assert part.denominator > 0
+                assert math.gcd(part.numerator, part.denominator) == 1
 
 
 def test_complex_rational_basics():
