@@ -5,11 +5,18 @@ homogeneous components and derivative multi-indices; truncation bookkeeping
 follows the rule floor(lambda) = max(floor(sigma) + order(tau),
 order(sigma) + floor(tau)), which is exactly the set of degrees that the
 unknown components below either factor's floor cannot reach.
+
+The composed-floor rule, composition and the residue integral are written
+once here for both symbol classes: ``nctorus`` composes and integrates
+twisted symbols through the same functions, which reach a symbol only
+through ``n``, ``order``, ``trusted_floor``, ``_system``, ``_term_bags``,
+``_check_composable`` and ``_with_term_bags``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import terms as T
 from .errors import InsufficientExpansionError, ValidationError
@@ -30,10 +37,8 @@ from .symbols import (
     zero_component,
 )
 
-_SYS = T.RATIONAL_SYSTEM
 
-
-def _standard_floor(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> int | None:
+def _standard_floor(sigma, tau) -> int | None:
     parts = []
     if sigma.trusted_floor is not None:
         parts.append(sigma.trusted_floor + tau.order)
@@ -43,46 +48,67 @@ def _standard_floor(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> int | None:
 
 
 def _symbol_polynomial(sym: ClassicalSymbol) -> bool:
-    return all(T.terms_polynomial(c.raw_terms()) for c in sym.components.values())
+    return all(T.terms_polynomial(t) for t in sym._term_bags().values())
 
 
-def _symbol_x_independent(sym: ClassicalSymbol) -> bool:
-    return all(T.terms_x_independent(c.raw_terms()) for c in sym.components.values())
+def _compose_impl(sigma, tau, floor: int | None, *, degrees=None, gamma_cap: int | None = None):
+    """sigma o tau for either symbol class: ClassicalSymbol or NCSymbol.
 
-
-def _compose_impl(
-    sigma: ClassicalSymbol,
-    tau: ClassicalSymbol,
-    floor: int | None,
-    *,
-    degrees=None,
-    gamma_cap: int | None = None,
-) -> ClassicalSymbol:
-    if sigma.n != tau.n:
-        raise ValidationError(
-            f"dimension mismatch in composition: {sigma.n} != {tau.n}"
+    Each class supplies its coefficient system, its term bags, the check
+    that two of its symbols compose, and the wrapping of the result.
+    """
+    if type(sigma) is not type(tau):
+        raise TypeError(
+            f"cannot compose {type(sigma).__name__} with {type(tau).__name__}"
         )
-    if floor is None and degrees is None and gamma_cap is None:
-        if not (_symbol_polynomial(sigma) or _symbol_x_independent(tau)):
-            raise ValidationError(
-                "composition of two complete symbols does not terminate here; "
-                "assign a finite trusted floor to one factor"
-            )
-    n = sigma.n
-    comps_a = {d: c.raw_terms() for d, c in sigma.components.items()}
-    comps_b = {d: c.raw_terms() for d, c in tau.components.items()}
-    raw = T.compose_components(
-        _SYS, n, comps_a, comps_b, floor, degrees=degrees, gamma_cap=gamma_cap
+    sigma._check_composable(tau)
+    bags = T.compose_components(
+        sigma._system,
+        sigma.n,
+        sigma._term_bags(),
+        tau._term_bags(),
+        floor,
+        degrees=degrees,
+        gamma_cap=gamma_cap,
     )
-    comps = {
-        d: HomogeneousComponent._from_canonical(n, d, ct) for d, ct in raw.items()
-    }
-    return ClassicalSymbol(n, sigma.order + tau.order, comps, floor)
+    return sigma._with_term_bags(sigma.order + tau.order, bags, floor)
 
 
 def compose(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> ClassicalSymbol:
     """Symbol of the operator product, emitted down to the composed floor."""
     return _compose_impl(sigma, tau, _standard_floor(sigma, tau))
+
+
+def _normalized_residue(sigma) -> PiGradedScalar:
+    """Sphere integral of the mode-zero part of the degree-(-n) component.
+
+    This is the residue with the normalized trace on the x side, for either
+    symbol class; ``residue`` scales it by the torus volume and
+    ``nc_residue`` returns it as it is.  Refuses (rather than guessing zero)
+    when the expansion is not trusted down to degree -n.
+    """
+    n = sigma.n
+    if sigma.trusted_floor is not None and sigma.trusted_floor > -n:
+        raise InsufficientExpansionError(
+            f"residue needs the expansion down to degree {-n}, but the floor "
+            f"is {sigma.trusted_floor}"
+        )
+    system = sigma._system
+    grade = Fraction(n // 2)  # pi grade of every nonzero monomial integral on S^(n-1)
+    zero_mode = (0,) * n
+    total = system.zero
+    for (mode, alpha, _p), s in sigma._term_bags().get(-n, {}).items():
+        if mode != zero_mode:
+            continue  # the trace kills every other mode
+        integral = sphere_monomial_integral(alpha, n)
+        if integral.is_zero():
+            continue
+        if integral.pi_exponent != grade:
+            raise ArithmeticError("unexpected pi grade in a sphere integral")
+        total = total + system.times_fraction(s, integral.coeff.re)
+    if not total:
+        return PiGradedScalar(0)
+    return PiGradedScalar(total, grade)
 
 
 def residue(sigma: ClassicalSymbol) -> PiGradedScalar:
@@ -93,32 +119,18 @@ def residue(sigma: ClassicalSymbol) -> PiGradedScalar:
     Refuses (rather than guessing zero) when the expansion is not trusted
     down to degree -n.
     """
-    n = sigma.n
-    if sigma.trusted_floor is not None and sigma.trusted_floor > -n:
-        raise InsufficientExpansionError(
-            f"residue needs the expansion down to degree {-n}, but the floor "
-            f"is {sigma.trusted_floor}"
-        )
-    comp = sigma.components.get(-n)
-    if comp is None:
-        return PiGradedScalar(0)
-    zero_mode = (0,) * n
-    total = PiGradedScalar(0)
-    for (mode, alpha, _p), s in comp.raw_terms().items():
-        if mode != zero_mode:
-            continue
-        total = total + sphere_monomial_integral(alpha, n) * s
-    return torus_volume(n) * total
+    return torus_volume(sigma.n) * _normalized_residue(sigma)
 
 
-def _residue_of_composition(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:
+def _residue_of_composition(sigma, tau, integrate=residue) -> PiGradedScalar:
+    """``integrate`` (residue or nc_residue) of sigma o tau, composing degree -n alone."""
     n = sigma.n
     floor = _standard_floor(sigma, tau)
     if floor is not None and floor > -n:
         raise InsufficientExpansionError(
             f"composition is only trusted down to degree {floor}, above {-n}"
         )
-    return residue(_compose_impl(sigma, tau, floor, degrees={-n}))
+    return integrate(_compose_impl(sigma, tau, floor, degrees={-n}))
 
 
 def trace_defect(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:

@@ -23,10 +23,9 @@ from .calculus import (
 )
 from .cyclotomic import CyclotomicScalar
 from .dsl import (
-    _classical_term_text,
-    _join_terms,
     format_nc_element,
     format_symbol,
+    format_terms,
     parse_nc_element,
     parse_symbol,
     random_symbol,
@@ -40,6 +39,7 @@ from .errors import (
 )
 from .nctorus import (
     NCSymbol,
+    Theta,
     nc_apply,
     nc_compose,
     nc_residue,
@@ -127,26 +127,6 @@ def _emit_symbol(sym, as_json: bool) -> None:
         print(json.dumps(symbol_to_json(sym)))
     else:
         print(format_symbol(sym))
-
-
-def _trig_poly_text(poly) -> str:
-    if poly.is_zero():
-        return "0"
-    pieces = [
-        _classical_term_text(mode, (0,) * poly.n, 0, coeff)
-        for mode, coeff in sorted(poly.coeffs.items())
-    ]
-    return _join_terms(pieces)
-
-
-def _component_text(comp) -> str:
-    if comp.is_zero():
-        return "0"
-    pieces = [
-        _classical_term_text(mode, alpha, npow, coeff)
-        for (mode, alpha, npow), coeff in sorted(comp.raw_terms().items())
-    ]
-    return _join_terms(pieces)
 
 
 def _cmd_residue(args) -> int:
@@ -248,7 +228,7 @@ def _random_nc_pair(rng: random.Random, theta: Fraction):
 
 
 def _cmd_nc_trace_check(args) -> int:
-    theta = Fraction(args.theta)
+    theta = Theta.from_rational(args.theta).exact
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
@@ -293,11 +273,13 @@ def _cmd_decompose(args) -> int:
         }
         print(json.dumps(payload))
     else:
-        print(f"sphere mean r(x) = {_trig_poly_text(cert.sphere_mean)}")
+        mean = cert.sphere_mean
+        mean_terms = {(mode, (0,) * mean.n, 0): c for mode, c in mean.coeffs.items()}
+        print(f"sphere mean r(x) = {format_terms(mean_terms)}")
         for deg in sorted(cert.antiderivative_families, reverse=True):
             fam = cert.antiderivative_families[deg]
             print(f"degree {deg}: divergence of {len(fam)} antiderivatives")
-        print(f"remainder = {_component_text(cert.remainder)}")
+        print(f"remainder = {format_terms(cert.remainder.raw_terms())}")
         print(f"residue = {direct}")
         print(f"implied residue = {implied}")
         print(f"consistent: {direct == implied}")

@@ -32,7 +32,7 @@ from typing import NamedTuple
 from . import terms as T
 from .cyclotomic import CyclotomicScalar, decompose_root
 from .errors import ParseError, ValidationError
-from .nctorus import NCPolynomial, NCSymbol, Theta
+from .nctorus import NCPolynomial, NCSymbol, Theta, _coerce_scalar, _system_for
 from .scalars import ComplexRational
 from .symbols import ClassicalSymbol, HomogeneousComponent
 
@@ -76,11 +76,21 @@ _XI_RE = re.compile(r"^xi(\d+)$")
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, dim: int = 2, theta: Theta | None = None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.saw_uv = False
         self.saw_mode = False
+        self.set_kind(dim, theta)
+
+    def set_kind(self, dim: int, theta: Theta | None) -> None:
+        """Fix the dimension and twist that expressions are read in."""
+        self.dim = dim
+        self.theta = theta
+        self.system = _system_for(theta)
+
+    def scalar(self, value: ComplexRational):
+        return value if self.theta is None else _coerce_scalar(self.theta, value)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -156,7 +166,7 @@ class _Parser:
             theta = Theta.from_rational(self.parse_rational())
             if dim != 2:
                 raise ValidationError("twisted symbols require dim 2")
-        system = _system_and_check(theta)
+        self.set_kind(dim, theta)
         blocks: dict[int, dict] = {}
         while self.peek() is not None:
             tok = self.peek()
@@ -166,7 +176,7 @@ class _Parser:
             deg_tok = self.peek()
             deg = self.parse_int()
             self.expect("{")
-            value = self.parse_expr(dim, theta, system)
+            value = self.parse_expr()
             self.expect("}")
             for (mode, alpha, npow), _s in value.items():
                 if sum(alpha) + npow != deg:
@@ -176,59 +186,48 @@ class _Parser:
                     )
             bucket = blocks.setdefault(deg, {})
             for key, s in value.items():
-                T.bag_add(system, bucket, key, s)
+                T.bag_add(self.system, bucket, key, s)
         if theta is not None and not self.saw_uv:
             raise ValidationError("a theta header requires U/V generators")
         if theta is None and self.saw_uv:
             raise ValidationError("U/V generators require a theta header")
-        for deg in blocks:
-            if deg > order:
-                raise ValidationError(f"block degree {deg} exceeds order {order}")
-            if deg < floor:
-                raise ValidationError(f"block degree {deg} lies below floor {floor}")
-        if theta is None:
-            comps = {
-                deg: HomogeneousComponent.from_raw(dim, deg, raw)
-                for deg, raw in blocks.items()
-            }
-            comps = {d: c for d, c in comps.items() if not c.is_zero()}
-            return ClassicalSymbol(dim, order, comps, floor)
-        return NCSymbol(theta, order, blocks, floor)
+        return _build_symbol(dim, order, floor, theta, blocks)
 
     # -- expressions ----------------------------------------------------------
 
-    def parse_expr(self, dim: int, theta, system) -> dict:
+    def parse_expr(self) -> dict:
         tok = self.peek()
         negate = False
         if tok is not None and tok.kind == "-":
             self.next()
             negate = True
-        value = self.parse_term(dim, theta, system)
+        value = self.parse_term()
         if negate:
-            value = {k: system.neg(s) for k, s in value.items()}
+            value = {k: -s for k, s in value.items()}
         while True:
             tok = self.peek()
             if tok is None or tok.kind not in ("+", "-"):
                 break
             self.next()
-            rhs = self.parse_term(dim, theta, system)
+            rhs = self.parse_term()
             if tok.kind == "-":
-                rhs = {k: system.neg(s) for k, s in rhs.items()}
-            value = T.add_terms(system, value, rhs)
+                rhs = {k: -s for k, s in rhs.items()}
+            value = T.add_terms(self.system, value, rhs)
         return value
 
-    def parse_term(self, dim: int, theta, system) -> dict:
-        value = self.parse_factor(dim, theta, system)
+    def parse_term(self) -> dict:
+        value = self.parse_factor()
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "*":
                 break
             self.next()
-            rhs = self.parse_factor(dim, theta, system)
-            value = T.mul_terms(system, value, rhs)
+            rhs = self.parse_factor()
+            value = T.mul_terms(self.system, value, rhs)
         return value
 
-    def parse_factor(self, dim: int, theta, system) -> dict:
+    def parse_factor(self) -> dict:
+        dim, theta = self.dim, self.theta
         tok = self.next()
         unit_key = ((0,) * dim, (0,) * dim, 0)
         if tok.kind == "NUMBER":
@@ -240,14 +239,14 @@ class _Parser:
                 if int(den.text) == 0:
                     raise ParseError("zero denominator", den.line, den.col)
                 value = Fraction(int(tok.text), int(den.text))
-            return {unit_key: _embed(system, theta, ComplexRational(value))}
+            return {unit_key: self.scalar(ComplexRational(value))}
         if tok.kind == "(":
-            value = self.parse_expr(dim, theta, system)
+            value = self.parse_expr()
             self.expect(")")
             return value
         if tok.kind == "NAME":
             if tok.text == "i":
-                return {unit_key: _embed(system, theta, ComplexRational(0, 1))}
+                return {unit_key: self.scalar(ComplexRational(0, 1))}
             if tok.text == "e":
                 self.expect("(")
                 entries = [self.parse_int()]
@@ -268,7 +267,7 @@ class _Parser:
                     )
                 self.saw_mode = True
                 key = (tuple(entries), (0,) * dim, 0)
-                return {key: _embed(system, theta, ComplexRational(1))}
+                return {key: self.scalar(ComplexRational(1))}
             if tok.text in ("U", "V"):
                 self.saw_uv = True
                 exponent = 1
@@ -280,7 +279,7 @@ class _Parser:
                     # recorded; the document-level check reports the error
                     mode = mode + (0,) * (dim - 2) if dim > 2 else mode
                 key = (mode, (0,) * dim, 0)
-                return {key: _embed(system, theta, ComplexRational(1))}
+                return {key: self.scalar(ComplexRational(1))}
             m = _XI_RE.match(tok.text)
             if m:
                 idx = int(m.group(1))
@@ -300,52 +299,56 @@ class _Parser:
                     )
                 alpha = tuple(exponent if i == idx - 1 else 0 for i in range(dim))
                 key = ((0,) * dim, alpha, 0)
-                return {key: _embed(system, theta, ComplexRational(1))}
+                return {key: self.scalar(ComplexRational(1))}
             if tok.text == "r":
                 self.expect("^")
                 exponent = self.parse_int()
                 key = ((0,) * dim, (0,) * dim, exponent)
-                return {key: _embed(system, theta, ComplexRational(1))}
+                return {key: self.scalar(ComplexRational(1))}
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-def _system_and_check(theta):
+def _build_symbol(dim: int, order: int, floor: int, theta: Theta | None, blocks: dict):
+    """The symbol of parsed degree blocks, after checking them against the header."""
+    for deg in blocks:
+        if deg > order:
+            raise ValidationError(f"block degree {deg} exceeds order {order}")
+        if deg < floor:
+            raise ValidationError(f"block degree {deg} lies below floor {floor}")
     if theta is None:
-        return T.RATIONAL_SYSTEM
-    if theta.is_exact:
-        return T.CyclotomicSystem(theta.exact.numerator, theta.exact.denominator)
-    return T.FloatSystem(theta.approximate)
-
-
-def _embed(system, theta, value: ComplexRational):
-    if theta is None:
-        return value
-    if theta.is_exact:
-        return CyclotomicScalar.from_complex_rational(value)
-    return value.to_complex()
+        comps = {
+            deg: HomogeneousComponent.from_raw(dim, deg, raw)
+            for deg, raw in blocks.items()
+        }
+        comps = {d: c for d, c in comps.items() if not c.is_zero()}
+        return ClassicalSymbol(dim, order, comps, floor)
+    return NCSymbol(theta, order, blocks, floor)
 
 
 def parse_symbol(text: str):
     """Parse a symbol document; returns a ClassicalSymbol or NCSymbol."""
     parser = _Parser(text)
-    return parser.parse_document()
+    try:
+        return parser.parse_document()
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
 
 
 def parse_nc_element(text: str, theta: Theta) -> NCPolynomial:
     """Parse a bare algebra element (rationals, i, U, V) at the given twist."""
-    parser = _Parser(text)
-    system = _system_and_check(theta)
-    value = parser.parse_expr(2, theta, system)
+    parser = _Parser(text, 2, theta)
+    try:
+        value = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
     if parser.peek() is not None:
         tok = parser.peek()
         raise ParseError(f"unexpected trailing token {tok.text!r}", tok.line, tok.col)
-    coeffs: dict = {}
-    for (mode, alpha, npow), s in value.items():
+    for _mode, alpha, npow in value:
         if any(alpha) or npow:
             raise ValidationError("algebra elements cannot contain xi or r factors")
-        cur = coeffs.get(mode)
-        coeffs[mode] = s if cur is None else system.add(cur, s)
-    return NCPolynomial(theta, coeffs)
+    # the keys of one bag are distinct, so each mode occurs once
+    return NCPolynomial(theta, {mode: s for (mode, _a, _p), s in value.items()})
 
 
 # -- formatting ---------------------------------------------------------------
@@ -395,6 +398,22 @@ def _join_terms(pieces: list[tuple[str, str]]) -> str:
         else:
             out.append(f" {sign} {text}")
     return "".join(out)
+
+
+def format_terms(terms: dict) -> str:
+    """Render a ``(mode, alpha, npow) -> coeff`` bag of exact coefficients.
+
+    The terms appear in sorted key order with the ``e(...)``/``xi``/``r``
+    factors of the text format; an empty bag renders as ``0``.
+    """
+    if not terms:
+        return "0"
+    return _join_terms(
+        [
+            _classical_term_text(mode, alpha, npow, coeff)
+            for (mode, alpha, npow), coeff in sorted(terms.items())
+        ]
+    )
 
 
 def _materialized_floor(sym) -> int:
@@ -459,13 +478,7 @@ def format_symbol(sym) -> str:
         floor = _materialized_floor(sym)
         lines = [f"dim {sym.n} order {sym.order} floor {floor}"]
         for deg in sym.degrees():
-            pieces = [
-                _classical_term_text(mode, alpha, npow, coeff)
-                for (mode, alpha, npow), coeff in sorted(
-                    sym.components[deg].raw_terms().items()
-                )
-            ]
-            lines.append(f"deg {deg} {{ {_join_terms(pieces)} }}")
+            lines.append(f"deg {deg} {{ {format_terms(sym.components[deg].raw_terms())} }}")
         return "\n".join(lines)
     if isinstance(sym, NCSymbol):
         if not sym.theta.is_exact:
@@ -586,26 +599,23 @@ def symbol_from_json(data: dict):
     if not isinstance(data, dict):
         raise ValidationError("symbol JSON must be an object")
     try:
-        dim = int(data["dim"])
-        order = int(data["order"])
-        floor = int(data["floor"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, order, floor = (_json_int(data[key], key) for key in ("dim", "order", "floor"))
+    except KeyError as exc:
         raise ValidationError(f"bad or missing header field: {exc}") from None
     if dim < 2:
         raise ValidationError(f"dimension must be at least 2, got {dim}")
     theta = None
     if "theta" in data and data["theta"] is not None:
         raw = data["theta"]
-        try:
-            if isinstance(raw, (str, int)):
-                theta = Theta.from_rational(Fraction(raw))
-            else:
-                theta = Theta.from_float(float(raw))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad theta {raw!r}: {exc}") from None
+        if isinstance(raw, bool):
+            raise ValidationError(f"bad theta {raw!r}: not a number")
+        if isinstance(raw, (str, int)):
+            theta = Theta.from_rational(raw)
+        else:
+            theta = Theta.from_float(raw)
         if dim != 2:
             raise ValidationError("twisted symbols require dim 2")
-    system = _system_and_check(theta)
+    system = _system_for(theta)
     blocks: dict[int, dict] = {}
     block_list = data.get("blocks", [])
     if not isinstance(block_list, list):
@@ -645,30 +655,16 @@ def symbol_from_json(data: dict):
                 mode = _json_ints(term.get("nc", (0, 0)), "nc")
                 if len(mode) != 2:
                     raise ValidationError(f"bad U/V exponents {term.get('nc')}")
-                coeff = _coeff_from_json(term["coeff"], exact=theta.is_exact)
-                if theta.is_exact:
-                    scalar = CyclotomicScalar.from_complex_rational(coeff)
-                    if "phase" in term:
-                        phase = _json_ints(term["phase"], "phase")
-                        if len(phase) != 2:
-                            raise ValidationError(f"bad phase {term['phase']}")
-                        scalar = scalar * CyclotomicScalar.root_of_unity(*phase)
-                else:
-                    scalar = coeff
+                scalar = _coerce_scalar(
+                    theta, _coeff_from_json(term["coeff"], exact=theta.is_exact)
+                )
+                if theta.is_exact and "phase" in term:
+                    phase = _json_ints(term["phase"], "phase")
+                    if len(phase) != 2:
+                        raise ValidationError(f"bad phase {term['phase']}")
+                    scalar = scalar * CyclotomicScalar.root_of_unity(*phase)
                 T.bag_add(system, bucket, (mode, alpha, npow), scalar)
-    for deg in blocks:
-        if deg > order:
-            raise ValidationError(f"block degree {deg} exceeds order {order}")
-        if deg < floor:
-            raise ValidationError(f"block degree {deg} lies below floor {floor}")
-    if theta is None:
-        comps = {
-            deg: HomogeneousComponent.from_raw(dim, deg, raw)
-            for deg, raw in blocks.items()
-        }
-        comps = {d: c for d, c in comps.items() if not c.is_zero()}
-        return ClassicalSymbol(dim, order, comps, floor)
-    return NCSymbol(theta, order, blocks, floor)
+    return _build_symbol(dim, order, floor, theta, blocks)
 
 
 # -- random generation ----------------------------------------------------------

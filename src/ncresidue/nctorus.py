@@ -4,22 +4,35 @@ their residue, and the theta = 0 bridge back to the ordinary torus.
 
 Two scalar backends coexist: exact cyclotomic coefficients for rational
 twists (decidable equality, exact trace identities) and floating complex
-coefficients for continuity experiments at arbitrary twists.
+coefficients for continuity experiments at arbitrary twists.  The twist
+picks the backend in one place, ``_system_for``, and the backend's
+``phase`` is the only place the factor e^(2 pi i theta t) is computed.
+
+This module keeps only what is particular to the twisted algebra.  The
+calculus itself is the commutative one with D_x replaced by delta_j:
+``nc_compose``, ``nc_residue`` and ``nc_trace_defect`` call the composed-
+floor rule, composition and residue integral of ``calculus``, and
+``NCPolynomial`` sums and products are the term engine's ``bag_add`` and
+``mul_terms`` with the backend's phase.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import terms as T
-from .calculus import residue
-from .cyclotomic import CyclotomicScalar, cyclotomic_phase
+from .calculus import (
+    _normalized_residue,
+    _residue_of_composition,
+    compose,
+    residue,
+)
+from .cyclotomic import CyclotomicScalar
 from .errors import DomainError, InsufficientExpansionError, ValidationError
-from .scalars import ComplexRational, PiGradedScalar, sphere_monomial_integral, torus_volume
-from .symbols import ClassicalSymbol, HomogeneousComponent
+from .scalars import ComplexRational, PiGradedScalar, torus_volume
+from .symbols import ClassicalSymbol, HomogeneousComponent, _check_degree, _check_floor
 
 
 class Theta:
@@ -38,11 +51,17 @@ class Theta:
 
     @classmethod
     def from_rational(cls, value) -> "Theta":
-        return cls(exact=Fraction(value))
+        try:
+            return cls(exact=Fraction(value))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad theta {value!r}: {exc}") from None
 
     @classmethod
     def from_float(cls, value: float) -> "Theta":
-        return cls(approximate=float(value))
+        try:
+            return cls(approximate=float(value))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad theta {value!r}: {exc}") from None
 
     @property
     def is_exact(self) -> bool:
@@ -68,16 +87,13 @@ class Theta:
 THETA_ZERO = Theta.from_rational(0)
 
 
-def _system_for(theta: Theta):
+def _system_for(theta: Theta | None):
+    """The coefficient system of a twist; None is the commutative calculus."""
+    if theta is None:
+        return T.RATIONAL_SYSTEM
     if theta.is_exact:
         return T.CyclotomicSystem(theta.exact.numerator, theta.exact.denominator)
     return T.FloatSystem(theta.approximate)
-
-
-def _phase(theta: Theta, t: int):
-    if theta.is_exact:
-        return cyclotomic_phase(theta.exact.numerator, theta.exact.denominator, t)
-    return cmath.exp(2j * cmath.pi * theta.approximate * t)
 
 
 def _coerce_scalar(theta: Theta, value):
@@ -104,12 +120,11 @@ class NCPolynomial:
     __slots__ = ("theta", "coeffs")
 
     def __init__(self, theta: Theta, coeffs: dict | None = None):
-        system = _system_for(theta)
         clean = {}
         for mode, value in (coeffs or {}).items():
             m, n = mode
             s = _coerce_scalar(theta, value)
-            if not system.is_zero(s):
+            if s:
                 clean[(int(m), int(n))] = s
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "coeffs", clean)
@@ -133,6 +148,7 @@ class NCPolynomial:
 
     # -- structure -----------------------------------------------------------
 
+    @property
     def _system(self):
         return _system_for(self.theta)
 
@@ -149,7 +165,7 @@ class NCPolynomial:
             )
 
     def coefficient(self, m: int, n: int):
-        return self.coeffs.get((m, n), self._system().zero)
+        return self.coeffs.get((m, n), self._system.zero)
 
     # -- algebra --------------------------------------------------------------
 
@@ -157,16 +173,9 @@ class NCPolynomial:
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         self._check_theta(other)
-        system = self._system()
-        out = dict(self.coeffs)
-        for mode, s in other.coeffs.items():
-            cur = out.get(mode)
-            new = s if cur is None else system.add(cur, s)
-            if system.is_zero(new):
-                out.pop(mode, None)
-            else:
-                out[mode] = new
-        return NCPolynomial(self.theta, out)
+        return NCPolynomial(
+            self.theta, T.add_terms(self._system, self.coeffs, other.coeffs)
+        )
 
     def __sub__(self, other):
         if not isinstance(other, NCPolynomial):
@@ -174,41 +183,24 @@ class NCPolynomial:
         return self + (-other)
 
     def __neg__(self):
-        system = self._system()
-        return NCPolynomial(
-            self.theta, {mode: system.neg(s) for mode, s in self.coeffs.items()}
-        )
+        return NCPolynomial(self.theta, {mode: -s for mode, s in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, NCPolynomial):
             self._check_theta(other)
-            system = self._system()
-            out: dict = {}
-            for (a, b), s1 in self.coeffs.items():
-                for (c, d), s2 in other.coeffs.items():
-                    s = system.mul(s1, s2)
-                    t = b * c
-                    if t:
-                        ph = _phase(self.theta, t)
-                        if not (self.theta.is_exact and ph.is_rational() and ph.coeffs[0] == 1):
-                            s = system.mul(s, ph)
-                    mode = (a + c, b + d)
-                    cur = out.get(mode)
-                    new = s if cur is None else system.add(cur, s)
-                    if system.is_zero(new):
-                        out.pop(mode, None)
-                    else:
-                        out[mode] = new
-            return NCPolynomial(self.theta, out)
+            # a word U^m V^n is the term with mode (m, n) and no xi part
+            prod = T.mul_terms(
+                self._system,
+                {(mode, (), 0): s for mode, s in self.coeffs.items()},
+                {(mode, (), 0): s for mode, s in other.coeffs.items()},
+            )
+            return NCPolynomial(self.theta, {key[0]: s for key, s in prod.items()})
         # scalar multiple
         try:
             s = _coerce_scalar(self.theta, other)
         except TypeError:
             return NotImplemented
-        system = self._system()
-        return NCPolynomial(
-            self.theta, {mode: system.mul(s, v) for mode, v in self.coeffs.items()}
-        )
+        return NCPolynomial(self.theta, {mode: s * v for mode, v in self.coeffs.items()})
 
     def __rmul__(self, other):
         if isinstance(other, NCPolynomial):
@@ -217,25 +209,24 @@ class NCPolynomial:
 
     def adjoint(self) -> "NCPolynomial":
         """The *-involution: (U^m V^n)* = e^(2 pi i theta m n) U^-m V^-n."""
-        system = self._system()
+        system = self._system
         out = {}
         for (m, n), s in self.coeffs.items():
             conj = s.conjugate()
-            t = m * n
-            if t:
-                conj = system.mul(conj, _phase(self.theta, t))
-            out[(-m, -n)] = conj
+            # the phase of reordering V^-n U^-m into U^-m V^-n
+            ph = system.phase((0, -n), (-m, 0))
+            out[(-m, -n)] = conj if ph is None else conj * ph
         return NCPolynomial(self.theta, out)
 
     def trace(self):
         """The normalized trace: the (0, 0) Fourier coefficient."""
-        return self.coeffs.get((0, 0), self._system().zero)
+        return self.coeffs.get((0, 0), self._system.zero)
 
     def delta(self, j: int) -> "NCPolynomial":
         """The basic derivation delta_j; scales a_mn by m (j=1) or n (j=2)."""
         if j not in (1, 2):
             raise ValidationError(f"derivation index must be 1 or 2, got {j}")
-        system = self._system()
+        system = self._system
         out = {}
         for (m, n), s in self.coeffs.items():
             w = m if j == 1 else n
@@ -247,10 +238,7 @@ class NCPolynomial:
         """The same element with floating coefficients."""
         if not self.theta.is_exact:
             return self
-        theta = Theta.from_float(self.theta.as_float())
-        return NCPolynomial(
-            theta, {mode: s.to_complex() for mode, s in self.coeffs.items()}
-        )
+        return NCPolynomial(Theta.from_float(self.theta.as_float()), self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NCPolynomial):
@@ -315,20 +303,9 @@ class NCSymbol:
             ct = T.canonical_terms(system, 2, deg, raw)
             if not ct:
                 continue
-            if deg > order:
-                raise ValidationError(
-                    f"component degree {deg} exceeds symbol order {order}"
-                )
-            if trusted_floor is not None and deg < trusted_floor:
-                raise ValidationError(
-                    f"component degree {deg} lies below the trusted floor "
-                    f"{trusted_floor}"
-                )
+            _check_degree(deg, order, trusted_floor)
             comps[deg] = ct
-        if trusted_floor is not None and trusted_floor > order:
-            raise ValidationError(
-                f"trusted floor {trusted_floor} exceeds order {order}"
-            )
+        _check_floor(order, trusted_floor)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "trusted_floor", trusted_floor)
@@ -336,6 +313,26 @@ class NCSymbol:
 
     def __setattr__(self, name, value):
         raise AttributeError("NCSymbol is immutable")
+
+    # -- what calculus.py composes and integrates through ---------------------
+
+    n = 2
+
+    @property
+    def _system(self):
+        return _system_for(self.theta)
+
+    def _term_bags(self) -> dict[int, dict]:
+        return self._components
+
+    def _check_composable(self, other: "NCSymbol") -> None:
+        if self.theta != other.theta:
+            raise ValidationError("twist mismatch in composition")
+
+    def _with_term_bags(
+        self, order: int, bags: dict[int, dict], trusted_floor: int | None
+    ) -> "NCSymbol":
+        return NCSymbol._from_canonical(self.theta, order, bags, trusted_floor)
 
     @classmethod
     def _from_canonical(
@@ -396,44 +393,9 @@ class NCSymbol:
         )
 
 
-def _nc_standard_floor(sigma: NCSymbol, tau: NCSymbol) -> int | None:
-    parts = []
-    if sigma.trusted_floor is not None:
-        parts.append(sigma.trusted_floor + tau.order)
-    if tau.trusted_floor is not None:
-        parts.append(sigma.order + tau.trusted_floor)
-    return max(parts) if parts else None
-
-
-def _nc_compose_impl(
-    sigma: NCSymbol, tau: NCSymbol, floor: int | None, *, degrees=None
-) -> NCSymbol:
-    if sigma.theta != tau.theta:
-        raise ValidationError("twist mismatch in composition")
-    system = _system_for(sigma.theta)
-    if floor is None and degrees is None:
-        sigma_poly = all(
-            T.terms_polynomial(t) for t in sigma._components.values()
-        )
-        tau_const = all(
-            T.terms_x_independent(t) for t in tau._components.values()
-        )
-        if not (sigma_poly or tau_const):
-            raise ValidationError(
-                "composition of two complete symbols does not terminate here; "
-                "assign a finite trusted floor to one factor"
-            )
-    raw = T.compose_components(
-        system, 2, sigma._components, tau._components, floor, degrees=degrees
-    )
-    return NCSymbol._from_canonical(
-        sigma.theta, sigma.order + tau.order, raw, floor
-    )
-
-
 def nc_compose(sigma: NCSymbol, tau: NCSymbol) -> NCSymbol:
     """Composition with D_x^gamma replaced by delta^gamma; sigma acts from the left."""
-    return _nc_compose_impl(sigma, tau, _nc_standard_floor(sigma, tau))
+    return compose(sigma, tau)
 
 
 def nc_residue(sigma: NCSymbol) -> PiGradedScalar:
@@ -442,35 +404,11 @@ def nc_residue(sigma: NCSymbol) -> PiGradedScalar:
     Exact (a cyclotomic multiple of pi) under the exact backend; floating
     under the approximate one.
     """
-    if sigma.trusted_floor is not None and sigma.trusted_floor > -2:
-        raise InsufficientExpansionError(
-            f"residue needs the expansion down to degree -2, but the floor is "
-            f"{sigma.trusted_floor}"
-        )
-    system = _system_for(sigma.theta)
-    total = system.zero
-    for (mode, alpha, _p), s in sigma._components.get(-2, {}).items():
-        if mode != (0, 0):
-            continue  # the trace kills every other U^m V^n word
-        integral = sphere_monomial_integral(alpha, 2)
-        if integral.is_zero():
-            continue
-        if integral.pi_exponent != 1:
-            raise ArithmeticError("unexpected pi grade in a circle integral")
-        coeff = integral.coeff
-        total = system.add(total, system.times_fraction(s, coeff.re))
-    if system.is_zero(total):
-        return PiGradedScalar(0)
-    return PiGradedScalar(total, 1)
+    return _normalized_residue(sigma)
 
 
 def _nc_residue_of_composition(sigma: NCSymbol, tau: NCSymbol) -> PiGradedScalar:
-    floor = _nc_standard_floor(sigma, tau)
-    if floor is not None and floor > -2:
-        raise InsufficientExpansionError(
-            f"composition is only trusted down to degree {floor}, above -2"
-        )
-    return nc_residue(_nc_compose_impl(sigma, tau, floor, degrees={-2}))
+    return _residue_of_composition(sigma, tau, nc_residue)
 
 
 def nc_trace_defect(sigma: NCSymbol, tau: NCSymbol) -> PiGradedScalar:
@@ -501,14 +439,9 @@ def nc_apply(sigma: NCSymbol, a: NCPolynomial) -> NCPolynomial:
             v = (m ** alpha[0]) * (n ** alpha[1]) * radial
             if v == 0:
                 continue
-            sc = s.to_complex() if hasattr(s, "to_complex") else complex(s)
-            values[mode] = values.get(mode, 0j) + sc * v
+            values[mode] = values.get(mode, 0j) + _coerce_scalar(theta, s) * v
         sym_val = NCPolynomial(theta, values)
-        arg = NCPolynomial(
-            theta,
-            {(m, n): coeff.to_complex() if hasattr(coeff, "to_complex") else complex(coeff)},
-        )
-        out = out + sym_val * arg
+        out = out + sym_val * NCPolynomial(theta, {(m, n): coeff})
     return out
 
 

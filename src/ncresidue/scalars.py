@@ -171,7 +171,7 @@ class PiGradedScalar:
             raise ValidationError(f"pi exponent must be a half-integer, got {k}")
         if k < 0:
             raise ValidationError(f"pi exponent must be nonnegative, got {k}")
-        if _scalar_is_zero(coeff):
+        if not coeff:
             k = Fraction(0)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "pi_exponent", k)
@@ -180,7 +180,7 @@ class PiGradedScalar:
         raise AttributeError("PiGradedScalar is immutable")
 
     def is_zero(self) -> bool:
-        return _scalar_is_zero(self.coeff)
+        return not self.coeff
 
     def __add__(self, other):
         if not isinstance(other, PiGradedScalar):
@@ -258,12 +258,6 @@ class PiGradedScalar:
         k = self.pi_exponent
         kstr = str(k) if k.denominator == 1 else f"({k})"
         return f"{c} * pi^{kstr}"
-
-
-def _scalar_is_zero(s) -> bool:
-    if hasattr(s, "is_zero"):
-        return s.is_zero()
-    return s == 0
 
 
 PG_ZERO = PiGradedScalar(0)

@@ -322,6 +322,21 @@ def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
     return TrigPolynomial(n, coeffs)
 
 
+def _check_degree(deg: int, order: int, trusted_floor: int | None) -> None:
+    """Refuse a nonzero component outside order..trusted_floor."""
+    if deg > order:
+        raise ValidationError(f"component degree {deg} exceeds symbol order {order}")
+    if trusted_floor is not None and deg < trusted_floor:
+        raise ValidationError(
+            f"component degree {deg} lies below the trusted floor {trusted_floor}"
+        )
+
+
+def _check_floor(order: int, trusted_floor: int | None) -> None:
+    if trusted_floor is not None and trusted_floor > order:
+        raise ValidationError(f"trusted floor {trusted_floor} exceeds order {order}")
+
+
 class ClassicalSymbol:
     """A truncated classical symbol: homogeneous components from ``order``
     down to ``trusted_floor``.
@@ -356,20 +371,9 @@ class ClassicalSymbol:
                 raise ValidationError(
                     f"component of degree {comp.degree} stored at degree {deg}"
                 )
-            if deg > order:
-                raise ValidationError(
-                    f"component degree {deg} exceeds symbol order {order}"
-                )
-            if trusted_floor is not None and deg < trusted_floor:
-                raise ValidationError(
-                    f"component degree {deg} lies below the trusted floor "
-                    f"{trusted_floor}"
-                )
+            _check_degree(deg, order, trusted_floor)
             comps[deg] = comp
-        if trusted_floor is not None and trusted_floor > order:
-            raise ValidationError(
-                f"trusted floor {trusted_floor} exceeds order {order}"
-            )
+        _check_floor(order, trusted_floor)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "trusted_floor", trusted_floor)
@@ -377,6 +381,28 @@ class ClassicalSymbol:
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassicalSymbol is immutable")
+
+    # -- what calculus.py composes and integrates through ---------------------
+
+    _system = _SYS
+
+    def _term_bags(self) -> dict[int, dict]:
+        return {d: c._terms for d, c in self._components.items()}
+
+    def _check_composable(self, other: "ClassicalSymbol") -> None:
+        if self.n != other.n:
+            raise ValidationError(
+                f"dimension mismatch in composition: {self.n} != {other.n}"
+            )
+
+    def _with_term_bags(
+        self, order: int, bags: dict[int, dict], trusted_floor: int | None
+    ) -> "ClassicalSymbol":
+        comps = {
+            d: HomogeneousComponent._from_canonical(self.n, d, ct)
+            for d, ct in bags.items()
+        }
+        return ClassicalSymbol(self.n, order, comps, trusted_floor)
 
     @property
     def components(self) -> dict[int, HomogeneousComponent]:

@@ -7,9 +7,12 @@ A homogeneous component is stored as a dict mapping
 where ``mode`` is the Fourier index of the oscillating factor (a lattice
 point on the torus, or the (m, n) word exponents of the twisted algebra),
 ``alpha`` the xi-monomial exponents and ``npow`` the power of |xi|.  The
-same representation serves both calculi; a coefficient-system object tells
-the engine how to operate on scalars and what phase the product of two
-modes picks up.
+same representation serves both calculi.  Scalars are added, multiplied,
+negated and tested for zero with their own operators (``+``, ``*``, unary
+``-``, truthiness).  A coefficient-system object supplies only what differs
+between backends: its ``zero``, the embedding ``from_fraction`` of
+rationals, scaling by an ``int`` or ``Fraction`` (``times_int``,
+``times_fraction``) and the ``phase`` the product of two modes picks up.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -33,25 +36,12 @@ TermKey = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 class RationalSystem:
-    """Exact complex-rational coefficients; trivial mode phases."""
+    """Exact complex-rational coefficients; trivial mode phases.
+
+    The twisted systems below derive from it and override what differs.
+    """
 
     zero = CR_ZERO
-
-    @staticmethod
-    def is_zero(s) -> bool:
-        return s.is_zero()
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
 
     @staticmethod
     def times_int(s, k: int):
@@ -70,7 +60,7 @@ class RationalSystem:
         return None
 
 
-class CyclotomicSystem:
+class CyclotomicSystem(RationalSystem):
     """Exact cyclotomic coefficients twisted by a rational angle."""
 
     zero = CYC_ZERO
@@ -78,30 +68,6 @@ class CyclotomicSystem:
     def __init__(self, theta_num: int, theta_den: int):
         self.theta_num = theta_num
         self.theta_den = theta_den
-
-    @staticmethod
-    def is_zero(s) -> bool:
-        return s.is_zero()
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def times_int(s, k: int):
-        return s * k
-
-    @staticmethod
-    def times_fraction(s, f: Fraction):
-        return s * f
 
     @staticmethod
     def from_fraction(f) -> CyclotomicScalar:
@@ -114,33 +80,13 @@ class CyclotomicSystem:
         return cyclotomic_phase(self.theta_num, self.theta_den, t)
 
 
-class FloatSystem:
+class FloatSystem(RationalSystem):
     """Floating complex coefficients for numerical experiments."""
 
     zero = 0j
 
     def __init__(self, theta: float = 0.0):
         self.theta = float(theta)
-
-    @staticmethod
-    def is_zero(s) -> bool:
-        return s == 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def times_int(s, k: int):
-        return s * k
 
     @staticmethod
     def times_fraction(s, f: Fraction):
@@ -152,8 +98,9 @@ class FloatSystem:
 
     def phase(self, left_mode, right_mode):
         t = left_mode[1] * right_mode[0]
-        if self.theta == 0.0 or t == 0:
+        if t == 0:
             return None
+        # also at theta 0.0: the factor 1+0j settles the sign of zero parts
         return cmath.exp(2j * cmath.pi * self.theta * t)
 
 
@@ -163,11 +110,11 @@ RATIONAL_SYSTEM = RationalSystem()
 def bag_add(system, bag: dict, key: TermKey, scalar) -> None:
     cur = bag.get(key)
     if cur is None:
-        if not system.is_zero(scalar):
+        if scalar:
             bag[key] = scalar
         return
-    new = system.add(cur, scalar)
-    if system.is_zero(new):
+    new = cur + scalar
+    if not new:
         del bag[key]
     else:
         bag[key] = new
@@ -183,8 +130,8 @@ def add_terms(system, a: dict, b: dict) -> dict:
 def scale_terms(system, terms: dict, scalar) -> dict:
     out = {}
     for key, s in terms.items():
-        v = system.mul(scalar, s)
-        if not system.is_zero(v):
+        v = scalar * s
+        if v:
             out[key] = v
     return out
 
@@ -199,10 +146,10 @@ def mul_terms(system, left: dict, right: dict, out: dict | None = None) -> dict:
         out = {}
     for (m1, a1, p1), s1 in left.items():
         for (m2, a2, p2), s2 in right.items():
-            s = system.mul(s1, s2)
+            s = s1 * s2
             ph = system.phase(m1, m2)
             if ph is not None:
-                s = system.mul(s, ph)
+                s = s * ph
             key = (
                 tuple(x + y for x, y in zip(m1, m2)),
                 tuple(x + y for x, y in zip(a1, a2)),
@@ -256,7 +203,7 @@ def canonical_terms(system, n: int, degree: int, raw: dict) -> dict:
     """Canonicalize a raw term bag of the given homogeneity degree."""
     groups: dict[tuple, list] = {}
     for (mode, alpha, npow), s in raw.items():
-        if system.is_zero(s):
+        if not s:
             continue
         if len(alpha) != n:
             raise ValidationError(f"xi multi-index {alpha} has length != {n}")
@@ -310,7 +257,7 @@ def _divide_by_sum_sq(system, poly: dict, n: int):
         bag_add(system, quo, beta, c)
         for j in range(1, n):
             key = beta[:j] + (beta[j] + 2,) + beta[j + 1 :]
-            bag_add(system, rem, key, system.neg(c))
+            bag_add(system, rem, key, -c)
     return quo
 
 
@@ -350,9 +297,9 @@ def compose_components(
 
     ``floor`` bounds the emitted degrees from below; ``degrees`` restricts
     to an explicit set; ``gamma_cap`` truncates the derivative order.  With
-    ``floor=None`` and no other bound the caller must guarantee that the
-    series terminates (left factor polynomial in xi, or right factor free
-    of modes) or the loop would not end.
+    none of the three the series terminates only when the left factor is
+    polynomial in xi or the right factor is free of modes; otherwise the
+    loop would not end, so it raises ``ValidationError`` instead.
 
     The xi-derivative tower of each left component is kept raw: the levels
     are the bags ``partial_xi_terms`` returns, never canonicalized.  Each
@@ -362,6 +309,14 @@ def compose_components(
     derivative, so the tower may stop there; a nonempty raw level can still
     denote zero, which only costs levels that contribute nothing.
     """
+    if floor is None and degrees is None and gamma_cap is None and not (
+        all(terms_polynomial(t) for t in comps_a.values())
+        or all(terms_x_independent(t) for t in comps_b.values())
+    ):
+        raise ValidationError(
+            "composition of two complete symbols does not terminate here; "
+            "assign a finite trusted floor to one factor"
+        )
     wanted = None if degrees is None else set(degrees)
     out: dict[int, dict] = {}
     for a_deg, a_terms in comps_a.items():

@@ -214,8 +214,19 @@ _TERM = {"coeff": {"re": "1", "im": "0"}, "alpha": [0, 0], "npow": 0}
         ('{"blocks": ' + "[" * 100000 + "]" * 100000 + "}",
          cli.EXIT_PARSE, "parse error: invalid JSON"),
         (None, cli.EXIT_PARSE, "cannot read "),
+        ("dim 2 order 0 floor 0\ndeg 0 { " + "(" * 5000 + "1" + ")" * 5000 + " }",
+         cli.EXIT_PARSE, "parse error: nested too deeply"),
+        (json.dumps({"dim": 2.9, "order": 0, "floor": 0, "blocks": []}),
+         cli.EXIT_VALIDATION, "validation error: dim must be an integer"),
+        (json.dumps({"dim": "2", "order": 0, "floor": 0, "blocks": []}),
+         cli.EXIT_VALIDATION, "validation error: dim must be an integer"),
+        (json.dumps({"dim": 2, "order": True, "floor": 0, "blocks": []}),
+         cli.EXIT_VALIDATION, "validation error: order must be an integer"),
+        (json.dumps({"dim": 2, "order": 0, "floor": 0, "theta": True, "blocks": []}),
+         cli.EXIT_VALIDATION, "validation error: bad theta"),
     ],
-    ids=["truncated-json", "npow-text", "deg-null", "deep-json", "missing-file"],
+    ids=["truncated-json", "npow-text", "deg-null", "deep-json", "missing-file",
+         "deep-text", "dim-float", "dim-string", "order-bool", "theta-bool"],
 )
 def test_malformed_or_missing_document_gives_one_line(tmp_path, capsys, text, code, prefix):
     p = tmp_path / "doc.json"
@@ -225,4 +236,13 @@ def test_malformed_or_missing_document_gives_one_line(tmp_path, capsys, text, co
     assert got == code
     assert out == ""
     assert err.startswith(prefix)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("theta", ["abc", "1/0"])
+def test_nc_trace_check_bad_theta_gives_one_line(capsys, theta):
+    code, out, err = run(capsys, "nc-trace-check", "--theta", theta, "--trials", "1")
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith(f"validation error: bad theta {theta!r}")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -265,6 +265,11 @@ def test_random_symbol_theta_does_not_change_draws():
 # -- bare algebra elements ----------------------------------------------------------
 
 
+def test_parse_nc_element_nested_too_deeply():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_nc_element("(" * 5000 + "U" + ")" * 5000, Theta.from_rational(Fraction(1, 3)))
+
+
 def test_parse_nc_element():
     th = Theta.from_rational(Fraction(1, 4))
     el = parse_nc_element("U*V + 2", th)

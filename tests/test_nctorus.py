@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -262,6 +263,32 @@ def test_nc_polynomial_accessors_and_approximation():
     approx = a.approximate()
     assert not approx.theta.is_exact
     assert abs(approx.coefficient(0, 1) - 1j) < 1e-15
+
+
+@pytest.mark.parametrize("exact", [Fraction(0), Fraction(3, 10)])
+def test_float_backend_products_match_exact(exact):
+    th = Theta.from_float(float(exact))
+    twist = cmath.exp(2j * cmath.pi * float(exact))
+    _assert_close(nc_v(th) * nc_u(th), nc_u(th) * nc_v(th) * twist)
+    rng = random.Random(17)
+    exact_th = Theta.from_rational(exact)
+    for _ in range(20):
+        a, b = rand_poly(rng, exact_th), rand_poly(rng, exact_th)
+        _assert_close(a.approximate() * b.approximate(), (a * b).approximate())
+
+
+def _assert_close(p, q):
+    assert p.theta == q.theta and not p.theta.is_exact
+    for mode in set(p.coeffs) | set(q.coeffs):
+        assert abs(p.coefficient(*mode) - q.coefficient(*mode)) < 1e-12
+
+
+def test_nc_compose_refuses_complete_pair_that_does_not_terminate():
+    th = Theta.from_rational(Fraction(2, 5))
+    not_polynomial = NCSymbol(th, -1, {-1: [(1, (0, 0), (0, 0), -1)]}, None)
+    depends_on_u = NCSymbol(th, 0, {0: [(1, (1, 0), (0, 0), 0)]}, None)
+    with pytest.raises(ValidationError, match="does not terminate"):
+        nc_compose(not_polynomial, depends_on_u)
 
 
 def test_nc_compose_theta_mismatch():
