@@ -51,17 +51,21 @@ def _symbol_polynomial(sym: ClassicalSymbol) -> bool:
     return all(T.terms_polynomial(t) for t in sym._term_bags().values())
 
 
+def _check_pair(sigma, tau) -> None:
+    if type(sigma) is not type(tau):
+        raise TypeError(
+            f"cannot compose {type(sigma).__name__} with {type(tau).__name__}"
+        )
+    sigma._check_composable(tau)
+
+
 def _compose_impl(sigma, tau, floor: int | None, *, degrees=None, gamma_cap: int | None = None):
     """sigma o tau for either symbol class: ClassicalSymbol or NCSymbol.
 
     Each class supplies its coefficient system, its term bags, the check
     that two of its symbols compose, and the wrapping of the result.
     """
-    if type(sigma) is not type(tau):
-        raise TypeError(
-            f"cannot compose {type(sigma).__name__} with {type(tau).__name__}"
-        )
-    sigma._check_composable(tau)
+    _check_pair(sigma, tau)
     bags = T.compose_components(
         sigma._system,
         sigma.n,
@@ -79,6 +83,22 @@ def compose(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> ClassicalSymbol:
     return _compose_impl(sigma, tau, _standard_floor(sigma, tau))
 
 
+def _sphere_sum(system, n: int, bag: dict) -> PiGradedScalar:
+    """Integral over S^(n-1) of sum_alpha s xi^alpha, for an alpha -> scalar bag."""
+    grade = Fraction(n // 2)  # pi grade of every nonzero monomial integral on S^(n-1)
+    total = system.zero
+    for alpha, s in bag.items():
+        integral = sphere_monomial_integral(alpha, n)
+        if integral.is_zero():
+            continue
+        if integral.pi_exponent != grade:
+            raise ArithmeticError("unexpected pi grade in a sphere integral")
+        total = total + system.times_fraction(s, integral.coeff.re)
+    if not total:
+        return PiGradedScalar(0)
+    return PiGradedScalar(total, grade)
+
+
 def _normalized_residue(sigma) -> PiGradedScalar:
     """Sphere integral of the mode-zero part of the degree-(-n) component.
 
@@ -93,22 +113,15 @@ def _normalized_residue(sigma) -> PiGradedScalar:
             f"residue needs the expansion down to degree {-n}, but the floor "
             f"is {sigma.trusted_floor}"
         )
-    system = sigma._system
-    grade = Fraction(n // 2)  # pi grade of every nonzero monomial integral on S^(n-1)
     zero_mode = (0,) * n
-    total = system.zero
-    for (mode, alpha, _p), s in sigma._term_bags().get(-n, {}).items():
-        if mode != zero_mode:
-            continue  # the trace kills every other mode
-        integral = sphere_monomial_integral(alpha, n)
-        if integral.is_zero():
-            continue
-        if integral.pi_exponent != grade:
-            raise ArithmeticError("unexpected pi grade in a sphere integral")
-        total = total + system.times_fraction(s, integral.coeff.re)
-    if not total:
-        return PiGradedScalar(0)
-    return PiGradedScalar(total, grade)
+    # the trace kills every other mode; within one mode of a homogeneous
+    # component, alpha determines the |xi| power
+    bag = {
+        alpha: s
+        for (mode, alpha, _p), s in sigma._term_bags().get(-n, {}).items()
+        if mode == zero_mode
+    }
+    return _sphere_sum(sigma._system, n, bag)
 
 
 def residue(sigma: ClassicalSymbol) -> PiGradedScalar:
@@ -122,15 +135,28 @@ def residue(sigma: ClassicalSymbol) -> PiGradedScalar:
     return torus_volume(sigma.n) * _normalized_residue(sigma)
 
 
-def _residue_of_composition(sigma, tau, integrate=residue) -> PiGradedScalar:
-    """``integrate`` (residue or nc_residue) of sigma o tau, composing degree -n alone."""
+def _normalized_residue_of_composition(sigma, tau) -> PiGradedScalar:
+    """``_normalized_residue`` of sigma o tau, without composing.
+
+    Only the mode-zero, degree-(-n) products reach the residue, and on the
+    unit sphere they need no canonical form, so ``terms.residue_pairing``
+    forms just those and the sphere sum integrates them raw.
+    """
     n = sigma.n
     floor = _standard_floor(sigma, tau)
     if floor is not None and floor > -n:
         raise InsufficientExpansionError(
             f"composition is only trusted down to degree {floor}, above {-n}"
         )
-    return integrate(_compose_impl(sigma, tau, floor, degrees={-n}))
+    _check_pair(sigma, tau)
+    system = sigma._system
+    bag = T.residue_pairing(system, n, sigma._term_bags(), tau._term_bags())
+    return _sphere_sum(system, n, bag)
+
+
+def _residue_of_composition(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:
+    """``residue`` of sigma o tau, without composing."""
+    return torus_volume(sigma.n) * _normalized_residue_of_composition(sigma, tau)
 
 
 def trace_defect(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:

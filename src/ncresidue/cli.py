@@ -403,9 +403,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TEXT_OPTIONS = ("--element", "--theta")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Write ``--element X`` as ``--element=X``, and likewise ``--theta``.
+
+    As with getopt, an option that needs a value takes the next word even
+    when it starts with a minus sign (an element such as ``-U``, a twist
+    such as ``-1/3``); argparse alone would read that word as an unknown
+    option.
+    """
+    out = []
+    words = iter(argv)
+    for word in words:
+        if word in _TEXT_OPTIONS:
+            value = next(words, None)
+            if value is not None:
+                word = f"{word}={value}"
+        out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     args._stdin_used = [False]
     try:
         return args.fn(args)

@@ -186,7 +186,7 @@ class _Parser:
                     )
             bucket = blocks.setdefault(deg, {})
             for key, s in value.items():
-                T.bag_add(self.system, bucket, key, s)
+                T.bag_add(bucket, key, s)
         if theta is not None and not self.saw_uv:
             raise ValidationError("a theta header requires U/V generators")
         if theta is None and self.saw_uv:
@@ -212,7 +212,7 @@ class _Parser:
             rhs = self.parse_term()
             if tok.kind == "-":
                 rhs = {k: -s for k, s in rhs.items()}
-            value = T.add_terms(self.system, value, rhs)
+            value = T.add_terms(value, rhs)
         return value
 
     def parse_term(self) -> dict:
@@ -648,7 +648,7 @@ def symbol_from_json(data: dict):
                 if len(mode) != dim:
                     raise ValidationError(f"bad Fourier mode {term.get('mode')}")
                 coeff = _coeff_from_json(term["coeff"], exact=True)
-                T.bag_add(system, bucket, (mode, alpha, npow), coeff)
+                T.bag_add(bucket, (mode, alpha, npow), coeff)
             else:
                 if has_mode:
                     raise ValidationError("e-modes cannot appear in a twisted symbol")
@@ -663,7 +663,7 @@ def symbol_from_json(data: dict):
                     if len(phase) != 2:
                         raise ValidationError(f"bad phase {term['phase']}")
                     scalar = scalar * CyclotomicScalar.root_of_unity(*phase)
-                T.bag_add(system, bucket, (mode, alpha, npow), scalar)
+                T.bag_add(bucket, (mode, alpha, npow), scalar)
     return _build_symbol(dim, order, floor, theta, blocks)
 
 

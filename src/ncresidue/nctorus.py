@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import terms as T
 from .calculus import (
     _normalized_residue,
-    _residue_of_composition,
+    _normalized_residue_of_composition,
     compose,
     residue,
 )
@@ -173,9 +173,7 @@ class NCPolynomial:
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         self._check_theta(other)
-        return NCPolynomial(
-            self.theta, T.add_terms(self._system, self.coeffs, other.coeffs)
-        )
+        return NCPolynomial(self.theta, T.add_terms(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, NCPolynomial):
@@ -299,7 +297,7 @@ class NCSymbol:
                 if any(a < 0 for a in key[1]):
                     raise ValidationError(f"xi exponents must be nonnegative: {alpha}")
                 s = _coerce_scalar(theta, coeff)
-                T.bag_add(system, raw, key, s)
+                T.bag_add(raw, key, s)
             ct = T.canonical_terms(system, 2, deg, raw)
             if not ct:
                 continue
@@ -408,7 +406,7 @@ def nc_residue(sigma: NCSymbol) -> PiGradedScalar:
 
 
 def _nc_residue_of_composition(sigma: NCSymbol, tau: NCSymbol) -> PiGradedScalar:
-    return _residue_of_composition(sigma, tau, nc_residue)
+    return _normalized_residue_of_composition(sigma, tau)
 
 
 def nc_trace_defect(sigma: NCSymbol, tau: NCSymbol) -> PiGradedScalar:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, ValidationError
 
@@ -293,6 +294,12 @@ def sphere_monomial_integral(alpha: tuple[int, ...], n: int) -> PiGradedScalar:
         raise ValidationError(f"multi-index entries must be nonnegative: {alpha}")
     if any(a % 2 for a in alpha):
         return PG_ZERO
+    return _even_sphere_integral(n, *alpha)
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _even_sphere_integral(n: int, *alpha) -> PiGradedScalar:
+    # typed: an exponent 2.0 must still reach gamma_half's integer check
     num = PiGradedScalar(2)
     for a in alpha:
         num = num * gamma_half(a + 1)

@@ -66,7 +66,7 @@ class HomogeneousComponent:
                 raise ValidationError(f"Fourier mode {mode} has length != {n}")
             if any(a < 0 for a in alpha):
                 raise ValidationError(f"xi exponents must be nonnegative: {alpha}")
-            T.bag_add(_SYS, raw, (mode, alpha, int(npow)), _as_cr(coeff))
+            T.bag_add(raw, (mode, alpha, int(npow)), _as_cr(coeff))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_terms", T.canonical_terms(_SYS, n, degree, raw))
@@ -114,7 +114,7 @@ class HomogeneousComponent:
                 f"cannot add components of degrees {self.degree} and {other.degree}"
             )
         deg = self.degree if self._terms or not other._terms else other.degree
-        raw = T.add_terms(_SYS, self._terms, other._terms)
+        raw = T.add_terms(self._terms, other._terms)
         return HomogeneousComponent._from_canonical(
             self.n, deg, T.canonical_terms(_SYS, self.n, deg, raw)
         )

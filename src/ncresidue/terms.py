@@ -107,7 +107,7 @@ class FloatSystem(RationalSystem):
 RATIONAL_SYSTEM = RationalSystem()
 
 
-def bag_add(system, bag: dict, key: TermKey, scalar) -> None:
+def bag_add(bag: dict, key: TermKey, scalar) -> None:
     cur = bag.get(key)
     if cur is None:
         if scalar:
@@ -120,19 +120,10 @@ def bag_add(system, bag: dict, key: TermKey, scalar) -> None:
         bag[key] = new
 
 
-def add_terms(system, a: dict, b: dict) -> dict:
+def add_terms(a: dict, b: dict) -> dict:
     out = dict(a)
     for key, s in b.items():
-        bag_add(system, out, key, s)
-    return out
-
-
-def scale_terms(system, terms: dict, scalar) -> dict:
-    out = {}
-    for key, s in terms.items():
-        v = scalar * s
-        if v:
-            out[key] = v
+        bag_add(out, key, s)
     return out
 
 
@@ -155,7 +146,7 @@ def mul_terms(system, left: dict, right: dict, out: dict | None = None) -> dict:
                 tuple(x + y for x, y in zip(a1, a2)),
                 p1 + p2,
             )
-            bag_add(system, out, key, s)
+            bag_add(out, key, s)
     return out
 
 
@@ -166,10 +157,10 @@ def partial_xi_terms(system, terms: dict, axis: int) -> dict:
         a = alpha[axis]
         if a:
             key = (mode, _bump(alpha, axis, -1), p)
-            bag_add(system, out, key, system.times_int(s, a))
+            bag_add(out, key, system.times_int(s, a))
         if p:
             key = (mode, _bump(alpha, axis, 1), p - 2)
-            bag_add(system, out, key, system.times_int(s, p))
+            bag_add(out, key, system.times_int(s, p))
     return out
 
 
@@ -233,7 +224,7 @@ def canonical_terms(system, n: int, degree: int, raw: dict) -> dict:
 def _accumulate_sum_sq_power(system, poly: dict, alpha, k: int, n: int, s) -> None:
     # add s * xi^alpha * (xi_1^2 + ... + xi_n^2)^k into poly
     if k == 0:
-        bag_add(system, poly, alpha, s)
+        bag_add(poly, alpha, s)
         return
     kfact = math.factorial(k)
     for beta in compositions(n, k):
@@ -241,7 +232,7 @@ def _accumulate_sum_sq_power(system, poly: dict, alpha, k: int, n: int, s) -> No
         for b in beta:
             m //= math.factorial(b)
         key = tuple(a + 2 * b for a, b in zip(alpha, beta))
-        bag_add(system, poly, key, system.times_int(s, m))
+        bag_add(poly, key, system.times_int(s, m))
 
 
 def _divide_by_sum_sq(system, poly: dict, n: int):
@@ -254,10 +245,10 @@ def _divide_by_sum_sq(system, poly: dict, n: int):
         if alpha[0] < 2:
             return None
         beta = (alpha[0] - 2,) + alpha[1:]
-        bag_add(system, quo, beta, c)
+        bag_add(quo, beta, c)
         for j in range(1, n):
             key = beta[:j] + (beta[j] + 2,) + beta[j + 1 :]
-            bag_add(system, rem, key, -c)
+            bag_add(rem, key, -c)
     return quo
 
 
@@ -283,6 +274,36 @@ def gamma_factorial(gamma: tuple[int, ...]) -> int:
     return f
 
 
+def xi_derivative_tower(system, n: int, terms: dict):
+    """The xi-derivatives of a term bag, built lazily level by level.
+
+    Returns ``level(k)``, which maps each multi-index gamma with |gamma| = k
+    to the raw bag d_xi^gamma terms; a gamma whose derivative bag is empty
+    is left out.  Levels are the bags ``partial_xi_terms`` returns, never
+    canonicalized.  An empty level is a zero derivative, so every higher
+    level is empty too; a nonempty raw level can still denote zero, which
+    only costs levels that contribute nothing.
+    """
+    levels = [{(0,) * n: terms}]
+
+    def level(k: int) -> dict:
+        while len(levels) <= k:
+            prev = levels[-1]
+            cur = {}
+            if prev:
+                for gamma in compositions(n, len(levels)):
+                    j = next(i for i, g in enumerate(gamma) if g)
+                    pt = prev.get(_bump(gamma, j, -1))
+                    if pt:
+                        d = partial_xi_terms(system, pt, j)
+                        if d:
+                            cur[gamma] = d
+            levels.append(cur)
+        return levels[k]
+
+    return level
+
+
 def compose_components(
     system,
     n: int,
@@ -301,13 +322,10 @@ def compose_components(
     polynomial in xi or the right factor is free of modes; otherwise the
     loop would not end, so it raises ``ValidationError`` instead.
 
-    The xi-derivative tower of each left component is kept raw: the levels
-    are the bags ``partial_xi_terms`` returns, never canonicalized.  Each
-    emitted degree is canonicalized once at the end, which suffices because
-    the canonical form of a function is unique and ``canonical_terms``
-    accepts any homogeneous raw bag.  An empty raw level is a zero
-    derivative, so the tower may stop there; a nonempty raw level can still
-    denote zero, which only costs levels that contribute nothing.
+    The xi-derivative tower of each left component is kept raw (see
+    ``xi_derivative_tower``).  Each emitted degree is canonicalized once at
+    the end, which suffices because the canonical form of a function is
+    unique and ``canonical_terms`` accepts any homogeneous raw bag.
     """
     if floor is None and degrees is None and gamma_cap is None and not (
         all(terms_polynomial(t) for t in comps_a.values())
@@ -322,24 +340,7 @@ def compose_components(
     for a_deg, a_terms in comps_a.items():
         if not a_terms:
             continue
-        levels = [{(0,) * n: a_terms}]
-
-        def extend_levels(upto: int) -> None:
-            while len(levels) <= upto:
-                k = len(levels)
-                prev = levels[-1]
-                cur = {}
-                if prev:
-                    for gamma in compositions(n, k):
-                        j = next(i for i, g in enumerate(gamma) if g)
-                        parent = _bump(gamma, j, -1)
-                        pt = prev.get(parent)
-                        if pt:
-                            d = partial_xi_terms(system, pt, j)
-                            if d:
-                                cur[gamma] = d
-                levels.append(cur)
-
+        tower = xi_derivative_tower(system, n, a_terms)
         for b_deg, b_terms in comps_b.items():
             if not b_terms:
                 continue
@@ -361,8 +362,7 @@ def compose_components(
                 kmax = gamma_cap if kmax is None else min(kmax, gamma_cap)
             k = 0
             while kmax is None or k <= kmax:
-                extend_levels(k)
-                level = levels[k]
+                level = tower(k)
                 if not level:
                     break  # every higher xi-derivative vanishes too
                 target = a_deg + b_deg - k
@@ -385,9 +385,9 @@ def compose_components(
 
 def _weighted_right(system, b_terms: dict, gamma: tuple[int, ...]) -> dict:
     # (1/gamma!) D^gamma applied termwise: each term scales by mode^gamma
-    fact = gamma_factorial(gamma)
     if not any(gamma):
-        return b_terms if fact == 1 else scale_terms(system, b_terms, system.from_fraction(Fraction(1, fact)))
+        return b_terms
+    fact = gamma_factorial(gamma)
     out = {}
     for key, s in b_terms.items():
         mode = key[0]
@@ -402,3 +402,62 @@ def _weighted_right(system, b_terms: dict, gamma: tuple[int, ...]) -> dict:
         if w:
             out[key] = system.times_fraction(s, Fraction(w, fact))
     return out
+
+
+def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict]) -> dict:
+    """The part of a o b that the residue integrates, as alpha -> scalar.
+
+    Sums (1/gamma!) (d_xi^gamma a)(D^gamma b) over the products that land
+    at degree -n and Fourier mode zero, the only part the torus integral
+    keeps, and drops the |xi| power: the sum is integrated over the unit
+    sphere, where |xi| = 1, so it stays raw and is never canonicalized.
+    A monomial with an odd exponent integrates to zero there and is
+    skipped.  A left term of mode m pairs only with right terms of mode -m,
+    so the right terms are indexed by (mode, exponent parity) and a left
+    mode without a partner never enters the xi-derivative tower.  The
+    product is formed as in ``mul_terms``: left scalar first, then the
+    system's phase.
+    """
+    partners: dict[int, dict] = {}
+    for b_deg, b_terms in comps_b.items():
+        index: dict = {}
+        for (mode, alpha, _p), s in b_terms.items():
+            index.setdefault((mode, _parity(alpha)), []).append((alpha, s))
+        if index:
+            partners[b_deg] = index
+    wanted = {tuple(-x for x in mode) for index in partners.values() for mode, _par in index}
+    out: dict = {}
+    for a_deg, a_terms in comps_a.items():
+        a_terms = {key: s for key, s in a_terms.items() if key[0] in wanted}
+        if not a_terms:
+            continue
+        tower = xi_derivative_tower(system, n, a_terms)
+        for b_deg, index in partners.items():
+            k = a_deg + b_deg + n
+            if k < 0 or (k and all(not any(mode) for mode, _par in index)):
+                continue  # degree -n out of reach, or D^gamma kills every right term
+            for gamma, left in tower(k).items():
+                fact = gamma_factorial(gamma)
+                for (m1, a1, _p), s1 in left.items():
+                    m2 = tuple(-x for x in m1)
+                    right = index.get((m2, _parity(a1)))
+                    if right is None:
+                        continue
+                    w = 1
+                    for m, g in zip(m2, gamma):
+                        w *= m**g
+                    if not w:
+                        continue
+                    if w != fact:
+                        s1 = system.times_fraction(s1, Fraction(w, fact))
+                    ph = system.phase(m1, m2)
+                    for a2, s2 in right:
+                        s = s1 * s2
+                        if ph is not None:
+                            s = s * ph
+                        bag_add(out, tuple(x + y for x, y in zip(a1, a2)), s)
+    return out
+
+
+def _parity(alpha: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a & 1 for a in alpha)

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 from ncresidue.calculus import (
+    _residue_of_composition,
     commutator_exp,
     commutator_xi,
     compose,
@@ -13,6 +14,7 @@ from ncresidue.calculus import (
     uniqueness_decompose,
 )
 from ncresidue.errors import InsufficientExpansionError, ValidationError
+from ncresidue.nctorus import _nc_residue_of_composition
 from ncresidue.scalars import ComplexRational, PiGradedScalar
 from ncresidue.symbols import (
     ClassicalSymbol,
@@ -286,6 +288,26 @@ def test_trace_defect_insufficient_expansion():
     s2 = random_symbol(504, dim=2, order=1, depth=0, max_mode=2, max_alpha=2)
     with pytest.raises(InsufficientExpansionError):
         trace_defect(s1, s2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residue_of_composition_refuses_shallow_pair_in_either_order(n):
+    deep = random_symbol(505, dim=n, order=-1, depth=n, max_mode=2, max_alpha=2)
+    shallow = random_symbol(506, dim=n, order=1, depth=0, max_mode=2, max_alpha=2)
+    # composed floor max(1 + (-1), 1 + (-1 - n)) = 0 lies above -n
+    for s, t in ((deep, shallow), (shallow, deep)):
+        with pytest.raises(InsufficientExpansionError):
+            _residue_of_composition(s, t)
+
+
+def test_residue_of_composition_refuses_mixed_symbol_classes():
+    classical = random_symbol(507, dim=2, order=0, depth=2, max_mode=1, max_alpha=2)
+    twisted = random_symbol(508, dim=2, order=0, depth=2, max_mode=1, max_alpha=2,
+                            theta=Fraction(2, 5))
+    with pytest.raises(TypeError):
+        _residue_of_composition(classical, twisted)
+    with pytest.raises(TypeError):
+        _nc_residue_of_composition(twisted, classical)
 
 
 # -- commutators -------------------------------------------------------------------------

@@ -146,6 +146,27 @@ def test_apply(files, capsys):
     assert abs(data["result"][0]["re"]) < 1e-12
 
 
+@pytest.mark.parametrize("element", ["-U", "-U*V", "-U*V + 2", "-2"])
+def test_apply_element_with_leading_minus(files, capsys, element):
+    want = run(capsys, "apply", f"--element={element}", files["nc14"])
+    assert want[0] == 0
+    code, out, err = run(capsys, "apply", "--element", element, files["nc14"])
+    assert (code, out) == want[:2]
+    assert "usage" not in err
+    code, out, err = run(capsys, "apply", files["nc14"], "--element", element, "--json")
+    assert (code, out) == run(capsys, "apply", files["nc14"], f"--element={element}", "--json")[:2]
+    assert code == 0 and "usage" not in err
+
+
+def test_nc_trace_check_negative_theta_spaced_like_equals_form(capsys):
+    want = run(capsys, "nc-trace-check", "--theta=-1/3", "--trials", "2", "--seed", "1")
+    assert want[0] == 0
+    code, out, err = run(capsys, "nc-trace-check", "--theta", "-1/3", "--trials", "2",
+                         "--seed", "1")
+    assert (code, out) == want[:2]
+    assert "usage" not in err
+
+
 def test_trace_checks(files, capsys):
     code, out, _ = run(capsys, "trace-check", "--trials", "4", "--seed", "3", "--dim", "2")
     assert code == 0

@@ -11,6 +11,7 @@ from ncresidue.nctorus import (
     NCPolynomial,
     NCSymbol,
     Theta,
+    _nc_residue_of_composition,
     nc_apply,
     nc_compose,
     nc_residue,
@@ -275,6 +276,27 @@ def test_float_backend_products_match_exact(exact):
     for _ in range(20):
         a, b = rand_poly(rng, exact_th), rand_poly(rng, exact_th)
         _assert_close(a.approximate() * b.approximate(), (a * b).approximate())
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_float_residue_of_composition_matches_compose_then_residue(theta):
+    # the residue sums its products in another order than compose, so the
+    # floating values agree to rounding, not bit for bit
+    th = Theta.from_float(theta)
+    rng = random.Random(29)
+    nonzero = 0
+    for _ in range(12):
+        a = random_symbol(rng.getrandbits(32), dim=2, order=0, depth=2, max_mode=2,
+                          max_alpha=2, theta=th)
+        reflected = {deg: [(s, (-m[0], -m[1]), alpha, p) for (m, alpha, p), s in bag.items()]
+                     for deg, bag in a._term_bags().items()}
+        b = NCSymbol(th, 0, reflected, -2)
+        for s, t in ((a, b), (b, a)):
+            new = _nc_residue_of_composition(s, t).to_complex()
+            old = nc_residue(nc_compose(s, t)).to_complex()
+            assert cmath.isclose(new, old, rel_tol=1e-12, abs_tol=1e-12)
+            nonzero += abs(old) > 1e-9
+    assert nonzero >= 12
 
 
 def _assert_close(p, q):

@@ -7,8 +7,11 @@ from math import prod
 import pytest
 
 from ncresidue import terms as T
+from ncresidue.calculus import _residue_of_composition
 from ncresidue.dsl import random_symbol
-from ncresidue.nctorus import Theta
+from ncresidue.nctorus import NCSymbol, Theta, _nc_residue_of_composition
+from ncresidue.scalars import PiGradedScalar, sphere_monomial_integral, torus_volume
+from ncresidue.symbols import ClassicalSymbol, HomogeneousComponent
 
 
 def reference_compose(system, n, comps_a, comps_b, keep, kmax=None):
@@ -100,3 +103,104 @@ def test_raw_tower_terminates_for_complete_polynomial_left_factor():
     got = T.compose_components(system, 2, ca, cb, None)
     assert got
     assert got == reference_compose(system, 2, ca, cb, lambda d, k: True)
+
+
+# -- the residue of a composition without composing ------------------------------
+
+
+def _reflect(rng, left_bags, right_bags):
+    """Blocks of the right factor, about half its terms moved onto (-mode, alpha)
+    of a left term, so many products land on mode zero with even exponents."""
+    spots = sorted({(m, a) for bag in left_bags.values() for (m, a, _p) in bag})
+    blocks = {}
+    for deg, bag in sorted(right_bags.items()):
+        terms = []
+        for (mode, alpha, _p), s in sorted(bag.items()):
+            if rng.random() < 0.5:
+                mode, alpha = rng.choice(spots)
+                mode = tuple(-x for x in mode)
+            terms.append((s, mode, alpha, deg - sum(alpha)))
+        blocks[deg] = terms
+    return blocks
+
+
+def _classical_residue_pairs(n, count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        m1, m2 = rng.randint(-1, 2), rng.randint(-1, 2)
+        # mode 0 on the left now and then; an x-independent right factor now and then
+        left_mode, right_mode = (0, 1) if i % 5 == 1 else (1, 0) if i % 5 == 2 else (1, 1)
+        a, b = (random_symbol(rng.getrandbits(32), dim=n, order=m, depth=m1 + n + m2,
+                              max_mode=mm, max_alpha=3)
+                for m, mm in ((m1, left_mode), (m2, right_mode)))
+        ca = {d: c.raw_terms() for d, c in a.components.items()}
+        if i % 5 != 2:
+            blocks = _reflect(rng, ca, {d: c.raw_terms() for d, c in b.components.items()})
+            comps = {d: HomogeneousComponent(n, d, t) for d, t in blocks.items()}
+            b = ClassicalSymbol(n, m2, {d: c for d, c in comps.items() if not c.is_zero()},
+                                b.trusted_floor)
+        yield a, b
+
+
+def _twisted_residue_pairs(theta, count, seed):
+    th = Theta.from_rational(theta)
+    rng = random.Random(seed)
+    for i in range(count):
+        m1, m2 = rng.randint(-1, 1), rng.randint(-1, 1)
+        a, b = (random_symbol(rng.getrandbits(32), dim=2, order=m, depth=m1 + 2 + m2,
+                              max_mode=2 if i % 4 else 0, max_alpha=2, theta=th)
+                for m in (m1, m2))
+        if i % 4:
+            b = NCSymbol(th, m2, _reflect(rng, a._term_bags(), b._term_bags()),
+                         b.trusted_floor)
+        yield a, b
+
+
+def _reference_sphere_part(system, n, a, b):
+    """Mode zero of the degree -n component of a o b, composed and canonical."""
+    comps = T.compose_components(system, n, a._term_bags(), b._term_bags(), _floor(a, b),
+                                 degrees={-n})
+    return {key: s for key, s in comps.get(-n, {}).items() if not any(key[0])}
+
+
+def _reference_residue(system, n, a, b):
+    total = system.zero
+    for (_m, alpha, _p), s in _reference_sphere_part(system, n, a, b).items():
+        total = total + system.times_fraction(s, sphere_monomial_integral(alpha, n).coeff.re)
+    return PiGradedScalar(total, n // 2) if total else PiGradedScalar(0)
+
+
+def _assert_pairing_matches_reference(system, n, a, b):
+    bag = T.residue_pairing(system, n, a._term_bags(), b._term_bags())
+    assert all(x % 2 == 0 for alpha in bag for x in alpha)
+    # the raw bag, read back at degree -n, is the even part of the composed one
+    raw = {((0,) * n, alpha, -n - sum(alpha)): s for alpha, s in bag.items()}
+    even = {key: s for key, s in _reference_sphere_part(system, n, a, b).items()
+            if not any(x % 2 for x in key[1])}
+    assert T.canonical_terms(system, n, -n, raw) == T.canonical_terms(system, n, -n, even)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residue_pairing_matches_composed_reference(n):
+    system = T.RATIONAL_SYSTEM
+    nonzero = 0
+    for a, b in _classical_residue_pairs(n, 15, 300 + n):
+        for s, t in ((a, b), (b, a)):
+            _assert_pairing_matches_reference(system, n, s, t)
+            got = _residue_of_composition(s, t)
+            assert got == torus_volume(n) * _reference_residue(system, n, s, t)
+            nonzero += not got.is_zero()
+    assert nonzero >= 15
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12), Fraction(0), Fraction(1, 2)])
+def test_residue_pairing_matches_composed_reference_twisted(theta):
+    nonzero = 0
+    for a, b in _twisted_residue_pairs(theta, 16, 77):
+        system = a._system
+        for s, t in ((a, b), (b, a)):
+            _assert_pairing_matches_reference(system, 2, s, t)
+            got = _nc_residue_of_composition(s, t)
+            assert got == _reference_residue(system, 2, s, t)
+            nonzero += not got.is_zero()
+    assert nonzero >= 12
