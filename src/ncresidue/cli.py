@@ -406,28 +406,43 @@ def build_parser() -> argparse.ArgumentParser:
 _TEXT_OPTIONS = ("--element", "--theta")
 
 
-def _attach_values(argv: list[str]) -> list[str]:
+def _attach_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Write ``--element X`` as ``--element=X``, and likewise ``--theta``.
 
     As with getopt, an option that needs a value takes the next word even
     when it starts with a minus sign (an element such as ``-U``, a twist
     such as ``-1/3``); argparse alone would read that word as an unknown
-    option.
+    option.  A prefix that argparse expands to one of these options within
+    the command (``--elem``, ``--the``) is written the same way; an
+    ambiguous one (``--t``: ``--theta`` or ``--trials``) is left for
+    argparse to refuse.
     """
+    commands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    # the command's option strings, once it is named: argparse expands a
+    # prefix against these same strings
+    options: tuple = ()
     out = []
     words = iter(argv)
     for word in words:
-        if word in _TEXT_OPTIONS:
-            value = next(words, None)
-            if value is not None:
-                word = f"{word}={value}"
+        if not options and word in commands:
+            options = tuple(commands[word]._option_string_actions)
+        elif word.startswith("--") and "=" not in word:
+            matches = [o for o in options if o.startswith(word)]
+            if word in options:
+                matches = [word]
+            if len(matches) == 1 and matches[0] in _TEXT_OPTIONS:
+                value = next(words, None)
+                if value is not None:
+                    word = f"{word}={value}"
         out.append(word)
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(_attach_values(parser, sys.argv[1:] if argv is None else list(argv)))
     args._stdin_used = [False]
     try:
         return args.fn(args)

@@ -74,6 +74,19 @@ def _tokenize(text: str) -> list[Token]:
 
 _XI_RE = re.compile(r"^xi(\d+)$")
 
+# Canonical form expands (xi_1^2 + ... + xi_n^2)^k, with k up to half the
+# spread of the |xi| powers in one mode, so a short document with huge
+# exponents would cost unbounded time; documents are held to this limit.
+MAX_EXPONENT = 64
+
+
+def _check_exponents(alpha: tuple[int, ...], npow: int, where: str = "") -> None:
+    if max(map(abs, alpha), default=0) > MAX_EXPONENT or abs(npow) > MAX_EXPONENT:
+        raise ValidationError(
+            f"term xi^{list(alpha)} |xi|^{npow} has an exponent beyond the "
+            f"limit {MAX_EXPONENT}{where}"
+        )
+
 
 class _Parser:
     def __init__(self, text: str, dim: int = 2, theta: Theta | None = None):
@@ -179,6 +192,9 @@ class _Parser:
             value = self.parse_expr()
             self.expect("}")
             for (mode, alpha, npow), _s in value.items():
+                _check_exponents(
+                    alpha, npow, f" (line {deg_tok.line}, column {deg_tok.col})"
+                )
                 if sum(alpha) + npow != deg:
                     raise ValidationError(
                         f"term of degree {sum(alpha) + npow} in a block declared "
@@ -635,6 +651,7 @@ def symbol_from_json(data: dict):
             if len(alpha) != dim or any(a < 0 for a in alpha):
                 raise ValidationError(f"bad xi multi-index {list(alpha)}")
             npow = _json_int(term.get("npow", 0), "npow")
+            _check_exponents(alpha, npow)
             if sum(alpha) + npow != deg:
                 raise ValidationError(
                     f"term of degree {sum(alpha) + npow} in a block declared deg {deg}"

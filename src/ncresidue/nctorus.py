@@ -224,12 +224,11 @@ class NCPolynomial:
         """The basic derivation delta_j; scales a_mn by m (j=1) or n (j=2)."""
         if j not in (1, 2):
             raise ValidationError(f"derivation index must be 1 or 2, got {j}")
-        system = self._system
         out = {}
         for (m, n), s in self.coeffs.items():
             w = m if j == 1 else n
             if w:
-                out[(m, n)] = system.times_int(s, w)
+                out[(m, n)] = s * w
         return NCPolynomial(self.theta, out)
 
     def approximate(self) -> "NCPolynomial":

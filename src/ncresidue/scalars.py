@@ -154,6 +154,55 @@ CR_ONE = ComplexRational(1)
 CR_I = ComplexRational(0, 1)
 
 
+class GaussianInteger:
+    """An exact complex number with integer real and imaginary parts.
+
+    The numerator type of exact composition: complex-rational coefficients
+    are lifted over a shared integer denominator, so sums and products here
+    never normalize a fraction.  Instances are never mutated after
+    construction; the fields are plain slots to keep construction cheap.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int = 0, im: int = 0):
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __add__(self, other):
+        if not isinstance(other, GaussianInteger):
+            return NotImplemented
+        return GaussianInteger(self.re + other.re, self.im + other.im)
+
+    def __neg__(self):
+        return GaussianInteger(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if isinstance(other, GaussianInteger):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            if not b and not d:
+                return GaussianInteger(a * c, 0)
+            return GaussianInteger(a * c - b * d, a * d + b * c)
+        if isinstance(other, int):
+            if other == 1:
+                return self
+            return GaussianInteger(self.re * other, self.im * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, GaussianInteger):
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"GaussianInteger({self.re!r}, {self.im!r})"
+
+
 class PiGradedScalar:
     """An exact value coeff * pi**k with half-integer exponent k >= 0.
 

@@ -150,7 +150,7 @@ class HomogeneousComponent:
     def partial_xi(self, direction: int) -> "HomogeneousComponent":
         """d/d(xi_direction); directions are 1-based."""
         axis = self._axis(direction)
-        raw = T.partial_xi_terms(_SYS, self._terms, axis)
+        raw = T.partial_xi_terms(self._terms, axis)
         deg = self.degree - 1
         return HomogeneousComponent._from_canonical(
             self.n, deg, T.canonical_terms(_SYS, self.n, deg, raw)
@@ -159,7 +159,7 @@ class HomogeneousComponent:
     def deriv_x(self, direction: int) -> "HomogeneousComponent":
         """D_x = -i d/dx in the given 1-based direction."""
         axis = self._axis(direction)
-        raw = T.mode_deriv_terms(_SYS, self._terms, axis)
+        raw = T.mode_deriv_terms(self._terms, axis)
         return HomogeneousComponent._from_canonical(
             self.n, self.degree, T.canonical_terms(_SYS, self.n, self.degree, raw)
         )

@@ -8,11 +8,13 @@ where ``mode`` is the Fourier index of the oscillating factor (a lattice
 point on the torus, or the (m, n) word exponents of the twisted algebra),
 ``alpha`` the xi-monomial exponents and ``npow`` the power of |xi|.  The
 same representation serves both calculi.  Scalars are added, multiplied,
-negated and tested for zero with their own operators (``+``, ``*``, unary
-``-``, truthiness).  A coefficient-system object supplies only what differs
-between backends: its ``zero``, the embedding ``from_fraction`` of
-rationals, scaling by an ``int`` or ``Fraction`` (``times_int``,
-``times_fraction``) and the ``phase`` the product of two modes picks up.
+negated, scaled by an ``int`` and tested for zero with their own operators
+(``+``, ``*``, unary ``-``, truthiness).  A coefficient-system object
+supplies only what differs between backends: its ``zero``, the embedding
+``from_fraction`` of rationals, scaling by a ``Fraction``
+(``times_fraction``), the ``phase`` the product of two modes picks up, and
+the pair ``lift``/``lower`` that moves exact complex-rational coefficients
+onto Gaussian-integer numerators over one denominator and back.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 from .cyclotomic import CYC_ZERO, CyclotomicScalar, cyclotomic_phase
 from .errors import ValidationError
-from .scalars import CR_ZERO, ComplexRational
+from .scalars import CR_ZERO, ComplexRational, GaussianInteger
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -44,10 +46,6 @@ class RationalSystem:
     zero = CR_ZERO
 
     @staticmethod
-    def times_int(s, k: int):
-        return s * k
-
-    @staticmethod
     def times_fraction(s, f: Fraction):
         return s * f
 
@@ -59,8 +57,78 @@ class RationalSystem:
     def phase(left_mode, right_mode):
         return None
 
+    @staticmethod
+    def lift(comps: dict[int, dict], scale: int = 1):
+        """The components as Gaussian-integer numerators over one denominator.
 
-class CyclotomicSystem(RationalSystem):
+        Returns ``(system, numerators, den)``: every coefficient s becomes
+        the Gaussian integer s * den, where den is the lcm of all the
+        denominators times ``scale``, and ``system`` is the coefficient
+        system of the numerators.  ``lower`` turns a numerator back into a
+        coefficient.
+        """
+        den = 1
+        for bag in comps.values():
+            for s in bag.values():
+                den = math.lcm(den, s.re.denominator, s.im.denominator)
+        den *= scale
+        lifted = {
+            deg: {
+                key: GaussianInteger(
+                    s.re.numerator * (den // s.re.denominator),
+                    s.im.numerator * (den // s.im.denominator),
+                )
+                for key, s in bag.items()
+            }
+            for deg, bag in comps.items()
+        }
+        return GAUSSIAN_SYSTEM, lifted, den
+
+    @staticmethod
+    def lower(s: GaussianInteger, den: int) -> ComplexRational:
+        """The coefficient s / den, in lowest terms."""
+        return ComplexRational(Fraction(s.re, den), Fraction(s.im, den))
+
+
+class _UnliftedSystem(RationalSystem):
+    """A system whose scalars the engine uses as they are: no numerator lift."""
+
+    def lift(self, comps: dict[int, dict], scale: int = 1):
+        return self, comps, 1
+
+    @staticmethod
+    def lower(s, den: int):
+        return s
+
+
+class GaussianIntegerSystem:
+    """Numerators of exact complex-rational coefficients; trivial mode phases.
+
+    Scaling by a fraction is an exact integer division, which the ``scale``
+    given to ``RationalSystem.lift`` makes possible; a remainder would mean
+    a wrong scale, so it raises instead of rounding.
+    """
+
+    zero = GaussianInteger(0, 0)
+
+    @staticmethod
+    def times_fraction(s: GaussianInteger, f: Fraction) -> GaussianInteger:
+        d = f.denominator
+        re, rem_re = divmod(s.re * f.numerator, d)
+        im, rem_im = divmod(s.im * f.numerator, d)
+        if rem_re or rem_im:
+            raise ArithmeticError(f"{s!r} * {f} is not a Gaussian integer")
+        return GaussianInteger(re, im)
+
+    @staticmethod
+    def phase(left_mode, right_mode):
+        return None
+
+
+GAUSSIAN_SYSTEM = GaussianIntegerSystem()
+
+
+class CyclotomicSystem(_UnliftedSystem):
     """Exact cyclotomic coefficients twisted by a rational angle."""
 
     zero = CYC_ZERO
@@ -80,7 +148,7 @@ class CyclotomicSystem(RationalSystem):
         return cyclotomic_phase(self.theta_num, self.theta_den, t)
 
 
-class FloatSystem(RationalSystem):
+class FloatSystem(_UnliftedSystem):
     """Floating complex coefficients for numerical experiments."""
 
     zero = 0j
@@ -150,27 +218,27 @@ def mul_terms(system, left: dict, right: dict, out: dict | None = None) -> dict:
     return out
 
 
-def partial_xi_terms(system, terms: dict, axis: int) -> dict:
+def partial_xi_terms(terms: dict, axis: int) -> dict:
     """d/d(xi_axis), termwise: |alpha| + npow drops by one."""
     out = {}
     for (mode, alpha, p), s in terms.items():
         a = alpha[axis]
         if a:
             key = (mode, _bump(alpha, axis, -1), p)
-            bag_add(out, key, system.times_int(s, a))
+            bag_add(out, key, s * a)
         if p:
             key = (mode, _bump(alpha, axis, 1), p - 2)
-            bag_add(out, key, system.times_int(s, p))
+            bag_add(out, key, s * p)
     return out
 
 
-def mode_deriv_terms(system, terms: dict, axis: int) -> dict:
+def mode_deriv_terms(terms: dict, axis: int) -> dict:
     """The mode-weighting derivative (D_x or delta_j): scales by mode[axis]."""
     out = {}
     for (mode, alpha, p), s in terms.items():
         k = mode[axis]
         if k:
-            out[(mode, alpha, p)] = system.times_int(s, k)
+            out[(mode, alpha, p)] = s * k
     return out
 
 
@@ -209,9 +277,9 @@ def canonical_terms(system, n: int, degree: int, raw: dict) -> dict:
         pmin = min(p for _a, p, _s in items)
         poly: dict = {}
         for alpha, p, s in items:
-            _accumulate_sum_sq_power(system, poly, alpha, (p - pmin) // 2, n, s)
+            _accumulate_sum_sq_power(poly, alpha, (p - pmin) // 2, n, s)
         while poly:
-            quo = _divide_by_sum_sq(system, poly, n)
+            quo = _divide_by_sum_sq(poly, n)
             if quo is None:
                 break
             poly = quo
@@ -221,7 +289,7 @@ def canonical_terms(system, n: int, degree: int, raw: dict) -> dict:
     return out
 
 
-def _accumulate_sum_sq_power(system, poly: dict, alpha, k: int, n: int, s) -> None:
+def _accumulate_sum_sq_power(poly: dict, alpha, k: int, n: int, s) -> None:
     # add s * xi^alpha * (xi_1^2 + ... + xi_n^2)^k into poly
     if k == 0:
         bag_add(poly, alpha, s)
@@ -232,10 +300,10 @@ def _accumulate_sum_sq_power(system, poly: dict, alpha, k: int, n: int, s) -> No
         for b in beta:
             m //= math.factorial(b)
         key = tuple(a + 2 * b for a, b in zip(alpha, beta))
-        bag_add(poly, key, system.times_int(s, m))
+        bag_add(poly, key, s * m)
 
 
-def _divide_by_sum_sq(system, poly: dict, n: int):
+def _divide_by_sum_sq(poly: dict, n: int):
     """Exact quotient of poly by xi_1^2 + ... + xi_n^2, or None."""
     rem = dict(poly)
     quo: dict = {}
@@ -295,7 +363,7 @@ def xi_derivative_tower(system, n: int, terms: dict):
                     j = next(i for i, g in enumerate(gamma) if g)
                     pt = prev.get(_bump(gamma, j, -1))
                     if pt:
-                        d = partial_xi_terms(system, pt, j)
+                        d = partial_xi_terms(pt, j)
                         if d:
                             cur[gamma] = d
             levels.append(cur)
@@ -326,6 +394,12 @@ def compose_components(
     ``xi_derivative_tower``).  Each emitted degree is canonicalized once at
     the end, which suffices because the canonical form of a function is
     unique and ``canonical_terms`` accepts any homogeneous raw bag.
+
+    Both factors are lifted on entry (``system.lift``), the right one scaled
+    by K!, where K is the deepest derivative order any pair reaches: every
+    weight w/gamma! then divides exactly, the whole sum runs on numerators
+    over the one denominator of the two lifts, and each emitted coefficient
+    is divided by it once (``system.lower``).
     """
     if floor is None and degrees is None and gamma_cap is None and not (
         all(terms_polynomial(t) for t in comps_a.values())
@@ -336,51 +410,65 @@ def compose_components(
             "assign a finite trusted floor to one factor"
         )
     wanted = None if degrees is None else set(degrees)
+    caps = _level_caps(comps_a, comps_b, floor, wanted, gamma_cap)
+    engine, comps_a, den_a = system.lift(comps_a)
+    _, comps_b, den_b = system.lift(comps_b, math.factorial(max(caps.values(), default=0)))
     out: dict[int, dict] = {}
     for a_deg, a_terms in comps_a.items():
-        if not a_terms:
-            continue
-        tower = xi_derivative_tower(system, n, a_terms)
+        tower = xi_derivative_tower(engine, n, a_terms)
         for b_deg, b_terms in comps_b.items():
-            if not b_terms:
+            kmax = caps.get((a_deg, b_deg))
+            if kmax is None:
                 continue
-            kmax: int | None
-            if wanted is not None:
-                ks = [a_deg + b_deg - d for d in wanted if a_deg + b_deg - d >= 0]
-                if not ks:
-                    continue
-                kmax = max(ks)
-            elif floor is not None:
-                kmax = a_deg + b_deg - floor
-                if kmax < 0:
-                    continue
-            else:
-                kmax = None
-            if terms_x_independent(b_terms):
-                kmax = 0 if kmax is None else min(kmax, 0)
-            if gamma_cap is not None:
-                kmax = gamma_cap if kmax is None else min(kmax, gamma_cap)
-            k = 0
-            while kmax is None or k <= kmax:
+            for k in range(kmax + 1):
                 level = tower(k)
                 if not level:
                     break  # every higher xi-derivative vanishes too
                 target = a_deg + b_deg - k
                 if wanted is not None and target not in wanted:
-                    k += 1
                     continue
                 bucket = out.setdefault(target, {})
                 for gamma, left in level.items():
-                    right = _weighted_right(system, b_terms, gamma)
+                    right = _weighted_right(engine, b_terms, gamma)
                     if right:
-                        mul_terms(system, left, right, out=bucket)
-                k += 1
+                        mul_terms(engine, left, right, out=bucket)
+    den = den_a * den_b
     result = {}
     for d, raw in out.items():
-        ct = canonical_terms(system, n, d, raw)
+        ct = canonical_terms(engine, n, d, raw)
         if ct:
-            result[d] = ct
+            result[d] = {key: system.lower(s, den) for key, s in ct.items()}
     return result
+
+
+def _level_caps(comps_a, comps_b, floor, wanted, gamma_cap) -> dict[tuple[int, int], int]:
+    """The deepest derivative order k each pair (a_deg, b_deg) can use.
+
+    A pair that reaches no level is left out.  The bounds: the lowest
+    emitted degree (``floor`` or the least of ``wanted``) sets
+    a_deg + b_deg - k, ``gamma_cap`` caps k, a right component free of
+    modes is killed by every D^gamma with gamma != 0, and the tower of a
+    polynomial left component vanishes past its degree (its largest
+    |alpha| + p).  The termination check of ``compose_components`` makes
+    sure one of them applies.
+    """
+    caps = {}
+    for a_deg, a_terms in comps_a.items():
+        if not a_terms:
+            continue
+        a_cap = a_deg if terms_polynomial(a_terms) else None
+        for b_deg, b_terms in comps_b.items():
+            if not b_terms:
+                continue
+            bounds = [a_cap, gamma_cap, 0 if terms_x_independent(b_terms) else None]
+            if wanted is not None:
+                bounds.append(max((a_deg + b_deg - d for d in wanted), default=-1))
+            elif floor is not None:
+                bounds.append(a_deg + b_deg - floor)
+            kmax = min(b for b in bounds if b is not None)
+            if kmax >= 0:
+                caps[(a_deg, b_deg)] = kmax
+    return caps
 
 
 def _weighted_right(system, b_terms: dict, gamma: tuple[int, ...]) -> dict:
@@ -417,7 +505,12 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     mode without a partner never enters the xi-derivative tower.  The
     product is formed as in ``mul_terms``: left scalar first, then the
     system's phase.
+
+    As in ``compose_components``, both factors are lifted on entry, here the
+    left one scaled by K! because it carries the weights w/gamma!, and each
+    emitted coefficient is divided once by the denominator of the lifts.
     """
+    engine, comps_b, den_b = system.lift(comps_b)
     partners: dict[int, dict] = {}
     for b_deg, b_terms in comps_b.items():
         index: dict = {}
@@ -426,16 +519,26 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
         if index:
             partners[b_deg] = index
     wanted = {tuple(-x for x in mode) for index in partners.values() for mode, _par in index}
-    out: dict = {}
+    kept: dict[int, dict] = {}
+    levels: dict[tuple[int, int], int] = {}
     for a_deg, a_terms in comps_a.items():
         a_terms = {key: s for key, s in a_terms.items() if key[0] in wanted}
         if not a_terms:
             continue
-        tower = xi_derivative_tower(system, n, a_terms)
+        kept[a_deg] = a_terms
         for b_deg, index in partners.items():
             k = a_deg + b_deg + n
             if k < 0 or (k and all(not any(mode) for mode, _par in index)):
                 continue  # degree -n out of reach, or D^gamma kills every right term
+            levels[(a_deg, b_deg)] = k
+    _, comps_a, den_a = system.lift(kept, math.factorial(max(levels.values(), default=0)))
+    out: dict = {}
+    for a_deg, a_terms in comps_a.items():
+        tower = xi_derivative_tower(engine, n, a_terms)
+        for b_deg, index in partners.items():
+            k = levels.get((a_deg, b_deg))
+            if k is None:
+                continue
             for gamma, left in tower(k).items():
                 fact = gamma_factorial(gamma)
                 for (m1, a1, _p), s1 in left.items():
@@ -449,14 +552,15 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
                     if not w:
                         continue
                     if w != fact:
-                        s1 = system.times_fraction(s1, Fraction(w, fact))
-                    ph = system.phase(m1, m2)
+                        s1 = engine.times_fraction(s1, Fraction(w, fact))
+                    ph = engine.phase(m1, m2)
                     for a2, s2 in right:
                         s = s1 * s2
                         if ph is not None:
                             s = s * ph
                         bag_add(out, tuple(x + y for x, y in zip(a1, a2)), s)
-    return out
+    den = den_a * den_b
+    return {alpha: system.lower(s, den) for alpha, s in out.items()}
 
 
 def _parity(alpha: tuple[int, ...]) -> tuple[int, ...]:

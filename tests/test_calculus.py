@@ -146,13 +146,20 @@ def test_compose_truncation_bookkeeping():
 
 def test_compose_random_against_sympy():
     rng = random.Random(79)
-    for seed in (201, 202, 203):
-        sigma = random_symbol(seed, dim=2, order=1, depth=2, max_mode=1, max_alpha=2)
-        tau = random_symbol(seed + 50, dim=2, order=0, depth=2, max_mode=1, max_alpha=2)
-        lam = compose(sigma, tau)
-        for target in lam.components:
-            expr, xs, xis = brute_compose_degree(sigma, tau, target, 2)
-            assert_component_matches_sympy(lam.component(target), expr, xs, xis, rng, points=3)
+    for n, seeds in ((2, (201, 202, 203)), (3, (204, 205))):
+        for seed in seeds:
+            sigma = random_symbol(seed, dim=n, order=1, depth=2, max_mode=1, max_alpha=2)
+            tau = random_symbol(seed + 50, dim=n, order=0, depth=2, max_mode=1, max_alpha=2)
+            lam = compose(sigma, tau)
+            if n == 3:  # the exact kernel divides by a shared denominator
+                assert any(s.re.denominator > 1 or s.im.denominator > 1
+                           for sym in (sigma, tau) for comp in sym.components.values()
+                           for s in comp.raw_terms().values())
+            for target in lam.components:
+                expr, xs, xis = brute_compose_degree(sigma, tau, target, n)
+                assert_component_matches_sympy(
+                    lam.component(target), expr, xs, xis, rng, points=3
+                )
 
 
 def test_compose_associativity_above_common_floor():

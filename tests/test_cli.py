@@ -167,6 +167,33 @@ def test_nc_trace_check_negative_theta_spaced_like_equals_form(capsys):
     assert "usage" not in err
 
 
+@pytest.mark.parametrize("option", ["--e", "--elem", "--elemen"])
+def test_apply_element_prefix_with_leading_minus(files, capsys, option):
+    want = run(capsys, "apply", "--element=-U*V", files["nc14"])
+    assert want[0] == 0
+    code, out, err = run(capsys, "apply", option, "-U*V", files["nc14"])
+    assert (code, out) == want[:2]
+    assert "usage" not in err
+
+
+@pytest.mark.parametrize("option", ["--th", "--the", "--thet"])
+def test_nc_trace_check_theta_prefix_with_leading_minus(capsys, option):
+    want = run(capsys, "nc-trace-check", "--theta=-1/3", "--trials", "2", "--seed", "1")
+    assert want[0] == 0
+    code, out, err = run(capsys, "nc-trace-check", option, "-1/3", "--trials", "2",
+                         "--seed", "1")
+    assert (code, out) == want[:2]
+    assert "usage" not in err
+
+
+def test_ambiguous_prefix_still_gets_argparse_error(capsys):
+    # --t could be --theta or --trials
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nc-trace-check", "--t", "-1/3", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --t" in capsys.readouterr().err
+
+
 def test_trace_checks(files, capsys):
     code, out, _ = run(capsys, "trace-check", "--trials", "4", "--seed", "3", "--dim", "2")
     assert code == 0
@@ -245,9 +272,18 @@ _TERM = {"coeff": {"re": "1", "im": "0"}, "alpha": [0, 0], "npow": 0}
          cli.EXIT_VALIDATION, "validation error: order must be an integer"),
         (json.dumps({"dim": 2, "order": 0, "floor": 0, "theta": True, "blocks": []}),
          cli.EXIT_VALIDATION, "validation error: bad theta"),
+        ("dim 3 order 0 floor -4\ndeg 0 { r^-3000 * xi1^3000 + r^-100 * xi1^100 }\n",
+         cli.EXIT_VALIDATION, "validation error: term xi^[3000, 0, 0] |xi|^-3000"),
+        (json.dumps({"dim": 2, "order": 0, "floor": -65,
+                     "blocks": [{"deg": -65, "terms": [dict(_TERM, npow=-65)]}]}),
+         cli.EXIT_VALIDATION, "validation error: term xi^[0, 0] |xi|^-65"),
+        (json.dumps({"dim": 2, "order": 0, "floor": 0,
+                     "blocks": [{"deg": 0, "terms": [dict(_TERM, alpha=[65, 0], npow=-65)]}]}),
+         cli.EXIT_VALIDATION, "validation error: term xi^[65, 0] |xi|^-65"),
     ],
     ids=["truncated-json", "npow-text", "deg-null", "deep-json", "missing-file",
-         "deep-text", "dim-float", "dim-string", "order-bool", "theta-bool"],
+         "deep-text", "dim-float", "dim-string", "order-bool", "theta-bool",
+         "huge-exponent-text", "huge-npow-json", "huge-alpha-json"],
 )
 def test_malformed_or_missing_document_gives_one_line(tmp_path, capsys, text, code, prefix):
     p = tmp_path / "doc.json"

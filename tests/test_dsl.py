@@ -9,6 +9,7 @@ from ncresidue.nctorus import NCPolynomial, NCSymbol, Theta, nc_compose
 from ncresidue.scalars import ComplexRational
 from ncresidue.symbols import ClassicalSymbol, HomogeneousComponent
 from ncresidue.dsl import (
+    MAX_EXPONENT,
     format_nc_element,
     format_symbol,
     parse_nc_element,
@@ -277,3 +278,18 @@ def test_parse_nc_element():
     with pytest.raises(ValidationError):
         parse_nc_element("xi1", th)
     assert "U" in format_nc_element(el)
+
+
+def test_exponent_limit_at_the_input_boundary():
+    assert MAX_EXPONENT == 64
+    ok = parse_symbol("dim 2 order 0 floor -64\ndeg 0 { xi1^64 * r^-64 }\ndeg -64 { r^-64 }")
+    assert symbol_from_json(symbol_to_json(ok)) == ok
+    for text in ("dim 2 order 0 floor 0\ndeg 0 { xi2^65 * r^-65 }",
+                 "dim 2 order 0 floor 0\ndeg 0 { xi1^40 * xi1^40 * r^-64 * r^-16 }",
+                 "dim 2 order 65 floor 65\ndeg 65 { r^65 }"):
+        with pytest.raises(ValidationError, match="limit 64"):
+            parse_symbol(text)
+    data = symbol_to_json(ok)
+    data["blocks"][0]["terms"][0].update(alpha=[65, 0], npow=-65)
+    with pytest.raises(ValidationError, match="limit 64"):
+        symbol_from_json(data)

@@ -10,7 +10,13 @@ from ncresidue import terms as T
 from ncresidue.calculus import _residue_of_composition
 from ncresidue.dsl import random_symbol
 from ncresidue.nctorus import NCSymbol, Theta, _nc_residue_of_composition
-from ncresidue.scalars import PiGradedScalar, sphere_monomial_integral, torus_volume
+from ncresidue.scalars import (
+    ComplexRational,
+    GaussianInteger,
+    PiGradedScalar,
+    sphere_monomial_integral,
+    torus_volume,
+)
 from ncresidue.symbols import ClassicalSymbol, HomogeneousComponent
 
 
@@ -36,7 +42,7 @@ def reference_compose(system, n, comps_a, comps_b, keep, kmax=None):
             nxt = {}
             for gamma, t in level.items():
                 for j in range(n):
-                    raw = T.partial_xi_terms(system, t, j)
+                    raw = T.partial_xi_terms(t, j)
                     d = T.canonical_terms(system, n, a_deg - k - 1, raw)
                     if d:
                         nxt[gamma[:j] + (gamma[j] + 1,) + gamma[j + 1:]] = d
@@ -204,3 +210,113 @@ def test_residue_pairing_matches_composed_reference_twisted(theta):
             assert got == _reference_residue(system, 2, s, t)
             nonzero += not got.is_zero()
     assert nonzero >= 12
+
+
+# -- the Gaussian-integer numerator kernel ------------------------------------------
+
+
+class _Unlifted(T.RationalSystem):
+    """The complex-rational system run as it is: every engine op on ComplexRational."""
+
+    def lift(self, comps, scale=1):
+        return self, comps, 1
+
+    @staticmethod
+    def lower(s, den):
+        return s
+
+
+def _large_primes(count, start=10**6):
+    out, p = [], start
+    while len(out) < count:
+        p += 1
+        if all(p % q for q in range(2, int(p**0.5) + 1)):
+            out.append(p)
+    return out
+
+
+_PRIMES = _large_primes(24)
+
+
+def _coprime_bags(rng, symbol_bags):
+    """The bags with every coefficient divided by a large prime, a different one
+    per component, so the lift's common denominator is a product of them."""
+    primes = rng.sample(_PRIMES, len(symbol_bags))
+    return {d: {key: s * Fraction(rng.choice([1, -3, 7]), p) for key, s in bag.items()}
+            for (d, bag), p in zip(symbol_bags.items(), primes)}
+
+
+def _polynomial_bags(rng, n, top):
+    """A complete polynomial symbol: |xi| powers even and nonnegative, modes mixed."""
+    comps = {}
+    for deg in range(top, -1, -1):
+        bag = {}
+        for _ in range(3):
+            p = 2 * rng.randint(0, deg // 2)
+            alpha = [0] * n
+            for _ in range(deg - p):
+                alpha[rng.randrange(n)] += 1
+            mode = tuple(rng.randint(-1, 1) for _ in range(n))
+            T.bag_add(bag, (mode, tuple(alpha), p), T.RATIONAL_SYSTEM.from_fraction(1))
+        comps[deg] = bag
+    return comps
+
+
+def _assert_same_as_unlifted(n, ca, cb, floor, **kw):
+    got = T.compose_components(T.RATIONAL_SYSTEM, n, ca, cb, floor, **kw)
+    assert got == T.compose_components(_Unlifted(), n, ca, cb, floor, **kw)
+    assert all(type(s) is ComplexRational for bag in got.values() for s in bag.values())
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_numerator_kernel_matches_unlifted_path(n):
+    rng = random.Random(500 + n)
+    emitted = nonzero = 0
+    for i in range(5):
+        raw_a, raw_b, a, b = _classical_pair(rng, n)
+        ca, cb = _coprime_bags(rng, raw_a), _coprime_bags(rng, raw_b)
+        floor = _floor(a, b)
+        emitted += len(_assert_same_as_unlifted(n, ca, cb, floor))
+        _assert_same_as_unlifted(n, ca, cb, floor, degrees={-n})
+        _assert_same_as_unlifted(n, ca, cb, None, gamma_cap=i % 3)
+        # a complete polynomial left factor, and a right factor free of modes
+        poly = _coprime_bags(rng, _polynomial_bags(rng, n, 2 + i % 2))
+        emitted += len(_assert_same_as_unlifted(n, poly, cb, None))
+        free = _coprime_bags(rng, {d: {(tuple([0] * n), al, p): s for (_m, al, p), s in bag.items()}
+                                   for d, bag in raw_b.items()})
+        emitted += len(_assert_same_as_unlifted(n, ca, free, None))
+        # right terms moved onto reflections of left modes, so residues are nonzero
+        refl = {}
+        for d, block in _reflect(rng, ca, cb).items():
+            for s, mode, alpha, p in block:
+                T.bag_add(refl.setdefault(d, {}), (mode, alpha, p), s)
+        for s, t in ((ca, cb), (ca, refl), (refl, ca), (poly, refl), (ca, free)):
+            bag = T.residue_pairing(T.RATIONAL_SYSTEM, n, s, t)
+            assert bag == T.residue_pairing(_Unlifted(), n, s, t)
+            assert all(type(v) is ComplexRational for v in bag.values())
+            nonzero += bool(bag)
+    assert emitted >= 30 and nonzero >= 5
+
+
+def test_numerator_lift_and_lower_round_trip():
+    system = T.RATIONAL_SYSTEM
+    key = ((0, 0), (0, 0), 0)
+    comps = {0: {key: ComplexRational(Fraction(3, 1000003), Fraction(-5, 7))},
+             -1: {key: ComplexRational(Fraction(1, 2))}}
+    engine, lifted, den = system.lift(comps, scale=6)
+    assert engine is T.GAUSSIAN_SYSTEM
+    assert den == 6 * 1000003 * 7 * 2
+    for d, bag in comps.items():
+        for k, s in bag.items():
+            assert type(lifted[d][k]) is GaussianInteger
+            assert system.lower(lifted[d][k], den) == s
+
+
+def test_gaussian_times_fraction_is_exact_division():
+    system = T.GAUSSIAN_SYSTEM
+    assert system.times_fraction(GaussianInteger(6, -9), Fraction(2, 3)) == GaussianInteger(4, -6)
+    with pytest.raises(ArithmeticError):
+        system.times_fraction(GaussianInteger(6, -8), Fraction(2, 3))
+    with pytest.raises(ArithmeticError):
+        system.times_fraction(GaussianInteger(1, 0), Fraction(1, 2))
