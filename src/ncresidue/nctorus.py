@@ -297,7 +297,7 @@ class NCSymbol:
                     raise ValidationError(f"xi exponents must be nonnegative: {alpha}")
                 s = _coerce_scalar(theta, coeff)
                 T.bag_add(raw, key, s)
-            ct = T.canonical_terms(system, 2, deg, raw)
+            ct = T.canonical_terms(2, deg, raw)
             if not ct:
                 continue
             _check_degree(deg, order, trusted_floor)

@@ -69,7 +69,7 @@ class HomogeneousComponent:
             T.bag_add(raw, (mode, alpha, int(npow)), _as_cr(coeff))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", T.canonical_terms(_SYS, n, degree, raw))
+        object.__setattr__(self, "_terms", T.canonical_terms(n, degree, raw))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogeneousComponent is immutable")
@@ -84,7 +84,7 @@ class HomogeneousComponent:
 
     @classmethod
     def from_raw(cls, n: int, degree: int, raw: dict) -> "HomogeneousComponent":
-        return cls._from_canonical(n, degree, T.canonical_terms(_SYS, n, degree, dict(raw)))
+        return cls._from_canonical(n, degree, T.canonical_terms(n, degree, dict(raw)))
 
     def terms(self) -> tuple[SymbolTerm, ...]:
         return tuple(
@@ -116,7 +116,7 @@ class HomogeneousComponent:
         deg = self.degree if self._terms or not other._terms else other.degree
         raw = T.add_terms(self._terms, other._terms)
         return HomogeneousComponent._from_canonical(
-            self.n, deg, T.canonical_terms(_SYS, self.n, deg, raw)
+            self.n, deg, T.canonical_terms(self.n, deg, raw)
         )
 
     def __sub__(self, other):
@@ -144,7 +144,7 @@ class HomogeneousComponent:
         deg = self.degree + other.degree
         raw = T.mul_terms(_SYS, self._terms, other._terms)
         return HomogeneousComponent._from_canonical(
-            self.n, deg, T.canonical_terms(_SYS, self.n, deg, raw)
+            self.n, deg, T.canonical_terms(self.n, deg, raw)
         )
 
     def partial_xi(self, direction: int) -> "HomogeneousComponent":
@@ -153,7 +153,7 @@ class HomogeneousComponent:
         raw = T.partial_xi_terms(self._terms, axis)
         deg = self.degree - 1
         return HomogeneousComponent._from_canonical(
-            self.n, deg, T.canonical_terms(_SYS, self.n, deg, raw)
+            self.n, deg, T.canonical_terms(self.n, deg, raw)
         )
 
     def deriv_x(self, direction: int) -> "HomogeneousComponent":
@@ -161,7 +161,7 @@ class HomogeneousComponent:
         axis = self._axis(direction)
         raw = T.mode_deriv_terms(self._terms, axis)
         return HomogeneousComponent._from_canonical(
-            self.n, self.degree, T.canonical_terms(_SYS, self.n, self.degree, raw)
+            self.n, self.degree, T.canonical_terms(self.n, self.degree, raw)
         )
 
     def _axis(self, direction: int) -> int:
@@ -287,7 +287,7 @@ def euler_antiderivatives(component: HomogeneousComponent) -> list[HomogeneousCo
             raw[key] = s * factor
         out.append(
             HomogeneousComponent._from_canonical(
-                n, d + 1, T.canonical_terms(_SYS, n, d + 1, raw)
+                n, d + 1, T.canonical_terms(n, d + 1, raw)
             )
         )
     return out

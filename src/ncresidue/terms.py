@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -199,22 +200,30 @@ def mul_terms(system, left: dict, right: dict, out: dict | None = None) -> dict:
     """Pointwise product; modes add, with the system's phase twist.
 
     Left scalars multiply on the left, which is what the twisted calculus
-    requires; the commutative backend does not care.
+    requires; the commutative backend does not care.  Products are summed
+    into ``out`` as ``bag_add`` does.
     """
     if out is None:
         out = {}
+    phase = system.phase
+    add = operator.add
     for (m1, a1, p1), s1 in left.items():
         for (m2, a2, p2), s2 in right.items():
             s = s1 * s2
-            ph = system.phase(m1, m2)
+            ph = phase(m1, m2)
             if ph is not None:
                 s = s * ph
-            key = (
-                tuple(x + y for x, y in zip(m1, m2)),
-                tuple(x + y for x, y in zip(a1, a2)),
-                p1 + p2,
-            )
-            bag_add(out, key, s)
+            key = (tuple(map(add, m1, m2)), tuple(map(add, a1, a2)), p1 + p2)
+            cur = out.get(key)
+            if cur is None:
+                if s:
+                    out[key] = s
+            else:
+                s = cur + s
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
     return out
 
 
@@ -257,10 +266,26 @@ def terms_polynomial(terms: dict) -> bool:
 
 # -- canonical form ---------------------------------------------------------
 
+# The polynomial part of a (mode, parity) group with lowest |xi| power pmin
+# has degree d = degree - pmin in n variables, so dividing or expanding it
+# may touch C(d + n - 1, n - 1) monomials.  canonical_terms refuses a group
+# above this bound rather than run for minutes: dimension 4 at the exponent
+# limit (d = 64) needs 47,905, a 52-byte document in dimension 8 about 1.3e9.
+MAX_CANONICAL_MONOMIALS = 100_000
 
-def canonical_terms(system, n: int, degree: int, raw: dict) -> dict:
-    """Canonicalize a raw term bag of the given homogeneity degree."""
-    groups: dict[tuple, list] = {}
+
+def canonical_terms(n: int, degree: int, raw: dict) -> dict:
+    """Canonicalize a raw term bag of the given homogeneity degree.
+
+    Each (mode, parity of npow) group is a polynomial P = sum_k R^k P_k,
+    where R = xi_1^2 + ... + xi_n^2 and the shell P_k holds the terms at
+    |xi| power pmin + 2k.  R divides P exactly when it divides the lowest
+    shell P_0, so the power of R is found by dividing P_0 alone and folding
+    the quotient into the next shell; a shell that cancels to nothing
+    divides too.  When the division fails, the shells left are expanded
+    once by Horner's rule, Q <- P_k + R Q, at the current lowest power.
+    """
+    groups: dict[tuple, dict[int, dict]] = {}
     for (mode, alpha, npow), s in raw.items():
         if not s:
             continue
@@ -271,59 +296,90 @@ def canonical_terms(system, n: int, degree: int, raw: dict) -> dict:
                 f"term xi^{alpha} |xi|^{npow} is homogeneous of degree "
                 f"{sum(alpha) + npow}, not {degree}"
             )
-        groups.setdefault((mode, npow % 2), []).append((alpha, npow, s))
+        groups.setdefault((mode, npow % 2), {}).setdefault(npow, {})[alpha] = s
     out = {}
-    for (mode, _parity), items in groups.items():
-        pmin = min(p for _a, p, _s in items)
-        poly: dict = {}
-        for alpha, p, s in items:
-            _accumulate_sum_sq_power(poly, alpha, (p - pmin) // 2, n, s)
-        while poly:
-            quo = _divide_by_sum_sq(poly, n)
-            if quo is None:
-                break
-            poly = quo
-            pmin += 2
+    for (mode, _parity), by_pow in groups.items():
+        p, top = min(by_pow), max(by_pow)
+        size = math.comb(degree - p + n - 1, n - 1)
+        if size > MAX_CANONICAL_MONOMIALS:
+            raise ValidationError(
+                f"canonical form of a degree {degree - p} polynomial in {n} "
+                f"variables spans {size} monomials, above {MAX_CANONICAL_MONOMIALS}"
+            )
+        while p <= top:
+            low = by_pow.get(p)
+            if low:
+                quo = _divide_by_sum_sq(low, n)
+                if quo is None:
+                    break
+                nxt = by_pow.get(p + 2)
+                if nxt is None:
+                    by_pow[p + 2] = quo
+                    top = max(top, p + 2)
+                else:
+                    for alpha, s in quo.items():
+                        bag_add(nxt, alpha, s)
+            p += 2
+        else:
+            continue  # the group cancels to zero
+        poly = by_pow[top]
+        for q in range(top - 2, p - 1, -2):
+            poly = _times_sum_sq_plus(poly, by_pow.get(q, {}), n)
         for alpha, s in poly.items():
-            out[(mode, alpha, pmin)] = s
+            out[(mode, alpha, p)] = s
     return out
 
 
-def _accumulate_sum_sq_power(poly: dict, alpha, k: int, n: int, s) -> None:
-    # add s * xi^alpha * (xi_1^2 + ... + xi_n^2)^k into poly
-    if k == 0:
-        bag_add(poly, alpha, s)
-        return
-    kfact = math.factorial(k)
-    for beta in compositions(n, k):
-        m = kfact
-        for b in beta:
-            m //= math.factorial(b)
-        key = tuple(a + 2 * b for a, b in zip(alpha, beta))
-        bag_add(poly, key, s * m)
+def _times_sum_sq_plus(poly: dict, shell: dict, n: int) -> dict:
+    """shell + (xi_1^2 + ... + xi_n^2) * poly."""
+    out = dict(shell)
+    for alpha, s in poly.items():
+        for j in range(n):
+            key = alpha[:j] + (alpha[j] + 2,) + alpha[j + 1 :]
+            cur = out.get(key)
+            if cur is None:
+                out[key] = s
+            else:
+                cur = cur + s
+                if cur:
+                    out[key] = cur
+                else:
+                    del out[key]
+    return out
 
 
 def _divide_by_sum_sq(poly: dict, n: int):
-    """Exact quotient of poly by xi_1^2 + ... + xi_n^2, or None."""
-    rem = dict(poly)
+    """Exact quotient of poly by xi_1^2 + ... + xi_n^2, or None.
+
+    Long division in xi_1: the terms are taken by descending xi_1 exponent
+    e, each giving a quotient term at e - 2 and passing -(xi_2^2 + ... +
+    xi_n^2) times it down to exponent e - 2.  A term left at e < 2 is a
+    remainder.
+    """
+    by_first: dict[int, dict] = {}
+    for alpha, s in poly.items():
+        by_first.setdefault(alpha[0], {})[alpha] = s
     quo: dict = {}
-    while rem:
-        alpha = max(rem)
-        c = rem.pop(alpha)
-        if alpha[0] < 2:
+    for e in range(max(by_first), -1, -1):
+        rem = by_first.pop(e, None)
+        if not rem:
+            continue
+        if e < 2:
             return None
-        beta = (alpha[0] - 2,) + alpha[1:]
-        bag_add(quo, beta, c)
-        for j in range(1, n):
-            key = beta[:j] + (beta[j] + 2,) + beta[j + 1 :]
-            bag_add(rem, key, -c)
+        lower = by_first.setdefault(e - 2, {})
+        for alpha, s in rem.items():
+            beta = (e - 2,) + alpha[1:]
+            quo[beta] = s
+            neg = -s
+            for j in range(1, n):
+                bag_add(lower, beta[:j] + (beta[j] + 2,) + beta[j + 1 :], neg)
     return quo
 
 
 # -- composition ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices of length n with total k."""
     if n == 1:
@@ -393,7 +449,9 @@ def compose_components(
     The xi-derivative tower of each left component is kept raw (see
     ``xi_derivative_tower``).  Each emitted degree is canonicalized once at
     the end, which suffices because the canonical form of a function is
-    unique and ``canonical_terms`` accepts any homogeneous raw bag.
+    unique and ``canonical_terms`` accepts any homogeneous raw bag.  Each
+    weighted right factor (1/gamma!) D^gamma b is formed once per
+    (b_deg, gamma) and serves every left component.
 
     Both factors are lifted on entry (``system.lift``), the right one scaled
     by K!, where K is the deepest derivative order any pair reaches: every
@@ -414,6 +472,7 @@ def compose_components(
     engine, comps_a, den_a = system.lift(comps_a)
     _, comps_b, den_b = system.lift(comps_b, math.factorial(max(caps.values(), default=0)))
     out: dict[int, dict] = {}
+    weighted: dict[tuple, dict] = {}
     for a_deg, a_terms in comps_a.items():
         tower = xi_derivative_tower(engine, n, a_terms)
         for b_deg, b_terms in comps_b.items():
@@ -429,13 +488,16 @@ def compose_components(
                     continue
                 bucket = out.setdefault(target, {})
                 for gamma, left in level.items():
-                    right = _weighted_right(engine, b_terms, gamma)
+                    right = weighted.get((b_deg, gamma))
+                    if right is None:
+                        right = _weighted_right(engine, b_terms, gamma)
+                        weighted[(b_deg, gamma)] = right
                     if right:
                         mul_terms(engine, left, right, out=bucket)
     den = den_a * den_b
     result = {}
     for d, raw in out.items():
-        ct = canonical_terms(engine, n, d, raw)
+        ct = canonical_terms(n, d, raw)
         if ct:
             result[d] = {key: system.lower(s, den) for key, s in ct.items()}
     return result

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -280,16 +281,21 @@ _TERM = {"coeff": {"re": "1", "im": "0"}, "alpha": [0, 0], "npow": 0}
         (json.dumps({"dim": 2, "order": 0, "floor": 0,
                      "blocks": [{"deg": 0, "terms": [dict(_TERM, alpha=[65, 0], npow=-65)]}]}),
          cli.EXIT_VALIDATION, "validation error: term xi^[65, 0] |xi|^-65"),
+        ("dim 8 order 0 floor -4\ndeg 0 { r^-64 * xi1^64 + 1 }\n",
+         cli.EXIT_VALIDATION,
+         "validation error: canonical form of a degree 64 polynomial in 8 variables"),
     ],
     ids=["truncated-json", "npow-text", "deg-null", "deep-json", "missing-file",
          "deep-text", "dim-float", "dim-string", "order-bool", "theta-bool",
-         "huge-exponent-text", "huge-npow-json", "huge-alpha-json"],
+         "huge-exponent-text", "huge-npow-json", "huge-alpha-json", "dim8-expansion"],
 )
 def test_malformed_or_missing_document_gives_one_line(tmp_path, capsys, text, code, prefix):
     p = tmp_path / "doc.json"
     if text is not None:
         p.write_text(text)
+    start = time.perf_counter()
     got, out, err = run(capsys, "residue", str(p))
+    assert time.perf_counter() - start < 2
     assert got == code
     assert out == ""
     assert err.startswith(prefix)

@@ -1,6 +1,9 @@
-"""compose_components against a reference that canonicalizes every tower level."""
+"""The term engine against references: composition that canonicalizes every tower
+level, and canonical form that expands each group before dividing."""
 
+import math
 import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -8,7 +11,9 @@ import pytest
 
 from ncresidue import terms as T
 from ncresidue.calculus import _residue_of_composition
+from ncresidue.cyclotomic import CyclotomicScalar
 from ncresidue.dsl import random_symbol
+from ncresidue.errors import ValidationError
 from ncresidue.nctorus import NCSymbol, Theta, _nc_residue_of_composition
 from ncresidue.scalars import (
     ComplexRational,
@@ -43,11 +48,11 @@ def reference_compose(system, n, comps_a, comps_b, keep, kmax=None):
             for gamma, t in level.items():
                 for j in range(n):
                     raw = T.partial_xi_terms(t, j)
-                    d = T.canonical_terms(system, n, a_deg - k - 1, raw)
+                    d = T.canonical_terms(n, a_deg - k - 1, raw)
                     if d:
                         nxt[gamma[:j] + (gamma[j] + 1,) + gamma[j + 1:]] = d
             level, k = nxt, k + 1
-    result = {d: T.canonical_terms(system, n, d, raw) for d, raw in out.items()}
+    result = {d: T.canonical_terms(n, d, raw) for d, raw in out.items()}
     return {d: ct for d, ct in result.items() if ct}
 
 
@@ -183,7 +188,7 @@ def _assert_pairing_matches_reference(system, n, a, b):
     raw = {((0,) * n, alpha, -n - sum(alpha)): s for alpha, s in bag.items()}
     even = {key: s for key, s in _reference_sphere_part(system, n, a, b).items()
             if not any(x % 2 for x in key[1])}
-    assert T.canonical_terms(system, n, -n, raw) == T.canonical_terms(system, n, -n, even)
+    assert T.canonical_terms(n, -n, raw) == T.canonical_terms(n, -n, even)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -320,3 +325,182 @@ def test_gaussian_times_fraction_is_exact_division():
         system.times_fraction(GaussianInteger(6, -8), Fraction(2, 3))
     with pytest.raises(ArithmeticError):
         system.times_fraction(GaussianInteger(1, 0), Fraction(1, 2))
+
+
+# -- canonical form ------------------------------------------------------------------
+
+
+def _reference_divide(poly, n):
+    """Quotient of poly by xi_1^2 + ... + xi_n^2, or None: long division from the
+    largest remaining exponent."""
+    rem, quo = dict(poly), {}
+    while rem:
+        alpha = max(rem)
+        c = rem.pop(alpha)
+        if alpha[0] < 2:
+            return None
+        beta = (alpha[0] - 2,) + alpha[1:]
+        T.bag_add(quo, beta, c)
+        for j in range(1, n):
+            T.bag_add(rem, T._bump(beta, j, 2), -c)
+    return quo
+
+
+def _reference_canonical(n, degree, raw):
+    """Expand then divide: each (mode, parity) group is multiplied out to its lowest
+    |xi| power through the multinomial expansion of (xi_1^2 + ... + xi_n^2)^k, and
+    the sum of squares is then divided out of the whole expansion while it divides."""
+    groups = {}
+    for (mode, alpha, npow), s in raw.items():
+        if s:
+            groups.setdefault((mode, npow % 2), []).append((alpha, npow, s))
+    out = {}
+    for (mode, _parity), items in groups.items():
+        pmin = min(p for _a, p, _s in items)
+        poly = {}
+        for alpha, p, s in items:
+            k = (p - pmin) // 2
+            for beta in T.compositions(n, k):
+                m = math.factorial(k) // T.gamma_factorial(beta)
+                T.bag_add(poly, tuple(a + 2 * b for a, b in zip(alpha, beta)), s * m)
+        while poly:
+            quo = _reference_divide(poly, n)
+            if quo is None:
+                break
+            poly, pmin = quo, pmin + 2
+        for alpha, s in poly.items():
+            out[(mode, alpha, pmin)] = s
+    return out
+
+
+def _random_poly(rng, scalar, n, deg, size):
+    poly = {}
+    for _ in range(size):
+        alpha = [0] * n
+        for _ in range(deg):
+            alpha[rng.randrange(n)] += 1
+        T.bag_add(poly, tuple(alpha), scalar(rng))
+    return poly
+
+
+def _times_sum_sq(poly, n, times=1):
+    for _ in range(times):
+        out = {}
+        for alpha, s in poly.items():
+            for j in range(n):
+                T.bag_add(out, T._bump(alpha, j, 2), s)
+        poly = out
+    return poly
+
+
+def _group(rng, scalar, n, d, kind):
+    """Shells P_0 .. P_K (K <= 4) of a degree-d polynomial P = sum_k R^k P_k.
+
+    ``free``: random shells.  ``divisible``: P = R^j Q, with P_1 .. P_K random
+    and P_0 what is left, so the canonical form peels R off j times (more when
+    Q happens to divide).  ``zero``: the same with Q = 0, so P cancels.
+    ``hollow``: P_0 = R G and P_1 = -G, so P_1 cancels once the quotient of
+    P_0 is folded in, and P = R^2 P_2.  Returns the shells and the least
+    number of peels.
+    """
+    if kind == "hollow" and d >= 4:
+        g = _random_poly(rng, scalar, n, d - 2, rng.randint(1, 3))
+        rest = _random_poly(rng, scalar, n, d - 4, rng.randint(1, 3))
+        return [_times_sum_sq(g, n), {alpha: -s for alpha, s in g.items()}, rest], 2
+    top = rng.randint(0, min(4, d // 2))
+    shells = [_random_poly(rng, scalar, n, d - 2 * k, rng.randint(0, 3)) for k in range(top + 1)]
+    if kind == "free":
+        shells[0] = _random_poly(rng, scalar, n, d, rng.randint(1, 4))
+        return shells, 0
+    j = rng.randint(0, d // 2)
+    low = {}
+    if kind == "divisible":
+        low = _times_sum_sq(_random_poly(rng, scalar, n, d - 2 * j, rng.randint(1, 3)), n, j)
+    for k in range(1, top + 1):
+        for alpha, s in _times_sum_sq(shells[k], n, k).items():
+            T.bag_add(low, alpha, -s)
+    shells[0] = low
+    return shells, (d // 2 + 1 if kind == "zero" else j)
+
+
+def _random_bag(rng, scalar, n):
+    """A raw bag of several (mode, parity) groups, with the least peel count of each."""
+    degree = rng.randint(-3, 3)
+    modes = [(0,) * n, (1,) + (0,) * (n - 1), (-1,) + (2,) * (n - 1)]
+    raw, peels = {}, {}
+    for mode in rng.sample(modes, rng.randint(1, 3)):
+        for parity in rng.sample([0, 1], rng.randint(1, 2)):
+            d = 2 * rng.randint(0, 4) + (degree - parity) % 2
+            pmin = degree - d
+            kind = rng.choice(["free", "divisible", "divisible", "zero", "hollow"])
+            shells, peel = _group(rng, scalar, n, d, kind)
+            for k, shell in enumerate(shells):
+                for alpha, s in shell.items():
+                    raw[(mode, alpha, pmin + 2 * k)] = s
+            peels[(mode, parity)] = pmin + 2 * peel
+    return degree, raw, peels
+
+
+def _rational(rng):
+    return ComplexRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                           Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+
+
+def _gaussian(rng):
+    return GaussianInteger(rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def _cyclotomic(order):
+    return lambda rng: CyclotomicScalar(order, [rng.randint(-2, 2) for _ in range(order)])
+
+
+def _float(rng):
+    # integer parts, so float sums are exact and cancellation is visible
+    return complex(rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("scalar", [_rational, _gaussian, _cyclotomic(5), _cyclotomic(12), _float],
+                         ids=["rational", "gaussian", "cyclotomic5", "cyclotomic12", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_form_matches_expand_then_divide(scalar, n):
+    rng = random.Random(900 + n)
+    peeled = cancelled = 0
+    for _ in range(12):
+        degree, raw, peels = _random_bag(rng, scalar, n)
+        got = T.canonical_terms(n, degree, raw)
+        want = _reference_canonical(n, degree, raw)
+        assert got.keys() == want.keys()
+        if scalar is _float:
+            assert all(abs(got[key] - want[key]) <= 1e-12 for key in got)
+        else:
+            assert got == want
+        groups = {}
+        for (mode, alpha, p), s in got.items():
+            groups.setdefault((mode, p % 2), {}).setdefault(p, {})[alpha] = s
+        for group, by_pow in groups.items():
+            # one |xi| power per group, at least as high as the known peels reach,
+            # and a polynomial part that the sum of squares no longer divides
+            [(p, poly)] = by_pow.items()
+            assert p >= peels[group]
+            assert _reference_divide(poly, n) is None
+            peeled += p > min(k[2] for k in raw if (k[0], k[2] % 2) == group)
+        cancelled += len(peels) - len(groups)
+    assert peeled >= 5 and cancelled >= 2
+
+
+def test_canonical_form_refuses_an_oversized_group(monkeypatch):
+    one = GaussianInteger(1, 0)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="in 8 variables spans 1329890705 monomials"):
+        T.canonical_terms(8, 0, {((0,) * 8, (64,) + (0,) * 7, -64): one})
+    assert time.perf_counter() - start < 2
+    # dimension 4 at the exponent limit stays within the default bound
+    key = ((0,) * 4, (64, 0, 0, 0), -64)
+    assert T.canonical_terms(4, 0, {key: one}) == {key: one}
+    # the bound is C(d + n - 1, n - 1) with d = degree - pmin, and it is inclusive
+    raw = {((0,) * 4, (6, 0, 0, 0), -6): one, ((0,) * 4, (0, 0, 0, 0), 0): one}
+    monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", math.comb(9, 3))
+    assert T.canonical_terms(4, 0, raw) == _reference_canonical(4, 0, raw)
+    monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", math.comb(9, 3) - 1)
+    with pytest.raises(ValidationError, match="spans 84 monomials, above 83"):
+        T.canonical_terms(4, 0, raw)
