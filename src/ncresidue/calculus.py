@@ -15,6 +15,7 @@ through ``n``, ``order``, ``trusted_floor``, ``_system``, ``_term_bags``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,20 +84,30 @@ def compose(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> ClassicalSymbol:
     return _compose_impl(sigma, tau, _standard_floor(sigma, tau))
 
 
-def _sphere_sum(system, n: int, bag: dict) -> PiGradedScalar:
-    """Integral over S^(n-1) of sum_alpha s xi^alpha, for an alpha -> scalar bag."""
+def _sphere_sum(system, n: int, engine, bag: dict, den: int) -> PiGradedScalar:
+    """Integral over S^(n-1) of sum_alpha (s / den) xi^alpha.
+
+    ``bag`` maps alpha to a numerator of the engine system, as ``lift``
+    returns it.  Each numerator is scaled by its monomial integral over the
+    lcm L of the integrals' denominators, so the sum stays on numerators,
+    and the total is lowered once, over den * L.
+    """
     grade = Fraction(n // 2)  # pi grade of every nonzero monomial integral on S^(n-1)
-    total = system.zero
+    weights = []
     for alpha, s in bag.items():
         integral = sphere_monomial_integral(alpha, n)
         if integral.is_zero():
             continue
         if integral.pi_exponent != grade:
             raise ArithmeticError("unexpected pi grade in a sphere integral")
-        total = total + system.times_fraction(s, integral.coeff.re)
+        weights.append((s, integral.coeff.re))
+    scale = math.lcm(*(w.denominator for _s, w in weights))
+    total = engine.zero
+    for s, w in weights:
+        total = total + s * (w.numerator * (scale // w.denominator))
     if not total:
         return PiGradedScalar(0)
-    return PiGradedScalar(total, grade)
+    return PiGradedScalar(system.lower(total, den * scale), grade)
 
 
 def _normalized_residue(sigma) -> PiGradedScalar:
@@ -121,7 +132,9 @@ def _normalized_residue(sigma) -> PiGradedScalar:
         for (mode, alpha, _p), s in sigma._term_bags().get(-n, {}).items()
         if mode == zero_mode
     }
-    return _sphere_sum(sigma._system, n, bag)
+    system = sigma._system
+    engine, lifted, den = system.lift({-n: bag})
+    return _sphere_sum(system, n, engine, lifted[-n], den)
 
 
 def residue(sigma: ClassicalSymbol) -> PiGradedScalar:
@@ -150,8 +163,7 @@ def _normalized_residue_of_composition(sigma, tau) -> PiGradedScalar:
         )
     _check_pair(sigma, tau)
     system = sigma._system
-    bag = T.residue_pairing(system, n, sigma._term_bags(), tau._term_bags())
-    return _sphere_sum(system, n, bag)
+    return _sphere_sum(system, n, *T.residue_pairing(system, n, sigma._term_bags(), tau._term_bags()))
 
 
 def _residue_of_composition(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:

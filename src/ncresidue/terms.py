@@ -13,8 +13,10 @@ negated, scaled by an ``int`` and tested for zero with their own operators
 supplies only what differs between backends: its ``zero``, the embedding
 ``from_fraction`` of rationals, scaling by a ``Fraction``
 (``times_fraction``), the ``phase`` the product of two modes picks up, and
-the pair ``lift``/``lower`` that moves exact complex-rational coefficients
-onto Gaussian-integer numerators over one denominator and back.
+the pair ``lift``/``lower`` that moves exact coefficients onto integer
+numerators over one denominator and back: complex-rational ones onto
+Gaussian integers, cyclotomic ones onto cyclotomic integers at their own
+order.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -31,11 +33,19 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CYC_ZERO, CyclotomicScalar, cyclotomic_phase
+from .cyclotomic import (
+    CYC_INT_ZERO,
+    CYC_ZERO,
+    CyclotomicInteger,
+    CyclotomicScalar,
+    cyclotomic_phase,
+)
 from .errors import ValidationError
 from .scalars import CR_ZERO, ComplexRational, GaussianInteger
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], int]
+
+_FRACTION_ZERO = Fraction(0)
 
 
 class RationalSystem:
@@ -91,17 +101,6 @@ class RationalSystem:
         return ComplexRational(Fraction(s.re, den), Fraction(s.im, den))
 
 
-class _UnliftedSystem(RationalSystem):
-    """A system whose scalars the engine uses as they are: no numerator lift."""
-
-    def lift(self, comps: dict[int, dict], scale: int = 1):
-        return self, comps, 1
-
-    @staticmethod
-    def lower(s, den: int):
-        return s
-
-
 class GaussianIntegerSystem:
     """Numerators of exact complex-rational coefficients; trivial mode phases.
 
@@ -129,7 +128,7 @@ class GaussianIntegerSystem:
 GAUSSIAN_SYSTEM = GaussianIntegerSystem()
 
 
-class CyclotomicSystem(_UnliftedSystem):
+class CyclotomicSystem(RationalSystem):
     """Exact cyclotomic coefficients twisted by a rational angle."""
 
     zero = CYC_ZERO
@@ -148,9 +147,80 @@ class CyclotomicSystem(_UnliftedSystem):
             return None
         return cyclotomic_phase(self.theta_num, self.theta_den, t)
 
+    def lift(self, comps: dict[int, dict], scale: int = 1):
+        """The components as cyclotomic-integer numerators over one denominator.
 
-class FloatSystem(_UnliftedSystem):
-    """Floating complex coefficients for numerical experiments."""
+        As ``RationalSystem.lift``, with each coefficient kept at its own
+        order: den is the lcm of every rational coefficient's denominator
+        times ``scale``.
+        """
+        dens = {c.denominator for bag in comps.values() for s in bag.values() for c in s.coeffs}
+        den = math.lcm(*dens) * scale
+        lifted = {
+            deg: {
+                key: CyclotomicInteger(
+                    s.order, [c.numerator * (den // c.denominator) for c in s.coeffs]
+                )
+                for key, s in bag.items()
+            }
+            for deg, bag in comps.items()
+        }
+        return _cyclotomic_engine(self.theta_num, self.theta_den), lifted, den
+
+    @staticmethod
+    def lower(s: CyclotomicInteger, den: int) -> CyclotomicScalar:
+        """The coefficient s / den, at the order of s."""
+        return CyclotomicScalar(s.order, [Fraction(c, den) if c else _FRACTION_ZERO for c in s.coeffs])
+
+
+class CyclotomicIntegerSystem:
+    """Numerators of exact cyclotomic coefficients, twisted by theta_num/theta_den.
+
+    Scaling by a fraction is an exact division, as in
+    ``GaussianIntegerSystem``.  The phases are integer roots of unity, each
+    built once.
+    """
+
+    zero = CYC_INT_ZERO
+
+    def __init__(self, theta_num: int, theta_den: int):
+        self.theta_num = theta_num
+        self.theta_den = theta_den
+        self._roots: dict[int, CyclotomicInteger] = {}
+
+    @staticmethod
+    def times_fraction(s: CyclotomicInteger, f: Fraction) -> CyclotomicInteger:
+        num, d = f.numerator, f.denominator
+        out = []
+        for c in s.coeffs:
+            q, rem = divmod(c * num, d)
+            if rem:
+                raise ArithmeticError(f"{s!r} * {f} is not a cyclotomic integer")
+            out.append(q)
+        return CyclotomicInteger(s.order, out)
+
+    def phase(self, left_mode, right_mode):
+        e = (self.theta_num * left_mode[1] * right_mode[0]) % self.theta_den
+        if not e:
+            return None
+        root = self._roots.get(e)
+        if root is None:
+            root = self._roots[e] = CyclotomicInteger.root_of_unity(self.theta_den, e)
+        return root
+
+
+@lru_cache(maxsize=64)
+def _cyclotomic_engine(theta_num: int, theta_den: int) -> CyclotomicIntegerSystem:
+    return CyclotomicIntegerSystem(theta_num, theta_den)
+
+
+class FloatSystem(RationalSystem):
+    """Floating complex coefficients for numerical experiments.
+
+    The engine runs on the floats as they are: ``lift`` is the identity
+    with denominator 1, and ``lower`` divides by whatever denominator a
+    caller has scaled by since.
+    """
 
     zero = 0j
 
@@ -171,6 +241,13 @@ class FloatSystem(_UnliftedSystem):
             return None
         # also at theta 0.0: the factor 1+0j settles the sign of zero parts
         return cmath.exp(2j * cmath.pi * self.theta * t)
+
+    def lift(self, comps: dict[int, dict], scale: int = 1):
+        return self, comps, 1
+
+    @staticmethod
+    def lower(s: complex, den: int) -> complex:
+        return s if den == 1 else s / den
 
 
 RATIONAL_SYSTEM = RationalSystem()
@@ -266,12 +343,21 @@ def terms_polynomial(terms: dict) -> bool:
 
 # -- canonical form ---------------------------------------------------------
 
-# The polynomial part of a (mode, parity) group with lowest |xi| power pmin
-# has degree d = degree - pmin in n variables, so dividing or expanding it
-# may touch C(d + n - 1, n - 1) monomials.  canonical_terms refuses a group
-# above this bound rather than run for minutes: dimension 4 at the exponent
-# limit (d = 64) needs 47,905, a 52-byte document in dimension 8 about 1.3e9.
+# Dividing a group by the sum of squares, or expanding it by Horner's rule,
+# can make far more monomial updates than the group has terms: in dimension
+# 8 at the exponent limit a one-term group spans about 1.3e9 monomials.
+# canonical_terms refuses a group once the updates it has made would pass
+# this bound, checked before each bucket of the division and each shell of
+# the expansion, so a group is refused for the work it needs, never for the
+# size of the space it lies in.
 MAX_CANONICAL_MONOMIALS = 100_000
+
+
+def _too_costly(n: int, d: int) -> ValidationError:
+    return ValidationError(
+        f"canonical form of a degree {d} polynomial in {n} variables needs "
+        f"more than {MAX_CANONICAL_MONOMIALS} monomial updates"
+    )
 
 
 def canonical_terms(n: int, degree: int, raw: dict) -> dict:
@@ -300,16 +386,13 @@ def canonical_terms(n: int, degree: int, raw: dict) -> dict:
     out = {}
     for (mode, _parity), by_pow in groups.items():
         p, top = min(by_pow), max(by_pow)
-        size = math.comb(degree - p + n - 1, n - 1)
-        if size > MAX_CANONICAL_MONOMIALS:
-            raise ValidationError(
-                f"canonical form of a degree {degree - p} polynomial in {n} "
-                f"variables spans {size} monomials, above {MAX_CANONICAL_MONOMIALS}"
-            )
+        d, left = degree - p, MAX_CANONICAL_MONOMIALS  # monomial updates left
         while p <= top:
             low = by_pow.get(p)
             if low:
-                quo = _divide_by_sum_sq(low, n)
+                quo, left = _divide_by_sum_sq(low, n, left)
+                if left < 0:
+                    raise _too_costly(n, d)
                 if quo is None:
                     break
                 nxt = by_pow.get(p + 2)
@@ -324,6 +407,9 @@ def canonical_terms(n: int, degree: int, raw: dict) -> dict:
             continue  # the group cancels to zero
         poly = by_pow[top]
         for q in range(top - 2, p - 1, -2):
+            left -= n * len(poly)
+            if left < 0:
+                raise _too_costly(n, d)
             poly = _times_sum_sq_plus(poly, by_pow.get(q, {}), n)
         for alpha, s in poly.items():
             out[(mode, alpha, p)] = s
@@ -348,13 +434,15 @@ def _times_sum_sq_plus(poly: dict, shell: dict, n: int) -> dict:
     return out
 
 
-def _divide_by_sum_sq(poly: dict, n: int):
-    """Exact quotient of poly by xi_1^2 + ... + xi_n^2, or None.
+def _divide_by_sum_sq(poly: dict, n: int, left: int):
+    """(Exact quotient of poly by xi_1^2 + ... + xi_n^2 or None, updates left).
 
     Long division in xi_1: the terms are taken by descending xi_1 exponent
     e, each giving a quotient term at e - 2 and passing -(xi_2^2 + ... +
     xi_n^2) times it down to exponent e - 2.  A term left at e < 2 is a
-    remainder.
+    remainder.  Each bucket's updates are taken from ``left`` before they
+    are made; the division stops when that would go below zero, and the
+    negative count it returns tells the caller to refuse.
     """
     by_first: dict[int, dict] = {}
     for alpha, s in poly.items():
@@ -365,7 +453,10 @@ def _divide_by_sum_sq(poly: dict, n: int):
         if not rem:
             continue
         if e < 2:
-            return None
+            return None, left
+        left -= n * len(rem)
+        if left < 0:
+            return None, left
         lower = by_first.setdefault(e - 2, {})
         for alpha, s in rem.items():
             beta = (e - 2,) + alpha[1:]
@@ -373,7 +464,7 @@ def _divide_by_sum_sq(poly: dict, n: int):
             neg = -s
             for j in range(1, n):
                 bag_add(lower, beta[:j] + (beta[j] + 2,) + beta[j + 1 :], neg)
-    return quo
+    return quo, left
 
 
 # -- composition ------------------------------------------------------------
@@ -554,8 +645,8 @@ def _weighted_right(system, b_terms: dict, gamma: tuple[int, ...]) -> dict:
     return out
 
 
-def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict]) -> dict:
-    """The part of a o b that the residue integrates, as alpha -> scalar.
+def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict]):
+    """The part of a o b that the residue integrates, as alpha -> numerator.
 
     Sums (1/gamma!) (d_xi^gamma a)(D^gamma b) over the products that land
     at degree -n and Fourier mode zero, the only part the torus integral
@@ -569,8 +660,9 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     system's phase.
 
     As in ``compose_components``, both factors are lifted on entry, here the
-    left one scaled by K! because it carries the weights w/gamma!, and each
-    emitted coefficient is divided once by the denominator of the lifts.
+    left one scaled by K! because it carries the weights w/gamma!.  Returns
+    ``(engine, bag, den)``: the numerator system, the bag of numerators and
+    the denominator of the lifts, which the sphere sum lowers by once.
     """
     engine, comps_b, den_b = system.lift(comps_b)
     partners: dict[int, dict] = {}
@@ -621,8 +713,7 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
                         if ph is not None:
                             s = s * ph
                         bag_add(out, tuple(x + y for x, y in zip(a1, a2)), s)
-    den = den_a * den_b
-    return {alpha: system.lower(s, den) for alpha, s in out.items()}
+    return engine, out, den_a * den_b
 
 
 def _parity(alpha: tuple[int, ...]) -> tuple[int, ...]:

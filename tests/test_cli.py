@@ -284,10 +284,14 @@ _TERM = {"coeff": {"re": "1", "im": "0"}, "alpha": [0, 0], "npow": 0}
         ("dim 8 order 0 floor -4\ndeg 0 { r^-64 * xi1^64 + 1 }\n",
          cli.EXIT_VALIDATION,
          "validation error: canonical form of a degree 64 polynomial in 8 variables"),
+        ("dim 8 order 0 floor 0\ndeg 0 { r^-64 * xi2^64 }\n",
+         cli.EXIT_INSUFFICIENT,
+         "insufficient expansion: residue needs the expansion down to degree -8"),
     ],
     ids=["truncated-json", "npow-text", "deg-null", "deep-json", "missing-file",
          "deep-text", "dim-float", "dim-string", "order-bool", "theta-bool",
-         "huge-exponent-text", "huge-npow-json", "huge-alpha-json", "dim8-expansion"],
+         "huge-exponent-text", "huge-npow-json", "huge-alpha-json", "dim8-expansion",
+         "dim8-cheap"],
 )
 def test_malformed_or_missing_document_gives_one_line(tmp_path, capsys, text, code, prefix):
     p = tmp_path / "doc.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ncresidue.cyclotomic import (
+    CyclotomicInteger,
     CyclotomicScalar,
     cyclotomic_phase,
     cyclotomic_polynomial,
@@ -83,6 +84,44 @@ def test_scaling_matches_fully_reduced_construction(q):
         assert padded.coeffs == x.coeffs
 
 
+def test_cyclotomic_polynomials_multiply_to_x_q_minus_one():
+    for q in range(1, 121):
+        prod = [1]
+        for d in range(1, q + 1):
+            if q % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, x in enumerate(prod):
+                    for j, y in enumerate(phi):
+                        out[i + j] += x * y
+                prod = out
+        assert prod == [-1] + [0] * (q - 1) + [1], q
+
+
+def _numerator(x: CyclotomicScalar) -> CyclotomicInteger:
+    return CyclotomicInteger(x.order, [int(c) for c in x.coeffs])
+
+
+@pytest.mark.parametrize("orders", [(1, 1), (1, 4), (4, 5), (12, 20), (7, 12), (28, 15), (4, 97)])
+def test_integer_arithmetic_follows_the_scalar_order_rule(orders):
+    """Sums, products, negation and integer scaling of numerators give the
+    order and coefficients the same operations on CyclotomicScalar give."""
+    rng = random.Random(sum(orders))
+    for _ in range(6):
+        # sparse integer values, some rational and some zero, stored at the given orders
+        a, b = (CyclotomicScalar(q, [rng.choice([1, -2, 3]) if rng.random() < 3 / q else 0
+                                     for _ in range(q)]) for q in orders)
+        ia, ib = _numerator(a), _numerator(b)
+        for got, want in ((ia + ib, a + b), (ib + ia, b + a), (ia * ib, a * b),
+                          (ib * ia, b * a), (-ia, -a), (ia * 3, a * 3), (ia * 1, a)):
+            assert (got.order, got.coeffs) == (want.order, [int(c) for c in want.coeffs])
+            assert bool(got) == bool(want)
+    for q, e in ((1, 0), (4, 3), (12, 8), (30, 25), (997, 996)):
+        want = CyclotomicScalar.root_of_unity(q, e)
+        got = CyclotomicInteger.root_of_unity(q, e)
+        assert (got.order, got.coeffs) == (want.order, [int(c) for c in want.coeffs])
+
+
 def test_cross_order_equality():
     i = CyclotomicScalar.from_complex_rational(ComplexRational(0, 1))
     assert CyclotomicScalar.root_of_unity(4, 1) == i
@@ -136,6 +175,17 @@ def test_rational_embedding_and_conversion():
     z3 = CyclotomicScalar.root_of_unity(3, 1)
     with pytest.raises(DomainError):
         z3.to_complex_rational()
+
+
+def test_equal_embedded_values_share_one_immutable_scalar():
+    a = CyclotomicScalar.from_complex_rational(ComplexRational(Fraction(-2, 3)))
+    assert a is CyclotomicScalar.from_rational(Fraction(-4, 6))
+    assert (a.order, a.coeffs) == (1, (Fraction(-2, 3),))
+    b = CyclotomicScalar.from_complex_rational(ComplexRational(0, Fraction(1, 2)))
+    assert b is CyclotomicScalar.from_complex_rational(ComplexRational(0, Fraction(2, 4)))
+    assert (b.order, b.coeffs) == (4, (Fraction(0), Fraction(1, 2)))
+    with pytest.raises(AttributeError):
+        b.coeffs = ()
 
 
 def test_scalar_is_field_like_on_small_cases():

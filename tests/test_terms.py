@@ -10,11 +10,17 @@ from math import prod
 import pytest
 
 from ncresidue import terms as T
-from ncresidue.calculus import _residue_of_composition
-from ncresidue.cyclotomic import CyclotomicScalar
-from ncresidue.dsl import random_symbol
+from ncresidue.calculus import _residue_of_composition, _sphere_sum
+from ncresidue.cyclotomic import CyclotomicInteger, CyclotomicScalar
+from ncresidue.dsl import random_symbol, symbol_from_json, symbol_to_json
 from ncresidue.errors import ValidationError
-from ncresidue.nctorus import NCSymbol, Theta, _nc_residue_of_composition
+from ncresidue.nctorus import (
+    NCSymbol,
+    Theta,
+    _nc_residue_of_composition,
+    nc_compose,
+    nc_trace_defect,
+)
 from ncresidue.scalars import (
     ComplexRational,
     GaussianInteger,
@@ -181,8 +187,14 @@ def _reference_residue(system, n, a, b):
     return PiGradedScalar(total, n // 2) if total else PiGradedScalar(0)
 
 
+def _pairing(system, n, comps_a, comps_b):
+    """``residue_pairing`` with each numerator lowered: alpha -> scalar."""
+    _engine, bag, den = T.residue_pairing(system, n, comps_a, comps_b)
+    return {alpha: system.lower(s, den) for alpha, s in bag.items()}
+
+
 def _assert_pairing_matches_reference(system, n, a, b):
-    bag = T.residue_pairing(system, n, a._term_bags(), b._term_bags())
+    bag = _pairing(system, n, a._term_bags(), b._term_bags())
     assert all(x % 2 == 0 for alpha in bag for x in alpha)
     # the raw bag, read back at degree -n, is the even part of the composed one
     raw = {((0,) * n, alpha, -n - sum(alpha)): s for alpha, s in bag.items()}
@@ -297,8 +309,8 @@ def test_numerator_kernel_matches_unlifted_path(n):
             for s, mode, alpha, p in block:
                 T.bag_add(refl.setdefault(d, {}), (mode, alpha, p), s)
         for s, t in ((ca, cb), (ca, refl), (refl, ca), (poly, refl), (ca, free)):
-            bag = T.residue_pairing(T.RATIONAL_SYSTEM, n, s, t)
-            assert bag == T.residue_pairing(_Unlifted(), n, s, t)
+            bag = _pairing(T.RATIONAL_SYSTEM, n, s, t)
+            assert bag == _pairing(_Unlifted(), n, s, t)
             assert all(type(v) is ComplexRational for v in bag.values())
             nonzero += bool(bag)
     assert emitted >= 30 and nonzero >= 5
@@ -325,6 +337,114 @@ def test_gaussian_times_fraction_is_exact_division():
         system.times_fraction(GaussianInteger(6, -8), Fraction(2, 3))
     with pytest.raises(ArithmeticError):
         system.times_fraction(GaussianInteger(1, 0), Fraction(1, 2))
+
+
+# -- the cyclotomic-integer numerator kernel -----------------------------------------
+
+
+class _UnliftedCyclotomic(T.CyclotomicSystem):
+    """The cyclotomic system run as it is: every engine op on CyclotomicScalar."""
+
+    def lift(self, comps, scale=1):
+        return self, comps, 1
+
+    @staticmethod
+    def lower(s, den):
+        return s * Fraction(1, den)
+
+
+def _sorted_repr(comps):
+    """repr of a degree -> bag dict, which shows each coefficient's order."""
+    return repr(sorted((d, sorted(bag.items())) for d, bag in comps.items()))
+
+
+def _with_phase_seven(sym):
+    """The symbol read back from its JSON with a phase zeta_7 on every other term."""
+    doc = symbol_to_json(sym)
+    for block in doc["blocks"]:
+        for term in block["terms"][::2]:
+            term["phase"] = [7, 1]
+    return symbol_from_json(doc)
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12), Fraction(7, 30),
+                                   Fraction(0), Fraction(1, 2)])
+def test_cyclotomic_numerator_kernel_matches_unlifted_path(theta):
+    unlifted = _UnliftedCyclotomic(theta.numerator, theta.denominator)
+    big = math.lcm(4, theta.denominator)
+    emitted = nonzero = 0
+    stray = set()  # orders that divide no lcm(4, theta denominator)
+    for i, (a, b) in enumerate(_twisted_residue_pairs(theta, 6, 41)):
+        if i % 2:
+            a, b = _with_phase_seven(a), _with_phase_seven(b)
+        system = a._system
+        ca, cb = a._term_bags(), b._term_bags()
+        floor = _floor(a, b)
+        for floor_, kw in ((floor, {}), (floor, {"degrees": {-2}}), (None, {"gamma_cap": i % 3})):
+            got = T.compose_components(system, 2, ca, cb, floor_, **kw)
+            assert _sorted_repr(got) == _sorted_repr(
+                T.compose_components(unlifted, 2, ca, cb, floor_, **kw))
+            assert all(type(s) is CyclotomicScalar for bag in got.values() for s in bag.values())
+            emitted += sum(map(len, got.values()))
+            stray |= {s.order for bag in got.values() for s in bag.values() if big % s.order}
+        for s, t in ((a, b), (b, a)):
+            got = _nc_residue_of_composition(s, t)
+            want = _sphere_sum(unlifted, 2, *T.residue_pairing(
+                unlifted, 2, s._term_bags(), t._term_bags()))
+            assert repr(got) == repr(want)
+            nonzero += not got.is_zero()
+    assert emitted >= 100 and nonzero >= 6 and stray
+
+
+def test_cyclotomic_lift_and_lower_round_trip():
+    system = T.CyclotomicSystem(5, 12)
+    zeta3 = CyclotomicScalar.root_of_unity(3, 1)
+    key, key2 = ((0, 0), (0, 0), 0), ((1, 0), (0, 0), 0)
+    comps = {
+        # zeta_3 held at order 12, zeta_7 at order 28, a rational at order 1
+        0: {key: zeta3 * CyclotomicScalar(12, [1]) * Fraction(3, 1000003),
+            key2: CyclotomicScalar.root_of_unity(7, 2) * CyclotomicScalar(4, [0, Fraction(-5, 7)])},
+        -1: {key: CyclotomicScalar(1, [Fraction(1, 2)])},
+    }
+    assert [s.order for bag in comps.values() for s in bag.values()] == [12, 28, 1]
+    engine, lifted, den = system.lift(comps, scale=6)
+    assert type(engine) is T.CyclotomicIntegerSystem
+    assert den == 6 * 1000003 * 7 * 2
+    for d, bag in comps.items():
+        for k, s in bag.items():
+            n = lifted[d][k]
+            assert type(n) is CyclotomicInteger and n.order == s.order
+            assert all(type(c) is int for c in n.coeffs)
+            assert repr(system.lower(n, den)) == repr(s)
+
+
+def test_cyclotomic_times_fraction_is_exact_division():
+    system = T.CyclotomicSystem(2, 5)
+    comps = {0: {((0, 0), (0, 0), 0): CyclotomicScalar(5, [Fraction(1, 3), 0, Fraction(2, 3), 0])}}
+    engine, lifted, den = system.lift(comps)
+    s = lifted[0][((0, 0), (0, 0), 0)]
+    assert den == 3 and s.coeffs == [1, 0, 2, 0]
+    # a weight 1/7 needs the lift scaled by 7; without it the division has a remainder
+    with pytest.raises(ArithmeticError):
+        engine.times_fraction(s, Fraction(1, 7))
+    _, lifted, den = system.lift(comps, scale=7)
+    scaled = engine.times_fraction(lifted[0][((0, 0), (0, 0), 0)], Fraction(1, 7))
+    assert scaled.coeffs == [1, 0, 2, 0] and den == 21
+
+
+@pytest.mark.parametrize("q", [997, 9973])
+def test_nc_compose_at_a_large_theta_denominator_is_quick(q):
+    theta = Theta.from_rational(Fraction(1, q))
+    rng = random.Random(3)
+    a, b = (random_symbol(rng.getrandbits(32), dim=2, order=m, depth=2, max_mode=1, max_alpha=1,
+                          theta=theta) for m in (0, -1))
+    start = time.perf_counter()
+    composed = [nc_compose(a, b), nc_compose(b, a)]
+    assert time.perf_counter() - start < 2
+    # the hard case: values at order 4q, phi(4q) = 2(q - 1) coefficients each
+    assert any(s.order == 4 * q for c in composed for bag in c._term_bags().values()
+               for s in bag.values())
+    assert nc_trace_defect(a, b).is_zero()
 
 
 # -- canonical form ------------------------------------------------------------------
@@ -488,19 +608,30 @@ def test_canonical_form_matches_expand_then_divide(scalar, n):
     assert peeled >= 5 and cancelled >= 2
 
 
-def test_canonical_form_refuses_an_oversized_group(monkeypatch):
+def test_canonical_form_refuses_a_costly_group(monkeypatch):
     one = GaussianInteger(1, 0)
+    zero8 = (0,) * 8
+    # the division of xi1^64 runs bucket after bucket in dimension 8
     start = time.perf_counter()
-    with pytest.raises(ValidationError, match="in 8 variables spans 1329890705 monomials"):
-        T.canonical_terms(8, 0, {((0,) * 8, (64,) + (0,) * 7, -64): one})
+    with pytest.raises(ValidationError, match="degree 64 polynomial in 8 variables needs more "
+                                              "than 100000 monomial updates"):
+        T.canonical_terms(8, 0, {(zero8, (64,) + (0,) * 7, -64): one})
+    # so does the Horner expansion of 1 to |xi|^-64, behind a division that fails at once
+    with pytest.raises(ValidationError, match="needs more than 100000"):
+        T.canonical_terms(8, 0, {(zero8, (0, 64) + (0,) * 6, -64): one, (zero8, zero8, 0): one})
     assert time.perf_counter() - start < 2
-    # dimension 4 at the exponent limit stays within the default bound
+    # a group in the same space whose division fails at once costs nothing
+    key = (zero8, (0, 64) + (0,) * 6, -64)
+    assert T.canonical_terms(8, 0, {key: one}) == {key: one}
+    # dimension 4 at the exponent limit
     key = ((0,) * 4, (64, 0, 0, 0), -64)
     assert T.canonical_terms(4, 0, {key: one}) == {key: one}
-    # the bound is C(d + n - 1, n - 1) with d = degree - pmin, and it is inclusive
+    # the bound is inclusive: dividing xi1^6 in 4 variables makes 4 + 12 + 24 updates
+    # before it fails, and expanding 1 by Horner's rule to |xi|^-6 makes 4 + 16 + 40
     raw = {((0,) * 4, (6, 0, 0, 0), -6): one, ((0,) * 4, (0, 0, 0, 0), 0): one}
-    monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", math.comb(9, 3))
+    monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", 100)
     assert T.canonical_terms(4, 0, raw) == _reference_canonical(4, 0, raw)
-    monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", math.comb(9, 3) - 1)
-    with pytest.raises(ValidationError, match="spans 84 monomials, above 83"):
+    monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", 99)
+    with pytest.raises(ValidationError, match="degree 6 polynomial in 4 variables needs more "
+                                              "than 99 monomial updates"):
         T.canonical_terms(4, 0, raw)

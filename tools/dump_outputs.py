@@ -1,0 +1,214 @@
+"""Print the exact outputs of a checkout of ncresidue, one entry per line.
+
+    python3 tools/dump_outputs.py PATH > outputs.txt
+
+PATH is the root of a checkout; the package is imported from its ``src/``.
+Run it on two checkouts and compare the two files with ``diff``: an empty
+diff shows that a change keeps every exact output byte-identical.  The
+script uses the standard library only and writes nothing outside a
+temporary directory, which it removes.
+
+It prints, on seeded inputs:
+
+- ``format_symbol``, ``symbol_to_json`` and ``repr`` of ``compose`` in both
+  orders for classical pairs in dimensions 2 and 3, and of ``nc_compose``
+  in both orders for twisted pairs at theta 2/5, 5/12, 7/30, 0 and 1/2
+  (the ``repr`` of a twisted coefficient shows its cyclotomic order);
+- the residue of each composition without composing, in both orders, and
+  the trace defect;
+- stdout, stderr and the exit code of ``ncres residue``, ``nc-residue``,
+  ``compose``, ``nc-compose``, ``trace-check`` and ``nc-trace-check``, with
+  and without ``--json``.
+
+Half of the pairs have part of the right factor moved onto the reflected
+modes of the left one, so most residues are nonzero, and some twisted
+coefficients carry a JSON ``phase`` of order 7, an order that divides no
+lcm(4, theta denominator).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from fractions import Fraction
+
+TWISTS = [Fraction(2, 5), Fraction(5, 12), Fraction(7, 30), Fraction(0), Fraction(1, 2)]
+PAIRS_PER_CASE = 12
+
+
+def _reflect(rng, left_bags, right_bags):
+    """Blocks of the right factor, about half its terms moved onto (-mode, alpha)
+    of a left term."""
+    spots = sorted({(m, a) for bag in left_bags.values() for (m, a, _p) in bag})
+    blocks = {}
+    for deg, bag in sorted(right_bags.items()):
+        terms = []
+        for (mode, alpha, _p), s in sorted(bag.items()):
+            if spots and rng.random() < 0.5:
+                mode, alpha = rng.choice(spots)
+                mode = tuple(-x for x in mode)
+            terms.append((s, mode, alpha, deg - sum(alpha)))
+        blocks[deg] = terms
+    return blocks
+
+
+def _with_phases(lib, sym, rng):
+    """The JSON document of a twisted symbol with a phase zeta_7 on about a third
+    of its terms, and the symbol it reads back as."""
+    doc = lib.dsl.symbol_to_json(sym)
+    for block in doc["blocks"]:
+        for term in block["terms"]:
+            if rng.random() < 0.35:
+                term["phase"] = [7, rng.randint(1, 6)]
+    return doc, lib.dsl.symbol_from_json(doc)
+
+
+def classical_pairs(lib, n, rng):
+    for i in range(PAIRS_PER_CASE):
+        m1, m2 = rng.randint(-1, 2), rng.randint(-1, 2)
+        a, b = (lib.dsl.random_symbol(rng.getrandbits(32), dim=n, order=m, depth=m1 + n + m2,
+                                      max_mode=2, max_alpha=3) for m in (m1, m2))
+        if i % 2:
+            blocks = _reflect(rng, a._term_bags(), b._term_bags())
+            comps = {d: lib.symbols.HomogeneousComponent(n, d, t) for d, t in blocks.items()}
+            b = lib.symbols.ClassicalSymbol(
+                n, m2, {d: c for d, c in comps.items() if not c.is_zero()}, b.trusted_floor)
+        yield a, b, None
+
+
+def twisted_pairs(lib, theta, rng):
+    for i in range(PAIRS_PER_CASE):
+        m1, m2 = rng.randint(-1, 1), rng.randint(-1, 1)
+        a, b = (lib.dsl.random_symbol(rng.getrandbits(32), dim=2, order=m, depth=m1 + 2 + m2,
+                                      max_mode=2, max_alpha=2, theta=theta) for m in (m1, m2))
+        if i % 4 == 2:
+            # symbols with a zeta_7 phase: the text format cannot write them, so
+            # the command line reads them from their JSON documents
+            (doc_a, a), (doc_b, b) = _with_phases(lib, a, rng), _with_phases(lib, b, rng)
+            yield a, b, (doc_a, doc_b)
+            continue
+        if i % 2:
+            b = lib.nctorus.NCSymbol(b.theta, m2, _reflect(rng, a._term_bags(), b._term_bags()),
+                                     b.trusted_floor)
+        yield a, b, None
+
+
+def _components_repr(sym) -> str:
+    return repr(sorted((d, sorted(bag.items())) for d, bag in sym._term_bags().items()))
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # a refusal is an output too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def dump_symbol(lib, out, label, sym):
+    out(f"{label} format: {_outcome(lib.dsl.format_symbol, sym)}")
+    out(f"{label} json: {_outcome(lambda: json.dumps(lib.dsl.symbol_to_json(sym), sort_keys=True))}")
+    out(f"{label} repr: {_components_repr(sym)}")
+
+
+def dump_api(lib, out):
+    cases = [(f"n={n}", lib.calculus.compose, lib.calculus._residue_of_composition,
+              lib.calculus.trace_defect, classical_pairs(lib, n, random.Random(10 + n)))
+             for n in (2, 3)]
+    cases += [(f"theta={th}", lib.nctorus.nc_compose, lib.nctorus._nc_residue_of_composition,
+               lib.nctorus.nc_trace_defect, twisted_pairs(lib, th, random.Random(20 + i)))
+              for i, th in enumerate(TWISTS)]
+    docs = []
+    for name, compose, res_of_comp, defect, pairs in cases:
+        for k, (a, b, json_docs) in enumerate(pairs):
+            label = f"{name} pair {k}"
+            for tag, s, t in (("ab", a, b), ("ba", b, a)):
+                try:
+                    composed = compose(s, t)
+                except Exception as exc:  # a refusal is an output too
+                    out(f"{label} {tag} compose: {type(exc).__name__}: {exc}")
+                else:
+                    dump_symbol(lib, out, f"{label} {tag} compose", composed)
+                out(f"{label} {tag} residue of composition: {_outcome(res_of_comp, s, t)}")
+            out(f"{label} trace defect: {_outcome(defect, a, b)}")
+            for tag, s in (("a", a), ("b", b)):
+                dump_symbol(lib, out, f"{label} {tag}", s)
+            if k < 4:
+                docs.append((name, k, a, b, json_docs))
+    return docs
+
+
+def _run_cli(lib, argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = lib.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def dump_cli(lib, out, docs, workdir):
+    commands = []
+    for name, k, a, b, json_docs in docs:
+        paths = []
+        for i, (tag, sym) in enumerate((("a", a), ("b", b))):
+            path = os.path.join(workdir, f"{name.replace('=', '').replace('/', '_')}_{k}{tag}")
+            if json_docs is not None:
+                path, text = path + ".json", json.dumps(json_docs[i])
+            elif k % 2:
+                path, text = path + ".json", json.dumps(lib.dsl.symbol_to_json(sym))
+            else:
+                path, text = path + ".sym", lib.dsl.format_symbol(sym)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            paths.append(path)
+        twisted = name.startswith("theta")
+        commands.append(["nc-residue" if twisted else "residue", paths[0]])
+        commands.append(["nc-compose" if twisted else "compose", paths[0], paths[1]])
+        commands.append(["nc-compose" if twisted else "compose", paths[1], paths[0]])
+    for n in (2, 3):
+        commands.append(["trace-check", "--dim", str(n), "--trials", "6", "--seed", str(n)])
+    for th in TWISTS:
+        commands.append(["nc-trace-check", "--theta", str(th), "--trials", "6", "--seed", "5"])
+    for argv in commands:
+        for extra in ([], ["--json"]):
+            full = argv[:1] + extra + argv[1:]
+            code, stdout, stderr = _run_cli(lib, full)
+            shown = [os.path.basename(w) if w.startswith(workdir) else w for w in full]
+            out(f"ncres {' '.join(shown)}: exit {code}")
+            out(f"  stdout: {stdout!r}")
+            out(f"  stderr: {stderr.replace(workdir, '<dir>')!r}")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/dump_outputs.py CHECKOUT", file=sys.stderr)
+        return 2
+    src = os.path.join(os.path.abspath(args[0]), "src")
+    if not os.path.isdir(os.path.join(src, "ncresidue")):
+        print(f"no package at {src}/ncresidue", file=sys.stderr)
+        return 2
+    sys.path.insert(0, src)
+    import ncresidue.calculus
+    import ncresidue.cli
+    import ncresidue.dsl
+    import ncresidue.nctorus
+    import ncresidue.symbols
+
+    lib = ncresidue
+    lines = []
+    docs = dump_api(lib, lines.append)
+    with tempfile.TemporaryDirectory() as workdir:
+        dump_cli(lib, lines.append, docs, workdir)
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
