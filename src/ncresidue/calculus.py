@@ -35,7 +35,6 @@ from .symbols import (
     exp_symbol,
     sphere_average,
     xi_symbol,
-    zero_component,
 )
 
 
@@ -210,8 +209,7 @@ def commutator_exp(
         raise ValidationError(f"direction must lie in 1..{n}, got {direction}")
     mode = tuple(1 if i == direction - 1 else 0 for i in range(n))
     exp = exp_symbol(n, mode)
-    comps = sigma.components
-    top = max(comps) if comps else sigma.order
+    top = max(sigma.degrees(), default=sigma.order)
     if sigma.trusted_floor is None and _symbol_polynomial(sigma) and depth >= max(top, 0):
         floor = None  # the series provably terminates within the cap
     elif sigma.trusted_floor is None:
@@ -258,7 +256,7 @@ def uniqueness_decompose(sigma: ClassicalSymbol) -> DecompositionCertificate:
     for deg, comp in sigma.components.items():
         if deg != -n:
             families[deg] = euler_antiderivatives(comp)
-    comp = sigma.components.get(-n, zero_component(n, -n))
+    comp = sigma.component(-n)
     mean = sphere_average(comp)
     mean_part = HomogeneousComponent(
         n,

@@ -155,100 +155,41 @@ def _cmd_nc_compose(args) -> int:
     return EXIT_OK
 
 
-def _random_pair(rng: random.Random, dim: int):
-    m1 = rng.randint(-1, 2)
-    m2 = rng.randint(-1, 2)
-    s1 = random_symbol(
-        rng.getrandbits(32),
-        dim=dim,
-        order=m1,
-        depth=m1 + dim + m2,
-        max_mode=3,
-        max_alpha=3,
+def _random_pair(rng: random.Random, dim: int, theta: Fraction | None):
+    """A seeded pair of symbols whose composition reaches degree -dim."""
+    top, size = (2, 3) if theta is None else (1, 2)
+    m1 = rng.randint(-1, top)
+    m2 = rng.randint(-1, top)
+    return tuple(
+        random_symbol(rng.getrandbits(32), dim=dim, order=m, depth=m1 + dim + m2,
+                      max_mode=size, max_alpha=size, theta=theta)
+        for m in (m1, m2)
     )
-    s2 = random_symbol(
-        rng.getrandbits(32),
-        dim=dim,
-        order=m2,
-        depth=m2 + dim + m1,
-        max_mode=3,
-        max_alpha=3,
-    )
-    return s1, s2
 
 
 def _cmd_trace_check(args) -> int:
+    """``trace-check`` and ``nc-trace-check``: the trace defect of random pairs."""
+    if args.command == "trace-check":
+        dim, theta, defect_of = args.dim, None, trace_defect
+        key, value = "dim", args.dim
+    else:
+        theta = Theta.from_rational(args.theta).exact
+        dim, defect_of = 2, nc_trace_defect
+        key, value = "theta", str(theta)
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
-        s1, s2 = _random_pair(rng, args.dim)
-        defect = trace_defect(s1, s2)
+        defect = defect_of(*_random_pair(rng, dim, theta))
         if not defect.is_zero():
             failures += 1
             print(f"trial {trial}: nonzero defect {defect}", file=sys.stderr)
-    result = {
-        "trials": args.trials,
-        "dim": args.dim,
-        "seed": args.seed,
-        "failures": failures,
-    }
     if args.json:
-        print(json.dumps(result))
+        print(json.dumps({"trials": args.trials, key: value, "seed": args.seed,
+                          "failures": failures}))
     else:
         status = "ok" if failures == 0 else "FAILED"
         print(
-            f"trace-check: {args.trials} trials, dim {args.dim}, "
-            f"{failures} failures [{status}]"
-        )
-    return EXIT_OK if failures == 0 else EXIT_PROPERTY
-
-
-def _random_nc_pair(rng: random.Random, theta: Fraction):
-    m1 = rng.randint(-1, 1)
-    m2 = rng.randint(-1, 1)
-    s1 = random_symbol(
-        rng.getrandbits(32),
-        dim=2,
-        order=m1,
-        depth=m1 + 2 + m2,
-        max_mode=2,
-        max_alpha=2,
-        theta=theta,
-    )
-    s2 = random_symbol(
-        rng.getrandbits(32),
-        dim=2,
-        order=m2,
-        depth=m2 + 2 + m1,
-        max_mode=2,
-        max_alpha=2,
-        theta=theta,
-    )
-    return s1, s2
-
-
-def _cmd_nc_trace_check(args) -> int:
-    theta = Theta.from_rational(args.theta).exact
-    rng = random.Random(args.seed)
-    failures = 0
-    for trial in range(args.trials):
-        s1, s2 = _random_nc_pair(rng, theta)
-        defect = nc_trace_defect(s1, s2)
-        if not defect.is_zero():
-            failures += 1
-            print(f"trial {trial}: nonzero defect {defect}", file=sys.stderr)
-    result = {
-        "trials": args.trials,
-        "theta": str(theta),
-        "seed": args.seed,
-        "failures": failures,
-    }
-    if args.json:
-        print(json.dumps(result))
-    else:
-        status = "ok" if failures == 0 else "FAILED"
-        print(
-            f"nc-trace-check: {args.trials} trials, theta {theta}, "
+            f"{args.command}: {args.trials} trials, {key} {value}, "
             f"{failures} failures [{status}]"
         )
     return EXIT_OK if failures == 0 else EXIT_PROPERTY
@@ -297,7 +238,7 @@ def _cmd_commutator(args) -> int:
                 raise ValidationError(
                     "--depth is required for a symbol with a complete expansion"
                 )
-            top = max(sym.components) if sym.components else sym.order
+            top = max(sym.degrees(), default=sym.order)
             depth = max(0, top - sym.trusted_floor + 1)
         result = commutator_exp(sym, args.dir, depth)
     _emit_symbol(result, args.json)
@@ -373,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add(
         "nc-trace-check",
-        _cmd_nc_trace_check,
+        _cmd_trace_check,
         help="randomized twisted trace-property check",
     )
     p.add_argument("--theta", required=True, help="rational twist p/q")

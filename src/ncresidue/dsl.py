@@ -24,6 +24,7 @@ state completeness.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -78,6 +79,21 @@ _XI_RE = re.compile(r"^xi(\d+)$")
 # spread of the |xi| powers in one mode, so a short document with huge
 # exponents would cost unbounded time; documents are held to this limit.
 MAX_EXPONENT = 64
+
+
+# A cyclotomic coefficient is stored densely, one rational per power of a
+# root of unity whose order is the lcm of 4, the theta denominator and the
+# phase orders a document names, so a short document with a large
+# denominator would cost unbounded memory; documents are held to this limit.
+MAX_CYCLOTOMIC_ORDER = 40_000
+
+
+def _check_cyclotomic_order(order: int, what: str) -> int:
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise ValidationError(
+            f"{what} needs cyclotomic order {order}, beyond the limit {MAX_CYCLOTOMIC_ORDER}"
+        )
+    return order
 
 
 def _check_exponents(alpha: tuple[int, ...], npow: int, where: str = "") -> None:
@@ -179,6 +195,9 @@ class _Parser:
             theta = Theta.from_rational(self.parse_rational())
             if dim != 2:
                 raise ValidationError("twisted symbols require dim 2")
+            _check_cyclotomic_order(
+                math.lcm(4, theta.exact.denominator), f"theta {theta.exact}"
+            )
         self.set_kind(dim, theta)
         blocks: dict[int, dict] = {}
         while self.peek() is not None:
@@ -336,7 +355,6 @@ def _build_symbol(dim: int, order: int, floor: int, theta: Theta | None, blocks:
             deg: HomogeneousComponent.from_raw(dim, deg, raw)
             for deg, raw in blocks.items()
         }
-        comps = {d: c for d, c in comps.items() if not c.is_zero()}
         return ClassicalSymbol(dim, order, comps, floor)
     return NCSymbol(theta, order, blocks, floor)
 
@@ -493,8 +511,8 @@ def format_symbol(sym) -> str:
     if isinstance(sym, ClassicalSymbol):
         floor = _materialized_floor(sym)
         lines = [f"dim {sym.n} order {sym.order} floor {floor}"]
-        for deg in sym.degrees():
-            lines.append(f"deg {deg} {{ {format_terms(sym.components[deg].raw_terms())} }}")
+        for deg, bag in sorted(sym._term_bags().items(), reverse=True):
+            lines.append(f"deg {deg} {{ {format_terms(bag)} }}")
         return "\n".join(lines)
     if isinstance(sym, NCSymbol):
         if not sym.theta.is_exact:
@@ -507,9 +525,9 @@ def format_symbol(sym) -> str:
             f"dim 2 order {sym.order} floor {floor} theta "
             f"{theta.numerator}/{theta.denominator}"
         ]
-        for deg in sym.degrees():
+        for deg, bag in sorted(sym._term_bags().items(), reverse=True):
             pieces = []
-            for (mode, alpha, npow), scalar in sorted(sym.components[deg].items()):
+            for (mode, alpha, npow), scalar in sorted(bag.items()):
                 pieces.extend(_nc_term_texts(sym.theta, mode, alpha, npow, scalar))
             lines.append(f"deg {deg} {{ {_join_terms(pieces)} }}")
         return "\n".join(lines)
@@ -554,11 +572,9 @@ def symbol_to_json(sym) -> dict:
     """The JSON mirror of the text format, one object per degree block."""
     if isinstance(sym, ClassicalSymbol):
         blocks = []
-        for deg in sym.degrees():
+        for deg, bag in sorted(sym._term_bags().items(), reverse=True):
             terms = []
-            for (mode, alpha, npow), coeff in sorted(
-                sym.components[deg].raw_terms().items()
-            ):
+            for (mode, alpha, npow), coeff in sorted(bag.items()):
                 entry = {"coeff": _coeff_to_json(coeff), "alpha": list(alpha), "npow": npow}
                 if any(mode):
                     entry["mode"] = list(mode)
@@ -582,9 +598,9 @@ def symbol_to_json(sym) -> dict:
             out["theta"] = f"{theta.exact.numerator}/{theta.exact.denominator}"
         else:
             out["theta"] = theta.approximate
-        for deg in sym.degrees():
+        for deg, bag in sorted(sym._term_bags().items(), reverse=True):
             terms = []
-            for (mode, alpha, npow), scalar in sorted(sym.components[deg].items()):
+            for (mode, alpha, npow), scalar in sorted(bag.items()):
                 if theta.is_exact:
                     for coeff, b, _j in _nc_unit_pieces(theta, scalar):
                         entry = {
@@ -631,7 +647,10 @@ def symbol_from_json(data: dict):
             theta = Theta.from_float(raw)
         if dim != 2:
             raise ValidationError("twisted symbols require dim 2")
-    system = _system_for(theta)
+        if theta.is_exact:
+            cyclotomic_order = _check_cyclotomic_order(
+                math.lcm(4, theta.exact.denominator), f"theta {theta.exact}"
+            )
     blocks: dict[int, dict] = {}
     block_list = data.get("blocks", [])
     if not isinstance(block_list, list):
@@ -679,6 +698,9 @@ def symbol_from_json(data: dict):
                     phase = _json_ints(term["phase"], "phase")
                     if len(phase) != 2:
                         raise ValidationError(f"bad phase {term['phase']}")
+                    cyclotomic_order = _check_cyclotomic_order(
+                        math.lcm(cyclotomic_order, phase[0]), f"phase {list(phase)}"
+                    )
                     scalar = scalar * CyclotomicScalar.root_of_unity(*phase)
                 T.bag_add(bucket, (mode, alpha, npow), scalar)
     return _build_symbol(dim, order, floor, theta, blocks)
@@ -740,11 +762,7 @@ def random_symbol(
             terms.append((coeff, mode, tuple(alpha), npow))
         blocks[deg] = terms
     if theta is None:
-        comps = {}
-        for deg, terms in blocks.items():
-            comp = HomogeneousComponent(dim, deg, terms)
-            if not comp.is_zero():
-                comps[deg] = comp
+        comps = {deg: HomogeneousComponent(dim, deg, terms) for deg, terms in blocks.items()}
         return ClassicalSymbol(dim, order, comps, floor)
     return NCSymbol(theta, order, blocks, floor)
 

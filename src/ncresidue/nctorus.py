@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import terms as T
 from .calculus import (
@@ -30,9 +31,9 @@ from .calculus import (
     residue,
 )
 from .cyclotomic import CyclotomicScalar
-from .errors import DomainError, InsufficientExpansionError, ValidationError
+from .errors import DomainError, ValidationError
 from .scalars import ComplexRational, PiGradedScalar, torus_volume
-from .symbols import ClassicalSymbol, HomogeneousComponent, _check_degree, _check_floor
+from .symbols import ClassicalSymbol, HomogeneousComponent, _canonical_bag, _Symbol
 
 
 class Theta:
@@ -43,6 +44,8 @@ class Theta:
     def __init__(self, exact: Fraction | None = None, approximate: float | None = None):
         if (exact is None) == (approximate is None):
             raise ValidationError("exactly one of exact/approximate must be set")
+        if approximate is not None and not math.isfinite(approximate):
+            raise ValidationError(f"bad theta {approximate!r}: not finite")
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "approximate", approximate)
 
@@ -259,16 +262,21 @@ def nc_v(theta: Theta) -> NCPolynomial:
     return NCPolynomial.monomial(theta, 0, 1)
 
 
-class NCSymbol:
+class NCSymbol(_Symbol):
     """A classical symbol whose coefficients live in the twisted algebra.
 
     Terms are stored at the granularity of single U^m V^n modes, mirroring
     the Fourier modes of the commutative calculus; the canonical form is
     the same maximal-|xi|-power extraction per (mode, parity) class.
-    Coefficients always multiply from the left.
+    Coefficients always multiply from the left.  A block of ``components``
+    is a ``(mode, alpha, npow) -> coeff`` dict or a list of
+    ``(coeff, mode, alpha, npow)`` terms.
     """
 
-    __slots__ = ("theta", "order", "trusted_floor", "_components")
+    __slots__ = ()
+
+    n = 2
+    _space_name = "twist"
 
     def __init__(
         self,
@@ -277,84 +285,34 @@ class NCSymbol:
         components: dict | None = None,
         trusted_floor: int | None = None,
     ):
-        system = _system_for(theta)
-        comps: dict[int, dict] = {}
-        for deg, block in (components or {}).items():
-            raw: dict = {}
-            items = block.items() if isinstance(block, dict) else (
-                (key, None) for key in block
-            )
-            for entry, value in items:
-                if value is None:
-                    coeff, mode, alpha, npow = entry
-                else:
-                    mode, alpha, npow = entry
-                    coeff = value
-                key = (tuple(mode), tuple(alpha), int(npow))
-                if len(key[0]) != 2 or len(key[1]) != 2:
-                    raise ValidationError("twisted symbols live in dimension 2")
-                if any(a < 0 for a in key[1]):
-                    raise ValidationError(f"xi exponents must be nonnegative: {alpha}")
-                s = _coerce_scalar(theta, coeff)
-                T.bag_add(raw, key, s)
-            ct = T.canonical_terms(2, deg, raw)
-            if not ct:
-                continue
-            _check_degree(deg, order, trusted_floor)
-            comps[deg] = ct
-        _check_floor(order, trusted_floor)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "trusted_floor", trusted_floor)
-        object.__setattr__(self, "_components", comps)
+        coerce = partial(_coerce_scalar, theta)
+        bags = (
+            (deg, _canonical_bag(2, deg, _block_items(block), coerce))
+            for deg, block in (components or {}).items()
+        )
+        self._init(theta, order, bags, trusted_floor)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NCSymbol is immutable")
-
-    # -- what calculus.py composes and integrates through ---------------------
-
-    n = 2
+    @property
+    def theta(self) -> Theta:
+        return self._space
 
     @property
     def _system(self):
         return _system_for(self.theta)
 
-    def _term_bags(self) -> dict[int, dict]:
-        return self._components
+    def _coerce(self, value):
+        return _coerce_scalar(self.theta, value)
 
     def _check_composable(self, other: "NCSymbol") -> None:
         if self.theta != other.theta:
             raise ValidationError("twist mismatch in composition")
 
-    def _with_term_bags(
-        self, order: int, bags: dict[int, dict], trusted_floor: int | None
-    ) -> "NCSymbol":
-        return NCSymbol._from_canonical(self.theta, order, bags, trusted_floor)
-
-    @classmethod
-    def _from_canonical(
-        cls, theta: Theta, order: int, comps: dict, trusted_floor: int | None
-    ) -> "NCSymbol":
-        self = object.__new__(cls)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "trusted_floor", trusted_floor)
-        object.__setattr__(self, "_components", comps)
-        return self
-
     @property
     def components(self) -> dict[int, dict]:
         return {d: dict(t) for d, t in self._components.items()}
 
-    def degrees(self) -> list[int]:
-        return sorted(self._components, reverse=True)
-
     def component_raw(self, degree: int) -> dict:
-        if self.trusted_floor is not None and degree < self.trusted_floor:
-            raise InsufficientExpansionError(
-                f"degree {degree} lies below the trusted floor {self.trusted_floor}"
-            )
-        return dict(self._components.get(degree, {}))
+        return dict(self._bag(degree))
 
     def blocks(self) -> dict[int, list[tuple[tuple[int, int], int, NCPolynomial]]]:
         """Components grouped as (alpha, npow) -> algebra coefficient."""
@@ -369,25 +327,18 @@ class NCSymbol:
             ]
         return out
 
-    def is_zero(self) -> bool:
-        return not self._components
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCSymbol):
-            return NotImplemented
-        return (
-            self.theta == other.theta
-            and self.trusted_floor == other.trusted_floor
-            and self._components == other._components
-        )
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return (
             f"<ncsymbol theta={self.theta!r} order={self.order} "
             f"floor={self.trusted_floor} degrees={self.degrees()}>"
         )
+
+
+def _block_items(block):
+    """The ``(coeff, mode, alpha, npow)`` terms of a dict or list block."""
+    if isinstance(block, dict):
+        return ((coeff, *key) for key, coeff in block.items())
+    return block
 
 
 def nc_compose(sigma: NCSymbol, tau: NCSymbol) -> NCSymbol:
@@ -455,15 +406,12 @@ def to_euclidean(sigma: NCSymbol) -> ClassicalSymbol:
     """
     if not (sigma.theta.is_exact and sigma.theta.exact == 0):
         raise DomainError("the Euclidean identification requires theta exactly 0")
-    comps = {}
-    for deg, terms in sigma._components.items():
-        raw = {
-            (mode, alpha, npow): s.to_complex_rational()
-            for (mode, alpha, npow), s in terms.items()
-        }
-        comp = HomogeneousComponent.from_raw(2, deg, raw)
-        if not comp.is_zero():
-            comps[deg] = comp
+    comps = {
+        deg: HomogeneousComponent.from_raw(
+            2, deg, {key: s.to_complex_rational() for key, s in terms.items()}
+        )
+        for deg, terms in sigma._components.items()
+    }
     return ClassicalSymbol(2, sigma.order, comps, sigma.trusted_floor)
 
 

@@ -49,6 +49,47 @@ class SymbolTerm(NamedTuple):
         return sum(self.alpha) + self.npow
 
 
+def _canonical_bag(n: int, degree: int, items: Iterable, coerce) -> dict:
+    """The canonical term bag of ``(coeff, mode, alpha, npow)`` items.
+
+    Checks each item and coerces its coefficient with ``coerce`` before
+    summing; ``canonical_terms`` then checks the homogeneity.
+    """
+    raw: dict = {}
+    for coeff, mode, alpha, npow in items:
+        mode = tuple(mode)
+        alpha = tuple(alpha)
+        if len(mode) != n:
+            raise ValidationError(f"Fourier mode {mode} has length != {n}")
+        if any(a < 0 for a in alpha):
+            raise ValidationError(f"xi exponents must be nonnegative: {alpha}")
+        T.bag_add(raw, (mode, alpha, int(npow)), coerce(coeff))
+    return T.canonical_terms(n, degree, raw)
+
+
+def _sum_bag(n: int, degree: int, a: dict, b: dict) -> dict:
+    """The canonical bag of a + b, two canonical bags of one degree."""
+    if not a or not b:
+        return a or b
+    return T.canonical_terms(n, degree, T.add_terms(a, b))
+
+
+def _scale_bag(bag: dict, c) -> dict:
+    # a nonzero multiple of a canonical bag is canonical
+    return {k: c * s for k, s in bag.items()} if c else {}
+
+
+def _partial_xi_bag(n: int, degree: int, bag: dict, axis: int) -> dict:
+    return T.canonical_terms(n, degree - 1, T.partial_xi_terms(bag, axis))
+
+
+def _axis(n: int, direction: int) -> int:
+    """The 0-based axis of a 1-based direction."""
+    if not 1 <= direction <= n:
+        raise ValidationError(f"direction must lie in 1..{n}, got {direction}")
+    return direction - 1
+
+
 class HomogeneousComponent:
     """A degree-d homogeneous function of (x, xi), kept in canonical form."""
 
@@ -57,19 +98,9 @@ class HomogeneousComponent:
     def __init__(self, n: int, degree: int, terms: Iterable = ()):
         if n < 2:
             raise ValidationError(f"dimension must be at least 2, got {n}")
-        raw: dict = {}
-        for item in terms:
-            coeff, mode, alpha, npow = item
-            mode = tuple(mode)
-            alpha = tuple(alpha)
-            if len(mode) != n:
-                raise ValidationError(f"Fourier mode {mode} has length != {n}")
-            if any(a < 0 for a in alpha):
-                raise ValidationError(f"xi exponents must be nonnegative: {alpha}")
-            T.bag_add(raw, (mode, alpha, int(npow)), _as_cr(coeff))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", T.canonical_terms(n, degree, raw))
+        object.__setattr__(self, "_terms", _canonical_bag(n, degree, terms, _as_cr))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogeneousComponent is immutable")
@@ -114,9 +145,8 @@ class HomogeneousComponent:
                 f"cannot add components of degrees {self.degree} and {other.degree}"
             )
         deg = self.degree if self._terms or not other._terms else other.degree
-        raw = T.add_terms(self._terms, other._terms)
         return HomogeneousComponent._from_canonical(
-            self.n, deg, T.canonical_terms(self.n, deg, raw)
+            self.n, deg, _sum_bag(self.n, deg, self._terms, other._terms)
         )
 
     def __sub__(self, other):
@@ -125,16 +155,11 @@ class HomogeneousComponent:
         return self + (-other)
 
     def __neg__(self):
-        return HomogeneousComponent._from_canonical(
-            self.n, self.degree, {k: -s for k, s in self._terms.items()}
-        )
+        return self.scale(-1)
 
     def scale(self, c) -> "HomogeneousComponent":
-        c = _as_cr(c)
-        if c.is_zero():
-            return HomogeneousComponent._from_canonical(self.n, self.degree, {})
         return HomogeneousComponent._from_canonical(
-            self.n, self.degree, {k: c * s for k, s in self._terms.items()}
+            self.n, self.degree, _scale_bag(self._terms, _as_cr(c))
         )
 
     def __mul__(self, other):
@@ -149,27 +174,20 @@ class HomogeneousComponent:
 
     def partial_xi(self, direction: int) -> "HomogeneousComponent":
         """d/d(xi_direction); directions are 1-based."""
-        axis = self._axis(direction)
-        raw = T.partial_xi_terms(self._terms, axis)
-        deg = self.degree - 1
+        axis = _axis(self.n, direction)
         return HomogeneousComponent._from_canonical(
-            self.n, deg, T.canonical_terms(self.n, deg, raw)
+            self.n, self.degree - 1, _partial_xi_bag(self.n, self.degree, self._terms, axis)
         )
 
     def deriv_x(self, direction: int) -> "HomogeneousComponent":
-        """D_x = -i d/dx in the given 1-based direction."""
-        axis = self._axis(direction)
-        raw = T.mode_deriv_terms(self._terms, axis)
-        return HomogeneousComponent._from_canonical(
-            self.n, self.degree, T.canonical_terms(self.n, self.degree, raw)
-        )
+        """D_x = -i d/dx in the given 1-based direction.
 
-    def _axis(self, direction: int) -> int:
-        if not 1 <= direction <= self.n:
-            raise ValidationError(
-                f"direction must lie in 1..{self.n}, got {direction}"
-            )
-        return direction - 1
+        It scales whole Fourier modes, so the canonical form is kept.
+        """
+        axis = _axis(self.n, direction)
+        return HomogeneousComponent._from_canonical(
+            self.n, self.degree, T.mode_deriv_terms(self._terms, axis)
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomogeneousComponent):
@@ -322,22 +340,133 @@ def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
     return TrigPolynomial(n, coeffs)
 
 
-def _check_degree(deg: int, order: int, trusted_floor: int | None) -> None:
-    """Refuse a nonzero component outside order..trusted_floor."""
-    if deg > order:
-        raise ValidationError(f"component degree {deg} exceeds symbol order {order}")
-    if trusted_floor is not None and deg < trusted_floor:
-        raise ValidationError(
-            f"component degree {deg} lies below the trusted floor {trusted_floor}"
+class _Symbol:
+    """The core under both symbol classes: a canonical term bag per degree.
+
+    ``_space`` is what two symbols must share (the dimension of a
+    ``ClassicalSymbol``, the twist of an ``NCSymbol``).  A subclass supplies
+    ``n``, its coefficient ``_system``, ``_coerce`` for scalars and
+    ``_space_name``.  D_x on the torus and delta_j on the twisted side both
+    scale a term by its mode, so ``deriv_x`` serves both.
+    """
+
+    __slots__ = ("_space", "order", "trusted_floor", "_components")
+
+    def _init(self, space, order: int, bags: Iterable, trusted_floor: int | None) -> None:
+        """Set the fields from ``(degree, canonical bag)`` pairs.
+
+        Empty bags are dropped; a nonempty one outside order..trusted_floor
+        is refused.
+        """
+        comps = {}
+        for deg, bag in bags:
+            if not bag:
+                continue
+            if deg > order:
+                raise ValidationError(f"component degree {deg} exceeds symbol order {order}")
+            if trusted_floor is not None and deg < trusted_floor:
+                raise ValidationError(
+                    f"component degree {deg} lies below the trusted floor {trusted_floor}"
+                )
+            comps[deg] = bag
+        if trusted_floor is not None and trusted_floor > order:
+            raise ValidationError(f"trusted floor {trusted_floor} exceeds order {order}")
+        object.__setattr__(self, "_space", space)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "trusted_floor", trusted_floor)
+        object.__setattr__(self, "_components", comps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- what calculus.py composes and integrates through ---------------------
+
+    def _term_bags(self) -> dict[int, dict]:
+        return self._components
+
+    def _with_term_bags(self, order: int, bags: dict[int, dict], trusted_floor: int | None):
+        out = object.__new__(type(self))
+        out._init(self._space, order, bags.items(), trusted_floor)
+        return out
+
+    # -- structure ------------------------------------------------------------
+
+    def degrees(self) -> list[int]:
+        return sorted(self._components, reverse=True)
+
+    def is_zero(self) -> bool:
+        return not self._components
+
+    def _bag(self, degree: int) -> dict:
+        """The bag at ``degree``, refusing a degree below the trusted floor."""
+        if self.trusted_floor is not None and degree < self.trusted_floor:
+            raise InsufficientExpansionError(
+                f"degree {degree} lies below the trusted floor {self.trusted_floor}"
+            )
+        return self._components.get(degree, {})
+
+    def __eq__(self, other) -> bool:
+        """Equality of expansions: same space, floor and components.
+
+        The declared order is presentation metadata (an upper bound), so two
+        symbols that differ only there compare equal.
+        """
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self._space == other._space
+            and self.trusted_floor == other.trusted_floor
+            and self._components == other._components
         )
 
+    # -- arithmetic -----------------------------------------------------------
 
-def _check_floor(order: int, trusted_floor: int | None) -> None:
-    if trusted_floor is not None and trusted_floor > order:
-        raise ValidationError(f"trusted floor {trusted_floor} exceeds order {order}")
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._space != other._space:
+            raise ValidationError(f"{self._space_name} mismatch in symbol addition")
+        floors = [f for f in (self.trusted_floor, other.trusted_floor) if f is not None]
+        floor = max(floors) if floors else None
+        a, b = self._components, other._components
+        bags = {
+            deg: _sum_bag(self.n, deg, a.get(deg, {}), b.get(deg, {}))
+            for deg in set(a) | set(b)
+            if floor is None or deg >= floor
+        }
+        return self._with_term_bags(max(self.order, other.order), bags, floor)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = self._coerce(c)
+        bags = {deg: _scale_bag(bag, c) for deg, bag in self._components.items()}
+        return self._with_term_bags(self.order, bags, self.trusted_floor)
+
+    def deriv_x(self, direction: int):
+        """D_x in the given 1-based direction: each term scales by its mode there."""
+        axis = _axis(self.n, direction)
+        bags = {deg: T.mode_deriv_terms(bag, axis) for deg, bag in self._components.items()}
+        return self._with_term_bags(self.order, bags, self.trusted_floor)
+
+    def partial_xi(self, direction: int):
+        """d/d(xi_direction); order and floor drop by one."""
+        axis = _axis(self.n, direction)
+        bags = {
+            deg - 1: _partial_xi_bag(self.n, deg, bag, axis)
+            for deg, bag in self._components.items()
+        }
+        floor = None if self.trusted_floor is None else self.trusted_floor - 1
+        return self._with_term_bags(self.order - 1, bags, floor)
 
 
-class ClassicalSymbol:
+class ClassicalSymbol(_Symbol):
     """A truncated classical symbol: homogeneous components from ``order``
     down to ``trusted_floor``.
 
@@ -348,7 +477,11 @@ class ClassicalSymbol:
     questions that the missing lower components could change.
     """
 
-    __slots__ = ("n", "order", "trusted_floor", "_components")
+    __slots__ = ()
+
+    _system = _SYS
+    _coerce = staticmethod(_as_cr)
+    _space_name = "dimension"
 
     def __init__(
         self,
@@ -359,35 +492,11 @@ class ClassicalSymbol:
     ):
         if n < 2:
             raise ValidationError(f"dimension must be at least 2, got {n}")
-        comps = {}
-        for deg, comp in (components or {}).items():
-            if not isinstance(comp, HomogeneousComponent):
-                raise TypeError("components must be HomogeneousComponent values")
-            if comp.n != n:
-                raise ValidationError("component dimension mismatch")
-            if comp.is_zero():
-                continue
-            if comp.degree != deg:
-                raise ValidationError(
-                    f"component of degree {comp.degree} stored at degree {deg}"
-                )
-            _check_degree(deg, order, trusted_floor)
-            comps[deg] = comp
-        _check_floor(order, trusted_floor)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "trusted_floor", trusted_floor)
-        object.__setattr__(self, "_components", comps)
+        self._init(n, order, _component_bags(n, components or {}), trusted_floor)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassicalSymbol is immutable")
-
-    # -- what calculus.py composes and integrates through ---------------------
-
-    _system = _SYS
-
-    def _term_bags(self) -> dict[int, dict]:
-        return {d: c._terms for d, c in self._components.items()}
+    @property
+    def n(self) -> int:
+        return self._space
 
     def _check_composable(self, other: "ClassicalSymbol") -> None:
         if self.n != other.n:
@@ -395,115 +504,41 @@ class ClassicalSymbol:
                 f"dimension mismatch in composition: {self.n} != {other.n}"
             )
 
-    def _with_term_bags(
-        self, order: int, bags: dict[int, dict], trusted_floor: int | None
-    ) -> "ClassicalSymbol":
-        comps = {
-            d: HomogeneousComponent._from_canonical(self.n, d, ct)
-            for d, ct in bags.items()
-        }
-        return ClassicalSymbol(self.n, order, comps, trusted_floor)
-
     @property
     def components(self) -> dict[int, HomogeneousComponent]:
-        return dict(self._components)
-
-    def degrees(self) -> list[int]:
-        return sorted(self._components, reverse=True)
+        return {
+            d: HomogeneousComponent._from_canonical(self.n, d, bag)
+            for d, bag in self._components.items()
+        }
 
     def component(self, degree: int) -> HomogeneousComponent:
-        if self.trusted_floor is not None and degree < self.trusted_floor:
-            raise InsufficientExpansionError(
-                f"degree {degree} lies below the trusted floor {self.trusted_floor}"
-            )
-        return self._components.get(degree, zero_component(self.n, degree))
-
-    def is_zero(self) -> bool:
-        return not self._components
-
-    def _floor_add(self, other: "ClassicalSymbol") -> int | None:
-        if self.trusted_floor is None:
-            return other.trusted_floor
-        if other.trusted_floor is None:
-            return self.trusted_floor
-        return max(self.trusted_floor, other.trusted_floor)
-
-    def __add__(self, other):
-        if not isinstance(other, ClassicalSymbol):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValidationError("dimension mismatch in symbol addition")
-        floor = self._floor_add(other)
-        comps: dict[int, HomogeneousComponent] = {}
-        for deg in set(self._components) | set(other._components):
-            if floor is not None and deg < floor:
-                continue
-            a = self._components.get(deg)
-            b = other._components.get(deg)
-            c = a + b if a and b else (a or b)
-            if c and not c.is_zero():
-                comps[deg] = c
-        return ClassicalSymbol(self.n, max(self.order, other.order), comps, floor)
-
-    def __sub__(self, other):
-        if not isinstance(other, ClassicalSymbol):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c) -> "ClassicalSymbol":
-        c = _as_cr(c)
-        comps = {
-            deg: comp.scale(c) for deg, comp in self._components.items()
-        }
-        if c.is_zero():
-            comps = {}
-        return ClassicalSymbol(self.n, self.order, comps, self.trusted_floor)
-
-    def deriv_x(self, direction: int) -> "ClassicalSymbol":
-        comps = {}
-        for deg, comp in self._components.items():
-            d = comp.deriv_x(direction)
-            if not d.is_zero():
-                comps[deg] = d
-        return ClassicalSymbol(self.n, self.order, comps, self.trusted_floor)
-
-    def partial_xi(self, direction: int) -> "ClassicalSymbol":
-        comps = {}
-        for deg, comp in self._components.items():
-            d = comp.partial_xi(direction)
-            if not d.is_zero():
-                comps[deg - 1] = d
-        floor = None if self.trusted_floor is None else self.trusted_floor - 1
-        return ClassicalSymbol(self.n, self.order - 1, comps, floor)
-
-    def __eq__(self, other) -> bool:
-        """Equality of expansions: same dimension, floor and components.
-
-        The declared order is presentation metadata (an upper bound), so two
-        symbols that differ only there compare equal.
-        """
-        if not isinstance(other, ClassicalSymbol):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.trusted_floor == other.trusted_floor
-            and self._components == other._components
-        )
+        return HomogeneousComponent._from_canonical(self.n, degree, self._bag(degree))
 
     def __hash__(self):
         return hash(
-            (self.n, self.trusted_floor, frozenset(self._components.items()))
+            (self.n, self.trusted_floor, frozenset(self.components.items()))
         )
 
     def __repr__(self) -> str:
-        comps = ", ".join(f"{d}: {c!r}" for d, c in sorted(self._components.items(), reverse=True))
+        comps = ", ".join(f"{d}: {c!r}" for d, c in sorted(self.components.items(), reverse=True))
         return (
             f"<symbol n={self.n} order={self.order} floor={self.trusted_floor} "
             f"{{{comps}}}>"
         )
+
+
+def _component_bags(n: int, components: dict):
+    """The ``(degree, bag)`` pairs of a dict of components, each checked."""
+    for deg, comp in components.items():
+        if not isinstance(comp, HomogeneousComponent):
+            raise TypeError("components must be HomogeneousComponent values")
+        if comp.n != n:
+            raise ValidationError("component dimension mismatch")
+        if comp._terms and comp.degree != deg:
+            raise ValidationError(
+                f"component of degree {comp.degree} stored at degree {deg}"
+            )
+        yield deg, comp._terms
 
 
 def monomial_symbol(
@@ -518,8 +553,7 @@ def monomial_symbol(
     alpha = tuple(alpha) if alpha is not None else (0,) * n
     degree = sum(alpha) + npow
     comp = HomogeneousComponent(n, degree, [(coeff, mode, alpha, npow)])
-    comps = {} if comp.is_zero() else {degree: comp}
-    return ClassicalSymbol(n, degree, comps, None)
+    return ClassicalSymbol(n, degree, {degree: comp}, None)
 
 
 def xi_symbol(n: int, direction: int) -> ClassicalSymbol:

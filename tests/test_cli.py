@@ -287,11 +287,24 @@ _TERM = {"coeff": {"re": "1", "im": "0"}, "alpha": [0, 0], "npow": 0}
         ("dim 8 order 0 floor 0\ndeg 0 { r^-64 * xi2^64 }\n",
          cli.EXIT_INSUFFICIENT,
          "insufficient expansion: residue needs the expansion down to degree -8"),
+        ("dim 2 order 0 floor 0 theta 1/100000007\ndeg 0 { i * U + V }\n",
+         cli.EXIT_VALIDATION,
+         "validation error: theta 1/100000007 needs cyclotomic order 400000028"),
+        (json.dumps({"dim": 2, "order": 0, "floor": 0, "theta": "2/5",
+                     "blocks": [{"deg": 0, "terms": [dict(_TERM, nc=[1, 0],
+                                                          phase=[100000007, 1])]}]}),
+         cli.EXIT_VALIDATION, "validation error: phase [100000007, 1] needs cyclotomic order"),
+        (json.dumps({"dim": 2, "order": 0, "floor": 0, "theta": float("nan"),
+                     "blocks": [{"deg": 0, "terms": [dict(_TERM, nc=[1, 0])]}]}),
+         cli.EXIT_VALIDATION, "validation error: bad theta nan: not finite"),
+        (json.dumps({"dim": 2, "order": 0, "floor": 0, "theta": float("-inf"),
+                     "blocks": [{"deg": 0, "terms": [dict(_TERM, nc=[1, 0])]}]}),
+         cli.EXIT_VALIDATION, "validation error: bad theta -inf: not finite"),
     ],
     ids=["truncated-json", "npow-text", "deg-null", "deep-json", "missing-file",
          "deep-text", "dim-float", "dim-string", "order-bool", "theta-bool",
          "huge-exponent-text", "huge-npow-json", "huge-alpha-json", "dim8-expansion",
-         "dim8-cheap"],
+         "dim8-cheap", "theta-order-text", "phase-order-json", "theta-nan", "theta-inf"],
 )
 def test_malformed_or_missing_document_gives_one_line(tmp_path, capsys, text, code, prefix):
     p = tmp_path / "doc.json"

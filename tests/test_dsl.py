@@ -9,6 +9,7 @@ from ncresidue.nctorus import NCPolynomial, NCSymbol, Theta, nc_compose
 from ncresidue.scalars import ComplexRational
 from ncresidue.symbols import ClassicalSymbol, HomogeneousComponent
 from ncresidue.dsl import (
+    MAX_CYCLOTOMIC_ORDER,
     MAX_EXPONENT,
     format_nc_element,
     format_symbol,
@@ -293,3 +294,16 @@ def test_exponent_limit_at_the_input_boundary():
     data["blocks"][0]["terms"][0].update(alpha=[65, 0], npow=-65)
     with pytest.raises(ValidationError, match="limit 64"):
         symbol_from_json(data)
+
+
+def test_cyclotomic_order_limit_keeps_theta_1_9973():
+    text = "dim 2 order 0 floor 0 theta 1/9973\ndeg 0 { i * U + V }"
+    sym = parse_symbol(text)
+    assert symbol_from_json(symbol_to_json(sym)) == sym
+    assert 4 * 9973 <= MAX_CYCLOTOMIC_ORDER < 4 * 10007
+    with pytest.raises(ValidationError, match="theta 1/10007 needs cyclotomic order 40028"):
+        parse_symbol(text.replace("9973", "10007"))
+    doc = symbol_to_json(sym)
+    doc["blocks"][0]["terms"][0]["phase"] = [10007, 1]
+    with pytest.raises(ValidationError, match=r"phase \[10007, 1\] needs cyclotomic order"):
+        symbol_from_json(doc)

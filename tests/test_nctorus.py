@@ -453,3 +453,81 @@ def test_semiclassical_randomized():
         report = semiclassical_check(s)
         assert report.equal
         assert report.lhs == residue(to_euclidean(s))
+
+
+# -- symbol arithmetic --------------------------------------------------------------------------
+
+
+def _nc_pairs(seed, theta, count, max_mode=2):
+    rng = random.Random(seed)
+    for _ in range(count):
+        orders = (rng.randint(-1, 1), rng.randint(-1, 1))
+        yield tuple(
+            random_symbol(rng.getrandbits(32), dim=2, order=m, depth=m + 2 + rng.randint(0, 1),
+                          max_mode=max_mode, max_alpha=2, theta=theta)
+            for m in orders
+        )
+
+
+def test_nc_symbol_arithmetic_matches_euclidean_at_theta_zero():
+    c = ComplexRational(Fraction(-2, 3), Fraction(1, 2))
+    for a, b in _nc_pairs(43, Fraction(0), 12):
+        ea, eb = to_euclidean(a), to_euclidean(b)
+        total = a + b
+        assert total.trusted_floor == max(a.trusted_floor, b.trusted_floor)
+        assert total.order == max(a.order, b.order)
+        assert to_euclidean(total) == ea + eb
+        assert to_euclidean(a - b) == ea - eb
+        assert to_euclidean(-a) == -ea
+        assert to_euclidean(a.scale(c)) == ea.scale(c)
+        assert (a - a).is_zero()
+        for j in (1, 2):
+            assert to_euclidean(a.partial_xi(j)) == ea.partial_xi(j)
+            assert to_euclidean(a.deriv_x(j)) == ea.deriv_x(j)
+        assert a.partial_xi(1).trusted_floor == a.trusted_floor - 1
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12)])
+def test_nc_residue_is_linear(theta):
+    c = cyclotomic_phase(theta.numerator, theta.denominator, 1) * CyclotomicScalar.from_complex_rational(
+        ComplexRational(Fraction(3, 2), -1)
+    )
+    nonzero = 0
+    for a, b in _nc_pairs(47, theta, 12, max_mode=0):
+        ra = nc_residue(a)
+        assert nc_residue(a + b) == ra + nc_residue(b)
+        assert nc_residue(a - b) == ra - nc_residue(b)
+        assert nc_residue(a.scale(c)) == PiGradedScalar(c * ra.coeff, ra.pi_exponent)
+        nonzero += not ra.is_zero()
+    assert nonzero >= 4
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12)])
+def test_nc_symbol_deriv_x_is_delta_on_block_coefficients(theta):
+    def coefficients(sym):
+        return {(deg, alpha, p): poly
+                for deg, blocks in sym.blocks().items() for alpha, p, poly in blocks}
+
+    for a, _b in _nc_pairs(53, theta, 8):
+        for j in (1, 2):
+            want = {key: poly.delta(j) for key, poly in coefficients(a).items()}
+            assert coefficients(a.deriv_x(j)) == {k: p for k, p in want.items() if p}
+
+
+def test_nc_symbol_arithmetic_refuses_mixed_operands():
+    a = NCSymbol(Theta.from_rational(Fraction(2, 5)), 0, {0: [(1, (1, 0), (0, 0), 0)]}, 0)
+    b = NCSymbol(Theta.from_rational(Fraction(1, 3)), 0, {0: [(1, (1, 0), (0, 0), 0)]}, 0)
+    with pytest.raises(ValidationError):
+        a + b
+    with pytest.raises(ValidationError):
+        a - b
+    e = to_euclidean(NCSymbol(Theta.from_rational(0), 0, {0: [(1, (1, 0), (0, 0), 0)]}, 0))
+    for left, right in ((a, e), (e, a)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+    with pytest.raises(ValidationError):
+        a.deriv_x(3)
+    with pytest.raises(TypeError):
+        hash(a)

@@ -187,6 +187,15 @@ def test_deriv_x_examples():
     assert c.deriv_x(2) == comp(2, 1, [(-3, (1, -3), (1, 0), 0)])
 
 
+def test_symbol_derivatives_check_the_direction_of_a_zero_symbol():
+    zero = ClassicalSymbol(2, 0)
+    for derivative in (zero.deriv_x, zero.partial_xi):
+        assert derivative(2).is_zero()
+        for direction in (0, 3):
+            with pytest.raises(ValidationError):
+                derivative(direction)
+
+
 def test_derivatives_commute_exactly():
     rng = random.Random(47)
     for _ in range(20):

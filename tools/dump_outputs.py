@@ -18,7 +18,14 @@ It prints, on seeded inputs:
   the trace defect;
 - stdout, stderr and the exit code of ``ncres residue``, ``nc-residue``,
   ``compose``, ``nc-compose``, ``trace-check`` and ``nc-trace-check``, with
-  and without ``--json``.
+  and without ``--json``;
+- the symbol layer on its own: ``repr`` of both symbol classes and of
+  their components; ``+``, ``-``, ``scale``, ``partial_xi`` and ``deriv_x``
+  of classical symbols and components, with directions 0..n+1 so the
+  refusals show; ``component`` across the floor, ``components``,
+  ``blocks`` and ``component_raw``; ``euler_antiderivatives``,
+  ``sphere_average``, ``uniqueness_decompose``, ``commutator_xi``,
+  ``commutator_exp``, ``to_euclidean`` and ``semiclassical_check``.
 
 Half of the pairs have part of the right factor moved onto the reflected
 modes of the left one, so most residues are nonzero, and some twisted
@@ -142,6 +149,106 @@ def dump_api(lib, out):
     return docs
 
 
+def _classical_symbols(lib, n, rng):
+    S = lib.symbols
+    syms = [lib.dsl.random_symbol(rng.getrandbits(32), dim=n, order=rng.randint(-1, 2),
+                                  depth=rng.randint(0, n + 2), max_mode=2, max_alpha=3)
+            for _ in range(6)]
+    syms.append(syms[0].scale(3) - syms[0].scale(2))  # rebuilds the first one by arithmetic
+    # xi_1^2 |xi|^-2 and 1 minus it, whose sum is 1 only after canonical form
+    square = S.monomial_symbol(n, 1, alpha=(2,) + (0,) * (n - 1), npow=-2)
+    syms += [square, S.one_symbol(n) - square]
+    return syms + [S.xi_symbol(n, 1), S.exp_symbol(n, (1,) + (0,) * (n - 1)),
+                   S.one_symbol(n), S.ClassicalSymbol(n, 0)]
+
+
+def dump_component(lib, out, label, comp, other):
+    """One component on its own and against ``other`` (a component of the same n)."""
+    S = lib.symbols
+    out(f"{label}: {comp!r} terms {_outcome(comp.terms)} zero {comp.is_zero()} "
+        f"canonicalize-equal {S.canonicalize(comp) == comp}")
+    for tag, fn in (("+", lambda: comp + other), ("-", lambda: comp - other),
+                    ("*", lambda: comp * other), ("neg", lambda: -comp),
+                    ("scale 1/2+i", lambda: comp.scale(lib.scalars.ComplexRational(Fraction(1, 2), 1))),
+                    ("scale 0", lambda: comp.scale(0)), ("==", lambda: comp == other),
+                    ("euler", lambda: S.euler_antiderivatives(comp)),
+                    ("sphere average", lambda: S.sphere_average(comp))):
+        out(f"{label} {tag}: {_outcome(fn)}")
+    for j in range(comp.n + 2):
+        out(f"{label} partial_xi {j}: {_outcome(comp.partial_xi, j)}")
+        out(f"{label} deriv_x {j}: {_outcome(comp.deriv_x, j)}")
+
+
+def dump_classical_layer(lib, out):
+    C = lib.calculus
+    scalars = [0, 2, Fraction(-1, 3), lib.scalars.ComplexRational(0, Fraction(3, 2)), 0.5]
+    by_dim = {n: _classical_symbols(lib, n, random.Random(30 + n)) for n in (2, 3)}
+    for n, syms in by_dim.items():
+        for k, sym in enumerate(syms):
+            label = f"n={n} symbol {k}"
+            other = syms[(k + 1) % len(syms)]
+            out(f"{label}: {sym!r}")
+            out(f"{label} degrees {sym.degrees()} zero {sym.is_zero()} components "
+                f"{sorted(sym.components.items())!r}")
+            top = sym.order
+            low = sym.trusted_floor if sym.trusted_floor is not None else top - 3
+            for d in range(top + 1, low - 2, -1):
+                out(f"{label} component {d}: {_outcome(sym.component, d)}")
+            for tag, fn in (("+", lambda: sym + other), ("-", lambda: sym - other),
+                            ("neg", lambda: -sym), ("== self", lambda: sym == sym),
+                            ("==", lambda: sym == other), ("- self", lambda: sym - sym)):
+                out(f"{label} {tag}: {_outcome(fn)}")
+            for c in scalars:
+                out(f"{label} scale {c!r}: {_outcome(sym.scale, c)}")
+            # a zero symbol is left out: it has no component to check a direction on
+            directions = range(n + 2) if not sym.is_zero() else range(1, n + 1)
+            for j in directions:
+                out(f"{label} partial_xi {j}: {_outcome(sym.partial_xi, j)}")
+                out(f"{label} deriv_x {j}: {_outcome(sym.deriv_x, j)}")
+            for j in range(n + 2):
+                out(f"{label} commutator_xi {j}: {_outcome(C.commutator_xi, sym, j)}")
+            for j, depth in ((1, 0), (n, 2), (n + 1, 1), (1, -1)):
+                out(f"{label} commutator_exp {j} {depth}: "
+                    f"{_outcome(C.commutator_exp, sym, j, depth)}")
+            out(f"{label} decompose: {_outcome(C.uniqueness_decompose, sym)}")
+            comps = [sym.components[d] for d in sym.degrees()]
+            for i, comp in enumerate(comps):
+                partner = comps[(i + 1) % len(comps)]
+                dump_component(lib, out, f"{label} component {comp.degree}", comp, partner)
+            out(f"{label} + n={5 - n}: {_outcome(lambda: sym + by_dim[5 - n][0])}")
+
+
+def dump_twisted_layer(lib, out):
+    N = lib.nctorus
+    for i, th in enumerate((Fraction(0), Fraction(2, 5), Fraction(5, 12))):
+        rng = random.Random(50 + i)
+        theta = N.Theta.from_rational(th)
+        syms = [lib.dsl.random_symbol(rng.getrandbits(32), dim=2, order=rng.randint(-1, 1),
+                                      depth=rng.randint(0, 4), max_mode=2, max_alpha=2,
+                                      theta=theta)
+                for _ in range(5)]
+        # the same terms once more, as term lists
+        syms.append(N.NCSymbol(theta, syms[0].order,
+                               {d: [(s, *key) for key, s in bag.items()]
+                                for d, bag in syms[0].components.items()},
+                               syms[0].trusted_floor))
+        syms.append(N.NCSymbol(theta, 0))
+        for k, sym in enumerate(syms):
+            label = f"theta={th} symbol {k}"
+            out(f"{label}: {sym!r} degrees {sym.degrees()} zero {sym.is_zero()}")
+            out(f"{label} components: {sorted((d, sorted(b.items())) for d, b in sym.components.items())!r}")
+            out(f"{label} blocks: {sorted(sym.blocks().items())!r}")
+            out(f"{label} == first: {sym == syms[0]}")
+            top = sym.order
+            low = sym.trusted_floor if sym.trusted_floor is not None else top - 3
+            for d in range(top + 1, low - 2, -1):
+                out(f"{label} component_raw {d}: "
+                    f"{_outcome(lambda: sorted(sym.component_raw(d).items()))}")
+            out(f"{label} to_euclidean: {_outcome(N.to_euclidean, sym)}")
+            out(f"{label} semiclassical: {_outcome(N.semiclassical_check, sym)}")
+            out(f"{label} residue: {_outcome(N.nc_residue, sym)}")
+
+
 def _run_cli(lib, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -199,11 +306,14 @@ def main(argv=None) -> int:
     import ncresidue.cli
     import ncresidue.dsl
     import ncresidue.nctorus
+    import ncresidue.scalars
     import ncresidue.symbols
 
     lib = ncresidue
     lines = []
     docs = dump_api(lib, lines.append)
+    dump_classical_layer(lib, lines.append)
+    dump_twisted_layer(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
     sys.stdout.write("".join(line + "\n" for line in lines))
