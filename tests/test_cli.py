@@ -5,6 +5,8 @@ import time
 import pytest
 
 import ncresidue.cli as cli
+from ncresidue.dsl import symbol_from_json
+from ncresidue.nctorus import nc_compose
 from ncresidue.scalars import PiGradedScalar
 
 
@@ -94,6 +96,36 @@ def test_nc_residue_json_with_cyclotomic_value(tmp_path, capsys):
     assert data["value"]["pi_exponent"] == "1"
     assert data["value"]["order"] == 3
     assert data["value"]["coeffs"] == ["0", "2"]  # 2 * zeta_3 * pi
+
+
+_ZETA7_DOC = {
+    "dim": 2, "order": 0, "floor": -2, "theta": "2/5",
+    "blocks": [
+        {"deg": 0, "terms": [{"coeff": {"re": "1", "im": "0"}, "nc": [1, 0],
+                              "alpha": [0, 0], "npow": 0}]},
+        {"deg": -2, "terms": [{"coeff": {"re": "2", "im": "0"}, "nc": [0, 0], "alpha": [0, 0],
+                               "npow": -2, "phase": [7, 1]},
+                              {"coeff": {"re": "1", "im": "0"}, "nc": [-1, 1], "alpha": [0, 0],
+                               "npow": -2}]},
+    ],
+}
+
+
+def test_nc_compose_json_writes_a_root_outside_the_twist(tmp_path, capsys):
+    # zeta_7 is no i^a zeta_5^b: the text format cannot write it, the JSON one can
+    p = tmp_path / "zeta7.json"
+    p.write_text(json.dumps(_ZETA7_DOC))
+    code, out, _ = run(capsys, "nc-residue", str(p))
+    assert (code, out) == (0, "(4*zeta7) * pi^1\n")
+    code, out, err = run(capsys, "nc-compose", str(p), str(p))
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == "validation error: zeta_7^1 is not an i-times-zeta_5 root\n"
+    code, out, err = run(capsys, "nc-compose", "--json", str(p), str(p))
+    assert (code, err) == (0, "")
+    sym = symbol_from_json(_ZETA7_DOC)
+    data = json.loads(out)
+    assert symbol_from_json(data) == nc_compose(sym, sym)
+    assert [7, 1] in [t.get("phase") for block in data["blocks"] for t in block["terms"]]
 
 
 def test_semiclassical_check(files, capsys):

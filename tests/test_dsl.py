@@ -1,15 +1,20 @@
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncresidue.errors import ParseError, ValidationError
+from ncresidue.errors import CalculusError, DomainError, ParseError, ValidationError
 from ncresidue.nctorus import NCPolynomial, NCSymbol, Theta, nc_compose
 from ncresidue.scalars import ComplexRational
 from ncresidue.symbols import ClassicalSymbol, HomogeneousComponent
 from ncresidue.dsl import (
     MAX_CYCLOTOMIC_ORDER,
+    MAX_DIGITS,
+    MAX_DIMENSION,
     MAX_EXPONENT,
     format_nc_element,
     format_symbol,
@@ -198,6 +203,39 @@ def test_json_roundtrip_twisted_with_phases():
     assert symbol_from_json(data) == c
 
 
+def _with_phase_seven(sym, rng):
+    """sym read back from its JSON document with a zeta_7 phase on about half its terms."""
+    data = symbol_to_json(sym)
+    for block in data["blocks"]:
+        for term in block["terms"]:
+            if rng.random() < 0.5:
+                term["phase"] = [7, rng.randint(1, 6)]
+    return symbol_from_json(data)
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12)])
+def test_json_round_trip_of_roots_outside_the_twist(theta):
+    # a composed coefficient such as zeta_140 at theta 2/5 is no i^a zeta_5^b;
+    # the JSON mirror writes it as a phase at its own order, the text format refuses
+    rng = random.Random(theta.denominator)
+    foreign = 0
+    for _ in range(6):
+        a, b = (_with_phase_seven(random_symbol(rng.getrandbits(32), dim=2, order=0, depth=2,
+                                                max_mode=2, max_alpha=2, theta=theta), rng)
+                for _ in range(2))
+        for c in (nc_compose(a, b), nc_compose(b, a)):
+            data = json.loads(json.dumps(symbol_to_json(c)))
+            back = symbol_from_json(data)
+            assert back == c and repr(back) == repr(c)
+            orders = [t["phase"][0] for block in data["blocks"] for t in block["terms"]
+                      if "phase" in t and t["phase"][0] != theta.denominator]
+            if orders:
+                with pytest.raises(DomainError, match="is not an i-times-zeta"):
+                    format_symbol(c)
+            foreign += len(orders)
+    assert foreign >= 20
+
+
 def test_json_validation():
     with pytest.raises(ValidationError):
         symbol_from_json({"dim": 2, "order": 0})
@@ -307,3 +345,100 @@ def test_cyclotomic_order_limit_keeps_theta_1_9973():
     doc["blocks"][0]["terms"][0]["phase"] = [10007, 1]
     with pytest.raises(ValidationError, match=r"phase \[10007, 1\] needs cyclotomic order"):
         symbol_from_json(doc)
+
+
+def test_dimension_and_digit_limits_at_the_input_boundary():
+    assert (MAX_DIMENSION, MAX_DIGITS) == (64, 1000)
+    big = 10**20  # too large for a tuple length, so no attempt allocates
+    for text, error, match in (
+        (f"dim {big} order 0 floor 0\ndeg 0 {{ 1 }}", ValidationError, "beyond the limit 64"),
+        ("dim 65 order 0 floor 0\ndeg 0 { 1 }", ValidationError, "dimension 65 is beyond"),
+        ("dim 2 order 0 floor 0\ndeg 0 { " + "7" * 1001 + " }", ParseError, "more than 1000 digits"),
+        ("dim 2 order 0 floor 0\ndeg 0 { xi" + "1" * 5000 + " }", ValidationError, "out of range"),
+    ):
+        with pytest.raises(error, match=match):
+            parse_symbol(text)
+    assert parse_symbol("dim 64 order 0 floor 0\ndeg 0 { xi64 * r^-1 }").n == 64
+    assert parse_symbol("dim 2 order 0 floor 0\ndeg 0 { " + "7" * 1000 + " }")
+    term = {"coeff": {"re": "1", "im": "0"}, "alpha": [0, 0], "npow": 0}
+    doc = {"dim": 2, "order": 0, "floor": 0, "blocks": [{"deg": 0, "terms": [term]}]}
+    for patch, match in (
+        ({"dim": big}, "beyond the limit 64"),
+        ({"order": 10**5000}, "order has more than 1000 digits"),
+        ({"theta": "1e999999999"}, "bad theta '1e999999999': exponent beyond 1000"),
+        ({"theta": "1/" + "3" * 1001}, "more than 1000 digits"),
+        ({"blocks": [{"deg": 0, "terms": [dict(term, coeff={"re": "1e-1001", "im": "0"})]}]},
+         "exponent beyond 1000"),
+        ({"blocks": [{"deg": 0, "terms": [dict(term, coeff={"re": 10**5000, "im": "0"})]}]},
+         "bad coefficient <a value with a very long integer>"),
+        ({"theta": 0.25, "blocks": [{"deg": 0, "terms": [dict(term, nc=[1, 0],
+                                                            coeff={"re": "1e400", "im": "0"})]}]},
+         "too large for a float"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            symbol_from_json({**doc, **patch})
+    assert symbol_from_json({**doc, "theta": "2/5", "blocks": [
+        {"deg": 0, "terms": [dict(term, nc=[1, 0], coeff={"re": "1e999", "im": "1e-999"})]}]})
+
+
+# JSON-shaped values: wrong types, out-of-range and huge integers (none of a size
+# that could allocate much if a limit were lost), odd theta and phase values
+_ints = st.one_of(st.integers(-3, 70), st.sampled_from([-(10**20), 2**62]),
+                  st.sampled_from([20, 1000, 5000]).map(lambda k: 10**k))
+_strings = st.one_of(st.sampled_from(["1", "-3/4", "2/5", "5/12", "0", "1/0", "x", "1e5",
+                                      "1e-3", "1e99999", "nan", "inf", "1_000", " 1 ",
+                                      "1/100000007", "0.3", ""]),
+                     st.text(max_size=4))
+_leaves = st.one_of(st.none(), st.booleans(), _ints, st.floats(), _strings)
+_json_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+_MISSING = object()  # an odd value that drops its key
+_odd_values = st.one_of(_json_values, st.lists(_ints, max_size=4), st.just(_MISSING))
+_numbers = st.sampled_from(["1", "-3/4", "0", "1/3", 2, "1e5", "1e-3", "0.5"])
+
+
+@st.composite
+def _documents(draw):
+    """Symbol documents whose fields are each replaced, one time in eight, by an
+    odd value; one document in eight is any JSON value."""
+    def odd(value):
+        return draw(_odd_values) if draw(st.integers(0, 7)) == 0 else value
+
+    def obj(**fields):
+        return {k: v for k, v in fields.items() if v is not _MISSING}
+
+    if draw(st.integers(0, 7)) == 0:
+        return draw(_json_values)
+    theta = draw(st.sampled_from([None, None, "2/5", "5/12", "0", 0.25]))
+    dim = 2 if theta is not None else draw(st.sampled_from([2, 3]))
+    order = draw(st.integers(-2, 2))
+    floor = order - draw(st.integers(0, 3))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        deg = draw(st.integers(floor, order))
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            alpha = draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+            mode = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+            fields = {"nc" if theta is not None else "mode": odd(mode)}
+            if theta is not None and draw(st.booleans()):
+                fields["phase"] = odd([draw(st.sampled_from([5, 7, 12])), draw(st.integers(0, 6))])
+            coeff = obj(re=odd(draw(_numbers)), im=odd(draw(_numbers)))
+            terms.append(odd(obj(coeff=odd(coeff), alpha=odd(alpha),
+                                 npow=odd(deg - sum(alpha)), **fields)))
+        blocks.append(odd(obj(deg=odd(deg), terms=odd(terms))))
+    theta = _MISSING if theta is None else odd(theta)
+    return obj(dim=odd(dim), order=odd(order), floor=odd(floor), blocks=odd(blocks), theta=theta)
+
+
+@settings(max_examples=150, deadline=500, derandomize=True)
+@given(_documents())
+def test_symbol_from_json_gives_a_symbol_or_a_calculus_error(data):
+    try:
+        sym = symbol_from_json(data)
+    except CalculusError:
+        return
+    assert isinstance(sym, (ClassicalSymbol, NCSymbol))

@@ -229,6 +229,67 @@ def test_residue_pairing_matches_composed_reference_twisted(theta):
     assert nonzero >= 12
 
 
+# modes that vanish on some axes, where the support rule prunes derivatives
+_SPARSE_MODES = [(1, 0, 0), (0, -2, 1), (0, 0, 0), (-1, 0, 2), (0, 1, 0), (2, -1, 0)]
+
+
+def _sparse_mode_pairs(count, seed):
+    """n = 3 pairs whose modes are drawn from ``_SPARSE_MODES``, the right factor
+    reflected onto the left one as in ``_classical_residue_pairs``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m1, m2 = rng.randint(-1, 2), rng.randint(-1, 2)
+        syms = [random_symbol(rng.getrandbits(32), dim=3, order=m, depth=m1 + 3 + m2,
+                              max_mode=1, max_alpha=3) for m in (m1, m2)]
+        bags = [{d: {(rng.choice(_SPARSE_MODES), alpha, p): s
+                     for (_m, alpha, p), s in sorted(bag.items())}
+                 for d, bag in sym._term_bags().items()} for sym in syms]
+        blocks = [{d: [(s, *key) for key, s in bag.items()] for d, bag in bags[0].items()},
+                  _reflect(rng, bags[0], bags[1])]
+        yield tuple(
+            ClassicalSymbol(3, sym.order, {d: c for d, t in bl.items()
+                                           if not (c := HomogeneousComponent(3, d, t)).is_zero()},
+                            sym.trusted_floor)
+            for sym, bl in zip(syms, blocks))
+
+
+def test_residue_pairing_matches_reference_on_modes_with_zero_axes():
+    system = T.RATIONAL_SYSTEM
+    nonzero = 0
+    for a, b in _sparse_mode_pairs(16, 9):
+        for s, t in ((a, b), (b, a)):
+            _assert_pairing_matches_reference(system, 3, s, t)
+            got = _residue_of_composition(s, t)
+            assert got == torus_volume(3) * _reference_residue(system, 3, s, t)
+            nonzero += not got.is_zero()
+    assert nonzero >= 12
+
+
+def test_residue_pairing_differentiates_a_left_term_only_along_its_mode(monkeypatch):
+    """A left term of mode m meets right terms of mode -m, on which D^gamma
+    vanishes unless gamma lies where m is nonzero: no other derivative is built,
+    and a mode-zero term is never differentiated."""
+    cases = [(T.RATIONAL_SYSTEM, 3, list(_classical_residue_pairs(3, 15, 303))),
+             (T.RATIONAL_SYSTEM, 3, list(_sparse_mode_pairs(16, 9)))]
+    for theta in (Fraction(2, 5), Fraction(5, 12)):
+        pairs = list(_twisted_residue_pairs(theta, 16, 77))
+        cases.append((pairs[0][0]._system, 2, pairs))
+    calls = []
+    differentiate = T.partial_xi_terms
+
+    def recording(terms, axis):
+        calls.append((axis, {key[0] for key in terms}))
+        return differentiate(terms, axis)
+
+    monkeypatch.setattr(T, "partial_xi_terms", recording)
+    for system, n, pairs in cases:
+        for a, b in pairs:
+            for s, t in ((a, b), (b, a)):
+                T.residue_pairing(system, n, s._term_bags(), t._term_bags())
+    assert len(calls) >= 100
+    assert all(mode[axis] for axis, modes in calls for mode in modes)
+
+
 # -- the Gaussian-integer numerator kernel ------------------------------------------
 
 

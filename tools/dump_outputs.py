@@ -25,7 +25,11 @@ It prints, on seeded inputs:
   refusals show; ``component`` across the floor, ``components``,
   ``blocks`` and ``component_raw``; ``euler_antiderivatives``,
   ``sphere_average``, ``uniqueness_decompose``, ``commutator_xi``,
-  ``commutator_exp``, ``to_euclidean`` and ``semiclassical_check``.
+  ``commutator_exp``, ``to_euclidean`` and ``semiclassical_check``;
+- twisted symbol arithmetic at theta 0, 2/5 and 5/12: ``+``, ``-``, unary
+  ``-``, ``scale`` by rational, Gaussian and cyclotomic scalars, and
+  ``partial_xi`` and ``deriv_x`` with directions 0..3, each result shown
+  with its coefficients' ``repr`` (which shows their cyclotomic order).
 
 Half of the pairs have part of the right factor moved onto the reflected
 modes of the left one, so most residues are nonzero, and some twisted
@@ -218,6 +222,27 @@ def dump_classical_layer(lib, out):
             out(f"{label} + n={5 - n}: {_outcome(lambda: sym + by_dim[5 - n][0])}")
 
 
+def _nc_outcome(fn) -> str:
+    try:
+        sym = fn()
+    except Exception as exc:  # a refusal is an output too
+        return f"{type(exc).__name__}: {exc}"
+    return f"{sym!r} {_components_repr(sym)}"
+
+
+def dump_twisted_arithmetic(lib, out, label, sym, other):
+    scalars = [0, 2, Fraction(-1, 3), lib.scalars.ComplexRational(Fraction(1, 2), 1),
+               lib.cyclotomic.CyclotomicScalar.root_of_unity(5, 2), 0.5]
+    for tag, fn in (("+", lambda: sym + other), ("-", lambda: sym - other),
+                    ("neg", lambda: -sym), ("- self", lambda: sym - sym)):
+        out(f"{label} {tag}: {_nc_outcome(fn)}")
+    for c in scalars:
+        out(f"{label} scale {c!r}: {_nc_outcome(lambda: sym.scale(c))}")
+    for j in range(4):
+        out(f"{label} partial_xi {j}: {_nc_outcome(lambda: sym.partial_xi(j))}")
+        out(f"{label} deriv_x {j}: {_nc_outcome(lambda: sym.deriv_x(j))}")
+
+
 def dump_twisted_layer(lib, out):
     N = lib.nctorus
     for i, th in enumerate((Fraction(0), Fraction(2, 5), Fraction(5, 12))):
@@ -247,6 +272,7 @@ def dump_twisted_layer(lib, out):
             out(f"{label} to_euclidean: {_outcome(N.to_euclidean, sym)}")
             out(f"{label} semiclassical: {_outcome(N.semiclassical_check, sym)}")
             out(f"{label} residue: {_outcome(N.nc_residue, sym)}")
+            dump_twisted_arithmetic(lib, out, label, sym, syms[(k + 1) % len(syms)])
 
 
 def _run_cli(lib, argv):
@@ -304,6 +330,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, src)
     import ncresidue.calculus
     import ncresidue.cli
+    import ncresidue.cyclotomic
     import ncresidue.dsl
     import ncresidue.nctorus
     import ncresidue.scalars
