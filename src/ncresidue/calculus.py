@@ -15,15 +15,12 @@ through ``n``, ``order``, ``trusted_floor``, ``_system``, ``_term_bags``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import terms as T
 from .errors import InsufficientExpansionError, ValidationError
 from .scalars import (
     PiGradedScalar,
-    sphere_monomial_integral,
     sphere_surface_measure,
     torus_volume,
 )
@@ -31,6 +28,7 @@ from .symbols import (
     ClassicalSymbol,
     HomogeneousComponent,
     TrigPolynomial,
+    _sphere_sum,
     euler_antiderivatives,
     exp_symbol,
     sphere_average,
@@ -59,7 +57,7 @@ def _check_pair(sigma, tau) -> None:
     sigma._check_composable(tau)
 
 
-def _compose_impl(sigma, tau, floor: int | None, *, degrees=None, gamma_cap: int | None = None):
+def _compose_impl(sigma, tau, floor: int | None, *, gamma_cap: int | None = None):
     """sigma o tau for either symbol class: ClassicalSymbol or NCSymbol.
 
     Each class supplies its coefficient system, its term bags, the check
@@ -72,7 +70,6 @@ def _compose_impl(sigma, tau, floor: int | None, *, degrees=None, gamma_cap: int
         sigma._term_bags(),
         tau._term_bags(),
         floor,
-        degrees=degrees,
         gamma_cap=gamma_cap,
     )
     return sigma._with_term_bags(sigma.order + tau.order, bags, floor)
@@ -81,32 +78,6 @@ def _compose_impl(sigma, tau, floor: int | None, *, degrees=None, gamma_cap: int
 def compose(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> ClassicalSymbol:
     """Symbol of the operator product, emitted down to the composed floor."""
     return _compose_impl(sigma, tau, _standard_floor(sigma, tau))
-
-
-def _sphere_sum(system, n: int, engine, bag: dict, den: int) -> PiGradedScalar:
-    """Integral over S^(n-1) of sum_alpha (s / den) xi^alpha.
-
-    ``bag`` maps alpha to a numerator of the engine system, as ``lift``
-    returns it.  Each numerator is scaled by its monomial integral over the
-    lcm L of the integrals' denominators, so the sum stays on numerators,
-    and the total is lowered once, over den * L.
-    """
-    grade = Fraction(n // 2)  # pi grade of every nonzero monomial integral on S^(n-1)
-    weights = []
-    for alpha, s in bag.items():
-        integral = sphere_monomial_integral(alpha, n)
-        if integral.is_zero():
-            continue
-        if integral.pi_exponent != grade:
-            raise ArithmeticError("unexpected pi grade in a sphere integral")
-        weights.append((s, integral.coeff.re))
-    scale = math.lcm(*(w.denominator for _s, w in weights))
-    total = engine.zero
-    for s, w in weights:
-        total = total + s * (w.numerator * (scale // w.denominator))
-    if not total:
-        return PiGradedScalar(0)
-    return PiGradedScalar(system.lower(total, den * scale), grade)
 
 
 def _normalized_residue(sigma) -> PiGradedScalar:

@@ -41,13 +41,11 @@ from .nctorus import (
     NCSymbol,
     Theta,
     nc_apply,
-    nc_compose,
     nc_residue,
     nc_trace_defect,
     semiclassical_check,
 )
 from .scalars import ComplexRational, PiGradedScalar
-from .symbols import ClassicalSymbol
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -86,18 +84,13 @@ def _read_document(path: str, stdin_used: list[bool]):
     return parse_symbol(text)
 
 
-def _expect_classical(sym) -> ClassicalSymbol:
-    if not isinstance(sym, ClassicalSymbol):
-        raise ValidationError(
-            "this command expects a commutative symbol; use the nc- variant"
-        )
-    return sym
-
-
-def _expect_nc(sym) -> NCSymbol:
-    if not isinstance(sym, NCSymbol):
+def _expect(sym, twisted: bool):
+    """The symbol, if it is of the calculus a command works in."""
+    if isinstance(sym, NCSymbol) != twisted:
         raise ValidationError(
             "this command expects a twisted symbol (theta header required)"
+            if twisted
+            else "this command expects a commutative symbol; use the nc- variant"
         )
     return sym
 
@@ -132,28 +125,19 @@ def _emit_symbol(sym, as_json: bool) -> None:
 
 
 def _cmd_residue(args) -> int:
-    sym = _expect_classical(_read_document(args.input, args._stdin_used))
-    _emit_value(residue(sym), args.json)
+    """``residue`` and ``nc-residue``."""
+    twisted = args.command == "nc-residue"
+    sym = _expect(_read_document(args.input, args._stdin_used), twisted)
+    _emit_value((nc_residue if twisted else residue)(sym), args.json)
     return EXIT_OK
 
 
 def _cmd_compose(args) -> int:
+    """``compose`` and ``nc-compose``."""
+    twisted = args.command == "nc-compose"
     left = _read_document(args.left, args._stdin_used)
     right = _read_document(args.right, args._stdin_used)
-    _emit_symbol(compose(_expect_classical(left), _expect_classical(right)), args.json)
-    return EXIT_OK
-
-
-def _cmd_nc_residue(args) -> int:
-    sym = _expect_nc(_read_document(args.input, args._stdin_used))
-    _emit_value(nc_residue(sym), args.json)
-    return EXIT_OK
-
-
-def _cmd_nc_compose(args) -> int:
-    left = _read_document(args.left, args._stdin_used)
-    right = _read_document(args.right, args._stdin_used)
-    _emit_symbol(nc_compose(_expect_nc(left), _expect_nc(right)), args.json)
+    _emit_symbol(compose(_expect(left, twisted), _expect(right, twisted)), args.json)
     return EXIT_OK
 
 
@@ -198,7 +182,7 @@ def _cmd_trace_check(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    sym = _expect_classical(_read_document(args.input, args._stdin_used))
+    sym = _expect(_read_document(args.input, args._stdin_used), False)
     cert = uniqueness_decompose(sym)
     direct = residue(sym)
     implied = cert.implied_residue()
@@ -230,7 +214,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_commutator(args) -> int:
-    sym = _expect_classical(_read_document(args.input, args._stdin_used))
+    sym = _expect(_read_document(args.input, args._stdin_used), False)
     if args.with_kind == "xi":
         result = commutator_xi(sym, args.dir)
     else:
@@ -248,7 +232,7 @@ def _cmd_commutator(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    sym = _expect_nc(_read_document(args.input, args._stdin_used))
+    sym = _expect(_read_document(args.input, args._stdin_used), True)
     element = parse_nc_element(args.element, sym.theta)
     out = nc_apply(sym, element)
     if args.json:
@@ -263,7 +247,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_semiclassical(args) -> int:
-    sym = _expect_nc(_read_document(args.input, args._stdin_used))
+    sym = _expect(_read_document(args.input, args._stdin_used), True)
     report = semiclassical_check(sym)
     if args.json:
         print(
@@ -302,10 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
 
-    p = add("nc-residue", _cmd_nc_residue, help="residue of a twisted symbol")
+    p = add("nc-residue", _cmd_residue, help="residue of a twisted symbol")
     p.add_argument("input")
 
-    p = add("nc-compose", _cmd_nc_compose, help="compose two twisted symbols")
+    p = add("nc-compose", _cmd_compose, help="compose two twisted symbols")
     p.add_argument("left")
     p.add_argument("right")
 

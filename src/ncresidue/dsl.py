@@ -24,6 +24,7 @@ state completeness.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import re
@@ -366,7 +367,8 @@ class _Parser:
 
 
 def _build_symbol(dim: int, order: int, floor: int, theta: Theta | None, blocks: dict):
-    """The symbol of parsed degree blocks, after checking them against the header."""
+    """The symbol of ``(mode, alpha, npow) -> coeff`` degree blocks, after
+    checking them against the header."""
     for deg in blocks:
         if deg > order:
             raise ValidationError(f"block degree {deg} exceeds order {order}")
@@ -410,100 +412,53 @@ def parse_nc_element(text: str, theta: Theta) -> NCPolynomial:
 # -- formatting ---------------------------------------------------------------
 
 
-def _fraction_text(value: Fraction) -> str:
-    return str(value)
-
-
 def _coeff_pieces(coeff: ComplexRational) -> tuple[str, list[str]]:
     """Sign and leading factor strings for an exact coefficient."""
     if coeff.im == 0:
         sign = "-" if coeff.re < 0 else "+"
         mag = abs(coeff.re)
-        return sign, [] if mag == 1 else [_fraction_text(mag)]
+        return sign, [] if mag == 1 else [str(mag)]
     if coeff.re == 0:
         sign = "-" if coeff.im < 0 else "+"
         mag = abs(coeff.im)
-        factors = [] if mag == 1 else [_fraction_text(mag)]
+        factors = [] if mag == 1 else [str(mag)]
         return sign, factors + ["i"]
-    re_txt = _fraction_text(coeff.re)
     im_mag = abs(coeff.im)
-    im_txt = "i" if im_mag == 1 else f"{_fraction_text(im_mag)} * i"
+    im_txt = "i" if im_mag == 1 else f"{im_mag} * i"
     op = "+" if coeff.im > 0 else "-"
-    return "+", [f"({re_txt} {op} {im_txt})"]
+    return "+", [f"({coeff.re} {op} {im_txt})"]
 
 
-def _classical_term_text(mode, alpha, npow, coeff) -> tuple[str, str]:
-    sign, factors = _coeff_pieces(coeff)
-    if any(mode):
-        factors.append("e(" + ",".join(map(str, mode)) + ")")
-    for i, a in enumerate(alpha):
-        if a:
-            factors.append(f"xi{i + 1}" + (f"^{a}" if a != 1 else ""))
-    if npow:
-        factors.append(f"r^{npow}")
-    if not factors:
-        factors = ["1"]
-    return sign, " * ".join(factors)
-
-
-def _join_terms(pieces: list[tuple[str, str]]) -> str:
-    out = []
-    for idx, (sign, text) in enumerate(pieces):
-        if idx == 0:
-            out.append(("-" if sign == "-" else "") + text)
-        else:
-            out.append(f" {sign} {text}")
-    return "".join(out)
-
-
-def format_terms(terms: dict) -> str:
-    """Render a ``(mode, alpha, npow) -> coeff`` bag of exact coefficients.
-
-    The terms appear in sorted key order with the ``e(...)``/``xi``/``r``
-    factors of the text format; an empty bag renders as ``0``.
-    """
-    if not terms:
-        return "0"
-    return _join_terms(
-        [
-            _classical_term_text(mode, alpha, npow, coeff)
-            for (mode, alpha, npow), coeff in sorted(terms.items())
-        ]
-    )
-
-
-def _materialized_floor(sym) -> int:
-    if sym.trusted_floor is not None:
-        return sym.trusted_floor
-    degs = sym.degrees()
-    return min(degs) if degs else sym.order
+def _power(base: str, exponent: int) -> str:
+    return base if exponent == 1 else f"{base}^{exponent}"
 
 
 _POWERS_OF_I = (ComplexRational(1), ComplexRational(0, 1), ComplexRational(-1), ComplexRational(0, -1))
 
 
-def _nc_unit_pieces(
-    theta: Theta, scalar: CyclotomicScalar, *, any_root: bool = False
-) -> list[tuple[ComplexRational, int, int]]:
-    """Split a cyclotomic coefficient into (Q(i) part, root order, exponent) pieces.
+def _unit_pieces(theta: Theta | None, coeff, *, any_root: bool = False) -> list[tuple]:
+    """Split a coefficient into (Q(i) part, root order, exponent) pieces.
 
-    Each piece denotes coeff * zeta_order^exponent.  The root is written as
-    i^a * zeta_q^b with q the theta denominator, i^a going into the Q(i)
-    part, so the order is q.  A root outside that group raises
-    ``DomainError``; with ``any_root`` its piece keeps the coefficient's own
-    root zeta_(scalar.order)^j instead.
+    Each piece denotes coeff * zeta_order^exponent.  A complex-rational or
+    float coefficient is one piece with exponent 0.  The root of a piece
+    of a cyclotomic coefficient is written as i^a * zeta_q^b with q the
+    theta denominator, i^a going into the Q(i) part, so the order is q.  A
+    root outside that group raises ``DomainError``; with ``any_root`` its
+    piece keeps the coefficient's own root zeta_(coeff.order)^j instead.
     """
+    if not isinstance(coeff, CyclotomicScalar):
+        return [(coeff, 1, 0)]
     q = theta.exact.denominator
     pieces = []
-    for j, c in enumerate(scalar.coeffs):
+    for j, c in enumerate(coeff.coeffs):
         if c == 0:
             continue
         try:
-            a, b = decompose_root(scalar.order, j, q)
+            a, b = decompose_root(coeff.order, j, q)
         except DomainError:
             if not any_root:
                 raise
-            pieces.append((ComplexRational(c), scalar.order, j))
+            pieces.append((ComplexRational(c), coeff.order, j))
         else:
             pieces.append((_POWERS_OF_I[a] * c, q, b))
     return pieces
@@ -514,64 +469,101 @@ def _phase_word_factors(theta: Theta, b: int) -> list[str]:
     q = theta.exact.denominator
     p = theta.exact.numerator % q
     t = (b * pow(p, -1, q)) % q
-    return ["V", "U" if t == 1 else f"U^{t}", "V^-1", f"U^-{t}"]
+    return ["V", _power("U", t), "V^-1", f"U^-{t}"]
 
 
-def _nc_term_texts(theta: Theta, mode, alpha, npow, scalar) -> list[tuple[str, str]]:
+def _mode_factors(theta: Theta | None, mode, b: int) -> list[str]:
+    """The factors of a mode: ``e(...)``, or the phase word of zeta_q^b and U^m V^n."""
+    if theta is None:
+        return ["e(" + ",".join(map(str, mode)) + ")"] if any(mode) else []
+    m, n = mode
+    factors = _phase_word_factors(theta, b) if b else []
+    if m:
+        factors.append(_power("U", m))
+    if n:
+        factors.append(_power("V", n))
+    # a twisted term always names a word, so the document reads as twisted
+    return factors or ["U^0", "V^0"]
+
+
+def _term_texts(theta: Theta | None, mode, alpha, npow, coeff) -> list[tuple[str, str]]:
+    """Sign and text of each term written for one stored term."""
     out = []
-    for coeff, _q, b in _nc_unit_pieces(theta, scalar):
-        sign, factors = _coeff_pieces(coeff)
-        if b:
-            factors.extend(_phase_word_factors(theta, b))
-        m, n = mode
-        if m:
-            factors.append("U" + (f"^{m}" if m != 1 else ""))
-        if n:
-            factors.append("V" + (f"^{n}" if n != 1 else ""))
-        if m == 0 and n == 0 and not b:
-            factors.extend(["U^0", "V^0"])
-        for i, a in enumerate(alpha):
-            if a:
-                factors.append(f"xi{i + 1}" + (f"^{a}" if a != 1 else ""))
+    for c, _order, b in _unit_pieces(theta, coeff):
+        sign, factors = _coeff_pieces(c)
+        factors += _mode_factors(theta, mode, b)
+        factors += [_power(f"xi{i + 1}", a) for i, a in enumerate(alpha) if a]
         if npow:
             factors.append(f"r^{npow}")
-        out.append((sign, " * ".join(factors)))
+        out.append((sign, " * ".join(factors or ["1"])))
     return out
+
+
+def _check_text_twist(theta: Theta | None) -> None:
+    if theta is not None and not theta.is_exact:
+        raise ValidationError("the text format requires an exact theta; use the JSON form")
+
+
+def format_terms(terms: dict, theta: Theta | None = None) -> str:
+    """Render a ``(mode, alpha, npow) -> coeff`` bag of exact coefficients.
+
+    The terms appear in sorted key order with the factors of the text
+    format: ``e(...)`` modes, or U/V words at the exact twist ``theta``;
+    an empty bag renders as ``0``.
+    """
+    _check_text_twist(theta)
+    pieces = [
+        piece
+        for (mode, alpha, npow), coeff in sorted(terms.items())
+        for piece in _term_texts(theta, mode, alpha, npow, coeff)
+    ]
+    if not pieces:
+        return "0"
+    (sign, text), rest = pieces[0], pieces[1:]
+    head = "-" + text if sign == "-" else text
+    return head + "".join(f" {s} {t}" for s, t in rest)
+
+
+def _materialized_floor(sym) -> int:
+    if sym.trusted_floor is not None:
+        return sym.trusted_floor
+    degs = sym.degrees()
+    return min(degs) if degs else sym.order
+
+
+def _twist(sym, verb: str) -> Theta | None:
+    """The twist of a symbol, None for a commutative one."""
+    if isinstance(sym, NCSymbol):
+        return sym.theta
+    if isinstance(sym, ClassicalSymbol):
+        return None
+    raise TypeError(f"cannot {verb} {type(sym).__name__}")
+
+
+def _theta_text(theta: Theta) -> str:
+    return f"{theta.exact.numerator}/{theta.exact.denominator}"
 
 
 def format_symbol(sym) -> str:
     """Deterministic canonical rendering; parse(format(s)) == s on DSL symbols."""
-    if isinstance(sym, ClassicalSymbol):
-        floor = _materialized_floor(sym)
-        lines = [f"dim {sym.n} order {sym.order} floor {floor}"]
-        for deg, bag in sorted(sym._term_bags().items(), reverse=True):
-            lines.append(f"deg {deg} {{ {format_terms(bag)} }}")
-        return "\n".join(lines)
-    if isinstance(sym, NCSymbol):
-        if not sym.theta.is_exact:
-            raise ValidationError(
-                "the text format requires an exact theta; use the JSON form"
-            )
-        floor = _materialized_floor(sym)
-        theta = sym.theta.exact
-        lines = [
-            f"dim 2 order {sym.order} floor {floor} theta "
-            f"{theta.numerator}/{theta.denominator}"
-        ]
-        for deg, bag in sorted(sym._term_bags().items(), reverse=True):
-            pieces = []
-            for (mode, alpha, npow), scalar in sorted(bag.items()):
-                pieces.extend(_nc_term_texts(sym.theta, mode, alpha, npow, scalar))
-            lines.append(f"deg {deg} {{ {_join_terms(pieces)} }}")
-        return "\n".join(lines)
-    raise TypeError(f"cannot format {type(sym).__name__}")
+    theta = _twist(sym, "format")
+    _check_text_twist(theta)
+    header = f"dim {sym.n} order {sym.order} floor {_materialized_floor(sym)}"
+    if theta is not None:
+        header += f" theta {_theta_text(theta)}"
+    lines = [header]
+    for deg, bag in sorted(sym._term_bags().items(), reverse=True):
+        lines.append(f"deg {deg} {{ {format_terms(bag, theta)} }}")
+    return "\n".join(lines)
 
 
 # -- JSON mirror ---------------------------------------------------------------
 
 
-def _coeff_to_json(coeff: ComplexRational) -> dict:
-    return {"re": str(coeff.re), "im": str(coeff.im)}
+def _coeff_to_json(coeff) -> dict:
+    if isinstance(coeff, ComplexRational):
+        return {"re": str(coeff.re), "im": str(coeff.im)}
+    return {"re": coeff.real, "im": coeff.imag}
 
 
 def _brief(value) -> str:
@@ -630,62 +622,39 @@ def _json_ints(value, what: str) -> tuple[int, ...]:
     return tuple(_json_int(v, what) for v in value)
 
 
+def _json_phase(value) -> tuple[int, int]:
+    """The root order q and exponent b of a term's ``"phase": [q, b]``."""
+    phase = _json_ints(value, "phase")
+    if len(phase) != 2:
+        raise ValidationError(f"bad phase {value}")
+    if phase[0] < 1:
+        raise DomainError(f"root order must be positive, got {phase[0]}")
+    return phase
+
+
 def symbol_to_json(sym) -> dict:
     """The JSON mirror of the text format, one object per degree block."""
-    if isinstance(sym, ClassicalSymbol):
-        blocks = []
-        for deg, bag in sorted(sym._term_bags().items(), reverse=True):
-            terms = []
-            for (mode, alpha, npow), coeff in sorted(bag.items()):
-                entry = {"coeff": _coeff_to_json(coeff), "alpha": list(alpha), "npow": npow}
-                if any(mode):
+    theta = _twist(sym, "serialize")
+    blocks = []
+    for deg, bag in sorted(sym._term_bags().items(), reverse=True):
+        terms = []
+        for (mode, alpha, npow), coeff in sorted(bag.items()):
+            for c, root_order, b in _unit_pieces(theta, coeff, any_root=True):
+                entry = {"coeff": _coeff_to_json(c)}
+                if theta is not None:
+                    entry["nc"] = list(mode)
+                entry["alpha"] = list(alpha)
+                entry["npow"] = npow
+                if theta is None and any(mode):
                     entry["mode"] = list(mode)
+                if b:
+                    entry["phase"] = [root_order, b]
                 terms.append(entry)
-            blocks.append({"deg": deg, "terms": terms})
-        return {
-            "dim": sym.n,
-            "order": sym.order,
-            "floor": _materialized_floor(sym),
-            "blocks": blocks,
-        }
-    if isinstance(sym, NCSymbol):
-        theta = sym.theta
-        out = {
-            "dim": 2,
-            "order": sym.order,
-            "floor": _materialized_floor(sym),
-            "blocks": [],
-        }
-        if theta.is_exact:
-            out["theta"] = f"{theta.exact.numerator}/{theta.exact.denominator}"
-        else:
-            out["theta"] = theta.approximate
-        for deg, bag in sorted(sym._term_bags().items(), reverse=True):
-            terms = []
-            for (mode, alpha, npow), scalar in sorted(bag.items()):
-                if theta.is_exact:
-                    for coeff, root_order, b in _nc_unit_pieces(theta, scalar, any_root=True):
-                        entry = {
-                            "coeff": _coeff_to_json(coeff),
-                            "nc": list(mode),
-                            "alpha": list(alpha),
-                            "npow": npow,
-                        }
-                        if b:
-                            entry["phase"] = [root_order, b]
-                        terms.append(entry)
-                else:
-                    terms.append(
-                        {
-                            "coeff": {"re": scalar.real, "im": scalar.imag},
-                            "nc": list(mode),
-                            "alpha": list(alpha),
-                            "npow": npow,
-                        }
-                    )
-            out["blocks"].append({"deg": deg, "terms": terms})
-        return out
-    raise TypeError(f"cannot serialize {type(sym).__name__}")
+        blocks.append({"deg": deg, "terms": terms})
+    out = {"dim": sym.n, "order": sym.order, "floor": _materialized_floor(sym), "blocks": blocks}
+    if theta is not None:
+        out["theta"] = _theta_text(theta) if theta.is_exact else theta.approximate
+    return out
 
 
 def symbol_from_json(data: dict):
@@ -758,14 +727,15 @@ def symbol_from_json(data: dict):
                 scalar = _coerce_scalar(
                     theta, _coeff_from_json(term["coeff"], exact=theta.is_exact)
                 )
-                if theta.is_exact and "phase" in term:
-                    phase = _json_ints(term["phase"], "phase")
-                    if len(phase) != 2:
-                        raise ValidationError(f"bad phase {term['phase']}")
-                    cyclotomic_order = _check_cyclotomic_order(
-                        math.lcm(cyclotomic_order, phase[0]), f"phase {list(phase)}"
-                    )
-                    scalar = scalar * CyclotomicScalar.root_of_unity(*phase)
+                if "phase" in term:
+                    q, b = _json_phase(term["phase"])
+                    if theta.is_exact:
+                        cyclotomic_order = _check_cyclotomic_order(
+                            math.lcm(cyclotomic_order, q), f"phase {[q, b]}"
+                        )
+                        scalar = scalar * CyclotomicScalar.root_of_unity(q, b)
+                    else:
+                        scalar = scalar * cmath.exp(2j * cmath.pi * (b % q) / q)
                 T.bag_add(bucket, (mode, alpha, npow), scalar)
     return _build_symbol(dim, order, floor, theta, blocks)
 
@@ -820,11 +790,11 @@ def random_symbol(
             raise ValidationError("twisted symbols require dim 2")
     rng = random.Random(seed)
     floor = order - depth
-    blocks: dict[int, list] = {}
+    blocks: dict[int, dict] = {}
     for deg in range(order, floor - 1, -1):
         if deg != order and rng.random() < 0.2:
             continue
-        terms = []
+        bag = blocks[deg] = {}
         for _ in range(rng.randint(1, 2)):
             mode = tuple(rng.randint(-max_mode, max_mode) for _ in range(dim))
             total = rng.randint(0, max_alpha)
@@ -835,12 +805,8 @@ def random_symbol(
             num = rng.choice([-3, -2, -1, 1, 2, 3])
             den = rng.randint(1, 3)
             coeff = _drawn_coefficient(num, den, rng.random() < 0.25)
-            terms.append((coeff, _shared_index(mode), _shared_index(tuple(alpha)), npow))
-        blocks[deg] = terms
-    if theta is None:
-        comps = {deg: HomogeneousComponent(dim, deg, terms) for deg, terms in blocks.items()}
-        return ClassicalSymbol(dim, order, comps, floor)
-    return NCSymbol(theta, order, blocks, floor)
+            T.bag_add(bag, (_shared_index(mode), _shared_index(tuple(alpha)), npow), coeff)
+    return _build_symbol(dim, order, floor, theta, blocks)
 
 
 def format_nc_element(poly: NCPolynomial) -> str:
@@ -849,14 +815,6 @@ def format_nc_element(poly: NCPolynomial) -> str:
         return "0"
     parts = []
     for (m, n), s in sorted(poly.coeffs.items()):
-        word = ""
-        if m:
-            word += "U" + (f"^{m}" if m != 1 else "")
-        if n:
-            word += ("*" if word else "") + ("V" + (f"^{n}" if n != 1 else ""))
-        if not word:
-            word = "1"
-        if hasattr(s, "to_complex"):
-            s = s.to_complex() if not isinstance(s, CyclotomicScalar) else s
-        parts.append(f"({s}) * {word}")
+        word = "*".join(_power(g, e) for g, e in (("U", m), ("V", n)) if e)
+        parts.append(f"({s}) * {word or '1'}")
     return " + ".join(parts)

@@ -9,6 +9,7 @@ is what turns the residue identities into decidable statements.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -311,6 +312,32 @@ def euler_antiderivatives(component: HomogeneousComponent) -> list[HomogeneousCo
     return out
 
 
+def _sphere_sum(system, n: int, engine, bag: dict, den: int) -> PiGradedScalar:
+    """Integral over S^(n-1) of sum_alpha (s / den) xi^alpha.
+
+    ``bag`` maps alpha to a numerator of the engine system, as ``lift``
+    returns it.  Each numerator is scaled by its monomial integral over the
+    lcm L of the integrals' denominators, so the sum stays on numerators,
+    and the total is lowered once, over den * L.
+    """
+    grade = Fraction(n // 2)  # pi grade of every nonzero monomial integral on S^(n-1)
+    weights = []
+    for alpha, s in bag.items():
+        integral = sphere_monomial_integral(alpha, n)
+        if integral.is_zero():
+            continue
+        if integral.pi_exponent != grade:
+            raise ArithmeticError("unexpected pi grade in a sphere integral")
+        weights.append((s, integral.coeff.re))
+    scale = math.lcm(*(w.denominator for _s, w in weights))
+    total = engine.zero
+    for s, w in weights:
+        total = total + s * (w.numerator * (scale // w.denominator))
+    if not total:
+        return PiGradedScalar(0)
+    return PiGradedScalar(system.lower(total, den * scale), grade)
+
+
 def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
     """Mean of a degree-(-n) component over the unit xi-sphere, per mode.
 
@@ -323,20 +350,18 @@ def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
         raise ValidationError(
             f"sphere average requires degree {-n}, got {component.degree}"
         )
-    measure = sphere_surface_measure(n)
-    sums: dict[tuple[int, ...], PiGradedScalar] = {}
+    # within one mode of a homogeneous component, alpha determines the |xi| power
+    by_mode: dict = {}
     for (mode, alpha, _p), s in component.raw_terms().items():
-        integral = sphere_monomial_integral(alpha, n)
-        if integral.is_zero():
-            continue
-        contrib = integral * s
-        sums[mode] = sums[mode] + contrib if mode in sums else contrib
-    coeffs = {}
-    for mode, total in sums.items():
-        ratio = total / measure
-        if ratio.pi_exponent != 0:
-            raise ArithmeticError("sphere average did not cancel the pi grading")
-        coeffs[mode] = ratio.coeff
+        by_mode.setdefault(mode, {})[alpha] = s
+    # one lift for all the modes, so they share one denominator
+    engine, lifted, den = _SYS.lift(by_mode)
+    # the measure is the integral of 1, whose pi grade every sphere sum has
+    per_measure = 1 / sphere_surface_measure(n).coeff.re
+    coeffs = {
+        mode: _sphere_sum(_SYS, n, engine, bag, den).coeff * per_measure
+        for mode, bag in lifted.items()
+    }
     return TrigPolynomial(n, coeffs)
 
 

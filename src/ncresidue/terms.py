@@ -10,13 +10,12 @@ point on the torus, or the (m, n) word exponents of the twisted algebra),
 same representation serves both calculi.  Scalars are added, multiplied,
 negated, scaled by an ``int`` and tested for zero with their own operators
 (``+``, ``*``, unary ``-``, truthiness).  A coefficient-system object
-supplies only what differs between backends: its ``zero``, the embedding
-``from_fraction`` of rationals, scaling by a ``Fraction``
-(``times_fraction``), the ``phase`` the product of two modes picks up, and
-the pair ``lift``/``lower`` that moves exact coefficients onto integer
-numerators over one denominator and back: complex-rational ones onto
-Gaussian integers, cyclotomic ones onto cyclotomic integers at their own
-order.
+supplies only what differs between backends: its ``zero``, scaling by a
+``Fraction`` (``times_fraction``), the ``phase`` the product of two modes
+picks up, and the pair ``lift``/``lower`` that moves exact coefficients
+onto integer numerators over one denominator and back: complex-rational
+ones onto Gaussian integers, cyclotomic ones onto cyclotomic integers at
+their own order.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -59,10 +58,6 @@ class RationalSystem:
     @staticmethod
     def times_fraction(s, f: Fraction):
         return s * f
-
-    @staticmethod
-    def from_fraction(f) -> ComplexRational:
-        return ComplexRational(f)
 
     @staticmethod
     def phase(left_mode, right_mode):
@@ -136,10 +131,6 @@ class CyclotomicSystem(RationalSystem):
     def __init__(self, theta_num: int, theta_den: int):
         self.theta_num = theta_num
         self.theta_den = theta_den
-
-    @staticmethod
-    def from_fraction(f) -> CyclotomicScalar:
-        return CyclotomicScalar.from_rational(f)
 
     def phase(self, left_mode, right_mode):
         t = left_mode[1] * right_mode[0]
@@ -230,10 +221,6 @@ class FloatSystem(RationalSystem):
     @staticmethod
     def times_fraction(s, f: Fraction):
         return s * float(f)
-
-    @staticmethod
-    def from_fraction(f) -> complex:
-        return complex(float(f))
 
     def phase(self, left_mode, right_mode):
         t = left_mode[1] * right_mode[0]
@@ -521,16 +508,15 @@ def compose_components(
     comps_b: dict[int, dict],
     floor: int | None,
     *,
-    degrees=None,
     gamma_cap: int | None = None,
 ) -> dict[int, dict]:
     """Components of sum_gamma (1/gamma!) (d_xi^gamma a) (D^gamma b).
 
-    ``floor`` bounds the emitted degrees from below; ``degrees`` restricts
-    to an explicit set; ``gamma_cap`` truncates the derivative order.  With
-    none of the three the series terminates only when the left factor is
-    polynomial in xi or the right factor is free of modes; otherwise the
-    loop would not end, so it raises ``ValidationError`` instead.
+    ``floor`` bounds the emitted degrees from below; ``gamma_cap``
+    truncates the derivative order.  With neither, the series terminates
+    only when the left factor is polynomial in xi or the right factor is
+    free of modes; otherwise the loop would not end, so it raises
+    ``ValidationError`` instead.
 
     The xi-derivatives of each left component are kept raw (see
     ``xi_derivative``).  Each emitted degree is canonicalized once at
@@ -545,7 +531,7 @@ def compose_components(
     over the one denominator of the two lifts, and each emitted coefficient
     is divided by it once (``system.lower``).
     """
-    if floor is None and degrees is None and gamma_cap is None and not (
+    if floor is None and gamma_cap is None and not (
         all(terms_polynomial(t) for t in comps_a.values())
         or all(terms_x_independent(t) for t in comps_b.values())
     ):
@@ -553,8 +539,7 @@ def compose_components(
             "composition of two complete symbols does not terminate here; "
             "assign a finite trusted floor to one factor"
         )
-    wanted = None if degrees is None else set(degrees)
-    caps = _level_caps(comps_a, comps_b, floor, wanted, gamma_cap)
+    caps = _level_caps(comps_a, comps_b, floor, gamma_cap)
     engine, comps_a, den_a = system.lift(comps_a)
     _, comps_b, den_b = system.lift(comps_b, math.factorial(max(caps.values(), default=0)))
     out: dict[int, dict] = {}
@@ -570,10 +555,7 @@ def compose_components(
                          if (d := xi_derivative(memo, gamma))]
                 if not level:
                     break  # every higher xi-derivative vanishes too
-                target = a_deg + b_deg - k
-                if wanted is not None and target not in wanted:
-                    continue
-                bucket = out.setdefault(target, {})
+                bucket = out.setdefault(a_deg + b_deg - k, {})
                 for gamma, left in level:
                     right = weighted.get((b_deg, gamma))
                     if right is None:
@@ -590,15 +572,14 @@ def compose_components(
     return result
 
 
-def _level_caps(comps_a, comps_b, floor, wanted, gamma_cap) -> dict[tuple[int, int], int]:
+def _level_caps(comps_a, comps_b, floor, gamma_cap) -> dict[tuple[int, int], int]:
     """The deepest derivative order k each pair (a_deg, b_deg) can use.
 
     A pair that reaches no level is left out.  The bounds: the lowest
-    emitted degree (``floor`` or the least of ``wanted``) sets
-    a_deg + b_deg - k, ``gamma_cap`` caps k, a right component free of
-    modes is killed by every D^gamma with gamma != 0, and the tower of a
-    polynomial left component vanishes past its degree (its largest
-    |alpha| + p).  The termination check of ``compose_components`` makes
+    emitted degree ``floor`` sets a_deg + b_deg - k, ``gamma_cap`` caps k,
+    a right component free of modes is killed by every D^gamma with
+    gamma != 0, and the tower of a polynomial left component vanishes past
+    its degree (its largest |alpha| + p).  The termination check of ``compose_components`` makes
     sure one of them applies.
     """
     caps = {}
@@ -610,9 +591,7 @@ def _level_caps(comps_a, comps_b, floor, wanted, gamma_cap) -> dict[tuple[int, i
             if not b_terms:
                 continue
             bounds = [a_cap, gamma_cap, 0 if terms_x_independent(b_terms) else None]
-            if wanted is not None:
-                bounds.append(max((a_deg + b_deg - d for d in wanted), default=-1))
-            elif floor is not None:
+            if floor is not None:
                 bounds.append(a_deg + b_deg - floor)
             kmax = min(b for b in bounds if b is not None)
             if kmax >= 0:

@@ -255,6 +255,32 @@ def test_exit_code_validation_error(files, capsys):
     assert code == cli.EXIT_VALIDATION
 
 
+_WANTS_CLASSICAL = "validation error: this command expects a commutative symbol; use the nc- variant\n"
+_WANTS_TWISTED = "validation error: this command expects a twisted symbol (theta header required)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["residue", "nc14"], _WANTS_CLASSICAL),
+        (["compose", "inv2", "nc14"], _WANTS_CLASSICAL),
+        (["compose", "nc14", "inv2"], _WANTS_CLASSICAL),
+        (["decompose", "nc14"], _WANTS_CLASSICAL),
+        (["commutator", "--with", "xi", "--dir", "1", "nc0"], _WANTS_CLASSICAL),
+        (["commutator", "--with", "exp", "--dir", "2", "nc0"], _WANTS_CLASSICAL),
+        (["nc-residue", "inv2"], _WANTS_TWISTED),
+        (["nc-compose", "nc0", "inv2"], _WANTS_TWISTED),
+        (["nc-compose", "inv2", "nc0"], _WANTS_TWISTED),
+        (["apply", "--element", "U", "inv2"], _WANTS_TWISTED),
+        (["semiclassical-check", "osc"], _WANTS_TWISTED),
+    ],
+)
+def test_command_refuses_a_document_of_the_other_calculus(files, capsys, argv, message):
+    argv = [files.get(word, word) for word in argv]
+    for extra in ([], ["--json"]):
+        assert run(capsys, argv[0], *extra, *argv[1:]) == (cli.EXIT_VALIDATION, "", message)
+
+
 def test_exit_code_insufficient_expansion(files, capsys):
     code, _, err = run(capsys, "residue", files["shallow"])
     assert code == cli.EXIT_INSUFFICIENT
@@ -326,6 +352,12 @@ _TERM = {"coeff": {"re": "1", "im": "0"}, "alpha": [0, 0], "npow": 0}
                      "blocks": [{"deg": 0, "terms": [dict(_TERM, nc=[1, 0],
                                                           phase=[100000007, 1])]}]}),
          cli.EXIT_VALIDATION, "validation error: phase [100000007, 1] needs cyclotomic order"),
+        (json.dumps({"dim": 2, "order": 0, "floor": 0, "theta": 0.25,
+                     "blocks": [{"deg": 0, "terms": [dict(_TERM, nc=[1, 0], phase=[0, 1])]}]}),
+         cli.EXIT_VALIDATION, "validation error: root order must be positive, got 0"),
+        (json.dumps({"dim": 2, "order": 0, "floor": 0, "theta": 0.25,
+                     "blocks": [{"deg": 0, "terms": [dict(_TERM, nc=[1, 0], phase=[7])]}]}),
+         cli.EXIT_VALIDATION, "validation error: bad phase [7]"),
         (json.dumps({"dim": 2, "order": 0, "floor": 0, "theta": float("nan"),
                      "blocks": [{"deg": 0, "terms": [dict(_TERM, nc=[1, 0])]}]}),
          cli.EXIT_VALIDATION, "validation error: bad theta nan: not finite"),
@@ -336,7 +368,8 @@ _TERM = {"coeff": {"re": "1", "im": "0"}, "alpha": [0, 0], "npow": 0}
     ids=["truncated-json", "npow-text", "deg-null", "deep-json", "missing-file",
          "deep-text", "dim-float", "dim-string", "order-bool", "theta-bool",
          "huge-exponent-text", "huge-npow-json", "huge-alpha-json", "dim8-expansion",
-         "dim8-cheap", "theta-order-text", "phase-order-json", "theta-nan", "theta-inf"],
+         "dim8-cheap", "theta-order-text", "phase-order-json", "phase-zero-float-theta",
+         "phase-short-float-theta", "theta-nan", "theta-inf"],
 )
 def test_malformed_or_missing_document_gives_one_line(tmp_path, capsys, text, code, prefix):
     p = tmp_path / "doc.json"

@@ -1,3 +1,4 @@
+import cmath
 import json
 import pathlib
 import random
@@ -18,6 +19,7 @@ from ncresidue.dsl import (
     MAX_EXPONENT,
     format_nc_element,
     format_symbol,
+    format_terms,
     parse_nc_element,
     parse_symbol,
     random_symbol,
@@ -179,6 +181,8 @@ def test_format_rejects_float_theta_text():
     s = random_symbol(3, dim=2, order=0, depth=0, max_mode=1, max_alpha=1, theta=0.25)
     with pytest.raises(ValidationError):
         format_symbol(s)
+    with pytest.raises(ValidationError):
+        format_terms(s.component_raw(0), s.theta)
     # but the JSON mirror carries it
     data = symbol_to_json(s)
     assert symbol_from_json(data) == s
@@ -234,6 +238,21 @@ def test_json_round_trip_of_roots_outside_the_twist(theta):
                     format_symbol(c)
             foreign += len(orders)
     assert foreign >= 20
+
+
+def test_json_phase_at_float_theta():
+    doc = {"dim": 2, "order": 0, "floor": 0, "theta": 0.25, "blocks": [{"deg": 0, "terms": [
+        {"coeff": {"re": 2.0, "im": 0.0}, "nc": [1, 0], "alpha": [0, 0], "npow": 0}]}]}
+    plain = symbol_from_json(doc)
+    doc["blocks"][0]["terms"][0]["phase"] = [7, 1]
+    phased = symbol_from_json(doc)
+    assert phased != plain
+    [value] = phased.component_raw(0).values()
+    assert abs(value - 2 * cmath.exp(2j * cmath.pi / 7)) < 1e-15
+    for bad in ([7, 1, 2], [0, 1], [-7, 1], ["7", 1], 7):
+        doc["blocks"][0]["terms"][0]["phase"] = bad
+        with pytest.raises(ValidationError):
+            symbol_from_json(doc)
 
 
 def test_json_validation():

@@ -84,8 +84,6 @@ def test_raw_tower_matches_per_level_canonical_reference(n):
         kmax = max(x + y for x in ca for y in cb) - floor
         got = T.compose_components(system, n, ca, cb, floor)
         assert got == reference_compose(system, n, ca, cb, lambda d, k: d >= floor, kmax)
-        got = T.compose_components(system, n, ca, cb, floor, degrees={-n})
-        assert got == reference_compose(system, n, ca, cb, lambda d, k: d == -n, kmax)
         got = T.compose_components(system, n, ca, cb, None, gamma_cap=2)
         assert got == reference_compose(system, n, ca, cb, lambda d, k: True, 2)
 
@@ -108,12 +106,12 @@ def test_raw_tower_matches_reference_twisted(theta):
 
 def test_raw_tower_terminates_for_complete_polynomial_left_factor():
     system = T.RATIONAL_SYSTEM
-    one = system.from_fraction(1)
+    one = ComplexRational(1)
     # xi1^3 + 2 e(1,0) xi1 |xi|^2 - xi2^2 + e(0,1): a polynomial with x-dependence
     ca = {
         3: {((0, 0), (3, 0), 0): one,
-            ((1, 0), (1, 0), 2): system.from_fraction(Fraction(2))},
-        2: {((0, 0), (0, 2), 0): system.from_fraction(Fraction(-1))},
+            ((1, 0), (1, 0), 2): ComplexRational(2)},
+        2: {((0, 0), (0, 2), 0): ComplexRational(-1)},
         0: {((0, 1), (0, 0), 0): one},
     }
     _ca, cb, _a, _b = _classical_pair(random.Random(5), 2)
@@ -175,8 +173,7 @@ def _twisted_residue_pairs(theta, count, seed):
 
 def _reference_sphere_part(system, n, a, b):
     """Mode zero of the degree -n component of a o b, composed and canonical."""
-    comps = T.compose_components(system, n, a._term_bags(), b._term_bags(), _floor(a, b),
-                                 degrees={-n})
+    comps = T.compose_components(system, n, a._term_bags(), b._term_bags(), _floor(a, b))
     return {key: s for key, s in comps.get(-n, {}).items() if not any(key[0])}
 
 
@@ -335,7 +332,7 @@ def _polynomial_bags(rng, n, top):
             for _ in range(deg - p):
                 alpha[rng.randrange(n)] += 1
             mode = tuple(rng.randint(-1, 1) for _ in range(n))
-            T.bag_add(bag, (mode, tuple(alpha), p), T.RATIONAL_SYSTEM.from_fraction(1))
+            T.bag_add(bag, (mode, tuple(alpha), p), ComplexRational(1))
         comps[deg] = bag
     return comps
 
@@ -356,7 +353,6 @@ def test_numerator_kernel_matches_unlifted_path(n):
         ca, cb = _coprime_bags(rng, raw_a), _coprime_bags(rng, raw_b)
         floor = _floor(a, b)
         emitted += len(_assert_same_as_unlifted(n, ca, cb, floor))
-        _assert_same_as_unlifted(n, ca, cb, floor, degrees={-n})
         _assert_same_as_unlifted(n, ca, cb, None, gamma_cap=i % 3)
         # a complete polynomial left factor, and a right factor free of modes
         poly = _coprime_bags(rng, _polynomial_bags(rng, n, 2 + i % 2))
@@ -441,7 +437,7 @@ def test_cyclotomic_numerator_kernel_matches_unlifted_path(theta):
         system = a._system
         ca, cb = a._term_bags(), b._term_bags()
         floor = _floor(a, b)
-        for floor_, kw in ((floor, {}), (floor, {"degrees": {-2}}), (None, {"gamma_cap": i % 3})):
+        for floor_, kw in ((floor, {}), (None, {"gamma_cap": i % 3})):
             got = T.compose_components(system, 2, ca, cb, floor_, **kw)
             assert _sorted_repr(got) == _sorted_repr(
                 T.compose_components(unlifted, 2, ca, cb, floor_, **kw))

@@ -17,8 +17,15 @@ It prints, on seeded inputs:
 - the residue of each composition without composing, in both orders, and
   the trace defect;
 - stdout, stderr and the exit code of ``ncres residue``, ``nc-residue``,
-  ``compose``, ``nc-compose``, ``trace-check`` and ``nc-trace-check``, with
-  and without ``--json``;
+  ``compose``, ``nc-compose``, ``decompose``, ``commutator --with xi|exp``,
+  ``apply``, ``semiclassical-check``, ``trace-check`` and
+  ``nc-trace-check``, with and without ``--json``, every document command
+  also fed a document of the other calculus;
+- ``format_terms`` of each classical component bag and of the empty bag;
+- symbols at the float twists 0.3 and 0.4: the ``format_symbol`` refusal,
+  ``symbol_to_json``, the symbol its JSON reads back as with and without a
+  ``phase`` of order 7, and ``nc-residue``, ``nc-compose`` and ``apply`` on
+  their JSON documents;
 - the symbol layer on its own: ``repr`` of both symbol classes and of
   their components; ``+``, ``-``, ``scale``, ``partial_xi`` and ``deriv_x``
   of classical symbols and components, with directions 0..n+1 so the
@@ -122,7 +129,8 @@ def _outcome(fn, *args) -> str:
 
 def dump_symbol(lib, out, label, sym):
     out(f"{label} format: {_outcome(lib.dsl.format_symbol, sym)}")
-    out(f"{label} json: {_outcome(lambda: json.dumps(lib.dsl.symbol_to_json(sym), sort_keys=True))}")
+    # unsorted, so the key order of the document shows
+    out(f"{label} json: {_outcome(lambda: json.dumps(lib.dsl.symbol_to_json(sym)))}")
     out(f"{label} repr: {_components_repr(sym)}")
 
 
@@ -185,6 +193,7 @@ def dump_component(lib, out, label, comp, other):
 
 def dump_classical_layer(lib, out):
     C = lib.calculus
+    out(f"format_terms of the empty bag: {_outcome(lib.dsl.format_terms, {})}")
     scalars = [0, 2, Fraction(-1, 3), lib.scalars.ComplexRational(0, Fraction(3, 2)), 0.5]
     by_dim = {n: _classical_symbols(lib, n, random.Random(30 + n)) for n in (2, 3)}
     for n, syms in by_dim.items():
@@ -215,6 +224,9 @@ def dump_classical_layer(lib, out):
                 out(f"{label} commutator_exp {j} {depth}: "
                     f"{_outcome(C.commutator_exp, sym, j, depth)}")
             out(f"{label} decompose: {_outcome(C.uniqueness_decompose, sym)}")
+            for d in sym.degrees():
+                out(f"{label} format_terms {d}: "
+                    f"{_outcome(lib.dsl.format_terms, sym.components[d].raw_terms())}")
             comps = [sym.components[d] for d in sym.degrees()]
             for i, comp in enumerate(comps):
                 partner = comps[(i + 1) % len(comps)]
@@ -285,6 +297,37 @@ def _run_cli(lib, argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def dump_float_documents(lib, out, workdir):
+    """Symbols at float twists and their JSON documents; returns the commands
+    that run on those documents."""
+    commands = []
+    for i, th in enumerate((0.3, 0.4)):
+        rng = random.Random(70 + i)
+        paths = []
+        for k in range(3):
+            sym = lib.dsl.random_symbol(rng.getrandbits(32), dim=2, order=rng.randint(-1, 1),
+                                        depth=rng.randint(1, 4), max_mode=2, max_alpha=2,
+                                        theta=th)
+            label = f"theta={th} float symbol {k}"
+            dump_symbol(lib, out, label, sym)
+            doc = lib.dsl.symbol_to_json(sym)
+            out(f"{label} json read back: "
+                f"{_nc_outcome(lambda: lib.dsl.symbol_from_json(doc))}")
+            phased = json.loads(json.dumps(doc))
+            for block in phased["blocks"]:
+                for term in block["terms"][::2]:
+                    term["phase"] = [7, 1 + k]
+            out(f"{label} json with phase read back: "
+                f"{_nc_outcome(lambda: lib.dsl.symbol_from_json(phased))}")
+            path = os.path.join(workdir, f"float{i}_{k}.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(json.dumps(doc))
+            paths.append(path)
+        commands += [["nc-residue", paths[0]], ["nc-compose", paths[0], paths[1]],
+                     ["apply", "--element", "U - 2*V", paths[2]], ["residue", paths[1]]]
+    return commands
+
+
 def dump_cli(lib, out, docs, workdir):
     commands = []
     for name, k, a, b, json_docs in docs:
@@ -304,6 +347,18 @@ def dump_cli(lib, out, docs, workdir):
         commands.append(["nc-residue" if twisted else "residue", paths[0]])
         commands.append(["nc-compose" if twisted else "compose", paths[0], paths[1]])
         commands.append(["nc-compose" if twisted else "compose", paths[1], paths[0]])
+        # the commands of both calculi, so each one's refusal of the other shows
+        commands += [
+            ["residue" if twisted else "nc-residue", paths[0]],
+            ["compose" if twisted else "nc-compose", paths[0], paths[1]],
+            ["decompose", paths[1]],
+            ["commutator", "--with", "xi", "--dir", str(1 + k % 2), paths[0]],
+            ["commutator", "--with", "exp", "--dir", "1", paths[1]],
+            ["commutator", "--with", "exp", "--dir", "2", "--depth", "1", paths[0]],
+            ["apply", "--element", "-U*V + 1/2*V^-2 + i", paths[0]],
+            ["semiclassical-check", paths[1]],
+        ]
+    commands += dump_float_documents(lib, out, workdir)
     for n in (2, 3):
         commands.append(["trace-check", "--dim", str(n), "--trials", "6", "--seed", str(n)])
     for th in TWISTS:
