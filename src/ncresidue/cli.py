@@ -23,6 +23,7 @@ from .calculus import (
 )
 from .cyclotomic import CyclotomicScalar
 from .dsl import (
+    _coeff_to_json,
     format_nc_element,
     format_symbol,
     format_terms,
@@ -45,7 +46,7 @@ from .nctorus import (
     nc_trace_defect,
     semiclassical_check,
 )
-from .scalars import ComplexRational, PiGradedScalar
+from .scalars import PiGradedScalar
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -98,15 +99,11 @@ def _expect(sym, twisted: bool):
 def _pi_value_json(value: PiGradedScalar) -> dict:
     out: dict = {"pi_exponent": str(value.pi_exponent)}
     c = value.coeff
-    if isinstance(c, ComplexRational):
-        out["re"] = str(c.re)
-        out["im"] = str(c.im)
-    elif isinstance(c, CyclotomicScalar):
+    if isinstance(c, CyclotomicScalar):
         out["order"] = c.order
         out["coeffs"] = [str(x) for x in c.coeffs]
     else:
-        out["re"] = complex(c).real
-        out["im"] = complex(c).imag
+        out.update(_coeff_to_json(c))
     return out
 
 

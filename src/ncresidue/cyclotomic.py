@@ -10,8 +10,11 @@ The imaginary unit is folded into the root of unity (i = zeta^(q/4) once
 4 | q) rather than kept in the coefficient field: over Q(i) the cyclotomic
 polynomial factors whenever 4 | q and reduction would stop being faithful.
 
-``CyclotomicInteger`` is the same power-basis vector with integer
-coefficients: the numerator type the exact twisted calculus runs on.
+A ``CyclotomicInteger`` is such a power-basis vector with integer
+coefficients, and it carries the ring arithmetic, the reduction and the
+order rule.  A ``CyclotomicScalar`` is one over a positive int denominator
+in lowest terms, with the field arithmetic of ``scalars._Quotient``; the
+exact twisted calculus runs on the numerators.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, ValidationError
-from .scalars import ComplexRational
+from .errors import DomainError
+from .scalars import ComplexRational, GaussianInteger, _lowest_terms, _Quotient, _set
 
 
 @lru_cache(maxsize=None)
@@ -73,206 +76,6 @@ def _int_poly_quotient(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _reduce(order: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    if len(dense) == deg:
-        return tuple(dense)  # already on the power basis
-    work = list(dense) + [Fraction(0)] * max(0, deg - len(dense))
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        work[i] = Fraction(0)
-        for k in range(deg):
-            work[i - deg + k] -= c * phi[k]
-    return tuple(work[:deg])
-
-
-class CyclotomicScalar:
-    """An element of the cyclotomic field Q(zeta_order)."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs):
-        if order < 1:
-            raise DomainError(f"cyclotomic order must be positive, got {order}")
-        dense = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", _reduce(order, dense))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicScalar is immutable")
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, value) -> "CyclotomicScalar":
-        return _embedded(Fraction(value), 0)
-
-    @classmethod
-    def from_complex_rational(cls, value: ComplexRational) -> "CyclotomicScalar":
-        return _embedded(value.re, value.im)
-
-    @classmethod
-    def root_of_unity(cls, q: int, exponent: int) -> "CyclotomicScalar":
-        """exp(2*pi*i*exponent/q), stored at its primitive order."""
-        if q < 1:
-            raise DomainError(f"root order must be positive, got {q}")
-        e = exponent % q
-        g = math.gcd(e, q)
-        q2, e2 = q // g, e // g
-        dense = [Fraction(0)] * (e2 + 1)
-        dense[e2] = Fraction(1)
-        return cls(q2, dense)
-
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def _lift(self, order: int) -> "CyclotomicScalar":
-        if order == self.order:
-            return self
-        if order % self.order != 0:
-            raise ValidationError(
-                f"cannot lift from order {self.order} to non-multiple {order}"
-            )
-        scale = order // self.order
-        dense = [Fraction(0)] * (scale * len(self.coeffs))
-        for j, c in enumerate(self.coeffs):
-            dense[j * scale] = c
-        return CyclotomicScalar(order, dense)
-
-    def _pair(self, other) -> tuple["CyclotomicScalar", "CyclotomicScalar"]:
-        q = math.lcm(self.order, other.order)
-        return self._lift(q), other._lift(q)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._pair(other)
-        return CyclotomicScalar(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return CyclotomicScalar(self.order, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
-            if other == 0:
-                return CyclotomicScalar(1, [0])
-            return CyclotomicScalar(self.order, [c * other if c else c for c in self.coeffs])
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._pair(other)
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y != 0:
-                    out[i + j] += x * y
-        return CyclotomicScalar(a.order, out)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CyclotomicScalar":
-        q = self.order
-        dense = [Fraction(0)] * q
-        for j, c in enumerate(self.coeffs):
-            dense[(q - j) % q] += c
-        return CyclotomicScalar(q, dense)
-
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
-
-    __hash__ = None
-
-    # -- conversion ---------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        q = self.order
-        return sum(
-            (complex(c) * cmath.exp(2j * cmath.pi * j / q) for j, c in enumerate(self.coeffs)),
-            0j,
-        )
-
-    def to_complex_rational(self) -> ComplexRational:
-        """Exact conversion for values lying in Q(i)."""
-        if self.is_rational():
-            return ComplexRational(self.coeffs[0])
-        if self.order == 4:
-            return ComplexRational(self.coeffs[0], self.coeffs[1])
-        raise DomainError(
-            f"value of cyclotomic order {self.order} does not have a stored Q(i) form"
-        )
-
-    def __repr__(self) -> str:
-        return f"CyclotomicScalar({self.order}, {list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                unit = f"zeta{self.order}" + (f"^{j}" if j > 1 else "")
-                parts.append(unit if c == 1 else f"{c}*{unit}")
-        return " + ".join(parts)
-
-
-@lru_cache(maxsize=1024)
-def _embedded(re: Fraction, im) -> CyclotomicScalar:
-    """re + i*im, at order 1 when im is 0 and at order 4 otherwise.
-
-    The coefficients a symbol is built from repeat a few small values, and a
-    CyclotomicScalar is immutable, so equal ones share one object: this
-    holds the symbols of the ``nc-trace`` benchmark inputs in about 0.9 MB
-    less memory.
-    """
-    if im == 0:
-        return CyclotomicScalar(1, [re])
-    return CyclotomicScalar(4, [re, im])
-
-
-CYC_ZERO = CyclotomicScalar(1, [0])
-CYC_ONE = CyclotomicScalar(1, [1])
-
-
 @lru_cache(maxsize=None)
 def _phi_lower_terms(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     # deg Phi and its nonzero coefficients below the leading one
@@ -310,18 +113,15 @@ def _reduce_int(order: int, work: list[int]) -> list[int]:
 class CyclotomicInteger:
     """An element of Z[zeta_order] on the power basis: a cyclotomic numerator.
 
-    The numerator type of the exact twisted calculus: cyclotomic
-    coefficients are lifted over one shared integer denominator, so sums and
-    products here never normalize a fraction.  The order rule is the one of
-    ``CyclotomicScalar``: a sum or product is stored at the lcm of its
-    operands' orders, never reduced to the smallest field holding it, so a
-    numerator lowered by ``CyclotomicScalar(order, coeffs / den)`` has the
-    order the same arithmetic on ``CyclotomicScalar`` would have given.
-    ``coeffs`` is a list of exactly phi(order) entries: numerators are many
-    and short-lived, and freed tuples of these lengths would stay in
-    CPython's tuple free lists (about 0.6 MiB more resident memory in a
-    ``nc-trace`` benchmark run).  Instances are never mutated after
-    construction; the fields are plain slots to keep construction cheap.
+    The numerator of ``CyclotomicScalar``, and the scalar the exact twisted
+    calculus runs on.  The order rule: a sum, product or comparison works at
+    the lcm of its operands' orders, and a result is stored there, never
+    reduced to the smallest field holding it.  ``coeffs`` is a list of
+    exactly phi(order) entries: numerators are many and short-lived, and
+    freed tuples of these lengths would stay in CPython's tuple free lists
+    (about 0.6 MiB more resident memory in a ``nc-trace`` benchmark run).
+    Instances are never mutated after construction; the fields are plain
+    slots to keep construction cheap.
     """
 
     __slots__ = ("order", "coeffs")
@@ -385,21 +185,150 @@ class CyclotomicInteger:
 
     __rmul__ = __mul__
 
+    def conjugate(self) -> "CyclotomicInteger":
+        # zeta^j -> zeta^(order - j)
+        q = self.order
+        dense = [0] * q
+        for j, c in enumerate(self.coeffs):
+            dense[-j % q] += c
+        return CyclotomicInteger(q, _reduce_int(q, dense))
+
+    def content(self) -> int:
+        return math.gcd(*self.coeffs)
+
+    def exact_div(self, d: int) -> "CyclotomicInteger":
+        out = []
+        for c in self.coeffs:
+            quo, rem = divmod(c, d)
+            if rem:
+                raise ArithmeticError(f"{self!r} / {d} is not a cyclotomic integer")
+            out.append(quo)
+        return CyclotomicInteger(self.order, out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CyclotomicInteger):
+            return NotImplemented
+        q = self.order if self.order == other.order else math.lcm(self.order, other.order)
+        return self._at(q) == other._at(q)
+
     def __repr__(self) -> str:
         return f"CyclotomicInteger({self.order}, {list(self.coeffs)!r})"
 
 
-CYC_INT_ZERO = CyclotomicInteger(1, [0])
+class CyclotomicScalar(_Quotient):
+    """An element of the cyclotomic field Q(zeta_order).
+
+    Stored as a ``CyclotomicInteger`` numerator over one positive
+    denominator in lowest terms, so ``order`` follows the numerator's order
+    rule; ``coeffs`` are the power-basis coordinates as ``Fraction``s.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, order: int, coeffs):
+        if order < 1:
+            raise DomainError(f"cyclotomic order must be positive, got {order}")
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        ints = [c.numerator * (den // c.denominator) for c in fracs]
+        num, den = _lowest_terms(CyclotomicInteger(order, _reduce_int(order, ints)), den)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, CyclotomicScalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return CyclotomicScalar.from_rational(value)
+        if isinstance(value, ComplexRational):
+            return CyclotomicScalar.from_complex_rational(value)
+        return NotImplemented
+
+    @property
+    def order(self) -> int:
+        return self.num.order
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num.coeffs)
+
+    # -- construction ------------------------------------------------------
+
+    @classmethod
+    def from_rational(cls, value) -> "CyclotomicScalar":
+        value = Fraction(value)
+        return _embedded(value.numerator, 0, value.denominator)
+
+    @classmethod
+    def from_complex_rational(cls, value: ComplexRational) -> "CyclotomicScalar":
+        return _embedded(value.num.re, value.num.im, value.den)
+
+    @classmethod
+    def root_of_unity(cls, q: int, exponent: int) -> "CyclotomicScalar":
+        """exp(2*pi*i*exponent/q), stored at its primitive order."""
+        if q < 1:
+            raise DomainError(f"root order must be positive, got {q}")
+        return cls._make(CyclotomicInteger.root_of_unity(q, exponent), 1)
+
+    def is_rational(self) -> bool:
+        return not any(self.num.coeffs[1:])
+
+    # -- conversion ---------------------------------------------------------
+
+    def to_complex(self) -> complex:
+        q = self.order
+        return sum(
+            (complex(c) * cmath.exp(2j * cmath.pi * j / q) for j, c in enumerate(self.coeffs)),
+            0j,
+        )
+
+    def to_complex_rational(self) -> ComplexRational:
+        """Exact conversion for values lying in Q(i)."""
+        if self.is_rational() or self.order == 4:
+            re, im = (self.num.coeffs + [0])[:2]  # a rational one may have one coefficient
+            return ComplexRational._make(GaussianInteger(re, im), self.den)
+        raise DomainError(
+            f"value of cyclotomic order {self.order} does not have a stored Q(i) form"
+        )
+
+    def __repr__(self) -> str:
+        return f"CyclotomicScalar({self.order}, {list(self.coeffs)!r})"
+
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        parts = []
+        for j, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if j == 0:
+                parts.append(str(c))
+            else:
+                unit = f"zeta{self.order}" + (f"^{j}" if j > 1 else "")
+                parts.append(unit if c == 1 else f"{c}*{unit}")
+        return " + ".join(parts)
 
 
-def _coerce(value):
-    if isinstance(value, CyclotomicScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CyclotomicScalar(1, [Fraction(value)])
-    if isinstance(value, ComplexRational):
-        return CyclotomicScalar.from_complex_rational(value)
-    return NotImplemented
+@lru_cache(maxsize=1024)
+def _embedded(re: int, im: int, den: int) -> CyclotomicScalar:
+    """(re + i*im) / den in lowest terms, at order 1 when im is 0 and at order 4
+    otherwise.
+
+    The coefficients a symbol is built from repeat a few small values, and a
+    CyclotomicScalar is immutable, so equal ones share one object: this
+    holds the symbols of the ``nc-trace`` benchmark inputs in about 0.9 MB
+    less memory.
+    """
+    if im == 0:
+        return CyclotomicScalar._make(CyclotomicInteger(1, [re]), den)
+    return CyclotomicScalar._make(CyclotomicInteger(4, [re, im]), den)
+
+
+CYC_ZERO = CyclotomicScalar(1, [0])
+CyclotomicScalar._zero = CYC_ZERO
 
 
 def cyclotomic_phase(theta_num: int, theta_den: int, exponent: int) -> CyclotomicScalar:

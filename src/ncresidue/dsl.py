@@ -97,10 +97,11 @@ _DIGIT_BOUND = 10**MAX_DIGITS
 _DECIMAL_EXPONENT = re.compile(r"e\s*([-+]?[\d_]+)", re.IGNORECASE)
 
 
-# A cyclotomic coefficient is stored densely, one rational per power of a
-# root of unity whose order is the lcm of 4, the theta denominator and the
-# phase orders a document names, so a short document with a large
-# denominator would cost unbounded memory; documents are held to this limit.
+# A cyclotomic coefficient is stored densely, one integer per power of a
+# root of unity over one denominator; the root's order is the lcm of 4, the
+# theta denominator and the phase orders a document names, so a short
+# document with a large denominator would cost unbounded memory; documents
+# are held to this limit.
 MAX_CYCLOTOMIC_ORDER = 40_000
 
 
@@ -436,6 +437,26 @@ def _power(base: str, exponent: int) -> str:
 _POWERS_OF_I = (ComplexRational(1), ComplexRational(0, 1), ComplexRational(-1), ComplexRational(0, -1))
 
 
+# str() of an int past the interpreter's digit limit (4300 digits by
+# default) raises ValueError; both writers refuse a coefficient holding an
+# integer of more bits than this (at most 4215 digits) instead.
+MAX_OUTPUT_BITS = 14_000
+
+
+def _check_printable(coeff) -> None:
+    if isinstance(coeff, ComplexRational):
+        ints = (coeff.den, coeff.num.re, coeff.num.im)
+    elif isinstance(coeff, CyclotomicScalar):
+        ints = (coeff.den, *coeff.num.coeffs)
+    else:
+        return  # a float coefficient
+    if max(x.bit_length() for x in ints) > MAX_OUTPUT_BITS:
+        raise ValidationError(
+            f"a result coefficient holds an integer of more than {MAX_OUTPUT_BITS} bits, "
+            "too long to write"
+        )
+
+
 def _unit_pieces(theta: Theta | None, coeff, *, any_root: bool = False) -> list[tuple]:
     """Split a coefficient into (Q(i) part, root order, exponent) pieces.
 
@@ -446,6 +467,7 @@ def _unit_pieces(theta: Theta | None, coeff, *, any_root: bool = False) -> list[
     root outside that group raises ``DomainError``; with ``any_root`` its
     piece keeps the coefficient's own root zeta_(coeff.order)^j instead.
     """
+    _check_printable(coeff)
     if not isinstance(coeff, CyclotomicScalar):
         return [(coeff, 1, 0)]
     q = theta.exact.denominator

@@ -101,18 +101,11 @@ def _system_for(theta: Theta | None):
 
 def _coerce_scalar(theta: Theta, value):
     if theta.is_exact:
-        if isinstance(value, CyclotomicScalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return CyclotomicScalar.from_rational(value)
-        if isinstance(value, ComplexRational):
-            return CyclotomicScalar.from_complex_rational(value)
-        raise TypeError(
-            f"exact backend cannot hold a {type(value).__name__} coefficient"
-        )
-    if isinstance(value, CyclotomicScalar):
-        return value.to_complex()
-    if isinstance(value, ComplexRational):
+        scalar = CyclotomicScalar._coerce(value)
+        if scalar is NotImplemented:
+            raise TypeError(f"exact backend cannot hold a {type(value).__name__} coefficient")
+        return scalar
+    if isinstance(value, (CyclotomicScalar, ComplexRational)):
         return value.to_complex()
     return complex(value)
 

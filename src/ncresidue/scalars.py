@@ -5,6 +5,11 @@ graded ring of complex rationals times an exact power of pi, with
 half-integer exponents allowed because the Gamma function at half-integers
 produces sqrt(pi).  Keeping the pi exponent symbolic is what makes equality
 of residues decidable.
+
+Both calculi's exact scalars, ``ComplexRational`` here and
+``CyclotomicScalar`` in ``cyclotomic``, are integer-ring numerators over one
+positive int (``_Quotient``, which holds their arithmetic once); the term
+engine runs on the numerators.
 """
 
 from __future__ import annotations
@@ -18,111 +23,154 @@ from .errors import DomainError, ValidationError
 _PI = math.pi
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected a rational value, got {type(x).__name__}")
+_set = object.__setattr__
 
 
-class ComplexRational:
-    """A complex number with exact rational real and imaginary parts.
+def _lowest_terms(num, den: int):
+    """num / den with the common factor of den and num's content divided out."""
+    g = math.gcd(num.content(), den)
+    if g == 1:
+        return num, den
+    return num.exact_div(g), den // g
 
-    Fractions are kept in lowest terms with positive denominator, so
-    structural equality coincides with mathematical equality.
+
+class _Quotient:
+    """An exact scalar num / den: an integer-ring numerator over a positive int.
+
+    Kept in lowest terms: den and the content of num (the gcd of its
+    coefficients) are coprime, and zero has den 1, so structural equality
+    is equality of values.  The numerator supplies its ring operations,
+    ``content``, ``exact_div`` and ``conjugate``; a subclass supplies
+    ``_coerce`` (a value of its class, or ``NotImplemented``) and ``_zero``,
+    the value a rational zero factor gives.
     """
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+    __slots__ = ("num", "den")
 
     def __setattr__(self, name, value):
-        raise AttributeError("ComplexRational is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _make(cls, num, den: int):
+        out = object.__new__(cls)
+        _set(out, "num", num)
+        _set(out, "den", den)
+        return out
+
+    @classmethod
+    def _lowest(cls, num, den: int):
+        return cls._make(*_lowest_terms(num, den))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.num
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.num)
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        den = math.lcm(self.den, other.den)
+        return self._lowest(self.num * (den // self.den) + other.num * (den // other.den), den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __rsub__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return other + (-self)
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return self._make(-self.num, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            # a rational multiplier scales each part; no complex product
+            # a rational multiplier scales the numerator; no ring product
             if other == 1:
                 return self
-            re, im = self.re, self.im
-            return ComplexRational(re * other if re else re, im * other if im else im)
-        other = _coerce(other)
+            if not other:
+                return self._zero
+            return self._lowest(self.num * other.numerator, self.den * other.denominator)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return self._lowest(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
+    def conjugate(self):
+        return self._make(self.num.conjugate(), self.den)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        return self.den == other.den and self.num == other.num
+
+
+class ComplexRational(_Quotient):
+    """A complex number with exact rational real and imaginary parts.
+
+    Stored as a Gaussian-integer numerator over one positive denominator in
+    lowest terms; ``re`` and ``im`` are the parts as ``Fraction``s.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, re=0, im=0):
+        for x in (re, im):
+            if not isinstance(x, (Fraction, int, str)):
+                raise TypeError(f"expected a rational value, got {type(x).__name__}")
+        re, im = Fraction(re), Fraction(im)
+        den = math.lcm(re.denominator, im.denominator)
+        _set(self, "num", GaussianInteger(re.numerator * (den // re.denominator),
+                                          im.numerator * (den // im.denominator)))
+        _set(self, "den", den)
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, ComplexRational):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return ComplexRational(value)
+        return NotImplemented
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.num.re, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.num.im, self.den)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        conj = other.num.conjugate()
+        return self._lowest(self.num * conj * other.den, self.den * (other.num * conj).re)
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other / self
 
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
     def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and self.im == 0
-        if isinstance(other, ComplexRational):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        return Fraction((self.num * self.num.conjugate()).re, self.den * self.den)
 
     def __hash__(self):
-        if self.im == 0:
+        if self.num.im == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -133,34 +181,23 @@ class ComplexRational:
         return f"ComplexRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {abs(self.im)}*i"
-
-
-def _coerce(value):
-    if isinstance(value, ComplexRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ComplexRational(value)
-    return NotImplemented
-
-
-CR_ZERO = ComplexRational(0)
-CR_ONE = ComplexRational(1)
-CR_I = ComplexRational(0, 1)
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {abs(im)}*i"
 
 
 class GaussianInteger:
     """An exact complex number with integer real and imaginary parts.
 
-    The numerator type of exact composition: complex-rational coefficients
-    are lifted over a shared integer denominator, so sums and products here
-    never normalize a fraction.  Instances are never mutated after
-    construction; the fields are plain slots to keep construction cheap.
+    The numerator of ``ComplexRational``, and the scalar exact composition
+    runs on: coefficients are lifted over a shared integer denominator, so
+    sums and products here never normalize a fraction.  Instances are never
+    mutated after construction; the fields are plain slots to keep
+    construction cheap.
     """
 
     __slots__ = ("re", "im")
@@ -194,6 +231,19 @@ class GaussianInteger:
 
     __rmul__ = __mul__
 
+    def conjugate(self) -> "GaussianInteger":
+        return GaussianInteger(self.re, -self.im)
+
+    def content(self) -> int:
+        return math.gcd(self.re, self.im)
+
+    def exact_div(self, d: int) -> "GaussianInteger":
+        re, rem_re = divmod(self.re, d)
+        im, rem_im = divmod(self.im, d)
+        if rem_re or rem_im:
+            raise ArithmeticError(f"{self!r} / {d} is not a Gaussian integer")
+        return GaussianInteger(re, im)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianInteger):
             return self.re == other.re and self.im == other.im
@@ -201,6 +251,10 @@ class GaussianInteger:
 
     def __repr__(self) -> str:
         return f"GaussianInteger({self.re!r}, {self.im!r})"
+
+
+CR_ZERO = ComplexRational(0)
+ComplexRational._zero = CR_ZERO
 
 
 class PiGradedScalar:

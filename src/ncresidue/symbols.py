@@ -30,11 +30,10 @@ _SYS = T.RATIONAL_SYSTEM
 
 
 def _as_cr(value) -> ComplexRational:
-    if isinstance(value, ComplexRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ComplexRational(value)
-    raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+    cr = ComplexRational._coerce(value)
+    if cr is NotImplemented:
+        raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+    return cr
 
 
 class SymbolTerm(NamedTuple):
@@ -328,11 +327,11 @@ def _sphere_sum(system, n: int, engine, bag: dict, den: int) -> PiGradedScalar:
             continue
         if integral.pi_exponent != grade:
             raise ArithmeticError("unexpected pi grade in a sphere integral")
-        weights.append((s, integral.coeff.re))
-    scale = math.lcm(*(w.denominator for _s, w in weights))
+        weights.append((s, integral.coeff))
+    scale = math.lcm(*(w.den for _s, w in weights))
     total = engine.zero
     for s, w in weights:
-        total = total + s * (w.numerator * (scale // w.denominator))
+        total = total + s * (w.num.re * (scale // w.den))
     if not total:
         return PiGradedScalar(0)
     return PiGradedScalar(system.lower(total, den * scale), grade)

@@ -13,9 +13,11 @@ negated, scaled by an ``int`` and tested for zero with their own operators
 supplies only what differs between backends: its ``zero``, scaling by a
 ``Fraction`` (``times_fraction``), the ``phase`` the product of two modes
 picks up, and the pair ``lift``/``lower`` that moves exact coefficients
-onto integer numerators over one denominator and back: complex-rational
-ones onto Gaussian integers, cyclotomic ones onto cyclotomic integers at
-their own order.
+onto their integer numerators over one shared denominator and back.  An
+exact coefficient already is a numerator over a denominator (Gaussian
+integers for complex rationals, cyclotomic integers at their own order
+for cyclotomic scalars), so lifting rescales numerators and lowering is
+one gcd; one ``lift``/``lower`` pair serves both exact calculi.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -33,7 +35,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import (
-    CYC_INT_ZERO,
     CYC_ZERO,
     CyclotomicInteger,
     CyclotomicScalar,
@@ -44,76 +45,21 @@ from .scalars import CR_ZERO, ComplexRational, GaussianInteger
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], int]
 
-_FRACTION_ZERO = Fraction(0)
-
-
-class RationalSystem:
-    """Exact complex-rational coefficients; trivial mode phases.
-
-    The twisted systems below derive from it and override what differs.
-    """
-
-    zero = CR_ZERO
-
-    @staticmethod
-    def times_fraction(s, f: Fraction):
-        return s * f
-
-    @staticmethod
-    def phase(left_mode, right_mode):
-        return None
-
-    @staticmethod
-    def lift(comps: dict[int, dict], scale: int = 1):
-        """The components as Gaussian-integer numerators over one denominator.
-
-        Returns ``(system, numerators, den)``: every coefficient s becomes
-        the Gaussian integer s * den, where den is the lcm of all the
-        denominators times ``scale``, and ``system`` is the coefficient
-        system of the numerators.  ``lower`` turns a numerator back into a
-        coefficient.
-        """
-        den = 1
-        for bag in comps.values():
-            for s in bag.values():
-                den = math.lcm(den, s.re.denominator, s.im.denominator)
-        den *= scale
-        lifted = {
-            deg: {
-                key: GaussianInteger(
-                    s.re.numerator * (den // s.re.denominator),
-                    s.im.numerator * (den // s.im.denominator),
-                )
-                for key, s in bag.items()
-            }
-            for deg, bag in comps.items()
-        }
-        return GAUSSIAN_SYSTEM, lifted, den
-
-    @staticmethod
-    def lower(s: GaussianInteger, den: int) -> ComplexRational:
-        """The coefficient s / den, in lowest terms."""
-        return ComplexRational(Fraction(s.re, den), Fraction(s.im, den))
-
 
 class GaussianIntegerSystem:
     """Numerators of exact complex-rational coefficients; trivial mode phases.
 
-    Scaling by a fraction is an exact integer division, which the ``scale``
-    given to ``RationalSystem.lift`` makes possible; a remainder would mean
-    a wrong scale, so it raises instead of rounding.
+    The cyclotomic numerator system derives from it.  Scaling by a fraction
+    is an exact division, which the ``scale`` given to
+    ``RationalSystem.lift`` makes possible; a remainder would mean a wrong
+    scale, so it raises instead of rounding.
     """
 
     zero = GaussianInteger(0, 0)
 
     @staticmethod
-    def times_fraction(s: GaussianInteger, f: Fraction) -> GaussianInteger:
-        d = f.denominator
-        re, rem_re = divmod(s.re * f.numerator, d)
-        im, rem_im = divmod(s.im * f.numerator, d)
-        if rem_re or rem_im:
-            raise ArithmeticError(f"{s!r} * {f} is not a Gaussian integer")
-        return GaussianInteger(re, im)
+    def times_fraction(s, f: Fraction):
+        return (s * f.numerator).exact_div(f.denominator)
 
     @staticmethod
     def phase(left_mode, right_mode):
@@ -123,72 +69,18 @@ class GaussianIntegerSystem:
 GAUSSIAN_SYSTEM = GaussianIntegerSystem()
 
 
-class CyclotomicSystem(RationalSystem):
-    """Exact cyclotomic coefficients twisted by a rational angle."""
-
-    zero = CYC_ZERO
-
-    def __init__(self, theta_num: int, theta_den: int):
-        self.theta_num = theta_num
-        self.theta_den = theta_den
-
-    def phase(self, left_mode, right_mode):
-        t = left_mode[1] * right_mode[0]
-        if (self.theta_num * t) % self.theta_den == 0:
-            return None
-        return cyclotomic_phase(self.theta_num, self.theta_den, t)
-
-    def lift(self, comps: dict[int, dict], scale: int = 1):
-        """The components as cyclotomic-integer numerators over one denominator.
-
-        As ``RationalSystem.lift``, with each coefficient kept at its own
-        order: den is the lcm of every rational coefficient's denominator
-        times ``scale``.
-        """
-        dens = {c.denominator for bag in comps.values() for s in bag.values() for c in s.coeffs}
-        den = math.lcm(*dens) * scale
-        lifted = {
-            deg: {
-                key: CyclotomicInteger(
-                    s.order, [c.numerator * (den // c.denominator) for c in s.coeffs]
-                )
-                for key, s in bag.items()
-            }
-            for deg, bag in comps.items()
-        }
-        return _cyclotomic_engine(self.theta_num, self.theta_den), lifted, den
-
-    @staticmethod
-    def lower(s: CyclotomicInteger, den: int) -> CyclotomicScalar:
-        """The coefficient s / den, at the order of s."""
-        return CyclotomicScalar(s.order, [Fraction(c, den) if c else _FRACTION_ZERO for c in s.coeffs])
-
-
-class CyclotomicIntegerSystem:
+class CyclotomicIntegerSystem(GaussianIntegerSystem):
     """Numerators of exact cyclotomic coefficients, twisted by theta_num/theta_den.
 
-    Scaling by a fraction is an exact division, as in
-    ``GaussianIntegerSystem``.  The phases are integer roots of unity, each
-    built once.
+    The phases are integer roots of unity, each built once.
     """
 
-    zero = CYC_INT_ZERO
+    zero = CyclotomicInteger(1, [0])
 
     def __init__(self, theta_num: int, theta_den: int):
         self.theta_num = theta_num
         self.theta_den = theta_den
         self._roots: dict[int, CyclotomicInteger] = {}
-
-    @staticmethod
-    def times_fraction(s: CyclotomicInteger, f: Fraction) -> CyclotomicInteger:
-        num, d = f.numerator, f.denominator
-        out = []
-        for c in s.coeffs:
-            q, rem = divmod(c * num, d)
-            if rem:
-                raise ArithmeticError(f"{s!r} * {f} is not a cyclotomic integer")
-            out.append(q)
-        return CyclotomicInteger(s.order, out)
 
     def phase(self, left_mode, right_mode):
         e = (self.theta_num * left_mode[1] * right_mode[0]) % self.theta_den
@@ -203,6 +95,65 @@ class CyclotomicIntegerSystem:
 @lru_cache(maxsize=64)
 def _cyclotomic_engine(theta_num: int, theta_den: int) -> CyclotomicIntegerSystem:
     return CyclotomicIntegerSystem(theta_num, theta_den)
+
+
+class RationalSystem:
+    """Exact complex-rational coefficients; trivial mode phases.
+
+    The twisted systems below derive from it and override what differs.
+    ``scalar`` is the coefficient class and ``engine`` the system of its
+    numerators.
+    """
+
+    zero = CR_ZERO
+    scalar = ComplexRational
+    engine = GAUSSIAN_SYSTEM
+
+    @staticmethod
+    def times_fraction(s, f: Fraction):
+        return s * f
+
+    @staticmethod
+    def phase(left_mode, right_mode):
+        return None
+
+    def lift(self, comps: dict[int, dict], scale: int = 1):
+        """The components as integer numerators over one denominator.
+
+        Returns ``(engine, numerators, den)``: every coefficient num / d
+        becomes the numerator num * (den / d), where den is the lcm of all
+        the denominators times ``scale``, and ``engine`` is the coefficient
+        system of the numerators.  ``lower`` turns a numerator back into a
+        coefficient.
+        """
+        den = math.lcm(*{s.den for bag in comps.values() for s in bag.values()}) * scale
+        lifted = {
+            deg: {key: s.num * (den // s.den) for key, s in bag.items()}
+            for deg, bag in comps.items()
+        }
+        return self.engine, lifted, den
+
+    def lower(self, s, den: int):
+        """The coefficient s / den, in lowest terms (at the order of s)."""
+        return self.scalar._lowest(s, den)
+
+
+class CyclotomicSystem(RationalSystem):
+    """Exact cyclotomic coefficients twisted by a rational angle."""
+
+    zero = CYC_ZERO
+    scalar = CyclotomicScalar
+
+    def __init__(self, theta_num: int, theta_den: int):
+        self.theta_num = theta_num
+        self.theta_den = theta_den
+        self.engine = _cyclotomic_engine(theta_num, theta_den)
+
+    def phase(self, left_mode, right_mode):
+        t = left_mode[1] * right_mode[0]
+        if (self.theta_num * t) % self.theta_den == 0:
+            return None
+        return cyclotomic_phase(self.theta_num, self.theta_den, t)
 
 
 class FloatSystem(RationalSystem):
@@ -456,6 +407,12 @@ def _divide_by_sum_sq(poly: dict, n: int, left: int):
 
 # -- composition ------------------------------------------------------------
 
+# compose_components refuses, before it lifts by K!, a composition whose
+# deepest derivative order K reaches more multi-indices |gamma| <= K in n
+# variables, C(K + n, n), than this: a floor far below the orders would walk
+# a tower that deep.  The tests and benchmarks reach 120 (K = 7, n = 3).
+MAX_GAMMA_COUNT = 1_000
+
 
 @lru_cache(maxsize=256)
 def compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -540,8 +497,14 @@ def compose_components(
             "assign a finite trusted floor to one factor"
         )
     caps = _level_caps(comps_a, comps_b, floor, gamma_cap)
+    deepest = max(caps.values(), default=0)
+    if math.comb(deepest + n, n) > MAX_GAMMA_COUNT:
+        raise ValidationError(
+            f"composition needs xi-derivatives up to order {deepest} in {n} variables, "
+            f"more than {MAX_GAMMA_COUNT} multi-indices; assign a higher trusted floor"
+        )
     engine, comps_a, den_a = system.lift(comps_a)
-    _, comps_b, den_b = system.lift(comps_b, math.factorial(max(caps.values(), default=0)))
+    _, comps_b, den_b = system.lift(comps_b, math.factorial(deepest))
     out: dict[int, dict] = {}
     weighted: dict[tuple, dict] = {}
     for a_deg, a_terms in comps_a.items():

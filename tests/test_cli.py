@@ -391,3 +391,42 @@ def test_nc_trace_check_bad_theta_gives_one_line(capsys, theta):
     assert out == ""
     assert err.startswith(f"validation error: bad theta {theta!r}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _deep_floor_pair(tmp_path, floor):
+    """Two 60-byte documents whose composition's tower is as deep as the floor."""
+    a, b = tmp_path / "a.sym", tmp_path / "b.sym"
+    a.write_text(f"dim 2 order 0 floor {floor}\n"
+                 "deg 0 { e(1,0) * r^0 }\ndeg -1 { e(0,1) * xi1 * r^-2 }\n")
+    b.write_text(f"dim 2 order 0 floor {floor}\n"
+                 "deg 0 { e(-1,0) * xi2^2 * r^-2 }\n")
+    return str(a), str(b)
+
+
+def test_compose_refuses_a_tower_past_the_gamma_limit(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compose", *_deep_floor_pair(tmp_path, -100000))
+    assert time.perf_counter() - start < 0.5
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert err.startswith("validation error: composition needs xi-derivatives up to order 99999")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_compose_just_inside_the_gamma_limit_still_runs(tmp_path, capsys):
+    # floor -44 reaches order K = 43, and C(45, 2) = 990 multi-indices
+    code, out, err = run(capsys, "compose", *_deep_floor_pair(tmp_path, -44))
+    assert code == 0 and err == ""
+    assert out.startswith("dim 2 order 0 floor -44\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_compose_refuses_an_output_integer_too_long_to_write(tmp_path, capsys, extra):
+    # the weights N^gamma of a 999-digit mode N reach about 7000 digits
+    a, b = tmp_path / "a.sym", tmp_path / "b.sym"
+    a.write_text("dim 2 order -1 floor -10\ndeg -1 { e(1,0) * r^-1 }\n")
+    b.write_text("dim 2 order -2 floor -10\ndeg -2 { e(" + "9" * 999 + ",0) * r^-2 }\n")
+    code, out, err = run(capsys, "compose", *extra, str(a), str(b))
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert err.startswith("validation error: a result coefficient holds an integer of more "
+                          "than 14000 bits")
+    assert err.count("\n") == 1 and "Traceback" not in err

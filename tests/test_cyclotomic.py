@@ -1,8 +1,11 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncresidue.cyclotomic import (
     CyclotomicInteger,
@@ -98,28 +101,129 @@ def test_cyclotomic_polynomials_multiply_to_x_q_minus_one():
         assert prod == [-1] + [0] * (q - 1) + [1], q
 
 
-def _numerator(x: CyclotomicScalar) -> CyclotomicInteger:
-    return CyclotomicInteger(x.order, [int(c) for c in x.coeffs])
+# -- a tests-only reference: dense Fraction polynomials reduced mod Phi_q -----------
+#
+# A value is (q, coordinates) on the power basis of zeta_q.  The order rule
+# the library states is kept here explicitly: a sum or product is formed at
+# the lcm of the operands' orders and stored there; negation, conjugation
+# and rational scaling keep the operand's order.
+
+
+def _ref(q, dense):
+    """(q, the remainder of sum_j dense[j] x^j by Phi_q, as Fractions)."""
+    phi = cyclotomic_polynomial(q)
+    deg = len(phi) - 1
+    work = [Fraction(c) for c in dense] + [Fraction(0)] * deg
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            for k, p in enumerate(phi):
+                work[i - deg + k] -= c * p
+    return q, tuple(work[:deg])
+
+
+def _ref_at(x, q):
+    # zeta_(x order) = zeta_q^step
+    step = q // x[0]
+    dense = [Fraction(0)] * (step * len(x[1]))
+    dense[::step] = x[1]
+    return _ref(q, dense)[1]
+
+
+def _ref_add(x, y):
+    q = math.lcm(x[0], y[0])
+    return q, tuple(a + b for a, b in zip(_ref_at(x, q), _ref_at(y, q)))
+
+
+def _ref_mul(x, y):
+    q = math.lcm(x[0], y[0])
+    a, b = _ref_at(x, q), _ref_at(y, q)
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return _ref(q, out)
+
+
+def _ref_scale(x, f):
+    return x[0], tuple(c * f for c in x[1])
+
+
+def _ref_conj(x):
+    q = x[0]
+    dense = [Fraction(0)] * q
+    for j, c in enumerate(x[1]):
+        dense[-j % q] += c
+    return _ref(q, dense)
+
+
+def _ref_root(q, e):
+    g = math.gcd(e % q, q)
+    dense = [0] * (e % q // g) + [1]
+    return _ref(q // g, dense)
 
 
 @pytest.mark.parametrize("orders", [(1, 1), (1, 4), (4, 5), (12, 20), (7, 12), (28, 15), (4, 97)])
 def test_integer_arithmetic_follows_the_scalar_order_rule(orders):
     """Sums, products, negation and integer scaling of numerators give the
-    order and coefficients the same operations on CyclotomicScalar give."""
+    order and coordinates of the reference."""
     rng = random.Random(sum(orders))
     for _ in range(6):
         # sparse integer values, some rational and some zero, stored at the given orders
-        a, b = (CyclotomicScalar(q, [rng.choice([1, -2, 3]) if rng.random() < 3 / q else 0
-                                     for _ in range(q)]) for q in orders)
-        ia, ib = _numerator(a), _numerator(b)
-        for got, want in ((ia + ib, a + b), (ib + ia, b + a), (ia * ib, a * b),
-                          (ib * ia, b * a), (-ia, -a), (ia * 3, a * 3), (ia * 1, a)):
-            assert (got.order, got.coeffs) == (want.order, [int(c) for c in want.coeffs])
-            assert bool(got) == bool(want)
+        ra, rb = (_ref(q, [rng.choice([1, -2, 3]) if rng.random() < 3 / q else 0
+                           for _ in range(q)]) for q in orders)
+        ia, ib = (CyclotomicInteger(q, [int(c) for c in coords]) for q, coords in (ra, rb))
+        for got, want in ((ia + ib, _ref_add(ra, rb)), (ib + ia, _ref_add(rb, ra)),
+                          (ia * ib, _ref_mul(ra, rb)), (ib * ia, _ref_mul(rb, ra)),
+                          (-ia, _ref_scale(ra, -1)), (ia * 3, _ref_scale(ra, 3)), (ia * 1, ra)):
+            assert all(c.denominator == 1 for c in want[1])
+            assert (got.order, got.coeffs) == (want[0], [int(c) for c in want[1]])
+            assert bool(got) == any(want[1])
     for q, e in ((1, 0), (4, 3), (12, 8), (30, 25), (997, 996)):
-        want = CyclotomicScalar.root_of_unity(q, e)
-        got = CyclotomicInteger.root_of_unity(q, e)
-        assert (got.order, got.coeffs) == (want.order, [int(c) for c in want.coeffs])
+        want = _ref_root(q, e)
+        for got in (CyclotomicInteger.root_of_unity(q, e), CyclotomicScalar.root_of_unity(q, e)):
+            assert (got.order, list(got.coeffs)) == (want[0], list(want[1]))
+
+
+def _assert_lowest_terms(x):
+    ints = list(x.num.coeffs) if isinstance(x, CyclotomicScalar) else [x.num.re, x.num.im]
+    assert all(type(c) is int for c in ints) and type(x.den) is int and x.den > 0
+    assert math.gcd(x.den, *ints) == 1  # zero has den 1
+
+
+_ref_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_ref_values = st.tuples(st.sampled_from([1, 2, 3, 4, 5, 6, 12, 20]),
+                        st.lists(_ref_fractions, max_size=25))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_ref_values, _ref_values, _ref_fractions.filter(bool), _ref_fractions, _ref_fractions)
+def test_exact_scalars_stay_in_lowest_terms_and_match_the_references(a, b, f, re, im):
+    """Cyclotomic field operations against the polynomial reference, and
+    complex-rational ones against pairs of Fractions; every result is kept in
+    lowest terms."""
+    x, y = CyclotomicScalar(*a), CyclotomicScalar(*b)
+    rx, ry = _ref(*a), _ref(*b)
+    for got, want in ((x, rx), (y, ry), (x + y, _ref_add(rx, ry)),
+                      (x - y, _ref_add(rx, _ref_scale(ry, -1))), (x * y, _ref_mul(rx, ry)),
+                      (-x, _ref_scale(rx, -1)), (x * f, _ref_scale(rx, f)),
+                      (x.conjugate(), _ref_conj(rx))):
+        _assert_lowest_terms(got)
+        assert (got.order, got.coeffs) == want
+    assert (x == y) == (_ref_at(rx, 60) == _ref_at(ry, 60))
+    u, v = ComplexRational(re, im), ComplexRational(f, re)
+    pairs = {"+": (re + f, im + re), "-": (re - f, im - re),
+             "*": (re * f - im * re, re * re + im * f), "conj": (re, -im), "scale": (re * f, im * f)}
+    norm = f * f + re * re
+    pairs["/"] = ((re * f + im * re) / norm, (im * f - re * re) / norm)
+    for tag, got in (("+", u + v), ("-", u - v), ("*", u * v), ("conj", u.conjugate()),
+                     ("scale", u * f), ("/", u / v)):
+        _assert_lowest_terms(got)
+        assert (got.re, got.im) == pairs[tag], tag
+    assert u.abs_squared() == re * re + im * im
+    if im == 0:
+        assert u == re and hash(u) == hash(re)
 
 
 def test_cross_order_equality():

@@ -36,7 +36,15 @@ It prints, on seeded inputs:
 - twisted symbol arithmetic at theta 0, 2/5 and 5/12: ``+``, ``-``, unary
   ``-``, ``scale`` by rational, Gaussian and cyclotomic scalars, and
   ``partial_xi`` and ``deriv_x`` with directions 0..3, each result shown
-  with its coefficients' ``repr`` (which shows their cyclotomic order).
+  with its coefficients' ``repr`` (which shows their cyclotomic order);
+- the exact scalars on their own: ``repr``, ``str``, ``to_complex``, the
+  parts, ``conjugate``, ``abs_squared``, ``hash`` and its agreement with
+  ``Fraction``'s, ``+``, ``-``, ``*`` and ``/`` both ways by ``int``,
+  ``Fraction`` and scalar, and ``==``, of ``ComplexRational`` values;
+  ``CyclotomicScalar`` values at orders 1, 4, 5, 12 and 20, built from long
+  unreduced vectors, with ``coeffs``, ``conjugate``, the same value at
+  order 60 and equality across orders; and sums, products and quotients
+  of ``PiGradedScalar`` values over both coefficient rings.
 
 Half of the pairs have part of the right factor moved onto the reflected
 modes of the left one, so most residues are nonzero, and some twisted
@@ -287,6 +295,89 @@ def dump_twisted_layer(lib, out):
             dump_twisted_arithmetic(lib, out, label, sym, syms[(k + 1) % len(syms)])
 
 
+def _seeded_fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def dump_complex_rationals(lib, out):
+    CR = lib.scalars.ComplexRational
+    rng = random.Random(80)
+    values = [CR(0), CR(1), CR(0, 1), CR(Fraction(-3, 4), Fraction(5, 6)), CR("7/21", "-0")]
+    values += [CR(_seeded_fraction(rng), _seeded_fraction(rng) * rng.randint(0, 1))
+               for _ in range(8)]
+    factors = [0, 1, -3, Fraction(2, 3), Fraction(-7, 4), 0.5]
+    for k, x in enumerate(values):
+        y = values[(k + 3) % len(values)]
+        label = f"complex rational {k}"
+        out(f"{label}: {x!r} str {x} complex {x.to_complex()!r} zero {x.is_zero()} "
+            f"bool {bool(x)} parts {x.re!r} {x.im!r}")
+        out(f"{label} conjugate {x.conjugate()!r} abs_squared {x.abs_squared()!r} "
+            f"neg {-x!r} hash {hash(x)} hash as Fraction "
+            f"{x.im != 0 or hash(x) == hash(Fraction(x.re))}")
+        for tag, fn in (("+", lambda: x + y), ("-", lambda: x - y), ("*", lambda: x * y),
+                        ("/", lambda: x / y), ("== other", lambda: x == y),
+                        ("== self", lambda: x == CR(x.re, x.im)),
+                        ("== re", lambda: x == x.re), ("== 0.5", lambda: x == 0.5)):
+            out(f"{label} {tag} {y!r}: {_outcome(fn)}")
+        for f in factors:
+            for tag, fn in (("+", lambda: x + f), ("r+", lambda: f + x), ("-", lambda: x - f),
+                            ("r-", lambda: f - x), ("*", lambda: x * f), ("r*", lambda: f * x),
+                            ("/", lambda: x / f), ("r/", lambda: f / x)):
+                out(f"{label} {tag} {f!r}: {_outcome(fn)}")
+
+
+def dump_cyclotomic_scalars(lib, out):
+    CS = lib.cyclotomic.CyclotomicScalar
+    CR = lib.scalars.ComplexRational
+    rng = random.Random(81)
+    values = []
+    for q in (1, 4, 5, 12, 20):
+        for length in (1, q + 3, 2 * q + 5):
+            # long unreduced vectors, some entries zero, so construction reduces
+            values.append(CS(q, [_seeded_fraction(rng) * (rng.random() < 0.6)
+                                 for _ in range(length)]))
+        values.append(CS.root_of_unity(q, rng.randint(-q, 2 * q)))
+    values += [CS.from_rational(Fraction(-5, 6)), CS.from_complex_rational(CR(1, Fraction(1, 3))),
+               CS(20, [0] * 45), CS(12, [2, 0, 0, 0, 0, 0, -2])]
+    factors = [0, 1, -3, Fraction(2, 3), CR(Fraction(1, 2), -1), 0.5]
+    for k, x in enumerate(values):
+        y = values[(k + 5) % len(values)]
+        label = f"cyclotomic {k}"
+        out(f"{label}: {x!r} str {x} complex {x.to_complex()!r} order {x.order} "
+            f"coeffs {x.coeffs!r} zero {x.is_zero()} rational {x.is_rational()}")
+        out(f"{label} conjugate {x.conjugate()!r} neg {-x!r} "
+            f"as Q(i): {_outcome(x.to_complex_rational)}")
+        # the same value stored at a larger order
+        wide = x + (CS.root_of_unity(60, 7) - CS.root_of_unity(60, 7))
+        out(f"{label} at order 60: {wide!r} equal {wide == x} {x == wide}")
+        for tag, fn in (("+", lambda: x + y), ("-", lambda: x - y), ("*", lambda: x * y),
+                        ("== other", lambda: x == y), ("== self", lambda: x == CS(x.order, x.coeffs))):
+            out(f"{label} {tag} {y!r}: {_outcome(fn)}")
+        for f in factors:
+            for tag, fn in (("+", lambda: x + f), ("r+", lambda: f + x), ("-", lambda: x - f),
+                            ("r-", lambda: f - x), ("*", lambda: x * f), ("r*", lambda: f * x),
+                            ("==", lambda: x == f)):
+                out(f"{label} {tag} {f!r}: {_outcome(fn)}")
+
+
+def dump_pi_graded(lib, out):
+    PG = lib.scalars.PiGradedScalar
+    CR = lib.scalars.ComplexRational
+    CS = lib.cyclotomic.CyclotomicScalar
+    values = [PG(0), PG(Fraction(3, 4)), PG(2, Fraction(1, 2)), PG(CR(Fraction(-1, 3), 2), 2),
+              PG(CR(0, Fraction(5, 7)), 2), PG(CS.root_of_unity(5, 2) * Fraction(3, 2), 1),
+              PG(CS(12, [1, 0, Fraction(-1, 2)]), 1), PG(Fraction(-9, 8), 1)]
+    for k, x in enumerate(values):
+        label = f"pi graded {k}"
+        out(f"{label}: {x!r} str {x} complex {x.to_complex()!r} zero {x.is_zero()}")
+        for j, y in enumerate(values):
+            for tag, fn in (("+", lambda: x + y), ("-", lambda: x - y), ("*", lambda: x * y),
+                            ("/", lambda: x / y), ("==", lambda: x == y)):
+                out(f"{label} {tag} {j}: {_outcome(fn)}")
+        for f in (0, -2, Fraction(5, 3), CR(1, -1)):
+            out(f"{label} * {f!r}: {_outcome(lambda: x * f)} r* {_outcome(lambda: f * x)}")
+
+
 def _run_cli(lib, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -396,6 +487,9 @@ def main(argv=None) -> int:
     docs = dump_api(lib, lines.append)
     dump_classical_layer(lib, lines.append)
     dump_twisted_layer(lib, lines.append)
+    dump_complex_rationals(lib, lines.append)
+    dump_cyclotomic_scalars(lib, lines.append)
+    dump_pi_graded(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
     sys.stdout.write("".join(line + "\n" for line in lines))
