@@ -103,8 +103,8 @@ def _normalized_residue(sigma) -> PiGradedScalar:
         if mode == zero_mode
     }
     system = sigma._system
-    engine, lifted, den = system.lift({-n: bag})
-    return _sphere_sum(system, n, engine, lifted[-n], den)
+    lifted, den = system.lift({-n: bag})
+    return _sphere_sum(system, n, lifted[-n], den)
 
 
 def residue(sigma: ClassicalSymbol) -> PiGradedScalar:

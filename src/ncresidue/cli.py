@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .calculus import (
     commutator_exp,
@@ -23,6 +25,8 @@ from .calculus import (
 )
 from .cyclotomic import CyclotomicScalar
 from .dsl import (
+    MAX_DIMENSION,
+    _check_cyclotomic_order,
     _coeff_to_json,
     format_nc_element,
     format_symbol,
@@ -151,12 +155,20 @@ def _random_pair(rng: random.Random, dim: int, theta: Fraction | None):
 
 
 def _cmd_trace_check(args) -> int:
-    """``trace-check`` and ``nc-trace-check``: the trace defect of random pairs."""
+    """``trace-check`` and ``nc-trace-check``: the trace defect of random pairs.
+
+    The dimension and the twist are held to the limits a document is held to.
+    """
+    if args.trials < 0:
+        raise ValidationError(f"--trials must be nonnegative, got {args.trials}")
     if args.command == "trace-check":
+        if args.dim > MAX_DIMENSION:
+            raise ValidationError(f"dimension {args.dim} is beyond the limit {MAX_DIMENSION}")
         dim, theta, defect_of = args.dim, None, trace_defect
         key, value = "dim", args.dim
     else:
         theta = Theta.from_rational(args.theta).exact
+        _check_cyclotomic_order(math.lcm(4, theta.denominator), f"theta {theta}")
         dim, defect_of = 2, nc_trace_defect
         key, value = "theta", str(theta)
     rng = random.Random(args.seed)
@@ -327,6 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, not at import, and kept for the process
+_parser = lru_cache(maxsize=None)(build_parser)
+
 _TEXT_OPTIONS = ("--element", "--theta")
 
 
@@ -365,7 +380,7 @@ def _attach_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_attach_values(parser, sys.argv[1:] if argv is None else list(argv)))
     args._stdin_used = [False]
     try:

@@ -35,7 +35,7 @@ from typing import NamedTuple
 from . import terms as T
 from .cyclotomic import CyclotomicScalar, decompose_root
 from .errors import DomainError, ParseError, ValidationError
-from .nctorus import NCPolynomial, NCSymbol, Theta, _coerce_scalar, _system_for
+from .nctorus import NCPolynomial, NCSymbol, Theta, _system_for
 from .scalars import ComplexRational
 from .symbols import ClassicalSymbol, HomogeneousComponent
 
@@ -143,7 +143,7 @@ class _Parser:
         self.system = _system_for(theta)
 
     def scalar(self, value: ComplexRational):
-        return value if self.theta is None else _coerce_scalar(self.theta, value)
+        return self.system.coerce(value)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -706,6 +706,7 @@ def symbol_from_json(data: dict):
             cyclotomic_order = _check_cyclotomic_order(
                 math.lcm(4, theta.exact.denominator), f"theta {theta.exact}"
             )
+    system = _system_for(theta)
     blocks: dict[int, dict] = {}
     block_list = data.get("blocks", [])
     if not isinstance(block_list, list):
@@ -746,9 +747,7 @@ def symbol_from_json(data: dict):
                 mode = _json_ints(term.get("nc", (0, 0)), "nc")
                 if len(mode) != 2:
                     raise ValidationError(f"bad U/V exponents {term.get('nc')}")
-                scalar = _coerce_scalar(
-                    theta, _coeff_from_json(term["coeff"], exact=theta.is_exact)
-                )
+                scalar = system.coerce(_coeff_from_json(term["coeff"], exact=theta.is_exact))
                 if "phase" in term:
                     q, b = _json_phase(term["phase"])
                     if theta.is_exact:

@@ -5,8 +5,11 @@ their residue, and the theta = 0 bridge back to the ordinary torus.
 Two scalar backends coexist: exact cyclotomic coefficients for rational
 twists (decidable equality, exact trace identities) and floating complex
 coefficients for continuity experiments at arbitrary twists.  The twist
-picks the backend in one place, ``_system_for``, and the backend's
-``phase`` is the only place the factor e^(2 pi i theta t) is computed.
+picks the backend in one place, ``_system_for``, which keeps one
+coefficient system per exact twist.  That system coerces every
+coefficient, and its ``phase`` is the only place the factor
+e^(2 pi i theta t) is computed: an integer root of unity, built once per
+exponent, which numerators and coefficients multiply by alike.
 
 This module keeps only what is particular to the twisted algebra.  The
 calculus itself is the commutative one with D_x replaced by delta_j:
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 
 from . import terms as T
 from .calculus import (
@@ -30,9 +33,8 @@ from .calculus import (
     compose,
     residue,
 )
-from .cyclotomic import CyclotomicScalar
 from .errors import DomainError, ValidationError
-from .scalars import ComplexRational, PiGradedScalar, torus_volume
+from .scalars import PiGradedScalar, torus_volume
 from .symbols import ClassicalSymbol, HomogeneousComponent, _canonical_bag, _Symbol
 
 
@@ -91,23 +93,22 @@ THETA_ZERO = Theta.from_rational(0)
 
 
 def _system_for(theta: Theta | None):
-    """The coefficient system of a twist; None is the commutative calculus."""
+    """The coefficient system of a twist; None is the commutative calculus.
+
+    An exact twist has one system (``_exact_system``), so the roots of
+    unity its phase builds are kept from call to call.  A float one is
+    built afresh: 0.0 and -0.0 are one twist, but their phases differ in
+    the sign of a zero part.
+    """
     if theta is None:
         return T.RATIONAL_SYSTEM
     if theta.is_exact:
-        return T.CyclotomicSystem(theta.exact.numerator, theta.exact.denominator)
+        return _exact_system(theta.exact.numerator, theta.exact.denominator)
     return T.FloatSystem(theta.approximate)
 
 
-def _coerce_scalar(theta: Theta, value):
-    if theta.is_exact:
-        scalar = CyclotomicScalar._coerce(value)
-        if scalar is NotImplemented:
-            raise TypeError(f"exact backend cannot hold a {type(value).__name__} coefficient")
-        return scalar
-    if isinstance(value, (CyclotomicScalar, ComplexRational)):
-        return value.to_complex()
-    return complex(value)
+# keyed by two ints, which hash faster than the Fraction
+_exact_system = lru_cache(maxsize=64)(T.CyclotomicSystem)
 
 
 class NCPolynomial:
@@ -117,9 +118,10 @@ class NCPolynomial:
 
     def __init__(self, theta: Theta, coeffs: dict | None = None):
         clean = {}
+        coerce = _system_for(theta).coerce
         for mode, value in (coeffs or {}).items():
             m, n = mode
-            s = _coerce_scalar(theta, value)
+            s = coerce(value)
             if s:
                 clean[(int(m), int(n))] = s
         object.__setattr__(self, "theta", theta)
@@ -191,7 +193,7 @@ class NCPolynomial:
             return NCPolynomial(self.theta, {key[0]: s for key, s in prod.items()})
         # scalar multiple
         try:
-            s = _coerce_scalar(self.theta, other)
+            s = self._system.coerce(other)
         except TypeError:
             return NotImplemented
         return NCPolynomial(self.theta, {mode: s * v for mode, v in self.coeffs.items()})
@@ -278,7 +280,7 @@ class NCSymbol(_Symbol):
         components: dict | None = None,
         trusted_floor: int | None = None,
     ):
-        coerce = partial(_coerce_scalar, theta)
+        coerce = _system_for(theta).coerce
         bags = (
             (deg, _canonical_bag(2, deg, _block_items(block), coerce))
             for deg, block in (components or {}).items()
@@ -292,9 +294,6 @@ class NCSymbol(_Symbol):
     @property
     def _system(self):
         return _system_for(self.theta)
-
-    def _coerce(self, value):
-        return _coerce_scalar(self.theta, value)
 
     def _check_composable(self, other: "NCSymbol") -> None:
         if self.theta != other.theta:
@@ -369,6 +368,7 @@ def nc_apply(sigma: NCSymbol, a: NCPolynomial) -> NCPolynomial:
     if sigma.theta != a.theta:
         raise ValidationError("twist mismatch between symbol and argument")
     theta = Theta.from_float(sigma.theta.as_float())
+    coerce = _system_for(theta).coerce
     out = NCPolynomial.zero(theta)
     for (m, n), coeff in a.coeffs.items():
         if (m, n) == (0, 0):
@@ -380,7 +380,7 @@ def nc_apply(sigma: NCSymbol, a: NCPolynomial) -> NCPolynomial:
             v = (m ** alpha[0]) * (n ** alpha[1]) * radial
             if v == 0:
                 continue
-            values[mode] = values.get(mode, 0j) + _coerce_scalar(theta, s) * v
+            values[mode] = values.get(mode, 0j) + coerce(s) * v
         sym_val = NCPolynomial(theta, values)
         out = out + sym_val * NCPolynomial(theta, {(m, n): coeff})
     return out

@@ -39,10 +39,12 @@ class _Quotient:
 
     Kept in lowest terms: den and the content of num (the gcd of its
     coefficients) are coprime, and zero has den 1, so structural equality
-    is equality of values.  The numerator supplies its ring operations,
-    ``content``, ``exact_div`` and ``conjugate``; a subclass supplies
-    ``_coerce`` (a value of its class, or ``NotImplemented``) and ``_zero``,
-    the value a rational zero factor gives.
+    is equality of values.  A scalar multiplies by a bare numerator (such
+    as a twist's root of unity) as by a scalar of denominator 1.  The
+    numerator supplies its ring operations, ``content``, ``exact_div`` and
+    ``conjugate``; a subclass supplies ``_coerce`` (a value of its class,
+    or ``NotImplemented``) and ``_zero``, the value a rational zero factor
+    gives.
     """
 
     __slots__ = ("num", "den")
@@ -99,6 +101,8 @@ class _Quotient:
             if not other:
                 return self._zero
             return self._lowest(self.num * other.numerator, self.den * other.denominator)
+        if type(other) is type(self.num):
+            return self._lowest(self.num * other, self.den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

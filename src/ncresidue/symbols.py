@@ -29,13 +29,6 @@ from .scalars import (
 _SYS = T.RATIONAL_SYSTEM
 
 
-def _as_cr(value) -> ComplexRational:
-    cr = ComplexRational._coerce(value)
-    if cr is NotImplemented:
-        raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
-    return cr
-
-
 class SymbolTerm(NamedTuple):
     """coeff * e^(i mode.x) * xi^alpha * |xi|^npow"""
 
@@ -100,7 +93,7 @@ class HomogeneousComponent:
             raise ValidationError(f"dimension must be at least 2, got {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", _canonical_bag(n, degree, terms, _as_cr))
+        object.__setattr__(self, "_terms", _canonical_bag(n, degree, terms, _SYS.coerce))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogeneousComponent is immutable")
@@ -159,7 +152,7 @@ class HomogeneousComponent:
 
     def scale(self, c) -> "HomogeneousComponent":
         return HomogeneousComponent._from_canonical(
-            self.n, self.degree, _scale_bag(self._terms, _as_cr(c))
+            self.n, self.degree, _scale_bag(self._terms, _SYS.coerce(c))
         )
 
     def __mul__(self, other):
@@ -231,7 +224,7 @@ class TrigPolynomial:
             mode = tuple(mode)
             if len(mode) != n:
                 raise ValidationError(f"Fourier mode {mode} has length != {n}")
-            c = _as_cr(c)
+            c = _SYS.coerce(c)
             if not c.is_zero():
                 clean[mode] = c
         object.__setattr__(self, "n", n)
@@ -263,14 +256,14 @@ class TrigPolynomial:
         return self + (-other)
 
     def scale(self, c) -> "TrigPolynomial":
-        c = _as_cr(c)
+        c = _SYS.coerce(c)
         return TrigPolynomial(self.n, {m: c * v for m, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TrigPolynomial):
             return self.n == other.n and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction, ComplexRational)):
-            other = _as_cr(other)
+            other = _SYS.coerce(other)
             if other.is_zero():
                 return self.is_zero()
             return self.coeffs == {(0,) * self.n: other}
@@ -311,13 +304,13 @@ def euler_antiderivatives(component: HomogeneousComponent) -> list[HomogeneousCo
     return out
 
 
-def _sphere_sum(system, n: int, engine, bag: dict, den: int) -> PiGradedScalar:
+def _sphere_sum(system, n: int, bag: dict, den: int) -> PiGradedScalar:
     """Integral over S^(n-1) of sum_alpha (s / den) xi^alpha.
 
-    ``bag`` maps alpha to a numerator of the engine system, as ``lift``
-    returns it.  Each numerator is scaled by its monomial integral over the
-    lcm L of the integrals' denominators, so the sum stays on numerators,
-    and the total is lowered once, over den * L.
+    ``bag`` maps alpha to a numerator of the system, as ``lift`` returns
+    it.  Each numerator is scaled by its monomial integral over the lcm L
+    of the integrals' denominators, so the sum stays on numerators, and the
+    total is lowered once, over den * L.
     """
     grade = Fraction(n // 2)  # pi grade of every nonzero monomial integral on S^(n-1)
     weights = []
@@ -329,9 +322,10 @@ def _sphere_sum(system, n: int, engine, bag: dict, den: int) -> PiGradedScalar:
             raise ArithmeticError("unexpected pi grade in a sphere integral")
         weights.append((s, integral.coeff))
     scale = math.lcm(*(w.den for _s, w in weights))
-    total = engine.zero
+    total = None
     for s, w in weights:
-        total = total + s * (w.num.re * (scale // w.den))
+        term = s * (w.num.re * (scale // w.den))
+        total = term if total is None else total + term
     if not total:
         return PiGradedScalar(0)
     return PiGradedScalar(system.lower(total, den * scale), grade)
@@ -354,11 +348,11 @@ def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
     for (mode, alpha, _p), s in component.raw_terms().items():
         by_mode.setdefault(mode, {})[alpha] = s
     # one lift for all the modes, so they share one denominator
-    engine, lifted, den = _SYS.lift(by_mode)
+    lifted, den = _SYS.lift(by_mode)
     # the measure is the integral of 1, whose pi grade every sphere sum has
     per_measure = 1 / sphere_surface_measure(n).coeff.re
     coeffs = {
-        mode: _sphere_sum(_SYS, n, engine, bag, den).coeff * per_measure
+        mode: _sphere_sum(_SYS, n, bag, den).coeff * per_measure
         for mode, bag in lifted.items()
     }
     return TrigPolynomial(n, coeffs)
@@ -369,7 +363,7 @@ class _Symbol:
 
     ``_space`` is what two symbols must share (the dimension of a
     ``ClassicalSymbol``, the twist of an ``NCSymbol``).  A subclass supplies
-    ``n``, its coefficient ``_system``, ``_coerce`` for scalars and
+    ``n``, its coefficient ``_system`` (which also coerces scalars) and
     ``_space_name``.  D_x on the torus and delta_j on the twisted side both
     scale a term by its mode, so ``deriv_x`` serves both.
     """
@@ -469,7 +463,7 @@ class _Symbol:
         return self.scale(-1)
 
     def scale(self, c):
-        c = self._coerce(c)
+        c = self._system.coerce(c)
         bags = {deg: _scale_bag(bag, c) for deg, bag in self._components.items()}
         return self._with_term_bags(self.order, bags, self.trusted_floor)
 
@@ -504,7 +498,6 @@ class ClassicalSymbol(_Symbol):
     __slots__ = ()
 
     _system = _SYS
-    _coerce = staticmethod(_as_cr)
     _space_name = "dimension"
 
     def __init__(

@@ -9,15 +9,21 @@ point on the torus, or the (m, n) word exponents of the twisted algebra),
 ``alpha`` the xi-monomial exponents and ``npow`` the power of |xi|.  The
 same representation serves both calculi.  Scalars are added, multiplied,
 negated, scaled by an ``int`` and tested for zero with their own operators
-(``+``, ``*``, unary ``-``, truthiness).  A coefficient-system object
-supplies only what differs between backends: its ``zero``, scaling by a
-``Fraction`` (``times_fraction``), the ``phase`` the product of two modes
-picks up, and the pair ``lift``/``lower`` that moves exact coefficients
-onto their integer numerators over one shared denominator and back.  An
-exact coefficient already is a numerator over a denominator (Gaussian
-integers for complex rationals, cyclotomic integers at their own order
-for cyclotomic scalars), so lifting rescales numerators and lowering is
-one gcd; one ``lift``/``lower`` pair serves both exact calculi.
+(``+``, ``*``, unary ``-``, truthiness).  Each calculus has one
+coefficient-system object, which supplies only what differs between
+backends: the coefficient class and its ``zero``, ``coerce`` of an outside
+value, the ``phase`` the product of two modes picks up, and the pair
+``lift``/``lower`` that moves exact coefficients onto their integer
+numerators over one shared denominator and back.  An exact coefficient
+already is a numerator over a denominator (Gaussian integers for complex
+rationals, cyclotomic integers at their own order for cyclotomic
+scalars), so lifting rescales numerators and lowering is one gcd; one
+``lift``/``lower`` pair serves both exact calculi.  The phase works on
+both levels: the twisted one is an integer root of unity, which a
+numerator and a ``CyclotomicScalar`` multiply by alike.  Composition
+weights w/gamma! are applied as the integers w * (K!/gamma!), with K! in
+the one denominator that is lowered at the end, so no ``Fraction`` is
+formed on the way.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -31,51 +37,69 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (
-    CYC_ZERO,
-    CyclotomicInteger,
-    CyclotomicScalar,
-    cyclotomic_phase,
-)
+from .cyclotomic import CYC_ZERO, CyclotomicInteger, CyclotomicScalar
 from .errors import ValidationError
-from .scalars import CR_ZERO, ComplexRational, GaussianInteger
+from .scalars import CR_ZERO, ComplexRational
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-class GaussianIntegerSystem:
-    """Numerators of exact complex-rational coefficients; trivial mode phases.
+class RationalSystem:
+    """Exact complex-rational coefficients; trivial mode phases.
 
-    The cyclotomic numerator system derives from it.  Scaling by a fraction
-    is an exact division, which the ``scale`` given to
-    ``RationalSystem.lift`` makes possible; a remainder would mean a wrong
-    scale, so it raises instead of rounding.
+    The twisted systems below derive from it and override what differs.
+    ``scalar`` is the coefficient class.
     """
 
-    zero = GaussianInteger(0, 0)
+    zero = CR_ZERO
+    scalar = ComplexRational
+    _refusal = "expected an exact scalar, got {}"
 
-    @staticmethod
-    def times_fraction(s, f: Fraction):
-        return (s * f.numerator).exact_div(f.denominator)
+    def coerce(self, value):
+        """``value`` as a coefficient of this system, or ``TypeError``."""
+        s = self.scalar._coerce(value)
+        if s is NotImplemented:
+            raise TypeError(self._refusal.format(type(value).__name__))
+        return s
 
     @staticmethod
     def phase(left_mode, right_mode):
         return None
 
+    @staticmethod
+    def lift(comps: dict[int, dict]):
+        """The components as integer numerators over one denominator.
 
-GAUSSIAN_SYSTEM = GaussianIntegerSystem()
+        Returns ``(numerators, den)``: every coefficient num / d becomes the
+        numerator num * (den / d), where den is the lcm of all the
+        denominators.  ``lower`` turns a numerator back into a coefficient.
+        """
+        den = math.lcm(*{s.den for bag in comps.values() for s in bag.values()})
+        lifted = {
+            deg: {key: s.num * (den // s.den) for key, s in bag.items()}
+            for deg, bag in comps.items()
+        }
+        return lifted, den
+
+    def lower(self, s, den: int):
+        """The coefficient s / den, in lowest terms (at the order of s)."""
+        return self.scalar._lowest(s, den)
 
 
-class CyclotomicIntegerSystem(GaussianIntegerSystem):
-    """Numerators of exact cyclotomic coefficients, twisted by theta_num/theta_den.
+class CyclotomicSystem(RationalSystem):
+    """Exact cyclotomic coefficients twisted by theta_num / theta_den.
 
-    The phases are integer roots of unity, each built once.
+    The phase of two modes is an integer root of unity, built once per
+    exponent and kept for the life of the system (``nctorus._system_for``
+    builds one system per twist).  Numerators and coefficients both
+    multiply by it.
     """
 
-    zero = CyclotomicInteger(1, [0])
+    zero = CYC_ZERO
+    scalar = CyclotomicScalar
+    _refusal = "exact backend cannot hold a {} coefficient"
 
     def __init__(self, theta_num: int, theta_den: int):
         self.theta_num = theta_num
@@ -92,70 +116,6 @@ class CyclotomicIntegerSystem(GaussianIntegerSystem):
         return root
 
 
-@lru_cache(maxsize=64)
-def _cyclotomic_engine(theta_num: int, theta_den: int) -> CyclotomicIntegerSystem:
-    return CyclotomicIntegerSystem(theta_num, theta_den)
-
-
-class RationalSystem:
-    """Exact complex-rational coefficients; trivial mode phases.
-
-    The twisted systems below derive from it and override what differs.
-    ``scalar`` is the coefficient class and ``engine`` the system of its
-    numerators.
-    """
-
-    zero = CR_ZERO
-    scalar = ComplexRational
-    engine = GAUSSIAN_SYSTEM
-
-    @staticmethod
-    def times_fraction(s, f: Fraction):
-        return s * f
-
-    @staticmethod
-    def phase(left_mode, right_mode):
-        return None
-
-    def lift(self, comps: dict[int, dict], scale: int = 1):
-        """The components as integer numerators over one denominator.
-
-        Returns ``(engine, numerators, den)``: every coefficient num / d
-        becomes the numerator num * (den / d), where den is the lcm of all
-        the denominators times ``scale``, and ``engine`` is the coefficient
-        system of the numerators.  ``lower`` turns a numerator back into a
-        coefficient.
-        """
-        den = math.lcm(*{s.den for bag in comps.values() for s in bag.values()}) * scale
-        lifted = {
-            deg: {key: s.num * (den // s.den) for key, s in bag.items()}
-            for deg, bag in comps.items()
-        }
-        return self.engine, lifted, den
-
-    def lower(self, s, den: int):
-        """The coefficient s / den, in lowest terms (at the order of s)."""
-        return self.scalar._lowest(s, den)
-
-
-class CyclotomicSystem(RationalSystem):
-    """Exact cyclotomic coefficients twisted by a rational angle."""
-
-    zero = CYC_ZERO
-    scalar = CyclotomicScalar
-
-    def __init__(self, theta_num: int, theta_den: int):
-        self.theta_num = theta_num
-        self.theta_den = theta_den
-        self.engine = _cyclotomic_engine(theta_num, theta_den)
-
-    def phase(self, left_mode, right_mode):
-        t = left_mode[1] * right_mode[0]
-        if (self.theta_num * t) % self.theta_den == 0:
-            return None
-        return cyclotomic_phase(self.theta_num, self.theta_den, t)
-
-
 class FloatSystem(RationalSystem):
     """Floating complex coefficients for numerical experiments.
 
@@ -165,13 +125,16 @@ class FloatSystem(RationalSystem):
     """
 
     zero = 0j
+    scalar = complex
 
     def __init__(self, theta: float = 0.0):
         self.theta = float(theta)
 
     @staticmethod
-    def times_fraction(s, f: Fraction):
-        return s * float(f)
+    def coerce(value) -> complex:
+        if isinstance(value, (CyclotomicScalar, ComplexRational)):
+            return value.to_complex()
+        return complex(value)
 
     def phase(self, left_mode, right_mode):
         t = left_mode[1] * right_mode[0]
@@ -180,8 +143,9 @@ class FloatSystem(RationalSystem):
         # also at theta 0.0: the factor 1+0j settles the sign of zero parts
         return cmath.exp(2j * cmath.pi * self.theta * t)
 
-    def lift(self, comps: dict[int, dict], scale: int = 1):
-        return self, comps, 1
+    @staticmethod
+    def lift(comps: dict[int, dict]):
+        return comps, 1
 
     @staticmethod
     def lower(s: complex, den: int) -> complex:
@@ -482,11 +446,11 @@ def compose_components(
     weighted right factor (1/gamma!) D^gamma b is formed once per
     (b_deg, gamma) and serves every left component.
 
-    Both factors are lifted on entry (``system.lift``), the right one scaled
-    by K!, where K is the deepest derivative order any pair reaches: every
-    weight w/gamma! then divides exactly, the whole sum runs on numerators
-    over the one denominator of the two lifts, and each emitted coefficient
-    is divided by it once (``system.lower``).
+    Both factors are lifted on entry (``system.lift``), and each weight
+    w/gamma! is applied as the integer w * (K!/gamma!), where K is the
+    deepest derivative order any pair reaches: the whole sum runs on
+    numerators over one denominator, the two lifts' denominators times K!,
+    and each emitted coefficient is divided by it once (``system.lower``).
     """
     if floor is None and gamma_cap is None and not (
         all(terms_polynomial(t) for t in comps_a.values())
@@ -503,8 +467,9 @@ def compose_components(
             f"composition needs xi-derivatives up to order {deepest} in {n} variables, "
             f"more than {MAX_GAMMA_COUNT} multi-indices; assign a higher trusted floor"
         )
-    engine, comps_a, den_a = system.lift(comps_a)
-    _, comps_b, den_b = system.lift(comps_b, math.factorial(deepest))
+    comps_a, den_a = system.lift(comps_a)
+    comps_b, den_b = system.lift(comps_b)
+    scale = math.factorial(deepest)
     out: dict[int, dict] = {}
     weighted: dict[tuple, dict] = {}
     for a_deg, a_terms in comps_a.items():
@@ -522,11 +487,11 @@ def compose_components(
                 for gamma, left in level:
                     right = weighted.get((b_deg, gamma))
                     if right is None:
-                        right = _weighted_right(engine, b_terms, gamma)
+                        right = _weighted_right(b_terms, gamma, scale)
                         weighted[(b_deg, gamma)] = right
                     if right:
-                        mul_terms(engine, left, right, out=bucket)
-    den = den_a * den_b
+                        mul_terms(system, left, right, out=bucket)
+    den = den_a * den_b * scale
     result = {}
     for d, raw in out.items():
         ct = canonical_terms(n, d, raw)
@@ -562,15 +527,15 @@ def _level_caps(comps_a, comps_b, floor, gamma_cap) -> dict[tuple[int, int], int
     return caps
 
 
-def _weighted_right(system, b_terms: dict, gamma: tuple[int, ...]) -> dict:
-    # (1/gamma!) D^gamma applied termwise: each term scales by mode^gamma
+def _weighted_right(b_terms: dict, gamma: tuple[int, ...], scale: int) -> dict:
+    # (scale/gamma!) D^gamma applied termwise: each term scales by mode^gamma
+    fact = scale // gamma_factorial(gamma)
     if not any(gamma):
-        return b_terms
-    fact = gamma_factorial(gamma)
+        return b_terms if fact == 1 else {key: s * fact for key, s in b_terms.items()}
     out = {}
     for key, s in b_terms.items():
         mode = key[0]
-        w = 1
+        w = fact
         for axis, g in enumerate(gamma):
             if g:
                 m = mode[axis]
@@ -579,7 +544,7 @@ def _weighted_right(system, b_terms: dict, gamma: tuple[int, ...]) -> dict:
                     break
                 w *= m**g
         if w:
-            out[key] = system.times_fraction(s, Fraction(w, fact))
+            out[key] = s * w
     return out
 
 
@@ -605,12 +570,12 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     derivatives of each group are memoised (``xi_derivative``), and the
     phase and weight are formed once per group and gamma.
 
-    As in ``compose_components``, both factors are lifted on entry, here the
-    left one scaled by K! because it carries the weights w/gamma!.  Returns
-    ``(engine, bag, den)``: the numerator system, the bag of numerators and
-    the denominator of the lifts, which the sphere sum lowers by once.
+    As in ``compose_components``, both factors are lifted on entry and the
+    weights are the integers w * (K!/gamma!).  Returns ``(bag, den)``: the
+    bag of numerators and their one denominator, the lifts' denominators
+    times K!, which the sphere sum lowers by once.
     """
-    engine, comps_b, den_b = system.lift(comps_b)
+    comps_b, den_b = system.lift(comps_b)
     partners: dict[int, dict] = {}  # b_deg -> mode -> parity -> [(alpha, numerator)]
     for b_deg, b_terms in comps_b.items():
         index: dict = {}
@@ -631,7 +596,8 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
             if k < 0 or (k and all(not any(mode) for mode in index)):
                 continue  # degree -n out of reach, or D^gamma kills every right term
             levels[(a_deg, b_deg)] = k
-    _, comps_a, den_a = system.lift(kept, math.factorial(max(levels.values(), default=0)))
+    comps_a, den_a = system.lift(kept)
+    scale = math.factorial(max(levels.values(), default=0))
     add = operator.add
     out: dict = {}
     for a_deg, a_terms in comps_a.items():
@@ -641,7 +607,7 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
         for (m1, par), group in groups.items():
             m2 = tuple(-x for x in m1)
             support = tuple(j for j, x in enumerate(m1) if x)
-            ph = engine.phase(m1, m2)
+            ph = system.phase(m1, m2)
             memo = {(0,) * n: group}
             for b_deg, index in partners.items():
                 k = levels.get((a_deg, b_deg))
@@ -654,20 +620,18 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
                         left = xi_derivative(memo, gamma)
                         if not left:
                             continue
-                        w = 1
+                        w = scale // gamma_factorial(gamma)
                         for m, g in zip(m2, gamma):
                             w *= m**g
-                        fact = gamma_factorial(gamma)
-                        f = None if w == fact else Fraction(w, fact)
                         for (_m, a1, _p), s1 in left.items():
-                            if f is not None:
-                                s1 = engine.times_fraction(s1, f)
+                            if w != 1:
+                                s1 = s1 * w
                             for a2, s2 in right:
                                 s = s1 * s2
                                 if ph is not None:
                                     s = s * ph
                                 bag_add(out, tuple(map(add, a1, a2)), s)
-    return engine, out, den_a * den_b
+    return out, den_a * den_b * scale
 
 
 @lru_cache(maxsize=1024)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -391,6 +394,51 @@ def test_nc_trace_check_bad_theta_gives_one_line(capsys, theta):
     assert out == ""
     assert err.startswith(f"validation error: bad theta {theta!r}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace-check", "--dim", "65", "--trials", "1"],
+     "validation error: dimension 65 is beyond the limit 64\n"),
+    (["nc-trace-check", "--theta", "1/10007", "--trials", "1"],
+     "validation error: theta 1/10007 needs cyclotomic order 40028, beyond the limit 40000\n"),
+    (["trace-check", "--trials", "-1"], "validation error: --trials must be nonnegative, got -1\n"),
+    (["nc-trace-check", "--theta", "2/5", "--trials", "-1"],
+     "validation error: --trials must be nonnegative, got -1\n"),
+])
+def test_check_commands_hold_their_flags_to_the_document_limits(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_random_pair", no_work)
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, argv[0], *extra, *argv[1:])
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err == message
+
+
+def test_check_commands_just_inside_the_limits_still_run(capsys):
+    code, out, _ = run(capsys, "trace-check", "--dim", "64", "--trials", "0")
+    assert code == 0 and out == "trace-check: 0 trials, dim 64, 0 failures [ok]\n"
+    code, out, _ = run(capsys, "nc-trace-check", "--theta", "1/10000", "--trials", "0")
+    assert code == 0 and out == "nc-trace-check: 0 trials, theta 1/10000, 0 failures [ok]\n"
+    # a dimension below 2 is refused by the symbols, as before
+    code, out, err = run(capsys, "trace-check", "--dim", "1", "--trials", "1")
+    assert code == cli.EXIT_VALIDATION
+    assert err == "validation error: dim must be at least 2, got 1\n"
+
+
+def test_main_builds_its_parser_once_and_not_at_import(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    for _ in range(3):
+        assert run(capsys, "trace-check", "--trials", "0")[0] == 0
+    assert built == [] and cli._parser() is cli._parser()
+    probe = ("import ncresidue.cli as c; n = c._parser.cache_info().currsize; "
+             "c.main(['trace-check', '--trials', '0']); "
+             "print(n, c._parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.stdout.splitlines()[-1] == "0 1"
 
 
 def _deep_floor_pair(tmp_path, floor):

@@ -531,3 +531,34 @@ def test_nc_symbol_arithmetic_refuses_mixed_operands():
         a.deriv_x(3)
     with pytest.raises(TypeError):
         hash(a)
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12)])
+def test_float_twist_compose_matches_the_exact_composition(theta):
+    """``nc_compose`` at the float twist float(theta) against the exact composition
+    at theta, coefficient by coefficient, to 1e-12 of the largest coefficient.
+
+    The float path runs the same integer weights w * (K!/gamma!) on floats and
+    divides by K! once; the first pair's floor reaches derivative order K = 8.
+    A key on one side only (a rounding residue the float canonical form keeps)
+    must be as small.
+    """
+    rng = random.Random(11)
+    for i in range(6):
+        m1, m2 = rng.randint(-1, 1), rng.randint(-1, 1)
+        depth = 8 if i == 0 else m1 + 2 + m2
+        seeds = [rng.getrandbits(32) for _ in range(2)]
+        exact, approx = (
+            nc_compose(*(random_symbol(seed, dim=2, order=m, depth=depth, max_mode=2,
+                                       max_alpha=2, theta=th)
+                         for seed, m in zip(seeds, (m1, m2))))
+            for th in (Theta.from_rational(theta), Theta.from_float(float(theta))))
+        want = {(d, key): s.to_complex()
+                for d, bag in exact._term_bags().items() for key, s in bag.items()}
+        got = {(d, key): s for d, bag in approx._term_bags().items() for key, s in bag.items()}
+        if i == 0:
+            assert m1 + m2 - exact.trusted_floor == 8
+            assert exact._term_bags().get(exact.trusted_floor) and len(want) > 500
+        top = max(map(abs, want.values()), default=1.0)
+        for key in want.keys() | got.keys():
+            assert abs(want.get(key, 0) - got.get(key, 0)) <= 1e-12 * top, key

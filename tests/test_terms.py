@@ -11,13 +11,14 @@ import pytest
 
 from ncresidue import terms as T
 from ncresidue.calculus import _residue_of_composition, _sphere_sum
-from ncresidue.cyclotomic import CyclotomicInteger, CyclotomicScalar
+from ncresidue.cyclotomic import CyclotomicInteger, CyclotomicScalar, cyclotomic_phase
 from ncresidue.dsl import random_symbol, symbol_from_json, symbol_to_json
 from ncresidue.errors import ValidationError
 from ncresidue.nctorus import (
     NCSymbol,
     Theta,
     _nc_residue_of_composition,
+    _system_for,
     nc_compose,
     nc_trace_defect,
 )
@@ -46,7 +47,7 @@ def reference_compose(system, n, comps_a, comps_b, keep, kmax=None):
                 for b_deg, b_terms in comps_b.items():
                     if not keep(a_deg + b_deg - k, k):
                         continue
-                    right = {key: system.times_fraction(s, Fraction(w, fact))
+                    right = {key: s * Fraction(w, fact)
                              for key, s in b_terms.items()
                              if (w := prod(m**g for m, g in zip(key[0], gamma)))}
                     T.mul_terms(system, left, right, out.setdefault(a_deg + b_deg - k, {}))
@@ -180,13 +181,13 @@ def _reference_sphere_part(system, n, a, b):
 def _reference_residue(system, n, a, b):
     total = system.zero
     for (_m, alpha, _p), s in _reference_sphere_part(system, n, a, b).items():
-        total = total + system.times_fraction(s, sphere_monomial_integral(alpha, n).coeff.re)
+        total = total + s * sphere_monomial_integral(alpha, n).coeff.re
     return PiGradedScalar(total, n // 2) if total else PiGradedScalar(0)
 
 
 def _pairing(system, n, comps_a, comps_b):
     """``residue_pairing`` with each numerator lowered: alpha -> scalar."""
-    _engine, bag, den = T.residue_pairing(system, n, comps_a, comps_b)
+    bag, den = T.residue_pairing(system, n, comps_a, comps_b)
     return {alpha: system.lower(s, den) for alpha, s in bag.items()}
 
 
@@ -290,15 +291,22 @@ def test_residue_pairing_differentiates_a_left_term_only_along_its_mode(monkeypa
 # -- the Gaussian-integer numerator kernel ------------------------------------------
 
 
-class _Unlifted(T.RationalSystem):
-    """The complex-rational system run as it is: every engine op on ComplexRational."""
+class _RunAsItIs:
+    """A system's coefficients left unlifted: every engine op runs on the
+    coefficient class itself, and the one denominator (K!) is divided out
+    with a ``Fraction``."""
 
-    def lift(self, comps, scale=1):
-        return self, comps, 1
+    @staticmethod
+    def lift(comps):
+        return comps, 1
 
     @staticmethod
     def lower(s, den):
-        return s
+        return s * Fraction(1, den)
+
+
+class _Unlifted(_RunAsItIs, T.RationalSystem):
+    """The complex-rational system run on ComplexRational."""
 
 
 def _large_primes(count, start=10**6):
@@ -378,36 +386,37 @@ def test_numerator_lift_and_lower_round_trip():
     key = ((0, 0), (0, 0), 0)
     comps = {0: {key: ComplexRational(Fraction(3, 1000003), Fraction(-5, 7))},
              -1: {key: ComplexRational(Fraction(1, 2))}}
-    engine, lifted, den = system.lift(comps, scale=6)
-    assert engine is T.GAUSSIAN_SYSTEM
-    assert den == 6 * 1000003 * 7 * 2
+    lifted, den = system.lift(comps)
+    assert den == 1000003 * 7 * 2
     for d, bag in comps.items():
         for k, s in bag.items():
             assert type(lifted[d][k]) is GaussianInteger
             assert system.lower(lifted[d][k], den) == s
 
 
-def test_gaussian_times_fraction_is_exact_division():
-    system = T.GAUSSIAN_SYSTEM
-    assert system.times_fraction(GaussianInteger(6, -9), Fraction(2, 3)) == GaussianInteger(4, -6)
+def test_gaussian_integer_weights_divide_exactly():
+    assert GaussianInteger(12, -18).exact_div(3) == GaussianInteger(4, -6)
     with pytest.raises(ArithmeticError):
-        system.times_fraction(GaussianInteger(6, -8), Fraction(2, 3))
+        GaussianInteger(12, -16).exact_div(3)
     with pytest.raises(ArithmeticError):
-        system.times_fraction(GaussianInteger(1, 0), Fraction(1, 2))
+        GaussianInteger(1, 0).exact_div(2)
+    # a weight w/gamma! applied as the integer w * (K!/gamma!), with K! in the
+    # denominator, lowers to the coefficient times the Fraction weight
+    system = T.RATIONAL_SYSTEM
+    s = ComplexRational(Fraction(3, 10), Fraction(-5, 7))
+    lifted, den = system.lift({0: {((0, 0), (0, 0), 0): s}})
+    num = lifted[0][((0, 0), (0, 0), 0)]
+    for k, gamma, w in ((3, (2, 1), -5), (4, (0, 2), 9), (7, (3, 3), 1)):
+        scale = math.factorial(k)
+        weighted = num * (w * (scale // T.gamma_factorial(gamma)))
+        assert system.lower(weighted, den * scale) == s * Fraction(w, T.gamma_factorial(gamma))
 
 
 # -- the cyclotomic-integer numerator kernel -----------------------------------------
 
 
-class _UnliftedCyclotomic(T.CyclotomicSystem):
-    """The cyclotomic system run as it is: every engine op on CyclotomicScalar."""
-
-    def lift(self, comps, scale=1):
-        return self, comps, 1
-
-    @staticmethod
-    def lower(s, den):
-        return s * Fraction(1, den)
+class _UnliftedCyclotomic(_RunAsItIs, T.CyclotomicSystem):
+    """The cyclotomic system run on CyclotomicScalar."""
 
 
 def _sorted_repr(comps):
@@ -464,9 +473,8 @@ def test_cyclotomic_lift_and_lower_round_trip():
         -1: {key: CyclotomicScalar(1, [Fraction(1, 2)])},
     }
     assert [s.order for bag in comps.values() for s in bag.values()] == [12, 28, 1]
-    engine, lifted, den = system.lift(comps, scale=6)
-    assert type(engine) is T.CyclotomicIntegerSystem
-    assert den == 6 * 1000003 * 7 * 2
+    lifted, den = system.lift(comps)
+    assert den == 1000003 * 7 * 2
     for d, bag in comps.items():
         for k, s in bag.items():
             n = lifted[d][k]
@@ -475,18 +483,40 @@ def test_cyclotomic_lift_and_lower_round_trip():
             assert repr(system.lower(n, den)) == repr(s)
 
 
-def test_cyclotomic_times_fraction_is_exact_division():
+def test_cyclotomic_integer_weights_divide_exactly():
     system = T.CyclotomicSystem(2, 5)
-    comps = {0: {((0, 0), (0, 0), 0): CyclotomicScalar(5, [Fraction(1, 3), 0, Fraction(2, 3), 0])}}
-    engine, lifted, den = system.lift(comps)
+    value = CyclotomicScalar(5, [Fraction(1, 3), 0, Fraction(2, 3), 0])
+    lifted, den = system.lift({0: {((0, 0), (0, 0), 0): value}})
     s = lifted[0][((0, 0), (0, 0), 0)]
     assert den == 3 and s.coeffs == [1, 0, 2, 0]
-    # a weight 1/7 needs the lift scaled by 7; without it the division has a remainder
     with pytest.raises(ArithmeticError):
-        engine.times_fraction(s, Fraction(1, 7))
-    _, lifted, den = system.lift(comps, scale=7)
-    scaled = engine.times_fraction(lifted[0][((0, 0), (0, 0), 0)], Fraction(1, 7))
-    assert scaled.coeffs == [1, 0, 2, 0] and den == 21
+        s.exact_div(7)
+    assert (s * 7).exact_div(7).coeffs == [1, 0, 2, 0]
+    # the integer weight w * (K!/gamma!) over den * K! is the Fraction weight w/gamma!
+    scale = math.factorial(5)
+    weighted = s * (-4 * (scale // T.gamma_factorial((1, 2))))
+    assert repr(system.lower(weighted, den * scale)) == repr(value * Fraction(-4, 2))
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12), Fraction(7, 30)])
+def test_twisted_phase_is_one_integer_root_per_exponent(theta):
+    """One system per twist, whose phase is an integer root of unity built once;
+    a coefficient multiplies by it as by the exact phase ``cyclotomic_phase``."""
+    system = _system_for(Theta.from_rational(theta))
+    assert system is _system_for(Theta.from_rational(theta))
+    assert NCSymbol(Theta.from_rational(theta), 0)._system is system
+    x = CyclotomicScalar(12, [Fraction(1, 3), -2, 0, Fraction(5, 7)])
+    for left, right in (((0, 1), (1, 0)), ((3, -2), (-1, 5)), ((0, 2), (3, 7))):
+        root = system.phase(left, right)
+        t = left[1] * right[0]
+        if (theta * t).denominator == 1:
+            assert root is None
+            continue
+        assert type(root) is CyclotomicInteger
+        assert system.phase(left, right) is root
+        want = cyclotomic_phase(theta.numerator, theta.denominator, t)
+        assert root == want.num and want.den == 1
+        assert repr(x * root) == repr(root * x) == repr(x * want)
 
 
 @pytest.mark.parametrize("q", [997, 9973])

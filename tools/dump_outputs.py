@@ -20,7 +20,8 @@ It prints, on seeded inputs:
   ``compose``, ``nc-compose``, ``decompose``, ``commutator --with xi|exp``,
   ``apply``, ``semiclassical-check``, ``trace-check`` and
   ``nc-trace-check``, with and without ``--json``, every document command
-  also fed a document of the other calculus;
+  also fed a document of the other calculus, and the check commands also
+  at a dimension, a twist and a trial count beyond their limits;
 - ``format_terms`` of each classical component bag and of the empty bag;
 - symbols at the float twists 0.3 and 0.4: the ``format_symbol`` refusal,
   ``symbol_to_json``, the symbol its JSON reads back as with and without a
@@ -33,6 +34,9 @@ It prints, on seeded inputs:
   ``blocks`` and ``component_raw``; ``euler_antiderivatives``,
   ``sphere_average``, ``uniqueness_decompose``, ``commutator_xi``,
   ``commutator_exp``, ``to_euclidean`` and ``semiclassical_check``;
+- algebra elements at theta 0, 2/5, 5/12 and 7/30: ``NCPolynomial``
+  products both ways, ``adjoint``, ``delta`` with indices 0..3, ``trace``
+  and scalar multiples, each shown with its coefficients' ``repr``;
 - twisted symbol arithmetic at theta 0, 2/5 and 5/12: ``+``, ``-``, unary
   ``-``, ``scale`` by rational, Gaussian and cyclotomic scalars, and
   ``partial_xi`` and ``deriv_x`` with directions 0..3, each result shown
@@ -295,6 +299,40 @@ def dump_twisted_layer(lib, out):
             dump_twisted_arithmetic(lib, out, label, sym, syms[(k + 1) % len(syms)])
 
 
+def _nc_poly_repr(poly) -> str:
+    return f"{poly!r} {sorted(poly.coeffs.items())!r}"
+
+
+def dump_nc_polynomials(lib, out):
+    N = lib.nctorus
+    CR = lib.scalars.ComplexRational
+    CS = lib.cyclotomic.CyclotomicScalar
+    for i, th in enumerate((Fraction(0), Fraction(2, 5), Fraction(5, 12), Fraction(7, 30))):
+        rng = random.Random(60 + i)
+        theta = N.Theta.from_rational(th)
+        coeffs = [CR(_seeded_fraction(rng), _seeded_fraction(rng)), CR(_seeded_fraction(rng)),
+                  CS.root_of_unity(th.denominator, rng.randint(1, 9)) * _seeded_fraction(rng),
+                  CS.root_of_unity(7, rng.randint(1, 6))]
+        polys = [N.nc_u(theta), N.nc_v(theta), N.NCPolynomial.one(theta)]
+        for _ in range(4):
+            polys.append(N.NCPolynomial(theta, {
+                (rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice(coeffs)
+                for _ in range(rng.randint(1, 4))}))
+        for k, x in enumerate(polys):
+            y = polys[(k + 3) % len(polys)]
+            label = f"theta={th} ncpoly {k}"
+            out(f"{label}: {_nc_poly_repr(x)} trace {x.trace()!r}")
+            for tag, fn in (("*", lambda: x * y), ("r*", lambda: y * x), ("* self", lambda: x * x),
+                            ("adjoint", x.adjoint),
+                            ("adjoint adjoint", lambda: x.adjoint().adjoint()),
+                            ("* adjoint", lambda: x * x.adjoint())):
+                out(f"{label} {tag}: {_outcome(lambda: _nc_poly_repr(fn()))}")
+            for j in range(4):
+                out(f"{label} delta {j}: {_outcome(lambda: _nc_poly_repr(x.delta(j)))}")
+            for c in (2, Fraction(-1, 3), CR(0, 1), coeffs[2], 0.5):
+                out(f"{label} scale {c!r}: {_outcome(lambda: _nc_poly_repr(x * c))}")
+
+
 def _seeded_fraction(rng) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
 
@@ -454,6 +492,15 @@ def dump_cli(lib, out, docs, workdir):
         commands.append(["trace-check", "--dim", str(n), "--trials", "6", "--seed", str(n)])
     for th in TWISTS:
         commands.append(["nc-trace-check", "--theta", str(th), "--trials", "6", "--seed", "5"])
+    # each value beyond the limit a document is held to, and one just inside it
+    for dim in ("1", "64", "65"):
+        commands.append(["trace-check", "--dim", dim, "--trials", "0"])
+    commands += [["trace-check", "--dim", "1", "--trials", "1"],
+                 ["trace-check", "--dim", "65", "--trials", "1"],
+                 ["trace-check", "--trials", "-1"],
+                 ["nc-trace-check", "--theta", "1/3", "--trials", "-1"],
+                 ["nc-trace-check", "--theta", "1/10007", "--trials", "1"],
+                 ["nc-trace-check", "--theta", "1/10000", "--trials", "0"]]
     for argv in commands:
         for extra in ([], ["--json"]):
             full = argv[:1] + extra + argv[1:]
@@ -487,6 +534,7 @@ def main(argv=None) -> int:
     docs = dump_api(lib, lines.append)
     dump_classical_layer(lib, lines.append)
     dump_twisted_layer(lib, lines.append)
+    dump_nc_polynomials(lib, lines.append)
     dump_complex_rationals(lib, lines.append)
     dump_cyclotomic_scalars(lib, lines.append)
     dump_pi_graded(lib, lines.append)
