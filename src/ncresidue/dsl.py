@@ -281,7 +281,7 @@ class _Parser:
                 break
             self.next()
             rhs = self.parse_factor()
-            value = T.mul_terms(self.system, value, rhs)
+            value = T.mul_terms(self.system, self.dim, value, rhs)
         return value
 
     def parse_factor(self) -> dict:

@@ -187,8 +187,9 @@ class NCPolynomial:
             # a word U^m V^n is the term with mode (m, n) and no xi part
             prod = T.mul_terms(
                 self._system,
-                {(mode, (), 0): s for mode, s in self.coeffs.items()},
-                {(mode, (), 0): s for mode, s in other.coeffs.items()},
+                2,
+                {(mode, (0, 0), 0): s for mode, s in self.coeffs.items()},
+                {(mode, (0, 0), 0): s for mode, s in other.coeffs.items()},
             )
             return NCPolynomial(self.theta, {key[0]: s for key, s in prod.items()})
         # scalar multiple
@@ -210,7 +211,7 @@ class NCPolynomial:
         for (m, n), s in self.coeffs.items():
             conj = s.conjugate()
             # the phase of reordering V^-n U^-m into U^-m V^-n
-            ph = system.phase((0, -n), (-m, 0))
+            ph = system.phase(-n, -m)
             out[(-m, -n)] = conj if ph is None else conj * ph
         return NCPolynomial(self.theta, out)
 

@@ -73,7 +73,7 @@ def _scale_bag(bag: dict, c) -> dict:
 
 
 def _partial_xi_bag(n: int, degree: int, bag: dict, axis: int) -> dict:
-    return T.canonical_terms(n, degree - 1, T.partial_xi_terms(bag, axis))
+    return T.canonical_terms(n, degree - 1, T.partial_xi_terms(n, bag, axis))
 
 
 def _axis(n: int, direction: int) -> int:
@@ -108,7 +108,7 @@ class HomogeneousComponent:
 
     @classmethod
     def from_raw(cls, n: int, degree: int, raw: dict) -> "HomogeneousComponent":
-        return cls._from_canonical(n, degree, T.canonical_terms(n, degree, dict(raw)))
+        return cls._from_canonical(n, degree, T.canonical_terms(n, degree, raw))
 
     def terms(self) -> tuple[SymbolTerm, ...]:
         return tuple(
@@ -160,7 +160,7 @@ class HomogeneousComponent:
             return NotImplemented
         self._check_compatible(other)
         deg = self.degree + other.degree
-        raw = T.mul_terms(_SYS, self._terms, other._terms)
+        raw = T.mul_terms(_SYS, self.n, self._terms, other._terms)
         return HomogeneousComponent._from_canonical(
             self.n, deg, T.canonical_terms(self.n, deg, raw)
         )

@@ -461,3 +461,57 @@ def test_symbol_from_json_gives_a_symbol_or_a_calculus_error(data):
     except CalculusError:
         return
     assert isinstance(sym, (ClassicalSymbol, NCSymbol))
+
+
+# -- mutated text documents ----------------------------------------------------------
+
+_SEED_DOCUMENTS = [
+    format_symbol(random_symbol(seed, dim=dim, order=order, depth=2, max_mode=2, max_alpha=3,
+                                theta=theta))
+    for seed, dim, order, theta in ((1, 2, 1, None), (2, 3, 0, None), (3, 2, -1, None),
+                                    (4, 2, 0, Fraction(2, 5)), (5, 2, 1, Fraction(7, 30)),
+                                    (6, 2, 0, Fraction(0)))
+] + [
+    "dim 2 order 0 floor -2 deg -2 { xi1^2 * r^-4 - 1/3 * i * e(1,-2) * r^-2 }",
+    "dim 3 order 1 floor -1 deg 1 { 3/2 * xi3 * e(0,1,-1) + xi2 } deg 0 { 2 - i } deg -1 { r^-1 }",
+    "dim 2 order 0 floor -1 theta 5/12 deg 0 { U^-1 * V^2 * xi1 * r^-1 + (1 + i) * V }",
+]
+_PIECES = ["", " ", "\n", "0", "1", "7", "-", "+", "*", "/", "^", "(", ")", "{", "}", ",", "i",
+           "xi1", "xi2", "xi3", "xi0", "r", "e(", "U", "V", "deg", "dim", "order", "floor",
+           "theta", "2/5", "1/0", "^-64", "^65", "9" * 40, "e(" + "9" * 30 + ",-1)"]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A seed document, classical or twisted, after one to four random edits:
+    a piece inserted or written over a span, a span deleted or doubled."""
+    text = draw(st.sampled_from(_SEED_DOCUMENTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "double"]))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from(_PIECES)) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "replace":
+            text = text[:i] + draw(st.sampled_from(_PIECES)) + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+@settings(max_examples=300, deadline=1000, derandomize=True)
+@given(_mutated_documents())
+def test_parse_symbol_of_a_mutated_document_gives_a_symbol_or_a_one_line_error(text):
+    """Each example must finish within the one-second deadline."""
+    try:
+        sym = parse_symbol(text)
+    except CalculusError as exc:
+        assert "\n" not in str(exc)
+        return
+    assert isinstance(sym, (ClassicalSymbol, NCSymbol))
+    written = format_symbol(sym)
+    again = parse_symbol(written)
+    assert again == sym
+    assert format_symbol(again) == written

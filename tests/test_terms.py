@@ -8,6 +8,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncresidue import terms as T
 from ncresidue.calculus import _residue_of_composition, _sphere_sum
@@ -50,11 +52,11 @@ def reference_compose(system, n, comps_a, comps_b, keep, kmax=None):
                     right = {key: s * Fraction(w, fact)
                              for key, s in b_terms.items()
                              if (w := prod(m**g for m, g in zip(key[0], gamma)))}
-                    T.mul_terms(system, left, right, out.setdefault(a_deg + b_deg - k, {}))
+                    T.mul_terms(system, n, left, right, out.setdefault(a_deg + b_deg - k, {}))
             nxt = {}
             for gamma, t in level.items():
                 for j in range(n):
-                    raw = T.partial_xi_terms(t, j)
+                    raw = T.partial_xi_terms(n, t, j)
                     d = T.canonical_terms(n, a_deg - k - 1, raw)
                     if d:
                         nxt[gamma[:j] + (gamma[j] + 1,) + gamma[j + 1:]] = d
@@ -275,9 +277,9 @@ def test_residue_pairing_differentiates_a_left_term_only_along_its_mode(monkeypa
     calls = []
     differentiate = T.partial_xi_terms
 
-    def recording(terms, axis):
-        calls.append((axis, {key[0] for key in terms}))
-        return differentiate(terms, axis)
+    def recording(keys, terms, axis):
+        calls.append((axis, {keys.unpack(key)[0] for key in terms}))
+        return differentiate(keys, terms, axis)
 
     monkeypatch.setattr(T, "partial_xi_terms", recording)
     for system, n, pairs in cases:
@@ -507,13 +509,13 @@ def test_twisted_phase_is_one_integer_root_per_exponent(theta):
     assert NCSymbol(Theta.from_rational(theta), 0)._system is system
     x = CyclotomicScalar(12, [Fraction(1, 3), -2, 0, Fraction(5, 7)])
     for left, right in (((0, 1), (1, 0)), ((3, -2), (-1, 5)), ((0, 2), (3, 7))):
-        root = system.phase(left, right)
+        root = system.phase(left[1], right[0])
         t = left[1] * right[0]
         if (theta * t).denominator == 1:
             assert root is None
             continue
         assert type(root) is CyclotomicInteger
-        assert system.phase(left, right) is root
+        assert system.phase(left[1], right[0]) is root
         want = cyclotomic_phase(theta.numerator, theta.denominator, t)
         assert root == want.num and want.den == 1
         assert repr(x * root) == repr(root * x) == repr(x * want)
@@ -722,3 +724,155 @@ def test_canonical_form_refuses_a_costly_group(monkeypatch):
     with pytest.raises(ValidationError, match="degree 6 polynomial in 4 variables needs more "
                                               "than 99 monomial updates"):
         T.canonical_terms(4, 0, raw)
+
+
+# -- packed keys ---------------------------------------------------------------------
+
+_HUGE = 10**998 + 7  # a 999-digit mode entry
+
+
+def _deepest_order(n):
+    """The deepest derivative order K that MAX_GAMMA_COUNT admits in n variables."""
+    return max(k for k in range(T.MAX_GAMMA_COUNT) if math.comb(k + n, n) <= T.MAX_GAMMA_COUNT)
+
+
+def _sparse(draw, n, values):
+    """A length-n tuple, zero but at a few drawn places."""
+    entries = [0] * n
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        entries[j] = draw(values)
+    return tuple(entries)
+
+
+# besides small values: 999-digit ones, and ones just below a width boundary,
+# where a sum of two fields or a derivative tower would carry into the next field
+# of a layout sized without the margins of ``pack_terms``
+_mode_entries = st.one_of(st.integers(-6, 6),
+                          st.sampled_from([-_HUGE, _HUGE, -(2**61), 2**61, 100, -120]))
+_exponents = st.one_of(st.integers(0, 9), st.sampled_from([64, 120, 2**40]))
+_npows = st.one_of(st.integers(-12, 12), st.sampled_from([-_HUGE, -(2**40), 2**40, -110, 110]))
+
+
+@st.composite
+def _key_bags(draw):
+    """(n, depth, two tuple-keyed bags): negative and 999-digit modes, negative
+    npow, dimensions up to 64 and the deepest order the gamma bound admits."""
+    n = draw(st.sampled_from([2, 3, 8, 64]))
+    depth = draw(st.sampled_from([0, 1, _deepest_order(n)]))
+    bags = []
+    for _ in range(2):
+        bag = {}
+        for _ in range(draw(st.integers(1, 5))):
+            key = (_sparse(draw, n, _mode_entries), _sparse(draw, n, _exponents), draw(_npows))
+            bag[key] = len(bag) + 1
+        bags.append(bag)
+    return n, depth, bags
+
+
+_EDGE_64 = {((_HUGE,) + (0,) * 62 + (-_HUGE,), (2**40,) + (0,) * 63, -_HUGE): 1,
+            ((-1,) * 64, (1,) * 64, 3): 2}
+_EDGE_2 = {((-_HUGE, 5), (0, 9), -12): 1, ((3, -2), (1, 0), 2**40): 2}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_key_bags())
+@example((64, 1, [_EDGE_64, _EDGE_64]))
+@example((2, 43, [_EDGE_2, {((1, 1), (2, 0), -3): 1}]))
+@example((3, 16, [{((0, -4, 2), (3, 0, 1), -9): 1}, {((-6, 6, 0), (0, 2, 0), 1): 2}]))
+@example((2, 0, [{((100, -1), (64, 0), 0): 1}, {((27, -120), (64, 1), -1): 2}]))
+def test_packed_keys_round_trip_add_and_step_like_their_tuples(case):
+    n, depth, bags = case
+    keys, packed = T.pack_terms(n, bags, depth)
+    # pack then unpack is the identity, in the bag's order
+    for bag, pbag in zip(bags, packed):
+        assert list(pbag.values()) == list(bag.values())
+        assert keys.unpack_bag(pbag) == bag
+        assert [keys.unpack(k) for k in pbag] == list(bag)
+    # a product key is k1 + k2 - offsets: the pack of the fieldwise sums
+    for (m1, a1, p1), k1 in zip(bags[0], packed[0]):
+        for (m2, a2, p2), k2 in zip(bags[1], packed[1]):
+            want = (tuple(map(sum, zip(m1, m2))), tuple(map(sum, zip(a1, a2))), p1 + p2)
+            assert keys.unpack(k1 + k2 - keys.offsets) == want
+    # the d/d(xi_j) moves are T._bump on alpha, and |alpha| + npow drops by one; a
+    # tower of ``depth`` steps stays inside the fields
+    for (mode, alpha, p), k in zip(bags[0], packed[0]):
+        for j in range(n):
+            down, r_step = keys.xi_steps[j]
+            assert keys.unpack(k - r_step) == (mode, T._bump(alpha, j, 1), p - 2)
+            if alpha[j]:
+                assert keys.unpack(k - down) == (mode, T._bump(alpha, j, -1), p)
+        for step in range(depth):
+            j = step % n
+            k -= keys.xi_steps[j][1]
+            alpha, p = T._bump(alpha, j, 1), p - 2
+            assert keys.unpack(k) == (mode, alpha, p)
+            assert (k >> keys.degree_shift & keys.mask) - keys.half == sum(alpha) + p
+
+
+def test_packed_width_follows_the_inputs():
+    small = {((1, -2), (1, 0), -3): 1}
+    keys, _ = T.pack_terms(2, [small])
+    assert keys.width == 8
+    keys, _ = T.pack_terms(2, [small], _deepest_order(2))
+    assert keys.width == 16  # 4 * (4 + 43) needs nine bits
+    keys, _ = T.pack_terms(2, [small, {((_HUGE, 0), (0, 0), 0): 1}])
+    assert keys.width >= (4 * _HUGE).bit_length() + 1 and keys.width % 8 == 0
+    with pytest.raises(ValidationError, match="has length != 2"):
+        T.pack_terms(2, [{((0, 0), (1,), 0): 1}])
+    with pytest.raises(ValidationError, match="Fourier mode"):
+        T.pack_terms(2, [{((0,), (1, 0), 0): 1}])
+    with pytest.raises(ValidationError, match="nonnegative"):
+        T.pack_terms(2, [{((0, 0), (1, -1), 0): 1}])
+
+
+def test_layout_memos_stay_exact_and_bounded(monkeypatch):
+    # mode (256, -1) packs, with a carry, to the 8-bit fields of mode (0, 0):
+    # a key packed too narrow first must leave nothing behind in the memos
+    zero = {((0, 0), (0, 0), 0): 1}
+    narrow, [packed_zero] = T.pack_terms(2, [zero])
+    assert narrow.width == 8
+    wide = {((256, -1), (0, 0), 0): 1}
+    keys, [packed] = T.pack_terms(2, [wide])
+    assert keys.width == 16 and keys.unpack_bag(packed) == wide
+    assert narrow.unpack_bag(packed_zero) == zero
+    # a memo holds at most _MEMO_FIELDS fields, n per entry, and starts afresh
+    monkeypatch.setattr(T, "_MEMO_FIELDS", 12)
+    keys = T.Keys(3, 8)
+    bag = {((i, -i, 1), (i, 0, 1), -i): i + 1 for i in range(10)}
+    _, [packed] = keys.pack([bag])
+    assert len(keys.modes) <= 4 and len(keys.alphas) <= 4
+    assert keys.unpack_bag(packed) == bag
+    assert [keys.unpack(k) for k in packed] == list(bag)
+
+
+def _one_term(n, deg, mode, alpha, coeff):
+    return {deg: {(mode, alpha, deg - sum(alpha)): coeff}}
+
+
+def test_compose_at_the_packing_edges_matches_the_reference():
+    """300-digit modes and dimension 8, against the per-level canonical reference."""
+    big = 10**299 + 3
+    cr = ComplexRational
+    cases = [
+        (2, {**_one_term(2, 0, (big, -2), (1, 1), cr(2, 1)), **_one_term(2, -1, (-3, big), (0, 1), cr(1))},
+         {**_one_term(2, 1, (-big, 2), (2, 0), cr(0, 1)), **_one_term(2, 0, (0, -big), (0, 0), cr(-1, 2))}, -3),
+        (8, {**_one_term(8, 1, (1,) + (0,) * 6 + (-2,), (1,) + (0,) * 7, cr(1, 1))},
+         {**_one_term(8, -1, (0, 3) + (0,) * 6, (0,) * 7 + (1,), cr(1, -3))}, -2),
+    ]
+    for n, ca, cb, floor in cases:
+        for a, b in ((ca, cb), (cb, ca)):
+            kmax = max(x + y for x in a for y in b) - floor
+            got = T.compose_components(T.RATIONAL_SYSTEM, n, a, b, floor)
+            assert got
+            assert got == reference_compose(T.RATIONAL_SYSTEM, n, a, b, lambda d, k: d >= floor, kmax)
+    theta = Theta.from_rational(Fraction(2, 5))
+    system = _system_for(theta)
+    a = NCSymbol(theta, 0, {0: [(cr(1, 2), (big, -1), (1, 1), -2)],
+                            -1: [(cr(3), (-2, big), (0, 1), -2)]}, -3)
+    b = NCSymbol(theta, 0, {0: [(cr(-1), (-big, 1 - big), (2, 0), -2)]}, -3)
+    for s, t in ((a, b), (b, a)):
+        ca, cb = s._term_bags(), t._term_bags()
+        kmax = max(x + y for x in ca for y in cb) + 3
+        got = T.compose_components(system, 2, ca, cb, -3)
+        assert got == reference_compose(system, 2, ca, cb, lambda d, k: d >= -3, kmax)
+        assert nc_compose(s, t)._term_bags() == got

@@ -1,0 +1,49 @@
+"""The command-line tools under tools/: the summary of tools/bench_pairs.py."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
+
+
+def test_summary_of_fixed_pairs():
+    parent = [{"ops_per_s": v, "setup_s": s}
+              for v, s in ((100, 0.20), (110, 0.22), (90, 0.18), (105, 0.21), (95, 0.25))]
+    change = [{"ops_per_s": v, "setup_s": s}
+              for v, s in ((130, 0.21), (125, 0.20), (120, 0.19), (90, 0.23), (140, 0.22))]
+    ops, setup = bench_pairs.summarize(parent, change, METRICS)
+    assert ops["metric"] == "ops_per_s" and setup["metric"] == "setup_s"
+    # quartiles, inclusive method: 90 95 100 105 110 and 90 120 125 130 140
+    assert ops["parent"] == (95, 100, 105)
+    assert ops["change"] == (120, 125, 130)
+    # higher is better: the change wins pairs 0, 1, 2 and 4
+    assert ops["wins"] == 4 and ops["pairs"] == 5
+    assert ops["ratio"] == pytest.approx(1.25)
+    assert ops["spread"] == pytest.approx(0.10)
+    # lower is better: 0.20 0.22 0.18 0.21 0.25 against 0.21 0.20 0.19 0.23 0.22
+    assert setup["wins"] == 2
+    assert setup["parent"] == pytest.approx((0.20, 0.21, 0.22))
+    assert setup["ratio"] == pytest.approx(0.21 / 0.21)
+    text = bench_pairs.format_rows("compose-full", [ops, setup])
+    assert "4/5" in text and "x1.250" in text and "2/5" in text
+
+
+def test_summary_of_one_pair():
+    [row] = bench_pairs.summarize([{"ops_per_s": 10.0}], [{"ops_per_s": 8.0}], METRICS[:1])
+    assert row["parent"] == (10.0, 10.0, 10.0) and row["wins"] == 0
+    assert row["ratio"] == pytest.approx(0.8) and row["spread"] == 0
+
+
+def test_metrics_come_from_benchmark_json(tmp_path):
+    root = pathlib.Path(__file__).parent.parent
+    names = [m["name"] for m in bench_pairs.end_to_end_metrics(str(root))]
+    assert names[0] == "ops_per_s" and "setup_s" in names
+    with pytest.raises(FileNotFoundError):
+        bench_pairs.end_to_end_metrics(str(tmp_path))

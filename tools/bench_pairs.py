@@ -1,0 +1,131 @@
+"""Run the benchmark of two checkouts in alternating pairs and compare them.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed0 S
+
+PARENT and CHANGE are roots of two checkouts.  The ``src`` of both is
+byte-compiled first (``compileall``), so each imports the package from an
+up-to-date bytecode cache and ``setup_s`` times the same thing on both
+sides.  Pair i runs
+``bench/run.py --workload W --seed S+i --trace 0`` in each checkout, one
+after the other; the side that runs first alternates from pair to pair.
+
+For every end-to-end metric of ``BENCHMARK.json`` (read from PARENT) it
+prints each side's median and quartiles, the number of pairs the change
+wins, and the ratio of the change's median to its base, the parent's
+median, with the parent's quartile spread beside it.  Only the standard
+library is used, and nothing under ``bench/`` is touched; the runs write
+only what ``bench/run.py`` itself writes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def end_to_end_metrics(checkout: str) -> list[dict]:
+    """The end-to-end metrics a checkout's ``BENCHMARK.json`` declares."""
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
+        return json.load(f)["end_to_end"]
+
+
+def compile_checkout(checkout: str) -> None:
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
+                   cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+
+
+def run_once(checkout: str, workload: str, seed: int) -> dict:
+    """The metric values of one untraced run, and whether it was correct."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"no output from {checkout}: {proc.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"values": values, "correct": result["correct"], "failed": result["failed"]}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> list[dict]:
+    """One row per metric from the paired runs: ``parent[i]`` and ``change[i]``
+    are the metric values of pair i.
+
+    A row holds each side's quartiles, ``wins`` (the pairs where the change
+    is better, by the metric's ``better`` direction), ``ratio`` (the
+    change's median over the parent's, its base) and ``spread`` (the
+    parent's interquartile range over its median).
+    """
+    rows = []
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        wins = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
+        pq, cq = quartiles(p), quartiles(c)
+        rows.append({
+            "metric": name,
+            "better": metric["better"],
+            "parent": pq,
+            "change": cq,
+            "wins": wins,
+            "pairs": len(p),
+            "ratio": cq[1] / pq[1] if pq[1] else float("nan"),
+            "spread": (pq[2] - pq[0]) / pq[1] if pq[1] else float("nan"),
+        })
+    return rows
+
+
+def format_rows(workload: str, rows: list[dict]) -> str:
+    lines = [f"{workload}: metric, parent median [q1, q3], change median [q1, q3], "
+             "change wins, ratio change/parent (parent spread)"]
+    for r in rows:
+        p, c = r["parent"], r["change"]
+        lines.append(
+            f"  {r['metric']:13s} {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]  "
+            f"{c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  {r['wins']}/{r['pairs']}  "
+            f"x{r['ratio']:.3f} ({r['spread']:.1%}, {r['better']} is better)"
+        )
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed0", type=int, default=1)
+    args = parser.parse_args(argv)
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    for checkout in sides.values():
+        compile_checkout(checkout)
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            run = run_once(sides[side], args.workload, args.seed0 + i)
+            runs[side].append(run)
+            print(f"pair {i} seed {args.seed0 + i} {side}: correct {run['correct']} "
+                  f"failed {run['failed']} "
+                  + " ".join(f"{k}={v:.4g}" for k, v in run["values"].items()), flush=True)
+    rows = summarize([r["values"] for r in runs["parent"]],
+                     [r["values"] for r in runs["change"]], end_to_end_metrics(sides["parent"]))
+    print(format_rows(args.workload, rows))
+    return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

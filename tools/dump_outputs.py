@@ -48,7 +48,14 @@ It prints, on seeded inputs:
   ``CyclotomicScalar`` values at orders 1, 4, 5, 12 and 20, built from long
   unreduced vectors, with ``coeffs``, ``conjugate``, the same value at
   order 60 and equality across orders; and sums, products and quotients
-  of ``PiGradedScalar`` values over both coefficient rings.
+  of ``PiGradedScalar`` values over both coefficient rings;
+- compositions at the edges of the engine's term keys: ``compose``, the
+  residue of the composition and the trace defect for one-term pairs with
+  negative and 301-digit modes (n = 2, 3), in dimensions 8 and 64 at the
+  deepest derivative order ``terms.MAX_GAMMA_COUNT`` admits there, and at
+  the deepest orders it admits at n = 2 and 3 (43 and 16, with the refusal
+  one order deeper); and ``nc_compose`` and ``NCPolynomial`` products with
+  such modes at theta 2/5 and 7/30.
 
 Half of the pairs have part of the right factor moved onto the reflected
 modes of the left one, so most residues are nonzero, and some twisted
@@ -61,6 +68,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -416,6 +424,92 @@ def dump_pi_graded(lib, out):
             out(f"{label} * {f!r}: {_outcome(lambda: x * f)} r* {_outcome(lambda: f * x)}")
 
 
+BIG = 10**300 + 7  # a 301-digit mode entry
+
+
+def _single(lib, n, order, mode, alpha, npow, coeff, floor=None):
+    """The classical symbol with the one term coeff e^(i mode.x) xi^alpha |xi|^npow."""
+    S = lib.symbols
+    deg = sum(alpha) + npow
+    comp = S.HomogeneousComponent(n, deg, [(coeff, mode, alpha, npow)])
+    return S.ClassicalSymbol(n, order, {deg: comp}, floor)
+
+
+def _dump_pair(lib, out, label, a, b, compose, res_of_comp, defect):
+    for tag, s, t in (("ab", a, b), ("ba", b, a)):
+        out(f"{label} {tag} compose: {_outcome(lambda: _components_repr(compose(s, t)))}")
+        out(f"{label} {tag} residue of composition: {_outcome(res_of_comp, s, t)}")
+    out(f"{label} trace defect: {_outcome(defect, a, b)}")
+
+
+def _deepest_pair(lib, n, k):
+    """(a, b): a complete one-term left factor and a right factor trusted down to
+    the floor that makes the composition reach derivative order k.  Its degree -n
+    part sits at order k or k - 1, whichever is even, and the |xi| power of the
+    left term (odd for even n, even for odd n) keeps its residue from vanishing."""
+    npow = 1 if n % 2 == 0 else -2  # not a polynomial, so the tower does not vanish
+    alpha = (2 * (k // 4),) + (0,) * (n - 1)
+    a_deg = alpha[0] + npow
+    b_deg = k - k % 2 - n - a_deg
+    mode = tuple((-1) ** j * (j + 1) for j in range(n))
+    CR = lib.scalars.ComplexRational
+    a = _single(lib, n, a_deg, mode, alpha, npow, CR(Fraction(3, 7), -1))
+    b = _single(lib, n, b_deg, tuple(-x for x in mode), (0,) * (n - 1) + (2,), b_deg - 2,
+                CR(Fraction(-5, 2)), floor=b_deg - k)
+    return a, b
+
+
+def dump_packing_edges(lib, out):
+    """Compositions at the edges of the term keys: negative and 300-digit modes,
+    one-term pairs in dimensions 8 and 64 at the deepest order the gamma bound
+    allows there, residues of compositions at the deepest order allowed at n = 2
+    and 3, and twisted products with such modes."""
+    C, N = lib.calculus, lib.nctorus
+    CR = lib.scalars.ComplexRational
+    classical = (C.compose, C._residue_of_composition, C.trace_defect)
+    for n in (2, 3):
+        modes = [(-3,) + (5,) * (n - 1), (-BIG,) + (2,) * (n - 1), (BIG, -BIG) + (0,) * (n - 2)]
+        for i, mode in enumerate(modes):
+            alpha = (1 + i,) + (0,) * (n - 2) + (1,)
+            a = _single(lib, n, 0, mode, alpha, -sum(alpha), CR(Fraction(2, 3), 1), floor=-n - 1)
+            b = _single(lib, n, -1, tuple(-x for x in mode), (0,) * n, -1, CR(-1, Fraction(1, 5)),
+                        floor=-n - 1)
+            _dump_pair(lib, out, f"edge n={n} mode {i}", a, b, *classical)
+    for n in (8, 64):
+        # the deepest order whose multi-indices the gamma bound admits
+        k = max(j for j in range(50) if math.comb(j + n, n) <= lib.terms.MAX_GAMMA_COUNT)
+        mode = (1,) + (0,) * (n - 2) + (-2,)
+        b_deg = k - n - 2
+        a = _single(lib, n, 2, mode, (1,) + (0,) * (n - 1), 1, CR(1, 1))
+        b = _single(lib, n, b_deg, tuple(-x for x in mode), (0,) * (n - 1) + (1,), b_deg - 1,
+                    CR(Fraction(1, 3)), floor=-n - 2)
+        out(f"edge n={n} deepest order {k}")
+        _dump_pair(lib, out, f"edge n={n} one-term", a, b, *classical)
+    for n, k in ((2, 43), (3, 16)):
+        a, b = _deepest_pair(lib, n, k)
+        label = f"edge n={n} order {k}"
+        for tag, s, t in (("ab", a, b), ("ba", b, a)):
+            out(f"{label} {tag} compose: {_outcome(lambda: _components_repr(C.compose(s, t)))}")
+            out(f"{label} {tag} residue of composition: {_outcome(C._residue_of_composition, s, t)}")
+            out(f"{label} {tag} residue of compose: "
+                f"{_outcome(lambda: C.residue(C.compose(s, t)))}")
+        deeper = lib.symbols.ClassicalSymbol(n, b.order, b.components, b.trusted_floor - 1)
+        out(f"{label} one deeper: {_outcome(C.compose, a, deeper)}")
+    twisted = (N.nc_compose, N._nc_residue_of_composition, N.nc_trace_defect)
+    for th in (Fraction(2, 5), Fraction(7, 30)):
+        theta = N.Theta.from_rational(th)
+        for i, (m, v) in enumerate(((-3, 2), (-BIG, 1), (BIG, -BIG))):
+            a = N.NCSymbol(theta, 0, {0: [(CR(1, Fraction(1, 2)), (m, v), (1, 1), -2)]}, -3)
+            b = N.NCSymbol(theta, -1, {-1: [(CR(Fraction(-2, 3)), (-m, 1 - v), (0, 0), -1),
+                                            (CR(0, 1), (v, m), (0, 1), -2)]}, -3)
+            _dump_pair(lib, out, f"edge theta={th} mode {i}", a, b, *twisted)
+            x = N.NCPolynomial(theta, {(m, v): CR(2, -1), (-v, m): 3, (1, -1): CR(0, 1)})
+            y = N.NCPolynomial(theta, {(-m, 1): 1, (v, -m): CR(Fraction(1, 2)), (0, 0): -1})
+            for tag, fn in (("*", lambda: x * y), ("r*", lambda: y * x),
+                            ("* adjoint", lambda: x * x.adjoint())):
+                out(f"edge theta={th} ncpoly {i} {tag}: {_outcome(lambda: _nc_poly_repr(fn()))}")
+
+
 def _run_cli(lib, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -538,6 +632,7 @@ def main(argv=None) -> int:
     dump_complex_rationals(lib, lines.append)
     dump_cyclotomic_scalars(lib, lines.append)
     dump_pi_graded(lib, lines.append)
+    dump_packing_edges(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
     sys.stdout.write("".join(line + "\n" for line in lines))
