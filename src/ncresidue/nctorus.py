@@ -15,8 +15,9 @@ This module keeps only what is particular to the twisted algebra.  The
 calculus itself is the commutative one with D_x replaced by delta_j:
 ``nc_compose``, ``nc_residue`` and ``nc_trace_defect`` call the composed-
 floor rule, composition and residue integral of ``calculus``, and
-``NCPolynomial`` sums and products are the term engine's ``bag_add`` and
-``mul_terms`` with the backend's phase.
+``NCPolynomial`` is the Fourier-sum core of ``symbols`` with the twist as
+its space, whose products are the term engine's ``mul_terms`` with the
+backend's phase.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .calculus import (
 )
 from .errors import DomainError, ValidationError
 from .scalars import PiGradedScalar, torus_volume
-from .symbols import ClassicalSymbol, HomogeneousComponent, _canonical_bag, _Symbol
+from .symbols import ClassicalSymbol, HomogeneousComponent, _canonical_bag, _FourierSum, _Symbol
 
 
 class Theta:
@@ -111,26 +112,27 @@ def _system_for(theta: Theta | None):
 _exact_system = lru_cache(maxsize=64)(T.CyclotomicSystem)
 
 
-class NCPolynomial:
+class _Twisted:
+    """The twisted classes' space: the twist, which picks their system."""
+
+    __slots__ = ()
+
+    n = 2
+    _space_name = "twist"
+
+    @property
+    def theta(self) -> Theta:
+        return self._space
+
+    @property
+    def _system(self):
+        return _system_for(self.theta)
+
+
+class NCPolynomial(_Twisted, _FourierSum):
     """A finite Fourier sum sum a_mn U^m V^n in the twisted torus algebra."""
 
-    __slots__ = ("theta", "coeffs")
-
-    def __init__(self, theta: Theta, coeffs: dict | None = None):
-        clean = {}
-        coerce = _system_for(theta).coerce
-        for mode, value in (coeffs or {}).items():
-            m, n = mode
-            s = coerce(value)
-            if s:
-                clean[(int(m), int(n))] = s
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPolynomial is immutable")
-
-    # -- constructors --------------------------------------------------------
+    __slots__ = ()
 
     @classmethod
     def zero(cls, theta: Theta) -> "NCPolynomial":
@@ -144,102 +146,20 @@ class NCPolynomial:
     def monomial(cls, theta: Theta, m: int, n: int, coeff=1) -> "NCPolynomial":
         return cls(theta, {(m, n): coeff})
 
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def _system(self):
-        return _system_for(self.theta)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def _check_theta(self, other: "NCPolynomial") -> None:
-        if self.theta != other.theta:
-            raise ValidationError(
-                f"twist mismatch: {self.theta!r} vs {other.theta!r}"
-            )
-
     def coefficient(self, m: int, n: int):
         return self.coeffs.get((m, n), self._system.zero)
-
-    # -- algebra --------------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        self._check_theta(other)
-        return NCPolynomial(self.theta, T.add_terms(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return NCPolynomial(self.theta, {mode: -s for mode, s in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, NCPolynomial):
-            self._check_theta(other)
-            # a word U^m V^n is the term with mode (m, n) and no xi part
-            prod = T.mul_terms(
-                self._system,
-                2,
-                {(mode, (0, 0), 0): s for mode, s in self.coeffs.items()},
-                {(mode, (0, 0), 0): s for mode, s in other.coeffs.items()},
-            )
-            return NCPolynomial(self.theta, {key[0]: s for key, s in prod.items()})
-        # scalar multiple
-        try:
-            s = self._system.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return NCPolynomial(self.theta, {mode: s * v for mode, v in self.coeffs.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, NCPolynomial):
-            return NotImplemented
-        return self * other
-
-    def adjoint(self) -> "NCPolynomial":
-        """The *-involution: (U^m V^n)* = e^(2 pi i theta m n) U^-m V^-n."""
-        system = self._system
-        out = {}
-        for (m, n), s in self.coeffs.items():
-            conj = s.conjugate()
-            # the phase of reordering V^-n U^-m into U^-m V^-n
-            ph = system.phase(-n, -m)
-            out[(-m, -n)] = conj if ph is None else conj * ph
-        return NCPolynomial(self.theta, out)
-
-    def trace(self):
-        """The normalized trace: the (0, 0) Fourier coefficient."""
-        return self.coeffs.get((0, 0), self._system.zero)
 
     def delta(self, j: int) -> "NCPolynomial":
         """The basic derivation delta_j; scales a_mn by m (j=1) or n (j=2)."""
         if j not in (1, 2):
             raise ValidationError(f"derivation index must be 1 or 2, got {j}")
-        out = {}
-        for (m, n), s in self.coeffs.items():
-            w = m if j == 1 else n
-            if w:
-                out[(m, n)] = s * w
-        return NCPolynomial(self.theta, out)
+        return self._from_terms(T.mode_deriv_terms(self._terms(), j - 1))
 
     def approximate(self) -> "NCPolynomial":
         """The same element with floating coefficients."""
         if not self.theta.is_exact:
             return self
         return NCPolynomial(Theta.from_float(self.theta.as_float()), self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        return self.theta == other.theta and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -258,7 +178,7 @@ def nc_v(theta: Theta) -> NCPolynomial:
     return NCPolynomial.monomial(theta, 0, 1)
 
 
-class NCSymbol(_Symbol):
+class NCSymbol(_Twisted, _Symbol):
     """A classical symbol whose coefficients live in the twisted algebra.
 
     Terms are stored at the granularity of single U^m V^n modes, mirroring
@@ -270,9 +190,6 @@ class NCSymbol(_Symbol):
     """
 
     __slots__ = ()
-
-    n = 2
-    _space_name = "twist"
 
     def __init__(
         self,
@@ -287,14 +204,6 @@ class NCSymbol(_Symbol):
             for deg, block in (components or {}).items()
         )
         self._init(theta, order, bags, trusted_floor)
-
-    @property
-    def theta(self) -> Theta:
-        return self._space
-
-    @property
-    def _system(self):
-        return _system_for(self.theta)
 
     def _check_composable(self, other: "NCSymbol") -> None:
         if self.theta != other.theta:

@@ -10,6 +10,7 @@ is what turns the residue identities into decidable statements.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -50,14 +51,32 @@ def _canonical_bag(n: int, degree: int, items: Iterable, coerce) -> dict:
     """
     raw: dict = {}
     for coeff, mode, alpha, npow in items:
-        mode = tuple(mode)
-        alpha = tuple(alpha)
-        if len(mode) != n:
-            raise ValidationError(f"Fourier mode {mode} has length != {n}")
-        if any(a < 0 for a in alpha):
+        mode = _indices(mode, n, "Fourier mode")
+        alpha = _indices(alpha, n, "xi multi-index")
+        if min(alpha) < 0:
             raise ValidationError(f"xi exponents must be nonnegative: {alpha}")
-        T.bag_add(raw, (mode, alpha, int(npow)), coerce(coeff))
+        T.bag_add(raw, (mode, alpha, _index(npow, "|xi| power")), coerce(coeff))
     return T.canonical_terms(n, degree, raw)
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an ``int`` (``operator.index``), or ``ValidationError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} {value!r} is not an integer") from None
+
+
+def _indices(entries, n: int, what: str) -> tuple[int, ...]:
+    """``entries`` as n ``int``s: ``numpy.int64`` or ``bool`` entries become
+    plain ``int``s, and a float or a string is a ``ValidationError``."""
+    try:
+        out = tuple(map(operator.index, entries))
+    except TypeError:
+        raise ValidationError(f"{what} {entries!r} must hold integers") from None
+    if len(out) != n:
+        raise ValidationError(f"{what} {out} has length != {n}")
+    return out
 
 
 def _sum_bag(n: int, degree: int, a: dict, b: dict) -> dict:
@@ -213,61 +232,127 @@ def zero_component(n: int, degree: int) -> HomogeneousComponent:
     return HomogeneousComponent._from_canonical(n, degree, {})
 
 
-class TrigPolynomial:
-    """A finite Fourier sum on the n-torus with exact coefficients."""
+class _FourierSum:
+    """The core under both Fourier-sum classes: ``coeffs`` maps modes (n
+    ``int``s each) to nonzero coefficients.
 
-    __slots__ = ("n", "coeffs")
+    ``_space`` and the subclass's ``n``, ``_system`` and ``_space_name`` are
+    as for ``_Symbol``.  To the term engine a mode is a term with no xi
+    part: a product is one ``mul_terms`` call (with the system's phase;
+    the torus's system has none), a derivation one ``mode_deriv_terms``.
+    """
 
-    def __init__(self, n: int, coeffs: dict | None = None):
+    __slots__ = ("_space", "coeffs")
+
+    def __init__(self, space, coeffs: dict | None = None):
+        object.__setattr__(self, "_space", space)
+        n, coerce = self.n, self._system.coerce
         clean = {}
         for mode, c in (coeffs or {}).items():
-            mode = tuple(mode)
-            if len(mode) != n:
-                raise ValidationError(f"Fourier mode {mode} has length != {n}")
-            c = _SYS.coerce(c)
-            if not c.is_zero():
+            mode, c = _indices(mode, n, "Fourier mode"), coerce(c)
+            if c:
                 clean[mode] = c
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TrigPolynomial is immutable")
+    def _with(self, coeffs: dict):
+        out = object.__new__(type(self))
+        object.__setattr__(out, "_space", self._space)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
 
-    def hat(self, mode) -> ComplexRational:
-        return self.coeffs.get(tuple(mode), ComplexRational(0))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other):
-        if not isinstance(other, TrigPolynomial) or self.n != other.n:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for mode, c in other.coeffs.items():
-            out[mode] = out.get(mode, ComplexRational(0)) + c
-        return TrigPolynomial(self.n, out)
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
-    def __neg__(self):
-        return TrigPolynomial(self.n, {m: -c for m, c in self.coeffs.items()})
+    def _check_space(self, other) -> None:
+        if self._space != other._space:
+            raise ValidationError(
+                f"{self._space_name} mismatch: {self._space!r} vs {other._space!r}"
+            )
+
+    def _terms(self) -> dict:
+        flat = (0,) * self.n
+        return {(mode, flat, 0): s for mode, s in self.coeffs.items()}
+
+    def _from_terms(self, bag: dict):
+        return self._with({key[0]: s for key, s in bag.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_space(other)
+        return self._with(T.add_terms(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        if not isinstance(other, TrigPolynomial) or self.n != other.n:
+        if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
-    def scale(self, c) -> "TrigPolynomial":
-        c = _SYS.coerce(c)
-        return TrigPolynomial(self.n, {m: c * v for m, v in self.coeffs.items()})
+    def __neg__(self):
+        return self._with({mode: -s for mode, s in self.coeffs.items()})
+
+    def scale(self, c):
+        c = self._system.coerce(c)
+        return self._with({mode: p for mode, s in self.coeffs.items() if (p := c * s)})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            self._check_space(other)
+            return self._from_terms(
+                T.mul_terms(self._system, self.n, self._terms(), other._terms())
+            )
+        try:
+            return self.scale(other)
+        except TypeError:
+            return NotImplemented
+
+    __rmul__ = __mul__  # a scalar multiple
+
+    def adjoint(self):
+        """The *-involution: (U^m V^n)* = e^(2 pi i theta m n) U^-m V^-n."""
+        phase = self._system.phase
+        out = {}
+        for mode, s in self.coeffs.items():
+            conj = s.conjugate()
+            # the phase of reordering V^-n U^-m into U^-m V^-n
+            ph = phase and phase(-mode[1], -mode[0])
+            out[tuple(-x for x in mode)] = conj if ph is None else conj * ph
+        return self._with(out)
+
+    def trace(self):
+        """The normalized trace: the mode-zero Fourier coefficient."""
+        return self.coeffs.get((0,) * self.n, self._system.zero)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, TrigPolynomial):
-            return self.n == other.n and self.coeffs == other.coeffs
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._space == other._space and self.coeffs == other.coeffs
+
+
+class TrigPolynomial(_FourierSum):
+    """A finite Fourier sum on the n-torus with exact coefficients."""
+
+    __slots__ = ()
+
+    _system = _SYS
+    _space_name = "dimension"
+
+    @property
+    def n(self) -> int:
+        return self._space
+
+    def hat(self, mode) -> ComplexRational:
+        return self.coeffs.get(tuple(mode), _SYS.zero)
+
+    def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, ComplexRational)):
-            other = _SYS.coerce(other)
-            if other.is_zero():
-                return self.is_zero()
-            return self.coeffs == {(0,) * self.n: other}
-        return NotImplemented
+            other = TrigPolynomial(self.n, {(0,) * self.n: other})  # a constant
+        return super().__eq__(other)
 
     def __hash__(self):
         return hash((self.n, frozenset(self.coeffs.items())))
@@ -566,8 +651,9 @@ def monomial_symbol(
     npow: int = 0,
 ) -> ClassicalSymbol:
     """A complete one-term symbol coeff * e^(i mode.x) xi^alpha |xi|^npow."""
-    mode = tuple(mode) if mode is not None else (0,) * n
-    alpha = tuple(alpha) if alpha is not None else (0,) * n
+    mode = (0,) * n if mode is None else mode
+    alpha = (0,) * n if alpha is None else _indices(alpha, n, "xi multi-index")
+    npow = _index(npow, "|xi| power")
     degree = sum(alpha) + npow
     comp = HomogeneousComponent(n, degree, [(coeff, mode, alpha, npow)])
     return ClassicalSymbol(n, degree, {degree: comp}, None)

@@ -202,8 +202,9 @@ class Keys:
     mode_shifts[0]``) to the mode; ``alphas`` maps an alpha to (|alpha|,
     its share of a key, offsets included) and the alpha fields of a key
     (``key & alpha_mask``) to the alpha.  Tuples and ints never collide as
-    dict keys.  Each memo holds up to ``_MEMO_FIELDS`` fields and starts
-    afresh when full.
+    dict keys.  Both map a decoded tuple, never a caller's, whose entries
+    may be ``bool``s equal to the ``int``s.  Each memo holds up to
+    ``_MEMO_FIELDS`` fields and starts afresh when full.
     """
 
     __slots__ = ("n", "width", "mask", "half", "offsets", "alpha_mask", "npow_shift",
@@ -273,7 +274,7 @@ class Keys:
         size = sum(alpha)
         part = self.offsets + sum(map(operator.mul, alpha, self.alpha_weights))
         if size < self.half:  # else a field overflows: the layout is too narrow
-            _remember(self.alphas, part & self.alpha_mask, alpha, self.memo_limit)
+            alpha = self.unpack(part)[1]  # decoded, so its entries are ints
             _remember(self.alphas, alpha, (size, part), self.memo_limit)
         return size, part
 
@@ -284,8 +285,7 @@ class Keys:
         size = max(max(mode), -min(mode))
         part = sum(map(operator.mul, mode, self.mode_units))
         if size < self.half:
-            _remember(self.modes, (self.offsets + part) >> self.mode_shifts[0], mode,
-                      self.memo_limit)
+            mode = self.unpack(self.offsets + part)[0]  # decoded, so its entries are ints
             _remember(self.modes, mode, (size, part), self.memo_limit)
         return size, part
 
@@ -404,19 +404,18 @@ def mul_terms(system, keys, left: dict, right: dict, out: dict | None = None) ->
     """Pointwise product; modes add, with the system's phase twist.
 
     Left scalars multiply on the left, which is what the twisted calculus
-    requires; the commutative backend does not care.  Products are summed
-    into ``out`` as ``bag_add`` does.  ``keys`` is the layout of packed
-    bags or the dimension of tuple-keyed ones (``pack_terms``).  The
-    phase is read only for a twisted system, from the two mode fields it
-    uses.
+    requires; the commutative backend does not care.  ``keys`` is the
+    layout of packed bags, whose products are summed into ``out`` as
+    ``bag_add`` does, or the dimension of tuple-keyed ones
+    (``pack_terms``), whose product is a new bag.  The phase is read only
+    for a twisted system, from the two mode fields it uses.
     """
-    given = out
     tuples = type(keys) is int
     if tuples:
-        bags = (left, right) if given is None else (left, right, given)
-        keys, (left, right, *out) = pack_terms(keys, bags)
-        out = out[0] if out else {}
-    elif out is None:
+        if out is not None:
+            raise TypeError("mul_terms sums into out only on packed bags")
+        keys, (left, right) = pack_terms(keys, (left, right))
+    if out is None:
         out = {}
     phase = system.phase
     if phase is not None:
@@ -444,14 +443,7 @@ def mul_terms(system, keys, left: dict, right: dict, out: dict | None = None) ->
                     out[key] = s
                 else:
                     del out[key]
-    if not tuples:
-        return out
-    out = keys.unpack_bag(out)
-    if given is None:
-        return out
-    given.clear()
-    given.update(out)
-    return given
+    return keys.unpack_bag(out) if tuples else out
 
 
 def partial_xi_terms(keys, terms: dict, axis: int) -> dict:
@@ -644,10 +636,10 @@ def _divide_by_sum_sq(keys, poly: dict, left: int):
 
 # -- composition ------------------------------------------------------------
 
-# compose_components refuses, before it lifts by K!, a composition whose
-# deepest derivative order K reaches more multi-indices |gamma| <= K in n
-# variables, C(K + n, n), than this: a floor far below the orders would walk
-# a tower that deep.  The tests and benchmarks reach 120 (K = 7, n = 3).
+# compose_components and residue_pairing refuse (_check_tower), before they
+# lift by K!, a sum whose deepest derivative order K reaches more multi-indices
+# |gamma| <= K in n variables, C(K + n, n), than this: a low floor or high
+# orders would walk a tower that deep.  The tests and benchmarks reach 120.
 MAX_GAMMA_COUNT = 1_000
 
 
@@ -737,11 +729,7 @@ def compose_components(
         )
     caps = _level_caps(comps_a, comps_b, floor, gamma_cap)
     deepest = max(caps.values(), default=0)
-    if math.comb(deepest + n, n) > MAX_GAMMA_COUNT:
-        raise ValidationError(
-            f"composition needs xi-derivatives up to order {deepest} in {n} variables, "
-            f"more than {MAX_GAMMA_COUNT} multi-indices; assign a higher trusted floor"
-        )
+    _check_tower(n, deepest, "assign a higher trusted floor")
     comps_a, den_a = system.lift(comps_a)
     comps_b, den_b = system.lift(comps_b)
     keys, packed = pack_terms(n, [*comps_a.values(), *comps_b.values()], deepest)
@@ -776,6 +764,15 @@ def compose_components(
         if ct:
             result[d] = {key: system.lower(s, den) for key, s in keys.unpack_bag(ct).items()}
     return result
+
+
+def _check_tower(n: int, deepest: int, remedy: str) -> None:
+    """Refuse a xi-derivative tower of more than ``MAX_GAMMA_COUNT`` multi-indices."""
+    if math.comb(deepest + n, n) > MAX_GAMMA_COUNT:
+        raise ValidationError(
+            f"composition needs xi-derivatives up to order {deepest} in {n} variables, "
+            f"more than {MAX_GAMMA_COUNT} multi-indices; {remedy}"
+        )
 
 
 def _level_caps(comps_a, comps_b, floor, gamma_cap) -> dict[tuple[int, int], int]:
@@ -848,22 +845,19 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     derivatives of each group are memoised (``xi_derivative``), and the
     phase and weight are formed once per group and gamma.
 
-    As in ``compose_components``, both factors are lifted on entry and the
+    A pair meets at level k = a_deg + b_deg + n.  It is dropped when its
+    left component is a polynomial of degree below k, as in ``_level_caps``,
+    and the deepest level is bounded (``_check_tower``) before any lift.
+
+    As in ``compose_components``, both factors are lifted and the
     weights are the integers w * (K!/gamma!).  The left groups are packed
     once, for their xi-derivatives, and each product reads the alpha of its
     left key.  Returns ``(bag, den)``: the bag of numerators and their one
     denominator, the lifts' denominators times K!, which the sphere sum
     lowers by once.
     """
-    comps_b, den_b = system.lift(comps_b)
-    partners: dict[int, dict] = {}  # b_deg -> mode -> parity -> [(alpha, numerator)]
-    for b_deg, b_terms in comps_b.items():
-        index: dict = {}
-        for (mode, alpha, _p), s in b_terms.items():
-            index.setdefault(mode, {}).setdefault(_parity(alpha), []).append((alpha, s))
-        if index:
-            partners[b_deg] = index
-    wanted = {tuple(-x for x in mode) for index in partners.values() for mode in index}
+    b_modes = {b_deg: {key[0] for key in b_terms} for b_deg, b_terms in comps_b.items()}
+    wanted = {tuple(-x for x in mode) for modes in b_modes.values() for mode in modes}
     kept: dict[int, dict] = {}
     levels: dict[tuple[int, int], int] = {}
     for a_deg, a_terms in comps_a.items():
@@ -871,12 +865,21 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
         if not a_terms:
             continue
         kept[a_deg] = a_terms
-        for b_deg, index in partners.items():
+        top = a_deg if terms_polynomial(a_terms) else None
+        for b_deg, modes in b_modes.items():
             k = a_deg + b_deg + n
-            if k < 0 or (k and all(not any(mode) for mode in index)):
-                continue  # degree -n out of reach, or D^gamma kills every right term
+            if k < 0 or (top is not None and k > top) or (k and not any(map(any, modes))):
+                continue  # out of reach, past a polynomial's tower, or D^gamma kills b
             levels[(a_deg, b_deg)] = k
+    deepest = max(levels.values(), default=0)
+    _check_tower(n, deepest, "lower the orders of the factors")
     comps_a, den_a = system.lift(kept)
+    comps_b, den_b = system.lift(comps_b)
+    partners: dict[int, dict] = {}  # b_deg -> mode -> parity -> [(alpha, numerator)]
+    for b_deg, b_terms in comps_b.items():
+        index = partners[b_deg] = {}
+        for (mode, alpha, _p), s in b_terms.items():
+            index.setdefault(mode, {}).setdefault(_parity(alpha), []).append((alpha, s))
     groups, bags = [], []  # (a_deg, mode, parity) and the left terms that pair alike
     for a_deg, a_terms in comps_a.items():
         by_group: dict[tuple, dict] = {}
@@ -884,7 +887,6 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
             by_group.setdefault((key[0], _parity(key[1])), {})[key] = s
         groups += [(a_deg, *group) for group in by_group]
         bags += by_group.values()
-    deepest = max(levels.values(), default=0)
     keys, packed = pack_terms(n, bags, deepest)
     scale = math.factorial(deepest)
     add = operator.add

@@ -1,14 +1,19 @@
+import contextlib
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ncresidue.cli as cli
-from ncresidue.dsl import symbol_from_json
+from ncresidue.dsl import format_symbol, random_symbol, symbol_from_json, symbol_to_json
 from ncresidue.nctorus import nc_compose
 from ncresidue.scalars import PiGradedScalar
 
@@ -478,3 +483,90 @@ def test_compose_refuses_an_output_integer_too_long_to_write(tmp_path, capsys, e
     assert err.startswith("validation error: a result coefficient holds an integer of more "
                           "than 14000 bits")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# -- mutated documents through cli.main ------------------------------------------------
+
+_FUZZ_SYMBOLS = [
+    random_symbol(seed, dim=dim, order=order, depth=2, max_mode=2, max_alpha=3, theta=theta)
+    for seed, dim, order, theta in ((1, 2, 1, None), (2, 3, 0, None), (3, 2, -2, None),
+                                    (4, 2, 0, Fraction(2, 5)), (5, 2, -1, Fraction(7, 30)),
+                                    (6, 2, -2, Fraction(0)))
+]
+_FUZZ_TEXTS = [format_symbol(sym) for sym in _FUZZ_SYMBOLS] + [
+    "dim 2 order 0 floor -2 deg -2 { xi1^2 * r^-4 - 1/3 * i * e(1,-2) * r^-2 }",
+    "dim 2 order 0 floor -1 theta 5/12 deg 0 { U^-1 * V^2 * xi1 * r^-1 + (1 + i) * V }",
+]
+_FUZZ_JSONS = [symbol_to_json(sym) for sym in _FUZZ_SYMBOLS]
+_FUZZ_PIECES = ["", " ", "\n", "0", "1", "-", "*", "/", "^", "(", ")", "{", "}", ",", "[", "]",
+                '"', ":", "i", "xi1", "xi3", "r", "e(", "U", "V", "deg", "floor", "theta",
+                "2/5", "1/0", "^-64", "^65", "9" * 40, "true", "null", "-1e999"]
+# JSON values written over a field of a JSON document
+_FUZZ_VALUES = [None, True, 0, -1, 7, -100, 10**40, 1.5, "3", "1/0", "x", [], {}, [0, 0, 0],
+                [1, -1], {"re": "1", "im": "2/3"}, {"re": 1}]
+
+
+def _json_slots(data):
+    """The (container, key) of every value inside a JSON document."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in list(items):
+        yield data, key
+        if isinstance(value, (dict, list)):
+            yield from _json_slots(value)
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """(text, suffix): a text or JSON seed document after a few random edits.
+
+    A JSON document has up to three of its values written over, deleted or
+    doubled; either kind then has up to two text edits, as in the parser's
+    fuzz: a piece inserted or written over a span, a span deleted or doubled."""
+    if draw(st.booleans()):
+        text, suffix = draw(st.sampled_from(_FUZZ_TEXTS)), ".sym"
+    else:
+        data = copy.deepcopy(draw(st.sampled_from(_FUZZ_JSONS)))
+        for _ in range(draw(st.integers(0, 3))):
+            container, key = draw(st.sampled_from(list(_json_slots(data))))
+            edit = draw(st.sampled_from(["set", "delete", "double"]))
+            if edit == "set":
+                container[key] = copy.deepcopy(draw(st.sampled_from(_FUZZ_VALUES)))
+            elif edit == "delete":
+                del container[key]
+            elif isinstance(container, list):
+                container.insert(key, copy.deepcopy(container[key]))
+        text, suffix = json.dumps(data), ".json"
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "double"]))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from(_FUZZ_PIECES)) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "replace":
+            text = text[:i] + draw(st.sampled_from(_FUZZ_PIECES)) + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text, suffix
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_documents(), st.booleans())
+def test_cli_on_a_mutated_document_exits_cleanly_with_one_line(tmp_path, doc, as_json):
+    """residue, nc-residue, compose and decompose each exit 0-4 within a second,
+    with at most one line on stderr."""
+    text, suffix = doc
+    path = tmp_path / f"doc{suffix}"
+    path.write_text(text)
+    flag = ["--json"] if as_json else []
+    for argv in (["residue", str(path)], ["nc-residue", str(path)],
+                 ["compose", str(path), str(path)], ["decompose", str(path)]):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + flag)
+        assert time.perf_counter() - start < 1, argv
+        assert code in range(5), (argv, err.getvalue())
+        assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -92,6 +92,27 @@ def test_theta_mismatch_rejected():
         a + b
 
 
+@pytest.mark.parametrize("mode, message", [((1.5, 0), "must hold integers"),
+                                           ((1, 0, 0), "has length != 2"),
+                                           (1, "must hold integers")])
+def test_a_malformed_mode_is_a_validation_error(mode, message):
+    for theta in (Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)):
+        with pytest.raises(ValidationError, match=message):
+            NCPolynomial(theta, {mode: 1})
+
+
+def test_algebra_elements_stay_unhashable_and_keep_their_names():
+    th = Theta.from_rational(Fraction(1, 4))
+    a = NCPolynomial(th, {(True, 0): 2})
+    assert list(a.coeffs) == [(1, 0)] and type(next(iter(a.coeffs))[0]) is int
+    with pytest.raises(TypeError):
+        hash(a)
+    assert a.theta == th and a.coefficient(1, 0) == 2 and a.coefficient(0, 0) == 0
+    assert 3 * a == a * 3 == NCPolynomial.monomial(th, 1, 0, 6)
+    assert a.approximate().coefficient(1, 0) == 2 + 0j
+    assert repr(NCPolynomial.zero(th)) == "<ncpoly theta=Theta(1/4): 0>"
+
+
 def test_mul_associativity_randomized():
     rng = random.Random(11)
     for theta in THETAS:

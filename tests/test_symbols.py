@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from ncresidue import terms as T
+from ncresidue.dsl import format_symbol, symbol_to_json
 from ncresidue.errors import (
     CriticalDegreeError,
     InsufficientExpansionError,
@@ -15,6 +18,7 @@ from ncresidue.symbols import (
     TrigPolynomial,
     canonicalize,
     euler_antiderivatives,
+    monomial_symbol,
     sphere_average,
     xi_symbol,
     zero_component,
@@ -307,6 +311,70 @@ def test_trig_polynomial_ops():
     assert r.scale(2).hat((0, 0)) == 1
     assert r.hat((5, 5)) == 0
     assert TrigPolynomial(2, {(0, 0): Fraction(1, 2)}) == ComplexRational(Fraction(1, 2))
+
+
+def test_trig_polynomial_sum_across_dimensions_is_a_validation_error():
+    a, b = TrigPolynomial(2, {(0, 0): 1}), TrigPolynomial(3, {(0, 0, 0): 1})
+    for op in (a.__add__, a.__sub__, a.__mul__):
+        with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 3"):
+            op(b)
+
+
+def test_trig_polynomial_is_the_algebra_at_twist_zero():
+    # a commutative convolution algebra: the product is the convolution, the
+    # adjoint conjugates and reflects, the trace is the mode-zero coefficient
+    a = TrigPolynomial(2, {(1, 0): 2, (0, -1): ComplexRational(0, 1)})
+    b = TrigPolynomial(2, {(-1, 0): Fraction(1, 2), (0, 0): 3})
+    assert a * b == b * a == TrigPolynomial(
+        2, {(0, 0): 1, (1, 0): 6, (-1, -1): ComplexRational(0, Fraction(1, 2)),
+            (0, -1): ComplexRational(0, 3)})
+    assert a.adjoint() == TrigPolynomial(2, {(-1, 0): 2, (0, 1): ComplexRational(0, -1)})
+    assert (a * a.adjoint()).trace() == 5
+    assert 2 * a == a * 2 == a.scale(2)
+    assert not TrigPolynomial(2) and TrigPolynomial(2).is_zero()
+    assert hash(a) == hash(TrigPolynomial(2, dict(a.coeffs)))
+
+
+# -- term entries: plain ints, or a one-line refusal ----------------------------------
+
+
+def test_numpy_integer_entries_become_plain_ints():
+    T._narrow_layout.cache_clear()  # so the engine meets these modes afresh
+    i = np.int64
+    c = HomogeneousComponent(2, 0, [(1, (i(1), i(-2)), (i(0), i(2)), i(-2))])
+    assert c == HomogeneousComponent(2, 0, [(1, (1, -2), (0, 2), -2)])
+    (term,) = c.terms()
+    assert all(type(x) is int for x in term.mode + term.alpha + (term.npow,))
+    sym = monomial_symbol(2, 1, mode=(i(1), i(0)), alpha=(i(1), i(0)), npow=i(-1))
+    assert format_symbol(sym) == "dim 2 order 0 floor 0\ndeg 0 { e(1,0) * xi1 * r^-1 }"
+    assert TrigPolynomial(2, {(i(1), i(0)): 1}).coeffs == {(1, 0): ComplexRational(1)}
+
+
+def test_a_bool_mode_entry_does_not_change_later_modes():
+    # (True, 0) == (1, 0) as a dict key: a fresh layout memo must not give the
+    # caller's tuple back for every later (1, 0)
+    T._narrow_layout.cache_clear()
+    odd = HomogeneousComponent(2, 0, [(1, (True, 0), (0, 0), 0)])
+    assert [t.mode for t in odd.terms()] == [(1, 0)]
+    assert type(odd.terms()[0].mode[0]) is int
+    sym = monomial_symbol(2, 1, mode=(1, 0))
+    assert format_symbol(sym) == "dim 2 order 0 floor 0\ndeg 0 { e(1,0) }"
+    assert symbol_to_json(sym)["blocks"][0]["terms"][0]["mode"] == [1, 0]
+
+
+@pytest.mark.parametrize("mode, alpha", [((1.5, 0), (0, 0)), ((0, 0), (1.5, 0)),
+                                          ((0, "1"), (0, 0)), (1, (0, 0)), ((0, 0), None)])
+def test_a_non_integer_entry_is_a_validation_error(mode, alpha):
+    with pytest.raises(ValidationError, match="must hold integers"):
+        HomogeneousComponent(2, 0, [(1, mode, alpha, 0)])
+
+
+def test_a_fractional_npow_is_a_validation_error():
+    for npow in (0.5, 1.0, Fraction(1, 2)):
+        with pytest.raises(ValidationError, match="not an integer"):
+            HomogeneousComponent(2, 0, [(1, (0, 0), (0, 0), npow)])
+        with pytest.raises(ValidationError, match="not an integer"):
+            monomial_symbol(2, 1, npow=npow)
 
 
 # -- classical symbols ------------------------------------------------------------------

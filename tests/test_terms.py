@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncresidue import terms as T
-from ncresidue.calculus import _residue_of_composition, _sphere_sum
+from ncresidue.calculus import _residue_of_composition, _sphere_sum, compose, residue
 from ncresidue.cyclotomic import CyclotomicInteger, CyclotomicScalar, cyclotomic_phase
 from ncresidue.dsl import random_symbol, symbol_from_json, symbol_to_json
 from ncresidue.errors import ValidationError
@@ -52,7 +52,9 @@ def reference_compose(system, n, comps_a, comps_b, keep, kmax=None):
                     right = {key: s * Fraction(w, fact)
                              for key, s in b_terms.items()
                              if (w := prod(m**g for m, g in zip(key[0], gamma)))}
-                    T.mul_terms(system, n, left, right, out.setdefault(a_deg + b_deg - k, {}))
+                    bucket = out.setdefault(a_deg + b_deg - k, {})
+                    for key, s in T.mul_terms(system, n, left, right).items():
+                        T.bag_add(bucket, key, s)
             nxt = {}
             for gamma, t in level.items():
                 for j in range(n):
@@ -352,6 +354,41 @@ def _assert_same_as_unlifted(n, ca, cb, floor, **kw):
     assert got == T.compose_components(_Unlifted(), n, ca, cb, floor, **kw)
     assert all(type(s) is ComplexRational for bag in got.values() for s in bag.values())
     return got
+
+
+def test_residue_pairing_refuses_a_tower_past_the_gamma_bound():
+    """sigma = U V xi_1 |xi|^-2 against tau = U^-1 V^-1 |xi|^K meets at level K + 1.
+
+    The bound admits 43 at n = 2.  At the float twist, order 171 used to run for
+    seconds and end in an OverflowError (K! past the float range)."""
+    theta = Theta.from_float(0.4)
+    sigma = NCSymbol(theta, -1, {-1: [(1, (1, 1), (1, 0), -2)]}, None)
+
+    def tau(order):
+        return NCSymbol(theta, order, {order: [(1, (-1, -1), (0, 0), order)]}, None)
+
+    assert _deepest_order(2) == 43
+    _nc_residue_of_composition(sigma, tau(42))
+    start = time.perf_counter()
+    for order, level in ((43, 44), (170, 171)):
+        with pytest.raises(ValidationError, match=f"up to order {level} in 2 variables"):
+            _nc_residue_of_composition(sigma, tau(order))
+    assert time.perf_counter() - start < 1
+
+
+def test_residue_pairing_admits_what_compose_admits():
+    # xi_1 against a right factor of order 50: the level 1 + 50 + 2 of that pair
+    # lies past the bound, but the tower of xi_1 vanishes after one step
+    cr = ComplexRational
+    sigma = ClassicalSymbol(2, 1, {1: HomogeneousComponent(2, 1, [(1, (0, 0), (1, 0), 0)])})
+    tau = ClassicalSymbol(2, 50, {
+        50: HomogeneousComponent(2, 50, [(cr(2, 1), (1, 0), (0, 0), 50)]),
+        -3: HomogeneousComponent(2, -3, [(cr(0, 3), (0, 0), (1, 0), -4)]),
+    })
+    got = _residue_of_composition(sigma, tau)
+    assert not got.is_zero()
+    assert got == residue(compose(sigma, tau))
+    assert _residue_of_composition(tau, sigma) == residue(compose(tau, sigma))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -843,6 +880,26 @@ def test_layout_memos_stay_exact_and_bounded(monkeypatch):
     assert len(keys.modes) <= 4 and len(keys.alphas) <= 4
     assert keys.unpack_bag(packed) == bag
     assert [keys.unpack(k) for k in packed] == list(bag)
+
+
+def test_layout_memos_map_back_only_what_they_decode():
+    # (True, 0) == (1, 0) as a dict key: a caller's tuple must not become the
+    # decoded value of its key fields, in this call or a later one
+    T._narrow_layout.cache_clear()
+    one = ComplexRational(1)
+    for mode, alpha in (((True, 0), (0, True)), ((1, 0), (0, 1))):
+        bag = T.canonical_terms(2, 0, {(mode, alpha, -1): one})
+        assert list(bag) == [((1, 0), (0, 1), -1)]
+        ((mode, alpha, npow),) = bag
+        assert all(type(x) is int for x in (*mode, *alpha, npow))
+
+
+def test_tuple_keyed_mul_terms_returns_a_new_bag():
+    one = ComplexRational(1)
+    left, right = {((1, 0), (1, 0), 0): one}, {((0, 2), (0, 0), -1): one}
+    assert T.mul_terms(T.RATIONAL_SYSTEM, 2, left, right) == {((1, 2), (1, 0), -1): one}
+    with pytest.raises(TypeError):
+        T.mul_terms(T.RATIONAL_SYSTEM, 2, left, right, {})
 
 
 def _one_term(n, deg, mode, alpha, coeff):
