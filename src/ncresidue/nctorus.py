@@ -36,7 +36,14 @@ from .calculus import (
 )
 from .errors import DomainError, ValidationError
 from .scalars import PiGradedScalar, torus_volume
-from .symbols import ClassicalSymbol, HomogeneousComponent, _canonical_bag, _FourierSum, _Symbol
+from .symbols import (
+    ClassicalSymbol,
+    HomogeneousComponent,
+    _canonical_bag,
+    _FourierSum,
+    _index,
+    _Symbol,
+)
 
 
 class Theta:
@@ -199,10 +206,11 @@ class NCSymbol(_Twisted, _Symbol):
         trusted_floor: int | None = None,
     ):
         coerce = _system_for(theta).coerce
-        bags = (
-            (deg, _canonical_bag(2, deg, _block_items(block), coerce))
-            for deg, block in (components or {}).items()
-        )
+        bags = []
+        for deg, block in (components or {}).items():
+            if type(deg) is not int:  # before canonical form reads it
+                deg = _index(deg, "degree")
+            bags.append((deg, _canonical_bag(2, deg, _block_items(block), coerce)))
         self._init(theta, order, bags, trusted_floor)
 
     def _check_composable(self, other: "NCSymbol") -> None:

@@ -108,6 +108,8 @@ class HomogeneousComponent:
     __slots__ = ("n", "degree", "_terms")
 
     def __init__(self, n: int, degree: int, terms: Iterable = ()):
+        if type(n) is not int or type(degree) is not int:
+            n, degree = _index(n, "dimension"), _index(degree, "degree")
         if n < 2:
             raise ValidationError(f"dimension must be at least 2, got {n}")
         object.__setattr__(self, "n", n)
@@ -458,11 +460,19 @@ class _Symbol:
     def _init(self, space, order: int, bags: Iterable, trusted_floor: int | None) -> None:
         """Set the fields from ``(degree, canonical bag)`` pairs.
 
-        Empty bags are dropped; a nonempty one outside order..trusted_floor
-        is refused.
+        The order, the floor and the degrees become plain ``int``s
+        (``operator.index``; a float is a ``ValidationError``).  Empty bags
+        are dropped; a nonempty one outside order..trusted_floor is refused.
         """
+        # most calls come from the arithmetic with ints: test the type first
+        if type(order) is not int:
+            order = _index(order, "order")
+        if trusted_floor is not None and type(trusted_floor) is not int:
+            trusted_floor = _index(trusted_floor, "trusted floor")
         comps = {}
         for deg, bag in bags:
+            if type(deg) is not int:
+                deg = _index(deg, "degree")
             if not bag:
                 continue
             if deg > order:
@@ -592,6 +602,8 @@ class ClassicalSymbol(_Symbol):
         components: dict[int, HomogeneousComponent] | None = None,
         trusted_floor: int | None = None,
     ):
+        if type(n) is not int:
+            n = _index(n, "dimension")
         if n < 2:
             raise ValidationError(f"dimension must be at least 2, got {n}")
         self._init(n, order, _component_bags(n, components or {}), trusted_floor)

@@ -50,6 +50,26 @@ and unpack on return.  A layout remembers the modes and alphas it has
 packed or read (``Keys``), which is what keeps the many one- and two-term
 bags of the symbol layer and the parser cheap to pack.
 
+Numerators: ``compose_components`` under ``RationalSystem`` runs on one
+``int`` per Gaussian numerator a + bi, a + b 2^w (``PackedGaussians``).
+That is the ring map Z[i] -> Z/(2^(2w) + 1) sending i to 2^w, so the
+engine loops, which only add, negate, multiply and test for zero, run
+unchanged on the ``int``s and form images of the Gaussian values.  Each
+emitted degree's product bucket is reduced once to balanced
+representatives before canonical form, and each result is read back from
+its low w bits and the bits above them.  This is exact when every Gaussian
+value the call forms has parts below 2^(w - 1): then its image is a + b
+2^w itself, zero only when the value is, and canonical form's sums of such
+images stay the images of its sums.  Width rule: ``numerator_width``
+bounds every value of the call from the lifted factors' L1 norms, the
+tower growth (F_xi + 3K)^K, the weights K! F_mode^K, the C(K + n, n)
+derivative multi-indices and canonical form's growth n^s, s <= 2 F_xi +
+K, where F_xi is the largest |alpha| + |npow|, F_mode the largest |mode
+entry| (``pack_terms``) and K the deepest derivative order
+(``_level_caps``); its docstring holds the proof.  The twisted and float
+systems keep their numerators (``_same_numerators``), so the call has one
+code path.
+
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
 xi_1^2 + ... + xi_n^2.  This removes the only relation among the
@@ -61,12 +81,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from functools import lru_cache
 
 from .cyclotomic import CYC_ZERO, CyclotomicInteger, CyclotomicScalar
 from .errors import ValidationError
-from .scalars import CR_ZERO, ComplexRational
+from .scalars import CR_ZERO, ComplexRational, GaussianInteger
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -75,7 +96,10 @@ class RationalSystem:
     """Exact complex-rational coefficients; trivial mode phases.
 
     The twisted systems below derive from it and override what differs.
-    ``scalar`` is the coefficient class.
+    ``scalar`` is the coefficient class.  ``numerator_map`` is the one
+    place the systems' numerators differ inside ``compose_components``:
+    here Gaussian numerators become ``int``s (``PackedGaussians``), the
+    other systems keep theirs (``_same_numerators``).
     """
 
     zero = CR_ZERO
@@ -111,6 +135,42 @@ class RationalSystem:
         """The coefficient s / den, in lowest terms (at the order of s)."""
         return self.scalar._lowest(s, den)
 
+    @staticmethod
+    def numerator_map(left: list, right: list, n: int, sizes: tuple[int, int], depth: int):
+        """(numerator map, left, right): the packed bags of the two lifted
+        factors with each Gaussian numerator as one ``int``, at the width
+        ``numerator_width`` gives for the call (``sizes`` is (F_xi, F_mode)
+        from ``pack_terms``)."""
+        norms = [sum([abs(z.re) + abs(z.im) for bag in bags for z in bag.values()])
+                 for bags in (left, right)]
+        ints = PackedGaussians(numerator_width(n, *norms, *sizes, depth))
+        pack = ints.pack
+        left = [{key: pack(z) for key, z in bag.items()} for bag in left]
+        right = [{key: pack(z) for key, z in bag.items()} for bag in right]
+        return ints, left, right
+
+
+class _SameNumerators:
+    """The identity numerator map: the engine runs on the system's own
+    numerators, which the system's ``lower`` turns into coefficients."""
+
+    __slots__ = ("system",)
+
+    def __init__(self, system):
+        self.system = system
+
+    @staticmethod
+    def reduce(bag: dict) -> dict:
+        return bag
+
+    def lower(self, bag: dict, den: int) -> dict:
+        lower = self.system.lower
+        return {key: lower(s, den) for key, s in bag.items()}
+
+
+def _same_numerators(self, left: list, right: list, *_sizes):
+    return _SameNumerators(self), left, right
+
 
 class CyclotomicSystem(RationalSystem):
     """Exact cyclotomic coefficients twisted by theta_num / theta_den.
@@ -141,6 +201,8 @@ class CyclotomicSystem(RationalSystem):
             root = self._roots[e] = CyclotomicInteger.root_of_unity(self.theta_den, e)
         return root
 
+    numerator_map = _same_numerators
+
 
 class FloatSystem(RationalSystem):
     """Floating complex coefficients for numerical experiments.
@@ -158,9 +220,12 @@ class FloatSystem(RationalSystem):
 
     @staticmethod
     def coerce(value) -> complex:
+        """``value`` as a coefficient: a number or an exact scalar, or ``TypeError``."""
         if isinstance(value, (CyclotomicScalar, ComplexRational)):
             return value.to_complex()
-        return complex(value)
+        if isinstance(value, (int, float, complex, numbers.Number)):
+            return complex(value)
+        raise TypeError(f"float backend cannot hold a {type(value).__name__} coefficient")
 
     def phase(self, v: int, u: int):
         t = v * u
@@ -177,8 +242,109 @@ class FloatSystem(RationalSystem):
     def lower(s: complex, den: int) -> complex:
         return s if den == 1 else s / den
 
+    numerator_map = _same_numerators
+
 
 RATIONAL_SYSTEM = RationalSystem()
+
+
+# -- numerators ---------------------------------------------------------------
+
+
+class PackedGaussians:
+    """Gaussian numerators as ``int``s of one width w: a + bi as a + b 2^w.
+
+    This is the ring map Z[i] -> Z/(2^(2w) + 1) that sends i to 2^w (whose
+    square is -1 there), so sums, ``int`` multiples, negations and products
+    of the ``int``s are images of the same Gaussian arithmetic, exactly, as
+    long as nothing is reduced on the way.  A Gaussian integer whose parts
+    lie below 2^(w - 1) in absolute value is recovered from its image: the
+    balanced representative (``reduce``) is a + b 2^w itself, whose low w
+    bits, taken as balanced, are a, and whose bits above them are b
+    (``lower``).  ``numerator_width`` picks a w that every Gaussian value
+    of a ``compose_components`` call stays below.
+    """
+
+    __slots__ = ("width", "modulus", "half", "low_half", "low_mask")
+
+    def __init__(self, width: int):
+        self.width = w = width
+        self.modulus = (1 << 2 * w) + 1
+        self.half = 1 << (2 * w - 1)
+        self.low_half = 1 << (w - 1)
+        self.low_mask = (1 << w) - 1
+
+    def pack(self, z) -> int:
+        return z.re + (z.im << self.width)
+
+    def reduce(self, bag: dict) -> dict:
+        """The bag with each value as its balanced representative mod
+        2^(2w) + 1, in [-2^(2w - 1), 2^(2w - 1)], and the zeros dropped."""
+        m, h = self.modulus, self.half
+        return {key: r for key, v in bag.items() if (r := (v + h) % m - h)}
+
+    def lower(self, bag: dict, den: int) -> dict:
+        """The bag with each value v = a + b 2^w, |a| < 2^(w - 1), as the
+        ``ComplexRational`` (a + bi) / den in lowest terms."""
+        h, mask, w = self.low_half, self.low_mask, self.width
+        gcd, make = math.gcd, ComplexRational._make
+        out = {}
+        for key, v in bag.items():
+            a = ((v + h) & mask) - h
+            b = (v - a) >> w
+            g = gcd(a, b, den)
+            if g == 1:
+                out[key] = make(GaussianInteger(a, b), den)
+            else:
+                out[key] = make(GaussianInteger(a // g, b // g), den // g)
+        return out
+
+
+def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, depth: int) -> int:
+    """The width w of ``PackedGaussians`` for a ``compose_components`` call.
+
+    ``norm_a`` and ``norm_b`` are the L1 norms of the lifted factors (the
+    sum of |re| + |im| over every numerator), F_xi = ``f_xi`` bounds |alpha|
+    + |npow| and F_mode = ``f_mode`` bounds |mode entry| over their terms,
+    and K = ``depth`` is the deepest derivative order.  Every Gaussian value the
+    call forms (derivative, weighted right factor, product bucket, canonical
+    shell or quotient, result) has parts of absolute value below 2^(w - 1),
+    which is what ``PackedGaussians`` needs.  Proof, in the L1 norm N of a
+    bag, which bounds every part of every value in it, and is subadditive
+    and submultiplicative (|z1 z2|_1 <= |z1|_1 |z2|_1):
+
+    - a derivative step d/d(xi_j) scales a term by alpha_j and by npow, and
+      after k steps |alpha| + |npow| <= F_xi + 3k (alpha grows by at most
+      one, |npow| by at most two), so a derivative of order |gamma| <= K
+      has N <= t^K N(a), t = F_xi + 3K;
+    - the weight (K!/gamma!) mode^gamma of a right term is at most K!
+      F_mode^K in absolute value;
+    - the products of all pairs and all gamma with |gamma| <= K, of which
+      there are C(K + n, n) (at most ``MAX_GAMMA_COUNT``, ``_check_tower``),
+      sum to N <= C(K + n, n) t^K K! F_mode^K N(a) N(b) over all product
+      buckets;
+    - canonical form of a group of degree d and lowest |xi| power p makes
+      every value at most n^s times the group's N, with s = d - p, its
+      largest |alpha|, at most 2 F_xi + K: the division by xi_1^2 + ... +
+      xi_n^2 moves a term at xi_1 exponent e to n terms at e - 2, so the
+      sum of |value| n^(e/2) never grows, and starts at most n^(s/2) N;
+      Horner's rule then multiplies N by at most n per shell, over at most
+      s/2 shells.  Also, each division bucket and each shell costs at least
+      n of the ``MAX_CANONICAL_MONOMIALS`` updates a group may make, and
+      multiplies the group's total N by at most n, so s may be capped at
+      ``MAX_CANONICAL_MONOMIALS`` // n.
+
+    Each factor x is below 2^bits(x), and n^s at most 2^(s ceil(log2 n)),
+    so the width is one more than the sum of those bit counts.  Sizes enter
+    by bit length (F_mode may have a thousand digits); only F_xi, which
+    canonical form bounds in practice, enters linearly, and capped.
+    """
+    k = depth
+    span = min(2 * f_xi + k, MAX_CANONICAL_MONOMIALS // n)
+    bits = (norm_a.bit_length() + norm_b.bit_length() + math.comb(k + n, n).bit_length()
+            + k * (f_xi + 3 * k).bit_length() + math.factorial(k).bit_length()
+            + k * f_mode.bit_length() + span * (n - 1).bit_length())
+    return bits + 1
 
 
 # -- packed keys --------------------------------------------------------------
@@ -244,11 +410,12 @@ class Keys:
         self.alphas: dict = {}
         self.memo_limit = max(1, _MEMO_FIELDS // n)
 
-    def pack(self, bags) -> tuple[int, list[dict]]:
-        """(F, the bags with packed keys), for ``pack_terms`` to check F
+    def pack(self, bags) -> tuple[tuple[int, int], list[dict]]:
+        """((F_xi, F_mode), the bags with packed keys): the largest |alpha| +
+        |npow| and the largest |mode entry|, for ``pack_terms`` to check
         against the width."""
         modes, alphas, weight = self.modes, self.alphas, self.npow_weight
-        top = 0
+        f_xi = f_mode = 0
         out = []
         for bag in bags:
             packed = {}
@@ -256,13 +423,13 @@ class Keys:
                 a = alphas.get(alpha) or self.pack_alpha(alpha)
                 m = modes.get(mode) or self.pack_mode(mode)
                 size = a[0] + abs(npow)
-                if size > top:
-                    top = size
-                if m[0] > top:
-                    top = m[0]
+                if size > f_xi:
+                    f_xi = size
+                if m[0] > f_mode:
+                    f_mode = m[0]
                 packed[a[1] + m[1] + npow * weight] = s
             out.append(packed)
-        return top, out
+        return (f_xi, f_mode), out
 
     def pack_alpha(self, alpha: tuple) -> tuple[int, int]:
         """(|alpha|, what alpha adds to a key, offsets included), checked."""
@@ -368,12 +535,18 @@ def pack_terms(n: int, bags, depth: int = 0):
     they are handed the dimension n, with tuple-keyed bags, in place of a
     layout, and unpack their result (``Keys.unpack_bag``) on return.
     """
+    keys, packed, _sizes = _pack_sized(n, bags, depth)
+    return keys, packed
+
+
+def _pack_sized(n: int, bags, depth: int):
+    """``pack_terms``, and the sizes (F_xi, F_mode) it took F from."""
     keys = _narrow_layout(n)
     while True:
-        top, packed = keys.pack(bags)
-        needed = (4 * (top + depth)).bit_length() + 1
+        sizes, packed = keys.pack(bags)
+        needed = (4 * (max(sizes) + depth)).bit_length() + 1
         if needed <= keys.width:
-            return keys, packed
+            return keys, packed, sizes
         keys = Keys(n, -(-needed // _TIER) * _TIER)
 
 
@@ -717,7 +890,10 @@ def compose_components(
     numerators over one denominator, the two lifts' denominators times K!,
     and each emitted coefficient is divided by it once (``system.lower``).
     The lifted factors are packed once, under a layout that covers order K
-    (``pack_terms``), and the keys are unpacked only in the result.
+    (``pack_terms``), and the keys are unpacked only in the result.  The
+    system's ``numerator_map`` then gives the numerators the engine runs
+    on (one ``int`` each for Gaussian ones, ``PackedGaussians``), which it
+    reduces before canonical form and lowers at the end.
     """
     if floor is None and gamma_cap is None and not (
         all(terms_polynomial(t) for t in comps_a.values())
@@ -732,9 +908,11 @@ def compose_components(
     _check_tower(n, deepest, "assign a higher trusted floor")
     comps_a, den_a = system.lift(comps_a)
     comps_b, den_b = system.lift(comps_b)
-    keys, packed = pack_terms(n, [*comps_a.values(), *comps_b.values()], deepest)
-    comps_a = dict(zip(comps_a, packed))
-    comps_b = dict(zip(comps_b, packed[len(comps_a):]))
+    keys, packed, sizes = _pack_sized(n, [*comps_a.values(), *comps_b.values()], deepest)
+    nums, left, right = system.numerator_map(packed[:len(comps_a)], packed[len(comps_a):],
+                                             n, sizes, deepest)
+    comps_a = dict(zip(comps_a, left))
+    comps_b = dict(zip(comps_b, right))
     scale = math.factorial(deepest)
     out: dict[int, dict] = {}
     weighted: dict[tuple, dict] = {}
@@ -760,9 +938,9 @@ def compose_components(
     den = den_a * den_b * scale
     result = {}
     for d, raw in out.items():
-        ct = canonical_terms(keys, d, raw)
+        ct = canonical_terms(keys, d, nums.reduce(raw))
         if ct:
-            result[d] = {key: system.lower(s, den) for key, s in keys.unpack_bag(ct).items()}
+            result[d] = nums.lower(keys.unpack_bag(ct), den)
     return result
 
 

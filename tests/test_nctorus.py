@@ -101,6 +101,21 @@ def test_a_malformed_mode_is_a_validation_error(mode, message):
             NCPolynomial(theta, {mode: 1})
 
 
+@pytest.mark.parametrize("theta", [Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)])
+def test_a_non_number_scalar_is_a_type_error_at_both_twists(theta):
+    u = NCPolynomial.monomial(theta, 1, 0)
+    for value in ("2", "x", None, [1]):
+        with pytest.raises(TypeError):
+            u * value
+        with pytest.raises(TypeError):
+            value * u
+    for sym in (NCSymbol(theta, 0, {0: [(1, (1, 0), (0, 0), 0)]}), NCSymbol(theta, 0)):
+        with pytest.raises(TypeError):
+            sym.scale("2")
+    assert (u * 2).coefficient(1, 0) == 2
+    assert (u * Fraction(1, 2)).coefficient(1, 0) == Fraction(1, 2)
+
+
 def test_algebra_elements_stay_unhashable_and_keep_their_names():
     th = Theta.from_rational(Fraction(1, 4))
     a = NCPolynomial(th, {(True, 0): 2})

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 
 from ncresidue import terms as T
-from ncresidue.dsl import format_symbol, symbol_to_json
+from ncresidue.dsl import format_symbol, symbol_from_json, symbol_to_json
 from ncresidue.errors import (
     CriticalDegreeError,
     InsufficientExpansionError,
     ValidationError,
 )
+from ncresidue.nctorus import NCSymbol, Theta
 from ncresidue.scalars import ComplexRational
 from ncresidue.symbols import (
     ClassicalSymbol,
@@ -348,6 +350,32 @@ def test_numpy_integer_entries_become_plain_ints():
     sym = monomial_symbol(2, 1, mode=(i(1), i(0)), alpha=(i(1), i(0)), npow=i(-1))
     assert format_symbol(sym) == "dim 2 order 0 floor 0\ndeg 0 { e(1,0) * xi1 * r^-1 }"
     assert TrigPolynomial(2, {(i(1), i(0)): 1}).coeffs == {(1, 0): ComplexRational(1)}
+
+
+def test_numpy_header_integers_become_plain_ints_and_json_dumps():
+    i = np.int64
+    comp = HomogeneousComponent(i(2), i(-1), [(1, (i(1), i(0)), (i(1), i(0)), i(-2))])
+    assert type(comp.n) is int and type(comp.degree) is int
+    sym = ClassicalSymbol(i(2), i(0), {i(-1): comp, i(0): HomogeneousComponent(2, 0)}, i(-2))
+    assert all(type(x) is int for x in (sym.n, sym.order, sym.trusted_floor, *sym.degrees()))
+    assert sym == ClassicalSymbol(2, 0, {-1: comp}, -2)
+    text = json.dumps(symbol_to_json(sym))
+    assert symbol_from_json(json.loads(text)) == sym
+    theta = Theta.from_rational(Fraction(2, 5))
+    nc = NCSymbol(theta, i(0), {i(-1): [(1, (i(1), i(0)), (i(1), i(0)), i(-2))]}, i(-1))
+    assert symbol_from_json(json.loads(json.dumps(symbol_to_json(nc)))) == nc
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ClassicalSymbol(2.0, 0), lambda: ClassicalSymbol(2, 0.5),
+    lambda: ClassicalSymbol(2, 0, None, -1.0), lambda: HomogeneousComponent(2, 0.0),
+    lambda: HomogeneousComponent(2.0, 0),
+    lambda: ClassicalSymbol(2, 0, {0.0: HomogeneousComponent(2, 0)}),
+    lambda: NCSymbol(Theta.from_rational(Fraction(2, 5)), 0, {-1.0: []}),
+    lambda: NCSymbol(Theta.from_float(0.4), 0, None, Fraction(-1, 2))])
+def test_a_float_header_integer_is_a_validation_error(make):
+    with pytest.raises(ValidationError, match="is not an integer"):
+        make()
 
 
 def test_a_bool_mode_entry_does_not_change_later_modes():

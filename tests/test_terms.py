@@ -308,6 +308,9 @@ class _RunAsItIs:
     def lower(s, den):
         return s * Fraction(1, den)
 
+    # and no numerator map: composition runs on the coefficients too
+    numerator_map = T._same_numerators
+
 
 class _Unlifted(_RunAsItIs, T.RationalSystem):
     """The complex-rational system run on ComplexRational."""
@@ -933,3 +936,116 @@ def test_compose_at_the_packing_edges_matches_the_reference():
         got = T.compose_components(system, 2, ca, cb, -3)
         assert got == reference_compose(system, 2, ca, cb, lambda d, k: d >= -3, kmax)
         assert nc_compose(s, t)._term_bags() == got
+
+
+# -- Gaussian numerators as ints -------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 400), st.data())
+def test_packed_gaussians_pack_reduce_and_lower_round_trip(width, data):
+    ints = T.PackedGaussians(width)
+    edge = 2 ** (width - 1) - 1
+    part = st.one_of(st.integers(-edge, edge), st.sampled_from([edge, -edge, 0]))
+    z = GaussianInteger(data.draw(part), data.draw(part))
+    den = data.draw(st.sampled_from([1, 2, 6, 35, 2**64 + 13]))
+    v = ints.pack(z)
+    # the packed value is its own balanced representative, of every lift
+    shift = data.draw(st.integers(-3, 3)) * ints.modulus
+    assert ints.reduce({0: v + shift}) == ({0: v} if z else {})
+    want = {0: ComplexRational(Fraction(z.re, den), Fraction(z.im, den))} if z else {}
+    assert ints.lower(ints.reduce({0: v}), den) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_packed_gaussian_arithmetic_matches_gaussian_integers(data):
+    n = data.draw(st.sampled_from([2, 3, 8, 64]))
+    norms = [data.draw(st.one_of(st.integers(1, 9), st.integers(1, 10**300))) for _ in range(2)]
+    sizes = [data.draw(st.integers(0, 40)), data.draw(st.sampled_from([0, 1, 7, 10**300]))]
+    width = T.numerator_width(n, *norms, *sizes, data.draw(st.integers(0, 6)))
+    ints = T.PackedGaussians(width)
+    # parts below 2^((w - 4) / 2): z0 z1 + c z2 z3 - z4 stays below 2^(w - 1)
+    limit = 2 ** ((width - 4) // 2)
+    part = st.one_of(st.integers(-limit, limit), st.sampled_from([limit, -limit, 0]))
+    zs = [GaussianInteger(data.draw(part), data.draw(part)) for _ in range(5)]
+    c = data.draw(st.integers(-2, 2))
+    want = zs[0] * zs[1] + zs[2] * zs[3] * c + -zs[4]
+    p = [ints.pack(z) for z in zs]
+    # formed on the ints unreduced, as the engine does, and reduced once
+    got = ints.lower(ints.reduce({0: p[0] * p[1] + p[2] * p[3] * c + -p[4]}), 1)
+    assert got == ({0: ComplexRational(want.re, want.im)} if want else {})
+
+
+def _large(rng, digits=300):
+    """A rational part of about ``digits`` digits over a mixed denominator."""
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits),
+                    rng.choice([1, 3, 77, 2**64 + 13, 10**40 + 9]))
+
+
+def _assert_matches_reference(n, a, b, floor=None, gamma_cap=None):
+    if floor is None:
+        keep, kmax = (lambda d, k: True), gamma_cap
+    else:
+        keep, kmax = (lambda d, k: d >= floor), max(x + y for x in a for y in b) - floor
+    got = T.compose_components(T.RATIONAL_SYSTEM, n, a, b, floor, gamma_cap=gamma_cap)
+    assert got
+    assert got == reference_compose(T.RATIONAL_SYSTEM, n, a, b, keep, kmax)
+    return got
+
+
+def test_compose_at_the_numerator_width_edges_matches_the_reference():
+    rng = random.Random(15)
+    cr = ComplexRational
+    # constants: no derivative, no canonical form, so the product of the two
+    # 300-digit numerators is all the width holds, within a few bits
+    for _ in range(4):
+        a = {0: {((0, 0), (0, 0), 0): cr(_large(rng), _large(rng))}}
+        b = {0: {((0, 0), (0, 0), 0): cr(_large(rng), 0)}}
+        _assert_matches_reference(2, a, b)
+    # 300-digit numerators over mixed denominators, against a 300-digit mode
+    big = 10**299 + 3
+    for n in (2, 3):
+        z = (0,) * n
+        a = {0: {((big,) + z[1:], (1,) + z[1:], -1): cr(_large(rng), _large(rng)),
+                 ((-3,) + z[1:], z[1:] + (2,), -2): cr(_large(rng))},
+             -1: {(z[1:] + (2,), z, -1): cr(0, _large(rng))}}
+        b = {1: {((-big,) + z[1:], (0, 1) + z[2:], 0): cr(_large(rng), _large(rng)),
+                 (z, z, 1): cr(_large(rng), -1)}}
+        for s, t in ((a, b), (b, a)):
+            _assert_matches_reference(n, s, t, floor=-3)
+    # dimension 8, large numerators
+    mode = (1,) + (0,) * 6 + (-2,)
+    a = {1: {(mode, (1,) + (0,) * 7, 0): cr(_large(rng), _large(rng))}}
+    b = {-1: {((0, 3) + (0,) * 6, (0,) * 7 + (1,), -2): cr(_large(rng), _large(rng))}}
+    for s, t in ((a, b), (b, a)):
+        _assert_matches_reference(8, s, t, floor=-2)
+
+
+def test_compose_at_the_deepest_tower_matches_the_reference():
+    # order 43 in 2 variables, the deepest MAX_GAMMA_COUNT admits, on a left
+    # factor with a large |xi| power, so the tower and the weights both grow
+    rng = random.Random(16)
+    k = _deepest_order(2)
+    cr = ComplexRational
+    a = {-9: {((1, -2), (1, 0), -10): cr(_large(rng, 200), _large(rng, 200))}}
+    b = {0: {((-1, 2), (0, 0), 0): cr(_large(rng, 200)),
+             ((3, 1), (0, 2), -2): cr(0, _large(rng, 200))}}
+    got = _assert_matches_reference(2, a, b, floor=-9 - k)
+    assert min(got) == -9 - k
+
+
+@pytest.mark.parametrize("n, h", [(2, 6), (3, 10), (8, 8)])
+def test_compose_whose_canonical_form_expands_matches_the_reference(n, h):
+    # xi_1^(2h+1) and e^(i x_1) xi_2 |xi|^(2h), times 1 + e^(-i x_1): canonical
+    # form of the mode-zero product writes xi_2 |xi|^(2h) out as xi_2 R^h, whose
+    # multinomial coefficients the width must hold beside the numerators
+    z = (0,) * n
+    e1 = (1,) + z[1:]
+    a = {2 * h + 1: {(z, (2 * h + 1,) + z[1:], 0): ComplexRational(1),
+                     (e1, (0, 1) + z[2:], 2 * h): ComplexRational(1)}}
+    b = {0: {(z, z, 0): ComplexRational(1), (tuple(-x for x in e1), z, 0): ComplexRational(1)}}
+    got = _assert_matches_reference(n, a, b, gamma_cap=0)
+    coefficient = max(abs(s.re) for s in got[2 * h + 1].values())
+    assert coefficient == math.factorial(h) // prod(
+        math.factorial(h // n + (j < h % n)) for j in range(n))

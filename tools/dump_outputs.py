@@ -55,7 +55,11 @@ It prints, on seeded inputs:
   deepest derivative order ``terms.MAX_GAMMA_COUNT`` admits there, and at
   the deepest orders it admits at n = 2 and 3 (43 and 16, with the refusal
   one order deeper); and ``nc_compose`` and ``NCPolynomial`` products with
-  such modes at theta 2/5 and 7/30.
+  such modes at theta 2/5 and 7/30;
+- ``compose`` in both orders of seeded classical pairs in dimensions 2 and
+  3 whose coefficients have parts of about 200 digits over mixed
+  denominators, so the numerators the engine forms are as long as its
+  width rule allows.
 
 Half of the pairs have part of the right factor moved onto the reflected
 modes of the left one, so most residues are nonzero, and some twisted
@@ -510,6 +514,41 @@ def dump_packing_edges(lib, out):
                 out(f"edge theta={th} ncpoly {i} {tag}: {_outcome(lambda: _nc_poly_repr(fn()))}")
 
 
+# denominators of the large coefficients: 1, small, and of 20 and 41 digits
+_LARGE_DENOMINATORS = [1, 3, 77, 2**64 + 13, 10**40 + 9]
+
+
+def _large_coefficients(lib, sym, rng):
+    """``sym`` with every coefficient replaced by one whose parts have about 200
+    digits over one of ``_LARGE_DENOMINATORS``; about a quarter are real."""
+    S = lib.symbols
+    CR = lib.scalars.ComplexRational
+    comps = {}
+    for d, bag in sorted(sym._term_bags().items()):
+        terms = []
+        for mode, alpha, npow in sorted(bag):
+            parts = [Fraction(rng.choice((-1, 1)) * rng.randrange(10**199, 10**200),
+                              rng.choice(_LARGE_DENOMINATORS)) for _ in range(2)]
+            if rng.random() < 0.25:
+                parts[1] = 0
+            terms.append((CR(*parts), mode, alpha, npow))
+        comps[d] = S.HomogeneousComponent(sym.n, d, terms)
+    return S.ClassicalSymbol(sym.n, sym.order, comps, sym.trusted_floor)
+
+
+def dump_large_coefficients(lib, out):
+    compose = lib.calculus.compose
+    for n in (2, 3):
+        rng = random.Random(90 + n)
+        for k, (a, b, _docs) in enumerate(classical_pairs(lib, n, rng)):
+            if k == 8:
+                break
+            a, b = _large_coefficients(lib, a, rng), _large_coefficients(lib, b, rng)
+            for tag, s, t in (("ab", a, b), ("ba", b, a)):
+                out(f"large n={n} pair {k} {tag} compose: "
+                    f"{_outcome(lambda: _components_repr(compose(s, t)))}")
+
+
 def _run_cli(lib, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -633,6 +672,7 @@ def main(argv=None) -> int:
     dump_cyclotomic_scalars(lib, lines.append)
     dump_pi_graded(lib, lines.append)
     dump_packing_edges(lib, lines.append)
+    dump_large_coefficients(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
     sys.stdout.write("".join(line + "\n" for line in lines))
