@@ -17,6 +17,21 @@ use ``e(...)`` modes.  Root-of-unity coefficients of twisted symbols are
 rendered grammar-purely as commutator words ``V * U^t * V^-1 * U^-t``,
 which evaluate back to the same phase.
 
+Reading is one pass.  One ``finditer`` scan tokenizes a document, an
+unexpected character included; a token keeps its kind, text and offset,
+and the line and column of an error are worked out from the offset when
+it is raised.  Each term's factors are then folded left to right into one
+monomial: a rational, a power of i, the mode, alpha and |xi| power summed,
+and one phase exponent, to which U^c read after a V exponent v adds v*c
+(the phase(v, c) of ``terms.mul_terms``; nothing is reordered).  Its
+coefficient is built once.  A parenthesized factor of one term folds in
+alike; one of several terms is multiplied in with ``mul_terms``, and the
+document's products of such factors are held to ``MAX_TERM_PRODUCTS``
+term products.  An exact twisted coefficient is stored at the cyclotomic
+order the factor-by-factor product gives it, which the text writer's
+pieces follow, so the result is the factor-by-factor product, term for
+term and order for order.
+
 Formatting a symbol whose expansion is complete (``trusted_floor=None``)
 materializes the floor as the lowest stored degree; the text format cannot
 state completeness.
@@ -30,54 +45,47 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import terms as T
-from .cyclotomic import CyclotomicScalar, decompose_root
+from .cyclotomic import CyclotomicInteger, CyclotomicScalar, decompose_root
 from .errors import DomainError, ParseError, ValidationError
 from .nctorus import NCPolynomial, NCSymbol, Theta, _system_for
-from .scalars import ComplexRational
+from .scalars import ComplexRational, GaussianInteger
 from .symbols import ClassicalSymbol, HomogeneousComponent
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+# One scan reads a document: every match is optional whitespace followed by
+# a number, a name, an operator, a character no token starts with, or the end.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<NUMBER>\d+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(){},])"
+    r"|(?P<bad>\S)|\Z)"
+)
 
 
-_TOKEN_RE = re.compile(r"\s+|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(){},])")
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """Line and column, from 1, of an offset; no token holds a newline."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, its kind "NUMBER", "NAME" or the
+    operator itself, then an end token of kind "" at the last one's offset."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup == "num":
-            if len(chunk) > MAX_DIGITS:
-                raise ParseError(f"number with more than {MAX_DIGITS} digits", line, col)
-            tokens.append(Token("NUMBER", chunk, line, col))
-        elif m.lastgroup == "name":
-            tokens.append(Token("NAME", chunk, line, col))
-        elif m.lastgroup == "op":
-            tokens.append(Token(chunk, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # only whitespace was left
+            break
+        chunk, pos = m[kind], m.start(kind)
+        if kind == "op":
+            kind = chunk
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}", *_position(text, pos))
+        elif kind == "NUMBER" and len(chunk) > MAX_DIGITS:
+            raise ParseError(f"number with more than {MAX_DIGITS} digits", *_position(text, pos))
+        tokens.append((kind, chunk, pos))
+    tokens.append(("", "", tokens[-1][2] if tokens else 0))
     return tokens
 
-
-_XI_RE = re.compile(r"^xi(\d+)$")
 
 # Canonical form expands (xi_1^2 + ... + xi_n^2)^k, with k up to half the
 # spread of the |xi| powers in one mode, so a short document with huge
@@ -95,6 +103,11 @@ MAX_DIMENSION = 64
 MAX_DIGITS = 1000
 _DIGIT_BOUND = 10**MAX_DIGITS
 _DECIMAL_EXPONENT = re.compile(r"e\s*([-+]?[\d_]+)", re.IGNORECASE)
+
+# Parenthesized sums multiply out term by term, so a 1.3 kB document of
+# twelve sums of sixteen terms would build 17 million terms; the term
+# products (pairs of terms multiplied) of one document are held to this many.
+MAX_TERM_PRODUCTS = 50_000
 
 
 # A cyclotomic coefficient is stored densely, one integer per power of a
@@ -128,12 +141,20 @@ def _check_exponents(alpha: tuple[int, ...], npow: int, where: str = "") -> None
         )
 
 
+@lru_cache(maxsize=256)
+def _root_at(q: int, e: int, order: int) -> CyclotomicInteger:
+    """zeta_q^e stored at ``order``, a multiple of its primitive order."""
+    root = CyclotomicInteger.root_of_unity(q, e)
+    return root if root.order == order else CyclotomicInteger(order, root._at(order))
+
+
 class _Parser:
     def __init__(self, text: str, dim: int = 2, theta: Theta | None = None):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.saw_uv = False
-        self.saw_mode = False
+        self.products = 0
         self.set_kind(dim, theta)
 
     def set_kind(self, dim: int, theta: Theta | None) -> None:
@@ -141,81 +162,73 @@ class _Parser:
         self.dim = dim
         self.theta = theta
         self.system = _system_for(theta)
-
-    def scalar(self, value: ComplexRational):
-        return self.system.coerce(value)
+        self.cyclotomic = isinstance(self.system, T.CyclotomicSystem)
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def at(self, tok) -> str:
+        """The " (line L, column C)" of a token, for a message."""
+        return " (line {}, column {})".format(*_position(self.text, tok[2]))
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+    def error(self, message: str, tok) -> ParseError:
+        return ParseError(message, *_position(self.text, tok[2]))
+
+    def peek(self) -> str:
+        """The kind of the next token, "" past the last one."""
+        return self.tokens[self.pos][0]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if not tok[0]:
+            raise self.error("unexpected end of input", tok)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def expect_name(self, name: str) -> Token:
+    def expect(self, kind: str, text: str | None = None):
+        """The next token, which must be of this kind (and text, if given)."""
         tok = self.next()
-        if tok.kind != "NAME" or tok.text != name:
-            raise ParseError(f"expected {name!r}, found {tok.text!r}", tok.line, tok.col)
+        if tok[0] != kind or text is not None and tok[1] != text:
+            raise self.error(f"expected {text or kind!r}, found {tok[1]!r}", tok)
         return tok
-
-    def at_name(self, name: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "NAME" and tok.text == name
 
     # -- numeric atoms -------------------------------------------------------
 
     def parse_int(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.kind == "-":
-            self.next()
-            sign = -1
-        num = self.expect("NUMBER")
-        return sign * int(num.text)
+        negative = self.accept("-")
+        value = int(self.expect("NUMBER")[1])
+        return -value if negative else value
 
-    def parse_rational(self) -> Fraction:
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.kind == "-":
-            self.next()
-            sign = -1
-        num = self.expect("NUMBER")
-        value = Fraction(int(num.text))
-        tok = self.peek()
-        if tok is not None and tok.kind == "/":
-            self.next()
-            den = self.expect("NUMBER")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.line, den.col)
-            value = Fraction(int(num.text), int(den.text))
-        return sign * value
+    def ratio(self, num: str, negative: bool = False) -> int | Fraction:
+        """The number, negated if asked, over the NUMBER after a "/" if one follows."""
+        value = -int(num) if negative else int(num)
+        if not self.accept("/"):
+            return value
+        den = self.expect("NUMBER")
+        if int(den[1]) == 0:
+            raise self.error("zero denominator", den)
+        return Fraction(value, int(den[1]))
 
     # -- document ------------------------------------------------------------
 
     def parse_document(self):
-        self.expect_name("dim")
+        self.expect("NAME", "dim")
         dim = self.parse_int()
         _check_dimension(dim)
-        self.expect_name("order")
+        self.expect("NAME", "order")
         order = self.parse_int()
-        self.expect_name("floor")
+        self.expect("NAME", "floor")
         floor = self.parse_int()
         theta = None
-        if self.at_name("theta"):
-            self.next()
-            theta = Theta.from_rational(self.parse_rational())
+        if self.tokens[self.pos][:2] == ("NAME", "theta"):
+            self.pos += 1
+            negative = self.accept("-")
+            theta = Theta.from_rational(self.ratio(self.expect("NUMBER")[1], negative))
             if dim != 2:
                 raise ValidationError("twisted symbols require dim 2")
             _check_cyclotomic_order(
@@ -223,24 +236,19 @@ class _Parser:
             )
         self.set_kind(dim, theta)
         blocks: dict[int, dict] = {}
-        while self.peek() is not None:
-            tok = self.peek()
-            if not (tok.kind == "NAME" and tok.text == "deg"):
-                raise ParseError(f"expected 'deg', found {tok.text!r}", tok.line, tok.col)
-            self.next()
-            deg_tok = self.peek()
+        while self.peek():
+            self.expect("NAME", "deg")
+            deg_tok = self.tokens[self.pos]
             deg = self.parse_int()
             self.expect("{")
             value = self.parse_expr()
             self.expect("}")
-            for (mode, alpha, npow), _s in value.items():
-                _check_exponents(
-                    alpha, npow, f" (line {deg_tok.line}, column {deg_tok.col})"
-                )
-                if sum(alpha) + npow != deg:
+            for _m, alpha, npow in value:
+                if max(*alpha, abs(npow)) > MAX_EXPONENT or sum(alpha) + npow != deg:
+                    where = self.at(deg_tok)
+                    _check_exponents(alpha, npow, where)
                     raise ValidationError(
-                        f"term of degree {sum(alpha) + npow} in a block declared "
-                        f"deg {deg} (line {deg_tok.line}, column {deg_tok.col})"
+                        f"term of degree {sum(alpha) + npow} in a block declared deg {deg}{where}"
                     )
             bucket = blocks.setdefault(deg, {})
             for key, s in value.items():
@@ -254,117 +262,138 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> dict:
-        tok = self.peek()
-        negate = False
-        if tok is not None and tok.kind == "-":
-            self.next()
-            negate = True
-        value = self.parse_term()
-        if negate:
-            value = {k: -s for k, s in value.items()}
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in ("+", "-"):
-                break
-            self.next()
-            rhs = self.parse_term()
-            if tok.kind == "-":
-                rhs = {k: -s for k, s in rhs.items()}
-            value = T.add_terms(value, rhs)
+        value = self.parse_term(self.accept("-"))
+        while self.peek() in ("+", "-"):
+            for key, s in self.parse_term(self.next()[0] == "-").items():
+                T.bag_add(value, key, s)
         return value
 
-    def parse_term(self) -> dict:
-        value = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "*":
-                break
-            self.next()
-            rhs = self.parse_factor()
-            value = T.mul_terms(self.system, self.dim, value, rhs)
-        return value
+    def parse_term(self, negative: bool) -> dict:
+        """A term, its factors folded left to right into one monomial.
 
-    def parse_factor(self) -> dict:
-        dim, theta = self.dim, self.theta
-        tok = self.next()
-        unit_key = ((0,) * dim, (0,) * dim, 0)
-        if tok.kind == "NUMBER":
-            value = Fraction(int(tok.text))
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "/":
-                self.next()
-                den = self.expect("NUMBER")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.line, den.col)
-                value = Fraction(int(tok.text), int(den.text))
-            return {unit_key: self.scalar(ComplexRational(value))}
-        if tok.kind == "(":
-            value = self.parse_expr()
-            self.expect(")")
-            return value
-        if tok.kind == "NAME":
-            if tok.text == "i":
-                return {unit_key: self.scalar(ComplexRational(0, 1))}
-            if tok.text == "e":
-                self.expect("(")
-                entries = [self.parse_int()]
-                while self.peek() is not None and self.peek().kind == ",":
-                    self.next()
-                    entries.append(self.parse_int())
-                self.expect(")")
-                if len(entries) != dim:
-                    raise ValidationError(
-                        f"mode e({', '.join(map(str, entries))}) has length "
-                        f"{len(entries)}, expected {dim} "
-                        f"(line {tok.line}, column {tok.col})"
-                    )
-                if theta is not None:
-                    raise ValidationError(
-                        "e(...) modes cannot appear in a twisted document "
-                        f"(line {tok.line}, column {tok.col})"
-                    )
-                self.saw_mode = True
-                key = (tuple(entries), (0,) * dim, 0)
-                return {key: self.scalar(ComplexRational(1))}
-            if tok.text in ("U", "V"):
-                self.saw_uv = True
-                exponent = 1
-                if self.peek() is not None and self.peek().kind == "^":
-                    self.next()
-                    exponent = self.parse_int()
-                mode = (exponent, 0) if tok.text == "U" else (0, exponent)
-                if theta is None:
-                    # recorded; the document-level check reports the error
-                    mode = mode + (0,) * (dim - 2) if dim > 2 else mode
-                key = (mode, (0,) * dim, 0)
-                return {key: self.scalar(ComplexRational(1))}
-            m = _XI_RE.match(tok.text)
-            if m:
-                digits = m.group(1)
-                idx = int(digits) if len(digits) <= MAX_DIGITS else 0
-                if not 1 <= idx <= dim:
-                    raise ValidationError(
-                        f"{tok.text} is out of range for dim {dim} "
-                        f"(line {tok.line}, column {tok.col})"
-                    )
-                exponent = 1
-                if self.peek() is not None and self.peek().kind == "^":
-                    self.next()
-                    exponent = self.parse_int()
-                if exponent < 0:
-                    raise ValidationError(
-                        f"xi exponents must be nonnegative, got {exponent} "
-                        f"(line {tok.line}, column {tok.col})"
-                    )
-                alpha = tuple(exponent if i == idx - 1 else 0 for i in range(dim))
-                key = ((0,) * dim, alpha, 0)
-                return {key: self.scalar(ComplexRational(1))}
-            if tok.text == "r":
-                self.expect("^")
-                exponent = self.parse_int()
-                key = ((0,) * dim, (0,) * dim, exponent)
-                return {key: self.scalar(ComplexRational(1))}
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        The monomial is a rational num times i^ipow, the summed mode, alpha
+        and |xi| power, the phase q^t (U^c read after a V exponent v adds
+        v*c to t, the phase(v, c) of ``mul_terms``) and ``scale``, the
+        coefficients of one-term parenthesized factors.  A factor of several
+        terms is the only product: the running product becomes
+        (bag * monomial) * factor and a new monomial starts.  After one, a
+        twisted term multiplies each U and parenthesized factor in as
+        ``mul_terms`` would, one phase step per term of the bag.  A term of
+        one factor is that factor's bag, a zero coefficient kept.
+        """
+        dim, twisted = self.dim, self.theta is not None
+        bag, count = None, 0
+        while True:
+            num, ipow, t, steps, scale = 1, 0, 0, 0, None
+            mode, alpha, npow = [0] * dim, [0] * dim, 0
+            folded, sub, done = False, None, False
+            while True:
+                kind, name, _pos = tok = self.next()
+                count += 1
+                if kind == "NUMBER":
+                    num *= self.ratio(name)
+                elif kind == "(":
+                    sub = self.parse_expr()
+                    self.expect(")")
+                    if count == 1 and self.peek() != "*":
+                        bag, sub, done = sub, None, True
+                        break
+                    if len(sub) > 1 or sub and twisted and bag is not None:
+                        break
+                    if sub:
+                        ((m, a, p), s), = sub.items()
+                        t, steps = t + mode[1] * m[0], math.gcd(steps, mode[1] * m[0])
+                        mode = [x + y for x, y in zip(mode, m)]
+                        alpha = [x + y for x, y in zip(alpha, a)]
+                        npow, scale = npow + p, s if scale is None else scale * s
+                    else:  # a sum that cancelled
+                        num = 0
+                    sub = None
+                elif kind != "NAME":
+                    raise self.error(f"unexpected token {name!r}", tok)
+                elif name == "i":
+                    ipow += 1
+                elif name == "U" or name == "V":
+                    if name == "U" and twisted and bag is not None and folded:
+                        self.pos, count = self.pos - 1, count - 1  # close the monomial first
+                        break
+                    self.saw_uv = True
+                    c = self.parse_int() if self.accept("^") else 1
+                    if name == "U":
+                        t, steps = t + mode[1] * c, math.gcd(steps, mode[1] * c)
+                    mode[0 if name == "U" else 1] += c
+                elif name[:2] == "xi" and name[2:].isdigit():
+                    idx = int(name[2:]) if len(name) <= MAX_DIGITS + 2 else 0
+                    if not 1 <= idx <= dim:
+                        raise ValidationError(f"{name} is out of range for dim {dim}{self.at(tok)}")
+                    c = self.parse_int() if self.accept("^") else 1
+                    if c < 0:
+                        raise ValidationError(f"xi exponents must be nonnegative, got {c}"
+                                              + self.at(tok))
+                    alpha[idx - 1] += c
+                elif name == "r":
+                    self.expect("^")
+                    npow += self.parse_int()
+                elif name == "e":
+                    self.expect("(")
+                    entries = [self.parse_int()]
+                    while self.accept(","):
+                        entries.append(self.parse_int())
+                    self.expect(")")
+                    if len(entries) != dim:
+                        raise ValidationError(f"mode e({', '.join(map(str, entries))}) has length "
+                                              f"{len(entries)}, expected {dim}{self.at(tok)}")
+                    if twisted:
+                        raise ValidationError("e(...) modes cannot appear in a twisted document"
+                                              + self.at(tok))
+                    mode = [x + y for x, y in zip(mode, entries)]
+                else:
+                    raise self.error(f"unexpected token {name!r}", tok)
+                folded = True
+                if not self.accept("*"):
+                    done = True
+                    break
+            if folded:
+                coeff = self.coefficient(num, ipow, t, steps, scale)
+                left = {(tuple(mode), tuple(alpha), npow): coeff} if coeff or count == 1 else {}
+                bag = left if bag is None else self.multiply(bag, left)
+            if sub is not None:
+                bag = sub if bag is None else self.multiply(bag, sub)
+                done = not self.accept("*")
+            if done:
+                return {key: -s for key, s in bag.items()} if negative else bag
+
+    def coefficient(self, num, ipow: int, t: int, steps: int, scale):
+        """num * i^ipow * q^t * scale, built once.  An exact cyclotomic one is
+        stored at the order the factor-by-factor product has: the lcm of 4 if
+        an ``i`` was read, of the orders of the phase steps (the theta
+        denominator over its gcd with ``steps``) and of the orders in ``scale``.
+        """
+        p = -num.numerator if ipow & 2 else num.numerator  # num is in lowest terms
+        gauss = GaussianInteger(0, p) if ipow & 1 else GaussianInteger(p, 0)
+        system = self.system
+        c = system.coerce(ComplexRational._make(gauss, num.denominator))
+        if self.cyclotomic:
+            q = system.theta_den
+            order = q // math.gcd(q, steps)
+            if ipow:
+                order = math.lcm(order, 4)
+            e = system.theta_num * t % q
+            if num and (e or order > (4 if ipow & 1 else 1)):
+                c = c * _root_at(q, e, order)
+        elif t and system.phase is not None:  # a float twist
+            c = c * system.phase(t, 1)
+        return c if scale is None else c * scale
+
+    def multiply(self, left: dict, right: dict) -> dict:
+        """``mul_terms`` of two bags, within the document's term products."""
+        self.products += len(left) * len(right)
+        if self.products > MAX_TERM_PRODUCTS:
+            raise ValidationError(
+                f"multiplying out parenthesized sums needs at least {self.products} "
+                f"term products, beyond the limit {MAX_TERM_PRODUCTS}"
+            )
+        return T.mul_terms(self.system, self.dim, left, right)
 
 
 def _build_symbol(dim: int, order: int, floor: int, theta: Theta | None, blocks: dict):
@@ -400,9 +429,9 @@ def parse_nc_element(text: str, theta: Theta) -> NCPolynomial:
         value = parser.parse_expr()
     except RecursionError:
         raise ParseError("nested too deeply") from None
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise ParseError(f"unexpected trailing token {tok.text!r}", tok.line, tok.col)
+    tok = parser.tokens[parser.pos]
+    if tok[0]:
+        raise parser.error(f"unexpected trailing token {tok[1]!r}", tok)
     for _mode, alpha, npow in value:
         if any(alpha) or npow:
             raise ValidationError("algebra elements cannot contain xi or r factors")

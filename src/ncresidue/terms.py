@@ -48,7 +48,7 @@ its neighbour.  ``compose_components`` packs its lifted factors once, and
 when handed the dimension n in place of a layout, and then pack on entry
 and unpack on return.  A layout remembers the modes and alphas it has
 packed or read (``Keys``), which is what keeps the many one- and two-term
-bags of the symbol layer and the parser cheap to pack.
+bags of the symbol layer cheap to pack.
 
 Numerators: ``compose_components`` under ``RationalSystem`` runs on one
 ``int`` per Gaussian numerator a + bi, a + b 2^w (``PackedGaussians``).
@@ -503,7 +503,7 @@ class Keys:
 _TIER = 8
 _narrow_layout = lru_cache(maxsize=16)(lambda n: Keys(n, _TIER))
 
-# The symbol layer and the parser hand the engine many bags of one or two
+# The symbol layer hands the engine many bags of one or two
 # terms, and compose_components many product keys, whose modes and alphas
 # repeat; working their shares out, or reading them back, is most of the
 # cost of packing and unpacking.  A memo of a layout holds at most this many

@@ -41,6 +41,7 @@ from ncresidue.scalars import (
 from ncresidue.symbols import (
     ClassicalSymbol,
     HomogeneousComponent,
+    euler_antiderivatives,
     sphere_average,
     zero_component,
 )
@@ -116,8 +117,6 @@ def test_criterion_3_sphere_integrals():
 
 
 def test_criterion_4_euler_reconstruction():
-    from ncresidue.symbols import euler_antiderivatives
-
     rng = random.Random(4242)
     ok = True
     for k in range(200):

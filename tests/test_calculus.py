@@ -22,6 +22,7 @@ from ncresidue.symbols import (
     TrigPolynomial,
     monomial_symbol,
     one_symbol,
+    sphere_average,
     xi_symbol,
     zero_component,
 )
@@ -456,8 +457,6 @@ def test_decompose_consistency_randomized():
                           max_mode=2, max_alpha=3)
         cert = uniqueness_decompose(s)
         assert residue(s) == cert.implied_residue()
-        from ncresidue.symbols import sphere_average
-
         assert sphere_average(cert.remainder).is_zero()
         for deg, fam in cert.antiderivative_families.items():
             recon = zero_component(n, deg)

@@ -465,6 +465,22 @@ def test_compose_refuses_a_tower_past_the_gamma_limit(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_a_short_product_of_sums_is_refused_within_a_second(tmp_path, capsys):
+    """Twelve sums of sixteen terms in dimension 16: 1,293 bytes that would
+    multiply out to C(27, 15) = 17,383,860 terms."""
+    sum16 = "(" + " + ".join(f"xi{j}" for j in range(1, 17)) + ")"
+    text = "dim 16 order 12 floor 12\ndeg 12 { " + " * ".join([sum16] * 12) + " }"
+    assert len(text.encode()) == 1293
+    path = tmp_path / "product.sym"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "residue", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert err == ("validation error: multiplying out parenthesized sums needs at least "
+                   "77504 term products, beyond the limit 50000\n")
+
+
 def test_compose_just_inside_the_gamma_limit_still_runs(tmp_path, capsys):
     # floor -44 reaches order K = 43, and C(45, 2) = 990 multi-indices
     code, out, err = run(capsys, "compose", *_deep_floor_pair(tmp_path, -44))

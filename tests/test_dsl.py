@@ -2,14 +2,16 @@ import cmath
 import json
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncresidue.terms as T
 from ncresidue.errors import CalculusError, DomainError, ParseError, ValidationError
-from ncresidue.nctorus import NCPolynomial, NCSymbol, Theta, nc_compose
+from ncresidue.nctorus import NCPolynomial, NCSymbol, Theta, _system_for, nc_compose
 from ncresidue.scalars import ComplexRational
 from ncresidue.symbols import ClassicalSymbol, HomogeneousComponent
 from ncresidue.dsl import (
@@ -17,6 +19,8 @@ from ncresidue.dsl import (
     MAX_DIGITS,
     MAX_DIMENSION,
     MAX_EXPONENT,
+    MAX_TERM_PRODUCTS,
+    _Parser,
     format_nc_element,
     format_symbol,
     format_terms,
@@ -64,6 +68,28 @@ def test_parse_reports_positions():
         parse_symbol("dim 2 order 0 floor 0\ndeg 0 { xi1 * }")
     assert err.value.line == 2
     assert err.value.column is not None
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        # a character no token starts with, found by the scan
+        ("dim 2 order 0 floor 0\r\n\r\n\tdeg 0 {\t1 *\r\n\t\t@ }", 4, 3, "unexpected character"),
+        # a token the reader refuses, after a tab on a CRLF line
+        ("dim 2 order 0 floor 0\r\n\tdeg 0 { xi1 *\r\n\t}", 3, 2, "unexpected token '}'"),
+        # running out of input is reported at the last token
+        ("dim 2 order 0 floor 0\r\n\n\t\tdeg 0 {\t(1", 3, 12, "unexpected end of input"),
+    ],
+)
+def test_parse_reports_positions_after_tabs_and_crlf(text, line, column, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_symbol(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_validation_errors_name_positions_after_tabs_and_crlf():
+    with pytest.raises(ValidationError, match=r"expected 2 \(line 3, column 10\)"):
+        parse_symbol("dim 2 order 0 floor 0\r\n\r\n\tdeg 0 { e(1)\t}")
 
 
 def test_parse_error_classes():
@@ -515,3 +541,175 @@ def test_parse_symbol_of_a_mutated_document_gives_a_symbol_or_a_one_line_error(t
     again = parse_symbol(written)
     assert again == sym
     assert format_symbol(again) == written
+
+
+# -- the term fold against the factor-by-factor rule ---------------------------------
+
+
+def _reference(text: str, dim: int, twist):
+    """The bag of an expression by the factor-by-factor rule: each factor a
+    one-term bag (a parenthesized one the bag of its sum), multiplied in
+    token order with ``mul_terms``, and terms added with ``bag_add``."""
+    system = _system_for(twist)
+    tokens = re.findall(r"\d+|\w+|\S", text) + [""]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def integer():
+        negative = tokens[pos] == "-" and take()
+        return -int(take()) if negative else int(take())
+
+    def exponent():
+        return integer() if tokens[pos] == "^" and take() else 1
+
+    def factor():
+        tok = take()
+        if tok == "(":
+            value = expr()
+            take()
+            return value
+        zeros = (0,) * dim
+        key, value = (zeros, zeros, 0), ComplexRational(1)
+        if tok.isdigit():
+            value = ComplexRational(Fraction(int(tok), int(take()) if tokens[pos] == "/" and take() else 1))
+        elif tok == "i":
+            value = ComplexRational(0, 1)
+        elif tok == "e":
+            take()
+            entries = [integer()]
+            while take() == ",":
+                entries.append(integer())
+            key = (tuple(entries), zeros, 0)
+        elif tok in ("U", "V"):
+            c = exponent()
+            key = ((c, 0) if tok == "U" else (0, c), zeros, 0)
+        elif tok == "r":
+            key = (zeros, zeros, exponent())
+        else:  # xi
+            j, a = int(tok[2:]), exponent()
+            key = (zeros, tuple(a if k == j - 1 else 0 for k in range(dim)), 0)
+        return {key: system.coerce(value)}
+
+    def term():
+        value = factor()
+        while tokens[pos] == "*" and take():
+            value = T.mul_terms(system, dim, value, factor())
+        return value
+
+    def expr():
+        negative = tokens[pos] == "-" and take()
+        value = term()
+        if negative:
+            value = {key: -s for key, s in value.items()}
+        while tokens[pos] in ("+", "-"):
+            negative = take() == "-"
+            for key, s in term().items():
+                T.bag_add(value, key, -s if negative else s)
+        return value
+
+    return expr()
+
+
+def _assert_folds_like_the_reference(text: str, dim: int, theta):
+    """The reader's bag equals the reference's, every coefficient at the same
+    cyclotomic order (its repr shows it) and zero coefficients kept alike."""
+    twist = None if theta is None else Theta.from_rational(theta)
+    got = _Parser(text, dim, twist).parse_expr()
+    want = _reference(text, dim, twist)
+    assert sorted(map(repr, got.items())) == sorted(map(repr, want.items())), text
+
+
+def _text(expr) -> str:
+    out = []
+    for k, (negative, factors) in enumerate(expr):
+        out.append(("- " if negative else "+ " if k else "") + " * ".join(map(_factor_text, factors)))
+    return " ".join(out)
+
+
+def _factor_text(factor) -> str:
+    kind, *args = factor
+    if kind == "(":
+        return "(" + _text(args[0]) + ")"
+    if kind == "num":
+        p, q = args
+        return str(p) if q == 1 else f"{p}/{q}"
+    if kind == "e":
+        return "e(" + ",".join(map(str, args[0])) + ")"
+    if kind == "xi":
+        j, a = args
+        return f"xi{j}" if a == 1 else f"xi{j}^{a}"
+    if kind == "i" or args[0] == 1 and kind != "r":
+        return kind
+    return f"{kind}^{args[0]}"
+
+
+def _expressions(dim: int, twisted: bool):
+    """Expression trees: lists of (negative, factors) terms."""
+    atoms = [
+        st.tuples(st.just("num"), st.integers(0, 12), st.integers(1, 6)),
+        st.tuples(st.just("i")),
+        st.tuples(st.just("xi"), st.integers(1, dim), st.integers(0, 3)),
+        st.tuples(st.just("r"), st.integers(-4, 4)),
+    ]
+    if twisted:  # words weigh more, so phase steps meet sums and each other
+        atoms = [st.tuples(st.sampled_from(["U", "V"]), st.integers(-3, 3))] * 4 + atoms
+    else:
+        atoms.append(st.tuples(st.just("e"), st.tuples(*[st.integers(-2, 2)] * dim)))
+
+    def sums(factor):
+        term = st.tuples(st.booleans(), st.lists(factor, min_size=1, max_size=5))
+        return st.lists(term, min_size=1, max_size=3)
+
+    factor = st.one_of(atoms)
+    for _depth in range(3):  # parentheses nest up to three deep
+        factor = st.one_of(*atoms, st.tuples(st.just("("), sums(factor)))
+    return sums(factor)
+
+
+# (dim, theta, expression): twisted at 2/5 and 7/30, and at 1/2, where phase
+# steps cancel most often; commutative in dimensions 2 and 3
+_CASES = st.one_of(
+    st.tuples(st.just(2), st.sampled_from([Fraction(2, 5), Fraction(7, 30), Fraction(1, 2)]),
+              _expressions(2, True)),
+    st.tuples(st.just(2), st.none(), _expressions(2, False)),
+    st.tuples(st.just(3), st.none(), _expressions(3, False)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_CASES)
+def test_each_term_folds_to_the_bag_of_its_factors_multiplied_in_order(case):
+    """Fractions, i, e(...), xi, r, nested parentheses and U/V words."""
+    dim, theta, expr = case
+    _assert_folds_like_the_reference(_text(expr), dim, theta)
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2, 5), Fraction(7, 30)])
+@pytest.mark.parametrize("text", [
+    "V * U * V^-2 * U",  # phase steps that cancel
+    "i * i * V * U + i * i",  # an even power of i
+    "(U * V + 1) * V * U",  # a word after a sum: the step is per term of the sum
+    "(U * V + 1) * V * U^2 * V^-1 * U",
+    "(U * V + 1) * V * (U)",  # one-term parentheses after a sum
+    "(U + V^2) * V^3 * (U) * V * (2 * U^-1)",
+    "(U - V) * (V^2 + U^3) * U^4 * (V + i)",
+    "V^5 * (3 * U^2 * V) * U^-3 * (V^-1 * i) * U",  # one-term parentheses in a word
+])
+def test_words_fold_to_the_bag_of_their_factors(text, theta):
+    _assert_folds_like_the_reference(text, 2, theta)
+
+
+def test_products_of_sums_past_the_limit_are_refused():
+    """Eight sums of ten terms multiply out in 194,470 term products, past the
+    limit, which no test, golden file or benchmark document comes near."""
+    assert MAX_TERM_PRODUCTS == 50_000
+    sum10 = "(" + " + ".join(f"xi{j}" for j in range(1, 11)) + ")"
+    text = "dim 10 order 8 floor 8\ndeg 8 { " + " * ".join([sum10] * 8) + " }"
+    with pytest.raises(ValidationError, match="at least 80070 term products, beyond the limit 50000"):
+        parse_symbol(text)
+    four = "dim 10 order 4 floor 4\ndeg 4 { " + " * ".join([sum10] * 4) + " }"
+    assert len(parse_symbol(four).component(4).raw_terms()) > 0

@@ -14,6 +14,7 @@ from ncresidue.scalars import (
     sphere_surface_measure,
     torus_volume,
 )
+from ncresidue.terms import compositions
 
 from conftest import sphere_quadrature
 
@@ -162,8 +163,6 @@ def test_sphere_integral_examples():
 def test_sphere_integral_against_quadrature():
     for n in (2, 3):
         for total in range(0, 5, 2):
-            from ncresidue.terms import compositions
-
             for alpha in compositions(n, total):
                 exact = sphere_monomial_integral(alpha, n).to_complex().real
                 approx = sphere_quadrature(alpha, n)
@@ -171,8 +170,6 @@ def test_sphere_integral_against_quadrature():
 
 
 def test_sphere_integral_recursion_exact():
-    from ncresidue.terms import compositions
-
     for n in (2, 3):
         for total in range(0, 7, 2):
             for alpha in compositions(n, total):

@@ -59,7 +59,18 @@ It prints, on seeded inputs:
 - ``compose`` in both orders of seeded classical pairs in dimensions 2 and
   3 whose coefficients have parts of about 200 digits over mixed
   denominators, so the numerators the engine forms are as long as its
-  width rule allows.
+  width rule allows;
+- text documents read by ``parse_symbol``: ``format_symbol`` and the
+  ``repr`` of the term bags (which shows each twisted coefficient's
+  cyclotomic order), or the exception class and message, for seeded
+  random expressions in both calculi (fractions, ``i``, ``e(...)``, ``xi``,
+  ``r``, nested parentheses and U/V words at theta 2/5, 7/30, 1/2 and 0),
+  for hand-written documents with every factor kind, parentheses inside
+  twisted words and zero products, and for every error the reader
+  raises, also placed after tabs, blank lines and CRLF line ends so the
+  line and column show; and ``parse_nc_element`` of seeded and
+  hand-written elements, trailing tokens included.  The twists of this
+  section are exact ones.
 
 Half of the pairs have part of the right factor moved onto the reflected
 modes of the left one, so most residues are nonzero, and some twisted
@@ -549,6 +560,169 @@ def dump_large_coefficients(lib, out):
                     f"{_outcome(lambda: _components_repr(compose(s, t)))}")
 
 
+def _random_expr(rng, twisted, dim, deg, depth, xi=True):
+    """A random expression whose terms all have |xi| degree ``deg``; without
+    ``xi``, an algebra element with neither xi nor r factors."""
+    kinds = ["num", "num", "i", "(", "mode"] + ["mode"] * twisted + ["xi", "xi"] * xi
+    terms = []
+    for k in range(rng.randint(1, 3)):
+        factors, left = [], deg
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.choice(kinds)
+            if kind == "num":
+                factors.append(rng.choice(["2", "3", "1/2", "7/3", "10", "0", "5/4"]))
+            elif kind == "i":
+                factors.append("i")
+            elif kind == "xi":
+                a = rng.randint(0, 3)
+                factors.append(f"xi{rng.randint(1, dim)}" + (f"^{a}" if a != 1 else ""))
+                left -= a
+            elif kind == "mode" and twisted:
+                c = rng.randint(-3, 3)
+                factors.append(rng.choice("UV") + (f"^{c}" if c != 1 else ""))
+            elif kind == "mode":
+                factors.append("e(" + ",".join(str(rng.randint(-2, 2)) for _ in range(dim)) + ")")
+            elif depth > 0:
+                d = rng.randint(-2, 2) if xi else 0
+                factors.append("(" + _random_expr(rng, twisted, dim, d, depth - 1, xi) + ")")
+                left -= d
+        if xi:
+            factors.insert(rng.randint(0, len(factors)), f"r^{left}")
+        elif not factors:
+            factors.append("1")
+        sign = rng.choice(["", "-"]) if k == 0 else rng.choice(["+ ", "- "])
+        terms.append(sign + " * ".join(factors))
+    return " ".join(terms)
+
+
+def _random_document(rng, theta):
+    twisted = theta is not None
+    dim = 2 if twisted else rng.randint(2, 3)
+    order = rng.randint(-1, 2)
+    floor = order - rng.randint(0, 3)
+    head = f"dim {dim} order {order} floor {floor}" + (f" theta {theta}" if twisted else "")
+    blocks = [f"deg {d} {{ {_random_expr(rng, twisted, dim, d, 2)} }}"
+              for d in range(order, floor - 1, -1) if rng.random() < 0.7]
+    return "\n".join([head] + blocks)
+
+
+def _parsed(lib, text) -> str:
+    try:
+        sym = lib.dsl.parse_symbol(text)
+        return f"{lib.dsl.format_symbol(sym)!r} {_components_repr(sym)}"
+    except Exception as exc:  # a refusal is an output too
+        return f"{type(exc).__name__}: {exc}"
+
+
+# (label, document) pairs, read by parse_symbol
+DOCUMENTS = [
+    ("classical factors", "dim 3 order 1 floor -1\ndeg 1 { -3/4 * i * e(1,-2,0) * xi1^2 * xi3 * r^-2 "
+     "+ 2 * e(0,0,1) * xi2 * e(1,0,0) * i * i + (1/2 + 2*i) * xi1 }\ndeg -1 { 5 * r^-1 }"),
+    ("twisted factors", "dim 2 order 0 floor -2 theta 2/5\ndeg 0 { -3/4 * i * U^2 * V^-1 * xi1 * r^-1 "
+     "+ V * U + U^0 * V^0 + (2 - i) * V^3 * U^-2 }\ndeg -2 { U * r^-2 * V }"),
+    ("parenthesis inside a word", "dim 2 order 0 floor 0 theta 2/5\ndeg 0 { U * (V + 1) * U^2 }"),
+    ("product of sums", "dim 2 order 0 floor 0 theta 7/30\ndeg 0 { (U + V) * (U - V) }"),
+    ("word after a sum", "dim 2 order 0 floor 0 theta 1/2\ndeg 0 { (U + V) * V * U * U + (1 + V) * U^2 }"),
+    ("one-term parenthesis after a sum", "dim 2 order 0 floor 0 theta 1/2\n"
+     "deg 0 { (U * V + 1) * V * (U) + (U * V + 1) * V * (i * U) * V }"),
+    ("sums at theta 7/30", "dim 2 order 0 floor 0 theta 7/30\n"
+     "deg 0 { V^2 * (U^3 + i * V) * U^5 * (V * U - 1) * U^-1 * V^4 * U^3 }"),
+    ("i squared in a word", "dim 2 order 0 floor 0 theta 2/5\ndeg 0 { i * i * V * U }"),
+    ("phase steps that cancel", "dim 2 order 0 floor 0 theta 2/5\ndeg 0 { V * U * V^-2 * U }"),
+    ("half-turn steps", "dim 2 order 0 floor 0 theta 1/2\ndeg 0 { V * U * V * U + V * U^2 + i * i }"),
+    ("one-term parentheses", "dim 2 order 0 floor 0 theta 5/12\n"
+     "deg 0 { (V * U) * (2 * i) * (V^-1 * U^3) * (1/3) + ((U)) * (V - V) * U }"),
+    ("nested sums", "dim 2 order 2 floor 0\ndeg 2 { ((xi1 + xi2) * (xi1 - xi2) + 2 * (xi1 * xi2)) "
+     "* (1 + i) } deg 1 { -(xi1 + e(1,1) * xi2) * (3 + e(0,-1)) }"),
+    ("zero product past the exponent limit", "dim 2 order 0 floor 0\ndeg 0 { 0 * xi1^100 }"),
+    ("zero product, zero last", "dim 2 order 0 floor 0\ndeg 0 { xi1^100 * r^-300 * 0 }"),
+    ("zero sum times a high power", "dim 2 order 0 floor 0\ndeg 0 { (xi1 - xi1) * r^-200 + 1 }"),
+    ("zero times a sum", "dim 2 order 0 floor 0\ndeg 0 { 0 * (xi1^70 + r^70) }"),
+    ("zero factor of a wrong degree", "dim 2 order 1 floor 0\ndeg 1 { 0 }"),
+    ("negated zero of a wrong degree", "dim 2 order 1 floor 0\ndeg 1 { -0 + xi1 }"),
+    ("zero inside a lone sum", "dim 2 order 1 floor 0\ndeg 1 { -(0 + xi1) }"),
+    ("zero inside a multiplied sum", "dim 2 order 1 floor 0\ndeg 1 { (0 + xi1) * 2 }"),
+    ("lone zero parenthesis", "dim 2 order 1 floor 0\ndeg 1 { (0) }"),
+    ("empty parenthesis sum", "dim 2 order 1 floor 0\ndeg 1 { (xi1 - xi1) }"),
+    ("cancelling terms", "dim 2 order 0 floor 0\ndeg 0 { xi1 * r^-1 - xi1 * r^-1 + 0 }"),
+    ("unexpected character", "dim 2 order 0 floor 0\ndeg 0 { xi1 * r^-1 @ }"),
+    ("zero denominator", "dim 2 order 0 floor 0\ndeg 0 { 3/0 }"),
+    ("zero theta denominator", "dim 2 order 0 floor 0 theta 1/0 deg 0 { U }"),
+    ("mode of the wrong length", "dim 3 order 0 floor 0\ndeg 0 { e(1,2) }"),
+    ("xi out of range", "dim 2 order 1 floor 0\ndeg 1 { xi3 }"),
+    ("xi zero", "dim 2 order 1 floor 0\ndeg 1 { xi0 }"),
+    ("xi with a long index", "dim 2 order 1 floor 0\ndeg 1 { xi" + "9" * 1200 + " }"),
+    ("negative xi exponent", "dim 2 order 0 floor -2\ndeg -2 { xi1^-2 }"),
+    ("mode in a twisted document", "dim 2 order 0 floor 0 theta 1/3\ndeg 0 { U * e(1,0) }"),
+    ("U without theta", "dim 2 order 0 floor 0\ndeg 0 { U * V^-1 }"),
+    ("U without theta in dim 3", "dim 3 order 0 floor 0\ndeg 0 { U^2 * xi3 * r^-1 }"),
+    ("theta without U", "dim 2 order 0 floor 0 theta 1/3\ndeg 0 { 1 }"),
+    ("twist in dim 3", "dim 3 order 0 floor 0 theta 1/3\ndeg 0 { U }"),
+    ("twist beyond the order limit", "dim 2 order 0 floor 0 theta 1/10007\ndeg 0 { U }"),
+    ("block degree mismatch", "dim 2 order 0 floor -2\ndeg -1 { xi1 * r^-1 }"),
+    ("block above the order", "dim 2 order -1 floor -2\ndeg 0 { 1 }"),
+    ("block below the floor", "dim 2 order 0 floor -1\ndeg -2 { r^-2 }"),
+    ("xi exponent beyond the limit", "dim 2 order 0 floor 0\ndeg 0 { xi1^65 * r^-65 }"),
+    ("r power beyond the limit", "dim 2 order 0 floor -70\ndeg -65 { r^-65 }"),
+    ("exponent in a sum beyond the limit", "dim 2 order 0 floor 0\ndeg 0 { (xi1^40 + xi2^40) * xi1^30 * r^-70 }"),
+    ("too many digits", "dim 2 order 0 floor 0\ndeg 0 { " + "7" * 1001 + " }"),
+    ("digits at the limit", "dim 2 order 0 floor 0\ndeg 0 { " + "7" * 1000 + "/" + "3" * 1000 + " }"),
+    ("empty document", ""),
+    ("blank document", " \n\t "),
+    ("header cut short", "dim 2 order 0"),
+    ("unclosed block", "dim 2 order 0 floor 0\ndeg 0 { 1 "),
+    ("unclosed parenthesis", "dim 2 order 0 floor 0\ndeg 0 { (1 + xi1 * r^-1 }"),
+    ("dangling product", "dim 2 order 0 floor 0\ndeg 0 { xi1 * }"),
+    ("r without exponent", "dim 2 order 0 floor 0\ndeg 0 { r }"),
+    ("unknown name", "dim 2 order 0 floor 0\ndeg 0 { x }"),
+    ("operator as a factor", "dim 2 order 0 floor 0\ndeg 0 { ) }"),
+    ("missing deg", "dim 2 order 0 floor 0\n{ 1 }"),
+    ("wrong header word", "dim 2 degree 0 floor 0"),
+    ("dimension 1", "dim 1 order 0 floor 0"),
+    ("dimension 65", "dim 65 order 0 floor 0"),
+    ("nested too deeply", "dim 2 order 0 floor 0\ndeg 0 { " + "(" * 5000 + "1" + ")" * 5000 + " }"),
+]
+
+
+def _spaced(text):
+    """The document's later tokens after a tab, blank lines and CRLF line ends."""
+    return text.replace("\n", "\r\n\r\n\t").replace(" {", "\t{\r\n ")
+
+
+# (label, element) pairs, read by parse_nc_element at theta 2/5
+ELEMENTS = [
+    ("word", "U*V + 2"), ("phase word", "V * U^3 * V^-1 * U^-3"), ("sum product", "(U + i) * (V - 1) * U"),
+    ("nested", "-(U * (1/2 + V)) * V^2 - 3"), ("zero", "U - U"), ("lone zero", "0"),
+    ("trailing token", "U * V )"), ("trailing number", "U 2"), ("xi", "U * xi1"),
+    ("r", "r^2 * U"), ("mode", "e(1,0)"), ("end", "U *"), ("bad character", "U\n\t* $"),
+]
+
+
+def dump_documents(lib, out):
+    rng = random.Random(80)
+    for k in range(40):
+        text = _random_document(rng, None)
+        out(f"document classical {k}: {text!r}")
+        out(f"  read: {_parsed(lib, text)}")
+    for th in (Fraction(2, 5), Fraction(7, 30), Fraction(1, 2), Fraction(0)):
+        for k in range(15):
+            text = _random_document(rng, th)
+            out(f"document theta={th} {k}: {text!r}")
+            out(f"  read: {_parsed(lib, text)}")
+    for label, text in DOCUMENTS:
+        out(f"document {label}: {_parsed(lib, text)}")
+        out(f"document {label}, spaced: {_parsed(lib, _spaced(text))}")
+    N = lib.nctorus
+    for th in (Fraction(2, 5), Fraction(7, 30)):
+        theta = N.Theta.from_rational(th)
+        read = lambda text: _nc_poly_repr(lib.dsl.parse_nc_element(text, theta))  # noqa: E731
+        for k in range(15):
+            text = _random_expr(rng, True, 2, 0, 2, xi=False)
+            out(f"element theta={th} {k} {text!r}: {_outcome(read, text)}")
+        for label, text in ELEMENTS:
+            out(f"element theta={th} {label}: {_outcome(read, text)}")
+
+
 def _run_cli(lib, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -673,6 +847,7 @@ def main(argv=None) -> int:
     dump_pi_graded(lib, lines.append)
     dump_packing_edges(lib, lines.append)
     dump_large_coefficients(lib, lines.append)
+    dump_documents(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
     sys.stdout.write("".join(line + "\n" for line in lines))
