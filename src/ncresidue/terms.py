@@ -20,12 +20,20 @@ rationals, cyclotomic integers at their own order for cyclotomic
 scalars), so lifting rescales numerators and lowering is one gcd; one
 ``lift``/``lower`` pair serves both exact calculi.  The phase works on
 both levels: the twisted one is an integer root of unity, which a
-numerator and a ``CyclotomicScalar`` multiply by alike.  Composition
-weights w/gamma! are applied as the integers w * (K!/gamma!), with K! in
-the one denominator that is lowered at the end, so no ``Fraction`` is
-formed on the way.  The twisted phase is read from two mode entries:
-``phase(v, u)`` for a left mode (., v) and a right mode (u, .); the
-commutative system has none (``phase`` is None).
+numerator and a ``CyclotomicScalar`` multiply by alike.  The twisted
+phase is read from two mode entries: ``phase(v, u)`` for a left mode (.,
+v) and a right mode (u, .); the commutative system has none (``phase`` is
+None).
+
+Composition by directional derivatives.  On the torus D_x^gamma acts on a
+right term of Fourier mode v as v^gamma, so by the multinomial theorem
+the terms |gamma| = k of sum_gamma (1/gamma!) (d_xi^gamma a) (D^gamma b)
+on that term are one directional derivative, (1/k!) (v . grad_xi)^k a.
+``compose_components`` groups the right factor's terms by mode and walks,
+per left component and right mode v, the chain a, (v . grad_xi) a, ...,
+each step one pass over a bag; level k meets the right terms of mode v
+with the integer weight K!/k!, K! going into the one denominator that is
+lowered at the end, so no ``Fraction`` is formed on the way.
 
 Keys: tuples at the module boundary, packed ``int``s inside.  Everything
 outside this module (symbols, ``NCPolynomial``, the parser, the writers,
@@ -57,18 +65,18 @@ engine loops, which only add, negate, multiply and test for zero, run
 unchanged on the ``int``s and form images of the Gaussian values.  Each
 emitted degree's product bucket is reduced once to balanced
 representatives before canonical form, and each result is read back from
-its low w bits and the bits above them.  This is exact when every Gaussian
-value the call forms has parts below 2^(w - 1): then its image is a + b
-2^w itself, zero only when the value is, and canonical form's sums of such
-images stay the images of its sums.  Width rule: ``numerator_width``
-bounds every value of the call from the lifted factors' L1 norms, the
-tower growth (F_xi + 3K)^K, the weights K! F_mode^K, the C(K + n, n)
-derivative multi-indices and canonical form's growth n^s, s <= 2 F_xi +
-K, where F_xi is the largest |alpha| + |npow|, F_mode the largest |mode
-entry| (``pack_terms``) and K the deepest derivative order
-(``_level_caps``); its docstring holds the proof.  The twisted and float
-systems keep their numerators (``_same_numerators``), so the call has one
-code path.
+its low w bits and the bits above them, in the same pass that reads its
+key's tuple.  This is exact when every Gaussian value the call forms has
+parts below 2^(w - 1): then its image is a + b 2^w itself, zero only when
+the value is, and canonical form's sums of such images stay the images of
+its sums.  Width rule: ``numerator_width`` bounds every value of the call
+from the lifted factors' L1 norms, the tower growth (F_xi + 3K)^K, the
+weights K! F_mode^K, the C(K + n, n) derivative multi-indices and
+canonical form's growth n^s, s <= 2A + K, where F_xi is the largest
+|alpha| + |npow|, F_mode the largest |mode entry|, A the largest |alpha|
+(``pack_terms``) and K the deepest derivative order (``_level_caps``);
+its docstring holds the proof.  The twisted and float systems keep their
+numerators (``_same_numerators``), so the call has one code path.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -136,11 +144,11 @@ class RationalSystem:
         return self.scalar._lowest(s, den)
 
     @staticmethod
-    def numerator_map(left: list, right: list, n: int, sizes: tuple[int, int], depth: int):
+    def numerator_map(left: list, right: list, n: int, sizes: tuple[int, int, int], depth: int):
         """(numerator map, left, right): the packed bags of the two lifted
         factors with each Gaussian numerator as one ``int``, at the width
-        ``numerator_width`` gives for the call (``sizes`` is (F_xi, F_mode)
-        from ``pack_terms``)."""
+        ``numerator_width`` gives for the call (``sizes`` is (F_xi, F_mode,
+        A) from ``pack_terms``)."""
         norms = [sum([abs(z.re) + abs(z.im) for bag in bags for z in bag.values()])
                  for bags in (left, right)]
         ints = PackedGaussians(numerator_width(n, *norms, *sizes, depth))
@@ -163,9 +171,9 @@ class _SameNumerators:
     def reduce(bag: dict) -> dict:
         return bag
 
-    def lower(self, bag: dict, den: int) -> dict:
+    def lower(self, keys: Keys, bag: dict, den: int) -> dict:
         lower = self.system.lower
-        return {key: lower(s, den) for key, s in bag.items()}
+        return {key: lower(s, den) for key, s in keys.unpack_bag(bag).items()}
 
 
 def _same_numerators(self, left: list, right: list, *_sizes):
@@ -232,7 +240,13 @@ class FloatSystem(RationalSystem):
         if t == 0:
             return None
         # also at theta 0.0: the factor 1+0j settles the sign of zero parts
-        return cmath.exp(2j * cmath.pi * self.theta * t)
+        try:
+            return cmath.exp(2j * cmath.pi * self.theta * t)
+        except (OverflowError, ValueError):  # t, or the angle, is past the float range
+            raise ValidationError(
+                f"a phase exponent of {t.bit_length()} bits is too large for the float "
+                f"twist theta {self.theta}"
+            ) from None
 
     @staticmethod
     def lift(comps: dict[int, dict]):
@@ -283,64 +297,86 @@ class PackedGaussians:
         m, h = self.modulus, self.half
         return {key: r for key, v in bag.items() if (r := (v + h) % m - h)}
 
-    def lower(self, bag: dict, den: int) -> dict:
-        """The bag with each value v = a + b 2^w, |a| < 2^(w - 1), as the
-        ``ComplexRational`` (a + bi) / den in lowest terms."""
+    def lower(self, keys: Keys, bag: dict, den: int) -> dict:
+        """The packed bag with tuple keys (``Keys.unpack_bag``, whose memo
+        hits are inlined here) and each value v = a + b 2^w, |a| < 2^(w - 1),
+        as the ``ComplexRational`` (a + bi) / den in lowest terms."""
         h, mask, w = self.low_half, self.low_mask, self.width
-        gcd, make = math.gcd, ComplexRational._make
+        gcd, make, gaussian = math.gcd, ComplexRational._make, GaussianInteger
+        modes, alphas, unpack = keys.modes, keys.alphas, keys.unpack
+        first, alpha_mask = keys.mode_shifts[0], keys.alpha_mask
+        m, kh, ps = keys.mask, keys.half, keys.npow_shift
         out = {}
         for key, v in bag.items():
+            mode, alpha = modes.get(key >> first), alphas.get(key & alpha_mask)
+            if mode is None or alpha is None:
+                key = unpack(key)
+            else:
+                key = (mode, alpha, (key >> ps & m) - kh)
             a = ((v + h) & mask) - h
             b = (v - a) >> w
             g = gcd(a, b, den)
             if g == 1:
-                out[key] = make(GaussianInteger(a, b), den)
+                out[key] = make(gaussian(a, b), den)
             else:
-                out[key] = make(GaussianInteger(a // g, b // g), den // g)
+                out[key] = make(gaussian(a // g, b // g), den // g)
         return out
 
 
-def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, depth: int) -> int:
+def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_alpha: int,
+                    depth: int) -> int:
     """The width w of ``PackedGaussians`` for a ``compose_components`` call.
 
     ``norm_a`` and ``norm_b`` are the L1 norms of the lifted factors (the
     sum of |re| + |im| over every numerator), F_xi = ``f_xi`` bounds |alpha|
-    + |npow| and F_mode = ``f_mode`` bounds |mode entry| over their terms,
-    and K = ``depth`` is the deepest derivative order.  Every Gaussian value the
-    call forms (derivative, weighted right factor, product bucket, canonical
-    shell or quotient, result) has parts of absolute value below 2^(w - 1),
-    which is what ``PackedGaussians`` needs.  Proof, in the L1 norm N of a
-    bag, which bounds every part of every value in it, and is subadditive
-    and submultiplicative (|z1 z2|_1 <= |z1|_1 |z2|_1):
+    + |npow|, F_mode = ``f_mode`` bounds |mode entry| and A = ``f_alpha``
+    bounds |alpha| over their terms, and K = ``depth`` is the deepest
+    derivative order.  Every Gaussian value the call forms (chain level,
+    weighted right term, product, bucket sum, canonical shell or quotient,
+    result) has parts of absolute value below 2^(w - 1), which is what
+    ``PackedGaussians`` needs.  Proof, in the L1 norm N of a bag, which
+    bounds every part of every value in it, and is subadditive and
+    submultiplicative (|z1 z2|_1 <= |z1|_1 |z2|_1):
 
     - a derivative step d/d(xi_j) scales a term by alpha_j and by npow, and
       after k steps |alpha| + |npow| <= F_xi + 3k (alpha grows by at most
-      one, |npow| by at most two), so a derivative of order |gamma| <= K
-      has N <= t^K N(a), t = F_xi + 3K;
-    - the weight (K!/gamma!) mode^gamma of a right term is at most K!
-      F_mode^K in absolute value;
-    - the products of all pairs and all gamma with |gamma| <= K, of which
-      there are C(K + n, n) (at most ``MAX_GAMMA_COUNT``, ``_check_tower``),
-      sum to N <= C(K + n, n) t^K K! F_mode^K N(a) N(b) over all product
-      buckets;
+      one, |npow| by at most two), so each step of a tower of order <= K
+      multiplies N by at most t = F_xi + 3K;
+    - a directional step v . grad_xi, v a right mode, is the sum of the n
+      steps d/d(xi_j) scaled by v_j, so level j of a chain has N <= (n
+      F_mode t)^j N(a), and n^j <= (n + 1) ... (n + K) = C(K + n, n) K!
+      (a step is taken only when K >= 1 and F_mode >= 1), so N <= C(K + n,
+      n) K! F_mode^K t^K N(a); a right term weighted by K!/k! has N <= K!
+      N(b);
+    - as a bag, (v . grad_xi)^k a is the sum over |gamma| = k of (k!/gamma!)
+      v^gamma d_xi^gamma a, so each product of level k with a right term of
+      mode v is the sum of the products (K!/gamma!) v^gamma (d_xi^gamma a)
+      (right term) of the gamma-sum, each of weight at most K! F_mode^K in
+      absolute value and of N <= t^K K! F_mode^K N(a) N(b); over all pairs
+      and all gamma with |gamma| <= K, of which there are C(K + n, n) (at
+      most ``MAX_GAMMA_COUNT``, ``_check_tower``), these sum to N <= C(K +
+      n, n) t^K K! F_mode^K N(a) N(b), which bounds every product and every
+      partial bucket sum;
     - canonical form of a group of degree d and lowest |xi| power p makes
       every value at most n^s times the group's N, with s = d - p, its
-      largest |alpha|, at most 2 F_xi + K: the division by xi_1^2 + ... +
-      xi_n^2 moves a term at xi_1 exponent e to n terms at e - 2, so the
-      sum of |value| n^(e/2) never grows, and starts at most n^(s/2) N;
-      Horner's rule then multiplies N by at most n per shell, over at most
-      s/2 shells.  Also, each division bucket and each shell costs at least
-      n of the ``MAX_CANONICAL_MONOMIALS`` updates a group may make, and
-      multiplies the group's total N by at most n, so s may be capped at
+      largest |alpha|, at most 2A + K (a factor's terms have |alpha| <= A,
+      a derivative step moves |alpha| by one and a product adds the
+      alphas): the division by xi_1^2 + ... + xi_n^2 moves a term at xi_1
+      exponent e to n terms at e - 2, so the sum of |value| n^(e/2) never
+      grows, and starts at most n^(s/2) N; Horner's rule then multiplies N
+      by at most n per shell, over at most s/2 shells.  Also, each division
+      bucket and each shell costs at least n of the
+      ``MAX_CANONICAL_MONOMIALS`` updates a group may make, and multiplies
+      the group's total N by at most n, so s may be capped at
       ``MAX_CANONICAL_MONOMIALS`` // n.
 
     Each factor x is below 2^bits(x), and n^s at most 2^(s ceil(log2 n)),
     so the width is one more than the sum of those bit counts.  Sizes enter
-    by bit length (F_mode may have a thousand digits); only F_xi, which
-    canonical form bounds in practice, enters linearly, and capped.
+    by bit length (F_mode may have a thousand digits); only A enters
+    linearly, and capped.
     """
     k = depth
-    span = min(2 * f_xi + k, MAX_CANONICAL_MONOMIALS // n)
+    span = min(2 * f_alpha + k, MAX_CANONICAL_MONOMIALS // n)
     bits = (norm_a.bit_length() + norm_b.bit_length() + math.comb(k + n, n).bit_length()
             + k * (f_xi + 3 * k).bit_length() + math.factorial(k).bit_length()
             + k * f_mode.bit_length() + span * (n - 1).bit_length())
@@ -410,12 +446,13 @@ class Keys:
         self.alphas: dict = {}
         self.memo_limit = max(1, _MEMO_FIELDS // n)
 
-    def pack(self, bags) -> tuple[tuple[int, int], list[dict]]:
-        """((F_xi, F_mode), the bags with packed keys): the largest |alpha| +
-        |npow| and the largest |mode entry|, for ``pack_terms`` to check
-        against the width."""
+    def pack(self, bags) -> tuple[tuple[int, int, int], list[dict]]:
+        """((F_xi, F_mode, A), the bags with packed keys): the largest |alpha|
+        + |npow|, the largest |mode entry| and the largest |alpha|, for
+        ``pack_terms`` to check against the width and ``numerator_width``
+        to bound canonical growth by."""
         modes, alphas, weight = self.modes, self.alphas, self.npow_weight
-        f_xi = f_mode = 0
+        f_xi = f_mode = f_alpha = 0
         out = []
         for bag in bags:
             packed = {}
@@ -425,11 +462,13 @@ class Keys:
                 size = a[0] + abs(npow)
                 if size > f_xi:
                     f_xi = size
+                if a[0] > f_alpha:
+                    f_alpha = a[0]
                 if m[0] > f_mode:
                     f_mode = m[0]
                 packed[a[1] + m[1] + npow * weight] = s
             out.append(packed)
-        return (f_xi, f_mode), out
+        return (f_xi, f_mode, f_alpha), out
 
     def pack_alpha(self, alpha: tuple) -> tuple[int, int]:
         """(|alpha|, what alpha adds to a key, offsets included), checked."""
@@ -540,7 +579,7 @@ def pack_terms(n: int, bags, depth: int = 0):
 
 
 def _pack_sized(n: int, bags, depth: int):
-    """``pack_terms``, and the sizes (F_xi, F_mode) it took F from."""
+    """``pack_terms``, and the sizes (F_xi, F_mode, A) it took F from."""
     keys = _narrow_layout(n)
     while True:
         sizes, packed = keys.pack(bags)
@@ -573,23 +612,19 @@ def add_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def mul_terms(system, keys, left: dict, right: dict, out: dict | None = None) -> dict:
+def mul_terms(system, keys, left: dict, right: dict) -> dict:
     """Pointwise product; modes add, with the system's phase twist.
 
     Left scalars multiply on the left, which is what the twisted calculus
     requires; the commutative backend does not care.  ``keys`` is the
-    layout of packed bags, whose products are summed into ``out`` as
-    ``bag_add`` does, or the dimension of tuple-keyed ones
-    (``pack_terms``), whose product is a new bag.  The phase is read only
+    layout of packed bags or the dimension of tuple-keyed ones
+    (``pack_terms``); the product is a new bag.  The phase is read only
     for a twisted system, from the two mode fields it uses.
     """
     tuples = type(keys) is int
     if tuples:
-        if out is not None:
-            raise TypeError("mul_terms sums into out only on packed bags")
         keys, (left, right) = pack_terms(keys, (left, right))
-    if out is None:
-        out = {}
+    out: dict = {}
     phase = system.phase
     if phase is not None:
         m, h = keys.mask, keys.half
@@ -877,23 +912,31 @@ def compose_components(
     free of modes; otherwise the loop would not end, so it raises
     ``ValidationError`` instead.
 
-    The xi-derivatives of each left component are kept raw (see
-    ``xi_derivative``).  Each emitted degree is canonicalized once at
-    the end, which suffices because the canonical form of a function is
-    unique and ``canonical_terms`` accepts any homogeneous raw bag.  Each
-    weighted right factor (1/gamma!) D^gamma b is formed once per
-    (b_deg, gamma) and serves every left component.
+    The sum is taken by directional derivatives.  D^gamma acts on a right
+    term of mode v as v^gamma, and sum over |gamma| = k of (1/gamma!)
+    v^gamma d_xi^gamma is (1/k!) (v . grad_xi)^k, exactly (the partials
+    commute).  So the right factor's terms are grouped by mode, and for
+    each left component and each right mode v it meets, one chain a, (v .
+    grad_xi) a, ... is built (``_along``) and shared by every right
+    component with that mode; level k meets the terms of mode v into the
+    emitted degree a_deg + b_deg - k.  An empty level ends the chain, and a
+    mode-zero right term meets only level 0.  The levels are kept raw, and
+    each emitted degree is canonicalized once at the end, which suffices
+    because the canonical form of a function is unique and
+    ``canonical_terms`` accepts any homogeneous raw bag.
 
     Both factors are lifted on entry (``system.lift``), and each weight
-    w/gamma! is applied as the integer w * (K!/gamma!), where K is the
-    deepest derivative order any pair reaches: the whole sum runs on
-    numerators over one denominator, the two lifts' denominators times K!,
-    and each emitted coefficient is divided by it once (``system.lower``).
-    The lifted factors are packed once, under a layout that covers order K
-    (``pack_terms``), and the keys are unpacked only in the result.  The
-    system's ``numerator_map`` then gives the numerators the engine runs
-    on (one ``int`` each for Gaussian ones, ``PackedGaussians``), which it
-    reduces before canonical form and lowers at the end.
+    1/k! is applied as the integer K!/k!, where K is the deepest derivative
+    order any pair reaches: the whole sum runs on numerators over one
+    denominator, the two lifts' denominators times K!, and each emitted
+    coefficient is divided by it once (``system.lower``).  The lifted
+    factors are packed once, under a layout that covers order K
+    (``pack_terms``), and each emitted degree is read back into tuple keys
+    and coefficients in one pass.  The system's ``numerator_map`` gives the
+    numerators the engine runs on (one ``int`` each for Gaussian ones,
+    ``PackedGaussians``), which it reduces before canonical form and lowers
+    at the end.  A product is formed as in ``mul_terms``: left scalar
+    first, then the system's phase.
     """
     if floor is None and gamma_cap is None and not (
         all(terms_polynomial(t) for t in comps_a.values())
@@ -911,37 +954,111 @@ def compose_components(
     keys, packed, sizes = _pack_sized(n, [*comps_a.values(), *comps_b.values()], deepest)
     nums, left, right = system.numerator_map(packed[:len(comps_a)], packed[len(comps_a):],
                                              n, sizes, deepest)
-    comps_a = dict(zip(comps_a, left))
-    comps_b = dict(zip(comps_b, right))
     scale = math.factorial(deepest)
+    weights = [scale // math.factorial(k) for k in range(deepest + 1)]
+    m, h, offsets, first = keys.mask, keys.half, keys.offsets, keys.mode_shifts[0]
+    phase = system.phase
+    if phase is not None:
+        second = keys.mode_shifts[1]
+    # each right component's terms by mode (the mode fields of a key), as
+    # (key - offsets, numerator); and per mode, the steps of v . grad_xi and
+    # the entry the phase reads
+    directions: dict[int, tuple] = {}
+    groups_b = []
+    for b_deg, b_terms in zip(comps_b, right):
+        groups: dict[int, list] = {}
+        for key, s in b_terms.items():
+            field = key >> first
+            groups.setdefault(field, []).append((key - offsets, s))
+            if field not in directions:
+                mode = [(key >> shift & m) - h for shift in keys.mode_shifts]
+                steps = [(keys.width * j, v, *keys.xi_steps[j]) for j, v in enumerate(mode) if v]
+                directions[field] = (steps, mode[0])
+        groups_b.append((b_deg, groups))
     out: dict[int, dict] = {}
-    weighted: dict[tuple, dict] = {}
-    for a_deg, a_terms in comps_a.items():
-        memo = {(0,) * n: a_terms}
-        for b_deg, b_terms in comps_b.items():
+    for a_deg, a_terms in zip(comps_a, left):
+        chains: dict[int, list] = {}  # mode fields -> [a, (v . grad_xi) a, ...]
+        for b_deg, groups in groups_b:
             kmax = caps.get((a_deg, b_deg))
             if kmax is None:
                 continue
-            for k in range(kmax + 1):
-                level = [(gamma, d) for gamma in compositions(n, k)
-                         if (d := xi_derivative(keys, memo, gamma))]
-                if not level:
-                    break  # every higher xi-derivative vanishes too
-                bucket = out.setdefault(a_deg + b_deg - k, {})
-                for gamma, left in level:
-                    right = weighted.get((b_deg, gamma))
-                    if right is None:
-                        right = _weighted_right(keys, b_terms, gamma, scale)
-                        weighted[(b_deg, gamma)] = right
-                    if right:
-                        mul_terms(system, keys, left, right, out=bucket)
+            for field, terms in groups.items():
+                steps, u = directions[field]
+                chain = chains.get(field)
+                if chain is None:
+                    chain = chains[field] = [a_terms]
+                while len(chain) <= kmax and chain[-1]:
+                    chain.append(_along(keys, chain[-1], steps))
+                for k, level in enumerate(chain[:kmax + 1]):
+                    if not level:
+                        break  # every later level vanishes, as after mode zero's level 0
+                    bucket = out.setdefault(a_deg + b_deg - k, {})
+                    w = weights[k]
+                    for base, s2 in terms:
+                        weighted = s2 * w
+                        for k1, s1 in level.items():
+                            s = s1 * weighted
+                            if phase is not None:
+                                ph = phase((k1 >> second & m) - h, u)
+                                if ph is not None:
+                                    s = s * ph
+                            key = k1 + base
+                            cur = bucket.get(key)
+                            if cur is None:
+                                if s:
+                                    bucket[key] = s
+                            else:
+                                s = cur + s
+                                if s:
+                                    bucket[key] = s
+                                else:
+                                    del bucket[key]
     den = den_a * den_b * scale
     result = {}
     for d, raw in out.items():
         ct = canonical_terms(keys, d, nums.reduce(raw))
         if ct:
-            result[d] = nums.lower(keys.unpack_bag(ct), den)
+            result[d] = nums.lower(keys, ct, den)
     return result
+
+
+def _along(keys: Keys, terms: dict, steps: list) -> dict:
+    """v . grad_xi, termwise: one pass over the packed bag, summed as
+    ``bag_add`` does.  ``steps`` holds (shift of alpha_j, v_j, down, r_step)
+    for each axis j where v_j is nonzero, with the moves of
+    ``Keys.xi_steps``; each axis is d/d(xi_j) (``partial_xi_terms``) scaled
+    by v_j, and |alpha| + npow drops by one."""
+    m, h, ps = keys.mask, keys.half, keys.npow_shift
+    out: dict = {}
+    for key, s in terms.items():
+        p = (key >> ps & m) - h
+        for shift, v, down, r_step in steps:
+            a = (key >> shift & m) - h
+            if a:
+                k, x = key - down, s * (a * v)
+                cur = out.get(k)
+                if cur is None:
+                    if x:
+                        out[k] = x
+                else:
+                    x = cur + x
+                    if x:
+                        out[k] = x
+                    else:
+                        del out[k]
+            if p:
+                k, x = key - r_step, s * (p * v)
+                cur = out.get(k)
+                if cur is None:
+                    if x:
+                        out[k] = x
+                else:
+                    x = cur + x
+                    if x:
+                        out[k] = x
+                    else:
+                        del out[k]
+    return out
 
 
 def _check_tower(n: int, deepest: int, remedy: str) -> None:
@@ -978,27 +1095,6 @@ def _level_caps(comps_a, comps_b, floor, gamma_cap) -> dict[tuple[int, int], int
             if kmax >= 0:
                 caps[(a_deg, b_deg)] = kmax
     return caps
-
-
-def _weighted_right(keys: Keys, b_terms: dict, gamma: tuple[int, ...], scale: int) -> dict:
-    # (scale/gamma!) D^gamma applied termwise: each term scales by mode^gamma
-    fact = scale // gamma_factorial(gamma)
-    if not any(gamma):
-        return b_terms if fact == 1 else {key: s * fact for key, s in b_terms.items()}
-    m, h = keys.mask, keys.half
-    powers = [(shift, g) for shift, g in zip(keys.mode_shifts, gamma) if g]
-    out = {}
-    for key, s in b_terms.items():
-        w = fact
-        for shift, g in powers:
-            x = (key >> shift & m) - h
-            if x == 0:
-                w = 0
-                break
-            w *= x**g
-        if w:
-            out[key] = s * w
-    return out
 
 
 def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict]):

@@ -217,6 +217,20 @@ def test_apply_element_prefix_with_leading_minus(files, capsys, option):
     assert "usage" not in err
 
 
+def test_apply_refuses_a_phase_exponent_past_the_float_range(tmp_path, capsys):
+    # at a float twist the phase of V^N times U is exp(2 pi i theta N), and
+    # N = 10^400 converts to no float: one line and exit 2, not a traceback
+    doc = tmp_path / "float.json"
+    doc.write_text(json.dumps({"dim": 2, "order": 0, "floor": -2, "theta": 0.3, "blocks": [
+        {"deg": 0, "terms": [{"coeff": {"re": 1.0, "im": 0.0}, "nc": [1, 1],
+                              "alpha": [0, 0], "npow": 0}]}]}))
+    code, out, err = run(capsys, "apply", "--element", f"V^{10**400} * U", str(doc))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "too large for the float twist theta 0.3" in err
+    code, out, _ = run(capsys, "apply", "--element", "V^3 * U", str(doc))
+    assert code == 0 and "U^2*V^4" in out
+
+
 @pytest.mark.parametrize("option", ["--th", "--the", "--thet"])
 def test_nc_trace_check_theta_prefix_with_leading_minus(capsys, option):
     want = run(capsys, "nc-trace-check", "--theta=-1/3", "--trials", "2", "--seed", "1")

@@ -941,6 +941,9 @@ def test_compose_at_the_packing_edges_matches_the_reference():
 # -- Gaussian numerators as ints -------------------------------------------------------
 
 
+_KEY = ((1, -2), (0, 3), -1)  # the key the numerators below are lowered under
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 400), st.data())
 def test_packed_gaussians_pack_reduce_and_lower_round_trip(width, data):
@@ -952,9 +955,10 @@ def test_packed_gaussians_pack_reduce_and_lower_round_trip(width, data):
     v = ints.pack(z)
     # the packed value is its own balanced representative, of every lift
     shift = data.draw(st.integers(-3, 3)) * ints.modulus
-    assert ints.reduce({0: v + shift}) == ({0: v} if z else {})
-    want = {0: ComplexRational(Fraction(z.re, den), Fraction(z.im, den))} if z else {}
-    assert ints.lower(ints.reduce({0: v}), den) == want
+    keys, [[k]] = T.pack_terms(2, [{_KEY: 0}])
+    assert ints.reduce({k: v + shift}) == ({k: v} if z else {})
+    want = {_KEY: ComplexRational(Fraction(z.re, den), Fraction(z.im, den))} if z else {}
+    assert ints.lower(keys, ints.reduce({k: v}), den) == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -962,7 +966,8 @@ def test_packed_gaussians_pack_reduce_and_lower_round_trip(width, data):
 def test_packed_gaussian_arithmetic_matches_gaussian_integers(data):
     n = data.draw(st.sampled_from([2, 3, 8, 64]))
     norms = [data.draw(st.one_of(st.integers(1, 9), st.integers(1, 10**300))) for _ in range(2)]
-    sizes = [data.draw(st.integers(0, 40)), data.draw(st.sampled_from([0, 1, 7, 10**300]))]
+    f_xi = data.draw(st.integers(0, 40))
+    sizes = [f_xi, data.draw(st.sampled_from([0, 1, 7, 10**300])), data.draw(st.integers(0, f_xi))]
     width = T.numerator_width(n, *norms, *sizes, data.draw(st.integers(0, 6)))
     ints = T.PackedGaussians(width)
     # parts below 2^((w - 4) / 2): z0 z1 + c z2 z3 - z4 stays below 2^(w - 1)
@@ -973,8 +978,34 @@ def test_packed_gaussian_arithmetic_matches_gaussian_integers(data):
     want = zs[0] * zs[1] + zs[2] * zs[3] * c + -zs[4]
     p = [ints.pack(z) for z in zs]
     # formed on the ints unreduced, as the engine does, and reduced once
-    got = ints.lower(ints.reduce({0: p[0] * p[1] + p[2] * p[3] * c + -p[4]}), 1)
-    assert got == ({0: ComplexRational(want.re, want.im)} if want else {})
+    keys, [[k]] = T.pack_terms(2, [{_KEY: 0}])
+    got = ints.lower(keys, ints.reduce({k: p[0] * p[1] + p[2] * p[3] * c + -p[4]}), 1)
+    assert got == ({_KEY: ComplexRational(want.re, want.im)} if want else {})
+
+
+def test_numerator_width_bounds_canonical_growth_by_alpha(monkeypatch):
+    # xi_1 |xi|^(2^20) e^(i x_1) has F_xi = 2^20 + 1, and no term of the pair has
+    # |alpha| > 2: canonical form grows by n^s with s <= 2A + K, not 2 F_xi + K
+    # (the bound with A = F_xi)
+    widths = []
+    width = T.numerator_width
+
+    def recording(n, norm_a, norm_b, f_xi, f_mode, f_alpha, depth):
+        new = width(n, norm_a, norm_b, f_xi, f_mode, f_alpha, depth)
+        widths.append((new, width(n, norm_a, norm_b, f_xi, f_mode, f_xi, depth)))
+        return new
+
+    monkeypatch.setattr(T, "numerator_width", recording)
+    big, cr = 2**20, ComplexRational
+    a = {big + 1: {((1, 0), (1, 0), big): cr(3, -1)}}
+    b = {0: {((-1, 0), (0, 0), 0): cr(1), ((-1, 0), (0, 2), -2): cr(0, Fraction(2, 3)),
+             ((0, 0), (1, 1), -2): cr(1)},
+         -1: {((0, 1), (1, 0), -2): cr(Fraction(1, 2))}}
+    for s, t in ((a, b), (b, a)):
+        assert _assert_same_as_unlifted(2, s, t, big - 3)
+        assert _assert_same_as_unlifted(2, s, t, None, gamma_cap=3)
+    assert len(widths) == 4
+    assert all(new < 200 and old > 50_000 for new, old in widths)
 
 
 def _large(rng, digits=300):
@@ -1049,3 +1080,119 @@ def test_compose_whose_canonical_form_expands_matches_the_reference(n, h):
     coefficient = max(abs(s.re) for s in got[2 * h + 1].values())
     assert coefficient == math.factorial(h) // prod(
         math.factorial(h // n + (j < h % n)) for j in range(n))
+
+
+# -- composition against the literal gamma-sum -------------------------------------------
+
+
+def _d_xi(bag, j):
+    """d/d(xi_j) of a tuple-keyed bag, term by term: xi_j^a |xi|^p goes to
+    a xi_j^(a-1) |xi|^p + p xi_j^(a+1) |xi|^(p-2)."""
+    out = {}
+    for (mode, alpha, p), s in bag.items():
+        if alpha[j]:
+            T.bag_add(out, (mode, T._bump(alpha, j, -1), p), s * alpha[j])
+        if p:
+            T.bag_add(out, (mode, T._bump(alpha, j, 1), p - 2), s * p)
+    return out
+
+
+def _literal_gamma_sum(system, n, comps_a, comps_b, floor, kmax):
+    """The raw degree bags of sum_gamma (1/gamma!) (d_xi^gamma a)(D^gamma b)
+    down to ``floor``, one multi-index gamma with |gamma| <= ``kmax`` and one
+    pair of terms at a time, with the ``Fraction`` weight mode^gamma / gamma!
+    of the right term; ``kmax=None`` runs until the derivatives vanish."""
+    phase = system.phase
+    out = {}
+    for a_deg, a_terms in comps_a.items():
+        level, k = {(0,) * n: a_terms}, 0
+        while level and (kmax is None or k <= kmax):
+            for gamma, left in level.items():
+                fact = T.gamma_factorial(gamma)
+                for b_deg, b_terms in comps_b.items():
+                    if floor is not None and a_deg + b_deg - k < floor:
+                        continue
+                    bucket = out.setdefault(a_deg + b_deg - k, {})
+                    for (m2, a2, p2), s2 in b_terms.items():
+                        w = Fraction(prod(v**g for v, g in zip(m2, gamma)), fact)
+                        if not w:
+                            continue
+                        for (m1, a1, p1), s1 in left.items():
+                            s = s1 * (s2 * w)
+                            ph = None if phase is None else phase(m1[1], m2[0])
+                            if ph is not None:
+                                s = s * ph
+                            key = (tuple(x + y for x, y in zip(m1, m2)),
+                                   tuple(x + y for x, y in zip(a1, a2)), p1 + p2)
+                            T.bag_add(bucket, key, s)
+            nxt = {}
+            for gamma, d in level.items():
+                for j in range(n):
+                    up = T._bump(gamma, j, 1)
+                    if up not in nxt and (dd := _d_xi(d, j)):
+                        nxt[up] = dd  # the partials commute: any path to gamma will do
+            level, k = nxt, k + 1
+    return out
+
+
+def _canonical_degrees(canonical, n, raw):
+    result = {d: canonical(n, d, bag) for d, bag in raw.items()}
+    return {d: ct for d, ct in result.items() if ct}
+
+
+def _regrouped_by_mode(rng, bags, n):
+    """The bags with each term moved onto the least mode of its component or
+    onto mode zero, next to twice the term times xi_1 |xi|^-1, so a component
+    holds several terms of one mode and often some of mode zero."""
+    out = {}
+    for d, bag in bags.items():
+        choices = [min(m for (m, _a, _p) in bag), (0,) * n]
+        moved = out.setdefault(d, {})
+        for (_mode, alpha, p), s in sorted(bag.items(), key=lambda item: item[0]):
+            mode = rng.choice(choices)
+            T.bag_add(moved, (mode, alpha, p), s)
+            T.bag_add(moved, (mode, T._bump(alpha, 0, 1), p - 1), s * 2)
+    return {d: bag for d, bag in out.items() if bag}
+
+
+@pytest.mark.parametrize("n, theta", [(2, None), (3, None), (2, Fraction(2, 5)),
+                                      (2, Fraction(7, 30))])
+def test_compose_matches_the_literal_gamma_sum(n, theta):
+    # each right mode's gamma-series is summed as (K!/k!) (v . grad_xi)^k a: the
+    # result is the literal sum over multi-indices, canonicalized by expanding then
+    # dividing.  A twisted coefficient keeps the lcm of the orders of what was
+    # summed into it, so its storage order depends on the order of the sums; the
+    # literal sum canonicalized as the engine does it also matches by repr, which
+    # shows those orders (expanding then dividing sums in another order, and at a
+    # few seeds leaves the same value at another order)
+    if theta is None:
+        system, th = T.RATIONAL_SYSTEM, None
+    else:
+        system, th = T.CyclotomicSystem(theta.numerator, theta.denominator), Theta.from_rational(theta)
+    rng = random.Random(f"literal {n} {theta}")
+    several = mode_zero = 0
+    for i in range(3):
+        m1, m2 = rng.randint(-1, 1), rng.randint(-1, 1)
+        a, b = (random_symbol(rng.getrandbits(32), dim=n, order=m, depth=m1 + n + m2,
+                              max_mode=2, max_alpha=2, theta=th) for m in (m1, m2))
+        ca, cb = a._term_bags(), _regrouped_by_mode(rng, b._term_bags(), n)
+        for bag in cb.values():
+            modes = [mode for (mode, _a, _p) in bag]
+            several += len(modes) > len(set(modes))
+            mode_zero += (0,) * n in modes
+        floor = _floor(a, b)
+        poly = {d: {key: system.coerce(s) for key, s in bag.items()}
+                for d, bag in _polynomial_bags(rng, n, 1 + i).items()}
+        free = {d: {((0,) * n, al, p): s for (_m, al, p), s in bag.items()}
+                for d, bag in cb.items()}
+        cases = [(ca, cb, floor, None, max(x + y for x in ca for y in cb) - floor)]
+        cases += [(ca, cb, None, cap, cap) for cap in range(4)]
+        # complete: a polynomial left factor's tower ends, a mode-free right factor
+        # meets level 0 only (the literal sum runs two levels past it, to zeros)
+        cases += [(poly, cb, None, None, None), (ca, free, None, None, 2)]
+        for s, t, fl, cap, kmax in cases:
+            got = T.compose_components(system, n, s, t, fl, gamma_cap=cap)
+            raw = _literal_gamma_sum(system, n, s, t, fl, kmax)
+            assert got == _canonical_degrees(_reference_canonical, n, raw)
+            assert _sorted_repr(got) == _sorted_repr(_canonical_degrees(T.canonical_terms, n, raw))
+    assert several and mode_zero

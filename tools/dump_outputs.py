@@ -60,6 +60,12 @@ It prints, on seeded inputs:
   3 whose coefficients have parts of about 200 digits over mixed
   denominators, so the numerators the engine forms are as long as its
   width rule allows;
+- ``terms.compose_components`` in both calculi (dimensions 2 and 3, theta
+  2/5 and 7/30) on right factors whose components hold several terms of
+  one mode and terms of mode zero: down to the composed floor, with
+  ``gamma_cap`` 0 to 3, and complete with a polynomial left factor or a
+  mode-free right one; and a left term xi_1 |xi|^(2^20) of mode (1, 0)
+  against a small partner, in both orders;
 - text documents read by ``parse_symbol``: ``format_symbol`` and the
   ``repr`` of the term bags (which shows each twisted coefficient's
   cyclotomic order), or the exception class and message, for seeded
@@ -152,7 +158,11 @@ def twisted_pairs(lib, theta, rng):
 
 
 def _components_repr(sym) -> str:
-    return repr(sorted((d, sorted(bag.items())) for d, bag in sym._term_bags().items()))
+    return _bags_repr(sym._term_bags())
+
+
+def _bags_repr(bags) -> str:
+    return repr(sorted((d, sorted(bag.items())) for d, bag in bags.items()))
 
 
 def _outcome(fn, *args) -> str:
@@ -525,6 +535,90 @@ def dump_packing_edges(lib, out):
                 out(f"edge theta={th} ncpoly {i} {tag}: {_outcome(lambda: _nc_poly_repr(fn()))}")
 
 
+def _regrouped(rng, bags, n):
+    """The bags with each term moved onto the least mode of its component or
+    onto mode zero, next to twice the term times xi_1 |xi|^-1, so that a
+    component holds several terms of one mode and often some of mode zero."""
+    out = {}
+    for d, bag in sorted(bags.items()):
+        choices = [min(m for (m, _a, _p) in bag), (0,) * n]
+        moved = {}
+        for (_mode, alpha, p), s in sorted(bag.items(), key=lambda item: item[0]):
+            mode = rng.choice(choices)
+            for key, x in (((mode, alpha, p), s), ((mode, (alpha[0] + 1,) + alpha[1:], p - 1), s * 2)):
+                total = moved.pop(key, 0) + x
+                if total:
+                    moved[key] = total
+        if moved:
+            out[d] = moved
+    return out
+
+
+def _polynomial(rng, coerce, n, top):
+    """A complete polynomial factor: |xi| powers even and nonnegative, modes mixed."""
+    comps = {}
+    for deg in range(top, -1, -1):
+        bag = {}
+        for _ in range(3):
+            p = 2 * rng.randint(0, deg // 2)
+            alpha = [0] * n
+            for _ in range(deg - p):
+                alpha[rng.randrange(n)] += 1
+            key = (tuple(rng.randint(-1, 1) for _ in range(n)), tuple(alpha), p)
+            total = bag.pop(key, 0) + coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            if total:
+                bag[key] = total
+        if bag:
+            comps[deg] = bag
+    return comps
+
+
+def dump_compositions_by_mode(lib, out):
+    """``terms.compose_components`` in both calculi on right factors whose
+    components hold several terms of one mode and terms of mode zero: down to
+    the composed floor, with ``gamma_cap`` 0 to 3, and complete (no floor, no
+    cap) with a polynomial left factor or a mode-free right one; and a left
+    term xi_1 |xi|^(2^20) of mode (1, 0) against a small partner."""
+    T = lib.terms
+    CR = lib.scalars.ComplexRational
+    cases = [(f"n={n}", n, T.RATIONAL_SYSTEM, None) for n in (2, 3)]
+    cases += [(f"theta={th}", 2, T.CyclotomicSystem(th.numerator, th.denominator),
+               lib.nctorus.Theta.from_rational(th)) for th in (Fraction(2, 5), Fraction(7, 30))]
+    for name, n, system, theta in cases:
+        rng = random.Random(f"by mode {name}")
+        for k in range(4):
+            m1, m2 = rng.randint(-1, 1), rng.randint(-1, 1)
+            a, b = (lib.dsl.random_symbol(rng.getrandbits(32), dim=n, order=m, depth=m1 + n + m2,
+                                          max_mode=2, max_alpha=2, theta=theta)
+                    for m in (m1, m2))
+            ca, cb = a._term_bags(), _regrouped(rng, b._term_bags(), n)
+            floor = max(a.trusted_floor + m2, m1 + b.trusted_floor)
+            free = {d: {((0,) * n, al, p): s for (_m, al, p), s in bag.items()}
+                    for d, bag in cb.items()}
+            poly = _polynomial(rng, system.coerce, n, 1 + k % 3)
+            runs = [("floor", ca, cb, floor, None)]
+            runs += [(f"cap {cap}", ca, cb, None, cap) for cap in range(4)]
+            runs += [("complete polynomial left", poly, cb, None, None),
+                     ("complete mode-free right", ca, free, None, None)]
+            for tag, s, t, fl, cap in runs:
+                got = _outcome(lambda: _bags_repr(
+                    T.compose_components(system, n, s, t, fl, gamma_cap=cap)))
+                out(f"by mode {name} pair {k} {tag}: {got}")
+        big = 2**20
+        one = system.coerce(CR(1))
+        a = {big + 1: {((1, 0), (1, 0), big): system.coerce(CR(3, -1))}}
+        b = {0: {((-1, 0), (0, 0), 0): one, ((-1, 0), (0, 2), -2): system.coerce(CR(0, 2)),
+                 ((0, 0), (1, 1), -2): one},
+             -1: {((0, 1), (1, 0), -2): system.coerce(CR(Fraction(1, 2)))}}
+        a, b = ({d: {(m + (0,) * (n - 2), al + (0,) * (n - 2), p): s for (m, al, p), s in bag.items()}
+                 for d, bag in f.items()} for f in (a, b))
+        for tag, s, t in (("ab", a, b), ("ba", b, a)):
+            for fl, cap in ((None, 3), (big - 3, None)):
+                got = _outcome(lambda: _bags_repr(
+                    T.compose_components(system, n, s, t, fl, gamma_cap=cap)))
+                out(f"by mode {name} |xi|^(2^20) {tag} floor {fl} cap {cap}: {got}")
+
+
 # denominators of the large coefficients: 1, small, and of 20 and 41 digits
 _LARGE_DENOMINATORS = [1, 3, 77, 2**64 + 13, 10**40 + 9]
 
@@ -847,6 +941,7 @@ def main(argv=None) -> int:
     dump_pi_graded(lib, lines.append)
     dump_packing_edges(lib, lines.append)
     dump_large_coefficients(lib, lines.append)
+    dump_compositions_by_mode(lib, lines.append)
     dump_documents(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
