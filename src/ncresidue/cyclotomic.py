@@ -13,8 +13,8 @@ polynomial factors whenever 4 | q and reduction would stop being faithful.
 A ``CyclotomicInteger`` is such a power-basis vector with integer
 coefficients, and it carries the ring arithmetic, the reduction and the
 order rule.  A ``CyclotomicScalar`` is one over a positive int denominator
-in lowest terms, with the field arithmetic of ``scalars._Quotient``; the
-exact twisted calculus runs on the numerators.
+in lowest terms, with the field arithmetic; the exact twisted calculus runs
+on the numerators.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .scalars import ComplexRational, GaussianInteger, _lowest_terms, _Quotient, _set
+from .scalars import ComplexRational, _set
 
 
 @lru_cache(maxsize=None)
@@ -193,18 +193,6 @@ class CyclotomicInteger:
             dense[-j % q] += c
         return CyclotomicInteger(q, _reduce_int(q, dense))
 
-    def content(self) -> int:
-        return math.gcd(*self.coeffs)
-
-    def exact_div(self, d: int) -> "CyclotomicInteger":
-        out = []
-        for c in self.coeffs:
-            quo, rem = divmod(c, d)
-            if rem:
-                raise ArithmeticError(f"{self!r} / {d} is not a cyclotomic integer")
-            out.append(quo)
-        return CyclotomicInteger(self.order, out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicInteger):
             return NotImplemented
@@ -215,15 +203,17 @@ class CyclotomicInteger:
         return f"CyclotomicInteger({self.order}, {list(self.coeffs)!r})"
 
 
-class CyclotomicScalar(_Quotient):
+class CyclotomicScalar:
     """An element of the cyclotomic field Q(zeta_order).
 
-    Stored as a ``CyclotomicInteger`` numerator over one positive
-    denominator in lowest terms, so ``order`` follows the numerator's order
-    rule; ``coeffs`` are the power-basis coordinates as ``Fraction``s.
+    Stored as a ``CyclotomicInteger`` numerator ``num`` over one positive
+    int ``den`` in lowest terms (zero has den 1), so structural equality is
+    equality of values; ``order`` follows the numerator's order rule and
+    ``coeffs`` are the power-basis coordinates as ``Fraction``s.  It
+    multiplies by a bare numerator (a twist's root of unity) as by one of den 1.
     """
 
-    __slots__ = ()
+    __slots__ = ("num", "den")
     __hash__ = None
 
     def __init__(self, order: int, coeffs):
@@ -232,9 +222,26 @@ class CyclotomicScalar(_Quotient):
         fracs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in fracs))
         ints = [c.numerator * (den // c.denominator) for c in fracs]
-        num, den = _lowest_terms(CyclotomicInteger(order, _reduce_int(order, ints)), den)
-        _set(self, "num", num)
-        _set(self, "den", den)
+        low = self._lowest(CyclotomicInteger(order, _reduce_int(order, ints)), den)
+        _set(self, "num", low.num)
+        _set(self, "den", low.den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CyclotomicScalar is immutable")
+
+    @classmethod
+    def _make(cls, num: CyclotomicInteger, den: int):
+        out = object.__new__(cls)
+        _set(out, "num", num)
+        _set(out, "den", den)
+        return out
+
+    @classmethod
+    def _lowest(cls, num: CyclotomicInteger, den: int):
+        g = math.gcd(*num.coeffs, den)
+        if g != 1:
+            num, den = CyclotomicInteger(num.order, [c // g for c in num.coeffs]), den // g
+        return cls._make(num, den)
 
     @staticmethod
     def _coerce(value):
@@ -264,7 +271,7 @@ class CyclotomicScalar(_Quotient):
 
     @classmethod
     def from_complex_rational(cls, value: ComplexRational) -> "CyclotomicScalar":
-        return _embedded(value.num.re, value.num.im, value.den)
+        return _embedded(value.a, value.b, value.den)
 
     @classmethod
     def root_of_unity(cls, q: int, exponent: int) -> "CyclotomicScalar":
@@ -275,6 +282,62 @@ class CyclotomicScalar(_Quotient):
 
     def is_rational(self) -> bool:
         return not any(self.num.coeffs[1:])
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        return self._lowest(self.num * (den // self.den) + other.num * (den // other.den), den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __neg__(self):
+        return self._make(-self.num, self.den)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational multiplier scales the numerator; no ring product
+            if other == 1:
+                return self
+            if not other:
+                return CYC_ZERO
+            return self._lowest(self.num * other.numerator, self.den * other.denominator)
+        if type(other) is CyclotomicInteger:
+            return self._lowest(self.num * other, self.den)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._lowest(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        return self._make(self.num.conjugate(), self.den)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     # -- conversion ---------------------------------------------------------
 
@@ -289,7 +352,7 @@ class CyclotomicScalar(_Quotient):
         """Exact conversion for values lying in Q(i)."""
         if self.is_rational() or self.order == 4:
             re, im = (self.num.coeffs + [0])[:2]  # a rational one may have one coefficient
-            return ComplexRational._make(GaussianInteger(re, im), self.den)
+            return ComplexRational._make(re, im, self.den)
         raise DomainError(
             f"value of cyclotomic order {self.order} does not have a stored Q(i) form"
         )
@@ -328,7 +391,6 @@ def _embedded(re: int, im: int, den: int) -> CyclotomicScalar:
 
 
 CYC_ZERO = CyclotomicScalar(1, [0])
-CyclotomicScalar._zero = CYC_ZERO
 
 
 def cyclotomic_phase(theta_num: int, theta_den: int, exponent: int) -> CyclotomicScalar:

@@ -50,7 +50,7 @@ from . import terms as T
 from .cyclotomic import CyclotomicInteger, CyclotomicScalar, decompose_root
 from .errors import DomainError, ParseError, ValidationError
 from .nctorus import NCPolynomial, NCSymbol, Theta, _system_for
-from .scalars import ComplexRational, GaussianInteger
+from .scalars import ComplexRational
 from .symbols import ClassicalSymbol, HomogeneousComponent
 
 
@@ -109,6 +109,16 @@ _DECIMAL_EXPONENT = re.compile(r"e\s*([-+]?[\d_]+)", re.IGNORECASE)
 # products (pairs of terms multiplied) of one document are held to this many.
 MAX_TERM_PRODUCTS = 50_000
 
+# A document written out term by term costs time in proportion to its terms;
+# its terms as written (inside parentheses too) are held to this many.
+MAX_DOCUMENT_TERMS = 10_000
+
+
+def _count_terms(count: int) -> int:
+    if count > MAX_DOCUMENT_TERMS:
+        raise ValidationError(f"a document may hold at most {MAX_DOCUMENT_TERMS} terms")
+    return count
+
 
 # A cyclotomic coefficient is stored densely, one integer per power of a
 # root of unity over one denominator; the root's order is the lcm of 4, the
@@ -154,7 +164,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.saw_uv = False
-        self.products = 0
+        self.products = self.terms = 0
         self.set_kind(dim, theta)
 
     def set_kind(self, dim: int, theta: Theta | None) -> None:
@@ -283,6 +293,7 @@ class _Parser:
         """
         dim, twisted = self.dim, self.theta is not None
         bag, count = None, 0
+        self.terms = _count_terms(self.terms + 1)
         while True:
             num, ipow, t, steps, scale = 1, 0, 0, 0, None
             mode, alpha, npow = [0] * dim, [0] * dim, 0
@@ -370,9 +381,9 @@ class _Parser:
         denominator over its gcd with ``steps``) and of the orders in ``scale``.
         """
         p = -num.numerator if ipow & 2 else num.numerator  # num is in lowest terms
-        gauss = GaussianInteger(0, p) if ipow & 1 else GaussianInteger(p, 0)
+        re, im = (0, p) if ipow & 1 else (p, 0)
         system = self.system
-        c = system.coerce(ComplexRational._make(gauss, num.denominator))
+        c = system.coerce(ComplexRational._make(re, im, num.denominator))
         if self.cyclotomic:
             q = system.theta_den
             order = q // math.gcd(q, steps)
@@ -474,7 +485,7 @@ MAX_OUTPUT_BITS = 14_000
 
 def _check_printable(coeff) -> None:
     if isinstance(coeff, ComplexRational):
-        ints = (coeff.den, coeff.num.re, coeff.num.im)
+        ints = (coeff.den, coeff.a, coeff.b)
     elif isinstance(coeff, CyclotomicScalar):
         ints = (coeff.den, *coeff.num.coeffs)
     else:
@@ -737,6 +748,7 @@ def symbol_from_json(data: dict):
             )
     system = _system_for(theta)
     blocks: dict[int, dict] = {}
+    count = 0
     block_list = data.get("blocks", [])
     if not isinstance(block_list, list):
         raise ValidationError("blocks must be a list")
@@ -748,6 +760,7 @@ def symbol_from_json(data: dict):
         term_list = block.get("terms", [])
         if not isinstance(term_list, list):
             raise ValidationError(f"terms of block deg {deg} must be a list")
+        count = _count_terms(count + len(term_list))
         for term in term_list:
             if not isinstance(term, dict) or "coeff" not in term:
                 raise ValidationError("each term must be an object with a coeff field")

@@ -6,10 +6,10 @@ half-integer exponents allowed because the Gamma function at half-integers
 produces sqrt(pi).  Keeping the pi exponent symbolic is what makes equality
 of residues decidable.
 
-Both calculi's exact scalars, ``ComplexRational`` here and
-``CyclotomicScalar`` in ``cyclotomic``, are integer-ring numerators over one
-positive int (``_Quotient``, which holds their arithmetic once); the term
-engine runs on the numerators.
+A ``ComplexRational`` is three plain ints, (a + bi) / den in lowest terms;
+``CyclotomicScalar`` in ``cyclotomic`` is a cyclotomic-integer numerator
+over one positive int.  The term engine runs on integer numerators
+(``GaussianInteger`` here) and lowers its results back to these scalars.
 """
 
 from __future__ import annotations
@@ -26,55 +26,76 @@ _PI = math.pi
 _set = object.__setattr__
 
 
-def _lowest_terms(num, den: int):
-    """num / den with the common factor of den and num's content divided out."""
-    g = math.gcd(num.content(), den)
-    if g == 1:
-        return num, den
-    return num.exact_div(g), den // g
+class ComplexRational:
+    """A complex number with exact rational real and imaginary parts.
 
-
-class _Quotient:
-    """An exact scalar num / den: an integer-ring numerator over a positive int.
-
-    Kept in lowest terms: den and the content of num (the gcd of its
-    coefficients) are coprime, and zero has den 1, so structural equality
-    is equality of values.  A scalar multiplies by a bare numerator (such
-    as a twist's root of unity) as by a scalar of denominator 1.  The
-    numerator supplies its ring operations, ``content``, ``exact_div`` and
-    ``conjugate``; a subclass supplies ``_coerce`` (a value of its class,
-    or ``NotImplemented``) and ``_zero``, the value a rational zero factor
-    gives.
+    Stored flat as three ints, (a + bi) / den in lowest terms: den > 0 and
+    gcd(a, b, den) = 1, so zero is 0/1 and structural equality is equality
+    of values.  ``re`` and ``im`` are the parts as ``Fraction``s.  Instances
+    are immutable, so equal values may share one object.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("a", "b", "den")
+
+    def __init__(self, re=0, im=0):
+        for x in (re, im):
+            if not isinstance(x, (Fraction, int, str)):
+                raise TypeError(f"expected a rational value, got {type(x).__name__}")
+        re, im = Fraction(re), Fraction(im)
+        den = math.lcm(re.denominator, im.denominator)
+        _set(self, "a", re.numerator * (den // re.denominator))
+        _set(self, "b", im.numerator * (den // im.denominator))
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("ComplexRational is immutable")
 
     @classmethod
-    def _make(cls, num, den: int):
+    def _make(cls, a: int, b: int, den: int):
+        """(a + bi) / den, which must already be in lowest terms."""
         out = object.__new__(cls)
-        _set(out, "num", num)
+        _set(out, "a", a)
+        _set(out, "b", b)
         _set(out, "den", den)
         return out
 
     @classmethod
-    def _lowest(cls, num, den: int):
-        return cls._make(*_lowest_terms(num, den))
+    def _lowest(cls, a: int, b: int, den: int):
+        g = math.gcd(a, b, den)
+        if g == 1:
+            return cls._make(a, b, den)
+        return cls._make(a // g, b // g, den // g)
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, ComplexRational):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return ComplexRational(value)
+        return NotImplemented
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.den)
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not (self.a or self.b)
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.a or self.b)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = math.lcm(self.den, other.den)
-        return self._lowest(self.num * (den // self.den) + other.num * (den // other.den), den)
+        d1, d2 = self.den, other.den
+        den = math.lcm(d1, d2)
+        k1, k2 = den // d1, den // d2
+        return self._lowest(self.a * k1 + other.a * k2, self.b * k1 + other.b * k2, den)
 
     __radd__ = __add__
 
@@ -91,69 +112,24 @@ class _Quotient:
         return other + (-self)
 
     def __neg__(self):
-        return self._make(-self.num, self.den)
+        return self._make(-self.a, -self.b, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            # a rational multiplier scales the numerator; no ring product
+            # a rational multiplier scales both parts; no complex product
             if other == 1:
                 return self
             if not other:
-                return self._zero
-            return self._lowest(self.num * other.numerator, self.den * other.denominator)
-        if type(other) is type(self.num):
-            return self._lowest(self.num * other, self.den)
+                return CR_ZERO
+            p = other.numerator
+            return self._lowest(self.a * p, self.b * p, self.den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._lowest(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return self._lowest(a * c - b * d, a * d + b * c, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def conjugate(self):
-        return self._make(self.num.conjugate(), self.den)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-
-class ComplexRational(_Quotient):
-    """A complex number with exact rational real and imaginary parts.
-
-    Stored as a Gaussian-integer numerator over one positive denominator in
-    lowest terms; ``re`` and ``im`` are the parts as ``Fraction``s.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, re=0, im=0):
-        for x in (re, im):
-            if not isinstance(x, (Fraction, int, str)):
-                raise TypeError(f"expected a rational value, got {type(x).__name__}")
-        re, im = Fraction(re), Fraction(im)
-        den = math.lcm(re.denominator, im.denominator)
-        _set(self, "num", GaussianInteger(re.numerator * (den // re.denominator),
-                                          im.numerator * (den // im.denominator)))
-        _set(self, "den", den)
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, ComplexRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return ComplexRational(value)
-        return NotImplemented
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.num.re, self.den)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.num.im, self.den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -161,8 +137,9 @@ class ComplexRational(_Quotient):
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero ComplexRational")
-        conj = other.num.conjugate()
-        return self._lowest(self.num * conj * other.den, self.den * (other.num * conj).re)
+        # (a + bi) / (c + di) = (a + bi)(c - di) / (c^2 + d^2)
+        a, b, c, d, k = self.a, self.b, other.a, other.b, other.den
+        return self._lowest((a * c + b * d) * k, (b * c - a * d) * k, self.den * (c * c + d * d))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -170,11 +147,20 @@ class ComplexRational(_Quotient):
             return NotImplemented
         return other / self
 
+    def conjugate(self):
+        return self._make(self.a, -self.b, self.den)
+
     def abs_squared(self) -> Fraction:
-        return Fraction((self.num * self.num.conjugate()).re, self.den * self.den)
+        return Fraction(self.a * self.a + self.b * self.b, self.den * self.den)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.den == other.den
 
     def __hash__(self):
-        if self.num.im == 0:
+        if self.b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -197,9 +183,10 @@ class ComplexRational(_Quotient):
 class GaussianInteger:
     """An exact complex number with integer real and imaginary parts.
 
-    The numerator of ``ComplexRational``, and the scalar exact composition
-    runs on: coefficients are lifted over a shared integer denominator, so
-    sums and products here never normalize a fraction.  Instances are never
+    The numerator a ``ComplexRational`` is lifted to over a shared integer
+    denominator (``terms.RationalSystem.lift``), so the residue's sums and
+    products never normalize a fraction; ``compose_components`` packs it
+    into one ``int`` (``terms.PackedGaussians``).  Instances are never
     mutated after construction; the fields are plain slots to keep
     construction cheap.
     """
@@ -235,30 +222,13 @@ class GaussianInteger:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianInteger":
-        return GaussianInteger(self.re, -self.im)
-
-    def content(self) -> int:
-        return math.gcd(self.re, self.im)
-
-    def exact_div(self, d: int) -> "GaussianInteger":
-        re, rem_re = divmod(self.re, d)
-        im, rem_im = divmod(self.im, d)
-        if rem_re or rem_im:
-            raise ArithmeticError(f"{self!r} / {d} is not a Gaussian integer")
-        return GaussianInteger(re, im)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianInteger):
             return self.re == other.re and self.im == other.im
         return NotImplemented
 
-    def __repr__(self) -> str:
-        return f"GaussianInteger({self.re!r}, {self.im!r})"
-
 
 CR_ZERO = ComplexRational(0)
-ComplexRational._zero = CR_ZERO
 
 
 class PiGradedScalar:

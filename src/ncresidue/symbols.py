@@ -411,7 +411,7 @@ def _sphere_sum(system, n: int, bag: dict, den: int) -> PiGradedScalar:
     scale = math.lcm(*(w.den for _s, w in weights))
     total = None
     for s, w in weights:
-        term = s * (w.num.re * (scale // w.den))
+        term = s * (w.a * (scale // w.den))
         total = term if total is None else total + term
     if not total:
         return PiGradedScalar(0)

@@ -15,10 +15,10 @@ backends: the coefficient class and its ``zero``, ``coerce`` of an outside
 value, the ``phase`` the product of two modes picks up, and the pair
 ``lift``/``lower`` that moves exact coefficients onto their integer
 numerators over one shared denominator and back.  An exact coefficient
-already is a numerator over a denominator (Gaussian integers for complex
-rationals, cyclotomic integers at their own order for cyclotomic
-scalars), so lifting rescales numerators and lowering is one gcd; one
-``lift``/``lower`` pair serves both exact calculi.  The phase works on
+already is a numerator over a denominator (the parts a, b of a complex
+rational (a + bi) / den, which lift to a Gaussian integer, and a
+cyclotomic integer at its own order for a cyclotomic scalar), so lifting
+rescales numerators and lowering is one gcd.  The phase works on
 both levels: the twisted one is an integer root of unity, which a
 numerator and a ``CyclotomicScalar`` multiply by alike.  The twisted
 phase is read from two mode entries: ``phase(v, u)`` for a left mode (.,
@@ -128,20 +128,19 @@ class RationalSystem:
     def lift(comps: dict[int, dict]):
         """The components as integer numerators over one denominator.
 
-        Returns ``(numerators, den)``: every coefficient num / d becomes the
-        numerator num * (den / d), where den is the lcm of all the
-        denominators.  ``lower`` turns a numerator back into a coefficient.
+        Returns ``(numerators, den)``: every coefficient (a + bi) / d becomes
+        the ``GaussianInteger`` (a + bi) * (den / d), where den is the lcm
+        of all the denominators.  ``lower`` turns a numerator back into a
+        coefficient.
         """
         den = math.lcm(*{s.den for bag in comps.values() for s in bag.values()})
-        lifted = {
-            deg: {key: s.num * (den // s.den) for key, s in bag.items()}
-            for deg, bag in comps.items()
-        }
+        lifted = {deg: {key: GaussianInteger(s.a * (k := den // s.den), s.b * k)
+                        for key, s in bag.items()} for deg, bag in comps.items()}
         return lifted, den
 
-    def lower(self, s, den: int):
-        """The coefficient s / den, in lowest terms (at the order of s)."""
-        return self.scalar._lowest(s, den)
+    def lower(self, s: GaussianInteger, den: int) -> ComplexRational:
+        """The coefficient s / den, in lowest terms."""
+        return ComplexRational._lowest(s.re, s.im, den)
 
     @staticmethod
     def numerator_map(left: list, right: list, n: int, sizes: tuple[int, int, int], depth: int):
@@ -199,6 +198,18 @@ class CyclotomicSystem(RationalSystem):
         self.theta_num = theta_num
         self.theta_den = theta_den
         self._roots: dict[int, CyclotomicInteger] = {}
+
+    def lift(self, comps: dict[int, dict]):
+        """``RationalSystem.lift`` on cyclotomic numerators."""
+        den = math.lcm(*{s.den for bag in comps.values() for s in bag.values()})
+        lifted = {
+            deg: {key: s.num * (den // s.den) for key, s in bag.items()}
+            for deg, bag in comps.items()
+        }
+        return lifted, den
+
+    def lower(self, s: CyclotomicInteger, den: int) -> CyclotomicScalar:
+        return CyclotomicScalar._lowest(s, den)
 
     def phase(self, v: int, u: int):
         e = (self.theta_num * v * u) % self.theta_den
@@ -300,26 +311,28 @@ class PackedGaussians:
     def lower(self, keys: Keys, bag: dict, den: int) -> dict:
         """The packed bag with tuple keys (``Keys.unpack_bag``, whose memo
         hits are inlined here) and each value v = a + b 2^w, |a| < 2^(w - 1),
-        as the ``ComplexRational`` (a + bi) / den in lowest terms."""
+        as the ``ComplexRational`` (a + bi) / den in lowest terms.  Each
+        distinct value is built once, and the keys holding it share the
+        immutable object."""
         h, mask, w = self.low_half, self.low_mask, self.width
-        gcd, make, gaussian = math.gcd, ComplexRational._make, GaussianInteger
+        gcd, make = math.gcd, ComplexRational._make
         modes, alphas, unpack = keys.modes, keys.alphas, keys.unpack
         first, alpha_mask = keys.mode_shifts[0], keys.alpha_mask
         m, kh, ps = keys.mask, keys.half, keys.npow_shift
-        out = {}
+        out, made = {}, {}
         for key, v in bag.items():
             mode, alpha = modes.get(key >> first), alphas.get(key & alpha_mask)
             if mode is None or alpha is None:
                 key = unpack(key)
             else:
                 key = (mode, alpha, (key >> ps & m) - kh)
-            a = ((v + h) & mask) - h
-            b = (v - a) >> w
-            g = gcd(a, b, den)
-            if g == 1:
-                out[key] = make(gaussian(a, b), den)
-            else:
-                out[key] = make(gaussian(a // g, b // g), den // g)
+            s = made.get(v)
+            if s is None:
+                a = ((v + h) & mask) - h
+                b = (v - a) >> w
+                g = gcd(a, b, den)
+                s = made[v] = make(a, b, den) if g == 1 else make(a // g, b // g, den // g)
+            out[key] = s
         return out
 
 

@@ -13,7 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ncresidue.cli as cli
-from ncresidue.dsl import format_symbol, random_symbol, symbol_from_json, symbol_to_json
+from ncresidue.dsl import (
+    MAX_DOCUMENT_TERMS,
+    format_symbol,
+    random_symbol,
+    symbol_from_json,
+    symbol_to_json,
+)
 from ncresidue.nctorus import nc_compose
 from ncresidue.scalars import PiGradedScalar
 
@@ -493,6 +499,28 @@ def test_a_short_product_of_sums_is_refused_within_a_second(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION and out == ""
     assert err == ("validation error: multiplying out parenthesized sums needs at least "
                    "77504 term products, beyond the limit 50000\n")
+
+
+def _long_document(terms: int, as_json: bool) -> str:
+    """A commutative document written out term by term, one mode per term."""
+    modes = [(k % 101, k // 101) for k in range(terms)]
+    if as_json:
+        return json.dumps({"dim": 2, "order": -2, "floor": -2, "blocks": [
+            {"deg": -2, "terms": [{"coeff": {"re": "1", "im": "0"}, "mode": list(m),
+                                   "alpha": [0, 0], "npow": -2} for m in modes]}]})
+    return "dim 2 order -2 floor -2\ndeg -2 { " + " + ".join(
+        f"e({a},{b}) * r^-2" for a, b in modes) + " }\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_a_document_one_term_over_the_limit_is_refused_within_a_second(tmp_path, capsys, as_json):
+    path = tmp_path / "long.sym"
+    path.write_text(_long_document(MAX_DOCUMENT_TERMS + 1, as_json))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "residue", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert err == f"validation error: a document may hold at most {MAX_DOCUMENT_TERMS} terms\n"
 
 
 def test_compose_just_inside_the_gamma_limit_still_runs(tmp_path, capsys):

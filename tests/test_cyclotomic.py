@@ -187,7 +187,7 @@ def test_integer_arithmetic_follows_the_scalar_order_rule(orders):
 
 
 def _assert_lowest_terms(x):
-    ints = list(x.num.coeffs) if isinstance(x, CyclotomicScalar) else [x.num.re, x.num.im]
+    ints = list(x.num.coeffs) if isinstance(x, CyclotomicScalar) else [x.a, x.b]
     assert all(type(c) is int for c in ints) and type(x.den) is int and x.den > 0
     assert math.gcd(x.den, *ints) == 1  # zero has den 1
 

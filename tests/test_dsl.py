@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncresidue.dsl as dsl
 import ncresidue.terms as T
 from ncresidue.errors import CalculusError, DomainError, ParseError, ValidationError
 from ncresidue.nctorus import NCPolynomial, NCSymbol, Theta, _system_for, nc_compose
@@ -18,6 +19,7 @@ from ncresidue.dsl import (
     MAX_CYCLOTOMIC_ORDER,
     MAX_DIGITS,
     MAX_DIMENSION,
+    MAX_DOCUMENT_TERMS,
     MAX_EXPONENT,
     MAX_TERM_PRODUCTS,
     _Parser,
@@ -701,6 +703,25 @@ def test_each_term_folds_to_the_bag_of_its_factors_multiplied_in_order(case):
 ])
 def test_words_fold_to_the_bag_of_their_factors(text, theta):
     _assert_folds_like_the_reference(text, 2, theta)
+
+
+def test_document_terms_are_counted_as_written(monkeypatch):
+    """Terms inside parentheses count, and JSON terms count over all blocks;
+    no test, golden file or benchmark document holds 500 terms."""
+    assert MAX_DOCUMENT_TERMS == 10_000
+    text = "dim 2 order 1 floor 0\ndeg 1 { xi1 + (xi1 + 2 * xi2) }\ndeg 0 { 3 }"
+    doc = symbol_to_json(parse_symbol(text))
+    assert [len(block["terms"]) for block in doc["blocks"]] == [2, 1]
+    monkeypatch.setattr(dsl, "MAX_DOCUMENT_TERMS", 5)
+    assert parse_symbol(text) == symbol_from_json(doc)
+    monkeypatch.setattr(dsl, "MAX_DOCUMENT_TERMS", 4)
+    with pytest.raises(ValidationError, match="^a document may hold at most 4 terms$"):
+        parse_symbol(text)
+    monkeypatch.setattr(dsl, "MAX_DOCUMENT_TERMS", 2)
+    with pytest.raises(ValidationError, match="at most 2 terms"):
+        symbol_from_json(doc)
+    with pytest.raises(ValidationError, match="at most 2 terms"):
+        parse_nc_element("1 + U + V", Theta.from_rational(Fraction(2, 5)))
 
 
 def test_products_of_sums_past_the_limit_are_refused():

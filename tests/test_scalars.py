@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncresidue.errors import DomainError, ValidationError
@@ -77,6 +77,87 @@ def test_complex_rational_basics():
     assert ComplexRational(3) == 3
     assert str(ComplexRational(Fraction(3, 4), Fraction(-1, 2))) == "3/4 - 1/2*i"
     assert abs(ComplexRational(1, 1).to_complex() - (1 + 1j)) < 1e-15
+    # stored flat, in lowest terms: (a + bi) / den
+    x = ComplexRational(Fraction(3, 4), Fraction(-1, 6))
+    assert (x.a, x.b, x.den) == (9, -2, 12)
+    assert (ComplexRational(0).a, ComplexRational(0).b, ComplexRational(0).den) == (0, 0, 1)
+
+
+# parts of up to 200 digits over denominators of up to 200 digits, and small
+# ones, so sums cancel, products meet zero and parts come out integral
+_big_ints = st.integers(-10**200, 10**200)
+_parts = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(Fraction, _big_ints, st.integers(1, 10**200)),
+    st.builds(Fraction, _big_ints),
+)
+
+
+def _ref_str(re: Fraction, im: Fraction) -> str:
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    return f"{re} {'+' if im > 0 else '-'} {abs(im)}*i"
+
+
+def _assert_is(x, re: Fraction, im: Fraction):
+    """x is ComplexRational(re, im), flat and in lowest terms."""
+    assert type(x) is ComplexRational
+    assert (x.re, x.im) == (re, im)
+    assert all(type(v) is int for v in (x.a, x.b, x.den))
+    assert x.den > 0 and math.gcd(x.a, x.b, x.den) == 1
+    assert bool(x) == bool(re or im) and x.is_zero() == (not (re or im))
+    assert repr(x) == f"ComplexRational({re!r}, {im!r})" and str(x) == _ref_str(re, im)
+    if im == 0:
+        assert x == re and re == x and hash(x) == hash(re)
+        if re.denominator == 1:
+            assert x == int(re) and hash(x) == hash(int(re))
+    else:
+        assert x != re and hash(x) == hash((re, im))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_parts, _parts, _parts, _parts, st.one_of(_parts, st.integers(-5, 5)))
+def test_complex_rational_matches_fraction_pairs(r1, i1, r2, i2, f):
+    """Every operation of the flat class against the same operation on pairs
+    of Fractions, with long parts; the operands are never changed."""
+    x, y = ComplexRational(r1, i1), ComplexRational(r2, i2)
+    _assert_is(x, r1, i1)
+    _assert_is(y, r2, i2)
+    _assert_is(x + y, r1 + r2, i1 + i2)
+    _assert_is(x - y, r1 - r2, i1 - i2)
+    _assert_is(x * y, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+    _assert_is(-x, -r1, -i1)
+    _assert_is(x.conjugate(), r1, -i1)
+    assert x.abs_squared() == r1 * r1 + i1 * i1
+    assert type(x.abs_squared()) is Fraction
+    norm = r2 * r2 + i2 * i2
+    if norm:
+        _assert_is(x / y, (r1 * r2 + i1 * i2) / norm, (i1 * r2 - r1 * i2) / norm)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    # mixed with an int or a Fraction, both ways
+    _assert_is(x + f, r1 + f, i1)
+    _assert_is(f + x, r1 + f, i1)
+    _assert_is(x - f, r1 - f, i1)
+    _assert_is(f - x, f - r1, -i1)
+    _assert_is(x * f, r1 * f, i1 * f)
+    _assert_is(f * x, r1 * f, i1 * f)
+    if f:
+        _assert_is(x / f, r1 / f, i1 / f)
+    norm = r1 * r1 + i1 * i1
+    if norm:
+        _assert_is(f / x, f * r1 / norm, -f * i1 / norm)
+    assert (x == y) == ((r1, i1) == (r2, i2))
+    assert (x == ComplexRational(r1, i1)) and hash(x) == hash(ComplexRational(r1, i1))
+    _assert_is(x, r1, i1)
+    _assert_is(y, r2, i2)
+    for name in ("a", "b", "den", "re", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    _assert_is(x, r1, i1)
 
 
 # -- PiGradedScalar -----------------------------------------------------------

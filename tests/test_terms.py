@@ -437,11 +437,6 @@ def test_numerator_lift_and_lower_round_trip():
 
 
 def test_gaussian_integer_weights_divide_exactly():
-    assert GaussianInteger(12, -18).exact_div(3) == GaussianInteger(4, -6)
-    with pytest.raises(ArithmeticError):
-        GaussianInteger(12, -16).exact_div(3)
-    with pytest.raises(ArithmeticError):
-        GaussianInteger(1, 0).exact_div(2)
     # a weight w/gamma! applied as the integer w * (K!/gamma!), with K! in the
     # denominator, lowers to the coefficient times the Fraction weight
     system = T.RATIONAL_SYSTEM
@@ -531,9 +526,6 @@ def test_cyclotomic_integer_weights_divide_exactly():
     lifted, den = system.lift({0: {((0, 0), (0, 0), 0): value}})
     s = lifted[0][((0, 0), (0, 0), 0)]
     assert den == 3 and s.coeffs == [1, 0, 2, 0]
-    with pytest.raises(ArithmeticError):
-        s.exact_div(7)
-    assert (s * 7).exact_div(7).coeffs == [1, 0, 2, 0]
     # the integer weight w * (K!/gamma!) over den * K! is the Fraction weight w/gamma!
     scale = math.factorial(5)
     weighted = s * (-4 * (scale // T.gamma_factorial((1, 2))))
@@ -981,6 +973,59 @@ def test_packed_gaussian_arithmetic_matches_gaussian_integers(data):
     keys, [[k]] = T.pack_terms(2, [{_KEY: 0}])
     got = ints.lower(keys, ints.reduce({k: p[0] * p[1] + p[2] * p[3] * c + -p[4]}), 1)
     assert got == ({_KEY: ComplexRational(want.re, want.im)} if want else {})
+
+
+def _assert_lowest_and_shared(bag: dict) -> None:
+    """Each coefficient is a nonzero (a + bi) / den in lowest terms, and equal
+    ones are one object."""
+    first = {}
+    for s in bag.values():
+        assert type(s) is ComplexRational and s
+        assert s.den > 0 and math.gcd(s.a, s.b, s.den) == 1
+        assert first.setdefault((s.a, s.b, s.den), s) is s
+
+
+def test_packed_gaussians_lower_builds_each_value_once():
+    ints = T.PackedGaussians(16)
+    keys, [bag] = T.pack_terms(2, [{((j, 0), (0, 0), 0): 0 for j in range(6)}])
+    packed = list(bag)
+    # over den 12: 1 + 5i repeats with gcd 1, 6 - 4i with gcd 2 and 4i with gcd 4
+    values = [(1, 5), (6, -4), (1, 5), (0, 4), (6, -4), (0, 4)]
+    got = ints.lower(keys, {k: ints.pack(GaussianInteger(*z)) for k, z in zip(packed, values)}, 12)
+    want = [ComplexRational(Fraction(a, 12), Fraction(b, 12)) for a, b in values]
+    assert list(got.values()) == want
+    _assert_lowest_and_shared(got)
+    assert len({id(s) for s in got.values()}) == 3
+    assert [(s.a, s.b, s.den) for s in got.values()][:2] == [(1, 5, 12), (3, -2, 6)]
+
+
+@pytest.mark.parametrize("c", [1, 2, Fraction(1, 3)])
+def test_composed_coefficients_are_in_lowest_terms(c):
+    """A constant left factor c meets right terms of distinct modes whose
+    coefficients repeat: the lifted products repeat, with gcd 1 against the
+    common denominator (c = 1: 1/4) and with gcd > 1 (c = 2: 2/4, and 4 + 4i
+    over 4 for every c), and each lowers to one shared value."""
+    cr, zero = ComplexRational, (0, 0)
+    left = {0: {(zero, zero, 0): cr(c)}}
+    right = {-2: {((1, 0), zero, -2): cr(Fraction(1, 4)), ((0, 1), zero, -2): cr(Fraction(1, 4)),
+                  ((1, 1), zero, -2): cr(1, 1), ((2, 0), zero, -2): cr(1, 1),
+                  ((0, 2), zero, -2): cr(0)}}
+    got = T.compose_components(T.RATIONAL_SYSTEM, 2, left, right, None)
+    [bag] = got.values()
+    _assert_lowest_and_shared(bag)
+    assert bag == {key: s * c for key, s in right[-2].items() if s}
+    assert bag[((1, 0), zero, -2)] is bag[((0, 1), zero, -2)]
+    assert bag[((1, 1), zero, -2)] is bag[((2, 0), zero, -2)]
+
+
+def test_composed_coefficients_of_random_pairs_are_in_lowest_terms():
+    # with the weights K!/k! over K! in the denominator
+    rng = random.Random(310)
+    for n in (2, 3):
+        for _ in range(4):
+            ca, cb, a, b = _classical_pair(rng, n)
+            for bag in T.compose_components(T.RATIONAL_SYSTEM, n, ca, cb, _floor(a, b)).values():
+                _assert_lowest_and_shared(bag)
 
 
 def test_numerator_width_bounds_canonical_growth_by_alpha(monkeypatch):

@@ -1,6 +1,7 @@
 """The command-line tools under tools/: the summary of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -47,3 +48,20 @@ def test_metrics_come_from_benchmark_json(tmp_path):
     assert names[0] == "ops_per_s" and "setup_s" in names
     with pytest.raises(FileNotFoundError):
         bench_pairs.end_to_end_metrics(str(tmp_path))
+
+
+def test_unscaled_throughput_is_read_from_the_record_line(monkeypatch):
+    record = {"workload": "compose-full", "unscaled": {"ops_per_s": 612.5, "setup_s": 0.3}}
+    result = {"correct": True, "attempted": 9, "failed": 0,
+              "metrics": {"ops_per_s": {"value": 540.0, "unit": "op/s"}}}
+
+    class Done:
+        stdout = json.dumps(record) + "\n" + json.dumps(result) + "\n"
+        stderr = ""
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Done)
+    run = bench_pairs.run_once(".", "compose-full", 3)
+    assert run == {"values": {"ops_per_s": 540.0}, "unscaled": 612.5, "correct": True,
+                   "failed": 0}
+    text = bench_pairs.format_unscaled([500.0, 520.0, 510.0], [600.0, 640.0, 630.0])
+    assert text == "  unscaled ops_per_s median: parent 510, change 630, x1.235"

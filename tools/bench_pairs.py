@@ -12,7 +12,10 @@ after the other; the side that runs first alternates from pair to pair.
 For every end-to-end metric of ``BENCHMARK.json`` (read from PARENT) it
 prints each side's median and quartiles, the number of pairs the change
 wins, and the ratio of the change's median to its base, the parent's
-median, with the parent's quartile spread beside it.  Only the standard
+median, with the parent's quartile spread beside it.  Below that it
+prints each side's median unscaled ``ops_per_s``, the throughput as timed,
+before ``bench/run.py`` scales it to its reference machine speed, read from
+the record line a run prints before its metrics.  Only the standard
 library is used, and nothing under ``bench/`` is touched; the runs write
 only what ``bench/run.py`` itself writes.
 """
@@ -39,7 +42,8 @@ def compile_checkout(checkout: str) -> None:
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
-    """The metric values of one untraced run, and whether it was correct."""
+    """The metric values of one untraced run, its unscaled ``ops_per_s`` and
+    whether it was correct."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -48,7 +52,9 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
         raise RuntimeError(f"no output from {checkout}: {proc.stderr.strip()[-500:]}")
     result = json.loads(lines[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    return {"values": values, "correct": result["correct"], "failed": result["failed"]}
+    unscaled = json.loads(lines[-2])["unscaled"]["ops_per_s"]
+    return {"values": values, "unscaled": unscaled, "correct": result["correct"],
+            "failed": result["failed"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -101,6 +107,13 @@ def format_rows(workload: str, rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def format_unscaled(parent: list[float], change: list[float]) -> str:
+    """Each side's median unscaled ``ops_per_s`` over the pairs, and their ratio."""
+    p, c = statistics.median(parent), statistics.median(change)
+    return (f"  unscaled ops_per_s median: parent {p:.4g}, change {c:.4g}, "
+            f"x{c / p if p else float('nan'):.3f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -120,10 +133,13 @@ def main(argv=None) -> int:
             runs[side].append(run)
             print(f"pair {i} seed {args.seed0 + i} {side}: correct {run['correct']} "
                   f"failed {run['failed']} "
-                  + " ".join(f"{k}={v:.4g}" for k, v in run["values"].items()), flush=True)
+                  + " ".join(f"{k}={v:.4g}" for k, v in run["values"].items())
+                  + f" unscaled ops_per_s={run['unscaled']:.4g}", flush=True)
     rows = summarize([r["values"] for r in runs["parent"]],
                      [r["values"] for r in runs["change"]], end_to_end_metrics(sides["parent"]))
     print(format_rows(args.workload, rows))
+    print(format_unscaled([r["unscaled"] for r in runs["parent"]],
+                          [r["unscaled"] for r in runs["change"]]))
     return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
 
 

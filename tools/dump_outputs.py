@@ -45,6 +45,10 @@ It prints, on seeded inputs:
   parts, ``conjugate``, ``abs_squared``, ``hash`` and its agreement with
   ``Fraction``'s, ``+``, ``-``, ``*`` and ``/`` both ways by ``int``,
   ``Fraction`` and scalar, and ``==``, of ``ComplexRational`` values;
+  for values with parts of up to 200 digits over equal and unequal
+  denominators, ``/`` both ways by scalar, ``int`` and ``Fraction`` (zero
+  included), ``abs_squared``, ``conjugate``, ``hash``, and ``==`` both ways
+  with ``int``, ``Fraction`` and ``CyclotomicScalar`` values, equal and not;
   ``CyclotomicScalar`` values at orders 1, 4, 5, 12 and 20, built from long
   unreduced vectors, with ``coeffs``, ``conjugate``, the same value at
   order 60 and equality across orders; and sums, products and quotients
@@ -395,6 +399,34 @@ def dump_complex_rationals(lib, out):
                             ("r-", lambda: f - x), ("*", lambda: x * f), ("r*", lambda: f * x),
                             ("/", lambda: x / f), ("r/", lambda: f / x)):
                 out(f"{label} {tag} {f!r}: {_outcome(fn)}")
+
+
+def dump_long_complex_rationals(lib, out):
+    CR = lib.scalars.ComplexRational
+    CS = lib.cyclotomic.CyclotomicScalar
+    rng = random.Random(82)
+
+    def part():
+        return Fraction(rng.randint(-10**200, 10**200), rng.choice([1, 6, rng.randint(1, 10**200)]))
+
+    values = [CR(part(), part()) for _ in range(6)] + [CR(part()) for _ in range(3)]
+    den = rng.randint(1, 10**200)
+    values += [CR(Fraction(rng.randint(-10**200, 10**200), den),
+                  Fraction(rng.randint(-10**200, 10**200), den)) for _ in range(2)]
+    values += [CR(10**200), CR(0, Fraction(1, 10**200 + 1)), CR(0)]
+    for k, x in enumerate(values):
+        y = values[(k + 4) % len(values)]
+        label = f"long complex rational {k}"
+        out(f"{label}: {x!r} str {x} bool {bool(x)} hash {hash(x)}")
+        out(f"{label} conjugate {x.conjugate()!r} abs_squared {x.abs_squared()!r}")
+        re = x.re
+        others = [("int", int(re)), ("Fraction", re), ("other", y), ("i", CR(0, 1)),
+                  ("cyclotomic", CS.from_complex_rational(x)),
+                  ("cyclotomic + zeta5", CS.from_complex_rational(x) + CS.root_of_unity(5, 1)),
+                  ("0", 0), ("-7", -7), ("1/3", Fraction(1, 3))]
+        for tag, z in others:
+            out(f"{label} {tag}: == {_outcome(lambda: x == z)} r== {_outcome(lambda: z == x)} "
+                f"/ {_outcome(lambda: x / z)} r/ {_outcome(lambda: z / x)}")
 
 
 def dump_cyclotomic_scalars(lib, out):
@@ -937,6 +969,7 @@ def main(argv=None) -> int:
     dump_twisted_layer(lib, lines.append)
     dump_nc_polynomials(lib, lines.append)
     dump_complex_rationals(lib, lines.append)
+    dump_long_complex_rationals(lib, lines.append)
     dump_cyclotomic_scalars(lib, lines.append)
     dump_pi_graded(lib, lines.append)
     dump_packing_edges(lib, lines.append)
