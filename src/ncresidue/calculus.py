@@ -118,12 +118,15 @@ def residue(sigma: ClassicalSymbol) -> PiGradedScalar:
     return torus_volume(sigma.n) * _normalized_residue(sigma)
 
 
-def _normalized_residue_of_composition(sigma, tau) -> PiGradedScalar:
+def _normalized_residue_of_composition(sigma, tau, *, commutator: bool = False) -> PiGradedScalar:
     """``_normalized_residue`` of sigma o tau, without composing.
 
     Only the mode-zero, degree-(-n) products reach the residue, and on the
     unit sphere they need no canonical form, so ``terms.residue_pairing``
-    forms just those and the sphere sum integrates them raw.
+    forms just those and the sphere sum integrates them raw.  With
+    ``commutator``, the residue of sigma o tau - tau o sigma: one call
+    filters, checks and lifts the factors for both orderings (the floor
+    rule is symmetric, so one check covers both).
     """
     n = sigma.n
     floor = _standard_floor(sigma, tau)
@@ -133,7 +136,11 @@ def _normalized_residue_of_composition(sigma, tau) -> PiGradedScalar:
         )
     _check_pair(sigma, tau)
     system = sigma._system
-    return _sphere_sum(system, n, *T.residue_pairing(system, n, sigma._term_bags(), tau._term_bags()))
+    a, b = sigma._term_bags(), tau._term_bags()
+    if not commutator:
+        return _sphere_sum(system, n, *T.residue_pairing(system, n, a, b))
+    ab, ba = T.residue_pairing(system, n, a, b, both=True)
+    return _sphere_sum(system, n, *ab) - _sphere_sum(system, n, *ba)
 
 
 def _residue_of_composition(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:
@@ -143,7 +150,7 @@ def _residue_of_composition(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiG
 
 def trace_defect(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:
     """Res of [T_sigma, T_tau]; the trace property makes this exactly zero."""
-    return _residue_of_composition(sigma, tau) - _residue_of_composition(tau, sigma)
+    return torus_volume(sigma.n) * _normalized_residue_of_composition(sigma, tau, commutator=True)
 
 
 def commutator_xi(sigma: ClassicalSymbol, direction: int) -> ClassicalSymbol:

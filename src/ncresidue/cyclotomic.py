@@ -185,13 +185,16 @@ class CyclotomicInteger:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "CyclotomicInteger":
-        # zeta^j -> zeta^(order - j)
+    def galois(self, k: int) -> "CyclotomicInteger":
+        """The Galois conjugate zeta -> zeta^k, k prime to the order."""
         q = self.order
         dense = [0] * q
         for j, c in enumerate(self.coeffs):
-            dense[-j % q] += c
+            dense[j * k % q] += c
         return CyclotomicInteger(q, _reduce_int(q, dense))
+
+    def conjugate(self) -> "CyclotomicInteger":
+        return self.galois(-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicInteger):
@@ -329,6 +332,36 @@ class CyclotomicScalar:
         return self._lowest(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other._inverse()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self._inverse()
+
+    def _inverse(self) -> "CyclotomicScalar":
+        """1 / self: den times the Galois conjugates sigma_k(num), k != 1 prime
+        to the order, over their product with num, the norm: a nonzero int."""
+        num = self.num
+        if not num:
+            raise ZeroDivisionError("division by zero CyclotomicScalar")
+        q = num.order
+        others = CyclotomicInteger(1, [1])
+        for k in range(2, q):
+            if math.gcd(k, q) == 1:
+                others = others * num.galois(k)
+        norm = (num * others).coeffs
+        if any(norm[1:]):
+            raise ArithmeticError("cyclotomic norm is not rational")
+        if norm[0] < 0:
+            return self._lowest(others * -self.den, -norm[0])
+        return self._lowest(others * self.den, norm[0])
 
     def conjugate(self):
         return self._make(self.num.conjugate(), self.den)

@@ -271,9 +271,7 @@ def _nc_residue_of_composition(sigma: NCSymbol, tau: NCSymbol) -> PiGradedScalar
 
 def nc_trace_defect(sigma: NCSymbol, tau: NCSymbol) -> PiGradedScalar:
     """Residue of the composition commutator; exactly zero for rational twists."""
-    return _nc_residue_of_composition(sigma, tau) - _nc_residue_of_composition(
-        tau, sigma
-    )
+    return _normalized_residue_of_composition(sigma, tau, commutator=True)
 
 
 def nc_apply(sigma: NCSymbol, a: NCPolynomial) -> NCPolynomial:

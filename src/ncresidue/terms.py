@@ -34,6 +34,8 @@ per left component and right mode v, the chain a, (v . grad_xi) a, ...,
 each step one pass over a bag; level k meets the right terms of mode v
 with the integer weight K!/k!, K! going into the one denominator that is
 lowered at the end, so no ``Fraction`` is formed on the way.
+``residue_pairing`` walks the same chains, in the one direction whose
+products reach mode zero, and sums the products by alpha.
 
 Keys: tuples at the module boundary, packed ``int``s inside.  Everything
 outside this module (symbols, ``NCPolynomial``, the parser, the writers,
@@ -51,8 +53,8 @@ Width rule: ``pack_terms`` works the width out from the keys of each call,
 as the narrowest multiple of 8 bits whose offset exceeds 4 (F + K), F the
 largest field value of the inputs and K the deepest derivative order, so
 that no field of a product, derivative or canonical shell can carry into
-its neighbour.  ``compose_components`` packs its lifted factors once, and
-``residue_pairing`` its left one; the loops also accept tuple-keyed bags
+its neighbour.  ``compose_components`` and ``residue_pairing`` pack their
+lifted factors once; the loops also accept tuple-keyed bags
 when handed the dimension n in place of a layout, and then pack on entry
 and unpack on return.  A layout remembers the modes and alphas it has
 packed or read (``Keys``), which is what keeps the many one- and two-term
@@ -77,6 +79,8 @@ canonical form's growth n^s, s <= 2A + K, where F_xi is the largest
 (``pack_terms``) and K the deepest derivative order (``_level_caps``);
 its docstring holds the proof.  The twisted and float systems keep their
 numerators (``_same_numerators``), so the call has one code path.
+``residue_pairing`` runs on the same ``int``s at the same width, and
+reduces and reads back each residue bag once.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -169,6 +173,10 @@ class _SameNumerators:
     @staticmethod
     def reduce(bag: dict) -> dict:
         return bag
+
+    @staticmethod
+    def numerator(v):
+        return v
 
     def lower(self, keys: Keys, bag: dict, den: int) -> dict:
         lower = self.system.lower
@@ -308,6 +316,12 @@ class PackedGaussians:
         m, h = self.modulus, self.half
         return {key: r for key, v in bag.items() if (r := (v + h) % m - h)}
 
+    def numerator(self, v: int) -> GaussianInteger:
+        """The Gaussian integer a + bi of a balanced value v = a + b 2^w."""
+        h = self.low_half
+        a = ((v + h) & self.low_mask) - h
+        return GaussianInteger(a, (v - a) >> self.width)
+
     def lower(self, keys: Keys, bag: dict, den: int) -> dict:
         """The packed bag with tuple keys (``Keys.unpack_bag``, whose memo
         hits are inlined here) and each value v = a + b 2^w, |a| < 2^(w - 1),
@@ -338,7 +352,8 @@ class PackedGaussians:
 
 def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_alpha: int,
                     depth: int) -> int:
-    """The width w of ``PackedGaussians`` for a ``compose_components`` call.
+    """The width w of ``PackedGaussians`` for a ``compose_components`` call or
+    a ``residue_pairing`` pass.
 
     ``norm_a`` and ``norm_b`` are the L1 norms of the lifted factors (the
     sum of |re| + |im| over every numerator), F_xi = ``f_xi`` bounds |alpha|
@@ -382,6 +397,12 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
       ``MAX_CANONICAL_MONOMIALS`` updates a group may make, and multiplies
       the group's total N by at most n, so s may be capped at
       ``MAX_CANONICAL_MONOMIALS`` // n.
+
+    A ``residue_pairing`` pass forms only values the composition of its
+    two lifted factors at its depth forms or bounds: its chain levels,
+    weighted right terms and products are the composition's, restricted
+    to the pairs that reach mode zero, and its sums over alpha are
+    partial sums of all the products; it takes no canonical form.
 
     Each factor x is below 2^bits(x), and n^s at most 2^(s ceil(log2 n)),
     so the width is one more than the sum of those bit counts.  Sizes enter
@@ -522,16 +543,20 @@ class Keys:
                       for i in range(start * size, stop * size, size)])
 
     def unpack(self, key: int) -> TermKey:
-        n, modes, alphas = self.n, self.modes, self.alphas
+        n, modes = self.n, self.modes
         mode = modes.get(key >> self.mode_shifts[0])
         if mode is None:
             mode = _remember(modes, key >> self.mode_shifts[0],
                              self.fields(key, n + 2, 2 * n + 2), self.memo_limit)
-        alpha = alphas.get(key & self.alpha_mask)
+        npow = (key >> self.npow_shift & self.mask) - self.half
+        return mode, self.alpha_of(key & self.alpha_mask), npow
+
+    def alpha_of(self, part: int) -> tuple[int, ...]:
+        """The alpha whose fields are ``part``, a key's ``key & alpha_mask``."""
+        alpha = self.alphas.get(part)
         if alpha is None:
-            alpha = _remember(alphas, key & self.alpha_mask, self.fields(key, 0, n),
-                              self.memo_limit)
-        return mode, alpha, (key >> self.npow_shift & self.mask) - self.half
+            alpha = _remember(self.alphas, part, self.fields(part, 0, self.n), self.memo_limit)
+        return alpha
 
     def unpack_bag(self, bag: dict) -> dict:
         """The bag with tuple keys: ``unpack`` with its memo hits inlined."""
@@ -864,50 +889,6 @@ def _divide_by_sum_sq(keys, poly: dict, left: int):
 MAX_GAMMA_COUNT = 1_000
 
 
-@lru_cache(maxsize=256)
-def compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All multi-indices of length n with total k."""
-    if n == 1:
-        return ((k,),)
-    out = []
-    for first in range(k + 1):
-        for rest in compositions(n - 1, k - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-def gamma_factorial(gamma: tuple[int, ...]) -> int:
-    f = 1
-    for g in gamma:
-        f *= math.factorial(g)
-    return f
-
-
-def xi_derivative(keys: Keys, memo: dict, gamma: tuple[int, ...]) -> dict:
-    """The raw bag d_xi^gamma terms, memoised.
-
-    ``memo`` maps multi-indices to derivative bags and starts as
-    ``{(0,) * n: terms}``.  A missing d_xi^gamma is built as d_xi_j of
-    d_xi^(gamma - e_j), with j the first axis where gamma is nonzero, so
-    every multi-index on that chain is built once and kept.  Bags are the
-    ones ``partial_xi_terms`` returns, never canonicalized; an empty bag is
-    a zero derivative, and so is every derivative built from it.
-    """
-    d = memo.get(gamma)
-    if d is not None:
-        return d
-    chain = []
-    while d is None:
-        j = next(i for i, g in enumerate(gamma) if g)
-        chain.append((gamma, j))
-        gamma = _bump(gamma, j, -1)
-        d = memo.get(gamma)
-    for gamma, j in reversed(chain):
-        d = partial_xi_terms(keys, d, j) if d else {}
-        memo[gamma] = d
-    return d
-
-
 def compose_components(
     system,
     n: int,
@@ -1110,121 +1091,134 @@ def _level_caps(comps_a, comps_b, floor, gamma_cap) -> dict[tuple[int, int], int
     return caps
 
 
-def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict]):
+def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict], *,
+                    both: bool = False):
     """The part of a o b that the residue integrates, as alpha -> numerator.
 
     Sums (1/gamma!) (d_xi^gamma a)(D^gamma b) over the products that land
     at degree -n and Fourier mode zero, the only part the torus integral
-    keeps, and drops the |xi| power: the sum is integrated over the unit
-    sphere, where |xi| = 1, so it stays raw and is never canonicalized.
-    A monomial with an odd exponent integrates to zero there and is
-    skipped.  The product is formed as in ``mul_terms``: left scalar first,
-    then the system's phase.
+    keeps, and drops the |xi| power: on the unit sphere |xi| = 1, so the
+    sum stays raw and is never canonicalized.  Returns ``(bag, den)``, the
+    numerators by alpha and their one denominator, which the sphere sum
+    lowers by once; with ``both``, the pairs of a o b and of b o a.
 
-    Only the xi-derivatives that can meet a partner are built.  The left
-    terms are split into (mode, exponent parity) groups, which never share
-    a key, and a group of mode m pairs only with right terms of mode -m:
-    on those D^gamma/gamma! is the weight (-m)^gamma/gamma!, which is zero
-    unless gamma is supported where m is nonzero (support rule).  Each
-    derivative d_xi_j flips the parity of exponent j, so a group of parity
-    p meets right terms of parity p' only through gamma = p xor p' mod 2
-    (parity rule).  A mode-zero group therefore meets only gamma = 0.  The
-    derivatives of each group are memoised (``xi_derivative``), and the
-    phase and weight are formed once per group and gamma.
-
-    A pair meets at level k = a_deg + b_deg + n.  It is dropped when its
-    left component is a polynomial of degree below k, as in ``_level_caps``,
-    and the deepest level is bounded (``_check_tower``) before any lift.
-
-    As in ``compose_components``, both factors are lifted and the
-    weights are the integers w * (K!/gamma!).  The left groups are packed
-    once, for their xi-derivatives, and each product reads the alpha of its
-    left key.  Returns ``(bag, den)``: the bag of numerators and their one
-    denominator, the lifts' denominators times K!, which the sphere sum
-    lowers by once.
+    The factors are cut to the terms whose mode faces a mode of the other
+    factor (``_facing``), each ordering's deepest level is bounded
+    (``_check_tower``, a o b first) before any work, and the factors are
+    lifted once.  A pair of components meets at level k = a_deg + b_deg +
+    n, unless k < 0, the tower of a polynomial left component ends before
+    k, or k > 0 and D^gamma kills a right component free of modes (the
+    bounds of ``_level_caps``).  The lifted factors are packed once, under
+    one layout for the deeper ordering, and each ordering is then the pass
+    a call with that ordering alone makes, at its own depth
+    (``_pairing_pass``).
     """
-    b_modes = {b_deg: {key[0] for key in b_terms} for b_deg, b_terms in comps_b.items()}
-    wanted = {tuple(-x for x in mode) for modes in b_modes.values() for mode in modes}
-    kept: dict[int, dict] = {}
-    levels: dict[tuple[int, int], int] = {}
-    for a_deg, a_terms in comps_a.items():
-        a_terms = {key: s for key, s in a_terms.items() if key[0] in wanted}
-        if not a_terms:
-            continue
-        kept[a_deg] = a_terms
-        top = a_deg if terms_polynomial(a_terms) else None
-        for b_deg, modes in b_modes.items():
-            k = a_deg + b_deg + n
-            if k < 0 or (top is not None and k > top) or (k and not any(map(any, modes))):
-                continue  # out of reach, past a polynomial's tower, or D^gamma kills b
-            levels[(a_deg, b_deg)] = k
-    deepest = max(levels.values(), default=0)
-    _check_tower(n, deepest, "lower the orders of the factors")
-    comps_a, den_a = system.lift(kept)
-    comps_b, den_b = system.lift(comps_b)
-    partners: dict[int, dict] = {}  # b_deg -> mode -> parity -> [(alpha, numerator)]
-    for b_deg, b_terms in comps_b.items():
-        index = partners[b_deg] = {}
-        for (mode, alpha, _p), s in b_terms.items():
-            index.setdefault(mode, {}).setdefault(_parity(alpha), []).append((alpha, s))
-    groups, bags = [], []  # (a_deg, mode, parity) and the left terms that pair alike
-    for a_deg, a_terms in comps_a.items():
-        by_group: dict[tuple, dict] = {}
-        for key, s in a_terms.items():
-            by_group.setdefault((key[0], _parity(key[1])), {})[key] = s
-        groups += [(a_deg, *group) for group in by_group]
-        bags += by_group.values()
-    keys, packed = pack_terms(n, bags, deepest)
-    scale = math.factorial(deepest)
-    add = operator.add
+    modes = [{deg: {key[0] for key in bag} for deg, bag in comps.items()}
+             for comps in (comps_a, comps_b)]
+    # the right factor of a o b alone need not be cut: its other terms meet nothing
+    facing = [_facing(comps_a, *modes), _facing(comps_b, *modes[::-1]) if both else comps_b]
+    passes = []
+    for i, j in [(0, 1), (1, 0)] if both else [(0, 1)]:
+        moving = {b_deg: any(map(any, ms)) for b_deg, ms in modes[j].items()}
+        level_of = {}
+        for a_deg, a_terms in facing[i].items():
+            cap = a_deg if terms_polynomial(a_terms) else math.inf
+            for b_deg, moves in moving.items():
+                k = a_deg + b_deg + n
+                if 0 <= k <= cap and (moves or not k):
+                    level_of[(a_deg, b_deg)] = k
+        depth = max(level_of.values(), default=0)
+        _check_tower(n, depth, "lower the orders of the factors")
+        passes.append((i, j, level_of, depth))
+    (lifted_a, den_a), (lifted_b, den_b) = system.lift(facing[0]), system.lift(facing[1])
+    keys, packed, sizes = _pack_sized(n, [*lifted_a.values(), *lifted_b.values()],
+                                      max(depth for _i, _j, _levels, depth in passes))
+    factors = [list(zip(lifted_a, packed)), list(zip(lifted_b, packed[len(lifted_a):]))]
+    pairs = [(_pairing_pass(system, n, keys, sizes, factors[i], factors[j], level_of, depth),
+              den_a * den_b * math.factorial(depth)) for i, j, level_of, depth in passes]
+    return pairs if both else pairs[0]
+
+
+def _pairing_pass(system, n: int, keys: Keys, sizes: tuple, left: list, right: list,
+                  level_of: dict, depth: int) -> dict:
+    """The bag of ``residue_pairing`` for one ordering of two lifted factors,
+    given as (degree, packed bag) lists under the layout ``keys``.
+
+    It runs on the chains of ``compose_components``: a left term of mode -v
+    meets only right terms of mode v, so per left (degree, mode) one chain
+    a, (v . grad_xi) a, ... (``_along``) is walked, and its level k =
+    ``level_of[(a_deg, b_deg)]`` meets the right terms of mode v with the
+    integer weight K!/k!, K = ``depth``, left scalar first, then the phase.
+    A product with an odd exponent integrates to zero: one mask on the low
+    bit of each alpha field (the offset 2^(width - 1) is even) skips it,
+    and the rest are summed on their alpha fields.  The numerators are the
+    system's ``numerator_map`` at order K, and the bag is reduced and read
+    back once.
+    """
+    nums, packed_l, packed_r = system.numerator_map([bag for _d, bag in left],
+                                                    [bag for _d, bag in right], n, sizes, depth)
+    m, h, w, offsets = keys.mask, keys.half, keys.width, keys.offsets
+    first, alpha_mask = keys.mode_shifts[0], keys.alpha_mask
+    flip = 2 * (offsets >> first)  # the mode fields of -v are flip minus those of v
+    odd = (offsets & alpha_mask) >> (w - 1)  # the low bit of each alpha field
+    groups = [[(deg, {}) for deg, _bag in factor] for factor in (left, right)]
+    for by_degree, bags in zip(groups, (packed_l, packed_r)):  # (degree, mode fields -> bag)
+        for (_deg, by_mode), bag in zip(by_degree, bags):
+            for key, s in bag.items():
+                by_mode.setdefault(key >> first, {})[key] = s
+    scale = math.factorial(depth)
+    weights = [scale // math.factorial(k) for k in range(depth + 1)]
+    phase = system.phase
     out: dict = {}
-    for (a_deg, m1, par), group in zip(groups, packed):
-        m2 = tuple(-x for x in m1)
-        support = tuple(j for j, x in enumerate(m1) if x)
-        ph = None if system.phase is None else system.phase(m1[1], m2[0])
-        memo = {(0,) * n: group}
-        for b_deg, index in partners.items():
-            k = levels.get((a_deg, b_deg))
-            by_parity = index.get(m2)
-            if k is None or by_parity is None:
-                continue
-            gammas = _gammas_by_parity(n, support, k)
-            for par2, right in by_parity.items():
-                for gamma in gammas.get(tuple(map(operator.xor, par, par2)), ()):
-                    left = xi_derivative(keys, memo, gamma)
-                    if not left:
-                        continue
-                    w = scale // gamma_factorial(gamma)
-                    for m, g in zip(m2, gamma):
-                        w *= m**g
-                    for k1, s1 in left.items():
-                        if w != 1:
-                            s1 = s1 * w
-                        a1 = keys.unpack(k1)[1]
-                        for a2, s2 in right:
-                            s = s1 * s2
-                            if ph is not None:
-                                s = s * ph
-                            bag_add(out, tuple(map(add, a1, a2)), s)
-    return out, den_a * den_b * scale
+    for a_deg, by_mode in groups[0]:
+        for field, bag in by_mode.items():
+            partner = flip - field
+            v = [(partner >> (w * t) & m) - h for t in range(n)]
+            ph = None if phase is None else phase(-v[1], v[0])
+            steps = [(w * t, x, *keys.xi_steps[t]) for t, x in enumerate(v) if x]
+            # bag, (v . grad_xi) bag, ...; along v = 0 every step is empty
+            chain = [bag] if steps else [bag, {}]
+            for b_deg, partners in groups[1]:
+                k = level_of.get((a_deg, b_deg))
+                terms = partners.get(partner)
+                if k is None or terms is None:
+                    continue
+                while len(chain) <= k and chain[-1]:
+                    chain.append(_along(keys, chain[-1], steps))
+                level = chain[k] if k < len(chain) else None
+                if not level:
+                    continue  # the chain has ended
+                for k2, s2 in terms.items():
+                    base, weighted = k2 - offsets, s2 * weights[k]
+                    for k1, s1 in level.items():
+                        key = k1 + base
+                        if key & odd:
+                            continue
+                        key &= alpha_mask
+                        s = s1 * weighted
+                        if ph is not None:
+                            s = s * ph
+                        cur = out.get(key)
+                        if cur is None:
+                            if s:
+                                out[key] = s
+                        else:
+                            s = cur + s
+                            if s:
+                                out[key] = s
+                            else:
+                                del out[key]
+    return {keys.alpha_of(part): nums.numerator(s) for part, s in nums.reduce(out).items()}
 
 
-@lru_cache(maxsize=1024)
-def _gammas_by_parity(n: int, support: tuple[int, ...], k: int) -> dict[tuple, tuple]:
-    """The multi-indices gamma with |gamma| = k, zero off ``support``, by parity.
-
-    The dict is cached and shared between callers, who only read it.
-    """
-    if not support:
-        return {(0,) * n: ((0,) * n,)} if k == 0 else {}
-    out: dict[tuple, list] = {}
-    for sub in compositions(len(support), k):
-        gamma = [0] * n
-        for j, g in zip(support, sub):
-            gamma[j] = g
-        out.setdefault(_parity(gamma), []).append(tuple(gamma))
-    return {par: tuple(gs) for par, gs in out.items()}
-
-
-def _parity(alpha: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a & 1 for a in alpha)
+def _facing(left: dict[int, dict], left_modes: dict, right_modes: dict) -> dict[int, dict]:
+    """The nonempty components of ``left`` cut to the terms whose mode is minus
+    a mode of the right factor (the factors' modes by degree are given)."""
+    wanted = {tuple([-x for x in mode]) for ms in right_modes.values() for mode in ms}
+    out = {}
+    for deg, bag in left.items():
+        if bag and left_modes[deg] <= wanted:
+            out[deg] = bag
+        elif not left_modes[deg].isdisjoint(wanted):
+            out[deg] = {key: s for key, s in bag.items() if key[0] in wanted}
+    return out

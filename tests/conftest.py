@@ -10,8 +10,25 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
+
+
+@lru_cache(maxsize=256)
+def compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All multi-indices of length n with total k."""
+    if n == 1:
+        return ((k,),)
+    out = []
+    for first in range(k + 1):
+        for rest in compositions(n - 1, k - first):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+def gamma_factorial(gamma: tuple[int, ...]) -> int:
+    return math.prod(map(math.factorial, gamma))
 
 
 def eval_terms(raw_terms: dict, x, xi) -> complex:

@@ -45,10 +45,9 @@ from ncresidue.symbols import (
     sphere_average,
     zero_component,
 )
-from ncresidue.terms import compositions
 from ncresidue.dsl import format_symbol, parse_symbol, random_symbol
 
-from conftest import sphere_quadrature
+from conftest import compositions, sphere_quadrature
 
 THETAS = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)]
 

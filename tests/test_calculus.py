@@ -26,10 +26,9 @@ from ncresidue.symbols import (
     xi_symbol,
     zero_component,
 )
-from ncresidue.terms import compositions, gamma_factorial
 from ncresidue.dsl import random_symbol
 
-from conftest import eval_component, random_point
+from conftest import compositions, eval_component, gamma_factorial, random_point
 
 
 def comp(n, degree, terms):

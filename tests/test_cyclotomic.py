@@ -15,7 +15,7 @@ from ncresidue.cyclotomic import (
     decompose_root,
 )
 from ncresidue.errors import DomainError
-from ncresidue.scalars import ComplexRational
+from ncresidue.scalars import ComplexRational, PiGradedScalar
 
 
 def test_cyclotomic_polynomials_known():
@@ -313,3 +313,57 @@ def test_decompose_root_matches_values():
                 q0, b
             )
             assert lhs == rhs
+
+
+def _twisted_values(rng, q):
+    """Values of the field the twist q-th roots generate with i: Gaussian
+    rationals plus rational multiples of q-th roots of unity, some large."""
+    def frac():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+
+    out = [CyclotomicScalar.root_of_unity(q, 1), CyclotomicScalar.from_rational(Fraction(-3, 7)),
+           CyclotomicScalar.from_complex_rational(ComplexRational(0, 2))]
+    for size in (1, 1, 10**60):
+        for _ in range(3):
+            x = CyclotomicScalar.from_complex_rational(ComplexRational(frac() * size, frac()))
+            for _ in range(rng.randint(1, 4)):
+                x = x + CyclotomicScalar.root_of_unity(q, rng.randrange(q)) * frac()
+            out.append(x)
+    return out
+
+
+def _complex(x) -> complex:
+    return x.to_complex() if hasattr(x, "to_complex") else complex(x)
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12), Fraction(7, 30)])
+def test_cyclotomic_division_matches_complex_division(theta):
+    rng = random.Random(theta.denominator)
+    values = _twisted_values(rng, theta.denominator)
+    divisors = values + [3, -1, Fraction(-2, 9), ComplexRational(1, -2), ComplexRational(0, 1)]
+    for x in values:
+        for y in divisors:
+            if not y:
+                continue
+            for got, num, den in ((x / y, x, y), (y / x, y, x)):
+                assert type(got) is CyclotomicScalar
+                _assert_lowest_terms(got)
+                assert got * den == num
+                want = _complex(num) / _complex(den)
+                assert abs(got.to_complex() - want) <= 1e-9 * abs(want)
+    # a twisted coefficient of a pi-graded value divides too
+    x, y = values[4], values[5]
+    px, py = PiGradedScalar(x, 1), PiGradedScalar(y, 1)
+    assert (px / py) * py == px
+    assert PiGradedScalar(ComplexRational(1, 1), 2) / PiGradedScalar(y, 1) == PiGradedScalar(
+        ComplexRational(1, 1) / y, 1)
+
+
+def test_cyclotomic_division_by_zero_raises():
+    x = CyclotomicScalar.root_of_unity(5, 2) + Fraction(1, 3)
+    zero = CyclotomicScalar(20, [0] * 8)
+    for num, den in ((x, zero), (x, 0), (x, Fraction(0)), (x, ComplexRational(0)), (1, zero),
+                     (ComplexRational(1, 1), zero), (zero, zero)):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            num / den
+    assert zero / x == 0 and (zero / x).den == 1

@@ -14,9 +14,8 @@ from ncresidue.scalars import (
     sphere_surface_measure,
     torus_volume,
 )
-from ncresidue.terms import compositions
 
-from conftest import sphere_quadrature
+from conftest import compositions, sphere_quadrature
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6

@@ -12,16 +12,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncresidue import terms as T
-from ncresidue.calculus import _residue_of_composition, _sphere_sum, compose, residue
+from ncresidue.calculus import (
+    _residue_of_composition,
+    _sphere_sum,
+    compose,
+    residue,
+    trace_defect,
+)
 from ncresidue.cyclotomic import CyclotomicInteger, CyclotomicScalar, cyclotomic_phase
 from ncresidue.dsl import random_symbol, symbol_from_json, symbol_to_json
-from ncresidue.errors import ValidationError
+from ncresidue.errors import InsufficientExpansionError, ValidationError
 from ncresidue.nctorus import (
     NCSymbol,
     Theta,
     _nc_residue_of_composition,
     _system_for,
     nc_compose,
+    nc_residue,
     nc_trace_defect,
 )
 from ncresidue.scalars import (
@@ -32,6 +39,8 @@ from ncresidue.scalars import (
     torus_volume,
 )
 from ncresidue.symbols import ClassicalSymbol, HomogeneousComponent
+
+from conftest import compositions, gamma_factorial
 
 
 def reference_compose(system, n, comps_a, comps_b, keep, kmax=None):
@@ -45,7 +54,7 @@ def reference_compose(system, n, comps_a, comps_b, keep, kmax=None):
         level, k = {(0,) * n: a_terms}, 0
         while level and (kmax is None or k <= kmax):
             for gamma, left in level.items():
-                fact = T.gamma_factorial(gamma)
+                fact = gamma_factorial(gamma)
                 for b_deg, b_terms in comps_b.items():
                     if not keep(a_deg + b_deg - k, k):
                         continue
@@ -269,27 +278,33 @@ def test_residue_pairing_matches_reference_on_modes_with_zero_axes():
 
 def test_residue_pairing_differentiates_a_left_term_only_along_its_mode(monkeypatch):
     """A left term of mode m meets right terms of mode -m, on which D^gamma
-    vanishes unless gamma lies where m is nonzero: no other derivative is built,
-    and a mode-zero term is never differentiated."""
+    vanishes unless gamma lies where m is nonzero: every derivative step is
+    taken along -m, on axes where m is nonzero, and a mode-zero term is never
+    differentiated."""
     cases = [(T.RATIONAL_SYSTEM, 3, list(_classical_residue_pairs(3, 15, 303))),
              (T.RATIONAL_SYSTEM, 3, list(_sparse_mode_pairs(16, 9)))]
     for theta in (Fraction(2, 5), Fraction(5, 12)):
         pairs = list(_twisted_residue_pairs(theta, 16, 77))
         cases.append((pairs[0][0]._system, 2, pairs))
     calls = []
-    differentiate = T.partial_xi_terms
+    along = T._along
 
-    def recording(keys, terms, axis):
-        calls.append((axis, {keys.unpack(key)[0] for key in terms}))
-        return differentiate(keys, terms, axis)
+    def recording(keys, terms, steps):
+        axes = {shift // keys.width: v for shift, v, _down, _r_step in steps}
+        calls.append((axes, {keys.unpack(key)[0] for key in terms}))
+        return along(keys, terms, steps)
 
-    monkeypatch.setattr(T, "partial_xi_terms", recording)
+    monkeypatch.setattr(T, "_along", recording)
     for system, n, pairs in cases:
         for a, b in pairs:
             for s, t in ((a, b), (b, a)):
                 T.residue_pairing(system, n, s._term_bags(), t._term_bags())
+            T.residue_pairing(system, n, a._term_bags(), b._term_bags(), both=True)
     assert len(calls) >= 100
-    assert all(mode[axis] for axis, modes in calls for mode in modes)
+    for axes, modes in calls:
+        assert axes
+        for mode in modes:
+            assert {j: -x for j, x in enumerate(mode) if x} == axes
 
 
 # -- the Gaussian-integer numerator kernel ------------------------------------------
@@ -394,6 +409,177 @@ def test_residue_pairing_admits_what_compose_admits():
     assert _residue_of_composition(tau, sigma) == residue(compose(tau, sigma))
 
 
+# -- the trace defect: both orderings in one pass -----------------------------------
+
+
+def _calculus(s):
+    """(compose, residue, single-ordering residue of a composition, trace defect)
+    of the calculus a symbol belongs to."""
+    if type(s) is ClassicalSymbol:
+        return compose, residue, _residue_of_composition, trace_defect
+    return nc_compose, nc_residue, _nc_residue_of_composition, nc_trace_defect
+
+
+def _two_call_defect(s, t):
+    """The trace defect as two single-ordering residues and their difference."""
+    single = _calculus(s)[2]
+    return single(s, t) - single(t, s)
+
+
+def _assert_defect_by_composing(s, t):
+    """The defect, and the residue of each ordering without composing, against
+    the residues of the two full compositions; returns Res(s o t)."""
+    comp, res, single, defect = _calculus(s)
+    st, ts = res(comp(s, t)), res(comp(t, s))
+    assert defect(s, t) == st - ts
+    assert single(s, t) == st and single(t, s) == ts
+    (ab, _), (ba, _) = T.residue_pairing(s._system, s.n, s._term_bags(), t._term_bags(),
+                                         both=True)
+    assert all(x % 2 == 0 for bag in (ab, ba) for alpha in bag for x in alpha)
+    return st
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trace_defect_is_the_difference_of_the_composed_residues(n):
+    nonzero = sum(not _assert_defect_by_composing(a, b).is_zero()
+                  for a, b in _classical_residue_pairs(n, 20, 700 + n))
+    assert nonzero >= 8
+
+
+@pytest.mark.parametrize("theta", [Fraction(0), Fraction(1, 2), Fraction(2, 5), Fraction(5, 12),
+                                   Fraction(7, 30)])
+def test_nc_trace_defect_is_the_difference_of_the_composed_residues(theta):
+    nonzero = sum(not _assert_defect_by_composing(a, b).is_zero()
+                  for a, b in _twisted_residue_pairs(theta, 12, 710))
+    assert nonzero >= 6
+
+
+def _deepest_residue_pair(rng, n):
+    """One-term factors of modes m and -m with 200-digit coefficients whose
+    products reach degree -n at the deepest level K that ``MAX_GAMMA_COUNT``
+    admits in n variables, in both orders (neither factor is a polynomial), and
+    whose composition is trusted down to -n."""
+    k = _deepest_order(n)
+    mode = tuple((-1) ** j * (j + 1) for j in range(n))
+    # |xi|^-1 against xi_1 |xi|^(K - 2) at n = 2 (K odd), |xi|^-2 against
+    # xi_3^2 |xi|^(K - 5) at n = 3 (K even): the level-K products have even exponents
+    a_deg, beta = (-1, (1, 0)) if n == 2 else (-2, (0, 0, 2))
+    b_deg = k - n - a_deg
+    cr = ComplexRational
+    a = ClassicalSymbol(n, a_deg, {a_deg: HomogeneousComponent(
+        n, a_deg, [(cr(_large(rng, 200), _large(rng, 200)), mode, (0,) * n, a_deg)])})
+    b = ClassicalSymbol(n, b_deg, {b_deg: HomogeneousComponent(
+        n, b_deg, [(cr(_large(rng, 200), _large(rng, 200)), tuple(-x for x in mode), beta,
+                    b_deg - sum(beta))])}, b_deg - k)
+    return a, b
+
+
+def test_trace_defect_at_the_deepest_towers_with_long_coefficients(monkeypatch):
+    """The defect against both compositions at K = 43 (n = 2) and 16 (n = 3),
+    and the Gaussian numerators of every pairing packed at the width the proof
+    of ``numerator_width`` gives for the factors, with no bit dropped."""
+    calls, packed = [], []
+    width = T.numerator_width
+
+    def recording(*args):
+        calls.append((args, width(*args)))
+        return calls[-1][1]
+
+    class Recording(T.PackedGaussians):
+        def __init__(self, w):
+            packed.append(w)
+            super().__init__(w)
+
+    monkeypatch.setattr(T, "numerator_width", recording)
+    monkeypatch.setattr(T, "PackedGaussians", Recording)
+    rng = random.Random(17)
+    for n in (2, 3):
+        k = _deepest_order(n)
+        a, b = _deepest_residue_pair(rng, n)
+        for s, t in ((a, b), (b, a)):
+            calls.clear()
+            assert not _assert_defect_by_composing(s, t).is_zero()
+            assert trace_defect(s, t).is_zero()
+            pairings = [(args, w) for args, w in calls if args[-1] == k]
+            assert len(pairings) >= 4  # the compositions, the defect, the single orderings
+            for (n_, norm_a, norm_b, f_xi, f_mode, f_alpha, depth), w in pairings:
+                # the norms are the factors' own: each is one lifted coefficient
+                assert {norm_a, norm_b} <= {abs(x.a) + abs(x.b)
+                                            for sym in (a, b) for bag in sym._term_bags().values()
+                                            for x in bag.values()}
+                span = min(2 * f_alpha + depth, T.MAX_CANONICAL_MONOMIALS // n_)
+                assert w == 1 + (norm_a.bit_length() + norm_b.bit_length()
+                                 + math.comb(depth + n_, n_).bit_length()
+                                 + depth * (f_xi + 3 * depth).bit_length()
+                                 + math.factorial(depth).bit_length()
+                                 + depth * f_mode.bit_length() + span * (n_ - 1).bit_length())
+            assert packed[-len(calls):] == [w for _args, w in calls]
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_trace_defect_refuses_as_the_two_call_form():
+    """Each refusal of the one-pass defect, in either argument order, is the
+    exception and message of the two single-ordering calls it replaces."""
+    tower_refusal = ("composition needs xi-derivatives up to order {} in {} variables, more "
+                     "than 1000 multi-indices; lower the orders of the factors")
+    cases = []
+    for theta in (Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)):
+        # the README's example: a pair that meets at level K + 1
+        sigma = NCSymbol(theta, -1, {-1: [(1, (1, 1), (1, 0), -2)]}, None)
+        tau = NCSymbol(theta, 43, {43: [(1, (-1, -1), (0, 0), 43)]}, None)
+        refusal = (ValidationError, tower_refusal.format(44, 2))
+        cases += [(sigma, tau, refusal), (tau, sigma, refusal)]
+        shallow = NCSymbol(theta, 0, {0: [(1, (1, 0), (0, 0), 0)]}, 0)
+        cases.append((shallow, sigma, (InsufficientExpansionError,
+                                       "composition is only trusted down to degree -1, above -2")))
+        other = NCSymbol(Theta.from_rational(Fraction(5, 12)), -1, {-1: [(1, (1, 1), (1, 0), -2)]})
+        cases.append((sigma, other, (ValidationError, "twist mismatch in composition")))
+    # e^(i x_1) xi_1 against e^(-i x_1) |xi|^43: the tower of the first, a
+    # polynomial, vanishes before level 46, so only the second ordering is refused
+    xi1 = ClassicalSymbol(2, 1, {1: HomogeneousComponent(2, 1, [(1, (1, 0), (1, 0), 0)])})
+    tall = ClassicalSymbol(2, 43, {43: HomogeneousComponent(
+        2, 43, [(ComplexRational(2, 1), (-1, 0), (0, 0), 43)])})
+    refusal = (ValidationError, tower_refusal.format(46, 2))
+    cases += [(xi1, tall, refusal), (tall, xi1, refusal)]
+    # with e^(i x_1) |xi|^-1 beside xi_1, both orderings are refused, at different levels
+    both = ClassicalSymbol(2, 1, {1: xi1.component(1), -1: HomogeneousComponent(
+        2, -1, [(1, (1, 0), (0, 0), -1)])})
+    cases += [(both, tall, (ValidationError, tower_refusal.format(44, 2))),
+              (tall, both, (ValidationError, tower_refusal.format(46, 2)))]
+    shallow = ClassicalSymbol(
+        3, 0, {0: HomogeneousComponent(3, 0, [(1, (0, 0, 1), (0, 0, 0), 0)])}, 0)
+    cases.append((shallow, shallow, (InsufficientExpansionError,
+                                     "composition is only trusted down to degree 0, above -3")))
+    twisted = NCSymbol(Theta.from_rational(Fraction(2, 5)), -1, {-1: [(1, (1, 1), (1, 0), -2)]})
+    plane = ClassicalSymbol(2, -1, {-1: HomogeneousComponent(2, -1, [(1, (1, 1), (1, 0), -2)])})
+    cases += [(plane, twisted, (TypeError, "cannot compose ClassicalSymbol with NCSymbol")),
+              (twisted, plane, (TypeError, "cannot compose NCSymbol with ClassicalSymbol"))]
+    for s, t, want in cases:
+        assert _raised(_calculus(s)[3], s, t) == want == _raised(_two_call_defect, s, t)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.4])
+def test_float_trace_defect_stays_near_the_two_call_form(theta):
+    """On pairs drawn as the ``nc-trace`` benchmark draws them, moved to a float
+    twist, the one-pass defect is the two-call one up to rounding."""
+    th = Theta.from_float(theta)
+    checked = 0
+    for exact in (Fraction(2, 5), Fraction(5, 12), Fraction(7, 30)):
+        for a, b in _twisted_residue_pairs(exact, 12, 720):
+            s, t = (NCSymbol(th, x.order, x.components, x.trusted_floor) for x in (a, b))
+            got, want = nc_trace_defect(s, t).to_complex(), _two_call_defect(s, t).to_complex()
+            scale = max(abs(_nc_residue_of_composition(x, y).to_complex())
+                        for x, y in ((s, t), (t, s)))
+            assert abs(got - want) <= 1e-12 * scale
+            checked += scale > 0
+    assert checked >= 12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_numerator_kernel_matches_unlifted_path(n):
     rng = random.Random(500 + n)
@@ -445,8 +631,8 @@ def test_gaussian_integer_weights_divide_exactly():
     num = lifted[0][((0, 0), (0, 0), 0)]
     for k, gamma, w in ((3, (2, 1), -5), (4, (0, 2), 9), (7, (3, 3), 1)):
         scale = math.factorial(k)
-        weighted = num * (w * (scale // T.gamma_factorial(gamma)))
-        assert system.lower(weighted, den * scale) == s * Fraction(w, T.gamma_factorial(gamma))
+        weighted = num * (w * (scale // gamma_factorial(gamma)))
+        assert system.lower(weighted, den * scale) == s * Fraction(w, gamma_factorial(gamma))
 
 
 # -- the cyclotomic-integer numerator kernel -----------------------------------------
@@ -528,7 +714,7 @@ def test_cyclotomic_integer_weights_divide_exactly():
     assert den == 3 and s.coeffs == [1, 0, 2, 0]
     # the integer weight w * (K!/gamma!) over den * K! is the Fraction weight w/gamma!
     scale = math.factorial(5)
-    weighted = s * (-4 * (scale // T.gamma_factorial((1, 2))))
+    weighted = s * (-4 * (scale // gamma_factorial((1, 2))))
     assert repr(system.lower(weighted, den * scale)) == repr(value * Fraction(-4, 2))
 
 
@@ -601,8 +787,8 @@ def _reference_canonical(n, degree, raw):
         poly = {}
         for alpha, p, s in items:
             k = (p - pmin) // 2
-            for beta in T.compositions(n, k):
-                m = math.factorial(k) // T.gamma_factorial(beta)
+            for beta in compositions(n, k):
+                m = math.factorial(k) // gamma_factorial(beta)
                 T.bag_add(poly, tuple(a + 2 * b for a, b in zip(alpha, beta)), s * m)
         while poly:
             quo = _reference_divide(poly, n)
@@ -1153,7 +1339,7 @@ def _literal_gamma_sum(system, n, comps_a, comps_b, floor, kmax):
         level, k = {(0,) * n: a_terms}, 0
         while level and (kmax is None or k <= kmax):
             for gamma, left in level.items():
-                fact = T.gamma_factorial(gamma)
+                fact = gamma_factorial(gamma)
                 for b_deg, b_terms in comps_b.items():
                     if floor is not None and a_deg + b_deg - k < floor:
                         continue

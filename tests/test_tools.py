@@ -62,6 +62,16 @@ def test_unscaled_throughput_is_read_from_the_record_line(monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Done)
     run = bench_pairs.run_once(".", "compose-full", 3)
     assert run == {"values": {"ops_per_s": 540.0}, "unscaled": 612.5, "correct": True,
-                   "failed": 0}
+                   "failed": 0, "attempted": 9}
     text = bench_pairs.format_unscaled([500.0, 520.0, 510.0], [600.0, 640.0, 630.0])
     assert text == "  unscaled ops_per_s median: parent 510, change 630, x1.235"
+
+
+def test_attempted_ops_are_shown_beside_peak_rss():
+    metrics = METRICS[:1] + [{"name": "peak_rss_mib", "better": "lower"}]
+    rows = bench_pairs.summarize([{"ops_per_s": 100, "peak_rss_mib": 30.0}],
+                                 [{"ops_per_s": 130, "peak_rss_mib": 31.5}], metrics)
+    ops, rss = bench_pairs.format_rows("trace-n3", rows, (45000, 58500.5)).splitlines()[1:]
+    assert "attempted" not in ops
+    assert rss.endswith("ops attempted median: parent 45000, change 58500")
+    assert "attempted" not in bench_pairs.format_rows("trace-n3", rows)

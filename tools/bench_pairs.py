@@ -12,7 +12,11 @@ after the other; the side that runs first alternates from pair to pair.
 For every end-to-end metric of ``BENCHMARK.json`` (read from PARENT) it
 prints each side's median and quartiles, the number of pairs the change
 wins, and the ratio of the change's median to its base, the parent's
-median, with the parent's quartile spread beside it.  Below that it
+median, with the parent's quartile spread beside it.  Beside
+``peak_rss_mib`` it prints each side's median count of operations
+attempted: ``bench/run.py`` keeps a record per operation, so the peak
+grows with the throughput, and the count tells that growth from a change
+in what the library holds.  Below that it
 prints each side's median unscaled ``ops_per_s``, the throughput as timed,
 before ``bench/run.py`` scales it to its reference machine speed, read from
 the record line a run prints before its metrics.  Only the standard
@@ -42,8 +46,8 @@ def compile_checkout(checkout: str) -> None:
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
-    """The metric values of one untraced run, its unscaled ``ops_per_s`` and
-    whether it was correct."""
+    """The metric values of one untraced run, its unscaled ``ops_per_s``, the
+    operations it attempted and whether it was correct."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -54,7 +58,7 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
     values = {name: m["value"] for name, m in result["metrics"].items()}
     unscaled = json.loads(lines[-2])["unscaled"]["ops_per_s"]
     return {"values": values, "unscaled": unscaled, "correct": result["correct"],
-            "failed": result["failed"]}
+            "failed": result["failed"], "attempted": result["attempted"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -94,16 +98,20 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
     return rows
 
 
-def format_rows(workload: str, rows: list[dict]) -> str:
+def format_rows(workload: str, rows: list[dict],
+                attempted: tuple[float, float] | None = None) -> str:
+    """The rows, one line each; ``attempted`` is each side's median count of
+    operations attempted, (parent, change), shown beside ``peak_rss_mib``."""
     lines = [f"{workload}: metric, parent median [q1, q3], change median [q1, q3], "
              "change wins, ratio change/parent (parent spread)"]
     for r in rows:
         p, c = r["parent"], r["change"]
-        lines.append(
-            f"  {r['metric']:13s} {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]  "
-            f"{c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  {r['wins']}/{r['pairs']}  "
-            f"x{r['ratio']:.3f} ({r['spread']:.1%}, {r['better']} is better)"
-        )
+        line = (f"  {r['metric']:13s} {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]  "
+                f"{c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  {r['wins']}/{r['pairs']}  "
+                f"x{r['ratio']:.3f} ({r['spread']:.1%}, {r['better']} is better)")
+        if r["metric"] == "peak_rss_mib" and attempted is not None:
+            line += f"  ops attempted median: parent {attempted[0]:.0f}, change {attempted[1]:.0f}"
+        lines.append(line)
     return "\n".join(lines)
 
 
@@ -134,10 +142,13 @@ def main(argv=None) -> int:
             print(f"pair {i} seed {args.seed0 + i} {side}: correct {run['correct']} "
                   f"failed {run['failed']} "
                   + " ".join(f"{k}={v:.4g}" for k, v in run["values"].items())
-                  + f" unscaled ops_per_s={run['unscaled']:.4g}", flush=True)
+                  + f" unscaled ops_per_s={run['unscaled']:.4g} attempted={run['attempted']}",
+                  flush=True)
     rows = summarize([r["values"] for r in runs["parent"]],
                      [r["values"] for r in runs["change"]], end_to_end_metrics(sides["parent"]))
-    print(format_rows(args.workload, rows))
+    attempted = tuple(statistics.median(r["attempted"] for r in runs[side])
+                      for side in ("parent", "change"))
+    print(format_rows(args.workload, rows, attempted))
     print(format_unscaled([r["unscaled"] for r in runs["parent"]],
                           [r["unscaled"] for r in runs["change"]]))
     return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
