@@ -26,7 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .scalars import ComplexRational, _set
+from .scalars import ComplexRational
+
+_set = object.__setattr__
 
 
 @lru_cache(maxsize=None)

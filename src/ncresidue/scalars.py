@@ -23,9 +23,6 @@ from .errors import DomainError, ValidationError
 _PI = math.pi
 
 
-_set = object.__setattr__
-
-
 class ComplexRational:
     """A complex number with exact rational real and imaginary parts.
 
@@ -43,9 +40,9 @@ class ComplexRational:
                 raise TypeError(f"expected a rational value, got {type(x).__name__}")
         re, im = Fraction(re), Fraction(im)
         den = math.lcm(re.denominator, im.denominator)
-        _set(self, "a", re.numerator * (den // re.denominator))
-        _set(self, "b", im.numerator * (den // im.denominator))
-        _set(self, "den", den)
+        _set_a(self, re.numerator * (den // re.denominator))
+        _set_b(self, im.numerator * (den // im.denominator))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
@@ -53,10 +50,10 @@ class ComplexRational:
     @classmethod
     def _make(cls, a: int, b: int, den: int):
         """(a + bi) / den, which must already be in lowest terms."""
-        out = object.__new__(cls)
-        _set(out, "a", a)
-        _set(out, "b", b)
-        _set(out, "den", den)
+        out = _new(cls)
+        _set_a(out, a)
+        _set_b(out, b)
+        _set_den(out, den)
         return out
 
     @classmethod
@@ -178,6 +175,13 @@ class ComplexRational:
             return f"{im}*i"
         sign = "+" if im > 0 else "-"
         return f"{re} {sign} {abs(im)}*i"
+
+
+# The slots are written through their descriptors, which is cheaper than
+# object.__setattr__ by name and bypasses the refusing __setattr__ alike.
+_new = object.__new__
+_set_a, _set_b, _set_den = (ComplexRational.__dict__[name].__set__
+                            for name in ComplexRational.__slots__)
 
 
 class GaussianInteger:

@@ -65,28 +65,37 @@ Numerators: ``compose_components`` under ``RationalSystem`` runs on one
 That is the ring map Z[i] -> Z/(2^(2w) + 1) sending i to 2^w, so the
 engine loops, which only add, negate, multiply and test for zero, run
 unchanged on the ``int``s and form images of the Gaussian values.  Each
-emitted degree's product bucket is reduced once to balanced
-representatives before canonical form, and each result is read back from
-its low w bits and the bits above them, in the same pass that reads its
-key's tuple.  This is exact when every Gaussian value the call forms has
-parts below 2^(w - 1): then its image is a + b 2^w itself, zero only when
-the value is, and canonical form's sums of such images stay the images of
-its sums.  Width rule: ``numerator_width`` bounds every value of the call
-from the lifted factors' L1 norms, the tower growth (F_xi + 3K)^K, the
-weights K! F_mode^K, the C(K + n, n) derivative multi-indices and
-canonical form's growth n^s, s <= 2A + K, where F_xi is the largest
-|alpha| + |npow|, F_mode the largest |mode entry|, A the largest |alpha|
-(``pack_terms``) and K the deepest derivative order (``_level_caps``);
-its docstring holds the proof.  The twisted and float systems keep their
+value of an emitted degree's product bucket is reduced to its balanced
+representative as canonical form groups the terms, and each finished
+group is read back from its low w bits and the bits above them, in the
+same pass that reads its keys' tuples.  This is exact when every
+Gaussian value the call forms has parts below 2^(w - 1): then its image
+is a + b 2^w itself, zero only when the value is, and canonical form's
+sums of such images stay the images of its sums.  Width rule:
+``numerator_width`` bounds every value of the call from the lifted
+factors' L1 norms, the tower growth (F_xi + 3K)^K, the weights K!
+F_mode^K, the C(K + n, n) derivative multi-indices and canonical form's
+growth n^s, s <= 2A + K, where F_xi is the largest |alpha| + |npow|,
+F_mode the largest |mode entry|, A the largest |alpha| (``pack_terms``)
+and K the deepest derivative order (``_level_caps``); its docstring
+holds the proof.  The twisted and float systems keep their
 numerators (``_same_numerators``), so the call has one code path.
 ``residue_pairing`` runs on the same ``int``s at the same width, and
 reduces and reads back each residue bag once.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
-xi_1^2 + ... + xi_n^2.  This removes the only relation among the
+R = xi_1^2 + ... + xi_n^2.  This removes the only relation among the
 generators, so structural equality of canonical term dicts is equality of
-functions on R^n minus the origin.
+functions on R^n minus the origin.  A class is a polynomial in its
+shells, and R divides it exactly when it divides the lowest shell, which
+is tried by long division.  Inside ``compose_components`` the Gaussian
+numerator map first evaluates the lowest shell at a zero z of R over
+Z[i], z = (-1, i) at n = 2 and (4, 3, 5i) at n = 3 (``_null_point``); a
+multiple of R vanishes there, so a nonzero value proves the division
+would fail and the class is expanded at once, and only a zero value is
+divided (``canonical_terms``, where the proof and the refusal bound the
+shortcut keeps to are).
 """
 
 from __future__ import annotations
@@ -163,9 +172,13 @@ class RationalSystem:
 
 class _SameNumerators:
     """The identity numerator map: the engine runs on the system's own
-    numerators, which the system's ``lower`` turns into coefficients."""
+    numerators, which the system's ``lower`` turns into coefficients.  It
+    reduces nothing and has no certificate, so canonical form divides every
+    group by trial (``canonical_terms``)."""
 
     __slots__ = ("system",)
+
+    modulus = half = certify = None
 
     def __init__(self, system):
         self.system = system
@@ -178,8 +191,11 @@ class _SameNumerators:
     def numerator(v):
         return v
 
-    def lower(self, keys: Keys, bag: dict, den: int) -> dict:
-        lower = self.system.lower
+    def lower(self, keys: Keys, groups, den: int) -> dict:
+        """The canonical groups as one bag with tuple keys and coefficients."""
+        lower, bag = self.system.lower, {}
+        for poly in groups:
+            bag.update(poly)
         return {key: lower(s, den) for key, s in keys.unpack_bag(bag).items()}
 
 
@@ -295,7 +311,8 @@ class PackedGaussians:
     balanced representative (``reduce``) is a + b 2^w itself, whose low w
     bits, taken as balanced, are a, and whose bits above them are b
     (``lower``).  ``numerator_width`` picks a w that every Gaussian value
-    of a ``compose_components`` call stays below.
+    of a ``compose_components`` call stays below.  The same map evaluates a
+    shell of canonical form at a zero of xi_1^2 + ... + xi_n^2 (``certify``).
     """
 
     __slots__ = ("width", "modulus", "half", "low_half", "low_mask")
@@ -322,31 +339,56 @@ class PackedGaussians:
         a = ((v + h) & self.low_mask) - h
         return GaussianInteger(a, (v - a) >> self.width)
 
-    def lower(self, keys: Keys, bag: dict, den: int) -> dict:
-        """The packed bag with tuple keys (``Keys.unpack_bag``, whose memo
-        hits are inlined here) and each value v = a + b 2^w, |a| < 2^(w - 1),
-        as the ``ComplexRational`` (a + bi) / den in lowest terms.  Each
-        distinct value is built once, and the keys holding it share the
-        immutable object."""
+    def certify(self, keys: Keys, shell: dict) -> bool:
+        """True when R = xi_1^2 + ... + xi_n^2 provably does not divide the
+        packed shell: its value at the zero z of R over Z[i] that
+        ``Keys.cone_weight`` evaluates monomials at is nonzero mod 2^(2w) +
+        1.  If R divided the shell P, then P(z) = R(z) Q(z) = 0, and so would
+        be its image under the map i -> 2^w.  The sum is taken on the
+        shell's values as they are, the terms of real and of imaginary
+        weight apart, and reduced once; it needs no width.  A zero proves
+        nothing.
+        """
+        weights, alpha_mask = keys.cone, keys.alpha_mask
+        real = imag = 0
+        for key, v in shell.items():
+            part = key & alpha_mask
+            c, k = weights.get(part) or keys.cone_weight(part)
+            if k:
+                imag += v * c
+            else:
+                real += v * c
+        return (real + (imag << self.width)) % self.modulus != 0
+
+    def lower(self, keys: Keys, groups, den: int) -> dict:
+        """The packed canonical groups as one bag with tuple keys, and each
+        value v = a + b 2^w, |a| < 2^(w - 1), as the ``ComplexRational``
+        (a + bi) / den in lowest terms.  A group has one mode and one |xi|
+        power, read from its first key, so only the alpha of each term is
+        read (from the layout's memo, ``Keys.alpha_of``).  Each distinct
+        value is built once, and the keys holding it share the immutable
+        object."""
         h, mask, w = self.low_half, self.low_mask, self.width
         gcd, make = math.gcd, ComplexRational._make
-        modes, alphas, unpack = keys.modes, keys.alphas, keys.unpack
+        modes, alphas, alpha_of = keys.modes, keys.alphas, keys.alpha_of
         first, alpha_mask = keys.mode_shifts[0], keys.alpha_mask
         m, kh, ps = keys.mask, keys.half, keys.npow_shift
         out, made = {}, {}
-        for key, v in bag.items():
-            mode, alpha = modes.get(key >> first), alphas.get(key & alpha_mask)
-            if mode is None or alpha is None:
-                key = unpack(key)
-            else:
-                key = (mode, alpha, (key >> ps & m) - kh)
-            s = made.get(v)
-            if s is None:
-                a = ((v + h) & mask) - h
-                b = (v - a) >> w
-                g = gcd(a, b, den)
-                s = made[v] = make(a, b, den) if g == 1 else make(a // g, b // g, den // g)
-            out[key] = s
+        for poly in groups:
+            if not poly:
+                continue
+            key = next(iter(poly))
+            mode = modes.get(key >> first) or keys.unpack(key)[0]
+            npow = (key >> ps & m) - kh
+            for key, v in poly.items():
+                s = made.get(v)
+                if s is None:
+                    a = ((v + h) & mask) - h
+                    b = (v - a) >> w
+                    g = gcd(a, b, den)
+                    s = made[v] = make(a, b, den) if g == 1 else make(a // g, b // g, den // g)
+                part = key & alpha_mask
+                out[(mode, alphas.get(part) or alpha_of(part), npow)] = s
         return out
 
 
@@ -408,6 +450,11 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
     so the width is one more than the sum of those bit counts.  Sizes enter
     by bit length (F_mode may have a thousand digits); only A enters
     linearly, and capped.
+
+    Canonical form's certificate (``PackedGaussians.certify``) needs no
+    width: it forms the value of a shell at a null point as a sum of
+    ``int`` multiples of the shell's values and reduces it mod 2^(2w) + 1,
+    where only its residue matters, so it may grow past 2^(w - 1).
     """
     k = depth
     span = min(2 * f_alpha + k, MAX_CANONICAL_MONOMIALS // n)
@@ -439,14 +486,17 @@ class Keys:
     its share of a key, offsets included) and the alpha fields of a key
     (``key & alpha_mask``) to the alpha.  Tuples and ints never collide as
     dict keys.  Both map a decoded tuple, never a caller's, whose entries
-    may be ``bool``s equal to the ``int``s.  Each memo holds up to
-    ``_MEMO_FIELDS`` fields and starts afresh when full.
+    may be ``bool``s equal to the ``int``s.  A third memo, ``cone``, maps
+    the alpha fields of a key to the monomial's value at a zero of xi_1^2 +
+    ... + xi_n^2 (``cone_weight``).  Each memo holds up to ``_MEMO_FIELDS``
+    fields and starts afresh when full.
     """
 
     __slots__ = ("n", "width", "mask", "half", "offsets", "alpha_mask", "npow_shift",
                  "npow_unit", "degree_shift", "degree_unit", "degree_field", "group_of",
                  "mode_shifts", "mode_units", "peel", "spread", "times_r", "xi_steps",
-                 "alpha_weights", "npow_weight", "modes", "alphas", "memo_limit")
+                 "alpha_weights", "npow_weight", "modes", "alphas", "cone", "cone_point",
+                 "memo_limit")
 
     def __init__(self, n: int, width: int):
         self.n = n
@@ -478,6 +528,8 @@ class Keys:
         self.npow_weight = self.npow_unit + self.degree_unit
         self.modes: dict = {}
         self.alphas: dict = {}
+        self.cone: dict = {}
+        self.cone_point = _null_point(n)
         self.memo_limit = max(1, _MEMO_FIELDS // n)
 
     def pack(self, bags) -> tuple[tuple[int, int, int], list[dict]]:
@@ -558,6 +610,14 @@ class Keys:
             alpha = _remember(self.alphas, part, self.fields(part, 0, self.n), self.memo_limit)
         return alpha
 
+    def cone_weight(self, part: int) -> tuple[int, int]:
+        """(c, k) with z^alpha = c i^k, k 0 or 1, for the alpha whose fields
+        are ``part`` and z the zero of xi_1^2 + ... + xi_n^2 whose last
+        coordinate is imaginary (``_null_point``); remembered in ``cone``."""
+        alpha = self.alpha_of(part)
+        c, k = math.prod(map(pow, self.cone_point, alpha)), alpha[-1]
+        return _remember(self.cone, part, (-c if k & 2 else c, k & 1), self.memo_limit)
+
     def unpack_bag(self, bag: dict) -> dict:
         """The bag with tuple keys: ``unpack`` with its memo hits inlined."""
         modes, alphas = self.modes, self.alphas
@@ -586,6 +646,19 @@ _narrow_layout = lru_cache(maxsize=16)(lambda n: Keys(n, _TIER))
 # cost of packing and unpacking.  A memo of a layout holds at most this many
 # fields (n per entry), so its size does not grow with the dimension.
 _MEMO_FIELDS = 1 << 15
+
+
+def _null_point(n: int) -> tuple[int, ...]:
+    """Integers x_1 .. x_n such that z = (x_1, ..., x_(n-1), x_n i) is a zero
+    of xi_1^2 + ... + xi_n^2 over Z[i]: z = (2 a_0, ..., 2 a_(n-3), S - 1,
+    (S + 1) i) with a_j = j + 2 and S the sum of the a_j^2, since (S - 1)^2
+    - (S + 1)^2 = -4 S.  That is (-1, i) at n = 2 and (4, 3, 5i) at n = 3;
+    at n = 1 the only zero is 0."""
+    if n == 1:
+        return (0,)
+    a = [j + 2 for j in range(n - 2)]
+    total = sum(x * x for x in a)
+    return (*[2 * x for x in a], total - 1, total + 1)
 
 
 def _remember(memo: dict, x, entry, limit: int):
@@ -746,7 +819,8 @@ def terms_polynomial(terms: dict) -> bool:
 # canonical_terms refuses a group once the updates it has made would pass
 # this bound, checked before each bucket of the division and each shell of
 # the expansion, so a group is refused for the work it needs, never for the
-# size of the space it lies in.
+# size of the space it lies in.  A group whose division a certificate
+# settles skips that division only when the bound could not refuse it.
 MAX_CANONICAL_MONOMIALS = 100_000
 
 
@@ -757,7 +831,7 @@ def _too_costly(n: int, d: int) -> ValidationError:
     )
 
 
-def canonical_terms(keys, degree: int, raw: dict) -> dict:
+def canonical_terms(keys, degree: int, raw: dict, nums=None, den: int = 1) -> dict:
     """Canonicalize a raw term bag of the given homogeneity degree.
 
     Each (mode, parity of npow) group is a polynomial P = sum_k R^k P_k,
@@ -768,11 +842,31 @@ def canonical_terms(keys, degree: int, raw: dict) -> dict:
     divides too.  When the division fails, the shells left are expanded
     once by Horner's rule, Q <- P_k + R Q, at the current lowest power.
 
+    A numerator map ``nums`` (``compose_components``) may settle the first
+    division without making it: its ``certify`` evaluates P_0 at a zero z
+    of R, and a nonzero value proves that R does not divide P_0 (if P_0 = R
+    Q, then P_0(z) = R(z) Q(z) = 0), so the group goes straight to Horner's
+    rule at pmin.  A zero value proves nothing, and the group is divided
+    as above.  The shortcut is taken only when the group provably cannot
+    be refused (see ``MAX_CANONICAL_MONOMIALS``), so refusals are those of
+    trial division: with s = degree - pmin and K = (top - pmin) / 2 shells
+    above P_0, every shell is a homogeneous polynomial in alpha of degree
+    at most s, so it has at most C(s + n - 1, n - 1) terms.  The failed
+    division of P_0 charges n per term of each bucket it takes, and its
+    buckets hold distinct monomials of degree s; each of the K Horner steps
+    charges n per term of a shell.  So the group makes at most n (K + 1)
+    C(s + n - 1, n - 1) updates, and when that is within the limit, read
+    at the call, it is never refused.
+
     ``keys`` is the layout of a packed bag or the dimension of a
     tuple-keyed one (``pack_terms``, which checks the lengths).  A group
     is the key shifted down to its npow field, with all of that field but
     its parity bit cleared; the homogeneity check compares the |alpha| +
-    npow field.
+    npow field.  With ``nums``, each value of ``raw`` is reduced by it as
+    the terms are grouped (``nums.modulus``), and the finished groups are
+    lowered by it over ``den`` group by group, with no merged packed bag
+    in between (``nums.lower``): the result then has tuple keys and
+    coefficients.
     """
     tuples = type(keys) is int
     if tuples:
@@ -780,8 +874,13 @@ def canonical_terms(keys, degree: int, raw: dict) -> dict:
     n, m, h, ps = keys.n, keys.mask, keys.half, keys.npow_shift
     degree_field, group_of = keys.degree_field, keys.group_of
     homogeneous = (degree + h) << keys.degree_shift
+    modulus = certify = None
+    if nums is not None:
+        modulus, half, certify = nums.modulus, nums.half, nums.certify
     groups: dict[int, dict[int, dict]] = {}
     for key, s in raw.items():
+        if modulus is not None:
+            s = (s + half) % modulus - half
         if not s:
             continue
         if key & degree_field != homogeneous:
@@ -792,36 +891,50 @@ def canonical_terms(keys, degree: int, raw: dict) -> dict:
             )
         top = key >> ps
         groups.setdefault(top & group_of, {}).setdefault((top & m) - h, {})[key] = s
-    out = {}
+    limit = MAX_CANONICAL_MONOMIALS
+    out, polys = {}, []  # the canonical groups, merged or kept apart for nums.lower
     for by_pow in groups.values():
         p, top = min(by_pow), max(by_pow)
-        d, left = degree - p, MAX_CANONICAL_MONOMIALS  # monomial updates left
-        while p <= top:
-            low = by_pow.get(p)
-            if low:
-                quo, left = _divide_by_sum_sq(keys, low, left)
-                if left < 0:
-                    raise _too_costly(n, d)
-                if quo is None:
-                    break
-                nxt = by_pow.get(p + 2)
-                if nxt is None:
-                    by_pow[p + 2] = quo
-                    top = max(top, p + 2)
-                else:
-                    for key, s in quo.items():
-                        bag_add(nxt, key, s)
-            p += 2
-        else:
-            continue  # the group cancels to zero
+        d, left = degree - p, limit  # monomial updates left
+        if not (certify is not None and n * ((top - p) // 2 + 1) * _monomials(n, d) <= limit
+                and certify(keys, by_pow[p])):
+            while p <= top:
+                low = by_pow.get(p)
+                if low:
+                    quo, left = _divide_by_sum_sq(keys, low, left)
+                    if left < 0:
+                        raise _too_costly(n, d)
+                    if quo is None:
+                        break
+                    nxt = by_pow.get(p + 2)
+                    if nxt is None:
+                        by_pow[p + 2] = quo
+                        top = max(top, p + 2)
+                    else:
+                        for key, s in quo.items():
+                            bag_add(nxt, key, s)
+                p += 2
+            else:
+                continue  # the group cancels to zero
         poly = by_pow[top]
         for q in range(top - 2, p - 1, -2):
             left -= n * len(poly)
             if left < 0:
                 raise _too_costly(n, d)
             poly = _times_sum_sq_plus(keys, poly, by_pow.get(q, {}))
-        out.update(poly)
+        if nums is None:
+            out.update(poly)
+        else:
+            polys.append(poly)
+    if nums is not None:
+        return nums.lower(keys, polys, den)
     return keys.unpack_bag(out) if tuples else out
+
+
+@lru_cache(maxsize=1024)
+def _monomials(n: int, s: int) -> int:
+    """C(s + n - 1, n - 1), the number of monomials of degree s in n variables."""
+    return math.comb(s + n - 1, n - 1)
 
 
 def _times_sum_sq_plus(keys, poly: dict, shell: dict) -> dict:
@@ -928,9 +1041,10 @@ def compose_components(
     (``pack_terms``), and each emitted degree is read back into tuple keys
     and coefficients in one pass.  The system's ``numerator_map`` gives the
     numerators the engine runs on (one ``int`` each for Gaussian ones,
-    ``PackedGaussians``), which it reduces before canonical form and lowers
-    at the end.  A product is formed as in ``mul_terms``: left scalar
-    first, then the system's phase.
+    ``PackedGaussians``), which canonical form reduces as it groups the
+    terms, certifies (``canonical_terms``) and lowers group by group.  A
+    product is formed as in ``mul_terms``: left scalar first, then the
+    system's phase.
     """
     if floor is None and gamma_cap is None and not (
         all(terms_polynomial(t) for t in comps_a.values())
@@ -1010,9 +1124,9 @@ def compose_components(
     den = den_a * den_b * scale
     result = {}
     for d, raw in out.items():
-        ct = canonical_terms(keys, d, nums.reduce(raw))
+        ct = canonical_terms(keys, d, raw, nums, den)
         if ct:
-            result[d] = nums.lower(keys, ct, den)
+            result[d] = ct
     return result
 
 

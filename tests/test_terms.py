@@ -1136,7 +1136,7 @@ def test_packed_gaussians_pack_reduce_and_lower_round_trip(width, data):
     keys, [[k]] = T.pack_terms(2, [{_KEY: 0}])
     assert ints.reduce({k: v + shift}) == ({k: v} if z else {})
     want = {_KEY: ComplexRational(Fraction(z.re, den), Fraction(z.im, den))} if z else {}
-    assert ints.lower(keys, ints.reduce({k: v}), den) == want
+    assert ints.lower(keys, [ints.reduce({k: v})], den) == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1157,7 +1157,7 @@ def test_packed_gaussian_arithmetic_matches_gaussian_integers(data):
     p = [ints.pack(z) for z in zs]
     # formed on the ints unreduced, as the engine does, and reduced once
     keys, [[k]] = T.pack_terms(2, [{_KEY: 0}])
-    got = ints.lower(keys, ints.reduce({k: p[0] * p[1] + p[2] * p[3] * c + -p[4]}), 1)
+    got = ints.lower(keys, [ints.reduce({k: p[0] * p[1] + p[2] * p[3] * c + -p[4]})], 1)
     assert got == ({_KEY: ComplexRational(want.re, want.im)} if want else {})
 
 
@@ -1177,7 +1177,9 @@ def test_packed_gaussians_lower_builds_each_value_once():
     packed = list(bag)
     # over den 12: 1 + 5i repeats with gcd 1, 6 - 4i with gcd 2 and 4i with gcd 4
     values = [(1, 5), (6, -4), (1, 5), (0, 4), (6, -4), (0, 4)]
-    got = ints.lower(keys, {k: ints.pack(GaussianInteger(*z)) for k, z in zip(packed, values)}, 12)
+    # one group per key: the keys differ in their modes
+    got = ints.lower(keys, [{k: ints.pack(GaussianInteger(*z))}
+                            for k, z in zip(packed, values)], 12)
     want = [ComplexRational(Fraction(a, 12), Fraction(b, 12)) for a, b in values]
     assert list(got.values()) == want
     _assert_lowest_and_shared(got)
@@ -1427,3 +1429,163 @@ def test_compose_matches_the_literal_gamma_sum(n, theta):
             assert got == _canonical_degrees(_reference_canonical, n, raw)
             assert _sorted_repr(got) == _sorted_repr(_canonical_degrees(T.canonical_terms, n, raw))
     assert several and mode_zero
+
+
+# -- the certificate of canonical form -----------------------------------------------
+
+
+def _count_divisions(monkeypatch):
+    """A list that grows by one at each trial division by the sum of squares."""
+    calls = []
+    divide = T._divide_by_sum_sq
+
+    def counting(*args):
+        calls.append(1)
+        return divide(*args)
+
+    monkeypatch.setattr(T, "_divide_by_sum_sq", counting)
+    return calls
+
+
+def _bags_of(terms):
+    """Degree bags of (re, im, mode, alpha, npow) terms, as complex rationals."""
+    out = {}
+    for re, im, mode, alpha, npow in terms:
+        T.bag_add(out.setdefault(sum(alpha) + npow, {}), (mode, alpha, npow),
+                  ComplexRational(re, im))
+    return out
+
+
+# (xi_1 + i xi_2) o (xi_1 - i xi_2) = |xi|^2 at n = 2; at n = 3, sigma = (xi_1 + i
+# xi_2) e^(i x_1) + xi_3 e^(i x_2) and tau = ((xi_1 - i xi_2) e^(i x_2) + xi_3 e^(i
+# x_1)) |xi|^-2 give 1 at mode (1, 1, 0).  Each of those groups is a multiple of R, so
+# it vanishes at the null point and is divided
+_DIVISIBLE = {
+    "n=2": (2, [(1, 0, (0, 0), (1, 0), 0), (0, 1, (0, 0), (0, 1), 0)],
+            [(1, 0, (0, 0), (1, 0), 0), (0, -1, (0, 0), (0, 1), 0)], None),
+    "n=3": (3, [(1, 0, (1, 0, 0), (1, 0, 0), 0), (0, 1, (1, 0, 0), (0, 1, 0), 0),
+                (1, 0, (0, 1, 0), (0, 0, 1), 0)],
+            [(1, 0, (0, 1, 0), (1, 0, 0), -2), (0, -1, (0, 1, 0), (0, 1, 0), -2),
+             (1, 0, (1, 0, 0), (0, 0, 1), -2)], -4),
+}
+
+# linear forms through the null points (-1, i) and (4, 3, 5i): i xi_1 + xi_2 and
+# 3 xi_1 - 4 xi_2, times xi_1^2 |xi|^-2, over a second shell xi_2; the lowest shell
+# vanishes at the null point, and R does not divide it
+_THROUGH_THE_NULL_POINT = {
+    "n=2": (2, [(0, 1, (1, 0), (3, 0), -2), (1, 0, (1, 0), (2, 1), -2),
+                (2, 0, (1, 0), (0, 1), 0)]),
+    "n=3": (3, [(3, 0, (0, 1, 1), (3, 0, 0), -2), (-4, 0, (0, 1, 1), (2, 1, 0), -2),
+                (2, -1, (0, 1, 1), (0, 1, 0), 0)]),
+}
+
+
+def _one(n):
+    return {0: {((0,) * n, (0,) * n, 0): ComplexRational(1)}}
+
+
+@pytest.mark.parametrize("case", sorted(_DIVISIBLE))
+def test_canonical_form_divides_groups_that_the_certificate_cannot_settle(monkeypatch, case):
+    n, left, right, floor = _DIVISIBLE[case]
+    a, b = _bags_of(left), _bags_of(right)
+    calls = _count_divisions(monkeypatch)
+    got = T.compose_components(T.RATIONAL_SYSTEM, n, a, b, floor)
+    assert calls
+    kmax = None if floor is None else max(x + y for x in a for y in b) - floor
+    raw = _literal_gamma_sum(T.RATIONAL_SYSTEM, n, a, b, floor, kmax)
+    assert got == _canonical_degrees(_reference_canonical, n, raw)
+    one = ComplexRational(1)
+    if n == 2:
+        assert got == {2: {((0, 0), (0, 0), 2): one}}
+    else:
+        assert got[0][((1, 1, 0), (0, 0, 0), 0)] == one
+
+
+@pytest.mark.parametrize("case", sorted(_THROUGH_THE_NULL_POINT))
+def test_a_shell_through_the_null_point_falls_back_to_division(monkeypatch, case):
+    n, left = _THROUGH_THE_NULL_POINT[case]
+    a = _bags_of(left)
+    calls = _count_divisions(monkeypatch)
+    got = T.compose_components(T.RATIONAL_SYSTEM, n, a, _one(n), None)
+    assert len(calls) == 1  # divided once, and the division fails
+    assert got == _canonical_degrees(_reference_canonical, n, a)
+    assert {p for (_m, _a, p) in got[1]} == {-2}  # expanded onto the lowest shell
+
+
+def test_the_certificate_evaluates_at_a_zero_of_the_sum_of_squares():
+    assert T._null_point(1) == (0,)
+    assert T._null_point(2) == (-1, 1) and T._null_point(3) == (4, 3, 5)
+    for n in range(1, 9):
+        *real, imag = T._null_point(n)
+        assert sum(x * x for x in real) == imag * imag  # the last coordinate is imag * i
+    rng = random.Random(2101)
+    ints = T.PackedGaussians(40)
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            q = _random_poly(rng, _gaussian, n, rng.randint(0, 4), rng.randint(1, 4))
+            alpha = next(iter(_random_poly(rng, lambda _rng: 1, n, rng.randint(0, 3), 1)))
+            shells = [_times_sum_sq(q, n), {alpha: GaussianInteger(2, -1)}]
+            keys, packed = T.pack_terms(n, [{((0,) * n, alpha, 0): ints.pack(s)
+                                             for alpha, s in shell.items()} for shell in shells])
+            divisible, monomial = packed
+            assert not ints.certify(keys, divisible)  # a multiple of R vanishes at z
+            # no monomial vanishes at z, but at n = 1 z is the origin
+            assert ints.certify(keys, monomial) == (n > 1 or not any(alpha))
+    # a linear form through z vanishes there, a nonzero multiple of it elsewhere does not
+    keys, [through, off] = T.pack_terms(3, [
+        {((0,) * 3, (1, 0, 0), 0): ints.pack(GaussianInteger(3, 0)),
+         ((0,) * 3, (0, 1, 0), 0): ints.pack(GaussianInteger(-4, 0))},
+        {((0,) * 3, (1, 0, 0), 0): ints.pack(GaussianInteger(3, 0)),
+         ((0,) * 3, (0, 0, 1), 0): ints.pack(GaussianInteger(-4, 0))}])
+    assert not ints.certify(keys, through) and ints.certify(keys, off)
+
+
+def test_the_certificate_is_taken_only_where_no_group_can_be_refused(monkeypatch):
+    # xi_1^2 |xi|^-2 + 1 at n = 2: s = 2 and one shell above the lowest, so the
+    # bound is n (1 + 1) C(s + 1, 1) = 12 updates; trial division makes 2 (xi_1^2,
+    # then xi_2^2 is left over) and Horner's rule 2
+    one = ComplexRational(1)
+    a = _bags_of([(1, 0, (0, 0), (2, 0), -2), (1, 0, (0, 0), (0, 0), 0)])
+    want = {0: _reference_canonical(2, 0, a[0])}
+    calls = _count_divisions(monkeypatch)
+    for limit, divisions in ((12, 0), (11, 1), (4, 1)):
+        monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", limit)
+        calls.clear()
+        assert T.compose_components(T.RATIONAL_SYSTEM, 2, a, _one(2), None) == want
+        assert len(calls) == divisions
+    monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", 3)
+    with pytest.raises(ValidationError, match="degree 2 polynomial in 2 variables needs more "
+                                              "than 3 monomial updates"):
+        T.compose_components(T.RATIONAL_SYSTEM, 2, a, _one(2), None)
+    # past the bound a one-term group is divided, and refused, as by trial division
+    monkeypatch.undo()
+    zero8 = (0,) * 8
+    with pytest.raises(ValidationError, match="degree 64 polynomial in 8 variables needs more "
+                                              "than 100000 monomial updates"):
+        T.compose_components(T.RATIONAL_SYSTEM, 8, {0: {(zero8, (64,) + (0,) * 7, -64): one}},
+                             _one(8), None)
+
+
+def test_composing_random_symbols_makes_no_trial_division(monkeypatch):
+    # the shape of the compose-full benchmark: n = 3, orders -1 .. 2, depth m1 + 3 +
+    # m2, modes and alphas up to 3, every degree down to the composed floor.  Each
+    # group's lowest shell is settled by the certificate
+    rng = random.Random(2102)
+    pairs = []
+    for _ in range(20):
+        m1, m2 = rng.randint(-1, 2), rng.randint(-1, 2)
+        pairs.append([random_symbol(rng.getrandbits(32), dim=3, order=m, depth=m1 + 3 + m2,
+                                    max_mode=3, max_alpha=3) for m in (m1, m2)])
+    settled = []
+    certify = T.PackedGaussians.certify
+
+    def counting(*args):
+        settled.append(certify(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(T.PackedGaussians, "certify", counting)
+    calls = _count_divisions(monkeypatch)
+    for a, b in pairs:
+        compose(a, b)
+    assert not calls
+    assert len(settled) > 1000 and all(settled)

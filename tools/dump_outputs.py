@@ -70,6 +70,12 @@ It prints, on seeded inputs:
   ``gamma_cap`` 0 to 3, and complete with a polynomial left factor or a
   mode-free right one; and a left term xi_1 |xi|^(2^20) of mode (1, 0)
   against a small partner, in both orders;
+- ``compose`` in both orders of classical pairs (n = 2, 3) whose products
+  hold multiples of xi_1^2 + ... + xi_n^2, or shells that vanish at the
+  point canonical form's certificate evaluates at without being multiples,
+  and ``nc_compose`` of the n = 2 ones at theta 2/5; and canonical form of
+  one raw group at, just below and well below the bound within which the
+  certificate is taken;
 - text documents read by ``parse_symbol``: ``format_symbol`` and the
   ``repr`` of the term bags (which shows each twisted coefficient's
   cyclotomic order), or the exception class and message, for seeded
@@ -651,6 +657,77 @@ def dump_compositions_by_mode(lib, out):
                 out(f"by mode {name} |xi|^(2^20) {tag} floor {fl} cap {cap}: {got}")
 
 
+# (label, n, sigma, tau): each factor (order, trusted floor, terms (re, im, mode,
+# alpha, npow)).  Products whose canonical groups are multiples of xi_1^2 + ... +
+# xi_n^2, or vanish at the null point canonical form evaluates at, (-1, i) and
+# (4, 3, 5i), without being multiples
+_CERTIFICATE_PAIRS = [
+    ("(xi1 + i xi2) o (xi1 - i xi2)", 2,
+     (1, None, [(1, 0, (0, 0), (1, 0), 0), (0, 1, (0, 0), (0, 1), 0)]),
+     (1, None, [(1, 0, (0, 0), (1, 0), 0), (0, -1, (0, 0), (0, 1), 0)])),
+    ("one at mode (1, 1)", 2, (1, None, [(1, 0, (1, 0), (1, 0), 0), (0, 1, (1, 0), (0, 1), 0)]),
+     (-1, -4, [(1, 0, (0, 1), (1, 0), -2), (0, -1, (0, 1), (0, 1), -2)])),
+    ("one at mode (1, 1, 0)", 3,
+     (1, None, [(1, 0, (1, 0, 0), (1, 0, 0), 0), (0, 1, (1, 0, 0), (0, 1, 0), 0),
+                (1, 0, (0, 1, 0), (0, 0, 1), 0)]),
+     (-1, -4, [(1, 0, (0, 1, 0), (1, 0, 0), -2), (0, -1, (0, 1, 0), (0, 1, 0), -2),
+               (1, 0, (1, 0, 0), (0, 0, 1), -2)])),
+    ("i xi1 + xi2 through (-1, i)", 2,
+     (1, None, [(0, 1, (1, 0), (3, 0), -2), (1, 0, (1, 0), (2, 1), -2), (2, 0, (1, 0), (0, 1), 0)]),
+     (0, -2, [(1, 0, (0, 0), (0, 0), 0), (0, 3, (0, -1), (1, 0), -1)])),
+    ("3 xi1 - 4 xi2 through (4, 3, 5i)", 3,
+     (1, None, [(3, 0, (0, 1, 1), (3, 0, 0), -2), (-4, 0, (0, 1, 1), (2, 1, 0), -2),
+                (2, -1, (0, 1, 1), (0, 1, 0), 0)]),
+     (0, -2, [(1, 0, (0, 0, 0), (0, 0, 0), 0), (0, 3, (0, -1, 0), (1, 0, 0), -1)])),
+]
+
+
+def _certificate_symbol(lib, n, order, floor, terms, theta=None):
+    """The classical symbol, or the twisted one at ``theta``, of the terms."""
+    CR = lib.scalars.ComplexRational
+    blocks = {}
+    for re, im, mode, alpha, npow in terms:
+        blocks.setdefault(sum(alpha) + npow, []).append((CR(re, im), mode, alpha, npow))
+    if theta is not None:
+        return lib.nctorus.NCSymbol(theta, order, blocks, floor)
+    S = lib.symbols
+    return S.ClassicalSymbol(n, order, {d: S.HomogeneousComponent(n, d, t)
+                                        for d, t in blocks.items()}, floor)
+
+
+def dump_canonical_certificates(lib, out):
+    """``compose`` in both orders of ``_CERTIFICATE_PAIRS``, ``nc_compose`` of
+    those in dimension 2 at theta 2/5, and ``terms.compose_components`` of
+    the raw bag xi_1^2 |xi|^-2 + 1 by 1 with ``MAX_CANONICAL_MONOMIALS`` at
+    12, 11, 4 and 3 (canonical form at n = 2, degree 0, span 2 and two
+    shells: the bound its certificate is taken within is 12, trial division
+    makes 4 updates)."""
+    theta = lib.nctorus.Theta.from_rational(Fraction(2, 5))
+    for label, n, left, right in _CERTIFICATE_PAIRS:
+        a, b = (_certificate_symbol(lib, n, *factor) for factor in (left, right))
+        for tag, s, t in (("ab", a, b), ("ba", b, a)):
+            got = _outcome(lambda: _components_repr(lib.calculus.compose(s, t)))
+            out(f"certificate {label} {tag} compose: {got}")
+        if n == 2:
+            a, b = (_certificate_symbol(lib, n, *factor, theta) for factor in (left, right))
+            for tag, s, t in (("ab", a, b), ("ba", b, a)):
+                out(f"certificate {label} {tag} nc_compose theta=2/5: "
+                    f"{_nc_outcome(lambda: lib.nctorus.nc_compose(s, t))}")
+    T = lib.terms
+    CR = lib.scalars.ComplexRational
+    raw = {0: {((0, 0), (2, 0), -2): CR(1), ((0, 0), (0, 0), 0): CR(1)}}
+    one = {0: {((0, 0), (0, 0), 0): CR(1)}}
+    limit = T.MAX_CANONICAL_MONOMIALS
+    try:
+        for cap in (12, 11, 4, 3):
+            T.MAX_CANONICAL_MONOMIALS = cap
+            got = _outcome(lambda: _bags_repr(
+                T.compose_components(T.RATIONAL_SYSTEM, 2, raw, one, None)))
+            out(f"certificate bound, limit {cap}: {got}")
+    finally:
+        T.MAX_CANONICAL_MONOMIALS = limit
+
+
 # denominators of the large coefficients: 1, small, and of 20 and 41 digits
 _LARGE_DENOMINATORS = [1, 3, 77, 2**64 + 13, 10**40 + 9]
 
@@ -975,6 +1052,7 @@ def main(argv=None) -> int:
     dump_packing_edges(lib, lines.append)
     dump_large_coefficients(lib, lines.append)
     dump_compositions_by_mode(lib, lines.append)
+    dump_canonical_certificates(lib, lines.append)
     dump_documents(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
