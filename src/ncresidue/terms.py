@@ -57,8 +57,9 @@ its neighbour.  ``compose_components`` and ``residue_pairing`` pack their
 lifted factors once; the loops also accept tuple-keyed bags
 when handed the dimension n in place of a layout, and then pack on entry
 and unpack on return.  A layout remembers the modes and alphas it has
-packed or read (``Keys``), which is what keeps the many one- and two-term
-bags of the symbol layer cheap to pack.
+packed or read (``Keys``).  A symbol-layer bag with one term per (mode,
+parity) group is its own canonical form, which ``canonical_terms`` hands
+back without packing (the monomial rule), its keys read from those memos.
 
 Numerators: ``compose_components`` under ``RationalSystem`` runs on one
 ``int`` per Gaussian numerator a + bi, a + b 2^w (``PackedGaussians``).
@@ -95,7 +96,7 @@ Z[i], z = (-1, i) at n = 2 and (4, 3, 5i) at n = 3 (``_null_point``); a
 multiple of R vanishes there, so a nonzero value proves the division
 would fail and the class is expanded at once, and only a zero value is
 divided (``canonical_terms``, where the proof and the refusal bound the
-shortcut keeps to are).
+shortcut keeps to are).  That point also proves the monomial rule.
 """
 
 from __future__ import annotations
@@ -683,7 +684,8 @@ def pack_terms(n: int, bags, depth: int = 0):
     keys are packed at the narrowest width first, and again wider when F
     turns out to need it.  The engine loops below do this on entry when
     they are handed the dimension n, with tuple-keyed bags, in place of a
-    layout, and unpack their result (``Keys.unpack_bag``) on return.
+    layout, and unpack their result (``Keys.unpack_bag``) on return, but
+    ``canonical_terms`` first tries its monomial rule, which packs nothing.
     """
     keys, packed, _sizes = _pack_sized(n, bags, depth)
     return keys, packed
@@ -858,6 +860,16 @@ def canonical_terms(keys, degree: int, raw: dict, nums=None, den: int = 1) -> di
     C(s + n - 1, n - 1) updates, and when that is within the limit, read
     at the call, it is never refused.
 
+    The monomial rule.  At n >= 2, R divides no monomial c xi^alpha, c !=
+    0: R vanishes at ``_null_point(n)``, whose coordinates are all nonzero,
+    so z^alpha != 0 there (at n = 1, R = xi_1^2 divides xi_1^2).  So a
+    tuple-keyed bag whose every group is one nonzero term, and within the
+    bound above with K = 0 and s = |alpha|, is returned as it stands, keys
+    read from the narrow layout's memos (plain ``int``s, shared tuples), in
+    order, zero terms dropped.  Keys are checked as ``pack_terms`` checks
+    them before zeros are dropped; any other bag takes the packed path, so
+    refusals and their messages are the packed path's.
+
     ``keys`` is the layout of a packed bag or the dimension of a
     tuple-keyed one (``pack_terms``, which checks the lengths).  A group
     is the key shifted down to its npow field, with all of that field but
@@ -870,6 +882,9 @@ def canonical_terms(keys, degree: int, raw: dict, nums=None, den: int = 1) -> di
     """
     tuples = type(keys) is int
     if tuples:
+        lone = _lone_monomials(keys, degree, raw) if nums is None else None
+        if lone is not None:
+            return lone
         keys, (raw,) = pack_terms(keys, (raw,))
     n, m, h, ps = keys.n, keys.mask, keys.half, keys.npow_shift
     degree_field, group_of = keys.degree_field, keys.group_of
@@ -929,6 +944,32 @@ def canonical_terms(keys, degree: int, raw: dict, nums=None, den: int = 1) -> di
     if nums is not None:
         return nums.lower(keys, polys, den)
     return keys.unpack_bag(out) if tuples else out
+
+
+def _lone_monomials(n: int, degree: int, raw: dict):
+    """The canonical form of ``raw`` by the monomial rule of
+    ``canonical_terms``, or None when the rule does not settle it."""
+    if n < 2:
+        return None
+    keys = _narrow_layout(n)
+    alphas, modes, weight, half = keys.alphas, keys.modes, keys.npow_weight, keys.half
+    ps, group_of, limit = keys.npow_shift, keys.group_of, MAX_CANONICAL_MONOMIALS
+    packed, groups = {}, set()
+    for (mode, alpha, npow), s in raw.items():
+        a = alphas.get(alpha) or keys.pack_alpha(alpha)
+        m = modes.get(mode) or keys.pack_mode(mode)
+        size = a[0]
+        if (type(npow) is not int or size + npow != degree or size + abs(npow) >= half
+                or m[0] >= half or n * _monomials(n, size) > limit):
+            return None
+        if s:
+            key = a[1] + m[1] + npow * weight
+            group = key >> ps & group_of
+            if group in groups:
+                return None
+            groups.add(group)
+            packed[key] = s
+    return keys.unpack_bag(packed)
 
 
 @lru_cache(maxsize=1024)

@@ -1589,3 +1589,188 @@ def test_composing_random_symbols_makes_no_trial_division(monkeypatch):
         compose(a, b)
     assert not calls
     assert len(settled) > 1000 and all(settled)
+
+
+# -- the monomial rule ----------------------------------------------------------------
+
+
+def _packed_canonical(n, degree, raw):
+    """``canonical_terms(n, degree, raw)`` as the packed path forms it."""
+    keys, (packed,) = T.pack_terms(n, (raw,))
+    return keys.unpack_bag(T.canonical_terms(keys, degree, packed))
+
+
+def _rule_outcome(fn):
+    """The items of a bag, key order and entry types included, or the refusal."""
+    try:
+        bag = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(bag.items()), [type(x) for mode, alpha, p in bag for x in (*mode, *alpha, p)]
+
+
+def _rule_bag(rng, n):
+    """A raw bag of one to three terms, most of them lone monomials, some with a
+    flaw the monomial rule must leave to the packed path."""
+    degree, raw = rng.randint(-3, 3), {}
+    for _ in range(rng.randint(1, 3)):
+        mode = tuple(rng.randint(-2, 2) for _ in range(n))
+        alpha = [rng.randint(0, 3) for _ in range(n)]
+        coeff = ComplexRational(rng.randint(-2, 2), rng.randint(0, 1))
+        flaw = rng.choice(["none"] * 6 + ["bool", "zero", "zero negative", "length",
+                                          "inhomogeneous", "same group", "huge"])
+        npow = degree - sum(alpha) + (flaw == "inhomogeneous")
+        if flaw == "bool":
+            mode, alpha[0] = (True,) + mode[1:], True
+            npow = degree - sum(alpha)
+        elif flaw in ("zero", "zero negative"):
+            coeff = ComplexRational(0)
+            alpha[0] -= 4 * (flaw == "zero negative")
+        elif flaw == "length":
+            alpha.append(0)
+        elif flaw == "same group":
+            # xi_1^2 |xi|^(npow - 2) meets the term below in its group
+            twin = [a + 2 * (j == 0) for j, a in enumerate(alpha)]
+            raw[(mode, tuple(twin), npow - 2)] = coeff
+        elif flaw == "huge":
+            mode = (_HUGE,) + mode[1:]
+        raw[(mode, tuple(alpha), npow)] = coeff
+    return degree, raw
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monomial_rule_agrees_with_the_packed_path(monkeypatch, n):
+    rng = random.Random(2200 + n)
+    pack, packed = T.pack_terms, []
+    monkeypatch.setattr(T, "pack_terms", lambda *args: packed.append(1) or pack(*args))
+    ruled = refused = 0
+    for _ in range(300):
+        degree, raw = _rule_bag(rng, n)
+        want = _rule_outcome(lambda: _packed_canonical(n, degree, raw))
+        packed.clear()
+        got = _rule_outcome(lambda: T.canonical_terms(n, degree, raw))
+        assert got == want
+        if isinstance(got[0], list):
+            assert set(got[1]) <= {int}
+        else:
+            refused += 1
+        ruled += not packed
+    assert refused > 50
+    assert ruled == 0 if n == 1 else ruled > 100
+
+
+def test_lone_monomials_build_no_layout(monkeypatch):
+    one, two = ComplexRational(1), ComplexRational(2, -1)
+    cases = [
+        (2, 0, {((1, 0), (1, 0), -1): one, ((1, 0), (0, 0), 0): two}),
+        (2, 0, {((True, 0), (0, True), -1): one}),
+        (3, 0, {((0, 0, 0), (2, 0, 0), -2): one, ((0, 1, 0), (0, 2, 1), -3): ComplexRational(0)}),
+        (8, -1, {((0,) * 7 + (-3,), (0,) * 6 + (1, 1), -3): two}),
+        (3, 1, {}),
+    ]
+    want = [_packed_canonical(n, d, raw) for n, d, raw in cases]
+
+    def refuse(*args):
+        raise AssertionError("a lone monomial was packed")
+
+    monkeypatch.setattr(T, "pack_terms", refuse)
+    for (n, d, raw), bag in zip(cases, want):
+        assert _rule_outcome(lambda: T.canonical_terms(n, d, raw)) == _rule_outcome(lambda: bag)
+    # the rule's keys are the layout's own tuples, shared from call to call,
+    # not the ones a caller built
+    mode, alpha = tuple([1, 0]), tuple([1, 0])
+    [key] = T.canonical_terms(2, 0, {(mode, alpha, -1): one})
+    [again] = T.canonical_terms(2, 0, {(tuple([1, 0]), tuple([1, 0]), -1): two})
+    assert key[0] is again[0] and key[1] is again[1] and key[0] is not mode
+
+
+def test_monomial_rule_keeps_to_its_conditions():
+    one = ComplexRational(1)
+    # at n = 1, xi_1^2 |xi|^-2 = 1: the rule never applies there
+    assert T.canonical_terms(1, 0, {((0,), (2,), -2): one}) == {((0,), (0,), 0): one}
+    assert T.canonical_terms(1, 2, {((3,), (2,), 0): one}) == {((3,), (0,), 2): one}
+    # xi_1^2 |xi|^-2 + xi_2^2 |xi|^-2 = 1 at n = 2: two terms of one group
+    raw = {((0, 0), (2, 0), -2): one, ((0, 0), (0, 2), -2): one}
+    assert T.canonical_terms(2, 0, raw) == {((0, 0), (0, 0), 0): one}
+    # a zero term is checked before it is dropped
+    for raw in ({((0, 0), (1, -1), 0): ComplexRational(0)},
+                {((0, 0), (1, 0), -1): one, ((1, 0), (3, -1), -2): ComplexRational(0)}):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            T.canonical_terms(2, 0, raw)
+    with pytest.raises(ValidationError, match="has length != 2"):
+        T.canonical_terms(2, 0, {((0, 0), (1, 0, 0), -1): ComplexRational(0)})
+    # a zero term need not be homogeneous, as on the packed path
+    raw = {((0, 0), (1, 0), 0): ComplexRational(0), ((0, 0), (1, 0), -1): one}
+    assert T.canonical_terms(2, 0, raw) == {((0, 0), (1, 0), -1): one}
+
+
+def test_monomial_rule_takes_the_refusal_bound_at_the_call(monkeypatch):
+    one = ComplexRational(1)
+    # xi_1^40 |xi|^-40 fits the narrow layout, but in dimension 8 its division
+    # passes the bound before it fails, and the rule leaves it to be refused
+    zero8 = (0,) * 8
+    with pytest.raises(ValidationError, match="degree 40 polynomial in 8 variables"):
+        T.canonical_terms(8, 0, {(zero8, (40,) + (0,) * 7, -40): one})
+    # n C(s + n - 1, n - 1) at s = 6, n = 4 is 4 * 84 = 336 updates at most; the
+    # division of xi_1^6 in fact makes 4 + 12 + 24 and then fails
+    raw = {((0,) * 4, (6, 0, 0, 0), -6): one}
+    pack, packed = T.pack_terms, []
+    monkeypatch.setattr(T, "pack_terms", lambda *args: packed.append(1) or pack(*args))
+    for limit, packs in ((336, 0), (335, 1), (40, 1)):
+        monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", limit)
+        packed.clear()
+        assert T.canonical_terms(4, 0, raw) == raw
+        assert len(packed) == packs
+    monkeypatch.setattr(T, "MAX_CANONICAL_MONOMIALS", 39)
+    with pytest.raises(ValidationError, match="degree 6 polynomial in 4 variables needs more "
+                                              "than 39 monomial updates"):
+        T.canonical_terms(4, 0, raw)
+
+
+def test_compose_full_pool_packs_only_its_sums(monkeypatch):
+    """Op counts of the pool the compose-full benchmark draws at seed 7: n = 3,
+    64 pairs per order pair (m1, m2) in -1 .. 2, each tau's terms moved onto
+    the reflected x-dependent (mode, alpha) of its sigma.  Every tuple-keyed
+    canonical form of a bag of lone monomials is the rule's; only the few
+    whose groups hold two terms pack."""
+    canonical, pack = T.canonical_terms, T.pack_terms
+    counts = {"calls": 0, "packs": 0}
+    inside = []
+
+    def counting_canonical(keys, *args):
+        tuples = type(keys) is int
+        counts["calls"] += tuples
+        inside.append(tuples)
+        try:
+            return canonical(keys, *args)
+        finally:
+            inside.pop()
+
+    def counting_pack(*args):
+        counts["packs"] += bool(inside and inside[-1])
+        return pack(*args)
+
+    monkeypatch.setattr(T, "canonical_terms", counting_canonical)
+    monkeypatch.setattr(T, "pack_terms", counting_pack)
+    rng = random.Random(7)
+    for _ in range(64):
+        for m1 in range(-1, 3):
+            for m2 in range(-1, 3):
+                kw = dict(dim=3, depth=m1 + 3 + m2, max_mode=3, max_alpha=3)
+                sigma = random_symbol(rng.getrandbits(32), order=m1, **kw)
+                tau = random_symbol(rng.getrandbits(32), order=m2, **kw)
+                spots = sorted({(mode, alpha) for c in sigma.components.values()
+                                for mode, alpha, _p in c.raw_terms() if any(mode)})
+                if not spots:
+                    continue
+                comps = {}
+                for deg, comp in sorted(tau.components.items()):
+                    terms = []
+                    for _key, s in sorted(comp.raw_terms().items()):
+                        mode, alpha = rng.choice(spots)
+                        terms.append((s, tuple(-k for k in mode), alpha, deg - sum(alpha)))
+                    comp = HomogeneousComponent(3, deg, terms)
+                    if not comp.is_zero():
+                        comps[deg] = comp
+                ClassicalSymbol(3, tau.order, comps, tau.trusted_floor)
+    assert counts == {"calls": 12_881, "packs": 14}

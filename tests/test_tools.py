@@ -75,3 +75,39 @@ def test_attempted_ops_are_shown_beside_peak_rss():
     assert "attempted" not in ops
     assert rss.endswith("ops attempted median: parent 45000, change 58500")
     assert "attempted" not in bench_pairs.format_rows("trace-n3", rows)
+
+
+def test_gain_and_bound_verdicts_of_fixed_pairs():
+    metrics = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+               {"name": "ops_per_s", "better": "higher", "bound": 0.2}]
+    # setup_s: the change wins 9 of 10 pairs; the parent's quartiles are 0.3025
+    # and 0.32 around 0.31, so a median of 0.28 beats it by 0.03 > 0.0175
+    parent = [{"setup_s": v, "ops_per_s": 100.0}
+              for v in (0.30, 0.31, 0.32, 0.29, 0.33, 0.31, 0.30, 0.32, 0.31, 0.34)]
+    change = [{"setup_s": v, "ops_per_s": o}
+              for v, o in zip((0.28, 0.28, 0.27, 0.30, 0.28, 0.29, 0.27, 0.28, 0.29, 0.28),
+                              (81, 80, 79, 80, 82, 80, 80, 78, 81, 80))]
+    setup, ops = bench_pairs.summarize(parent, change, metrics)
+    assert setup["wins"] == 9 and setup["parent"] == pytest.approx((0.3025, 0.31, 0.32))
+    assert setup["gain"] and setup["in_bound"]
+    # ops_per_s: 80 against 100 is 20 % worse, just inside its bound; no wins
+    assert not ops["gain"] and ops["in_bound"]
+    text = bench_pairs.format_rows("compose-full", [setup, ops])
+    assert text.count("gain yes, in bound yes") == 1 and text.count("gain no, in bound yes") == 1
+    # eight wins in ten are not a gain, however large the gap
+    change[1]["setup_s"] = change[3]["setup_s"] = 0.40
+    [setup] = bench_pairs.summarize(parent, change, metrics[:1])
+    assert setup["wins"] == 8 and not setup["gain"]
+    # nine wins with a median gap inside the parent's quartiles are not one either
+    close = [{"setup_s": v - 0.005} for v in (0.30, 0.31, 0.32, 0.29, 0.33, 0.31, 0.30,
+                                                0.32, 0.31, 0.405)]
+    [setup] = bench_pairs.summarize(parent, close, metrics[:1])
+    assert setup["wins"] == 9 and not setup["gain"]
+    # past the bound: 79 against 100, and setup_s 0.39 against 0.31 (x1.26)
+    [ops] = bench_pairs.summarize(parent, [{"ops_per_s": 79.0}] * 10, metrics[1:])
+    assert not ops["in_bound"]
+    [setup] = bench_pairs.summarize(parent, [{"setup_s": 0.39}] * 10, metrics[:1])
+    assert not setup["in_bound"] and "in bound NO" in bench_pairs.format_rows("w", [setup])
+    # a metric without a bound gets no bound verdict
+    [row] = bench_pairs.summarize(parent, change, [{"name": "setup_s", "better": "lower"}])
+    assert row["in_bound"] is None and "in bound" not in bench_pairs.format_rows("w", [row])

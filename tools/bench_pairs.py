@@ -12,7 +12,12 @@ after the other; the side that runs first alternates from pair to pair.
 For every end-to-end metric of ``BENCHMARK.json`` (read from PARENT) it
 prints each side's median and quartiles, the number of pairs the change
 wins, and the ratio of the change's median to its base, the parent's
-median, with the parent's quartile spread beside it.  Beside
+median, with the parent's quartile spread beside it, and two verdicts:
+``gain`` when the change wins at least nine pairs in ten and its median
+beats the parent's by more than the parent's interquartile range (the
+rule a claimed gain must meet), and ``in bound`` when the change's median
+is worse than the parent's by no more than the metric's ``bound`` in
+``BENCHMARK.json``, a share of the parent's median.  Beside
 ``peak_rss_mib`` it prints each side's median count of operations
 attempted: ``bench/run.py`` keeps a record per operation, so the peak
 grows with the throughput, and the count tells that growth from a change
@@ -75,8 +80,12 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
 
     A row holds each side's quartiles, ``wins`` (the pairs where the change
     is better, by the metric's ``better`` direction), ``ratio`` (the
-    change's median over the parent's, its base) and ``spread`` (the
-    parent's interquartile range over its median).
+    change's median over the parent's, its base), ``spread`` (the
+    parent's interquartile range over its median), ``gain`` (at least 9
+    wins in 10 pairs, and the change's median better than the parent's by
+    more than the parent's interquartile range) and ``in_bound`` (the
+    change's median worse than the parent's by at most ``bound`` times the
+    parent's median; None when the metric declares no bound).
     """
     rows = []
     for metric in metrics:
@@ -85,6 +94,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
         c = [run[name] for run in change]
         wins = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
         pq, cq = quartiles(p), quartiles(c)
+        better_by = cq[1] - pq[1] if higher else pq[1] - cq[1]
+        bound = metric.get("bound")
         rows.append({
             "metric": name,
             "better": metric["better"],
@@ -94,6 +105,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
             "pairs": len(p),
             "ratio": cq[1] / pq[1] if pq[1] else float("nan"),
             "spread": (pq[2] - pq[0]) / pq[1] if pq[1] else float("nan"),
+            "gain": 10 * wins >= 9 * len(p) and better_by > pq[2] - pq[0],
+            "in_bound": None if bound is None else -better_by <= bound * abs(pq[1]),
         })
     return rows
 
@@ -103,12 +116,15 @@ def format_rows(workload: str, rows: list[dict],
     """The rows, one line each; ``attempted`` is each side's median count of
     operations attempted, (parent, change), shown beside ``peak_rss_mib``."""
     lines = [f"{workload}: metric, parent median [q1, q3], change median [q1, q3], "
-             "change wins, ratio change/parent (parent spread)"]
+             "change wins, ratio change/parent (parent spread), verdicts"]
     for r in rows:
         p, c = r["parent"], r["change"]
         line = (f"  {r['metric']:13s} {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]  "
                 f"{c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  {r['wins']}/{r['pairs']}  "
-                f"x{r['ratio']:.3f} ({r['spread']:.1%}, {r['better']} is better)")
+                f"x{r['ratio']:.3f} ({r['spread']:.1%}, {r['better']} is better)  "
+                f"gain {'yes' if r['gain'] else 'no'}")
+        if r["in_bound"] is not None:
+            line += f", in bound {'yes' if r['in_bound'] else 'NO'}"
         if r["metric"] == "peak_rss_mib" and attempted is not None:
             line += f"  ops attempted median: parent {attempted[0]:.0f}, change {attempted[1]:.0f}"
         lines.append(line)

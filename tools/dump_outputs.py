@@ -76,6 +76,12 @@ It prints, on seeded inputs:
   and ``nc_compose`` of the n = 2 ones at theta 2/5; and canonical form of
   one raw group at, just below and well below the bound within which the
   certificate is taken;
+- the order of terms, which the sections above sort away: unsorted
+  ``raw_terms()`` of seeded components whose (mode, parity) groups mostly
+  hold one monomial, and of components whose groups share terms or hold
+  multiples of xi_1^2 + ... + xi_n^2, with their sums and multiples; and
+  unsorted term bags of seeded random symbols and of their ``compose``
+  (n = 2, 3) and ``nc_compose`` (theta 2/5) in both orders;
 - text documents read by ``parse_symbol``: ``format_symbol`` and the
   ``repr`` of the term bags (which shows each twisted coefficient's
   cyclotomic order), or the exception class and message, for seeded
@@ -728,6 +734,72 @@ def dump_canonical_certificates(lib, out):
         T.MAX_CANONICAL_MONOMIALS = limit
 
 
+def _raw_order(bags) -> str:
+    """The bags' degrees and terms unsorted, in the order they are handed out."""
+    return repr([(d, list(bag.items())) for d, bag in bags.items()])
+
+
+def _order_terms(rng, CR, n, degree, shared):
+    """One to four seeded terms of one degree; with ``shared``, each term after
+    the first may join the (mode, parity) group of the one before, or bring
+    its multiple by xi_1^2 + ... + xi_n^2 along."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        if shared and terms and rng.random() < 0.6:
+            _c, mode, alpha, npow = terms[-1]
+        else:
+            mode = tuple(rng.randint(-2, 2) for _ in range(n))
+            alpha, npow = None, None
+        coeff = CR(rng.randint(-2, 2), rng.randint(-1, 1))
+        if alpha is not None and rng.random() < 0.5:
+            # coeff R e^(i mode.x) xi^alpha |xi|^(npow - 2): canonical form peels it back
+            for j in range(n):
+                terms.append((coeff, mode, tuple(a + 2 * (i == j) for i, a in enumerate(alpha)),
+                              npow - 2))
+            continue
+        alpha = tuple(rng.randint(0, 3) for _ in range(n))
+        terms.append((coeff, mode, alpha, degree - sum(alpha)))
+    return terms
+
+
+def dump_term_order(lib, out):
+    """Unsorted ``raw_terms()`` of seeded components in dimensions 2, 3 and 4:
+    bags of terms at random modes, so mostly one term per (mode, parity)
+    group, some of them zero, and bags whose groups share terms or hold
+    multiples of xi_1^2 + ... + xi_n^2; of their sums and scalar
+    multiples; and unsorted term
+    bags of ``random_symbol`` and of ``compose`` in both orders for seeded
+    classical pairs in dimensions 2 and 3, and of ``nc_compose`` at theta
+    2/5."""
+    S, CR = lib.symbols, lib.scalars.ComplexRational
+    for n in (2, 3, 4):
+        rng = random.Random(40 + n)
+        for i in range(16):
+            degree = rng.randint(-3, 3)
+            comps = []
+            for kind, shared in (("lone", False), ("shared", True)):
+                terms = _order_terms(rng, CR, n, degree, shared)
+                comp = S.HomogeneousComponent(n, degree, terms)
+                comps.append(comp)
+                out(f"term order n={n} {i} {kind}: {list(comp.raw_terms().items())!r}")
+            total = comps[0] + comps[1]
+            half = comps[1].scale(Fraction(1, 2))
+            out(f"term order n={n} {i} sum: {list(total.raw_terms().items())!r}")
+            out(f"term order n={n} {i} scale: {list(half.raw_terms().items())!r}")
+    cases = [(f"n={n}", lib.calculus.compose, classical_pairs(lib, n, random.Random(50 + n)))
+             for n in (2, 3)]
+    theta = Fraction(2, 5)
+    cases.append((f"theta={theta}", lib.nctorus.nc_compose,
+                  twisted_pairs(lib, theta, random.Random(52))))
+    for label, compose, pairs in cases:
+        for i, (a, b, _docs) in enumerate(pairs):
+            out(f"term order {label} {i} a: {_raw_order(a._term_bags())}")
+            out(f"term order {label} {i} b: {_raw_order(b._term_bags())}")
+            for tag, s, t in (("ab", a, b), ("ba", b, a)):
+                got = _outcome(lambda: _raw_order(compose(s, t)._term_bags()))
+                out(f"term order {label} {i} {tag} compose: {got}")
+
+
 # denominators of the large coefficients: 1, small, and of 20 and 41 digits
 _LARGE_DENOMINATORS = [1, 3, 77, 2**64 + 13, 10**40 + 9]
 
@@ -1053,6 +1125,7 @@ def main(argv=None) -> int:
     dump_large_coefficients(lib, lines.append)
     dump_compositions_by_mode(lib, lines.append)
     dump_canonical_certificates(lib, lines.append)
+    dump_term_order(lib, lines.append)
     dump_documents(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
