@@ -29,6 +29,7 @@ from .symbols import (
     HomogeneousComponent,
     TrigPolynomial,
     _sphere_sum,
+    _sphere_total,
     euler_antiderivatives,
     exp_symbol,
     sphere_average,
@@ -104,7 +105,7 @@ def _normalized_residue(sigma) -> PiGradedScalar:
     }
     system = sigma._system
     lifted, den = system.lift({-n: bag})
-    return _sphere_sum(system, n, lifted[-n], den)
+    return _sphere_sum(system, n, *_sphere_total(n, lifted[-n], den))
 
 
 def residue(sigma: ClassicalSymbol) -> PiGradedScalar:

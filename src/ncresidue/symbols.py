@@ -9,7 +9,6 @@ is what turns the residue identities into decidable statements.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -391,31 +390,19 @@ def euler_antiderivatives(component: HomogeneousComponent) -> list[HomogeneousCo
     return out
 
 
-def _sphere_sum(system, n: int, bag: dict, den: int) -> PiGradedScalar:
-    """Integral over S^(n-1) of sum_alpha (s / den) xi^alpha.
-
-    ``bag`` maps alpha to a numerator of the system, as ``lift`` returns
-    it.  Each numerator is scaled by its monomial integral over the lcm L
-    of the integrals' denominators, so the sum stays on numerators, and the
-    total is lowered once, over den * L.
-    """
-    grade = Fraction(n // 2)  # pi grade of every nonzero monomial integral on S^(n-1)
-    weights = []
-    for alpha, s in bag.items():
-        integral = sphere_monomial_integral(alpha, n)
-        if integral.is_zero():
-            continue
-        if integral.pi_exponent != grade:
-            raise ArithmeticError("unexpected pi grade in a sphere integral")
-        weights.append((s, integral.coeff))
-    scale = math.lcm(*(w.den for _s, w in weights))
-    total = None
-    for s, w in weights:
-        term = s * (w.a * (scale // w.den))
-        total = term if total is None else total + term
+def _sphere_sum(system, n: int, total, den: int) -> PiGradedScalar:
+    """(total / den) pi^(n // 2), a ``terms.sphere_total``, lowered once."""
     if not total:
         return PiGradedScalar(0)
-    return PiGradedScalar(system.lower(total, den * scale), grade)
+    return PiGradedScalar(system.lower(total, den), Fraction(n // 2))
+
+
+def _sphere_total(n: int, bag: dict, den: int):
+    """``terms.sphere_total`` of sum_alpha (s / den) xi^alpha, ``bag``
+    mapping alpha to a numerator as ``lift`` returns it; odd alphas drop."""
+    even = [(s, (w.a, w.den)) for alpha, s in bag.items()
+            if (w := sphere_monomial_integral(alpha, n).coeff)]
+    return T.sphere_total(T._SameNumerators, [s for s, _w in even], [w for _s, w in even], den)
 
 
 def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
@@ -439,7 +426,7 @@ def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
     # the measure is the integral of 1, whose pi grade every sphere sum has
     per_measure = 1 / sphere_surface_measure(n).coeff.re
     coeffs = {
-        mode: _sphere_sum(_SYS, n, bag, den).coeff * per_measure
+        mode: _sphere_sum(_SYS, n, *_sphere_total(n, bag, den)).coeff * per_measure
         for mode, bag in lifted.items()
     }
     return TrigPolynomial(n, coeffs)

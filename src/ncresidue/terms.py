@@ -35,7 +35,8 @@ each step one pass over a bag; level k meets the right terms of mode v
 with the integer weight K!/k!, K! going into the one denominator that is
 lowered at the end, so no ``Fraction`` is formed on the way.
 ``residue_pairing`` walks the same chains, in the one direction whose
-products reach mode zero, and sums the products by alpha.
+products reach mode zero, the last level cut by parity, and sums the
+products by alpha.
 
 Keys: tuples at the module boundary, packed ``int``s inside.  Everything
 outside this module (symbols, ``NCPolynomial``, the parser, the writers,
@@ -57,9 +58,11 @@ its neighbour.  ``compose_components`` and ``residue_pairing`` pack their
 lifted factors once; the loops also accept tuple-keyed bags
 when handed the dimension n in place of a layout, and then pack on entry
 and unpack on return.  A layout remembers the modes and alphas it has
-packed or read (``Keys``).  A symbol-layer bag with one term per (mode,
-parity) group is its own canonical form, which ``canonical_terms`` hands
-back without packing (the monomial rule), its keys read from those memos.
+packed or read, and each alpha's monomial at a null point of canonical
+form and integrated over the unit sphere (``Keys``).  A symbol-layer bag
+with one term per (mode, parity) group is its own canonical form, which
+``canonical_terms`` hands back without packing (the monomial rule), its
+keys read from those memos.
 
 Numerators: ``compose_components`` under ``RationalSystem`` runs on one
 ``int`` per Gaussian numerator a + bi, a + b 2^w (``PackedGaussians``).
@@ -81,8 +84,8 @@ F_mode the largest |mode entry|, A the largest |alpha| (``pack_terms``)
 and K the deepest derivative order (``_level_caps``); its docstring
 holds the proof.  The twisted and float systems keep their
 numerators (``_same_numerators``), so the call has one code path.
-``residue_pairing`` runs on the same ``int``s at the same width, and
-reduces and reads back each residue bag once.
+``residue_pairing`` runs on the same ``int``s, one map for both
+orderings, and integrates each ordering's bag as it reads it back.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -109,7 +112,7 @@ from functools import lru_cache
 
 from .cyclotomic import CYC_ZERO, CyclotomicInteger, CyclotomicScalar
 from .errors import ValidationError
-from .scalars import CR_ZERO, ComplexRational, GaussianInteger
+from .scalars import CR_ZERO, ComplexRational, GaussianInteger, sphere_monomial_integral
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -189,8 +192,13 @@ class _SameNumerators:
         return bag
 
     @staticmethod
-    def numerator(v):
-        return v
+    def total(values, factors):
+        """The sum of v f, in order (None when there is no term)."""
+        total = None
+        for v, f in zip(values, factors):
+            term = v * f
+            total = term if total is None else total + term
+        return total
 
     def lower(self, keys: Keys, groups, den: int) -> dict:
         """The canonical groups as one bag with tuple keys and coefficients."""
@@ -334,11 +342,16 @@ class PackedGaussians:
         m, h = self.modulus, self.half
         return {key: r for key, v in bag.items() if (r := (v + h) % m - h)}
 
-    def numerator(self, v: int) -> GaussianInteger:
-        """The Gaussian integer a + bi of a balanced value v = a + b 2^w."""
-        h = self.low_half
-        a = ((v + h) & self.low_mask) - h
-        return GaussianInteger(a, (v - a) >> self.width)
+    def total(self, values, factors) -> GaussianInteger:
+        """The sum of (a + bi) f over balanced values v = a + b 2^w and
+        ``int`` factors f, taken on the parts a and b, so it needs no width."""
+        h, mask, w = self.low_half, self.low_mask, self.width
+        re = im = 0
+        for v, f in zip(values, factors):
+            a = ((v + h) & mask) - h
+            re += a * f
+            im += ((v - a) >> w) * f
+        return GaussianInteger(re, im)
 
     def certify(self, keys: Keys, shell: dict) -> bool:
         """True when R = xi_1^2 + ... + xi_n^2 provably does not divide the
@@ -444,8 +457,12 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
     A ``residue_pairing`` pass forms only values the composition of its
     two lifted factors at its depth forms or bounds: its chain levels,
     weighted right terms and products are the composition's, restricted
-    to the pairs that reach mode zero, and its sums over alpha are
-    partial sums of all the products; it takes no canonical form.
+    to the pairs that reach mode zero (a chain's last level to some of its
+    terms), and its sums over alpha are partial sums of all the products;
+    it takes no canonical form.  The width is monotone in the depth (each
+    term of the sum is), so the width of the deeper ordering covers both
+    passes of one call.  The sphere integral of a pass sums the parts a
+    and b of its balanced values as plain ``int``s, so it needs no width.
 
     Each factor x is below 2^bits(x), and n^s at most 2^(s ceil(log2 n)),
     so the width is one more than the sum of those bit counts.  Sizes enter
@@ -489,15 +506,16 @@ class Keys:
     dict keys.  Both map a decoded tuple, never a caller's, whose entries
     may be ``bool``s equal to the ``int``s.  A third memo, ``cone``, maps
     the alpha fields of a key to the monomial's value at a zero of xi_1^2 +
-    ... + xi_n^2 (``cone_weight``).  Each memo holds up to ``_MEMO_FIELDS``
-    fields and starts afresh when full.
+    ... + xi_n^2 (``cone_weight``), and a fourth, ``sphere``, to its
+    integral over the unit sphere (``sphere_weight``).  Each memo holds up
+    to ``_MEMO_FIELDS`` fields and starts afresh when full.
     """
 
     __slots__ = ("n", "width", "mask", "half", "offsets", "alpha_mask", "npow_shift",
                  "npow_unit", "degree_shift", "degree_unit", "degree_field", "group_of",
                  "mode_shifts", "mode_units", "peel", "spread", "times_r", "xi_steps",
                  "alpha_weights", "npow_weight", "modes", "alphas", "cone", "cone_point",
-                 "memo_limit")
+                 "sphere", "memo_limit")
 
     def __init__(self, n: int, width: int):
         self.n = n
@@ -531,6 +549,7 @@ class Keys:
         self.alphas: dict = {}
         self.cone: dict = {}
         self.cone_point = _null_point(n)
+        self.sphere: dict = {}
         self.memo_limit = max(1, _MEMO_FIELDS // n)
 
     def pack(self, bags) -> tuple[tuple[int, int, int], list[dict]]:
@@ -618,6 +637,14 @@ class Keys:
         alpha = self.alpha_of(part)
         c, k = math.prod(map(pow, self.cone_point, alpha)), alpha[-1]
         return _remember(self.cone, part, (-c if k & 2 else c, k & 1), self.memo_limit)
+
+    def sphere_weight(self, part: int) -> tuple[int, int]:
+        """(c, d), d > 0, in lowest terms, for the alpha whose fields are
+        ``part``: the monomial's integral over S^(n-1) is (c / d) pi^(n //
+        2), the grade of every even alpha's, and (0, 1) for an odd alpha;
+        remembered in ``sphere``."""
+        w = sphere_monomial_integral(self.alpha_of(part), self.n).coeff
+        return _remember(self.sphere, part, (w.a, w.den), self.memo_limit)
 
     def unpack_bag(self, bag: dict) -> dict:
         """The bag with tuple keys: ``unpack`` with its memo hits inlined."""
@@ -1171,17 +1198,19 @@ def compose_components(
     return result
 
 
-def _along(keys: Keys, terms: dict, steps: list) -> dict:
+def _along(keys: Keys, terms: dict, steps, parity: int = 0) -> dict:
     """v . grad_xi, termwise: one pass over the packed bag, summed as
     ``bag_add`` does.  ``steps`` holds (shift of alpha_j, v_j, down, r_step)
     for each axis j where v_j is nonzero, with the moves of
     ``Keys.xi_steps``; each axis is d/d(xi_j) (``partial_xi_terms``) scaled
-    by v_j, and |alpha| + npow drops by one."""
+    by v_j, and |alpha| + npow drops by one.  With a mask ``parity``,
+    ``steps`` maps key & parity to the steps a term takes, which cuts the
+    full step's bag to the keys they reach, its order and values kept."""
     m, h, ps = keys.mask, keys.half, keys.npow_shift
     out: dict = {}
     for key, s in terms.items():
         p = (key >> ps & m) - h
-        for shift, v, down, r_step in steps:
+        for shift, v, down, r_step in steps[key & parity] if parity else steps:
             a = (key >> shift & m) - h
             if a:
                 k, x = key - down, s * (a * v)
@@ -1248,14 +1277,15 @@ def _level_caps(comps_a, comps_b, floor, gamma_cap) -> dict[tuple[int, int], int
 
 def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict], *,
                     both: bool = False):
-    """The part of a o b that the residue integrates, as alpha -> numerator.
+    """The part of a o b that the residue integrates, integrated over the
+    unit sphere as ``(total, den)`` (``sphere_total``), which
+    ``symbols._sphere_sum`` lowers once; with ``both``, the pairs of a o b
+    and of b o a.
 
     Sums (1/gamma!) (d_xi^gamma a)(D^gamma b) over the products that land
     at degree -n and Fourier mode zero, the only part the torus integral
     keeps, and drops the |xi| power: on the unit sphere |xi| = 1, so the
-    sum stays raw and is never canonicalized.  Returns ``(bag, den)``, the
-    numerators by alpha and their one denominator, which the sphere sum
-    lowers by once; with ``both``, the pairs of a o b and of b o a.
+    sum stays raw and is never canonicalized.
 
     The factors are cut to the terms whose mode faces a mode of the other
     factor (``_facing``), each ordering's deepest level is bounded
@@ -1263,9 +1293,9 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     lifted once.  A pair of components meets at level k = a_deg + b_deg +
     n, unless k < 0, the tower of a polynomial left component ends before
     k, or k > 0 and D^gamma kills a right component free of modes (the
-    bounds of ``_level_caps``).  The lifted factors are packed once, under
-    one layout for the deeper ordering, and each ordering is then the pass
-    a call with that ordering alone makes, at its own depth
+    bounds of ``_level_caps``).  The lifted factors are packed and given
+    their numerators once, for the deeper ordering, and each ordering is
+    then the pass a call with that ordering alone makes, at its own depth
     (``_pairing_pass``).
     """
     modes = [{deg: {key[0] for key in bag} for deg, bag in comps.items()}
@@ -1286,18 +1316,21 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
         _check_tower(n, depth, "lower the orders of the factors")
         passes.append((i, j, level_of, depth))
     (lifted_a, den_a), (lifted_b, den_b) = system.lift(facing[0]), system.lift(facing[1])
-    keys, packed, sizes = _pack_sized(n, [*lifted_a.values(), *lifted_b.values()],
-                                      max(depth for _i, _j, _levels, depth in passes))
-    factors = [list(zip(lifted_a, packed)), list(zip(lifted_b, packed[len(lifted_a):]))]
-    pairs = [(_pairing_pass(system, n, keys, sizes, factors[i], factors[j], level_of, depth),
-              den_a * den_b * math.factorial(depth)) for i, j, level_of, depth in passes]
+    deepest = max(depth for _i, _j, _levels, depth in passes)
+    keys, packed, sizes = _pack_sized(n, [*lifted_a.values(), *lifted_b.values()], deepest)
+    nums, packed_a, packed_b = system.numerator_map(packed[:len(lifted_a)],
+                                                    packed[len(lifted_a):], n, sizes, deepest)
+    factors = [list(zip(lifted_a, packed_a)), list(zip(lifted_b, packed_b))]
+    pairs = [_pairing_pass(system, keys, nums, factors[i], factors[j], level_of, depth,
+                           den_a * den_b) for i, j, level_of, depth in passes]
     return pairs if both else pairs[0]
 
 
-def _pairing_pass(system, n: int, keys: Keys, sizes: tuple, left: list, right: list,
-                  level_of: dict, depth: int) -> dict:
-    """The bag of ``residue_pairing`` for one ordering of two lifted factors,
-    given as (degree, packed bag) lists under the layout ``keys``.
+def _pairing_pass(system, keys: Keys, nums, left: list, right: list, level_of: dict,
+                  depth: int, den: int):
+    """The pair of ``residue_pairing`` for one ordering of two lifted
+    factors, given as (degree, packed bag) lists under the layout ``keys``
+    with the numerators ``nums``, over the lifts' denominator ``den``.
 
     It runs on the chains of ``compose_components``: a left term of mode -v
     meets only right terms of mode v, so per left (degree, mode) one chain
@@ -1306,19 +1339,19 @@ def _pairing_pass(system, n: int, keys: Keys, sizes: tuple, left: list, right: l
     integer weight K!/k!, K = ``depth``, left scalar first, then the phase.
     A product with an odd exponent integrates to zero: one mask on the low
     bit of each alpha field (the offset 2^(width - 1) is even) skips it,
-    and the rest are summed on their alpha fields.  The numerators are the
-    system's ``numerator_map`` at order K, and the bag is reduced and read
-    back once.
+    and the rest are summed on their alpha fields.  A step along xi_j flips
+    the parity of alpha_j alone, so the chain's last level takes from each
+    term only the steps that reach the parity of a right term it meets.
+    The bag is reduced once and integrated with the weights of the
+    layout's ``sphere`` memo (``sphere_total``).
     """
-    nums, packed_l, packed_r = system.numerator_map([bag for _d, bag in left],
-                                                    [bag for _d, bag in right], n, sizes, depth)
     m, h, w, offsets = keys.mask, keys.half, keys.width, keys.offsets
     first, alpha_mask = keys.mode_shifts[0], keys.alpha_mask
     flip = 2 * (offsets >> first)  # the mode fields of -v are flip minus those of v
     odd = (offsets & alpha_mask) >> (w - 1)  # the low bit of each alpha field
     groups = [[(deg, {}) for deg, _bag in factor] for factor in (left, right)]
-    for by_degree, bags in zip(groups, (packed_l, packed_r)):  # (degree, mode fields -> bag)
-        for (_deg, by_mode), bag in zip(by_degree, bags):
+    for by_degree, factor in zip(groups, (left, right)):  # (degree, mode fields -> bag)
+        for (_deg, by_mode), (_d, bag) in zip(by_degree, factor):
             for key, s in bag.items():
                 by_mode.setdefault(key >> first, {})[key] = s
     scale = math.factorial(depth)
@@ -1328,18 +1361,25 @@ def _pairing_pass(system, n: int, keys: Keys, sizes: tuple, left: list, right: l
     for a_deg, by_mode in groups[0]:
         for field, bag in by_mode.items():
             partner = flip - field
-            v = [(partner >> (w * t) & m) - h for t in range(n)]
+            meets = [(k, terms) for b_deg, partners in groups[1]
+                     if (k := level_of.get((a_deg, b_deg))) is not None
+                     and (terms := partners.get(partner)) is not None]
+            if not meets:
+                continue
+            v = [(partner >> (w * t) & m) - h for t in range(keys.n)]
             ph = None if phase is None else phase(-v[1], v[0])
             steps = [(w * t, x, *keys.xi_steps[t]) for t, x in enumerate(v) if x]
             # bag, (v . grad_xi) bag, ...; along v = 0 every step is empty
             chain = [bag] if steps else [bag, {}]
-            for b_deg, partners in groups[1]:
-                k = level_of.get((a_deg, b_deg))
-                terms = partners.get(partner)
-                if k is None or terms is None:
-                    continue
-                while len(chain) <= k and chain[-1]:
-                    chain.append(_along(keys, chain[-1], steps))
+            top = max(k for k, _terms in meets)
+            while len(chain) < top and chain[-1]:
+                chain.append(_along(keys, chain[-1], steps))
+            if len(chain) == top and chain[-1]:  # the last level, cut by parity
+                wanted = {key & odd for k, terms in meets if k == top for key in terms}
+                chain.append(_along(keys, chain[-1], {
+                    p: [step for step in steps if p ^ 1 << step[0] in wanted]
+                    for p in {key & odd for key in chain[-1]}}, odd))
+            for k, terms in meets:
                 level = chain[k] if k < len(chain) else None
                 if not level:
                     continue  # the chain has ended
@@ -1363,7 +1403,20 @@ def _pairing_pass(system, n: int, keys: Keys, sizes: tuple, left: list, right: l
                                 out[key] = s
                             else:
                                 del out[key]
-    return {keys.alpha_of(part): nums.numerator(s) for part, s in nums.reduce(out).items()}
+    out = nums.reduce(out)
+    sphere = keys.sphere
+    return sphere_total(nums, out.values(),
+                        [sphere.get(part) or keys.sphere_weight(part) for part in out],
+                        den * scale)
+
+
+def sphere_total(nums, values, weights: list, den: int):
+    """(total, den L) with total pi^(n // 2) / (den L) the integral over
+    S^(n-1) of sum (v / den) xi^alpha, for the numerators ``values`` and the
+    nonzero weights (c, d) of their alphas (``Keys.sphere_weight``): total is
+    the sum of v c (L / d), L the lcm of the d, on the numerators of ``nums``."""
+    scale = math.lcm(*{d for _c, d in weights})
+    return nums.total(values, [c * (scale // d) for c, d in weights]), den * scale
 
 
 def _facing(left: dict[int, dict], left_modes: dict, right_modes: dict) -> dict[int, dict]:

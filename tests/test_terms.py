@@ -1,6 +1,7 @@
 """The term engine against references: composition that canonicalizes every tower
 level, and canonical form that expands each group before dividing."""
 
+import itertools
 import math
 import random
 import time
@@ -153,10 +154,11 @@ def _reflect(rng, left_bags, right_bags):
     return blocks
 
 
-def _classical_residue_pairs(n, count, seed):
+def _classical_residue_pairs(n, count, seed, top=2):
+    """Pairs of orders -1 .. ``top``."""
     rng = random.Random(seed)
     for i in range(count):
-        m1, m2 = rng.randint(-1, 2), rng.randint(-1, 2)
+        m1, m2 = rng.randint(-1, top), rng.randint(-1, top)
         # mode 0 on the left now and then; an x-independent right factor now and then
         left_mode, right_mode = (0, 1) if i % 5 == 1 else (1, 0) if i % 5 == 2 else (1, 1)
         a, b = (random_symbol(rng.getrandbits(32), dim=n, order=m, depth=m1 + n + m2,
@@ -198,10 +200,42 @@ def _reference_residue(system, n, a, b):
     return PiGradedScalar(total, n // 2) if total else PiGradedScalar(0)
 
 
-def _pairing(system, n, comps_a, comps_b):
-    """``residue_pairing`` with each numerator lowered: alpha -> scalar."""
-    bag, den = T.residue_pairing(system, n, comps_a, comps_b)
-    return {alpha: system.lower(s, den) for alpha, s in bag.items()}
+def _pairing(system, n, comps_a, comps_b, both=False):
+    """What ``residue_pairing`` integrates, each numerator lowered: alpha ->
+    scalar (with ``both``, one such bag per ordering).
+
+    It is read through a recording weight lookup.  With the layouts' memos
+    dropped and the lookup remembering nothing, every alpha a pass weights
+    is looked up afresh, in the order of the numerators it then sums, so
+    the two line up.  Each integrated pair is checked against the
+    recorded bag's own sphere integral."""
+    looked_up, bags = [], []
+    sphere_total = T.sphere_total
+
+    def weight(keys, part):
+        looked_up.append(keys.alpha_of(part))
+        w = sphere_monomial_integral(looked_up[-1], keys.n).coeff
+        return w.a, w.den
+
+    def recording_total(nums, values, weights, den):
+        values = list(values)
+        assert len(looked_up) == len(values)
+        bags.append({alpha: system.lower(nums.total([v], [1]), den)
+                     for alpha, v in zip(looked_up, values)})
+        looked_up.clear()
+        return sphere_total(nums, values, weights, den)
+
+    T._narrow_layout.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T.Keys, "sphere_weight", weight)
+        mp.setattr(T, "sphere_total", recording_total)
+        pairs = T.residue_pairing(system, n, comps_a, comps_b, both=both)
+    for bag, (total, den) in zip(bags, pairs if both else [pairs]):
+        want = sum((s * sphere_monomial_integral(alpha, n).coeff.re for alpha, s in bag.items()),
+                   system.zero)
+        assert _sphere_sum(system, n, total, den) == (
+            PiGradedScalar(want, n // 2) if want else PiGradedScalar(0))
+    return bags if both else bags[0]
 
 
 def _assert_pairing_matches_reference(system, n, a, b):
@@ -289,10 +323,12 @@ def test_residue_pairing_differentiates_a_left_term_only_along_its_mode(monkeypa
     calls = []
     along = T._along
 
-    def recording(keys, terms, steps):
-        axes = {shift // keys.width: v for shift, v, _down, _r_step in steps}
-        calls.append((axes, {keys.unpack(key)[0] for key in terms}))
-        return along(keys, terms, steps)
+    def recording(keys, terms, steps, parity=0):
+        # a chain's last step takes, per parity of a term's alpha, a part of the steps
+        parts = steps.values() if parity else [steps]
+        axes = {shift // keys.width: v for part in parts for shift, v, _down, _r_step in part}
+        calls.append((axes, {keys.unpack(key)[0] for key in terms}, parity))
+        return along(keys, terms, steps, parity)
 
     monkeypatch.setattr(T, "_along", recording)
     for system, n, pairs in cases:
@@ -300,11 +336,12 @@ def test_residue_pairing_differentiates_a_left_term_only_along_its_mode(monkeypa
             for s, t in ((a, b), (b, a)):
                 T.residue_pairing(system, n, s._term_bags(), t._term_bags())
             T.residue_pairing(system, n, a._term_bags(), b._term_bags(), both=True)
-    assert len(calls) >= 100
-    for axes, modes in calls:
-        assert axes
+    assert len(calls) >= 100 and any(parity for _axes, _modes, parity in calls)
+    for axes, modes, parity in calls:
+        assert axes or parity
         for mode in modes:
-            assert {j: -x for j, x in enumerate(mode) if x} == axes
+            along_mode = {j: -x for j, x in enumerate(mode) if x}
+            assert axes.items() <= along_mode.items() if parity else axes == along_mode
 
 
 # -- the Gaussian-integer numerator kernel ------------------------------------------
@@ -433,16 +470,16 @@ def _assert_defect_by_composing(s, t):
     st, ts = res(comp(s, t)), res(comp(t, s))
     assert defect(s, t) == st - ts
     assert single(s, t) == st and single(t, s) == ts
-    (ab, _), (ba, _) = T.residue_pairing(s._system, s.n, s._term_bags(), t._term_bags(),
-                                         both=True)
+    ab, ba = _pairing(s._system, s.n, s._term_bags(), t._term_bags(), both=True)
     assert all(x % 2 == 0 for bag in (ab, ba) for alpha in bag for x in alpha)
     return st
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_trace_defect_is_the_difference_of_the_composed_residues(n):
-    nonzero = sum(not _assert_defect_by_composing(a, b).is_zero()
-                  for a, b in _classical_residue_pairs(n, 20, 700 + n))
+    # at n = 5, orders up to 2 would compose through order 9, past the gamma bound
+    pairs = _classical_residue_pairs(n, 20, 700 + n, top=2 if n < 5 else 1)
+    nonzero = sum(not _assert_defect_by_composing(a, b).is_zero() for a, b in pairs)
     assert nonzero >= 8
 
 
@@ -1073,6 +1110,43 @@ def test_layout_memos_map_back_only_what_they_decode():
         assert list(bag) == [((1, 0), (0, 1), -1)]
         ((mode, alpha, npow),) = bag
         assert all(type(x) is int for x in (*mode, *alpha, npow))
+
+
+def _alphas(n, top, step=1):
+    """Every alpha of length n with |alpha| <= top and entries multiples of step."""
+    return [a for a in itertools.product(range(0, top + 1, step), repeat=n) if sum(a) <= top]
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_sphere_weight_memo_matches_the_monomial_integrals(width):
+    """Through a narrow and a wide layout, the ``sphere`` memo's weight of every
+    even alpha with |alpha| <= 12 at n = 2 .. 5, times pi^(n // 2), is the
+    monomial's integral over S^(n-1); that of an odd alpha is zero."""
+    for n in (2, 3, 4, 5):
+        keys = T.Keys(n, width)
+        odd = [alpha for alpha in _alphas(n, 5) if any(x % 2 for x in alpha)]
+        for alpha in _alphas(n, 12, 2) + odd:
+            part = keys.pack_alpha(alpha)[1] & keys.alpha_mask
+            c, d = keys.sphere_weight(part)
+            assert keys.sphere[part] == (c, d)
+            assert d > 0 and math.gcd(c, d) == 1
+            assert PiGradedScalar(Fraction(c, d), n // 2) == sphere_monomial_integral(alpha, n)
+            assert bool(c) != (alpha in odd)
+
+
+def test_sphere_weight_memo_starts_afresh_when_full(monkeypatch):
+    monkeypatch.setattr(T, "_MEMO_FIELDS", 12)
+    keys = T.Keys(3, 8)
+    assert keys.memo_limit == 4
+    seen = {}
+    for _ in range(2):
+        for alpha in _alphas(3, 8, 2):
+            part = keys.pack_alpha(alpha)[1] & keys.alpha_mask
+            w = keys.sphere.get(part) or keys.sphere_weight(part)
+            assert len(keys.sphere) <= 4 and keys.sphere[part] == w
+            assert seen.setdefault(alpha, w) == w
+            assert PiGradedScalar(Fraction(*w), 1) == sphere_monomial_integral(alpha, 3)
+    assert len(seen) == 35
 
 
 def test_tuple_keyed_mul_terms_returns_a_new_bag():
@@ -1774,3 +1848,50 @@ def test_compose_full_pool_packs_only_its_sums(monkeypatch):
                         comps[deg] = comp
                 ClassicalSymbol(3, tau.order, comps, tau.trusted_floor)
     assert counts == {"calls": 12_881, "packs": 14}
+
+
+def _nc_trace_pool(seed):
+    """The pool the nc-trace benchmark draws at ``seed``: 32 pairs per twist
+    2/5, 5/12, 7/30 and order pair (m1, m2) in -1 .. 1, each tau's terms moved
+    onto the reflected x-dependent (mode, alpha) of its sigma."""
+    rng = random.Random(seed)
+    for _ in range(32):
+        for theta in (Fraction(2, 5), Fraction(5, 12), Fraction(7, 30)):
+            for m1 in range(-1, 2):
+                for m2 in range(-1, 2):
+                    kw = dict(dim=2, depth=m1 + 2 + m2, max_mode=2, max_alpha=2, theta=theta)
+                    sigma = random_symbol(rng.getrandbits(32), order=m1, **kw)
+                    tau = random_symbol(rng.getrandbits(32), order=m2, **kw)
+                    spots = sorted({(mode, alpha) for raw in sigma.components.values()
+                                    for mode, alpha, _p in raw if any(mode)})
+                    if spots:
+                        blocks = {}
+                        for deg, raw in sorted(tau.components.items()):
+                            blocks[deg] = []
+                            for _key, s in sorted(raw.items()):
+                                mode, alpha = rng.choice(spots)
+                                blocks[deg].append((s, tuple(-k for k in mode), alpha,
+                                                    deg - sum(alpha)))
+                        tau = NCSymbol(tau.theta, tau.order, blocks, tau.trusted_floor)
+                    yield sigma, tau
+
+
+def test_nc_trace_pool_builds_the_last_chain_level_by_parity(monkeypatch):
+    """Op count of the single-ordering residues, both orders, of the 864
+    pairs of the nc-trace pool at seed 7: the terms the chains build.  The
+    last level of a chain is built only where it meets a right term's
+    parity; built whole, as every other level is, the chains hold 9,834
+    terms."""
+    along = T._along
+    built = [0, 0]  # terms of whole steps, terms of last steps cut by parity
+
+    def counting(keys, terms, steps, parity=0):
+        out = along(keys, terms, steps, parity)
+        built[bool(parity)] += len(out)
+        return out
+
+    monkeypatch.setattr(T, "_along", counting)
+    for sigma, tau in _nc_trace_pool(7):
+        _nc_residue_of_composition(sigma, tau)
+        _nc_residue_of_composition(tau, sigma)
+    assert built == [3_265, 1_827]

@@ -1,4 +1,5 @@
-"""The command-line tools under tools/: the summary of tools/bench_pairs.py."""
+"""The command-line tools under tools/: the summaries of tools/bench_pairs.py and
+tools/rss_at_equal_ops.py."""
 
 import importlib.util
 import json
@@ -6,10 +7,18 @@ import pathlib
 
 import pytest
 
-_PATH = pathlib.Path(__file__).parent.parent / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+
+def _load(name):
+    path = pathlib.Path(__file__).parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs")
+rss_at_equal_ops = _load("rss_at_equal_ops")
 
 METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
 
@@ -111,3 +120,53 @@ def test_gain_and_bound_verdicts_of_fixed_pairs():
     # a metric without a bound gets no bound verdict
     [row] = bench_pairs.summarize(parent, change, [{"name": "setup_s", "better": "lower"}])
     assert row["in_bound"] is None and "in bound" not in bench_pairs.format_rows("w", [row])
+
+
+@pytest.mark.parametrize("argv", [
+    [],  # no checkout, no workload
+    ["p", "c", "--rounds", "3"],  # no workload
+    ["p", "c", "--workload", "trace-n3"],  # no rounds
+    ["p", "--workload", "trace-n3", "--rounds", "3"],  # one checkout
+    ["p", "c", "x", "--workload", "trace-n3", "--rounds", "3"],  # three
+    ["p", "c", "--workload", "trace-n3", "--rounds", "0"],
+    ["p", "c", "--workload", "trace-n3", "--rounds", "3", "--repeats", "0"],
+    ["p", "c", "--workload", "trace-n3", "--rounds", "x"],
+    ["p", "c", "--child", "--workload", "trace-n3", "--rounds", "3"],  # a child runs one side
+])
+def test_rss_at_equal_ops_refuses_bad_arguments(argv, monkeypatch, capsys):
+    monkeypatch.setattr(rss_at_equal_ops, "run_child", lambda *a: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as info:
+        rss_at_equal_ops.main(argv)
+    assert info.value.code == 2 and "error" in capsys.readouterr().err
+
+
+def test_rss_at_equal_ops_alternates_sides_and_reports_medians(monkeypatch, capsys, tmp_path):
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    peaks = {parent: iter([30.0, 31.0, 29.0]), change: iter([30.5, 33.5, 30.0])}
+    calls = []
+
+    def stub(checkout, workload, seed, rounds):
+        calls.append((checkout, workload, seed, rounds))
+        return {"peak_rss_mib": next(peaks[checkout]), "attempted": 640, "correct": True}
+
+    monkeypatch.setattr(rss_at_equal_ops, "run_child", stub)
+    code = rss_at_equal_ops.main([parent, change, "--workload", "nc-trace", "--rounds", "10",
+                                  "--seed", "7", "--repeats", "3"])
+    assert code == 0
+    # the side that runs first alternates; every run gets the same workload, seed and rounds
+    assert [c[0] for c in calls] == [parent, change, change, parent, parent, change]
+    assert {c[1:] for c in calls} == {("nc-trace", 7, 10)}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "repeat 0 parent: peak_rss_mib=30.00 attempted=640 correct=True"
+    assert lines[2] == "repeat 1 change: peak_rss_mib=33.50 attempted=640 correct=True"
+    assert lines[-1] == ("peak_rss_mib median: parent 30.00 at 640 ops, change 30.50 at 640 ops, "
+                         "x1.017; all correct: yes")
+
+
+def test_rss_at_equal_ops_summary_flags_a_failed_check():
+    ok = {"peak_rss_mib": 20.0, "attempted": 100, "correct": True}
+    bad = {"peak_rss_mib": 22.0, "attempted": 101, "correct": False}
+    text = rss_at_equal_ops.summarize([ok, ok], [ok, bad])
+    assert text == ("peak_rss_mib median: parent 20.00 at 100 ops, change 21.00 at 100 ops, "
+                    "x1.050; all correct: NO")
+

@@ -15,7 +15,9 @@ It prints, on seeded inputs:
   in both orders for twisted pairs at theta 2/5, 5/12, 7/30, 0 and 1/2
   (the ``repr`` of a twisted coefficient shows its cyclotomic order);
 - the residue of each composition without composing, in both orders, and
-  the trace defect;
+  the trace defect; the same, with no ``compose``, for classical pairs in
+  dimensions 4 and 5 and for twisted pairs at the float twists 0.3 and 0.4
+  (as ``repr``, so a changed bit of a float shows);
 - stdout, stderr and the exit code of ``ncres residue``, ``nc-residue``,
   ``compose``, ``nc-compose``, ``decompose``, ``commutator --with xi|exp``,
   ``apply``, ``semiclassical-check``, ``trace-check`` and
@@ -220,6 +222,23 @@ def dump_api(lib, out):
             if k < 4:
                 docs.append((name, k, a, b, json_docs))
     return docs
+
+
+def dump_residues_without_composing(lib, out):
+    """The residue of each composition in both orders and the trace defect,
+    on classical pairs at n = 4 and 5 and twisted pairs at the float twists
+    0.3 and 0.4."""
+    C, N = lib.calculus, lib.nctorus
+    cases = [(f"n={n}", C._residue_of_composition, C.trace_defect,
+              classical_pairs(lib, n, random.Random(30 + n))) for n in (4, 5)]
+    cases += [(f"theta={th}", N._nc_residue_of_composition, N.nc_trace_defect,
+               twisted_pairs(lib, th, random.Random(40 + i))) for i, th in enumerate((0.3, 0.4))]
+    for name, res_of_comp, defect, pairs in cases:
+        for k, (a, b, _docs) in enumerate(pairs):
+            label = f"{name} residue pair {k}"
+            for tag, s, t in (("ab", a, b), ("ba", b, a)):
+                out(f"{label} {tag} residue of composition: {_outcome(res_of_comp, s, t)}")
+            out(f"{label} trace defect: {_outcome(defect, a, b)}")
 
 
 def _classical_symbols(lib, n, rng):
@@ -1114,6 +1133,7 @@ def main(argv=None) -> int:
     lib = ncresidue
     lines = []
     docs = dump_api(lib, lines.append)
+    dump_residues_without_composing(lib, lines.append)
     dump_classical_layer(lib, lines.append)
     dump_twisted_layer(lib, lines.append)
     dump_nc_polynomials(lib, lines.append)
