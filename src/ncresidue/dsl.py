@@ -51,7 +51,7 @@ from .cyclotomic import CyclotomicInteger, CyclotomicScalar, decompose_root
 from .errors import DomainError, ParseError, ValidationError
 from .nctorus import NCPolynomial, NCSymbol, Theta, _system_for
 from .scalars import ComplexRational
-from .symbols import ClassicalSymbol, HomogeneousComponent
+from .symbols import ClassicalSymbol
 
 
 # One scan reads a document: every match is optional whitespace followed by
@@ -415,13 +415,9 @@ def _build_symbol(dim: int, order: int, floor: int, theta: Theta | None, blocks:
             raise ValidationError(f"block degree {deg} exceeds order {order}")
         if deg < floor:
             raise ValidationError(f"block degree {deg} lies below floor {floor}")
-    if theta is None:
-        comps = {
-            deg: HomogeneousComponent.from_raw(dim, deg, raw)
-            for deg, raw in blocks.items()
-        }
-        return ClassicalSymbol(dim, order, comps, floor)
-    return NCSymbol(theta, order, blocks, floor)
+    sym = object.__new__(ClassicalSymbol if theta is None else NCSymbol)
+    sym._init_raw(dim if theta is None else theta, order, blocks.items(), floor)
+    return sym
 
 
 def parse_symbol(text: str):
@@ -821,6 +817,16 @@ def _shared_index(index: tuple[int, ...]) -> tuple[int, ...]:
     return index
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw from range(n), n > 0, as CPython's ``Random._randbelow_with_getrandbits``
+    makes it for ``randrange``, ``randint`` and ``choice``: the same bits, the same value."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_symbol(
     seed: int,
     *,
@@ -836,7 +842,7 @@ def random_symbol(
     Components run from ``order`` down through ``depth`` further degrees, so
     the trusted floor is ``order - depth``.  The draw sequence does not
     depend on ``theta``, which keeps the integer data fixed when the same
-    seed is instantiated at several twists.
+    seed is instantiated at several twists, and is that of ``random.Random(seed)``.
     """
     if dim < 2:
         raise ValidationError(f"dim must be at least 2, got {dim}")
@@ -852,23 +858,24 @@ def random_symbol(
         if dim != 2:
             raise ValidationError("twisted symbols require dim 2")
     rng = random.Random(seed)
+    bits, uniform = rng.getrandbits, rng.random
     floor = order - depth
     blocks: dict[int, dict] = {}
     for deg in range(order, floor - 1, -1):
-        if deg != order and rng.random() < 0.2:
+        if deg != order and uniform() < 0.2:
             continue
         bag = blocks[deg] = {}
-        for _ in range(rng.randint(1, 2)):
-            mode = tuple(rng.randint(-max_mode, max_mode) for _ in range(dim))
-            total = rng.randint(0, max_alpha)
+        for _ in range(1 + _below(bits, 2)):  # randint(1, 2)
+            # randint(-max_mode, max_mode) per entry
+            mode = tuple([_below(bits, 2 * max_mode + 1) - max_mode for _ in range(dim)])
+            total = _below(bits, max_alpha + 1)  # randint(0, max_alpha)
             alpha = [0] * dim
             for _ in range(total):
-                alpha[rng.randrange(dim)] += 1
-            npow = deg - total
-            num = rng.choice([-3, -2, -1, 1, 2, 3])
-            den = rng.randint(1, 3)
-            coeff = _drawn_coefficient(num, den, rng.random() < 0.25)
-            T.bag_add(bag, (_shared_index(mode), _shared_index(tuple(alpha)), npow), coeff)
+                alpha[_below(bits, dim)] += 1  # randrange(dim)
+            num = (-3, -2, -1, 1, 2, 3)[_below(bits, 6)]  # choice of the six
+            den = 1 + _below(bits, 3)  # randint(1, 3)
+            coeff = _drawn_coefficient(num, den, uniform() < 0.25)
+            T.bag_add(bag, (_shared_index(mode), _shared_index(tuple(alpha)), deg - total), coeff)
     return _build_symbol(dim, order, floor, theta, blocks)
 
 

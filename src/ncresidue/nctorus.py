@@ -39,7 +39,7 @@ from .scalars import PiGradedScalar, torus_volume
 from .symbols import (
     ClassicalSymbol,
     HomogeneousComponent,
-    _canonical_bag,
+    _checked_terms,
     _FourierSum,
     _index,
     _Symbol,
@@ -206,12 +206,11 @@ class NCSymbol(_Twisted, _Symbol):
         trusted_floor: int | None = None,
     ):
         coerce = _system_for(theta).coerce
-        bags = []
-        for deg, block in (components or {}).items():
-            if type(deg) is not int:  # before canonical form reads it
-                deg = _index(deg, "degree")
-            bags.append((deg, _canonical_bag(2, deg, _block_items(block), coerce)))
-        self._init(theta, order, bags, trusted_floor)
+        # a generator: each block is checked, then put in canonical form
+        blocks = ((deg if type(deg) is int else _index(deg, "degree"),
+                   _checked_terms(2, _block_items(block), coerce))
+                  for deg, block in (components or {}).items())
+        self._init_raw(theta, order, blocks, trusted_floor)
 
     def _check_composable(self, other: "NCSymbol") -> None:
         if self.theta != other.theta:

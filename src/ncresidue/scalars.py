@@ -258,6 +258,16 @@ class PiGradedScalar:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "pi_exponent", k)
 
+    @classmethod
+    def _graded(cls, coeff, k: Fraction) -> "PiGradedScalar":
+        """coeff * pi**k from a coefficient and a ``Fraction`` k known to be
+        valid, as the arithmetic and the integrals make them: nothing is
+        coerced or checked, and a zero coefficient still forces grade 0."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "pi_exponent", k if coeff else _GRADE_ZERO)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("PiGradedScalar is immutable")
 
@@ -276,7 +286,7 @@ class PiGradedScalar:
                 f"cannot add pi-graded values of different grades "
                 f"({self.pi_exponent} vs {other.pi_exponent})"
             )
-        return PiGradedScalar(self.coeff + other.coeff, self.pi_exponent)
+        return PiGradedScalar._graded(self.coeff + other.coeff, self.pi_exponent)
 
     def __sub__(self, other):
         if not isinstance(other, PiGradedScalar):
@@ -284,15 +294,15 @@ class PiGradedScalar:
         return self + (-other)
 
     def __neg__(self):
-        return PiGradedScalar(-self.coeff, self.pi_exponent)
+        return PiGradedScalar._graded(-self.coeff, self.pi_exponent)
 
     def __mul__(self, other):
         if isinstance(other, PiGradedScalar):
-            return PiGradedScalar(
+            return PiGradedScalar._graded(
                 self.coeff * other.coeff, self.pi_exponent + other.pi_exponent
             )
         if isinstance(other, (int, Fraction, ComplexRational)):
-            return PiGradedScalar(self.coeff * other, self.pi_exponent)
+            return PiGradedScalar._graded(self.coeff * other, self.pi_exponent)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -342,6 +352,7 @@ class PiGradedScalar:
         return f"{c} * pi^{kstr}"
 
 
+_GRADE_ZERO = Fraction(0)
 PG_ZERO = PiGradedScalar(0)
 
 
@@ -392,6 +403,7 @@ def sphere_surface_measure(n: int) -> PiGradedScalar:
     return sphere_monomial_integral((0,) * n, n)
 
 
+@lru_cache(maxsize=64)
 def torus_volume(n: int) -> PiGradedScalar:
     """Volume (2*pi)^n of the n-torus with full Lebesgue measure."""
     return PiGradedScalar(Fraction(2**n), n)

@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .scalars import (
+    PG_ZERO,
     ComplexRational,
     PiGradedScalar,
     sphere_monomial_integral,
@@ -42,11 +43,10 @@ class SymbolTerm(NamedTuple):
         return sum(self.alpha) + self.npow
 
 
-def _canonical_bag(n: int, degree: int, items: Iterable, coerce) -> dict:
-    """The canonical term bag of ``(coeff, mode, alpha, npow)`` items.
-
-    Checks each item and coerces its coefficient with ``coerce`` before
-    summing; ``canonical_terms`` then checks the homogeneity.
+def _checked_terms(n: int, items: Iterable, coerce) -> dict:
+    """The raw term bag of ``(coeff, mode, alpha, npow)`` items: each key
+    checked and made of plain ``int``s, each coefficient coerced with
+    ``coerce`` before summing.  ``canonical_terms`` checks the homogeneity.
     """
     raw: dict = {}
     for coeff, mode, alpha, npow in items:
@@ -55,7 +55,7 @@ def _canonical_bag(n: int, degree: int, items: Iterable, coerce) -> dict:
         if min(alpha) < 0:
             raise ValidationError(f"xi exponents must be nonnegative: {alpha}")
         T.bag_add(raw, (mode, alpha, _index(npow, "|xi| power")), coerce(coeff))
-    return T.canonical_terms(n, degree, raw)
+    return raw
 
 
 def _index(value, what: str) -> int:
@@ -113,7 +113,8 @@ class HomogeneousComponent:
             raise ValidationError(f"dimension must be at least 2, got {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", _canonical_bag(n, degree, terms, _SYS.coerce))
+        raw = _checked_terms(n, terms, _SYS.coerce)
+        object.__setattr__(self, "_terms", T.canonical_terms(n, degree, raw))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogeneousComponent is immutable")
@@ -393,8 +394,8 @@ def euler_antiderivatives(component: HomogeneousComponent) -> list[HomogeneousCo
 def _sphere_sum(system, n: int, total, den: int) -> PiGradedScalar:
     """(total / den) pi^(n // 2), a ``terms.sphere_total``, lowered once."""
     if not total:
-        return PiGradedScalar(0)
-    return PiGradedScalar(system.lower(total, den), Fraction(n // 2))
+        return PG_ZERO
+    return PiGradedScalar._graded(system.lower(total, den), Fraction(n // 2))
 
 
 def _sphere_total(n: int, bag: dict, den: int):
@@ -475,6 +476,17 @@ class _Symbol:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "trusted_floor", trusted_floor)
         object.__setattr__(self, "_components", comps)
+
+    def _init_raw(self, space, order: int, blocks: Iterable, trusted_floor: int | None) -> None:
+        """``_init`` from ``(degree, raw bag)`` pairs with checked keys, each
+        coefficient coerced by the system and each bag made canonical: the
+        one construction path of both calculi, which the public constructors
+        reach after ``_checked_terms`` and the readers directly."""
+        object.__setattr__(self, "_space", space)  # which n and _system read
+        n, coerce = self.n, self._system.coerce
+        bags = [(deg, T.canonical_terms(n, deg, {key: coerce(s) for key, s in raw.items()}))
+                for deg, raw in blocks]
+        self._init(space, order, bags, trusted_floor)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -504,7 +504,8 @@ class Keys:
     its share of a key, offsets included) and the alpha fields of a key
     (``key & alpha_mask``) to the alpha.  Tuples and ints never collide as
     dict keys.  Both map a decoded tuple, never a caller's, whose entries
-    may be ``bool``s equal to the ``int``s.  A third memo, ``cone``, maps
+    may be ``bool``s equal to the ``int``s, and a tuple's entry ends with
+    that decoded tuple.  A third memo, ``cone``, maps
     the alpha fields of a key to the monomial's value at a zero of xi_1^2 +
     ... + xi_n^2 (``cone_weight``), and a fourth, ``sphere``, to its
     integral over the unit sphere (``sphere_weight``).  Each memo holds up
@@ -576,8 +577,8 @@ class Keys:
             out.append(packed)
         return (f_xi, f_mode, f_alpha), out
 
-    def pack_alpha(self, alpha: tuple) -> tuple[int, int]:
-        """(|alpha|, what alpha adds to a key, offsets included), checked."""
+    def pack_alpha(self, alpha: tuple) -> tuple[int, int, tuple]:
+        """(|alpha|, its share of a key, offsets included, the alpha), checked."""
         n = self.n
         if len(alpha) != n:
             raise ValidationError(f"xi multi-index {alpha} has length != {n}")
@@ -585,21 +586,21 @@ class Keys:
             raise ValidationError(f"xi exponents must be nonnegative: {alpha}")
         size = sum(alpha)
         part = self.offsets + sum(map(operator.mul, alpha, self.alpha_weights))
-        if size < self.half:  # else a field overflows: the layout is too narrow
-            alpha = self.unpack(part)[1]  # decoded, so its entries are ints
-            _remember(self.alphas, alpha, (size, part), self.memo_limit)
-        return size, part
+        if size >= self.half:  # a field overflows: the layout is too narrow
+            return size, part, alpha
+        alpha = self.unpack(part)[1]  # decoded, so its entries are ints
+        return _remember(self.alphas, alpha, (size, part, alpha), self.memo_limit)
 
-    def pack_mode(self, mode: tuple) -> tuple[int, int]:
-        """(largest |entry|, what the mode adds to a key), checked."""
+    def pack_mode(self, mode: tuple) -> tuple[int, int, tuple]:
+        """(largest |entry|, its share of a key, the mode), checked."""
         if len(mode) != self.n:
             raise ValidationError(f"Fourier mode {mode} has length != {self.n}")
         size = max(max(mode), -min(mode))
         part = sum(map(operator.mul, mode, self.mode_units))
-        if size < self.half:
-            mode = self.unpack(self.offsets + part)[0]  # decoded, so its entries are ints
-            _remember(self.modes, mode, (size, part), self.memo_limit)
-        return size, part
+        if size >= self.half:
+            return size, part, mode
+        mode = self.unpack(self.offsets + part)[0]  # decoded, so its entries are ints
+        return _remember(self.modes, mode, (size, part, mode), self.memo_limit)
 
     def fields(self, key: int, start: int, stop: int) -> tuple[int, ...]:
         """The values of fields start .. stop - 1 of ``key``.
@@ -981,7 +982,7 @@ def _lone_monomials(n: int, degree: int, raw: dict):
     keys = _narrow_layout(n)
     alphas, modes, weight, half = keys.alphas, keys.modes, keys.npow_weight, keys.half
     ps, group_of, limit = keys.npow_shift, keys.group_of, MAX_CANONICAL_MONOMIALS
-    packed, groups = {}, set()
+    out, groups = {}, set()
     for (mode, alpha, npow), s in raw.items():
         a = alphas.get(alpha) or keys.pack_alpha(alpha)
         m = modes.get(mode) or keys.pack_mode(mode)
@@ -990,13 +991,12 @@ def _lone_monomials(n: int, degree: int, raw: dict):
                 or m[0] >= half or n * _monomials(n, size) > limit):
             return None
         if s:
-            key = a[1] + m[1] + npow * weight
-            group = key >> ps & group_of
+            group = (a[1] + m[1] + npow * weight) >> ps & group_of
             if group in groups:
                 return None
             groups.add(group)
-            packed[key] = s
-    return keys.unpack_bag(packed)
+            out[(m[2], a[2], npow)] = s
+    return out
 
 
 @lru_cache(maxsize=1024)

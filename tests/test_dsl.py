@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncresidue.dsl as dsl
+import ncresidue.nctorus as N
+import ncresidue.symbols as S
 import ncresidue.terms as T
 from ncresidue.errors import CalculusError, DomainError, ParseError, ValidationError
 from ncresidue.nctorus import NCPolynomial, NCSymbol, Theta, _system_for, nc_compose
@@ -347,6 +349,39 @@ def test_random_symbol_theta_does_not_change_draws():
     assert {d: set(t) for d, t in base.components.items()} == {
         d: set(t) for d, t in other.components.items()
     }
+
+
+def test_the_sampler_draws_what_random_draws():
+    # every range size 1 .. 70, which holds 1, each power of two up to 64 and
+    # the size one past it: the sampler takes the bits randint, randrange and
+    # choice take, gives their values and leaves the generator where they do
+    sizes = range(1, 71)
+    assert {1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65} <= set(sizes)
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            low = seed % 7 - 3
+            assert low + dsl._below(ours.getrandbits, n) == theirs.randint(low, low + n - 1)
+            assert dsl._below(ours.getrandbits, n) == theirs.randrange(n)
+            seq = tuple(range(-n, 0))
+            assert seq[dsl._below(ours.getrandbits, n)] == theirs.choice(seq)
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_the_readers_build_symbols_without_checking_their_terms_again(monkeypatch):
+    # the parser, the JSON reader and random_symbol check keys as they read or
+    # draw them, and hand their blocks to the construction path directly
+    def checked_again(*args):
+        pytest.fail("terms checked again")
+
+    monkeypatch.setattr(S, "_checked_terms", checked_again)
+    monkeypatch.setattr(N, "_checked_terms", checked_again)
+    for theta in (None, Fraction(2, 5), 0.3):
+        sym = random_symbol(5, dim=2, order=1, depth=3, max_mode=2, max_alpha=2, theta=theta)
+        assert sym.degrees()
+        assert symbol_from_json(json.loads(json.dumps(symbol_to_json(sym)))) == sym
+        if not isinstance(theta, float):
+            assert parse_symbol(format_symbol(sym)) == sym
 
 
 # -- bare algebra elements ----------------------------------------------------------

@@ -405,6 +405,57 @@ def test_a_fractional_npow_is_a_validation_error():
             monomial_symbol(2, 1, npow=npow)
 
 
+# (mode, alpha, npow, degree) of one term, and the refusal of both public constructors
+MALFORMED_TERMS = [
+    ((1.5, 0), (0, 0), 0, 0, "Fourier mode (1.5, 0) must hold integers"),
+    (("1", 0), (0, 0), 0, 0, "Fourier mode ('1', 0) must hold integers"),
+    (1, (0, 0), 0, 0, "Fourier mode 1 must hold integers"),
+    ((0, 0), (0.0, 1), -1, 0, "xi multi-index (0.0, 1) must hold integers"),
+    ((0, 0), (0, "1"), -1, 0, "xi multi-index (0, '1') must hold integers"),
+    ((1, 0, 0), (0, 0), 0, 0, "Fourier mode (1, 0, 0) has length != 2"),
+    ((1,), (0, 0), 0, 0, "Fourier mode (1,) has length != 2"),
+    ((0, 0), (1, 0, 0), -1, 0, "xi multi-index (1, 0, 0) has length != 2"),
+    ((0, 0), (-1, 1), 0, 0, "xi exponents must be nonnegative: (-1, 1)"),
+    ((0, 0), (0, 0), 0.5, 0, "|xi| power 0.5 is not an integer"),
+    ((0, 0), (0, 0), "0", 0, "|xi| power '0' is not an integer"),
+    ((0, 0), (0, 0), 0, 0.5, "degree 0.5 is not an integer"),
+    ((0, 0), (0, 0), 0, Fraction(0), "degree Fraction(0, 1) is not an integer"),
+    ((0, 0), (1, 0), 0, 0, "term xi^(1, 0) |xi|^0 is homogeneous of degree 1, not 0"),
+]
+
+
+@pytest.mark.parametrize("mode, alpha, npow, degree, message", MALFORMED_TERMS)
+def test_the_public_constructors_refuse_a_malformed_term(mode, alpha, npow, degree, message):
+    term = [(1, mode, alpha, npow)]
+    makers = [lambda: HomogeneousComponent(2, degree, term)]
+    for theta in (Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)):
+        makers.append(lambda theta=theta: NCSymbol(theta, 1, {degree: term}))
+        makers.append(lambda theta=theta: NCSymbol(theta, 1, {degree: {(mode, alpha, npow): 1}}))
+    for make in makers:
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("theta", [Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)])
+def test_the_twisted_constructor_makes_entries_plain_ints(theta):
+    i = np.int64
+    sym = NCSymbol(theta, i(0), {i(-1): [(1, (True, i(-2)), (i(1), False), i(-2))],
+                                 False: {((i(1), True), (0, 0), 0): 2}}, i(-1))
+    assert sym == NCSymbol(theta, 0, {-1: [(1, (1, -2), (1, 0), -2)],
+                                      0: [(2, (1, 1), (0, 0), 0)]}, -1)
+    assert all(type(d) is int for d in sym.degrees())
+    for bag in sym.components.values():
+        for mode, alpha, npow in bag:
+            assert all(type(x) is int for x in mode + alpha + (npow,))
+    for bad in ("1", None, [1]):  # a coefficient no system holds
+        with pytest.raises(TypeError):
+            NCSymbol(theta, 0, {0: [(bad, (0, 0), (0, 0), 0)]})
+    if theta.is_exact:
+        with pytest.raises(TypeError, match="exact backend cannot hold a float coefficient"):
+            NCSymbol(theta, 0, {0: [(0.5, (0, 0), (0, 0), 0)]})
+
+
 # -- classical symbols ------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ tools/rss_at_equal_ops.py."""
 
 import importlib.util
 import json
+import os
 import pathlib
 
 import pytest
@@ -74,6 +75,56 @@ def test_unscaled_throughput_is_read_from_the_record_line(monkeypatch):
                    "failed": 0, "attempted": 9}
     text = bench_pairs.format_unscaled([500.0, 520.0, 510.0], [600.0, 640.0, 630.0])
     assert text == "  unscaled ops_per_s median: parent 510, change 630, x1.235"
+
+
+def test_each_run_compiles_the_package_from_source(monkeypatch, tmp_path):
+    # as in a fresh checkout with bytecode writing off: no cache is read or
+    # written, and the caches already in the tree are left as they are
+    cache = tmp_path / "src" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "stale.pyc").write_bytes(b"")
+    record = {"unscaled": {"ops_per_s": 1.0}}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    seen = []
+
+    def stub(argv, cwd, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], prefix, os.listdir(prefix)))
+
+        class Done:
+            stdout = json.dumps(record) + "\n" + json.dumps(result) + "\n"
+            stderr = ""
+        return Done
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", stub)
+    bench_pairs.run_once(str(tmp_path), "cli-docs", 1)
+    bench_pairs.run_once(str(tmp_path), "cli-docs", 2)
+    (cwd, dont_write, prefix, listed), second = seen
+    assert cwd == str(tmp_path) and dont_write == "1" and listed == []
+    assert not prefix.startswith(str(tmp_path)) and not os.path.exists(prefix)
+    assert second[2] != prefix and second[3] == []
+    assert os.listdir(cache) == ["stale.pyc"]
+
+
+def test_pairs_alternate_with_no_step_before_the_runs(monkeypatch, capsys, tmp_path):
+    # nothing but the runs themselves, each side first in every other pair
+    root = pathlib.Path(__file__).parent.parent
+    for side in ("p", "c"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: pytest.fail("ran"))
+    calls = []
+
+    def stub(checkout, workload, seed):
+        calls.append((os.path.basename(checkout), seed))
+        values = {m["name"]: 1.0 for m in bench_pairs.end_to_end_metrics(str(root))}
+        return {"values": values, "unscaled": 1.0, "correct": True, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(bench_pairs, "run_once", stub)
+    assert bench_pairs.main([str(tmp_path / "p"), str(tmp_path / "c"), "--workload",
+                             "cli-docs", "--pairs", "3", "--seed0", "5"]) == 0
+    assert calls == [("p", 5), ("c", 5), ("c", 6), ("p", 6), ("p", 7), ("c", 7)]
+    assert "gain" in capsys.readouterr().out
 
 
 def test_attempted_ops_are_shown_beside_peak_rss():

@@ -2,10 +2,13 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed0 S
 
-PARENT and CHANGE are roots of two checkouts.  The ``src`` of both is
-byte-compiled first (``compileall``), so each imports the package from an
-up-to-date bytecode cache and ``setup_s`` times the same thing on both
-sides.  Pair i runs
+PARENT and CHANGE are roots of two checkouts.  Each run reads no bytecode
+cache and writes none, as in a fresh checkout with bytecode writing off:
+it runs with ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set
+to a new empty temporary directory, so the caches in the tree are ignored
+(and left as they are), and every set-up repeat of ``bench/run.py``, which
+imports the package afresh, compiles it from source on both sides, as
+``setup_s`` is timed in such a checkout.  Pair i runs
 ``bench/run.py --workload W --seed S+i --trace 0`` in each checkout, one
 after the other; the side that runs first alternates from pair to pair.
 
@@ -37,6 +40,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def end_to_end_metrics(checkout: str) -> list[dict]:
@@ -45,17 +49,16 @@ def end_to_end_metrics(checkout: str) -> list[dict]:
         return json.load(f)["end_to_end"]
 
 
-def compile_checkout(checkout: str) -> None:
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
-                   cwd=checkout, check=True, stdout=subprocess.DEVNULL)
-
-
 def run_once(checkout: str, workload: str, seed: int) -> dict:
     """The metric values of one untraced run, its unscaled ``ops_per_s``, the
-    operations it attempted and whether it was correct."""
+    operations it attempted and whether it was correct.  The run uses no
+    bytecode cache: none is written, and the cache prefix is an empty
+    directory of its own."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as prefix:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
+        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"no output from {checkout}: {proc.stderr.strip()[-500:]}")
@@ -147,8 +150,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed0", type=int, default=1)
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    for checkout in sides.values():
-        compile_checkout(checkout)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]

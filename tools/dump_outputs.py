@@ -84,6 +84,12 @@ It prints, on seeded inputs:
   multiples of xi_1^2 + ... + xi_n^2, with their sums and multiples; and
   unsorted term bags of seeded random symbols and of their ``compose``
   (n = 2, 3) and ``nc_compose`` (theta 2/5) in both orders;
+- unsorted term bags of ``random_symbol`` over a grid of its arguments:
+  dimensions 2 to 5, orders -2 to 2, depths 0 to 6, ``max_mode`` and
+  ``max_alpha`` 0 to 4, in the classical calculus and at theta 2/5, 5/12,
+  7/30 and the float 0.3, the twisted ones also as read back from their
+  text (exact twists) and JSON documents, so the draws, the term order
+  and both calculi's construction show;
 - text documents read by ``parse_symbol``: ``format_symbol`` and the
   ``repr`` of the term bags (which shows each twisted coefficient's
   cyclotomic order), or the exception class and message, for seeded
@@ -819,6 +825,35 @@ def dump_term_order(lib, out):
                 out(f"term order {label} {i} {tag} compose: {got}")
 
 
+# random_symbol's (order, depth, max_mode, max_alpha) grid
+RANDOM_GRID = [(order, depth, max_mode, max_alpha) for order in range(-2, 3)
+               for depth in range(7) for max_mode in range(5) for max_alpha in range(5)]
+
+
+def dump_random_symbols(lib, out):
+    """Unsorted term bags of ``random_symbol`` at every ``RANDOM_GRID`` point,
+    in dimensions 2 to 5 and at theta 2/5, 5/12, 7/30 and 0.3; each twisted
+    symbol also read back from its text (exact twists) and JSON documents."""
+    D = lib.dsl
+    rng = random.Random(90)
+    cases = [(dim, None) for dim in (2, 3, 4, 5)]
+    cases += [(2, theta) for theta in (Fraction(2, 5), Fraction(5, 12), Fraction(7, 30), 0.3)]
+    for dim, theta in cases:
+        for order, depth, max_mode, max_alpha in RANDOM_GRID:
+            seed = rng.getrandbits(32)
+            sym = D.random_symbol(seed, dim=dim, order=order, depth=depth, max_mode=max_mode,
+                                  max_alpha=max_alpha, theta=theta)
+            out(f"random dim={dim} theta={theta} order={order} depth={depth} mode={max_mode} "
+                f"alpha={max_alpha} seed={seed}: {_raw_order(sym._term_bags())}")
+            if theta is None:
+                continue
+            if isinstance(theta, Fraction):
+                text = D.format_symbol(sym)
+                out(f"  text read back: {_outcome(lambda: D.parse_symbol(text)._term_bags())}")
+            doc = json.loads(json.dumps(D.symbol_to_json(sym)))
+            out(f"  JSON read back: {_outcome(lambda: D.symbol_from_json(doc)._term_bags())}")
+
+
 # denominators of the large coefficients: 1, small, and of 20 and 41 digits
 _LARGE_DENOMINATORS = [1, 3, 77, 2**64 + 13, 10**40 + 9]
 
@@ -1146,6 +1181,7 @@ def main(argv=None) -> int:
     dump_compositions_by_mode(lib, lines.append)
     dump_canonical_certificates(lib, lines.append)
     dump_term_order(lib, lines.append)
+    dump_random_symbols(lib, lines.append)
     dump_documents(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
