@@ -81,13 +81,13 @@ def compose(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> ClassicalSymbol:
     return _compose_impl(sigma, tau, _standard_floor(sigma, tau))
 
 
-def _normalized_residue(sigma) -> PiGradedScalar:
+def _normalized_residue(sigma, *, volume: bool = False) -> PiGradedScalar:
     """Sphere integral of the mode-zero part of the degree-(-n) component.
 
     This is the residue with the normalized trace on the x side, for either
-    symbol class; ``residue`` scales it by the torus volume and
-    ``nc_residue`` returns it as it is.  Refuses (rather than guessing zero)
-    when the expansion is not trusted down to degree -n.
+    symbol class; ``residue`` asks for it times the torus volume
+    (``volume``) and ``nc_residue`` for it as it is.  Refuses (rather than
+    guessing zero) when the expansion is not trusted down to degree -n.
     """
     n = sigma.n
     if sigma.trusted_floor is not None and sigma.trusted_floor > -n:
@@ -105,7 +105,7 @@ def _normalized_residue(sigma) -> PiGradedScalar:
     }
     system = sigma._system
     lifted, den = system.lift({-n: bag})
-    return _sphere_sum(system, n, *_sphere_total(n, lifted[-n], den))
+    return _sphere_sum(system, n, *_sphere_total(n, lifted[-n], den), volume=volume)
 
 
 def residue(sigma: ClassicalSymbol) -> PiGradedScalar:
@@ -116,18 +116,19 @@ def residue(sigma: ClassicalSymbol) -> PiGradedScalar:
     Refuses (rather than guessing zero) when the expansion is not trusted
     down to degree -n.
     """
-    return torus_volume(sigma.n) * _normalized_residue(sigma)
+    return _normalized_residue(sigma, volume=True)
 
 
-def _normalized_residue_of_composition(sigma, tau, *, commutator: bool = False) -> PiGradedScalar:
+def _normalized_residue_of_composition(sigma, tau, *, commutator: bool = False,
+                                       volume: bool = False) -> PiGradedScalar:
     """``_normalized_residue`` of sigma o tau, without composing.
 
     Only the mode-zero, degree-(-n) products reach the residue, and on the
     unit sphere they need no canonical form, so ``terms.residue_pairing``
     forms just those and the sphere sum integrates them raw.  With
-    ``commutator``, the residue of sigma o tau - tau o sigma: one call
-    filters, checks and lifts the factors for both orderings (the floor
-    rule is symmetric, so one check covers both).
+    ``commutator``, the residue of sigma o tau - tau o sigma, from one call
+    for both orderings (the floor rule is symmetric, so one check covers
+    both) lowered into one value; ``volume`` scales as ``residue`` does.
     """
     n = sigma.n
     floor = _standard_floor(sigma, tau)
@@ -138,20 +139,19 @@ def _normalized_residue_of_composition(sigma, tau, *, commutator: bool = False) 
     _check_pair(sigma, tau)
     system = sigma._system
     a, b = sigma._term_bags(), tau._term_bags()
-    if not commutator:
-        return _sphere_sum(system, n, *T.residue_pairing(system, n, a, b))
-    ab, ba = T.residue_pairing(system, n, a, b, both=True)
-    return _sphere_sum(system, n, *ab) - _sphere_sum(system, n, *ba)
+    pairs = T.residue_pairing(system, n, a, b, both=commutator)
+    ab, ba = pairs if commutator else (pairs, None)
+    return _sphere_sum(system, n, *ab, ba, volume=volume)
 
 
 def _residue_of_composition(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:
     """``residue`` of sigma o tau, without composing."""
-    return torus_volume(sigma.n) * _normalized_residue_of_composition(sigma, tau)
+    return _normalized_residue_of_composition(sigma, tau, volume=True)
 
 
 def trace_defect(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:
     """Res of [T_sigma, T_tau]; the trace property makes this exactly zero."""
-    return torus_volume(sigma.n) * _normalized_residue_of_composition(sigma, tau, commutator=True)
+    return _normalized_residue_of_composition(sigma, tau, commutator=True, volume=True)
 
 
 def commutator_xi(sigma: ClassicalSymbol, direction: int) -> ClassicalSymbol:

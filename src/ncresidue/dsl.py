@@ -827,6 +827,11 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
+# the Theta of an int or Fraction (exact) or float twist, once per value and type
+_twist_of = lru_cache(maxsize=64, typed=True)(lambda value: (
+    Theta.from_rational(value) if isinstance(value, (int, Fraction)) else Theta.from_float(value)))
+
+
 def random_symbol(
     seed: int,
     *,
@@ -850,11 +855,8 @@ def random_symbol(
         raise ValidationError("depth, max_mode and max_alpha must be nonnegative")
     if theta is not None:
         if not isinstance(theta, Theta):
-            theta = (
-                Theta.from_rational(theta)
-                if isinstance(theta, (int, Fraction))
-                else Theta.from_float(theta)
-            )
+            theta = (_twist_of(theta) if isinstance(theta, (int, Fraction, float))
+                     else Theta.from_float(theta))
         if dim != 2:
             raise ValidationError("twisted symbols require dim 2")
     rng = random.Random(seed)

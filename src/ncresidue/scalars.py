@@ -185,14 +185,10 @@ _set_a, _set_b, _set_den = (ComplexRational.__dict__[name].__set__
 
 
 class GaussianInteger:
-    """An exact complex number with integer real and imaginary parts.
-
-    The numerator a ``ComplexRational`` is lifted to over a shared integer
-    denominator (``terms.RationalSystem.lift``), so the residue's sums and
-    products never normalize a fraction; ``compose_components`` packs it
-    into one ``int`` (``terms.PackedGaussians``).  Instances are never
-    mutated after construction; the fields are plain slots to keep
-    construction cheap.
+    """An exact complex number with integer real and imaginary parts: the
+    numerator a ``ComplexRational`` is lifted to over a shared denominator
+    (``terms.RationalSystem.lift``), and a sphere total of the engine.
+    Instances are never mutated; the fields are plain slots, cheap to set.
     """
 
     __slots__ = ("re", "im")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import terms as T
@@ -25,6 +26,7 @@ from .scalars import (
     PiGradedScalar,
     sphere_monomial_integral,
     sphere_surface_measure,
+    torus_volume,
 )
 
 _SYS = T.RATIONAL_SYSTEM
@@ -391,11 +393,21 @@ def euler_antiderivatives(component: HomogeneousComponent) -> list[HomogeneousCo
     return out
 
 
-def _sphere_sum(system, n: int, total, den: int) -> PiGradedScalar:
-    """(total / den) pi^(n // 2), a ``terms.sphere_total``, lowered once."""
-    if not total:
+def _sphere_sum(system, n: int, total, den: int, minus=None, *, volume=False) -> PiGradedScalar:
+    """(total / den) pi^(n // 2), a ``terms.sphere_total`` lowered once, less
+    a second one ``minus``, times the torus volume with ``volume`` (its
+    coefficient on the left, as before): one value is built."""
+    coeff = system.lower(total, den) if total else None
+    if minus is not None and minus[0]:
+        low = -system.lower(*minus)
+        coeff = low if coeff is None else coeff + low
+    if coeff is None:
         return PG_ZERO
-    return PiGradedScalar._graded(system.lower(total, den), Fraction(n // 2))
+    return PiGradedScalar._graded(torus_volume(n).coeff * coeff if volume else coeff,
+                                  _grade(n // 2 + n * volume))
+
+
+_grade = lru_cache(maxsize=64)(Fraction)
 
 
 def _sphere_total(n: int, bag: dict, den: int):

@@ -12,94 +12,50 @@ negated, scaled by an ``int`` and tested for zero with their own operators
 (``+``, ``*``, unary ``-``, truthiness).  Each calculus has one
 coefficient-system object, which supplies only what differs between
 backends: the coefficient class and its ``zero``, ``coerce`` of an outside
-value, the ``phase`` the product of two modes picks up, and the pair
-``lift``/``lower`` that moves exact coefficients onto their integer
-numerators over one shared denominator and back.  An exact coefficient
-already is a numerator over a denominator (the parts a, b of a complex
-rational (a + bi) / den, which lift to a Gaussian integer, and a
-cyclotomic integer at its own order for a cyclotomic scalar), so lifting
-rescales numerators and lowering is one gcd.  The phase works on
-both levels: the twisted one is an integer root of unity, which a
-numerator and a ``CyclotomicScalar`` multiply by alike.  The twisted
-phase is read from two mode entries: ``phase(v, u)`` for a left mode (.,
-v) and a right mode (u, .); the commutative system has none (``phase`` is
-None).
+value, the ``phase`` the product of two modes picks up (an integer root of
+unity at a rational twist, read from two mode entries: ``phase(v, u)`` for
+a left mode (., v) and a right mode (u, .); None without a twist), and the
+numerators the engine runs on: ``lift`` and ``numerator_map`` move exact
+coefficients onto integer numerators over one shared denominator, and
+``lower`` moves them back with one gcd.
 
 Composition by directional derivatives.  On the torus D_x^gamma acts on a
 right term of Fourier mode v as v^gamma, so by the multinomial theorem
 the terms |gamma| = k of sum_gamma (1/gamma!) (d_xi^gamma a) (D^gamma b)
 on that term are one directional derivative, (1/k!) (v . grad_xi)^k a.
 ``compose_components`` groups the right factor's terms by mode and walks,
-per left component and right mode v, the chain a, (v . grad_xi) a, ...,
-each step one pass over a bag; level k meets the right terms of mode v
-with the integer weight K!/k!, K! going into the one denominator that is
-lowered at the end, so no ``Fraction`` is formed on the way.
-``residue_pairing`` walks the same chains, in the one direction whose
-products reach mode zero, the last level cut by parity, and sums the
-products by alpha.
+per left component and right mode v, the chain a, (v . grad_xi) a, ...
+(``_along``); level k meets the right terms of mode v with the integer
+weight K!/k!, K! going into the one denominator lowered at the end, so no
+``Fraction`` is formed on the way.  ``residue_pairing`` plans each factor
+once, cuts it to the modes that face the other's, walks the same chains in
+the one direction whose products reach mode zero, and sums the products
+by alpha; both engines share the level rule (``_level_caps``), the
+directions (``_direction``) and the numerator map.
 
-Keys: tuples at the module boundary, packed ``int``s inside.  Everything
-outside this module (symbols, ``NCPolynomial``, the parser, the writers,
-JSON, ``raw_terms()``) sees the (mode, alpha, npow) tuples above.  The
-engine loops (``mul_terms``, ``partial_xi_terms``, ``canonical_terms``
-and the composition and residue sums) run on keys packed into one ``int``
-each (``Keys``): from the low bits up, the fields alpha_0 .. alpha_(n-1),
-npow, |alpha| + npow and mode_0 .. mode_(n-1), each ``width`` bits wide
-and holding its value plus the offset 2^(width - 1).  So a product key is
-k1 + k2 minus the packed offsets, a xi-derivative or R step adds a
-precomputed unit, canonical form groups terms by the key shifted down to
-npow (keeping its parity bit) and divides along the alpha_0 field, and the
-homogeneity check is one mask-and-compare on the |alpha| + npow field.
-Width rule: ``pack_terms`` works the width out from the keys of each call,
-as the narrowest multiple of 8 bits whose offset exceeds 4 (F + K), F the
-largest field value of the inputs and K the deepest derivative order, so
-that no field of a product, derivative or canonical shell can carry into
-its neighbour.  ``compose_components`` and ``residue_pairing`` pack their
-lifted factors once; the loops also accept tuple-keyed bags
-when handed the dimension n in place of a layout, and then pack on entry
-and unpack on return.  A layout remembers the modes and alphas it has
-packed or read, and each alpha's monomial at a null point of canonical
-form and integrated over the unit sphere (``Keys``).  A symbol-layer bag
-with one term per (mode, parity) group is its own canonical form, which
-``canonical_terms`` hands back without packing (the monomial rule), its
-keys read from those memos.
+Keys: tuples at the module boundary, packed ``int``s inside (``Keys``,
+whose layout and memos its docstring describes; ``pack_terms`` chooses a
+width that no field of a product, derivative or canonical shell can carry
+past, and packs what the engine loops are handed as tuples).  A
+symbol-layer bag with one term per (mode, parity) group is its own
+canonical form, which ``canonical_terms`` hands back without packing (the
+monomial rule).
 
-Numerators: ``compose_components`` under ``RationalSystem`` runs on one
-``int`` per Gaussian numerator a + bi, a + b 2^w (``PackedGaussians``).
-That is the ring map Z[i] -> Z/(2^(2w) + 1) sending i to 2^w, so the
-engine loops, which only add, negate, multiply and test for zero, run
-unchanged on the ``int``s and form images of the Gaussian values.  Each
-value of an emitted degree's product bucket is reduced to its balanced
-representative as canonical form groups the terms, and each finished
-group is read back from its low w bits and the bits above them, in the
-same pass that reads its keys' tuples.  This is exact when every
-Gaussian value the call forms has parts below 2^(w - 1): then its image
-is a + b 2^w itself, zero only when the value is, and canonical form's
-sums of such images stay the images of its sums.  Width rule:
-``numerator_width`` bounds every value of the call from the lifted
-factors' L1 norms, the tower growth (F_xi + 3K)^K, the weights K!
-F_mode^K, the C(K + n, n) derivative multi-indices and canonical form's
-growth n^s, s <= 2A + K, where F_xi is the largest |alpha| + |npow|,
-F_mode the largest |mode entry|, A the largest |alpha| (``pack_terms``)
-and K the deepest derivative order (``_level_caps``); its docstring
-holds the proof.  The twisted and float systems keep their
-numerators (``_same_numerators``), so the call has one code path.
-``residue_pairing`` runs on the same ``int``s, one map for both
-orderings, and integrates each ordering's bag as it reads it back.
+Numerators: under ``RationalSystem`` the engine runs on one ``int`` per
+Gaussian numerator a + bi, a + b 2^w (``PackedGaussians``), the image under
+a ring map, so the loops, which only add, negate, multiply and test for
+zero, run unchanged; ``numerator_width`` picks a w that every value of the
+call stays below, which makes the images exact, and its docstring holds
+the proof.  The twisted and float systems keep their numerators
+(``_same_numerators``), so each engine call has one code path.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
 R = xi_1^2 + ... + xi_n^2.  This removes the only relation among the
 generators, so structural equality of canonical term dicts is equality of
-functions on R^n minus the origin.  A class is a polynomial in its
-shells, and R divides it exactly when it divides the lowest shell, which
-is tried by long division.  Inside ``compose_components`` the Gaussian
-numerator map first evaluates the lowest shell at a zero z of R over
-Z[i], z = (-1, i) at n = 2 and (4, 3, 5i) at n = 3 (``_null_point``); a
-multiple of R vanishes there, so a nonzero value proves the division
-would fail and the class is expanded at once, and only a zero value is
-divided (``canonical_terms``, where the proof and the refusal bound the
-shortcut keeps to are).  That point also proves the monomial rule.
+functions on R^n minus the origin.  ``canonical_terms`` holds the method:
+long division of the lowest shell, settled at once by a value at a zero of
+R (``_null_point``) when that value is nonzero, and Horner's rule.
 """
 
 from __future__ import annotations
@@ -122,9 +78,9 @@ class RationalSystem:
 
     The twisted systems below derive from it and override what differs.
     ``scalar`` is the coefficient class.  ``numerator_map`` is the one
-    place the systems' numerators differ inside ``compose_components``:
-    here Gaussian numerators become ``int``s (``PackedGaussians``), the
-    other systems keep theirs (``_same_numerators``).
+    path by which both engines give their packed factors numerators: here
+    ``int``s (``PackedGaussians``) read straight from the coefficients, the
+    other systems lift and keep theirs (``_same_numerators``).
     """
 
     zero = CR_ZERO
@@ -143,13 +99,9 @@ class RationalSystem:
 
     @staticmethod
     def lift(comps: dict[int, dict]):
-        """The components as integer numerators over one denominator.
-
-        Returns ``(numerators, den)``: every coefficient (a + bi) / d becomes
-        the ``GaussianInteger`` (a + bi) * (den / d), where den is the lcm
-        of all the denominators.  ``lower`` turns a numerator back into a
-        coefficient.
-        """
+        """``(numerators, den)``: every coefficient (a + bi) / d of the
+        components as the ``GaussianInteger`` (a + bi) (den / d), den the lcm
+        of the denominators, which ``lower`` turns back."""
         den = math.lcm(*{s.den for bag in comps.values() for s in bag.values()})
         lifted = {deg: {key: GaussianInteger(s.a * (k := den // s.den), s.b * k)
                         for key, s in bag.items()} for deg, bag in comps.items()}
@@ -161,17 +113,26 @@ class RationalSystem:
 
     @staticmethod
     def numerator_map(left: list, right: list, n: int, sizes: tuple[int, int, int], depth: int):
-        """(numerator map, left, right): the packed bags of the two lifted
-        factors with each Gaussian numerator as one ``int``, at the width
-        ``numerator_width`` gives for the call (``sizes`` is (F_xi, F_mode,
-        A) from ``pack_terms``)."""
-        norms = [sum([abs(z.re) + abs(z.im) for bag in bags for z in bag.values()])
-                 for bags in (left, right)]
-        ints = PackedGaussians(numerator_width(n, *norms, *sizes, depth))
-        pack = ints.pack
-        left = [{key: pack(z) for key, z in bag.items()} for bag in left]
-        right = [{key: pack(z) for key, z in bag.items()} for bag in right]
-        return ints, left, right
+        """(numerator map, den): each coefficient (a + bi) / d of the engine's
+        packed bags turned in place into the ``int`` (a + b 2^w)(D / d), D the
+        lcm of its factor's d and den the product of both D, after one pass
+        for D and the L1 norm; w is ``numerator_width``'s (``sizes`` as
+        ``pack_terms``')."""
+        dens = []
+        for bags in (left, right):
+            norms: dict[int, int] = {}  # d -> the sum of |a| + |b| over the terms over d
+            for bag in bags:
+                for s in bag.values():
+                    norms[s.den] = norms.get(s.den, 0) + abs(s.a) + abs(s.b)
+            den = math.lcm(*norms)
+            dens.append((den, sum([den // d * t for d, t in norms.items()])))
+        ints = PackedGaussians(numerator_width(n, dens[0][1], dens[1][1], *sizes, depth))
+        w = ints.width
+        for bags, (den, _norm) in zip((left, right), dens):
+            for bag in bags:
+                for key, s in bag.items():
+                    bag[key] = (s.a + (s.b << w)) * (den // s.den)
+        return ints, dens[0][0] * dens[1][0]
 
 
 class _SameNumerators:
@@ -209,7 +170,15 @@ class _SameNumerators:
 
 
 def _same_numerators(self, left: list, right: list, *_sizes):
-    return _SameNumerators(self), left, right
+    """The numerator map that keeps the system's numerators: ``lift`` in place,
+    each factor over its own denominator, the product of which it returns."""
+    den = 1
+    for bags in (left, right):
+        lifted, d = self.lift(dict(enumerate(bags)))
+        for bag, numerators in zip(bags, lifted.values()):
+            bag.update(numerators)
+        den *= d
+    return _SameNumerators(self), den
 
 
 class CyclotomicSystem(RationalSystem):
@@ -832,10 +801,6 @@ def _bump(alpha: tuple[int, ...], axis: int, delta: int) -> tuple[int, ...]:
     return alpha[:axis] + (alpha[axis] + delta,) + alpha[axis + 1 :]
 
 
-def terms_x_independent(terms: dict) -> bool:
-    return all(not any(mode) for (mode, _a, _p) in terms)
-
-
 def terms_polynomial(terms: dict) -> bool:
     """True when every |xi| power is even and nonnegative (a polynomial)."""
     return all(p >= 0 and p % 2 == 0 for (_m, _a, p) in terms)
@@ -1100,56 +1065,44 @@ def compose_components(
     because the canonical form of a function is unique and
     ``canonical_terms`` accepts any homogeneous raw bag.
 
-    Both factors are lifted on entry (``system.lift``), and each weight
-    1/k! is applied as the integer K!/k!, where K is the deepest derivative
-    order any pair reaches: the whole sum runs on numerators over one
-    denominator, the two lifts' denominators times K!, and each emitted
-    coefficient is divided by it once (``system.lower``).  The lifted
+    Each weight 1/k! is applied as the integer K!/k!, where K is the
+    deepest derivative order any pair reaches (``_level_caps``).  The
     factors are packed once, under a layout that covers order K
-    (``pack_terms``), and each emitted degree is read back into tuple keys
-    and coefficients in one pass.  The system's ``numerator_map`` gives the
-    numerators the engine runs on (one ``int`` each for Gaussian ones,
-    ``PackedGaussians``), which canonical form reduces as it groups the
-    terms, certifies (``canonical_terms``) and lowers group by group.  A
+    (``pack_terms``), and the system's ``numerator_map`` puts them on
+    numerators over one denominator (one ``int`` each for Gaussian ones,
+    ``PackedGaussians``), so the whole sum runs on numerators over that
+    denominator times K!.  Canonical form reduces them as it groups the
+    terms, certifies (``canonical_terms``) and lowers each emitted degree
+    group by group into tuple keys and coefficients, dividing once.  A
     product is formed as in ``mul_terms``: left scalar first, then the
     system's phase.
     """
+    left = [(d, t, terms_polynomial(t)) for d, t in comps_a.items() if t]
+    right = [(d, t, any(any(mode) for mode, _a, _p in t)) for d, t in comps_b.items() if t]
     if floor is None and gamma_cap is None and not (
-        all(terms_polynomial(t) for t in comps_a.values())
-        or all(terms_x_independent(t) for t in comps_b.values())
-    ):
+            all(flag for *_c, flag in left) or not any(flag for *_c, flag in right)):
         raise ValidationError(
             "composition of two complete symbols does not terminate here; "
             "assign a finite trusted floor to one factor"
         )
-    caps = _level_caps(comps_a, comps_b, floor, gamma_cap)
+    caps = _level_caps(left, right, floor, gamma_cap)
     deepest = max(caps.values(), default=0)
     _check_tower(n, deepest, "assign a higher trusted floor")
-    comps_a, den_a = system.lift(comps_a)
-    comps_b, den_b = system.lift(comps_b)
     keys, packed, sizes = _pack_sized(n, [*comps_a.values(), *comps_b.values()], deepest)
-    nums, left, right = system.numerator_map(packed[:len(comps_a)], packed[len(comps_a):],
-                                             n, sizes, deepest)
+    left, right = packed[:len(comps_a)], packed[len(comps_a):]
+    nums, den = system.numerator_map(left, right, n, sizes, deepest)
     scale = math.factorial(deepest)
     weights = [scale // math.factorial(k) for k in range(deepest + 1)]
     m, h, offsets, first = keys.mask, keys.half, keys.offsets, keys.mode_shifts[0]
     phase = system.phase
     if phase is not None:
         second = keys.mode_shifts[1]
-    # each right component's terms by mode (the mode fields of a key), as
-    # (key - offsets, numerator); and per mode, the steps of v . grad_xi and
-    # the entry the phase reads
     directions: dict[int, tuple] = {}
-    groups_b = []
+    groups_b = []  # each right component's terms by mode (the mode fields of a key)
     for b_deg, b_terms in zip(comps_b, right):
         groups: dict[int, list] = {}
         for key, s in b_terms.items():
-            field = key >> first
-            groups.setdefault(field, []).append((key - offsets, s))
-            if field not in directions:
-                mode = [(key >> shift & m) - h for shift in keys.mode_shifts]
-                steps = [(keys.width * j, v, *keys.xi_steps[j]) for j, v in enumerate(mode) if v]
-                directions[field] = (steps, mode[0])
+            groups.setdefault(key >> first, []).append((key - offsets, s))
         groups_b.append((b_deg, groups))
     out: dict[int, dict] = {}
     for a_deg, a_terms in zip(comps_a, left):
@@ -1159,7 +1112,8 @@ def compose_components(
             if kmax is None:
                 continue
             for field, terms in groups.items():
-                steps, u = directions[field]
+                mode, steps = directions.get(field) or _direction(keys, directions, field)
+                u = mode[0]
                 chain = chains.get(field)
                 if chain is None:
                     chain = chains[field] = [a_terms]
@@ -1189,7 +1143,7 @@ def compose_components(
                                     bucket[key] = s
                                 else:
                                     del bucket[key]
-    den = den_a * den_b * scale
+    den *= scale
     result = {}
     for d, raw in out.items():
         ct = canonical_terms(keys, d, raw, nums, den)
@@ -1248,31 +1202,36 @@ def _check_tower(n: int, deepest: int, remedy: str) -> None:
         )
 
 
-def _level_caps(comps_a, comps_b, floor, gamma_cap) -> dict[tuple[int, int], int]:
-    """The deepest derivative order k each pair (a_deg, b_deg) can use.
-
-    A pair that reaches no level is left out.  The bounds: the lowest
-    emitted degree ``floor`` sets a_deg + b_deg - k, ``gamma_cap`` caps k,
-    a right component free of modes is killed by every D^gamma with
-    gamma != 0, and the tower of a polynomial left component vanishes past
-    its degree (its largest |alpha| + p).  The termination check of ``compose_components`` makes
-    sure one of them applies.
-    """
+def _level_caps(left: list, right: list, floor, gamma_cap) -> dict[tuple[int, int], int]:
+    """The level rule of both engines: the deepest derivative order k of each
+    pair (a_deg, b_deg) that reaches a level, from the components as (a_deg,
+    terms, polynomial) and (b_deg, terms, moving).  The lowest emitted degree
+    ``floor`` sets a_deg + b_deg - k, ``gamma_cap`` caps k, the tower of a
+    polynomial left component vanishes past its degree, and D^gamma, gamma
+    != 0, kills a right component free of modes (``compose_components``'
+    termination check makes sure one applies)."""
     caps = {}
-    for a_deg, a_terms in comps_a.items():
-        if not a_terms:
-            continue
-        a_cap = a_deg if terms_polynomial(a_terms) else None
-        for b_deg, b_terms in comps_b.items():
-            if not b_terms:
-                continue
-            bounds = [a_cap, gamma_cap, 0 if terms_x_independent(b_terms) else None]
-            if floor is not None:
-                bounds.append(a_deg + b_deg - floor)
-            kmax = min(b for b in bounds if b is not None)
-            if kmax >= 0:
-                caps[(a_deg, b_deg)] = kmax
+    for a_deg, _terms, polynomial in left:
+        top = a_deg if polynomial else math.inf
+        if gamma_cap is not None and gamma_cap < top:
+            top = gamma_cap
+        for b_deg, _terms, moving in right:
+            k = top if floor is None or top < a_deg + b_deg - floor else a_deg + b_deg - floor
+            if not moving and k > 0:
+                k = 0
+            if k >= 0:
+                caps[(a_deg, b_deg)] = k
     return caps
+
+
+def _direction(keys: Keys, directions: dict, field: int) -> tuple:
+    """(v, the steps of v . grad_xi for ``_along``) for the mode v whose mode
+    fields (``key >> mode_shifts[0]``) are ``field`` (from the layout's memo
+    if packed there), kept in ``directions``, the table of one engine call."""
+    n, w = keys.n, keys.width
+    v = keys.modes.get(field) or keys.fields(field << keys.mode_shifts[0], n + 2, 2 * n + 2)
+    entry = directions[field] = (v, [(w * j, x, *keys.xi_steps[j]) for j, x in enumerate(v) if x])
+    return entry
 
 
 def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict], *,
@@ -1287,50 +1246,102 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     keeps, and drops the |xi| power: on the unit sphere |xi| = 1, so the
     sum stays raw and is never canonicalized.
 
-    The factors are cut to the terms whose mode faces a mode of the other
-    factor (``_facing``), each ordering's deepest level is bounded
-    (``_check_tower``, a o b first) before any work, and the factors are
-    lifted once.  A pair of components meets at level k = a_deg + b_deg +
-    n, unless k < 0, the tower of a polynomial left component ends before
-    k, or k > 0 and D^gamma kills a right component free of modes (the
-    bounds of ``_level_caps``).  The lifted factors are packed and given
-    their numerators once, for the deeper ordering, and each ordering is
-    then the pass a call with that ordering alone makes, at its own depth
-    (``_pairing_pass``).
+    A call sets itself up once: one pass per factor packs and groups its
+    terms (``_plan``), each is cut to the groups whose mode faces one of the
+    other's (``_cut``), and components meet at level a_deg + b_deg + n when
+    the level rule admits it at floor -n; each ordering's deepest level is
+    bounded (``_check_tower``, a o b first) before any numerator is formed.
+    The layout covers the facing terms at the deeper depth (the factors are
+    planned again under a wider one when they or the modes need it).  Both
+    orderings share the plans, one numerator map and one table of
+    directions, and each is then its own pass at its own depth
+    (``_pairing_pass``), the pass a call with that ordering alone makes.
     """
-    modes = [{deg: {key[0] for key in bag} for deg, bag in comps.items()}
-             for comps in (comps_a, comps_b)]
-    # the right factor of a o b alone need not be cut: its other terms meet nothing
-    facing = [_facing(comps_a, *modes), _facing(comps_b, *modes[::-1]) if both else comps_b]
-    passes = []
-    for i, j in [(0, 1), (1, 0)] if both else [(0, 1)]:
-        moving = {b_deg: any(map(any, ms)) for b_deg, ms in modes[j].items()}
-        level_of = {}
-        for a_deg, a_terms in facing[i].items():
-            cap = a_deg if terms_polynomial(a_terms) else math.inf
-            for b_deg, moves in moving.items():
-                k = a_deg + b_deg + n
-                if 0 <= k <= cap and (moves or not k):
-                    level_of[(a_deg, b_deg)] = k
-        depth = max(level_of.values(), default=0)
-        _check_tower(n, depth, "lower the orders of the factors")
-        passes.append((i, j, level_of, depth))
-    (lifted_a, den_a), (lifted_b, den_b) = system.lift(facing[0]), system.lift(facing[1])
-    deepest = max(depth for _i, _j, _levels, depth in passes)
-    keys, packed, sizes = _pack_sized(n, [*lifted_a.values(), *lifted_b.values()], deepest)
-    nums, packed_a, packed_b = system.numerator_map(packed[:len(lifted_a)],
-                                                    packed[len(lifted_a):], n, sizes, deepest)
-    factors = [list(zip(lifted_a, packed_a)), list(zip(lifted_b, packed_b))]
-    pairs = [_pairing_pass(system, keys, nums, factors[i], factors[j], level_of, depth,
-                           den_a * den_b) for i, j, level_of, depth in passes]
+    keys = _narrow_layout(n)
+    while True:
+        plans = [_plan(keys, comps_a), _plan(keys, comps_b)]
+        width = (4 * max(plans[0][2], plans[1][2])).bit_length() + 1
+        if width <= keys.width:  # no two modes share their mode fields
+            flip = 2 * (keys.offsets >> keys.mode_shifts[0])
+            cuts = [_cut(plans[0][0], plans[1][1], flip), _cut(plans[1][0], plans[0][1], flip)]
+            passes = []
+            for i, j in ((0, 1), (1, 0)) if both else ((0, 1),):
+                caps = _level_caps(cuts[i][0], plans[j][0], -n, None)
+                level_of = {pair: k for pair, k in caps.items() if k == pair[0] + pair[1] + n}
+                depth = max(level_of.values(), default=0)
+                _check_tower(n, depth, "lower the orders of the factors")
+                passes.append((i, j, level_of, depth))
+            deepest = max(depth for _i, _j, _levels, depth in passes)
+            sizes = tuple(max([g[x] for c in cuts for g in c[2]], default=0) for x in (1, 2, 3))
+            width = (4 * (max(sizes) + deepest)).bit_length() + 1
+            if width <= keys.width:
+                break
+        keys = Keys(n, -(-width // _TIER) * _TIER)
+    nums, den = system.numerator_map([g[0] for g in cuts[0][2]], [g[0] for g in cuts[1][2]],
+                                     n, sizes, deepest)
+    directions: dict[int, tuple] = {}
+    pairs = [_pairing_pass(system, keys, nums, cuts[i][0], cuts[j][1], level_of, depth, den,
+                           directions) for i, j, level_of, depth in passes]
     return pairs if both else pairs[0]
 
 
-def _pairing_pass(system, keys: Keys, nums, left: list, right: list, level_of: dict,
-                  depth: int, den: int):
-    """The pair of ``residue_pairing`` for one ordering of two lifted
-    factors, given as (degree, packed bag) lists under the layout ``keys``
-    with the numerators ``nums``, over the lifts' denominator ``den``.
+def _plan(keys: Keys, comps: dict[int, dict]):
+    """(plan, fields, reach): a factor's terms packed as ``Keys.pack`` packs
+    them and grouped by degree and mode, in one pass: (degree, {mode fields:
+    group}, moving) per component, a group being [packed bag, F_xi, F_mode,
+    A, polynomial] (``pack_terms``' sizes, and whether every |xi| power is
+    even and nonnegative); the mode fields tell the modes apart when
+    ``reach``, the largest |mode entry|, is below the layout's ``half``."""
+    modes, alphas, weight = keys.modes, keys.alphas, keys.npow_weight
+    first = keys.mode_shifts[0]
+    zero = keys.offsets >> first  # the mode fields of mode zero
+    reach, plan, fields = 0, [], set()
+    for deg, bag in comps.items():
+        groups: dict[int, list] = {}
+        for (mode, alpha, npow), s in bag.items():
+            a = alphas.get(alpha) or keys.pack_alpha(alpha)
+            m = modes.get(mode) or keys.pack_mode(mode)
+            if m[0] > reach:
+                reach = m[0]
+            field = zero + (m[1] >> first)
+            g = groups.get(field)
+            if g is None:
+                g = groups[field] = [{}, 0, m[0], 0, True]
+            g[0][a[1] + m[1] + npow * weight] = s
+            if a[0] + abs(npow) > g[1]:
+                g[1] = a[0] + abs(npow)
+            if a[0] > g[3]:
+                g[3] = a[0]
+            if npow < 0 or npow & 1:
+                g[4] = False
+        fields.update(groups)
+        plan.append((deg, groups, len(groups) > 1 or bool(groups) and zero not in groups))
+    return plan, fields, reach
+
+
+def _cut(plan: list, other: set, flip: int):
+    """(left, index, groups): the groups of a plan whose mode fields face one of
+    ``other`` (those of -u are ``flip`` minus those of u) as (degree, {mode
+    fields: group}, polynomial) entries, by mode fields, and in order."""
+    left, index, kept = [], {}, []
+    for deg, groups, _moving in plan:
+        faced, polynomial = {}, True
+        for field, g in groups.items():
+            if flip - field in other:
+                faced[field] = g
+                kept.append(g)
+                index.setdefault(field, []).append((deg, g))
+                polynomial = polynomial and g[4]
+        if faced:
+            left.append((deg, faced, polynomial))
+    return left, index, kept
+
+
+def _pairing_pass(system, keys: Keys, nums, left: list, right: dict, level_of: dict,
+                  depth: int, den: int, directions: dict):
+    """The pair of ``residue_pairing`` for one ordering, from the left factor's
+    components and the right one's index (``_cut``), on the numerators
+    ``nums`` over ``den``, with the call's table of ``_direction``.
 
     It runs on the chains of ``compose_components``: a left term of mode -v
     meets only right terms of mode v, so per left (degree, mode) one chain
@@ -1345,32 +1356,24 @@ def _pairing_pass(system, keys: Keys, nums, left: list, right: list, level_of: d
     The bag is reduced once and integrated with the weights of the
     layout's ``sphere`` memo (``sphere_total``).
     """
-    m, h, w, offsets = keys.mask, keys.half, keys.width, keys.offsets
-    first, alpha_mask = keys.mode_shifts[0], keys.alpha_mask
-    flip = 2 * (offsets >> first)  # the mode fields of -v are flip minus those of v
+    w, offsets, alpha_mask = keys.width, keys.offsets, keys.alpha_mask
+    flip = 2 * (offsets >> keys.mode_shifts[0])  # the mode fields of -v are flip minus those of v
     odd = (offsets & alpha_mask) >> (w - 1)  # the low bit of each alpha field
-    groups = [[(deg, {}) for deg, _bag in factor] for factor in (left, right)]
-    for by_degree, factor in zip(groups, (left, right)):  # (degree, mode fields -> bag)
-        for (_deg, by_mode), (_d, bag) in zip(by_degree, factor):
-            for key, s in bag.items():
-                by_mode.setdefault(key >> first, {})[key] = s
     scale = math.factorial(depth)
     weights = [scale // math.factorial(k) for k in range(depth + 1)]
     phase = system.phase
     out: dict = {}
-    for a_deg, by_mode in groups[0]:
-        for field, bag in by_mode.items():
+    for a_deg, by_mode, _polynomial in left:
+        for field, group in by_mode.items():
             partner = flip - field
-            meets = [(k, terms) for b_deg, partners in groups[1]
-                     if (k := level_of.get((a_deg, b_deg))) is not None
-                     and (terms := partners.get(partner)) is not None]
+            meets = [(k, g[0]) for b_deg, g in right[partner]
+                     if (k := level_of.get((a_deg, b_deg))) is not None]
             if not meets:
                 continue
-            v = [(partner >> (w * t) & m) - h for t in range(keys.n)]
+            v, steps = directions.get(partner) or _direction(keys, directions, partner)
             ph = None if phase is None else phase(-v[1], v[0])
-            steps = [(w * t, x, *keys.xi_steps[t]) for t, x in enumerate(v) if x]
             # bag, (v . grad_xi) bag, ...; along v = 0 every step is empty
-            chain = [bag] if steps else [bag, {}]
+            chain = [group[0]] if steps else [group[0], {}]
             top = max(k for k, _terms in meets)
             while len(chain) < top and chain[-1]:
                 chain.append(_along(keys, chain[-1], steps))
@@ -1417,16 +1420,3 @@ def sphere_total(nums, values, weights: list, den: int):
     the sum of v c (L / d), L the lcm of the d, on the numerators of ``nums``."""
     scale = math.lcm(*{d for _c, d in weights})
     return nums.total(values, [c * (scale // d) for c, d in weights]), den * scale
-
-
-def _facing(left: dict[int, dict], left_modes: dict, right_modes: dict) -> dict[int, dict]:
-    """The nonempty components of ``left`` cut to the terms whose mode is minus
-    a mode of the right factor (the factors' modes by degree are given)."""
-    wanted = {tuple([-x for x in mode]) for ms in right_modes.values() for mode in ms}
-    out = {}
-    for deg, bag in left.items():
-        if bag and left_modes[deg] <= wanted:
-            out[deg] = bag
-        elif not left_modes[deg].isdisjoint(wanted):
-            out[deg] = {key: s for key, s in bag.items() if key[0] in wanted}
-    return out

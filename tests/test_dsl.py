@@ -176,6 +176,33 @@ def test_golden_random_nc_symbol():
     assert format_symbol(s) == want
 
 
+def test_random_symbol_builds_one_theta_per_twist(monkeypatch):
+    """A twist given as a number becomes a ``Theta`` once per distinct value and
+    type, and the symbols are those drawn at that ``Theta`` itself."""
+    twists = [Fraction(2, 5), Fraction(5, 12), Fraction(7, 30), 0, 0.0, 0.3]
+    kw = dict(dim=2, order=0, depth=2, max_mode=2, max_alpha=2)
+    want = {(seed, i): random_symbol(seed, theta=N.Theta.from_rational(theta)
+                                     if isinstance(theta, (int, Fraction))
+                                     else N.Theta.from_float(theta), **kw)
+            for seed in range(12) for i, theta in enumerate(twists)}
+    built = []
+    init = N.Theta.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    dsl._twist_of.cache_clear()
+    monkeypatch.setattr(N.Theta, "__init__", counting)
+    for seed in range(12):
+        for i, theta in enumerate(twists):
+            got = random_symbol(seed, theta=theta, **kw)
+            assert got.theta == want[(seed, i)].theta
+            assert repr(got._term_bags()) == repr(want[(seed, i)]._term_bags())
+    assert len(built) == len(twists)
+    assert built[3:5] == [{"exact": Fraction(0)}, {"approximate": 0.0}]
+
+
 def test_roundtrip_randomized_suite():
     idx = 0
     for seed in range(40):

@@ -617,6 +617,140 @@ def test_float_trace_defect_stays_near_the_two_call_form(theta):
     assert checked >= 12
 
 
+# -- the residue path's set-up: one plan per factor -------------------------------
+
+
+def _monomial(twist, n, mode, alpha, npow, coeff, floor):
+    """The one-term symbol coeff e^(i mode.x) xi^alpha |xi|^npow (a word U^a V^b
+    at a twist), trusted down to ``floor``."""
+    deg = sum(alpha) + npow
+    if twist is not None:
+        return NCSymbol(twist, deg, {deg: [(coeff, mode, alpha, npow)]}, floor)
+    comp = HomogeneousComponent(n, deg, [(coeff, mode, alpha, npow)])
+    return ClassicalSymbol(n, deg, {deg: comp}, floor)
+
+
+def _monomial_box(n, modes, degrees, top):
+    """(mode, alpha, npow) for every mode u and -u, every degree and every alpha
+    with |alpha| <= ``top``."""
+    alphas = [al for s in range(top + 1) for al in itertools.product(range(s + 1), repeat=n)
+              if sum(al) == s]
+    modes = list(dict.fromkeys([*modes, *[tuple(-x for x in mode) for mode in modes]]))
+    return [(mode, al, deg - sum(al)) for mode in modes for deg in degrees for al in alphas]
+
+
+def _facing_monomial_pairs(twist, n, modes, degrees, top):
+    """Every pair of box monomials of modes u and -u whose products reach
+    degree -n, each trusted just deep enough for its partner, so that the
+    composition is trusted down to -n."""
+    box = _monomial_box(n, modes, degrees, top)
+    coeffs = [ComplexRational(Fraction(3, 7), -1), ComplexRational(Fraction(-5, 2))]
+    for i, (mode, alpha, npow) in enumerate(box):
+        for j, (mode_b, beta, qpow) in enumerate(box):
+            a_deg, b_deg = sum(alpha) + npow, sum(beta) + qpow
+            if mode_b != tuple(-x for x in mode) or a_deg + b_deg < -n:
+                continue
+            yield (_monomial(twist, n, mode, alpha, npow, coeffs[i % 2], -n - b_deg),
+                   _monomial(twist, n, mode_b, beta, qpow, coeffs[j % 2], -n - a_deg))
+
+
+_MONOMIAL_BOXES = [
+    (None, 2, [(0, 0), (1, 0), (1, -1), (0, 2)], [-2, -1, 0, 1], 1),
+    (None, 3, [(0, 0, 0), (1, 0, -1), (0, 1, 1)], [-3, -2, -1, 0], 1),
+    (Theta.from_rational(Fraction(2, 5)), 2, [(0, 0), (1, 0), (1, 1), (0, 2)], [-2, -1, 0, 1], 1),
+]
+
+
+@pytest.mark.parametrize("box", _MONOMIAL_BOXES, ids=["n=2", "n=3", "theta=2/5"])
+def test_trace_defect_vanishes_on_every_facing_monomial_pair(box):
+    """The defect is bilinear, so its vanishing on the monomials of a box is the
+    trace property for every pair of symbols with terms in it; each ordering's
+    residue is also that of the full composition."""
+    twist, n, modes, degrees, top = box
+    pairs = list(_facing_monomial_pairs(twist, n, modes, degrees, top))
+    nonzero = 0
+    for a, b in pairs:
+        comp, res, single, defect = _calculus(a)
+        got = defect(a, b)
+        assert got.is_zero() and got == _two_call_defect(a, b)
+        st = single(a, b)
+        assert st == res(comp(a, b)) and single(b, a) == res(comp(b, a))
+        nonzero += not st.is_zero()
+    assert len(pairs) >= 500 and nonzero >= 100
+
+
+def test_a_term_that_faces_nothing_does_not_widen_the_residue_layout(monkeypatch):
+    """Each factor gets a term whose mode faces no mode of the other and whose
+    |alpha| + |npow| = 81 is past what the 8-bit layout holds at any depth
+    (4 (F + K) must stay below 2^7): the residue path keeps the narrow
+    layout, and the residues are those of the factors without that term."""
+    def sym(terms):
+        return ClassicalSymbol(2, -1, {-1: HomogeneousComponent(2, -1, terms)}, -3)
+
+    cr = ComplexRational
+    a_terms = [(cr(Fraction(3, 7), 2), (1, 0), (1, 0), -2)]
+    b_terms = [(cr(-5), (-1, 0), (1, 0), -2)]
+    a, b = sym(a_terms), sym(b_terms)
+    wide_a = sym(a_terms + [(cr(1, 1), (2, 2), (0, 40), -41)])
+    wide_b = sym(b_terms + [(cr(2), (0, 3), (40, 0), -41)])
+    assert (4 * 81).bit_length() + 1 > T._TIER
+    cases = [(wide_a, wide_b, a, b), (wide_b, wide_a, b, a), (wide_a, b, a, b), (a, wide_b, a, b)]
+    want = [(_residue_of_composition(s, t), _residue_of_composition(t, s))
+            for _ws, _wt, s, t in cases]
+    assert all(not r.is_zero() for pair in want for r in pair)
+    widths, layouts = [], []
+    passes, keys_class = T._pairing_pass, T.Keys
+
+    def recording_pass(system, keys, *args):
+        widths.append(keys.width)
+        return passes(system, keys, *args)
+
+    class Recording(keys_class):
+        def __init__(self, n, width):
+            layouts.append(width)
+            super().__init__(n, width)
+
+    monkeypatch.setattr(T, "_pairing_pass", recording_pass)
+    monkeypatch.setattr(T, "Keys", Recording)
+    for (s, t, _s, _t), (st, ts) in zip(cases, want):
+        assert _residue_of_composition(s, t) == st and _residue_of_composition(t, s) == ts
+        assert trace_defect(s, t) == st - ts
+    assert len(widths) == 16 and set(widths) == {T._TIER} and not layouts
+    monkeypatch.undo()
+    assert _residue_of_composition(wide_a, wide_b) == residue(compose(wide_a, wide_b))
+
+
+def test_trace_defect_sets_each_factor_up_once(monkeypatch):
+    """A ``trace_defect`` call packs and groups each factor in one pass, forms
+    no ``GaussianInteger`` but the sphere total of each ordering, whatever
+    the number of terms, and builds one ``PiGradedScalar``."""
+    counts = dict.fromkeys(["plan", "pack", "gaussian", "graded"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    pairs = [(a, b) for a, b in _classical_residue_pairs(3, 12, 303)
+             if not _residue_of_composition(a, b).is_zero()]
+    assert len(pairs) >= 4 and max(len(bag) for a, _b in pairs
+                                    for bag in a._term_bags().values()) >= 2
+    monkeypatch.setattr(T, "_plan", counting("plan", T._plan))
+    monkeypatch.setattr(T.Keys, "pack", counting("pack", T.Keys.pack))
+    monkeypatch.setattr(GaussianInteger, "__init__",
+                        counting("gaussian", GaussianInteger.__init__))
+    monkeypatch.setattr(PiGradedScalar, "__init__", counting("graded", PiGradedScalar.__init__))
+    monkeypatch.setattr(PiGradedScalar, "_graded", classmethod(
+        counting("graded", PiGradedScalar._graded.__func__)))
+    for a, b in pairs:
+        trace_defect(a, b)  # the layout's memos now hold the sphere weights
+        for key in counts:
+            counts[key] = 0
+        assert trace_defect(a, b).is_zero()
+        assert counts == {"plan": 2, "pack": 0, "gaussian": 2, "graded": 1}
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_numerator_kernel_matches_unlifted_path(n):
     rng = random.Random(500 + n)

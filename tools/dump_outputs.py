@@ -62,6 +62,12 @@ It prints, on seeded inputs:
   the deepest orders it admits at n = 2 and 3 (43 and 16, with the refusal
   one order deeper); and ``nc_compose`` and ``NCPolynomial`` products with
   such modes at theta 2/5 and 7/30;
+- the residue of the composition, without composing, in both orders and
+  the trace defect for every pair of monomials e^(i u.x) xi^alpha |xi|^p
+  (U^a V^b xi^alpha |xi|^p at theta 2/5 and the float 0.4), |alpha| <= 1,
+  of modes u and -u in small boxes (n = 2, 3) whose products reach degree
+  -n, mode zero and polynomial monomials included, every third pair also
+  with a term on each side whose mode faces nothing, in order;
 - ``compose`` in both orders of seeded classical pairs in dimensions 2 and
   3 whose coefficients have parts of about 200 digits over mixed
   denominators, so the numerators the engine forms are as long as its
@@ -602,6 +608,65 @@ def dump_packing_edges(lib, out):
             for tag, fn in (("*", lambda: x * y), ("r*", lambda: y * x),
                             ("* adjoint", lambda: x * x.adjoint())):
                 out(f"edge theta={th} ncpoly {i} {tag}: {_outcome(lambda: _nc_poly_repr(fn()))}")
+
+
+# (label, n, twist, modes, degrees): monomial boxes; each holds every mode u
+# and -u, every degree and every alpha with |alpha| <= 1
+_MONOMIAL_BOXES = [
+    ("n=2", 2, None, [(0, 0), (1, 0), (1, -1), (0, 2)], [-2, -1, 0, 1]),
+    ("n=3", 3, None, [(0, 0, 0), (1, 0, -1), (0, 1, 1)], [-3, -2, -1, 0]),
+    ("theta=2/5", 2, Fraction(2, 5), [(0, 0), (1, 0), (1, 1), (0, 2)], [-2, -1, 0, 1]),
+    ("theta=0.4", 2, 0.4, [(0, 0), (1, 0), (1, 1)], [-2, -1, 0]),
+]
+
+
+def _monomial_symbol(lib, n, theta, terms, floor):
+    """The symbol of terms (coeff, mode, alpha, npow) of one degree, classical or
+    at ``theta``, trusted down to ``floor``."""
+    deg = sum(terms[0][2]) + terms[0][3]
+    if theta is not None:
+        return lib.nctorus.NCSymbol(theta, deg, {deg: terms}, floor)
+    S = lib.symbols
+    return S.ClassicalSymbol(n, deg, {deg: S.HomogeneousComponent(n, deg, terms)}, floor)
+
+
+def dump_monomial_pairs(lib, out):
+    """Both orderings' residue of the composition, without composing, and the
+    trace defect for every pair of monomials of modes u and -u in small boxes
+    whose products reach degree -n, each factor trusted just deep enough for
+    its partner; every third pair also with a term of its own degree added to
+    each factor whose mode faces nothing in the other.  The boxes hold mode
+    zero and polynomial monomials (xi_j, 1)."""
+    C, N = lib.calculus, lib.nctorus
+    CR = lib.scalars.ComplexRational
+    coeffs = [CR(Fraction(3, 7), -1), CR(Fraction(-5, 2)), CR(0, Fraction(1, 3))]
+    for label, n, th, modes, degrees in _MONOMIAL_BOXES:
+        theta = None
+        if th is not None:
+            theta = N.Theta.from_rational(th) if isinstance(th, Fraction) else N.Theta.from_float(th)
+        single, defect = ((C._residue_of_composition, C.trace_defect) if th is None
+                          else (N._nc_residue_of_composition, N.nc_trace_defect))
+        modes = list(dict.fromkeys([*modes, *[tuple(-x for x in m) for m in modes]]))
+        alphas = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        box = [(m, al, d - sum(al)) for m in modes for d in degrees for al in alphas]
+        k = 0
+        for i, (mode, alpha, npow) in enumerate(box):
+            for j, (mode_b, beta, qpow) in enumerate(box):
+                a_deg, b_deg = sum(alpha) + npow, sum(beta) + qpow
+                if mode_b != tuple(-x for x in mode) or a_deg + b_deg < -n:
+                    continue
+                a_terms = [(coeffs[i % 3], mode, alpha, npow)]
+                b_terms = [(coeffs[j % 3], mode_b, beta, qpow)]
+                if k % 3 == 2:
+                    a_terms.append((coeffs[j % 3], (5,) + (0,) * (n - 1), alpha, npow))
+                    b_terms.append((coeffs[i % 3], (0,) * (n - 1) + (7,), beta, qpow))
+                a = _monomial_symbol(lib, n, theta, a_terms, -n - b_deg)
+                b = _monomial_symbol(lib, n, theta, b_terms, -n - a_deg)
+                name = f"monomial {label} pair {k} {mode}{alpha}{npow} {mode_b}{beta}{qpow}"
+                for tag, s, t in (("ab", a, b), ("ba", b, a)):
+                    out(f"{name} {tag} residue of composition: {_outcome(single, s, t)}")
+                out(f"{name} trace defect: {_outcome(defect, a, b)}")
+                k += 1
 
 
 def _regrouped(rng, bags, n):
@@ -1177,6 +1242,7 @@ def main(argv=None) -> int:
     dump_cyclotomic_scalars(lib, lines.append)
     dump_pi_graded(lib, lines.append)
     dump_packing_edges(lib, lines.append)
+    dump_monomial_pairs(lib, lines.append)
     dump_large_coefficients(lib, lines.append)
     dump_compositions_by_mode(lib, lines.append)
     dump_canonical_certificates(lib, lines.append)
