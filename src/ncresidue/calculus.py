@@ -126,9 +126,9 @@ def _normalized_residue_of_composition(sigma, tau, *, commutator: bool = False,
     Only the mode-zero, degree-(-n) products reach the residue, and on the
     unit sphere they need no canonical form, so ``terms.residue_pairing``
     forms just those and the sphere sum integrates them raw.  With
-    ``commutator``, the residue of sigma o tau - tau o sigma, from one call
-    for both orderings (the floor rule is symmetric, so one check covers
-    both) lowered into one value; ``volume`` scales as ``residue`` does.
+    ``commutator``, the residue of sigma o tau - tau o sigma, both
+    orderings in one signed bag (the floor rule is symmetric, so one check
+    covers both); ``volume`` scales as ``residue`` does.
     """
     n = sigma.n
     floor = _standard_floor(sigma, tau)
@@ -138,10 +138,9 @@ def _normalized_residue_of_composition(sigma, tau, *, commutator: bool = False,
         )
     _check_pair(sigma, tau)
     system = sigma._system
-    a, b = sigma._term_bags(), tau._term_bags()
-    pairs = T.residue_pairing(system, n, a, b, both=commutator)
-    ab, ba = pairs if commutator else (pairs, None)
-    return _sphere_sum(system, n, *ab, ba, volume=volume)
+    total, den = T.residue_pairing(system, n, sigma._term_bags(), tau._term_bags(),
+                                   commutator=commutator)
+    return _sphere_sum(system, n, total, den, volume=volume)
 
 
 def _residue_of_composition(sigma: ClassicalSymbol, tau: ClassicalSymbol) -> PiGradedScalar:

@@ -393,16 +393,13 @@ def euler_antiderivatives(component: HomogeneousComponent) -> list[HomogeneousCo
     return out
 
 
-def _sphere_sum(system, n: int, total, den: int, minus=None, *, volume=False) -> PiGradedScalar:
-    """(total / den) pi^(n // 2), a ``terms.sphere_total`` lowered once, less
-    a second one ``minus``, times the torus volume with ``volume`` (its
-    coefficient on the left, as before): one value is built."""
-    coeff = system.lower(total, den) if total else None
-    if minus is not None and minus[0]:
-        low = -system.lower(*minus)
-        coeff = low if coeff is None else coeff + low
-    if coeff is None:
+def _sphere_sum(system, n: int, total, den: int, *, volume=False) -> PiGradedScalar:
+    """(total / den) pi^(n // 2), a ``terms.sphere_total`` lowered once, times
+    the torus volume with ``volume`` (its coefficient on the left): one
+    value is built, and none for a zero total."""
+    if not total:
         return PG_ZERO
+    coeff = system.lower(total, den)
     return PiGradedScalar._graded(torus_volume(n).coeff * coeff if volume else coeff,
                                   _grade(n // 2 + n * volume))
 

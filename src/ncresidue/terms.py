@@ -30,7 +30,8 @@ weight K!/k!, K! going into the one denominator lowered at the end, so no
 ``Fraction`` is formed on the way.  ``residue_pairing`` plans each factor
 once, cuts it to the modes that face the other's, walks the same chains in
 the one direction whose products reach mode zero, and sums the products
-by alpha; both engines share the level rule (``_level_caps``), the
+by alpha, both orderings of a commutator into one bag with opposite
+signs; both engines share the level rule (``_level_caps``), the
 directions (``_direction``) and the numerator map.
 
 Keys: tuples at the module boundary, packed ``int``s inside (``Keys``,
@@ -423,15 +424,19 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
       the group's total N by at most n, so s may be capped at
       ``MAX_CANONICAL_MONOMIALS`` // n.
 
-    A ``residue_pairing`` pass forms only values the composition of its
-    two lifted factors at its depth forms or bounds: its chain levels,
-    weighted right terms and products are the composition's, restricted
-    to the pairs that reach mode zero (a chain's last level to some of its
-    terms), and its sums over alpha are partial sums of all the products;
-    it takes no canonical form.  The width is monotone in the depth (each
-    term of the sum is), so the width of the deeper ordering covers both
-    passes of one call.  The sphere integral of a pass sums the parts a
-    and b of its balanced values as plain ``int``s, so it needs no width.
+    A ``residue_pairing`` pass runs one ordering of its factors, or both,
+    into one bag at the deeper ordering's depth K.  Each ordering forms the
+    chain levels, weighted right terms and products of the composition in
+    that order at depth K (the bound is symmetric in the factors and grows
+    with K), restricted to the pairs that reach mode zero, negated for b o
+    a.  A sum over alpha in the bag is a partial sum of the products of a o
+    b plus one of b o a, so its N is at most twice the bound, which the
+    width covers, as the pass takes no canonical form: at K = 0 it charges
+    the count C(n, n) = 1 a bit, at K >= 1 and n >= 2 canonical form's n^s,
+    s = span >= 1, and at n = 1, where a pair of terms meets at one level k
+    of one gamma, the count K + 1 >= 2.  The sphere integral of the bag
+    sums the parts a and b of its balanced values as plain ``int``s, so it
+    needs no width.
 
     Each factor x is below 2^bits(x), and n^s at most 2^(s ceil(log2 n)),
     so the width is one more than the sum of those bit counts.  Sizes enter
@@ -1235,11 +1240,11 @@ def _direction(keys: Keys, directions: dict, field: int) -> tuple:
 
 
 def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict], *,
-                    both: bool = False):
+                    commutator: bool = False):
     """The part of a o b that the residue integrates, integrated over the
     unit sphere as ``(total, den)`` (``sphere_total``), which
-    ``symbols._sphere_sum`` lowers once; with ``both``, the pairs of a o b
-    and of b o a.
+    ``symbols._sphere_sum`` lowers once; with ``commutator``, that of a o b
+    - b o a.
 
     Sums (1/gamma!) (d_xi^gamma a)(D^gamma b) over the products that land
     at degree -n and Fourier mode zero, the only part the torus integral
@@ -1251,11 +1256,13 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     other's (``_cut``), and components meet at level a_deg + b_deg + n when
     the level rule admits it at floor -n; each ordering's deepest level is
     bounded (``_check_tower``, a o b first) before any numerator is formed.
-    The layout covers the facing terms at the deeper depth (the factors are
-    planned again under a wider one when they or the modes need it).  Both
-    orderings share the plans, one numerator map and one table of
-    directions, and each is then its own pass at its own depth
-    (``_pairing_pass``), the pass a call with that ordering alone makes.
+    The layout covers the facing terms at the deeper depth K (the factors
+    are planned again under a wider one when they or the modes need it).
+    Both orderings share the plans, one numerator map and one table of
+    directions, and run into one bag at depth K (``_pairing_pass``): a o b
+    with the weights K!/k!, b o a with -K!/k!, so the commutator is
+    reduced, integrated and lowered once, and a single ordering is the same
+    pass with one sign.
     """
     keys = _narrow_layout(n)
     while True:
@@ -1264,14 +1271,14 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
         if width <= keys.width:  # no two modes share their mode fields
             flip = 2 * (keys.offsets >> keys.mode_shifts[0])
             cuts = [_cut(plans[0][0], plans[1][1], flip), _cut(plans[1][0], plans[0][1], flip)]
-            passes = []
-            for i, j in ((0, 1), (1, 0)) if both else ((0, 1),):
+            orderings, deepest = [], 0
+            for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
                 caps = _level_caps(cuts[i][0], plans[j][0], -n, None)
                 level_of = {pair: k for pair, k in caps.items() if k == pair[0] + pair[1] + n}
                 depth = max(level_of.values(), default=0)
                 _check_tower(n, depth, "lower the orders of the factors")
-                passes.append((i, j, level_of, depth))
-            deepest = max(depth for _i, _j, _levels, depth in passes)
+                orderings.append([cuts[i][0], cuts[j][1], level_of])
+                deepest = max(deepest, depth)
             sizes = tuple(max([g[x] for c in cuts for g in c[2]], default=0) for x in (1, 2, 3))
             width = (4 * (max(sizes) + deepest)).bit_length() + 1
             if width <= keys.width:
@@ -1279,10 +1286,10 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
         keys = Keys(n, -(-width // _TIER) * _TIER)
     nums, den = system.numerator_map([g[0] for g in cuts[0][2]], [g[0] for g in cuts[1][2]],
                                      n, sizes, deepest)
-    directions: dict[int, tuple] = {}
-    pairs = [_pairing_pass(system, keys, nums, cuts[i][0], cuts[j][1], level_of, depth, den,
-                           directions) for i, j, level_of, depth in passes]
-    return pairs if both else pairs[0]
+    scale = math.factorial(deepest)
+    for ordering, sign in zip(orderings, (1, -1)):
+        ordering.append([sign * scale // math.factorial(k) for k in range(deepest + 1)])
+    return _pairing_pass(system, keys, nums, orderings, den * scale)
 
 
 def _plan(keys: Keys, comps: dict[int, dict]):
@@ -1337,80 +1344,77 @@ def _cut(plan: list, other: set, flip: int):
     return left, index, kept
 
 
-def _pairing_pass(system, keys: Keys, nums, left: list, right: dict, level_of: dict,
-                  depth: int, den: int, directions: dict):
-    """The pair of ``residue_pairing`` for one ordering, from the left factor's
-    components and the right one's index (``_cut``), on the numerators
-    ``nums`` over ``den``, with the call's table of ``_direction``.
+def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
+    """The pair of ``residue_pairing`` over ``den``: the products of each
+    ordering (left components, right index (``_cut``), level_of, weights)
+    on the numerators ``nums``, summed into one bag.
 
     It runs on the chains of ``compose_components``: a left term of mode -v
     meets only right terms of mode v, so per left (degree, mode) one chain
     a, (v . grad_xi) a, ... (``_along``) is walked, and its level k =
     ``level_of[(a_deg, b_deg)]`` meets the right terms of mode v with the
-    integer weight K!/k!, K = ``depth``, left scalar first, then the phase.
-    A product with an odd exponent integrates to zero: one mask on the low
-    bit of each alpha field (the offset 2^(width - 1) is even) skips it,
-    and the rest are summed on their alpha fields.  A step along xi_j flips
-    the parity of alpha_j alone, so the chain's last level takes from each
-    term only the steps that reach the parity of a right term it meets.
-    The bag is reduced once and integrated with the weights of the
+    integer weight ``weights[k]``, +-K!/k!, left scalar first, then the
+    phase.  A product with an odd exponent integrates to zero: one mask on
+    the low bit of each alpha field (the offset 2^(width - 1) is even)
+    skips it, and the rest are summed on their alpha fields.  A step along
+    xi_j flips the parity of alpha_j alone, so the chain's last level takes
+    from each term only the steps that reach the parity of a right term it
+    meets.  The bag is reduced once and integrated with the weights of the
     layout's ``sphere`` memo (``sphere_total``).
     """
     w, offsets, alpha_mask = keys.width, keys.offsets, keys.alpha_mask
     flip = 2 * (offsets >> keys.mode_shifts[0])  # the mode fields of -v are flip minus those of v
     odd = (offsets & alpha_mask) >> (w - 1)  # the low bit of each alpha field
-    scale = math.factorial(depth)
-    weights = [scale // math.factorial(k) for k in range(depth + 1)]
-    phase = system.phase
+    phase, directions = system.phase, {}  # the call's table of ``_direction``
     out: dict = {}
-    for a_deg, by_mode, _polynomial in left:
-        for field, group in by_mode.items():
-            partner = flip - field
-            meets = [(k, g[0]) for b_deg, g in right[partner]
-                     if (k := level_of.get((a_deg, b_deg))) is not None]
-            if not meets:
-                continue
-            v, steps = directions.get(partner) or _direction(keys, directions, partner)
-            ph = None if phase is None else phase(-v[1], v[0])
-            # bag, (v . grad_xi) bag, ...; along v = 0 every step is empty
-            chain = [group[0]] if steps else [group[0], {}]
-            top = max(k for k, _terms in meets)
-            while len(chain) < top and chain[-1]:
-                chain.append(_along(keys, chain[-1], steps))
-            if len(chain) == top and chain[-1]:  # the last level, cut by parity
-                wanted = {key & odd for k, terms in meets if k == top for key in terms}
-                chain.append(_along(keys, chain[-1], {
-                    p: [step for step in steps if p ^ 1 << step[0] in wanted]
-                    for p in {key & odd for key in chain[-1]}}, odd))
-            for k, terms in meets:
-                level = chain[k] if k < len(chain) else None
-                if not level:
-                    continue  # the chain has ended
-                for k2, s2 in terms.items():
-                    base, weighted = k2 - offsets, s2 * weights[k]
-                    for k1, s1 in level.items():
-                        key = k1 + base
-                        if key & odd:
-                            continue
-                        key &= alpha_mask
-                        s = s1 * weighted
-                        if ph is not None:
-                            s = s * ph
-                        cur = out.get(key)
-                        if cur is None:
-                            if s:
-                                out[key] = s
-                        else:
-                            s = cur + s
-                            if s:
-                                out[key] = s
+    for left, right, level_of, weights in orderings:
+        for a_deg, by_mode, _polynomial in left:
+            for field, group in by_mode.items():
+                partner = flip - field
+                meets = [(k, g[0]) for b_deg, g in right[partner]
+                         if (k := level_of.get((a_deg, b_deg))) is not None]
+                if not meets:
+                    continue
+                v, steps = directions.get(partner) or _direction(keys, directions, partner)
+                ph = None if phase is None else phase(-v[1], v[0])
+                # bag, (v . grad_xi) bag, ...; along v = 0 every step is empty
+                chain = [group[0]] if steps else [group[0], {}]
+                top = max(k for k, _terms in meets)
+                while len(chain) < top and chain[-1]:
+                    chain.append(_along(keys, chain[-1], steps))
+                if len(chain) == top and chain[-1]:  # the last level, cut by parity
+                    wanted = {key & odd for k, terms in meets if k == top for key in terms}
+                    chain.append(_along(keys, chain[-1], {
+                        p: [step for step in steps if p ^ 1 << step[0] in wanted]
+                        for p in {key & odd for key in chain[-1]}}, odd))
+                for k, terms in meets:
+                    level = chain[k] if k < len(chain) else None
+                    if not level:
+                        continue  # the chain has ended
+                    for k2, s2 in terms.items():
+                        base, weighted = k2 - offsets, s2 * weights[k]
+                        for k1, s1 in level.items():
+                            key = k1 + base
+                            if key & odd:
+                                continue
+                            key &= alpha_mask
+                            s = s1 * weighted
+                            if ph is not None:
+                                s = s * ph
+                            cur = out.get(key)
+                            if cur is None:
+                                if s:
+                                    out[key] = s
                             else:
-                                del out[key]
+                                s = cur + s
+                                if s:
+                                    out[key] = s
+                                else:
+                                    del out[key]
     out = nums.reduce(out)
     sphere = keys.sphere
     return sphere_total(nums, out.values(),
-                        [sphere.get(part) or keys.sphere_weight(part) for part in out],
-                        den * scale)
+                        [sphere.get(part) or keys.sphere_weight(part) for part in out], den)
 
 
 def sphere_total(nums, values, weights: list, den: int):

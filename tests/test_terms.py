@@ -200,15 +200,15 @@ def _reference_residue(system, n, a, b):
     return PiGradedScalar(total, n // 2) if total else PiGradedScalar(0)
 
 
-def _pairing(system, n, comps_a, comps_b, both=False):
+def _pairing(system, n, comps_a, comps_b, commutator=False):
     """What ``residue_pairing`` integrates, each numerator lowered: alpha ->
-    scalar (with ``both``, one such bag per ordering).
+    scalar (with ``commutator``, the one bag of a o b - b o a).
 
     It is read through a recording weight lookup.  With the layouts' memos
     dropped and the lookup remembering nothing, every alpha a pass weights
     is looked up afresh, in the order of the numerators it then sums, so
-    the two line up.  Each integrated pair is checked against the
-    recorded bag's own sphere integral."""
+    the two line up.  The integrated pair is checked against the recorded
+    bag's own sphere integral."""
     looked_up, bags = [], []
     sphere_total = T.sphere_total
 
@@ -229,13 +229,13 @@ def _pairing(system, n, comps_a, comps_b, both=False):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T.Keys, "sphere_weight", weight)
         mp.setattr(T, "sphere_total", recording_total)
-        pairs = T.residue_pairing(system, n, comps_a, comps_b, both=both)
-    for bag, (total, den) in zip(bags, pairs if both else [pairs]):
-        want = sum((s * sphere_monomial_integral(alpha, n).coeff.re for alpha, s in bag.items()),
-                   system.zero)
-        assert _sphere_sum(system, n, total, den) == (
-            PiGradedScalar(want, n // 2) if want else PiGradedScalar(0))
-    return bags if both else bags[0]
+        total, den = T.residue_pairing(system, n, comps_a, comps_b, commutator=commutator)
+    [bag] = bags
+    want = sum((s * sphere_monomial_integral(alpha, n).coeff.re for alpha, s in bag.items()),
+               system.zero)
+    assert _sphere_sum(system, n, total, den) == (
+        PiGradedScalar(want, n // 2) if want else PiGradedScalar(0))
+    return bag
 
 
 def _assert_pairing_matches_reference(system, n, a, b):
@@ -335,7 +335,7 @@ def test_residue_pairing_differentiates_a_left_term_only_along_its_mode(monkeypa
         for a, b in pairs:
             for s, t in ((a, b), (b, a)):
                 T.residue_pairing(system, n, s._term_bags(), t._term_bags())
-            T.residue_pairing(system, n, a._term_bags(), b._term_bags(), both=True)
+            T.residue_pairing(system, n, a._term_bags(), b._term_bags(), commutator=True)
     assert len(calls) >= 100 and any(parity for _axes, _modes, parity in calls)
     for axes, modes, parity in calls:
         assert axes or parity
@@ -465,13 +465,18 @@ def _two_call_defect(s, t):
 
 def _assert_defect_by_composing(s, t):
     """The defect, and the residue of each ordering without composing, against
-    the residues of the two full compositions; returns Res(s o t)."""
+    the residues of the two full compositions, and the defect's one bag
+    against the difference of the two orderings' bags; returns Res(s o t)."""
     comp, res, single, defect = _calculus(s)
     st, ts = res(comp(s, t)), res(comp(t, s))
     assert defect(s, t) == st - ts
     assert single(s, t) == st and single(t, s) == ts
-    ab, ba = _pairing(s._system, s.n, s._term_bags(), t._term_bags(), both=True)
-    assert all(x % 2 == 0 for bag in (ab, ba) for alpha in bag for x in alpha)
+    system, n, a, b = s._system, s.n, s._term_bags(), t._term_bags()
+    bag = _pairing(system, n, a, b, commutator=True)
+    assert all(x % 2 == 0 for alpha in bag for x in alpha)
+    ab, ba = _pairing(system, n, a, b), _pairing(system, n, b, a)
+    assert bag == {alpha: d for alpha in {**ab, **ba}
+                   if (d := ab.get(alpha, system.zero) - ba.get(alpha, system.zero))}
     return st
 
 
@@ -658,25 +663,106 @@ _MONOMIAL_BOXES = [
     (None, 2, [(0, 0), (1, 0), (1, -1), (0, 2)], [-2, -1, 0, 1], 1),
     (None, 3, [(0, 0, 0), (1, 0, -1), (0, 1, 1)], [-3, -2, -1, 0], 1),
     (Theta.from_rational(Fraction(2, 5)), 2, [(0, 0), (1, 0), (1, 1), (0, 2)], [-2, -1, 0, 1], 1),
+    (Theta.from_rational(Fraction(5, 12)), 2, [(0, 0), (1, 0), (1, 1), (2, 1)], [-2, -1, 0, 1], 1),
+    (Theta.from_rational(Fraction(7, 30)), 2, [(0, 0), (0, 1), (1, 2), (2, 1)], [-2, -1, 0, 1], 1),
 ]
 
 
-@pytest.mark.parametrize("box", _MONOMIAL_BOXES, ids=["n=2", "n=3", "theta=2/5"])
-def test_trace_defect_vanishes_on_every_facing_monomial_pair(box):
-    """The defect is bilinear, so its vanishing on the monomials of a box is the
-    trace property for every pair of symbols with terms in it; each ordering's
-    residue is also that of the full composition."""
+def _sweep(box):
+    """(pairs, nonzero, failures) over the facing monomial pairs of a box: the
+    pair count, the count of nonzero residues Res(a o b), and per check the
+    count of pairs that fail it: ``defect`` (the defect is not exactly 0),
+    ``two-call`` (it is not the difference of the two single-ordering
+    residues) and ``residue`` (an ordering's residue is not that of the full
+    composition)."""
     twist, n, modes, degrees, top = box
     pairs = list(_facing_monomial_pairs(twist, n, modes, degrees, top))
+    failures = dict.fromkeys(["defect", "two-call", "residue"], 0)
     nonzero = 0
     for a, b in pairs:
         comp, res, single, defect = _calculus(a)
         got = defect(a, b)
-        assert got.is_zero() and got == _two_call_defect(a, b)
+        failures["defect"] += not got.is_zero()
+        failures["two-call"] += got != _two_call_defect(a, b)
         st = single(a, b)
-        assert st == res(comp(a, b)) and single(b, a) == res(comp(b, a))
+        failures["residue"] += st != res(comp(a, b)) or single(b, a) != res(comp(b, a))
         nonzero += not st.is_zero()
-    assert len(pairs) >= 500 and nonzero >= 100
+    return len(pairs), nonzero, {check: k for check, k in failures.items() if k}
+
+
+@pytest.mark.parametrize("box", _MONOMIAL_BOXES,
+                         ids=["n=2", "n=3", "theta=2/5", "theta=5/12", "theta=7/30"])
+def test_trace_defect_vanishes_on_every_facing_monomial_pair(box):
+    """The defect is bilinear, so its vanishing on the monomials of a box is the
+    trace property for every pair of symbols with terms in it; each ordering's
+    residue is also that of the full composition."""
+    pairs, nonzero, failures = _sweep(box)
+    assert failures == {}
+    assert pairs >= 500 and nonzero >= 100
+
+
+def _weights_from_level_zero(passes):
+    """The pass with every level weighted K!/1, level 0's weight, for K!/k!."""
+    def mutant(system, keys, nums, orderings, den):
+        return passes(system, keys, nums, [(left, right, levels, [w[0]] * len(w))
+                                           for left, right, levels, w in orderings], den)
+    return mutant
+
+
+def _phase_from_the_wrong_entry(passes):
+    """The pass with the phase of a left mode -v and a right mode v read from
+    the left mode's first entry, -v_0, in place of its second, -v_1."""
+    class WrongEntry:
+        def __init__(self, system):
+            phase = system.phase
+            self.phase = None if phase is None else lambda _v, u: phase(-u, u)
+
+    def mutant(system, *args):
+        return passes(WrongEntry(system), *args)
+    return mutant
+
+
+def _both_orderings_added(passes):
+    """The pass with b o a's weights +K!/k!, a o b's sign."""
+    def mutant(system, keys, nums, orderings, den):
+        return passes(system, keys, nums,
+                      [(left, right, levels, [abs(x) for x in w])
+                       for left, right, levels, w in orderings], den)
+    return mutant
+
+
+def _last_level_dropped(along):
+    """``_along`` with the step that only ``_pairing_pass`` takes, the last
+    level of a chain cut by parity, left empty."""
+    def mutant(keys, terms, steps, parity=0):
+        return {} if parity else along(keys, terms, steps)
+    return mutant
+
+
+# each mutant of the one-bag defect: the function of ``terms`` it replaces,
+# how, the box it is swept on and the checks of the sweep it fails there
+_MUTANTS = {
+    "weight K!/1": ("_pairing_pass", _weights_from_level_zero, 0, {"residue"}),
+    "phase entry": ("_pairing_pass", _phase_from_the_wrong_entry, 3, {"residue"}),
+    "level dropped": ("_along", _last_level_dropped, 0, {"residue"}),
+    "sign": ("_pairing_pass", _both_orderings_added, 0, {"defect", "two-call"}),
+}
+
+
+@pytest.mark.parametrize("mutant", _MUTANTS)
+def test_each_mutant_of_the_one_bag_defect_fails_the_sweep(monkeypatch, mutant):
+    """The sweep catches each mutant of the residue path, injected by
+    replacing a function of ``terms`` with a mutated form that only that
+    path reaches: the weights K!/1 in place of K!/k!, the phase read from
+    the wrong mode entry, the last level of each chain (the step that
+    ``_pairing_pass`` alone cuts by parity) dropped, and b o a added in
+    place of subtracted.  The first three change both orderings alike, so
+    they cancel in the defect and show only against the composition; the
+    last shows only in the defect."""
+    name, make, box, caught = _MUTANTS[mutant]
+    monkeypatch.setattr(T, name, make(getattr(T, name)))
+    _pairs, _nonzero, failures = _sweep(_MONOMIAL_BOXES[box])
+    assert failures.keys() == caught
 
 
 def test_a_term_that_faces_nothing_does_not_widen_the_residue_layout(monkeypatch):
@@ -715,15 +801,16 @@ def test_a_term_that_faces_nothing_does_not_widen_the_residue_layout(monkeypatch
     for (s, t, _s, _t), (st, ts) in zip(cases, want):
         assert _residue_of_composition(s, t) == st and _residue_of_composition(t, s) == ts
         assert trace_defect(s, t) == st - ts
-    assert len(widths) == 16 and set(widths) == {T._TIER} and not layouts
+    assert len(widths) == 12 and set(widths) == {T._TIER} and not layouts
     monkeypatch.undo()
     assert _residue_of_composition(wide_a, wide_b) == residue(compose(wide_a, wide_b))
 
 
 def test_trace_defect_sets_each_factor_up_once(monkeypatch):
     """A ``trace_defect`` call packs and groups each factor in one pass, forms
-    no ``GaussianInteger`` but the sphere total of each ordering, whatever
-    the number of terms, and builds one ``PiGradedScalar``."""
+    no ``GaussianInteger`` but the one sphere total of both orderings,
+    whatever the number of terms, and builds no ``PiGradedScalar`` for its
+    zero value."""
     counts = dict.fromkeys(["plan", "pack", "gaussian", "graded"], 0)
 
     def counting(name, fn):
@@ -748,7 +835,7 @@ def test_trace_defect_sets_each_factor_up_once(monkeypatch):
         for key in counts:
             counts[key] = 0
         assert trace_defect(a, b).is_zero()
-        assert counts == {"plan": 2, "pack": 0, "gaussian": 2, "graded": 1}
+        assert counts == {"plan": 2, "pack": 0, "gaussian": 1, "graded": 0}
 
 
 @pytest.mark.parametrize("n", [2, 3])

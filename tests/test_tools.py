@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -135,6 +136,25 @@ def test_attempted_ops_are_shown_beside_peak_rss():
     assert "attempted" not in ops
     assert rss.endswith("ops attempted median: parent 45000, change 58500")
     assert "attempted" not in bench_pairs.format_rows("trace-n3", rows)
+
+
+def test_per_op_records_explain_part_of_the_peak_rss_change():
+    # one (float, float, bool) tuple, two floats and a list slot: 64 + 48 + 8
+    # bytes on a 64-bit CPython
+    size = bench_pairs.record_bytes()
+    assert size == (sys.getsizeof((1.0, 2.0, True)) + 2 * sys.getsizeof(1.0)
+                    + sys.getsizeof([None]) - sys.getsizeof([]))
+    if sys.maxsize > 2**32:
+        assert size == 120
+    metrics = [{"name": "peak_rss_mib", "better": "lower"}]
+    [row] = bench_pairs.summarize([{"peak_rss_mib": 40.0}], [{"peak_rss_mib": 44.5}], metrics)
+    line = bench_pairs.format_rows("nc-trace", [row], (100_000, 131_457)).splitlines()[1]
+    explained = 31_457 * size / 2**20
+    assert f"per-op records explain {explained:+.2f} of +4.50 MiB" in line
+    assert line.endswith("ops attempted median: parent 100000, change 131457")
+    [row] = bench_pairs.summarize([{"peak_rss_mib": 40.0}], [{"peak_rss_mib": 39.0}], metrics)
+    line = bench_pairs.format_rows("nc-trace", [row], (100_000, 90_000)).splitlines()[1]
+    assert f"explain {-10_000 * size / 2**20:+.2f} of -1.00 MiB" in line
 
 
 def test_gain_and_bound_verdicts_of_fixed_pairs():

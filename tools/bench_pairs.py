@@ -24,7 +24,9 @@ is worse than the parent's by no more than the metric's ``bound`` in
 ``peak_rss_mib`` it prints each side's median count of operations
 attempted: ``bench/run.py`` keeps a record per operation, so the peak
 grows with the throughput, and the count tells that growth from a change
-in what the library holds.  Below that it
+in what the library holds; beside the counts it prints how much of the
+change in the peak the records explain, the change in the median count
+times the size of one record (``record_bytes``).  Below that it
 prints each side's median unscaled ``ops_per_s``, the throughput as timed,
 before ``bench/run.py`` scales it to its reference machine speed, read from
 the record line a run prints before its metrics.  Only the standard
@@ -114,10 +116,19 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
     return rows
 
 
+def record_bytes() -> int:
+    """The bytes ``bench/run.py`` keeps per operation attempted: one (start,
+    seconds, failed) tuple, its two floats (the ``bool`` is shared) and its
+    slot in the list of records, as ``sys.getsizeof`` gives them."""
+    return (sys.getsizeof((0.5, 0.5, False)) + 2 * sys.getsizeof(0.5)
+            + sys.getsizeof([None]) - sys.getsizeof([]))
+
+
 def format_rows(workload: str, rows: list[dict],
                 attempted: tuple[float, float] | None = None) -> str:
     """The rows, one line each; ``attempted`` is each side's median count of
-    operations attempted, (parent, change), shown beside ``peak_rss_mib``."""
+    operations attempted, (parent, change), shown beside ``peak_rss_mib``
+    after the MiB of its change that the per-op records explain."""
     lines = [f"{workload}: metric, parent median [q1, q3], change median [q1, q3], "
              "change wins, ratio change/parent (parent spread), verdicts"]
     for r in rows:
@@ -129,7 +140,10 @@ def format_rows(workload: str, rows: list[dict],
         if r["in_bound"] is not None:
             line += f", in bound {'yes' if r['in_bound'] else 'NO'}"
         if r["metric"] == "peak_rss_mib" and attempted is not None:
-            line += f"  ops attempted median: parent {attempted[0]:.0f}, change {attempted[1]:.0f}"
+            explained = (attempted[1] - attempted[0]) * record_bytes() / 2**20
+            line += (f"  per-op records explain {explained:+.2f} of {c[1] - p[1]:+.2f} MiB"
+                     f"  ops attempted median: parent {attempted[0]:.0f}, "
+                     f"change {attempted[1]:.0f}")
         lines.append(line)
     return "\n".join(lines)
 

@@ -64,10 +64,11 @@ It prints, on seeded inputs:
   such modes at theta 2/5 and 7/30;
 - the residue of the composition, without composing, in both orders and
   the trace defect for every pair of monomials e^(i u.x) xi^alpha |xi|^p
-  (U^a V^b xi^alpha |xi|^p at theta 2/5 and the float 0.4), |alpha| <= 1,
-  of modes u and -u in small boxes (n = 2, 3) whose products reach degree
-  -n, mode zero and polynomial monomials included, every third pair also
-  with a term on each side whose mode faces nothing, in order;
+  (U^a V^b xi^alpha |xi|^p at theta 2/5, the float 0.4, 5/12 and 7/30),
+  |alpha| <= 1, of modes u and -u in small boxes (n = 2, 3) whose products
+  reach degree -n, mode zero and polynomial monomials included, every
+  third pair also with a term on each side whose mode faces nothing, in
+  order;
 - ``compose`` in both orders of seeded classical pairs in dimensions 2 and
   3 whose coefficients have parts of about 200 digits over mixed
   denominators, so the numerators the engine forms are as long as its
@@ -617,6 +618,8 @@ _MONOMIAL_BOXES = [
     ("n=3", 3, None, [(0, 0, 0), (1, 0, -1), (0, 1, 1)], [-3, -2, -1, 0]),
     ("theta=2/5", 2, Fraction(2, 5), [(0, 0), (1, 0), (1, 1), (0, 2)], [-2, -1, 0, 1]),
     ("theta=0.4", 2, 0.4, [(0, 0), (1, 0), (1, 1)], [-2, -1, 0]),
+    ("theta=5/12", 2, Fraction(5, 12), [(0, 0), (1, 0), (1, 1), (2, 1)], [-2, -1, 0, 1]),
+    ("theta=7/30", 2, Fraction(7, 30), [(0, 0), (0, 1), (1, 2), (2, 1)], [-2, -1, 0, 1]),
 ]
 
 
