@@ -15,8 +15,6 @@ through ``n``, ``order``, ``trusted_floor``, ``_system``, ``_term_bags``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import terms as T
 from .errors import InsufficientExpansionError, ValidationError
 from .scalars import (
@@ -58,8 +56,11 @@ def _check_pair(sigma, tau) -> None:
     sigma._check_composable(tau)
 
 
-def _compose_impl(sigma, tau, floor: int | None, *, gamma_cap: int | None = None):
-    """sigma o tau for either symbol class: ClassicalSymbol or NCSymbol.
+def _compose_impl(sigma, tau, floor: int | None, *, gamma_cap: int | None = None,
+                  commutator: bool = False):
+    """sigma o tau for either symbol class: ClassicalSymbol or NCSymbol; with
+    ``commutator``, sigma o tau - tau o sigma in one engine pass, ``gamma_cap``
+    truncating sigma o tau only (``terms.compose_components``).
 
     Each class supplies its coefficient system, its term bags, the check
     that two of its symbols compose, and the wrapping of the result.
@@ -72,6 +73,7 @@ def _compose_impl(sigma, tau, floor: int | None, *, gamma_cap: int | None = None
         tau._term_bags(),
         floor,
         gamma_cap=gamma_cap,
+        commutator=commutator,
     )
     return sigma._with_term_bags(sigma.order + tau.order, bags, floor)
 
@@ -161,11 +163,8 @@ def commutator_xi(sigma: ClassicalSymbol, direction: int) -> ClassicalSymbol:
     cancel between the two orderings, so the result is trusted exactly as
     deep as sigma itself.
     """
-    xi = xi_symbol(sigma.n, direction)
-    floor = sigma.trusted_floor
-    left = _compose_impl(xi, sigma, floor)
-    right = _compose_impl(sigma, xi, floor)
-    return left - right
+    return _compose_impl(xi_symbol(sigma.n, direction), sigma, sigma.trusted_floor,
+                         commutator=True)
 
 
 def commutator_exp(
@@ -194,13 +193,45 @@ def commutator_exp(
         floor = top - depth
     else:
         floor = max(sigma.trusted_floor - 1, top - depth)
-    left = _compose_impl(sigma, exp, floor, gamma_cap=depth)
-    right = _compose_impl(exp, sigma, floor)
-    return left - right
+    return _compose_impl(sigma, exp, floor, gamma_cap=depth, commutator=True)
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+class _Record:
+    """An immutable record on ``__slots__`` that behaves as a frozen dataclass
+    (``==`` and a hash of the fields in order, an equal ``repr``) without
+    importing ``dataclasses``, which pulls ``inspect`` into every process.
+    A subclass names its fields in ``__slots__`` and sets them in
+    ``__init__`` with ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class DecompositionCertificate(_Record):
     """Constructive witness of the residue-uniqueness decomposition.
 
     For every trusted degree d != -n the symbol's component is exhibited as
@@ -208,10 +239,11 @@ class DecompositionCertificate:
     r(x) |xi|^(-n) plus a remainder with zero sphere average at every mode.
     """
 
-    n: int
-    antiderivative_families: dict[int, list[HomogeneousComponent]]
-    sphere_mean: TrigPolynomial
-    remainder: HomogeneousComponent
+    __slots__ = ("n", "antiderivative_families", "sphere_mean", "remainder")
+
+    def __init__(self, n: int, antiderivative_families: dict[int, list[HomogeneousComponent]],
+                 sphere_mean: TrigPolynomial, remainder: HomogeneousComponent):
+        self._set(n, antiderivative_families, sphere_mean, remainder)
 
     def implied_residue(self) -> PiGradedScalar:
         """(2*pi)^n |S^(n-1)| r_hat(0): the residue determined by the mean."""

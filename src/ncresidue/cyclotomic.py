@@ -118,8 +118,11 @@ class CyclotomicInteger:
     The numerator of ``CyclotomicScalar``, and the scalar the exact twisted
     calculus runs on.  The order rule: a sum, product or comparison works at
     the lcm of its operands' orders, and a result is stored there, never
-    reduced to the smallest field holding it.  ``coeffs`` is a list of
-    exactly phi(order) entries: numerators are many and short-lived, and
+    reduced to the smallest field holding it.  A sum or product with an
+    ``int`` takes it as a value of order 1, so the result keeps this one's
+    order: the engine runs rational numerators as ``int``s
+    (``terms._numerator``).  ``coeffs`` is a list of exactly phi(order)
+    entries: numerators are many and short-lived, and
     freed tuples of these lengths would stay in CPython's tuple free lists
     (about 0.6 MiB more resident memory in a ``nc-trace`` benchmark run).
     Instances are never mutated after construction; the fields are plain
@@ -154,10 +157,16 @@ class CyclotomicInteger:
         return _reduce_int(order, dense)
 
     def __add__(self, other):
+        if type(other) is int:  # an order-1 value: lcm(q, 1) = q, and 1 is coeffs[0]
+            coeffs = self.coeffs.copy()
+            coeffs[0] += other
+            return CyclotomicInteger(self.order, coeffs)
         if not isinstance(other, CyclotomicInteger):
             return NotImplemented
         q = self.order if self.order == other.order else math.lcm(self.order, other.order)
         return CyclotomicInteger(q, list(map(operator.add, self._at(q), other._at(q))))
+
+    __radd__ = __add__
 
     def __neg__(self):
         return CyclotomicInteger(self.order, [-c for c in self.coeffs])

@@ -23,7 +23,6 @@ backend's phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,6 +30,7 @@ from . import terms as T
 from .calculus import (
     _normalized_residue,
     _normalized_residue_of_composition,
+    _Record,
     compose,
     residue,
 )
@@ -323,11 +323,11 @@ def to_euclidean(sigma: NCSymbol) -> ClassicalSymbol:
     return ClassicalSymbol(2, sigma.order, comps, sigma.trusted_floor)
 
 
-@dataclass(frozen=True)
-class SemiclassicalReport:
-    lhs: PiGradedScalar
-    rhs: PiGradedScalar
-    equal: bool
+class SemiclassicalReport(_Record):
+    __slots__ = ("lhs", "rhs", "equal")
+
+    def __init__(self, lhs: PiGradedScalar, rhs: PiGradedScalar, equal: bool):
+        self._set(lhs, rhs, equal)
 
 
 def semiclassical_check(sigma: NCSymbol) -> SemiclassicalReport:

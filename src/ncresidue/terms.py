@@ -47,8 +47,11 @@ Gaussian numerator a + bi, a + b 2^w (``PackedGaussians``), the image under
 a ring map, so the loops, which only add, negate, multiply and test for
 zero, run unchanged; ``numerator_width`` picks a w that every value of the
 call stays below, which makes the images exact, and its docstring holds
-the proof.  The twisted and float systems keep their numerators
-(``_same_numerators``), so each engine call has one code path.
+the proof.  The twisted system writes its own numerators into the bags in
+place, a rational (order-1) one as a plain ``int`` (``_numerator``), whose
+sums and products keep the other operand's order, so stored orders are
+unchanged; the float system keeps its floats (``_same_numerators``).  Each
+engine call has one code path.
 
 Canonical form: within each (mode, parity of npow) class all terms share
 the maximal norm power such that the polynomial part is not divisible by
@@ -81,7 +84,7 @@ class RationalSystem:
     ``scalar`` is the coefficient class.  ``numerator_map`` is the one
     path by which both engines give their packed factors numerators: here
     ``int``s (``PackedGaussians``) read straight from the coefficients, the
-    other systems lift and keep theirs (``_same_numerators``).
+    other systems theirs (``_numerator`` for the twisted one).
     """
 
     zero = CR_ZERO
@@ -113,12 +116,14 @@ class RationalSystem:
         return ComplexRational._lowest(s.re, s.im, den)
 
     @staticmethod
-    def numerator_map(left: list, right: list, n: int, sizes: tuple[int, int, int], depth: int):
+    def numerator_map(left: list, right: list, n: int, sizes: tuple[int, int, int], depth: int,
+                      compositions: int = 1):
         """(numerator map, den): each coefficient (a + bi) / d of the engine's
         packed bags turned in place into the ``int`` (a + b 2^w)(D / d), D the
         lcm of its factor's d and den the product of both D, after one pass
         for D and the L1 norm; w is ``numerator_width``'s (``sizes`` as
-        ``pack_terms``')."""
+        ``pack_terms``'), plus bits(compositions - 1) when canonical form
+        takes the sum of that many compositions (a commutator)."""
         dens = []
         for bags in (left, right):
             norms: dict[int, int] = {}  # d -> the sum of |a| + |b| over the terms over d
@@ -127,7 +132,8 @@ class RationalSystem:
                     norms[s.den] = norms.get(s.den, 0) + abs(s.a) + abs(s.b)
             den = math.lcm(*norms)
             dens.append((den, sum([den // d * t for d, t in norms.items()])))
-        ints = PackedGaussians(numerator_width(n, dens[0][1], dens[1][1], *sizes, depth))
+        ints = PackedGaussians(numerator_width(n, dens[0][1], dens[1][1], *sizes, depth)
+                               + (compositions - 1).bit_length())
         w = ints.width
         for bags, (den, _norm) in zip((left, right), dens):
             for bag in bags:
@@ -203,15 +209,20 @@ class CyclotomicSystem(RationalSystem):
         self._roots: dict[int, CyclotomicInteger] = {}
 
     def lift(self, comps: dict[int, dict]):
-        """``RationalSystem.lift`` on cyclotomic numerators."""
+        """``RationalSystem.lift`` on the numerators of ``_numerator``."""
         den = math.lcm(*{s.den for bag in comps.values() for s in bag.values()})
         lifted = {
-            deg: {key: s.num * (den // s.den) for key, s in bag.items()}
+            deg: {key: _numerator(s) * (den // s.den) for key, s in bag.items()}
             for deg, bag in comps.items()
         }
         return lifted, den
 
-    def lower(self, s: CyclotomicInteger, den: int) -> CyclotomicScalar:
+    @staticmethod
+    def lower(s, den: int) -> CyclotomicScalar:
+        """The coefficient s / den in lowest terms, an ``int`` s at order 1."""
+        if type(s) is int:
+            g = math.gcd(s, den)
+            return CyclotomicScalar._make(CyclotomicInteger(1, [s // g]), den // g)
         return CyclotomicScalar._lowest(s, den)
 
     def phase(self, v: int, u: int):
@@ -223,7 +234,27 @@ class CyclotomicSystem(RationalSystem):
             root = self._roots[e] = CyclotomicInteger.root_of_unity(self.theta_den, e)
         return root
 
-    numerator_map = _same_numerators
+    def numerator_map(self, left: list, right: list, *_sizes):
+        """The numerator map that keeps the system's numerators, in place: each
+        coefficient s / d of a factor's packed bags becomes ``_numerator(s)``
+        (D / d), D the lcm of that factor's d, after one pass for D; den is
+        the product of both D."""
+        den = 1
+        for bags in (left, right):
+            d = math.lcm(*{s.den for bag in bags for s in bag.values()})
+            for bag in bags:
+                for key, s in bag.items():
+                    bag[key] = _numerator(s) * (d // s.den)
+            den *= d
+        return _SameNumerators(self), den
+
+
+def _numerator(s: CyclotomicScalar):
+    """The numerator of ``s`` the twisted engine runs on: the ``int`` of an
+    order-1 value, whose sums and products keep the other operand's order
+    (lcm(q, 1) = q), and the ``CyclotomicInteger`` of any other order."""
+    num = s.num
+    return num.coeffs[0] if num.order == 1 else num
 
 
 class FloatSystem(RationalSystem):
@@ -436,7 +467,10 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
     s = span >= 1, and at n = 1, where a pair of terms meets at one level k
     of one gamma, the count K + 1 >= 2.  The sphere integral of the bag
     sums the parts a and b of its balanced values as plain ``int``s, so it
-    needs no width.
+    needs no width.  A ``compose_components`` commutator does take canonical
+    form, of the sum of c = 2 compositions, each within the bound before it,
+    so a group's N is at most c times that bound: its numerator map adds
+    bits(c - 1) to this width (``RationalSystem.numerator_map``).
 
     Each factor x is below 2^bits(x), and n^s at most 2^(s ceil(log2 n)),
     so the width is one more than the sum of those bit counts.  Sizes enter
@@ -1048,14 +1082,18 @@ def compose_components(
     floor: int | None,
     *,
     gamma_cap: int | None = None,
+    commutator: bool = False,
 ) -> dict[int, dict]:
-    """Components of sum_gamma (1/gamma!) (d_xi^gamma a) (D^gamma b).
+    """Components of sum_gamma (1/gamma!) (d_xi^gamma a) (D^gamma b); with
+    ``commutator``, those of a o b - b o a.
 
     ``floor`` bounds the emitted degrees from below; ``gamma_cap``
-    truncates the derivative order.  With neither, the series terminates
-    only when the left factor is polynomial in xi or the right factor is
-    free of modes; otherwise the loop would not end, so it raises
-    ``ValidationError`` instead.
+    truncates the derivative order of a o b (not of b o a).  With neither,
+    the series terminates only when the left factor is polynomial in xi or
+    the right factor is free of modes; otherwise the loop would not end, so
+    it raises ``ValidationError`` instead.  Each ordering has its own level
+    caps and is checked (termination, then ``_check_tower``) in turn, a o b
+    first.
 
     The sum is taken by directional derivatives.  D^gamma acts on a right
     term of mode v as v^gamma, and sum over |gamma| = k of (1/gamma!)
@@ -1071,83 +1109,92 @@ def compose_components(
     ``canonical_terms`` accepts any homogeneous raw bag.
 
     Each weight 1/k! is applied as the integer K!/k!, where K is the
-    deepest derivative order any pair reaches (``_level_caps``).  The
-    factors are packed once, under a layout that covers order K
-    (``pack_terms``), and the system's ``numerator_map`` puts them on
-    numerators over one denominator (one ``int`` each for Gaussian ones,
-    ``PackedGaussians``), so the whole sum runs on numerators over that
-    denominator times K!.  Canonical form reduces them as it groups the
-    terms, certifies (``canonical_terms``) and lowers each emitted degree
-    group by group into tuple keys and coefficients, dividing once.  A
-    product is formed as in ``mul_terms``: left scalar first, then the
-    system's phase.
+    deepest derivative order any pair of either ordering reaches
+    (``_level_caps``).  The factors are packed once, under a layout that
+    covers order K (``pack_terms``), and the system's ``numerator_map`` puts
+    them on numerators over one denominator (one ``int`` each for Gaussian
+    ones, ``PackedGaussians``), so the whole sum runs on numerators over
+    that denominator times K!.  A commutator runs b o a on the same
+    numerators with the weights -K!/k! into the same raw bags.  Canonical
+    form reduces them as it groups the terms, certifies
+    (``canonical_terms``) and lowers each emitted degree group by group into
+    tuple keys and coefficients, dividing once.  A product is formed as in
+    ``mul_terms``: left scalar first, then the system's phase.
     """
-    left = [(d, t, terms_polynomial(t)) for d, t in comps_a.items() if t]
-    right = [(d, t, any(any(mode) for mode, _a, _p in t)) for d, t in comps_b.items() if t]
-    if floor is None and gamma_cap is None and not (
-            all(flag for *_c, flag in left) or not any(flag for *_c, flag in right)):
-        raise ValidationError(
-            "composition of two complete symbols does not terminate here; "
-            "assign a finite trusted floor to one factor"
-        )
-    caps = _level_caps(left, right, floor, gamma_cap)
-    deepest = max(caps.values(), default=0)
-    _check_tower(n, deepest, "assign a higher trusted floor")
+    orderings = [(0, 1, gamma_cap), (1, 0, None)] if commutator else [(0, 1, gamma_cap)]
+    factors = (comps_a, comps_b)
+    level_caps, deepest = [], 0
+    for i, j, cap in orderings:
+        left = [(d, t, terms_polynomial(t)) for d, t in factors[i].items() if t]
+        right = [(d, t, any(any(mode) for mode, _a, _p in t)) for d, t in factors[j].items() if t]
+        if floor is None and cap is None and not (
+                all(flag for *_c, flag in left) or not any(flag for *_c, flag in right)):
+            raise ValidationError(
+                "composition of two complete symbols does not terminate here; "
+                "assign a finite trusted floor to one factor"
+            )
+        caps = _level_caps(left, right, floor, cap)
+        depth = max(caps.values(), default=0)
+        _check_tower(n, depth, "assign a higher trusted floor")
+        level_caps.append(caps)
+        deepest = max(deepest, depth)
     keys, packed, sizes = _pack_sized(n, [*comps_a.values(), *comps_b.values()], deepest)
     left, right = packed[:len(comps_a)], packed[len(comps_a):]
-    nums, den = system.numerator_map(left, right, n, sizes, deepest)
+    nums, den = system.numerator_map(left, right, n, sizes, deepest, len(orderings))
+    sides = (list(zip(comps_a, left)), list(zip(comps_b, right)))
     scale = math.factorial(deepest)
-    weights = [scale // math.factorial(k) for k in range(deepest + 1)]
     m, h, offsets, first = keys.mask, keys.half, keys.offsets, keys.mode_shifts[0]
     phase = system.phase
     if phase is not None:
         second = keys.mode_shifts[1]
     directions: dict[int, tuple] = {}
-    groups_b = []  # each right component's terms by mode (the mode fields of a key)
-    for b_deg, b_terms in zip(comps_b, right):
-        groups: dict[int, list] = {}
-        for key, s in b_terms.items():
-            groups.setdefault(key >> first, []).append((key - offsets, s))
-        groups_b.append((b_deg, groups))
     out: dict[int, dict] = {}
-    for a_deg, a_terms in zip(comps_a, left):
-        chains: dict[int, list] = {}  # mode fields -> [a, (v . grad_xi) a, ...]
-        for b_deg, groups in groups_b:
-            kmax = caps.get((a_deg, b_deg))
-            if kmax is None:
-                continue
-            for field, terms in groups.items():
-                mode, steps = directions.get(field) or _direction(keys, directions, field)
-                u = mode[0]
-                chain = chains.get(field)
-                if chain is None:
-                    chain = chains[field] = [a_terms]
-                while len(chain) <= kmax and chain[-1]:
-                    chain.append(_along(keys, chain[-1], steps))
-                for k, level in enumerate(chain[:kmax + 1]):
-                    if not level:
-                        break  # every later level vanishes, as after mode zero's level 0
-                    bucket = out.setdefault(a_deg + b_deg - k, {})
-                    w = weights[k]
-                    for base, s2 in terms:
-                        weighted = s2 * w
-                        for k1, s1 in level.items():
-                            s = s1 * weighted
-                            if phase is not None:
-                                ph = phase((k1 >> second & m) - h, u)
-                                if ph is not None:
-                                    s = s * ph
-                            key = k1 + base
-                            cur = bucket.get(key)
-                            if cur is None:
-                                if s:
-                                    bucket[key] = s
-                            else:
-                                s = cur + s
-                                if s:
-                                    bucket[key] = s
+    for (i, j, _cap), caps, sign in zip(orderings, level_caps, (1, -1)):
+        weights = [sign * scale // math.factorial(k) for k in range(deepest + 1)]
+        groups_b = []  # each right component's terms by mode (the mode fields of a key)
+        for b_deg, b_terms in sides[j]:
+            groups: dict[int, list] = {}
+            for key, s in b_terms.items():
+                groups.setdefault(key >> first, []).append((key - offsets, s))
+            groups_b.append((b_deg, groups))
+        for a_deg, a_terms in sides[i]:
+            chains: dict[int, list] = {}  # mode fields -> [a, (v . grad_xi) a, ...]
+            for b_deg, groups in groups_b:
+                kmax = caps.get((a_deg, b_deg))
+                if kmax is None:
+                    continue
+                for field, terms in groups.items():
+                    mode, steps = directions.get(field) or _direction(keys, directions, field)
+                    u = mode[0]
+                    chain = chains.get(field)
+                    if chain is None:
+                        chain = chains[field] = [a_terms]
+                    while len(chain) <= kmax and chain[-1]:
+                        chain.append(_along(keys, chain[-1], steps))
+                    for k, level in enumerate(chain[:kmax + 1]):
+                        if not level:
+                            break  # every later level vanishes, as after mode zero's level 0
+                        bucket = out.setdefault(a_deg + b_deg - k, {})
+                        w = weights[k]
+                        for base, s2 in terms:
+                            weighted = s2 * w
+                            for k1, s1 in level.items():
+                                s = s1 * weighted
+                                if phase is not None:
+                                    ph = phase((k1 >> second & m) - h, u)
+                                    if ph is not None:
+                                        s = s * ph
+                                key = k1 + base
+                                cur = bucket.get(key)
+                                if cur is None:
+                                    if s:
+                                        bucket[key] = s
                                 else:
-                                    del bucket[key]
+                                    s = cur + s
+                                    if s:
+                                        bucket[key] = s
+                                    else:
+                                        del bucket[key]
     den *= scale
     result = {}
     for d, raw in out.items():

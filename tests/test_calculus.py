@@ -1,10 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
+from ncresidue import terms as T
 from ncresidue.calculus import (
+    DecompositionCertificate,
+    _compose_impl,
     _residue_of_composition,
     commutator_exp,
     commutator_xi,
@@ -14,7 +18,13 @@ from ncresidue.calculus import (
     uniqueness_decompose,
 )
 from ncresidue.errors import InsufficientExpansionError, ValidationError
-from ncresidue.nctorus import _nc_residue_of_composition
+from ncresidue.nctorus import (
+    NCSymbol,
+    SemiclassicalReport,
+    Theta,
+    _nc_residue_of_composition,
+    semiclassical_check,
+)
 from ncresidue.scalars import ComplexRational, PiGradedScalar
 from ncresidue.symbols import (
     ClassicalSymbol,
@@ -23,6 +33,7 @@ from ncresidue.symbols import (
     monomial_symbol,
     one_symbol,
     sphere_average,
+    exp_symbol,
     xi_symbol,
     zero_component,
 )
@@ -404,6 +415,116 @@ def test_commutator_exp_matches_series_randomized():
         assert got == want
 
 
+def _commutator_symbols():
+    """60 seeded symbols, n = 2 and 3, depths 0-4, and three complete ones."""
+    rng = random.Random(113)
+    for seed in range(801, 861):
+        n = rng.choice([2, 3])
+        yield random_symbol(seed, dim=n, order=rng.randint(-1, 2), depth=rng.randint(0, 4),
+                            max_mode=2, max_alpha=2)
+    yield monomial_symbol(2, 3, mode=(1, -1), alpha=(2, 1))
+    yield one_symbol(3)
+    yield ClassicalSymbol(2, 0, {}, None)
+
+
+def test_commutators_are_the_difference_of_the_two_compositions(monkeypatch):
+    """One engine pass per commutator gives what composing in both orders and
+    subtracting gives: value, repr, order and floor; b o a takes no gamma cap."""
+    calls = []
+    engine = T.compose_components
+
+    def counting(*args, **kw):
+        calls.append(kw.get("commutator", False))
+        return engine(*args, **kw)
+
+    monkeypatch.setattr(T, "compose_components", counting)
+    nonzero = 0
+    for s in _commutator_symbols():
+        n, floor = s.n, s.trusted_floor
+        for direction in range(1, n + 1):
+            xi = xi_symbol(n, direction)
+            calls.clear()
+            got = commutator_xi(s, direction)
+            assert calls == [True]
+            want = _compose_impl(xi, s, floor) - _compose_impl(s, xi, floor)
+            assert (got, repr(got), got.order, got.trusted_floor) == (
+                want, repr(want), want.order, want.trusted_floor)
+            mode = tuple(int(i == direction - 1) for i in range(n))
+            exp = exp_symbol(n, mode)
+            for depth in range(5):
+                calls.clear()
+                got = commutator_exp(s, direction, depth)
+                assert calls == [True]
+                low = got.trusted_floor
+                want = (_compose_impl(s, exp, low, gamma_cap=depth)
+                        - _compose_impl(exp, s, low))
+                assert (got, repr(got), got.order, got.trusted_floor) == (
+                    want, repr(want), want.order, want.trusted_floor)
+                nonzero += not got.is_zero()
+    assert nonzero >= 200
+
+
+def test_a_commutator_checks_each_ordering_in_turn():
+    """The refusals of the two-compose route, a o b's first.  A complete
+    symbol that is not polynomial does not terminate before e^(i x_1)
+    unless that ordering is capped, and a o b's tower is refused before b o
+    a's termination is checked."""
+    n = 2
+    moving = ClassicalSymbol(n, 0, {-1: HomogeneousComponent(
+        n, -1, [(1, (1, 0), (0, 0), -1)])}, None)
+    exp = exp_symbol(n, (1, 0))
+    for a, b in ((moving, exp), (exp, moving)):
+        with pytest.raises(ValidationError, match="does not terminate"):
+            _compose_impl(a, b, None, commutator=True)
+    got = _compose_impl(moving, exp, None, gamma_cap=2, commutator=True)
+    assert got == _compose_impl(moving, exp, None, gamma_cap=2) - _compose_impl(exp, moving, None)
+    assert not got.is_zero()
+    with pytest.raises(ValidationError, match="multi-indices"):
+        _compose_impl(moving, moving, None, gamma_cap=60, commutator=True)
+
+
+def test_a_commutator_caps_only_a_o_b():
+    """``gamma_cap`` truncates a o b and leaves b o a whole, on pairs of
+    seeded symbols that both move and are not polynomial."""
+    syms = [s for s in _commutator_symbols() if s.trusted_floor is not None]
+    differs = 0
+    for s, t in zip(syms, syms[1:]):
+        if s.n != t.n:
+            continue
+        floor = max(s.trusted_floor + t.order, s.order + t.trusted_floor)
+        for cap in (0, 1):
+            got = _compose_impl(s, t, floor, gamma_cap=cap, commutator=True)
+            want = _compose_impl(s, t, floor, gamma_cap=cap) - _compose_impl(t, s, floor)
+            assert (got, repr(got)) == (want, repr(want))
+            both = _compose_impl(s, t, floor, gamma_cap=cap) - _compose_impl(
+                t, s, floor, gamma_cap=cap)
+            differs += got != both
+    assert differs >= 10
+
+
+def test_a_commutator_packs_its_numerators_one_bit_wider(monkeypatch):
+    """Canonical form of a commutator sums two compositions, each within the
+    bound of ``numerator_width``, so the numerators take one bit more."""
+    widths, packed = [], []
+    width = T.numerator_width
+
+    def recording(*args):
+        widths.append(width(*args))
+        return widths[-1]
+
+    class Recording(T.PackedGaussians):
+        def __init__(self, w):
+            packed.append(w)
+            super().__init__(w)
+
+    monkeypatch.setattr(T, "numerator_width", recording)
+    monkeypatch.setattr(T, "PackedGaussians", Recording)
+    s = random_symbol(5, dim=3, order=1, depth=3, max_mode=2, max_alpha=2)
+    assert not commutator_xi(s, 2).is_zero()
+    assert not compose(s, xi_symbol(3, 2)).is_zero()
+    assert packed == [widths[0] + 1, widths[1]]
+
+
 # -- uniqueness decomposition ----------------------------------------------------------
 
 
@@ -445,6 +566,42 @@ def test_decompose_requires_depth():
     s = _sym(2, 0, 0, {0: [(1, (0, 0), (0, 0), 0)]})
     with pytest.raises(InsufficientExpansionError):
         uniqueness_decompose(s)
+
+
+def test_the_records_behave_as_frozen_dataclasses():
+    """DecompositionCertificate and SemiclassicalReport keep what the frozen
+    dataclasses they replace did: positional and keyword construction, ==
+    of the fields within one class, their hash (none for a dict field),
+    immutability and the repr."""
+    s = _sym(2, 0, -2, {0: [(1, (0, 0), (2, 0), -2)], -2: [(1, (0, 0), (2, 0), -4)]})
+    t = NCSymbol(Theta.from_rational(0), -2, {-2: [(3, (0, 0), (0, 0), -2)]}, -2)
+    for record, cls in ((uniqueness_decompose(s), DecompositionCertificate),
+                        (semiclassical_check(t), SemiclassicalReport)):
+        names = cls.__slots__
+        values = [getattr(record, name) for name in names]
+        twin = dataclasses.make_dataclass(cls.__name__, names, frozen=True)(*values)
+        assert repr(record) == repr(twin) and repr(record).startswith(f"{cls.__name__}(")
+        again = cls(**dict(zip(names, values)))
+        assert again == record and cls(*values) == record and again is not record
+        assert record != twin and record != cls(*values[:-1], None)
+        assert {type(record).__eq__(record, twin)} == {NotImplemented}
+        with pytest.raises(AttributeError):
+            setattr(record, names[0], values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, names[-1])
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+        assert _hash_or_refusal(record) == _hash_or_refusal(twin)
+        assert not hasattr(record, "__dict__")
+    plain = SemiclassicalReport(PiGradedScalar(1), PiGradedScalar(2), False)
+    assert hash(plain) == hash((PiGradedScalar(1), PiGradedScalar(2), False))
+
+
+def _hash_or_refusal(x):
+    try:
+        return hash(x)
+    except TypeError as exc:  # a dict or a cyclotomic field: unhashable
+        return str(exc)
 
 
 def test_decompose_consistency_randomized():

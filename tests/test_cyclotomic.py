@@ -186,6 +186,29 @@ def test_integer_arithmetic_follows_the_scalar_order_rule(orders):
             assert (got.order, list(got.coeffs)) == (want[0], list(want[1]))
 
 
+@pytest.mark.parametrize("q", [1, 2, 4, 5, 12, 28, 97])
+def test_an_int_is_an_order_one_value_in_sums_and_products(q):
+    """The twisted engine runs rational numerators as ints: a sum or product
+    with one keeps the other operand's order and coordinates, as the order-1
+    CyclotomicInteger of the same value does."""
+    rng = random.Random(q)
+    phi = len(cyclotomic_polynomial(q)) - 1
+    for _ in range(4):
+        x = CyclotomicInteger(q, [rng.randint(-3, 3) for _ in range(phi)])
+        for k in (0, 1, -7, 3 * 10**30):
+            one = CyclotomicInteger(1, [k])
+            for got, want in ((k + x, one + x), (x + k, x + one), (k * x, one * x),
+                              (x * k, x * one)):
+                assert type(got) is CyclotomicInteger
+                assert (got.order, got.coeffs) == (want.order, want.coeffs)
+                assert got.order == q
+        zero = 0 + x
+        assert (zero.order, zero.coeffs) == (x.order, x.coeffs) and zero == x
+    y = CyclotomicInteger(4, [2, -1])
+    assert sum([y, 3, y]) == CyclotomicInteger(4, [7, -2])  # sum() starts from the int 0
+    assert (y + 3).coeffs is not y.coeffs and y.coeffs == [2, -1]  # no operand is changed
+
+
 def _assert_lowest_terms(x):
     ints = list(x.num.coeffs) if isinstance(x, CyclotomicScalar) else [x.a, x.b]
     assert all(type(c) is int for c in ints) and type(x.den) is int and x.den > 0

@@ -959,9 +959,41 @@ def test_cyclotomic_lift_and_lower_round_trip():
     for d, bag in comps.items():
         for k, s in bag.items():
             n = lifted[d][k]
-            assert type(n) is CyclotomicInteger and n.order == s.order
-            assert all(type(c) is int for c in n.coeffs)
+            if s.order == 1:  # a rational numerator runs as a plain int
+                assert type(n) is int and n == 1000003 * 7
+            else:
+                assert type(n) is CyclotomicInteger and n.order == s.order
+                assert all(type(c) is int for c in n.coeffs)
             assert repr(system.lower(n, den)) == repr(s)
+
+
+def test_cyclotomic_lower_takes_an_int_as_order_one():
+    system = T.CyclotomicSystem(5, 12)
+    for k, den in ((6, 4), (-9, 6), (0, 5), (7, 1), (3 * 10**40, 10**41)):
+        got = system.lower(k, den)
+        want = system.lower(CyclotomicInteger(1, [k]), den)
+        assert repr(got) == repr(want) and (got.num.coeffs, got.den) == (want.num.coeffs, want.den)
+        assert type(got.num.coeffs[0]) is int and got.order == 1
+
+
+def test_cyclotomic_numerator_map_writes_the_numerators_in_place():
+    """Each factor's packed bags take their numerators over the lcm of that
+    factor's denominators, in the same dicts: an int at order 1, a
+    CyclotomicInteger at its stored order otherwise."""
+    system = T.CyclotomicSystem(2, 5)
+    left = [{1: CyclotomicScalar(1, [Fraction(3, 4)]),
+             2: CyclotomicScalar(5, [Fraction(1, 6), 0, 1, 0])}, {}]
+    right = [{3: CyclotomicScalar(1, [Fraction(-5, 9)]),
+              4: CyclotomicScalar(12, [0, 0, Fraction(1, 3), 0])}]
+    bags = [*left, *right]
+    nums, den = system.numerator_map(left, right, 2, (0, 0, 0), 0)
+    assert den == 12 * 9 and [*left, *right] == bags and all(
+        x is y for x, y in zip([*left, *right], bags))
+    assert left == [{1: 9, 2: CyclotomicInteger(5, [2, 0, 12, 0])}, {}]
+    assert right == [{3: -5, 4: CyclotomicInteger(12, [0, 0, 3, 0])}]
+    assert [type(v) for bag in bags for v in bag.values()] == [
+        int, CyclotomicInteger, int, CyclotomicInteger]
+    assert right[0][4].order == 12
 
 
 def test_cyclotomic_integer_weights_divide_exactly():

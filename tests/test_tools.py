@@ -157,6 +157,30 @@ def test_per_op_records_explain_part_of_the_peak_rss_change():
     assert f"explain {-10_000 * size / 2**20:+.2f} of -1.00 MiB" in line
 
 
+def test_headroom_is_the_op_ratio_the_peak_rss_bound_admits():
+    size = bench_pairs.record_bytes()
+    # 10 % of 42 MiB holds 4.2 MiB of records more: 4.2 MiB / size more ops
+    want = 1 + 0.1 * 42 * 2**20 / (size * 137_000)
+    assert bench_pairs.headroom(0.1, 42.0, 137_000) == pytest.approx(want)
+    if sys.maxsize > 2**32:
+        assert bench_pairs.headroom(0.1, 42.0, 137_000) == pytest.approx(1.2679, abs=1e-4)
+    # at the headroom the records fill the bound exactly
+    ops = 137_000 * (bench_pairs.headroom(0.1, 42.0, 137_000) - 1)
+    assert ops * size / 2**20 == pytest.approx(4.2)
+    metrics = [{"name": "peak_rss_mib", "better": "lower", "bound": 0.1}]
+    [row] = bench_pairs.summarize([{"peak_rss_mib": 42.0}], [{"peak_rss_mib": 45.0}], metrics)
+    assert row["bound"] == 0.1
+    line = bench_pairs.format_rows("nc-trace", [row], (137_000, 160_000)).splitlines()[1]
+    assert f"headroom x{want:.3f} ops  ops attempted median: parent 137000" in line
+    assert line.index("explain") < line.index("headroom")
+    # no bound, no headroom; no counts, neither
+    [row] = bench_pairs.summarize([{"peak_rss_mib": 42.0}], [{"peak_rss_mib": 45.0}],
+                                  [{"name": "peak_rss_mib", "better": "lower"}])
+    assert "headroom" not in bench_pairs.format_rows("nc-trace", [row], (137_000, 160_000))
+    [row] = bench_pairs.summarize([{"peak_rss_mib": 42.0}], [{"peak_rss_mib": 45.0}], metrics)
+    assert "headroom" not in bench_pairs.format_rows("nc-trace", [row])
+
+
 def test_gain_and_bound_verdicts_of_fixed_pairs():
     metrics = [{"name": "setup_s", "better": "lower", "bound": 0.25},
                {"name": "ops_per_s", "better": "higher", "bound": 0.2}]

@@ -26,7 +26,11 @@ attempted: ``bench/run.py`` keeps a record per operation, so the peak
 grows with the throughput, and the count tells that growth from a change
 in what the library holds; beside the counts it prints how much of the
 change in the peak the records explain, the change in the median count
-times the size of one record (``record_bytes``).  Below that it
+times the size of one record (``record_bytes``), and the headroom: the
+largest ratio of operations attempted that the metric's bound admits
+from the records alone, at the parent's median peak and count
+(``headroom``), so a gain in throughput can be told from a reading past
+the bound before the runs are made.  Below that it
 prints each side's median unscaled ``ops_per_s``, the throughput as timed,
 before ``bench/run.py`` scales it to its reference machine speed, read from
 the record line a run prints before its metrics.  Only the standard
@@ -90,7 +94,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
     wins in 10 pairs, and the change's median better than the parent's by
     more than the parent's interquartile range) and ``in_bound`` (the
     change's median worse than the parent's by at most ``bound`` times the
-    parent's median; None when the metric declares no bound).
+    parent's median; None when the metric declares no bound), and the
+    ``bound`` itself.
     """
     rows = []
     for metric in metrics:
@@ -112,6 +117,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
             "spread": (pq[2] - pq[0]) / pq[1] if pq[1] else float("nan"),
             "gain": 10 * wins >= 9 * len(p) and better_by > pq[2] - pq[0],
             "in_bound": None if bound is None else -better_by <= bound * abs(pq[1]),
+            "bound": bound,
         })
     return rows
 
@@ -124,11 +130,20 @@ def record_bytes() -> int:
             + sys.getsizeof([None]) - sys.getsizeof([]))
 
 
+def headroom(bound: float, peak_mib: float, attempted: float) -> float:
+    """The largest ratio of operations attempted that keeps ``peak_rss_mib``
+    within ``bound`` when only the per-op records grow: at a parent peak of
+    ``peak_mib`` over ``attempted`` operations, 1 + bound peak / (record
+    bytes x attempted)."""
+    return 1 + bound * peak_mib * 2**20 / (record_bytes() * attempted)
+
+
 def format_rows(workload: str, rows: list[dict],
                 attempted: tuple[float, float] | None = None) -> str:
     """The rows, one line each; ``attempted`` is each side's median count of
     operations attempted, (parent, change), shown beside ``peak_rss_mib``
-    after the MiB of its change that the per-op records explain."""
+    after the MiB of its change that the per-op records explain and, for a
+    metric with a bound, the ``headroom`` at the parent's medians."""
     lines = [f"{workload}: metric, parent median [q1, q3], change median [q1, q3], "
              "change wins, ratio change/parent (parent spread), verdicts"]
     for r in rows:
@@ -141,8 +156,10 @@ def format_rows(workload: str, rows: list[dict],
             line += f", in bound {'yes' if r['in_bound'] else 'NO'}"
         if r["metric"] == "peak_rss_mib" and attempted is not None:
             explained = (attempted[1] - attempted[0]) * record_bytes() / 2**20
-            line += (f"  per-op records explain {explained:+.2f} of {c[1] - p[1]:+.2f} MiB"
-                     f"  ops attempted median: parent {attempted[0]:.0f}, "
+            line += f"  per-op records explain {explained:+.2f} of {c[1] - p[1]:+.2f} MiB"
+            if r["bound"] is not None:
+                line += f"  headroom x{headroom(r['bound'], p[1], attempted[0]):.3f} ops"
+            line += (f"  ops attempted median: parent {attempted[0]:.0f}, "
                      f"change {attempted[1]:.0f}")
         lines.append(line)
     return "\n".join(lines)
