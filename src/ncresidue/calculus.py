@@ -27,7 +27,6 @@ from .symbols import (
     HomogeneousComponent,
     TrigPolynomial,
     _sphere_sum,
-    _sphere_total,
     euler_antiderivatives,
     exp_symbol,
     sphere_average,
@@ -97,17 +96,12 @@ def _normalized_residue(sigma, *, volume: bool = False) -> PiGradedScalar:
             f"residue needs the expansion down to degree {-n}, but the floor "
             f"is {sigma.trusted_floor}"
         )
-    zero_mode = (0,) * n
-    # the trace kills every other mode; within one mode of a homogeneous
-    # component, alpha determines the |xi| power
-    bag = {
-        alpha: s
-        for (mode, alpha, _p), s in sigma._term_bags().get(-n, {}).items()
-        if mode == zero_mode
-    }
+    # the trace kills every other mode
+    bag = {key: s for key, s in sigma._term_bags().get(-n, {}).items() if not any(key[0])}
     system = sigma._system
-    lifted, den = system.lift({-n: bag})
-    return _sphere_sum(system, n, *_sphere_total(n, lifted[-n], den), volume=volume)
+    keys, [bag], sizes = T._pack_sized(n, [bag], 0)
+    nums, den = system.numerator_map([bag], [], n, sizes, 0)
+    return _sphere_sum(system, n, *T.sphere_integral(nums, keys, bag, den), volume=volume)
 
 
 def residue(sigma: ClassicalSymbol) -> PiGradedScalar:

@@ -8,8 +8,10 @@ of residues decidable.
 
 A ``ComplexRational`` is three plain ints, (a + bi) / den in lowest terms;
 ``CyclotomicScalar`` in ``cyclotomic`` is a cyclotomic-integer numerator
-over one positive int.  The term engine runs on integer numerators
-(``GaussianInteger`` here) and lowers its results back to these scalars.
+over one positive int.  The term engine runs on integer numerators over
+one shared denominator (``terms.RationalSystem.numerator_map`` packs each
+Gaussian numerator into one ``int``), sums a sphere integral into a
+``GaussianInteger`` (here), and lowers its results back to these scalars.
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ _set_a, _set_b, _set_den = (ComplexRational.__dict__[name].__set__
 
 class GaussianInteger:
     """An exact complex number with integer real and imaginary parts: the
-    numerator a ``ComplexRational`` is lifted to over a shared denominator
-    (``terms.RationalSystem.lift``), and a sphere total of the engine.
+    sphere total of the engine (``terms.PackedGaussians.total``), a sum of
+    numerators over a shared denominator.
     Instances are never mutated; the fields are plain slots, cheap to set.
     """
 

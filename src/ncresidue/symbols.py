@@ -24,7 +24,6 @@ from .scalars import (
     PG_ZERO,
     ComplexRational,
     PiGradedScalar,
-    sphere_monomial_integral,
     sphere_surface_measure,
     torus_volume,
 )
@@ -407,14 +406,6 @@ def _sphere_sum(system, n: int, total, den: int, *, volume=False) -> PiGradedSca
 _grade = lru_cache(maxsize=64)(Fraction)
 
 
-def _sphere_total(n: int, bag: dict, den: int):
-    """``terms.sphere_total`` of sum_alpha (s / den) xi^alpha, ``bag``
-    mapping alpha to a numerator as ``lift`` returns it; odd alphas drop."""
-    even = [(s, (w.a, w.den)) for alpha, s in bag.items()
-            if (w := sphere_monomial_integral(alpha, n).coeff)]
-    return T.sphere_total(T._SameNumerators, [s for s, _w in even], [w for _s, w in even], den)
-
-
 def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
     """Mean of a degree-(-n) component over the unit xi-sphere, per mode.
 
@@ -427,17 +418,17 @@ def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
         raise ValidationError(
             f"sphere average requires degree {-n}, got {component.degree}"
         )
-    # within one mode of a homogeneous component, alpha determines the |xi| power
     by_mode: dict = {}
-    for (mode, alpha, _p), s in component.raw_terms().items():
-        by_mode.setdefault(mode, {})[alpha] = s
-    # one lift for all the modes, so they share one denominator
-    lifted, den = _SYS.lift(by_mode)
+    for key, s in component.raw_terms().items():
+        by_mode.setdefault(key[0], {})[key] = s
+    # one numerator map for all the modes, so they share one denominator
+    keys, bags, sizes = T._pack_sized(n, list(by_mode.values()), 0)
+    nums, den = _SYS.numerator_map(bags, [], n, sizes, 0)
     # the measure is the integral of 1, whose pi grade every sphere sum has
     per_measure = 1 / sphere_surface_measure(n).coeff.re
     coeffs = {
-        mode: _sphere_sum(_SYS, n, *_sphere_total(n, bag, den)).coeff * per_measure
-        for mode, bag in lifted.items()
+        mode: _sphere_sum(_SYS, n, *T.sphere_integral(nums, keys, bag, den)).coeff * per_measure
+        for mode, bag in zip(by_mode, bags)
     }
     return TrigPolynomial(n, coeffs)
 

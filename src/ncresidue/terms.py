@@ -15,9 +15,9 @@ backends: the coefficient class and its ``zero``, ``coerce`` of an outside
 value, the ``phase`` the product of two modes picks up (an integer root of
 unity at a rational twist, read from two mode entries: ``phase(v, u)`` for
 a left mode (., v) and a right mode (u, .); None without a twist), and the
-numerators the engine runs on: ``lift`` and ``numerator_map`` move exact
-coefficients onto integer numerators over one shared denominator, and
-``lower`` moves them back with one gcd.
+numerators the engine runs on: ``numerator_map`` moves exact coefficients
+onto integer numerators over one shared denominator, for every composition
+and every residue, and ``lower`` moves them back with one gcd.
 
 Composition by directional derivatives.  On the torus D_x^gamma acts on a
 right term of Fourier mode v as v^gamma, so by the multinomial theorem
@@ -82,9 +82,10 @@ class RationalSystem:
 
     The twisted systems below derive from it and override what differs.
     ``scalar`` is the coefficient class.  ``numerator_map`` is the one
-    path by which both engines give their packed factors numerators: here
-    ``int``s (``PackedGaussians``) read straight from the coefficients, the
-    other systems theirs (``_numerator`` for the twisted one).
+    path to numerators, for both engines and every residue
+    (``sphere_integral``): here ``int``s (``PackedGaussians``) read
+    straight from the coefficients, the other systems theirs
+    (``_numerator`` for the twisted one).
     """
 
     zero = CR_ZERO
@@ -100,16 +101,6 @@ class RationalSystem:
 
     # no twist: products of modes pick up no phase
     phase = None
-
-    @staticmethod
-    def lift(comps: dict[int, dict]):
-        """``(numerators, den)``: every coefficient (a + bi) / d of the
-        components as the ``GaussianInteger`` (a + bi) (den / d), den the lcm
-        of the denominators, which ``lower`` turns back."""
-        den = math.lcm(*{s.den for bag in comps.values() for s in bag.values()})
-        lifted = {deg: {key: GaussianInteger(s.a * (k := den // s.den), s.b * k)
-                        for key, s in bag.items()} for deg, bag in comps.items()}
-        return lifted, den
 
     def lower(self, s: GaussianInteger, den: int) -> ComplexRational:
         """The coefficient s / den, in lowest terms."""
@@ -176,16 +167,10 @@ class _SameNumerators:
         return {key: lower(s, den) for key, s in keys.unpack_bag(bag).items()}
 
 
-def _same_numerators(self, left: list, right: list, *_sizes):
-    """The numerator map that keeps the system's numerators: ``lift`` in place,
-    each factor over its own denominator, the product of which it returns."""
-    den = 1
-    for bags in (left, right):
-        lifted, d = self.lift(dict(enumerate(bags)))
-        for bag, numerators in zip(bags, lifted.values()):
-            bag.update(numerators)
-        den *= d
-    return _SameNumerators(self), den
+def _same_numerators(self, *_args):
+    """The numerator map that keeps the system's numerators as they are (the
+    float system's floats), over den 1."""
+    return _SameNumerators(self), 1
 
 
 class CyclotomicSystem(RationalSystem):
@@ -207,15 +192,6 @@ class CyclotomicSystem(RationalSystem):
         self.theta_num = theta_num
         self.theta_den = theta_den
         self._roots: dict[int, CyclotomicInteger] = {}
-
-    def lift(self, comps: dict[int, dict]):
-        """``RationalSystem.lift`` on the numerators of ``_numerator``."""
-        den = math.lcm(*{s.den for bag in comps.values() for s in bag.values()})
-        lifted = {
-            deg: {key: _numerator(s) * (den // s.den) for key, s in bag.items()}
-            for deg, bag in comps.items()
-        }
-        return lifted, den
 
     @staticmethod
     def lower(s, den: int) -> CyclotomicScalar:
@@ -260,9 +236,9 @@ def _numerator(s: CyclotomicScalar):
 class FloatSystem(RationalSystem):
     """Floating complex coefficients for numerical experiments.
 
-    The engine runs on the floats as they are: ``lift`` is the identity
-    with denominator 1, and ``lower`` divides by whatever denominator a
-    caller has scaled by since.
+    The engine runs on the floats as they are: the numerator map keeps them
+    over den 1 (``_same_numerators``), and ``lower`` divides by whatever
+    denominator a caller has scaled by since.
     """
 
     zero = 0j
@@ -294,10 +270,6 @@ class FloatSystem(RationalSystem):
             ) from None
 
     @staticmethod
-    def lift(comps: dict[int, dict]):
-        return comps, 1
-
-    @staticmethod
     def lower(s: complex, den: int) -> complex:
         return s if den == 1 else s / den
 
@@ -325,7 +297,7 @@ class PackedGaussians:
     shell of canonical form at a zero of xi_1^2 + ... + xi_n^2 (``certify``).
     """
 
-    __slots__ = ("width", "modulus", "half", "low_half", "low_mask")
+    __slots__ = ("width", "modulus", "half", "low_half", "low_mask", "made")
 
     def __init__(self, width: int):
         self.width = w = width
@@ -333,6 +305,7 @@ class PackedGaussians:
         self.half = 1 << (2 * w - 1)
         self.low_half = 1 << (w - 1)
         self.low_mask = (1 << w) - 1
+        self.made: dict[int, dict] = {}  # den -> {value: its coefficient}, for ``lower``
 
     def pack(self, z) -> int:
         return z.re + (z.im << self.width)
@@ -381,14 +354,16 @@ class PackedGaussians:
         (a + bi) / den in lowest terms.  A group has one mode and one |xi|
         power, read from its first key, so only the alpha of each term is
         read (from the layout's memo, ``Keys.alpha_of``).  Each distinct
-        value is built once, and the keys holding it share the immutable
+        value over ``den`` is built once per numerator map, whatever the
+        degrees it is lowered in (a ``compose_components`` call lowers every
+        degree over one den), and the keys holding it share the immutable
         object."""
         h, mask, w = self.low_half, self.low_mask, self.width
         gcd, make = math.gcd, ComplexRational._make
         modes, alphas, alpha_of = keys.modes, keys.alphas, keys.alpha_of
         first, alpha_mask = keys.mode_shifts[0], keys.alpha_mask
         m, kh, ps = keys.mask, keys.half, keys.npow_shift
-        out, made = {}, {}
+        out, made = {}, self.made.setdefault(den, {})
         for poly in groups:
             if not poly:
                 continue
@@ -412,14 +387,14 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
     """The width w of ``PackedGaussians`` for a ``compose_components`` call or
     a ``residue_pairing`` pass.
 
-    ``norm_a`` and ``norm_b`` are the L1 norms of the lifted factors (the
-    sum of |re| + |im| over every numerator), F_xi = ``f_xi`` bounds |alpha|
-    + |npow|, F_mode = ``f_mode`` bounds |mode entry| and A = ``f_alpha``
-    bounds |alpha| over their terms, and K = ``depth`` is the deepest
-    derivative order.  Every Gaussian value the call forms (chain level,
-    weighted right term, product, bucket sum, canonical shell or quotient,
-    result) has parts of absolute value below 2^(w - 1), which is what
-    ``PackedGaussians`` needs.  Proof, in the L1 norm N of a bag, which
+    ``norm_a`` and ``norm_b`` are the L1 norms of the factors' numerators
+    (the sum of |re| + |im| over every numerator), F_xi = ``f_xi`` bounds
+    |alpha| + |npow|, F_mode = ``f_mode`` bounds |mode entry| and A =
+    ``f_alpha`` bounds |alpha| over their terms, and K = ``depth`` is the
+    deepest derivative order.  Every Gaussian value the call forms (chain
+    level, weighted right term, product, bucket sum, canonical shell or
+    quotient, result) has parts of absolute value below 2^(w - 1), which is
+    what ``PackedGaussians`` needs.  Proof, in the L1 norm N of a bag, which
     bounds every part of every value in it, and is subadditive and
     submultiplicative (|z1 z2|_1 <= |z1|_1 |z2|_1):
 
@@ -470,7 +445,10 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
     needs no width.  A ``compose_components`` commutator does take canonical
     form, of the sum of c = 2 compositions, each within the bound before it,
     so a group's N is at most c times that bound: its numerator map adds
-    bits(c - 1) to this width (``RationalSystem.numerator_map``).
+    bits(c - 1) to this width (``RationalSystem.numerator_map``).  The
+    sphere integral of a symbol's own terms (``sphere_integral``) has no
+    right factor, norm_b = 0, and K = 0: its values are the numerators,
+    each within N(a).
 
     Each factor x is below 2^bits(x), and n^s at most 2^(s ceil(log2 n)),
     so the width is one more than the sum of those bit counts.  Sizes enter
@@ -718,10 +696,11 @@ def pack_terms(n: int, bags, depth: int = 0):
     4(F + depth).  F is taken as the largest |mode entry| or |alpha| +
     |npow|, which bounds each exponent, |npow| and |alpha| + npow.  The
     keys are packed at the narrowest width first, and again wider when F
-    turns out to need it.  The engine loops below do this on entry when
-    they are handed the dimension n, with tuple-keyed bags, in place of a
-    layout, and unpack their result (``Keys.unpack_bag``) on return, but
-    ``canonical_terms`` first tries its monomial rule, which packs nothing.
+    turns out to need it.  ``mul_terms`` and ``partial_xi_terms`` do this
+    on entry, and ``canonical_terms`` when it is handed the dimension n in
+    place of a layout; they unpack their result (``Keys.unpack_bag``) on
+    return, but ``canonical_terms`` first tries its monomial rule, which
+    packs nothing.
     """
     keys, packed, _sizes = _pack_sized(n, bags, depth)
     return keys, packed
@@ -761,18 +740,17 @@ def add_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def mul_terms(system, keys, left: dict, right: dict) -> dict:
-    """Pointwise product; modes add, with the system's phase twist.
+def mul_terms(system, n: int, left: dict, right: dict) -> dict:
+    """Pointwise product of two n-dimensional tuple-keyed bags; modes add,
+    with the system's phase twist.
 
     Left scalars multiply on the left, which is what the twisted calculus
-    requires; the commutative backend does not care.  ``keys`` is the
-    layout of packed bags or the dimension of tuple-keyed ones
-    (``pack_terms``); the product is a new bag.  The phase is read only
-    for a twisted system, from the two mode fields it uses.
+    requires; the commutative backend does not care.  The bags are packed
+    on entry (``pack_terms``) and the product, a new bag, is unpacked on
+    return.  The phase is read only for a twisted system, from the two mode
+    fields it uses.
     """
-    tuples = type(keys) is int
-    if tuples:
-        keys, (left, right) = pack_terms(keys, (left, right))
+    keys, (left, right) = pack_terms(n, (left, right))
     out: dict = {}
     phase = system.phase
     if phase is not None:
@@ -800,18 +778,14 @@ def mul_terms(system, keys, left: dict, right: dict) -> dict:
                     out[key] = s
                 else:
                     del out[key]
-    return keys.unpack_bag(out) if tuples else out
+    return keys.unpack_bag(out)
 
 
-def partial_xi_terms(keys, terms: dict, axis: int) -> dict:
-    """d/d(xi_axis), termwise: |alpha| + npow drops by one.
-
-    ``keys`` is the layout of packed bags or the dimension of tuple-keyed
-    ones (``pack_terms``).
-    """
-    tuples = type(keys) is int
-    if tuples:
-        keys, (terms,) = pack_terms(keys, (terms,), 1)
+def partial_xi_terms(n: int, terms: dict, axis: int) -> dict:
+    """d/d(xi_axis) of an n-dimensional tuple-keyed bag, termwise: |alpha| +
+    npow drops by one.  The bag is packed on entry (``pack_terms``) and the
+    derivative unpacked on return."""
+    keys, (terms,) = pack_terms(n, (terms,), 1)
     m, h = keys.mask, keys.half
     shift, ps = keys.width * axis, keys.npow_shift
     down, r_step = keys.xi_steps[axis]
@@ -823,7 +797,7 @@ def partial_xi_terms(keys, terms: dict, axis: int) -> dict:
         p = (key >> ps & m) - h
         if p:
             bag_add(out, key - r_step, s * p)
-    return keys.unpack_bag(out) if tuples else out
+    return keys.unpack_bag(out)
 
 
 def mode_deriv_terms(terms: dict, axis: int) -> dict:
@@ -1068,7 +1042,7 @@ def _divide_by_sum_sq(keys, poly: dict, left: int):
 # -- composition ------------------------------------------------------------
 
 # compose_components and residue_pairing refuse (_check_tower), before they
-# lift by K!, a sum whose deepest derivative order K reaches more multi-indices
+# scale by K!, a sum whose deepest derivative order K reaches more multi-indices
 # |gamma| <= K in n variables, C(K + n, n), than this: a low floor or high
 # orders would walk a tower that deep.  The tests and benchmarks reach 120.
 MAX_GAMMA_COUNT = 1_000
@@ -1406,8 +1380,7 @@ def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
     skips it, and the rest are summed on their alpha fields.  A step along
     xi_j flips the parity of alpha_j alone, so the chain's last level takes
     from each term only the steps that reach the parity of a right term it
-    meets.  The bag is reduced once and integrated with the weights of the
-    layout's ``sphere`` memo (``sphere_total``).
+    meets.  The bag is integrated by ``sphere_integral``.
     """
     w, offsets, alpha_mask = keys.width, keys.offsets, keys.alpha_mask
     flip = 2 * (offsets >> keys.mode_shifts[0])  # the mode fields of -v are flip minus those of v
@@ -1458,10 +1431,29 @@ def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
                                     out[key] = s
                                 else:
                                     del out[key]
-    out = nums.reduce(out)
-    sphere = keys.sphere
-    return sphere_total(nums, out.values(),
-                        [sphere.get(part) or keys.sphere_weight(part) for part in out], den)
+    return sphere_integral(nums, keys, out, den)
+
+
+def sphere_integral(nums, keys: Keys, bag: dict, den: int):
+    """(total, den L), which ``symbols._sphere_sum`` lowers once: the
+    integral over S^(n-1) of the packed ``bag`` of numerators (of ``nums``)
+    over ``den``, every |xi| power read as 1.  The bag is reduced once and
+    each alpha weighted from the layout's ``sphere`` memo; an odd alpha, of
+    weight zero, is left out of the sum (``sphere_total``).  Every residue
+    is this integral: of a composition's pairing bag (``_pairing_pass``),
+    and of a symbol's own terms (``calculus._normalized_residue``,
+    ``symbols.sphere_average``), given numerators by the system's
+    ``numerator_map`` with no right factor.
+    """
+    sphere, alpha_mask = keys.sphere, keys.alpha_mask
+    values, weights = [], []
+    for key, v in nums.reduce(bag).items():
+        part = key & alpha_mask
+        w = sphere.get(part) or keys.sphere_weight(part)
+        if w[0]:
+            values.append(v)
+            weights.append(w)
+    return sphere_total(nums, values, weights, den)
 
 
 def sphere_total(nums, values, weights: list, den: int):

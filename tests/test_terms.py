@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ncresidue import terms as T
 from ncresidue.calculus import (
+    _normalized_residue_of_composition,
     _residue_of_composition,
     _sphere_sum,
     compose,
@@ -37,9 +38,16 @@ from ncresidue.scalars import (
     GaussianInteger,
     PiGradedScalar,
     sphere_monomial_integral,
+    sphere_surface_measure,
     torus_volume,
 )
-from ncresidue.symbols import ClassicalSymbol, HomogeneousComponent
+from ncresidue.symbols import (
+    ClassicalSymbol,
+    HomogeneousComponent,
+    exp_symbol,
+    one_symbol,
+    sphere_average,
+)
 
 from conftest import compositions, gamma_factorial
 
@@ -344,6 +352,66 @@ def test_residue_pairing_differentiates_a_left_term_only_along_its_mode(monkeypa
             assert axes.items() <= along_mode.items() if parity else axes == along_mode
 
 
+# -- one sphere integral for every residue -----------------------------------------
+
+
+def _residue_symbols(n, count, seed, theta=None):
+    """Symbols trusted down to degree -n or below, of orders -n .. 1; two in
+    three are free of modes, so their degree -n component is all mode zero."""
+    rng = random.Random(seed)
+    for i in range(count):
+        order = rng.randint(-n, 1)
+        yield random_symbol(rng.getrandbits(32), dim=n, order=order, depth=order + n + i % 2,
+                            max_mode=0 if i % 3 else 1, max_alpha=2, theta=theta)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residue_is_the_residue_of_its_composition_with_one(n):
+    """sigma o 1 = sigma: the symbol's own integral (``_normalized_residue``)
+    against the pairing pass of the composition."""
+    one, nonzero = one_symbol(n), 0
+    for sigma in _residue_symbols(n, 15, 60 + n):
+        got = residue(sigma)
+        assert got == _residue_of_composition(sigma, one)
+        nonzero += not got.is_zero()
+    assert nonzero >= 5
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12), Fraction(7, 30), 0.4])
+def test_nc_residue_is_the_residue_of_its_composition_with_one(theta):
+    th = Theta.from_float(theta) if type(theta) is float else Theta.from_rational(theta)
+    one = NCSymbol(th, 0, {0: [(1, (0, 0), (0, 0), 0)]}, None)
+    nonzero = 0
+    for sigma in _residue_symbols(2, 24, 70, th):
+        got, want = nc_residue(sigma), _nc_residue_of_composition(sigma, one)
+        if type(theta) is float:
+            assert got.pi_exponent == want.pi_exponent
+            assert abs(got.to_complex() - want.to_complex()) <= 1e-12 * abs(want.to_complex())
+        else:
+            assert repr(got) == repr(want)
+        nonzero += not got.is_zero()
+    assert nonzero >= 5
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_average_is_the_residue_of_a_composition_with_a_mode(n):
+    """The average of c on mode m, times the measure, is the normalized
+    residue of c e^(-i m.x), which only the product term reaches."""
+    measure, checked, nonzero = sphere_surface_measure(n), 0, 0
+    for sigma in _residue_symbols(n, 15, 80 + n):
+        c = sigma.components.get(-n)
+        if c is None:
+            continue
+        average, symbol = sphere_average(c), ClassicalSymbol(n, -n, {-n: c}, None)
+        for mode in {key[0] for key in c.raw_terms()} | {(1,) * n}:
+            got = measure * average.hat(mode)
+            assert got == _normalized_residue_of_composition(
+                symbol, exp_symbol(n, tuple(-x for x in mode)))
+            checked += 1
+            nonzero += not got.is_zero()
+    assert checked >= 20 and nonzero >= 8
+
+
 # -- the Gaussian-integer numerator kernel ------------------------------------------
 
 
@@ -353,14 +421,10 @@ class _RunAsItIs:
     with a ``Fraction``."""
 
     @staticmethod
-    def lift(comps):
-        return comps, 1
-
-    @staticmethod
     def lower(s, den):
         return s * Fraction(1, den)
 
-    # and no numerator map: composition runs on the coefficients too
+    # the numerator map that keeps the coefficients, over den 1
     numerator_map = T._same_numerators
 
 
@@ -867,30 +931,49 @@ def test_numerator_kernel_matches_unlifted_path(n):
     assert emitted >= 30 and nonzero >= 5
 
 
+def _numerators(system, comps, depth=0):
+    """(layout, packed bags, numerator map, den): the bags of ``comps``
+    packed and lifted onto numerators by the system's ``numerator_map``,
+    as one factor with no right factor, as a sphere integral takes them."""
+    keys, bags, sizes = T._pack_sized(2, list(comps.values()), depth)
+    nums, den = system.numerator_map(bags, [], 2, sizes, depth)
+    return keys, bags, nums, den
+
+
 def test_numerator_lift_and_lower_round_trip():
+    """Each coefficient (a + bi) / d becomes one ``int``, the image of the
+    Gaussian integer (a + bi) (den / d), den the lcm of the denominators,
+    and ``lower`` takes it back exactly."""
     system = T.RATIONAL_SYSTEM
     key = ((0, 0), (0, 0), 0)
     comps = {0: {key: ComplexRational(Fraction(3, 1000003), Fraction(-5, 7))},
              -1: {key: ComplexRational(Fraction(1, 2))}}
-    lifted, den = system.lift(comps)
+    keys, bags, nums, den = _numerators(system, comps)
     assert den == 1000003 * 7 * 2
-    for d, bag in comps.items():
-        for k, s in bag.items():
-            assert type(lifted[d][k]) is GaussianInteger
-            assert system.lower(lifted[d][k], den) == s
+    for bag, want in zip(bags, comps.values()):
+        [num], [s] = bag.values(), want.values()
+        assert type(num) is int
+        k = den // s.den
+        assert nums.total([num], [1]) == GaussianInteger(s.a * k, s.b * k)
+        assert system.lower(nums.total([num], [1]), den) == s
+        assert nums.lower(keys, [bag], den) == want
 
 
 def test_gaussian_integer_weights_divide_exactly():
     # a weight w/gamma! applied as the integer w * (K!/gamma!), with K! in the
     # denominator, lowers to the coefficient times the Fraction weight
     system = T.RATIONAL_SYSTEM
+    key = ((0, 0), (0, 0), 0)
     s = ComplexRational(Fraction(3, 10), Fraction(-5, 7))
-    lifted, den = system.lift({0: {((0, 0), (0, 0), 0): s}})
-    num = lifted[0][((0, 0), (0, 0), 0)]
+    keys, [bag], nums, den = _numerators(system, {0: {key: s}}, depth=7)
+    [(packed, num)] = bag.items()
+    assert den == 70 and nums.total([num], [1]) == GaussianInteger(21, -50)
     for k, gamma, w in ((3, (2, 1), -5), (4, (0, 2), 9), (7, (3, 3), 1)):
         scale = math.factorial(k)
         weighted = num * (w * (scale // gamma_factorial(gamma)))
-        assert system.lower(weighted, den * scale) == s * Fraction(w, gamma_factorial(gamma))
+        want = s * Fraction(w, gamma_factorial(gamma))
+        assert system.lower(nums.total([weighted], [1]), den * scale) == want
+        assert nums.lower(keys, [{packed: weighted}], den * scale) == {key: want}
 
 
 # -- the cyclotomic-integer numerator kernel -----------------------------------------
@@ -954,17 +1037,17 @@ def test_cyclotomic_lift_and_lower_round_trip():
         -1: {key: CyclotomicScalar(1, [Fraction(1, 2)])},
     }
     assert [s.order for bag in comps.values() for s in bag.values()] == [12, 28, 1]
-    lifted, den = system.lift(comps)
+    keys, bags, nums, den = _numerators(system, comps)
     assert den == 1000003 * 7 * 2
-    for d, bag in comps.items():
-        for k, s in bag.items():
-            n = lifted[d][k]
+    for bag, want in zip(bags, comps.values()):
+        for n, s in zip(bag.values(), want.values()):
             if s.order == 1:  # a rational numerator runs as a plain int
                 assert type(n) is int and n == 1000003 * 7
             else:
                 assert type(n) is CyclotomicInteger and n.order == s.order
                 assert all(type(c) is int for c in n.coeffs)
             assert repr(system.lower(n, den)) == repr(s)
+        assert repr(nums.lower(keys, [bag], den)) == repr(want)
 
 
 def test_cyclotomic_lower_takes_an_int_as_order_one():
@@ -999,8 +1082,8 @@ def test_cyclotomic_numerator_map_writes_the_numerators_in_place():
 def test_cyclotomic_integer_weights_divide_exactly():
     system = T.CyclotomicSystem(2, 5)
     value = CyclotomicScalar(5, [Fraction(1, 3), 0, Fraction(2, 3), 0])
-    lifted, den = system.lift({0: {((0, 0), (0, 0), 0): value}})
-    s = lifted[0][((0, 0), (0, 0), 0)]
+    _keys, [bag], _nums, den = _numerators(system, {0: {((0, 0), (0, 0), 0): value}})
+    [s] = bag.values()
     assert den == 3 and s.coeffs == [1, 0, 2, 0]
     # the integer weight w * (K!/gamma!) over den * K! is the Fraction weight w/gamma!
     scale = math.factorial(5)
@@ -1512,6 +1595,26 @@ def test_packed_gaussians_lower_builds_each_value_once():
     _assert_lowest_and_shared(got)
     assert len({id(s) for s in got.values()}) == 3
     assert [(s.a, s.b, s.den) for s in got.values()][:2] == [(1, 5, 12), (3, -2, 6)]
+
+
+def test_a_value_shared_by_two_degrees_is_built_once(monkeypatch):
+    """``compose_components`` lowers every degree over one den, and its
+    numerator map keeps one table of values: a coefficient that two
+    degrees share is made once, and both hold the one object."""
+    cr, zero = ComplexRational, (0, 0)
+    left = {0: {(zero, zero, 0): cr(2)}}
+    right = {-2: {((1, 0), zero, -2): cr(Fraction(1, 4)), ((0, 1), (1, 0), -3): cr(1, 1)},
+             -3: {((1, 1), (0, 1), -4): cr(Fraction(1, 4)), ((2, 0), zero, -3): cr(1, 1)}}
+    made = []
+    make = ComplexRational._make
+    monkeypatch.setattr(ComplexRational, "_make", classmethod(
+        lambda cls, *args: made.append(args) or make(*args)))
+    got = T.compose_components(T.RATIONAL_SYSTEM, 2, left, right, None)
+    assert made == [(1, 0, 2), (2, 2, 1)]
+    monkeypatch.undo()
+    assert got == {d: {key: s * 2 for key, s in bag.items()} for d, bag in right.items()}
+    assert got[-2][((1, 0), zero, -2)] is got[-3][((1, 1), (0, 1), -4)]
+    assert got[-2][((0, 1), (1, 0), -3)] is got[-3][((2, 0), zero, -3)]
 
 
 @pytest.mark.parametrize("c", [1, 2, Fraction(1, 3)])

@@ -128,6 +128,36 @@ def test_pairs_alternate_with_no_step_before_the_runs(monkeypatch, capsys, tmp_p
     assert "gain" in capsys.readouterr().out
 
 
+def test_without_a_workload_every_listed_workload_gets_its_table(monkeypatch, capsys, tmp_path):
+    root = pathlib.Path(__file__).parent.parent
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in benchmark["workloads"]]
+    assert bench_pairs.workload_names(str(root)) == names and len(names) >= 2
+    for side in ("p", "c"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    calls = []
+
+    def stub(checkout, workload, seed):
+        calls.append((os.path.basename(checkout), workload, seed))
+        values = {m["name"]: 1.0 for m in benchmark["end_to_end"]}
+        correct = (workload, seed) != (names[-1], 4)
+        return {"values": values, "unscaled": 1.0, "correct": correct, "failed": 0,
+                "attempted": 1}
+
+    monkeypatch.setattr(bench_pairs, "run_once", stub)
+    code = bench_pairs.main([str(tmp_path / "p"), str(tmp_path / "c"), "--pairs", "2",
+                             "--seed0", "3"])
+    # each workload in turn, its pairs alternating, and one table each
+    assert calls == [(side, name, seed) for name in names
+                     for side, seed in (("p", 3), ("c", 3), ("c", 4), ("p", 4))]
+    out = capsys.readouterr().out
+    headers = [line.split(":")[0] for line in out.splitlines() if ": metric," in line]
+    assert headers == names and out.count("unscaled ops_per_s median") == len(names)
+    # one incorrect run in the last workload fails the whole report
+    assert code == 1
+
+
 def test_attempted_ops_are_shown_beside_peak_rss():
     metrics = METRICS[:1] + [{"name": "peak_rss_mib", "better": "lower"}]
     rows = bench_pairs.summarize([{"ops_per_s": 100, "peak_rss_mib": 30.0}],

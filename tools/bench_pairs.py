@@ -1,6 +1,6 @@
 """Run the benchmark of two checkouts in alternating pairs and compare them.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed0 S
+    python3 tools/bench_pairs.py PARENT CHANGE [--workload W] --pairs N --seed0 S
 
 PARENT and CHANGE are roots of two checkouts.  Each run reads no bytecode
 cache and writes none, as in a fresh checkout with bytecode writing off:
@@ -11,6 +11,9 @@ imports the package afresh, compiles it from source on both sides, as
 ``setup_s`` is timed in such a checkout.  Pair i runs
 ``bench/run.py --workload W --seed S+i --trace 0`` in each checkout, one
 after the other; the side that runs first alternates from pair to pair.
+Without ``--workload`` it does this for every workload that
+``BENCHMARK.json`` (read from PARENT) lists, one after another, and prints
+one table per workload, so one command gives a whole no-regression report.
 
 For every end-to-end metric of ``BENCHMARK.json`` (read from PARENT) it
 prints each side's median and quartiles, the number of pairs the change
@@ -49,10 +52,19 @@ import sys
 import tempfile
 
 
+def _benchmark(checkout: str) -> dict:
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
+        return json.load(f)
+
+
 def end_to_end_metrics(checkout: str) -> list[dict]:
     """The end-to-end metrics a checkout's ``BENCHMARK.json`` declares."""
-    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
-        return json.load(f)["end_to_end"]
+    return _benchmark(checkout)["end_to_end"]
+
+
+def workload_names(checkout: str) -> list[str]:
+    """The names of the workloads a checkout's ``BENCHMARK.json`` lists, in order."""
+    return [w["name"] for w in _benchmark(checkout)["workloads"]]
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
@@ -176,30 +188,34 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=1)
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        for side in order:
-            run = run_once(sides[side], args.workload, args.seed0 + i)
-            runs[side].append(run)
-            print(f"pair {i} seed {args.seed0 + i} {side}: correct {run['correct']} "
-                  f"failed {run['failed']} "
-                  + " ".join(f"{k}={v:.4g}" for k, v in run["values"].items())
-                  + f" unscaled ops_per_s={run['unscaled']:.4g} attempted={run['attempted']}",
-                  flush=True)
-    rows = summarize([r["values"] for r in runs["parent"]],
-                     [r["values"] for r in runs["change"]], end_to_end_metrics(sides["parent"]))
-    attempted = tuple(statistics.median(r["attempted"] for r in runs[side])
-                      for side in ("parent", "change"))
-    print(format_rows(args.workload, rows, attempted))
-    print(format_unscaled([r["unscaled"] for r in runs["parent"]],
-                          [r["unscaled"] for r in runs["change"]]))
-    return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
+    metrics = end_to_end_metrics(sides["parent"])
+    correct = True
+    for workload in [args.workload] if args.workload else workload_names(sides["parent"]):
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            for side in order:
+                run = run_once(sides[side], workload, args.seed0 + i)
+                runs[side].append(run)
+                print(f"{workload} pair {i} seed {args.seed0 + i} {side}: "
+                      f"correct {run['correct']} failed {run['failed']} "
+                      + " ".join(f"{k}={v:.4g}" for k, v in run["values"].items())
+                      + f" unscaled ops_per_s={run['unscaled']:.4g} "
+                      f"attempted={run['attempted']}", flush=True)
+        rows = summarize([r["values"] for r in runs["parent"]],
+                         [r["values"] for r in runs["change"]], metrics)
+        attempted = tuple(statistics.median(r["attempted"] for r in runs[side])
+                          for side in ("parent", "change"))
+        print(format_rows(workload, rows, attempted))
+        print(format_unscaled([r["unscaled"] for r in runs["parent"]],
+                              [r["unscaled"] for r in runs["change"]]))
+        correct = correct and all(r["correct"] for side in runs.values() for r in side)
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":
