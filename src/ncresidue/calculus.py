@@ -26,6 +26,7 @@ from .symbols import (
     ClassicalSymbol,
     HomogeneousComponent,
     TrigPolynomial,
+    _axis,
     _sphere_sum,
     euler_antiderivatives,
     exp_symbol,
@@ -176,10 +177,7 @@ def commutator_exp(
     if depth < 0:
         raise ValidationError(f"depth must be nonnegative, got {depth}")
     n = sigma.n
-    if not 1 <= direction <= n:
-        raise ValidationError(f"direction must lie in 1..{n}, got {direction}")
-    mode = tuple(1 if i == direction - 1 else 0 for i in range(n))
-    exp = exp_symbol(n, mode)
+    exp = exp_symbol(n, T._bump((0,) * n, _axis(n, direction), 1))
     top = max(sigma.degrees(), default=sigma.order)
     if sigma.trusted_floor is None and _symbol_polynomial(sigma) and depth >= max(top, 0):
         floor = None  # the series provably terminates within the cap

@@ -91,156 +91,30 @@ def _scale_bag(bag: dict, c) -> dict:
     return {k: c * s for k, s in bag.items()} if c else {}
 
 
-def _partial_xi_bag(n: int, degree: int, bag: dict, axis: int) -> dict:
-    return T.canonical_terms(n, degree - 1, T.partial_xi_terms(n, bag, axis))
-
-
 def _axis(n: int, direction: int) -> int:
     """The 0-based axis of a 1-based direction."""
+    direction = _index(direction, "direction")
     if not 1 <= direction <= n:
         raise ValidationError(f"direction must lie in 1..{n}, got {direction}")
     return direction - 1
 
 
-class HomogeneousComponent:
-    """A degree-d homogeneous function of (x, xi), kept in canonical form."""
-
-    __slots__ = ("n", "degree", "_terms")
-
-    def __init__(self, n: int, degree: int, terms: Iterable = ()):
-        if type(n) is not int or type(degree) is not int:
-            n, degree = _index(n, "dimension"), _index(degree, "degree")
-        if n < 2:
-            raise ValidationError(f"dimension must be at least 2, got {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        raw = _checked_terms(n, terms, _SYS.coerce)
-        object.__setattr__(self, "_terms", T.canonical_terms(n, degree, raw))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogeneousComponent is immutable")
-
-    @classmethod
-    def _from_canonical(cls, n: int, degree: int, canonical: dict) -> "HomogeneousComponent":
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", canonical)
-        return self
-
-    @classmethod
-    def from_raw(cls, n: int, degree: int, raw: dict) -> "HomogeneousComponent":
-        return cls._from_canonical(n, degree, T.canonical_terms(n, degree, raw))
-
-    def terms(self) -> tuple[SymbolTerm, ...]:
-        return tuple(
-            SymbolTerm(s, mode, alpha, npow)
-            for (mode, alpha, npow), s in sorted(self._terms.items())
-        )
-
-    def raw_terms(self) -> dict:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def _check_compatible(self, other: "HomogeneousComponent") -> None:
-        if self.n != other.n:
-            raise ValidationError(f"dimension mismatch: {self.n} != {other.n}")
-
-    def __add__(self, other):
-        if not isinstance(other, HomogeneousComponent):
-            return NotImplemented
-        self._check_compatible(other)
-        if self.degree != other.degree and self._terms and other._terms:
-            raise ValidationError(
-                f"cannot add components of degrees {self.degree} and {other.degree}"
-            )
-        deg = self.degree if self._terms or not other._terms else other.degree
-        return HomogeneousComponent._from_canonical(
-            self.n, deg, _sum_bag(self.n, deg, self._terms, other._terms)
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, HomogeneousComponent):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c) -> "HomogeneousComponent":
-        return HomogeneousComponent._from_canonical(
-            self.n, self.degree, _scale_bag(self._terms, _SYS.coerce(c))
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, HomogeneousComponent):
-            return NotImplemented
-        self._check_compatible(other)
-        deg = self.degree + other.degree
-        raw = T.mul_terms(_SYS, self.n, self._terms, other._terms)
-        return HomogeneousComponent._from_canonical(
-            self.n, deg, T.canonical_terms(self.n, deg, raw)
-        )
-
-    def partial_xi(self, direction: int) -> "HomogeneousComponent":
-        """d/d(xi_direction); directions are 1-based."""
-        axis = _axis(self.n, direction)
-        return HomogeneousComponent._from_canonical(
-            self.n, self.degree - 1, _partial_xi_bag(self.n, self.degree, self._terms, axis)
-        )
-
-    def deriv_x(self, direction: int) -> "HomogeneousComponent":
-        """D_x = -i d/dx in the given 1-based direction.
-
-        It scales whole Fourier modes, so the canonical form is kept.
-        """
-        axis = _axis(self.n, direction)
-        return HomogeneousComponent._from_canonical(
-            self.n, self.degree, T.mode_deriv_terms(self._terms, axis)
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HomogeneousComponent):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and (self.degree == other.degree or self.is_zero() and other.is_zero())
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items()) if self._terms else 0))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{s}*e{list(mode)}*xi^{list(alpha)}*r^{p}"
-            for (mode, alpha, p), s in sorted(self._terms.items())
-        )
-        return f"<component n={self.n} deg={self.degree}: {inner or '0'}>"
-
-
-def canonicalize(component: HomogeneousComponent) -> HomogeneousComponent:
-    """Rebuild the canonical form; idempotent by construction."""
-    return HomogeneousComponent.from_raw(
-        component.n, component.degree, component.raw_terms()
-    )
-
-
-def zero_component(n: int, degree: int) -> HomogeneousComponent:
-    return HomogeneousComponent._from_canonical(n, degree, {})
+def _dimension(n: int) -> int:
+    """``n`` as an ``int``, refused below 2."""
+    if type(n) is not int:
+        n = _index(n, "dimension")
+    if n < 2:
+        raise ValidationError(f"dimension must be at least 2, got {n}")
+    return n
 
 
 class _FourierSum:
     """The core under both Fourier-sum classes: ``coeffs`` maps modes (n
     ``int``s each) to nonzero coefficients.
 
-    ``_space`` and the subclass's ``n``, ``_system`` and ``_space_name`` are
-    as for ``_Symbol``.  To the term engine a mode is a term with no xi
+    ``_space`` is as for ``_Symbol``, and the subclass takes ``n``,
+    ``_system`` and ``_space_name`` from its space class, ``_Torus`` or
+    ``nctorus._Twisted``.  To the term engine a mode is a term with no xi
     part: a product is one ``mul_terms`` call (with the system's phase;
     the torus's system has none), a derivation one ``mode_deriv_terms``.
     """
@@ -337,8 +211,9 @@ class _FourierSum:
         return self._space == other._space and self.coeffs == other.coeffs
 
 
-class TrigPolynomial(_FourierSum):
-    """A finite Fourier sum on the n-torus with exact coefficients."""
+class _Torus:
+    """The torus classes' space: the dimension, under the rational system;
+    the commutative twin of ``nctorus._Twisted``."""
 
     __slots__ = ()
 
@@ -348,6 +223,12 @@ class TrigPolynomial(_FourierSum):
     @property
     def n(self) -> int:
         return self._space
+
+
+class TrigPolynomial(_Torus, _FourierSum):
+    """A finite Fourier sum on the n-torus with exact coefficients."""
+
+    __slots__ = ()
 
     def hat(self, mode) -> ComplexRational:
         return self.coeffs.get(tuple(mode), _SYS.zero)
@@ -434,13 +315,15 @@ def sphere_average(component: HomogeneousComponent) -> TrigPolynomial:
 
 
 class _Symbol:
-    """The core under both symbol classes: a canonical term bag per degree.
+    """The core under the symbol classes: a canonical term bag per degree.
 
     ``_space`` is what two symbols must share (the dimension of a
-    ``ClassicalSymbol``, the twist of an ``NCSymbol``).  A subclass supplies
-    ``n``, its coefficient ``_system`` (which also coerces scalars) and
-    ``_space_name``.  D_x on the torus and delta_j on the twisted side both
-    scale a term by its mode, so ``deriv_x`` serves both.
+    ``ClassicalSymbol`` or a ``HomogeneousComponent``, the twist of an
+    ``NCSymbol``).  A subclass takes ``n``, its coefficient ``_system``
+    (which also coerces scalars) and ``_space_name`` from its space class,
+    ``_Torus`` or ``nctorus._Twisted``.  D_x on the torus and delta_j on
+    the twisted side both scale a term by its mode, so ``deriv_x`` serves
+    both.
     """
 
     __slots__ = ("_space", "order", "trusted_floor", "_components")
@@ -472,17 +355,17 @@ class _Symbol:
             comps[deg] = bag
         if trusted_floor is not None and trusted_floor > order:
             raise ValidationError(f"trusted floor {trusted_floor} exceeds order {order}")
-        object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "trusted_floor", trusted_floor)
-        object.__setattr__(self, "_components", comps)
+        _set_space(self, space)
+        _set_order(self, order)
+        _set_floor(self, trusted_floor)
+        _set_components(self, comps)
 
     def _init_raw(self, space, order: int, blocks: Iterable, trusted_floor: int | None) -> None:
         """``_init`` from ``(degree, raw bag)`` pairs with checked keys, each
         coefficient coerced by the system and each bag made canonical: the
         one construction path of both calculi, which the public constructors
         reach after ``_checked_terms`` and the readers directly."""
-        object.__setattr__(self, "_space", space)  # which n and _system read
+        _set_space(self, space)  # which n and _system read
         n, coerce = self.n, self._system.coerce
         bags = [(deg, T.canonical_terms(n, deg, {key: coerce(s) for key, s in raw.items()}))
                 for deg, raw in blocks]
@@ -569,16 +452,123 @@ class _Symbol:
 
     def partial_xi(self, direction: int):
         """d/d(xi_direction); order and floor drop by one."""
-        axis = _axis(self.n, direction)
+        n = self.n
+        axis = _axis(n, direction)
         bags = {
-            deg - 1: _partial_xi_bag(self.n, deg, bag, axis)
+            deg - 1: T.canonical_terms(n, deg - 1, T.partial_xi_terms(n, bag, axis))
             for deg, bag in self._components.items()
         }
         floor = None if self.trusted_floor is None else self.trusted_floor - 1
         return self._with_term_bags(self.order - 1, bags, floor)
 
 
-class ClassicalSymbol(_Symbol):
+# The slots are written through their descriptors, which is cheaper than
+# object.__setattr__ by name and bypasses the refusing __setattr__ alike.
+_set_space, _set_order, _set_floor, _set_components = (
+    _Symbol.__dict__[name].__set__ for name in _Symbol.__slots__
+)
+
+
+class HomogeneousComponent(_Torus, _Symbol):
+    """A degree-d homogeneous function of (x, xi), kept in canonical form.
+
+    It is a complete symbol of the one degree d: its one bag, when
+    nonzero, sits at its order d, so the core's equality (two zero
+    components are equal at any degree), ``-``, negation, ``scale``,
+    ``partial_xi`` and ``deriv_x`` serve it.  A sum refuses two nonzero
+    summands of different degrees.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int, degree: int, terms: Iterable = ()):
+        if type(n) is not int or type(degree) is not int:
+            n, degree = _index(n, "dimension"), _index(degree, "degree")
+        n = _dimension(n)
+        raw = _checked_terms(n, terms, _SYS.coerce)
+        self._set(n, degree, T.canonical_terms(n, degree, raw))
+
+    def _set(self, n: int, degree: int, canonical: dict) -> None:
+        _set_space(self, n)
+        _set_order(self, degree)
+        _set_floor(self, None)
+        _set_components(self, {degree: canonical} if canonical else {})
+
+    @classmethod
+    def _from_canonical(cls, n: int, degree: int, canonical: dict) -> "HomogeneousComponent":
+        self = object.__new__(cls)
+        self._set(n, degree, canonical)
+        return self
+
+    @classmethod
+    def from_raw(cls, n: int, degree: int, raw: dict) -> "HomogeneousComponent":
+        return cls._from_canonical(n, degree, T.canonical_terms(n, degree, raw))
+
+    @property
+    def degree(self) -> int:
+        return self.order
+
+    @property
+    def _terms(self) -> dict:
+        return self._components[self.order] if self._components else {}
+
+    def terms(self) -> tuple[SymbolTerm, ...]:
+        return tuple(
+            SymbolTerm(s, mode, alpha, npow)
+            for (mode, alpha, npow), s in sorted(self._terms.items())
+        )
+
+    def raw_terms(self) -> dict:
+        return dict(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __add__(self, other):
+        if not isinstance(other, HomogeneousComponent):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValidationError(f"dimension mismatch: {self.n} != {other.n}")
+        if self.degree != other.degree and self._terms and other._terms:
+            raise ValidationError(
+                f"cannot add components of degrees {self.degree} and {other.degree}"
+            )
+        deg = self.degree if self._terms or not other._terms else other.degree
+        return HomogeneousComponent._from_canonical(
+            self.n, deg, _sum_bag(self.n, deg, self._terms, other._terms)
+        )
+
+    def __mul__(self, other):
+        if not isinstance(other, HomogeneousComponent):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValidationError(f"dimension mismatch: {self.n} != {other.n}")
+        raw = T.mul_terms(_SYS, self.n, self._terms, other._terms)
+        return HomogeneousComponent.from_raw(self.n, self.degree + other.degree, raw)
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self._terms.items()) if self._terms else 0))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(
+            f"{s}*e{list(mode)}*xi^{list(alpha)}*r^{p}"
+            for (mode, alpha, p), s in sorted(self._terms.items())
+        )
+        return f"<component n={self.n} deg={self.degree}: {inner or '0'}>"
+
+
+def canonicalize(component: HomogeneousComponent) -> HomogeneousComponent:
+    """Rebuild the canonical form; idempotent by construction."""
+    return HomogeneousComponent.from_raw(
+        component.n, component.degree, component.raw_terms()
+    )
+
+
+def zero_component(n: int, degree: int) -> HomogeneousComponent:
+    return HomogeneousComponent._from_canonical(n, degree, {})
+
+
+class ClassicalSymbol(_Torus, _Symbol):
     """A truncated classical symbol: homogeneous components from ``order``
     down to ``trusted_floor``.
 
@@ -591,9 +581,6 @@ class ClassicalSymbol(_Symbol):
 
     __slots__ = ()
 
-    _system = _SYS
-    _space_name = "dimension"
-
     def __init__(
         self,
         n: int,
@@ -601,15 +588,8 @@ class ClassicalSymbol(_Symbol):
         components: dict[int, HomogeneousComponent] | None = None,
         trusted_floor: int | None = None,
     ):
-        if type(n) is not int:
-            n = _index(n, "dimension")
-        if n < 2:
-            raise ValidationError(f"dimension must be at least 2, got {n}")
+        n = _dimension(n)
         self._init(n, order, _component_bags(n, components or {}), trusted_floor)
-
-    @property
-    def n(self) -> int:
-        return self._space
 
     def _check_composable(self, other: "ClassicalSymbol") -> None:
         if self.n != other.n:
@@ -672,10 +652,7 @@ def monomial_symbol(
 
 def xi_symbol(n: int, direction: int) -> ClassicalSymbol:
     """The coordinate symbol xi_direction (1-based), complete at all depths."""
-    if not 1 <= direction <= n:
-        raise ValidationError(f"direction must lie in 1..{n}, got {direction}")
-    alpha = tuple(1 if i == direction - 1 else 0 for i in range(n))
-    return monomial_symbol(n, 1, alpha=alpha)
+    return monomial_symbol(n, 1, alpha=T._bump((0,) * n, _axis(n, direction), 1))
 
 
 def exp_symbol(n: int, mode: tuple[int, ...]) -> ClassicalSymbol:

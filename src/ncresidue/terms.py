@@ -783,21 +783,12 @@ def mul_terms(system, n: int, left: dict, right: dict) -> dict:
 
 def partial_xi_terms(n: int, terms: dict, axis: int) -> dict:
     """d/d(xi_axis) of an n-dimensional tuple-keyed bag, termwise: |alpha| +
-    npow drops by one.  The bag is packed on entry (``pack_terms``) and the
-    derivative unpacked on return."""
+    npow drops by one.  It is the directional derivative along the axis's
+    unit vector, the one kernel ``_along`` that composition walks; the bag
+    is packed on entry (``pack_terms``) and the derivative unpacked on
+    return."""
     keys, (terms,) = pack_terms(n, (terms,), 1)
-    m, h = keys.mask, keys.half
-    shift, ps = keys.width * axis, keys.npow_shift
-    down, r_step = keys.xi_steps[axis]
-    out: dict = {}
-    for key, s in terms.items():
-        a = (key >> shift & m) - h
-        if a:
-            bag_add(out, key - down, s * a)
-        p = (key >> ps & m) - h
-        if p:
-            bag_add(out, key - r_step, s * p)
-    return keys.unpack_bag(out)
+    return keys.unpack_bag(_along(keys, terms, [(keys.width * axis, 1, *keys.xi_steps[axis])]))
 
 
 def mode_deriv_terms(terms: dict, axis: int) -> dict:

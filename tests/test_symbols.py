@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ncresidue import terms as T
+from ncresidue.calculus import commutator_exp, commutator_xi
 from ncresidue.dsl import format_symbol, symbol_from_json, symbol_to_json
 from ncresidue.errors import (
     CriticalDegreeError,
@@ -112,6 +113,43 @@ def test_component_degree_validation():
 # -- algebra ---------------------------------------------------------------------
 
 
+def test_a_component_is_immutable():
+    c = comp(2, 0, [(1, (1, 0), (0, 0), 0)])
+    for name in ("n", "degree", "_terms", "order", "extra"):
+        with pytest.raises(AttributeError, match="^HomogeneousComponent is immutable$"):
+            setattr(c, name, 1)
+
+
+def test_a_zero_component_keeps_its_degree_through_the_calculus():
+    zero = zero_component(3, 2)
+    nonzero = comp(3, 2, [(1, (1, 0, 0), (0, 0, 0), 2)])
+    for same in (zero.scale(0), -zero, zero.deriv_x(1), nonzero.scale(0)):
+        assert same.is_zero() and same.degree == 2
+    assert zero.partial_xi(1).degree == 1
+
+
+def test_zero_components_of_different_degrees_are_equal():
+    a, b = zero_component(2, 1), comp(2, -3, [])
+    assert a == b and hash(a) == hash(b)
+    assert a != comp(2, 1, [(1, (0, 0), (1, 0), 0)])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: HomogeneousComponent(1, 0), "dimension must be at least 2, got 1"),
+    (lambda: HomogeneousComponent(1, 1.5), "degree 1.5 is not an integer"),
+    (lambda: HomogeneousComponent(1.5, 0), "dimension 1.5 is not an integer"),
+    (lambda: ClassicalSymbol(1, 0), "dimension must be at least 2, got 1")])
+def test_a_bad_header_is_refused_with_its_message(make, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        make()
+
+
+def test_a_numpy_dimension_or_degree_comes_back_as_int():
+    for c in (HomogeneousComponent(np.int64(2), 1), HomogeneousComponent(2, np.int64(1))):
+        assert type(c.n) is int and type(c.degree) is int
+        assert c == zero_component(2, 1)
+
+
 def test_component_add_inverse():
     a = comp(2, -1, [(1, (0, 0), (1, 0), -2)])
     assert (a + (-a)).is_zero()
@@ -200,6 +238,28 @@ def test_symbol_derivatives_check_the_direction_of_a_zero_symbol():
         for direction in (0, 3):
             with pytest.raises(ValidationError):
                 derivative(direction)
+
+
+def _direction_calls(direction):
+    sigma = ClassicalSymbol(2, 1, {1: comp(2, 1, [(1, (1, 0), (1, 0), 0)])}, -1)
+    return [lambda: commutator_exp(sigma, direction, 2), lambda: xi_symbol(2, direction),
+            lambda: commutator_xi(sigma, direction), lambda: sigma.partial_xi(direction),
+            lambda: sigma.deriv_x(direction),
+            lambda: sigma.component(1).partial_xi(direction),
+            lambda: sigma.component(1).deriv_x(direction)]
+
+
+@pytest.mark.parametrize("direction", [1.5, "1"])
+def test_a_non_integer_direction_is_a_validation_error(direction):
+    for call in _direction_calls(direction):
+        with pytest.raises(ValidationError, match=f"direction {direction!r} is not an integer"):
+            call()
+
+
+@pytest.mark.parametrize("direction", [np.int64(1), True])
+def test_an_integer_like_direction_acts_as_its_int(direction):
+    for call, want in zip(_direction_calls(direction), _direction_calls(1)):
+        assert call() == want()
 
 
 def test_derivatives_commute_exactly():

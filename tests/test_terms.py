@@ -143,6 +143,43 @@ def test_raw_tower_terminates_for_complete_polynomial_left_factor():
     assert got == reference_compose(system, 2, ca, cb, lambda d, k: True)
 
 
+def _reference_partial_xi(terms, axis):
+    """d/d(xi_axis) of xi^alpha |xi|^p = alpha_axis xi^(alpha - e) |xi|^p
+    + p xi^(alpha + e) |xi|^(p - 2), term by term on tuple keys."""
+    out = {}
+    for (mode, alpha, p), s in terms.items():
+        if alpha[axis]:
+            T.bag_add(out, (mode, T._bump(alpha, axis, -1), p), s * alpha[axis])
+        if p:
+            T.bag_add(out, (mode, T._bump(alpha, axis, 1), p - 2), s * p)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_partial_xi_terms_matches_a_termwise_reference(n):
+    rng = random.Random(290 + n)
+    cancelled = 0
+    for _ in range(40):
+        degree, axis = rng.randint(-3, 2), rng.randrange(n)
+        # s xi^alpha |xi|^p and s' xi^(alpha - 2e) |xi|^(p + 2) meet at
+        # xi^(alpha - e) |xi|^p, where s' = -s alpha_axis / (p + 2) cancels them
+        alpha = T._bump(tuple(rng.randint(0, 2) for _ in range(n)), axis, 2)
+        mode, p = tuple(rng.randint(-2, 2) for _ in range(n)), degree - sum(alpha)
+        s = ComplexRational(Fraction(rng.randint(1, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+        terms = {(mode, alpha, p): s}
+        if p + 2:
+            terms[(mode, T._bump(alpha, axis, -2), p + 2)] = s * Fraction(-alpha[axis], p + 2)
+        for _ in range(rng.randint(0, 5)):
+            other = tuple(rng.randint(0, 3) for _ in range(n))
+            key = (tuple(rng.randint(-2, 2) for _ in range(n)), other, degree - sum(other))
+            T.bag_add(terms, key, ComplexRational(rng.randint(-3, 3), rng.randint(-1, 1)))
+        want = _reference_partial_xi(terms, axis)
+        got = T.partial_xi_terms(n, terms, axis)
+        assert list(got.items()) == list(want.items())
+        cancelled += (mode, T._bump(alpha, axis, -1), p) not in want
+    assert cancelled >= 20
+
+
 # -- the residue of a composition without composing ------------------------------
 
 

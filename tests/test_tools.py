@@ -1,5 +1,5 @@
 """The command-line tools under tools/: the summaries of tools/bench_pairs.py and
-tools/rss_at_equal_ops.py."""
+tools/rss_at_equal_ops.py, and the line counts of tools/code_size.py."""
 
 import importlib.util
 import json
@@ -20,6 +20,7 @@ def _load(name):
 
 
 bench_pairs = _load("bench_pairs")
+code_size = _load("code_size")
 rss_at_equal_ops = _load("rss_at_equal_ops")
 
 METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
@@ -295,3 +296,37 @@ def test_rss_at_equal_ops_summary_flags_a_failed_check():
     assert text == ("peak_rss_mib median: parent 20.00 at 100 ops, change 21.00 at 100 ops, "
                     "x1.050; all correct: NO")
 
+
+
+_MODULE = '''"""A module."""
+
+import os
+
+
+def f(x):
+    """Twice x."""
+    # a comment
+    y = 2 * x
+
+    return y
+'''
+
+
+def test_code_size_counts_no_docstring_and_each_deleted_statement(tmp_path, capsys):
+    trees = {}
+    for side, (a, b) in {"parent": (_MODULE, _MODULE),
+                         "change": (_MODULE.replace('"""Twice x."""', '"""Twice\n    x."""'),
+                                    _MODULE.replace("import os\n", ""))}.items():
+        package = tmp_path / side / "src" / "ncresidue"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text(a)
+        (package / "b.py").write_text(b)
+        trees[side] = str(tmp_path / side)
+    assert code_size.count_lines(_MODULE) == (11, 4)
+    rows = code_size.compare(trees["parent"], trees["change"])
+    # a: a docstring grew by a line; b: one statement went
+    assert rows == [("a.py", 11, 4, 12, 4, 1, 0), ("b.py", 11, 4, 10, 3, -1, -1),
+                    ("all", 22, 8, 22, 7, 0, -1)]
+    assert code_size.main([trees["parent"], trees["change"]]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split()
+    assert last == ["all", "22", "8", "22", "7", "+0", "-1"]
