@@ -363,8 +363,9 @@ class _Symbol:
     def _init_raw(self, space, order: int, blocks: Iterable, trusted_floor: int | None) -> None:
         """``_init`` from ``(degree, raw bag)`` pairs with checked keys, each
         coefficient coerced by the system and each bag made canonical: the
-        one construction path of both calculi, which the public constructors
-        reach after ``_checked_terms`` and the readers directly."""
+        construction path of the readers in ``dsl``.  ``NCSymbol`` builds
+        its bags the same way from ``_checked_terms``, which has coerced
+        them, so each of its coefficients is coerced once."""
         _set_space(self, space)  # which n and _system read
         n, coerce = self.n, self._system.coerce
         bags = [(deg, T.canonical_terms(n, deg, {key: coerce(s) for key, s in raw.items()}))

@@ -23,16 +23,20 @@ Composition by directional derivatives.  On the torus D_x^gamma acts on a
 right term of Fourier mode v as v^gamma, so by the multinomial theorem
 the terms |gamma| = k of sum_gamma (1/gamma!) (d_xi^gamma a) (D^gamma b)
 on that term are one directional derivative, (1/k!) (v . grad_xi)^k a.
-``compose_components`` groups the right factor's terms by mode and walks,
-per left component and right mode v, the chain a, (v . grad_xi) a, ...
-(``_along``); level k meets the right terms of mode v with the integer
-weight K!/k!, K! going into the one denominator lowered at the end, so no
-``Fraction`` is formed on the way.  ``residue_pairing`` plans each factor
-once, cuts it to the modes that face the other's, walks the same chains in
-the one direction whose products reach mode zero, and sums the products
-by alpha, both orderings of a commutator into one bag with opposite
-signs; both engines share the level rule (``_level_caps``), the
-directions (``_direction``) and the numerator map.
+``compose_components`` groups the right factor's terms by mode and builds,
+per left component and right mode v, the chain a, (v . grad_xi) a, ... in
+one call of the one xi-derivative kernel (``_chain``); level k meets the
+right terms of mode v with the integer weight K!/k! (``_weights``, one
+cache for both engines), K! going into the one denominator lowered at the
+end, so no ``Fraction`` is formed on the way.  ``residue_pairing`` plans
+each factor once, cuts it to the modes that face the other's, builds the
+same chains in the one direction whose products reach mode zero, the last
+level cut by parity inside the kernel, and sums the products by alpha,
+both orderings of a commutator into one bag with opposite signs.  Both
+engines share the level rule (``_level_caps``), the numerator map and the
+steps of each direction, which a layout keeps in its ``directions`` memo
+(``_direction``, and the parity cuts of ``_parity_cut``), so a mode's
+steps are built once per layout, not once per call.
 
 Keys: tuples at the module boundary, packed ``int``s inside (``Keys``,
 whose layout and memos its docstring describes; ``pack_terms`` chooses a
@@ -114,7 +118,26 @@ class RationalSystem:
         lcm of its factor's d and den the product of both D, after one pass
         for D and the L1 norm; w is ``numerator_width``'s (``sizes`` as
         ``pack_terms``'), plus bits(compositions - 1) when canonical form
-        takes the sum of that many compositions (a commutator)."""
+        takes the sum of that many compositions (a commutator).
+
+        With no right factor no product is formed, and the values are the
+        numerators themselves (a residue's sphere integral,
+        ``sphere_integral``), each of whose parts is below 2^(bits(P) +
+        bits(D)), P the largest |a| or |b|: one pass takes D and P, and the
+        width is one more than those bits, all that the values need."""
+        if not right:
+            lone, top = set(), 0  # the d, and the bits of every |a| and |b|
+            for bag in left:
+                for s in bag.values():
+                    lone.add(s.den)
+                    top |= abs(s.a) | abs(s.b)
+            den = math.lcm(*lone)
+            ints = PackedGaussians(top.bit_length() + den.bit_length() + 1)
+            w = ints.width
+            for bag in left:
+                for key, s in bag.items():
+                    bag[key] = (s.a + (s.b << w)) * (den // s.den)
+            return ints, den
         dens = []
         for bags in (left, right):
             norms: dict[int, int] = {}  # d -> the sum of |a| + |b| over the terms over d
@@ -447,8 +470,9 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
     so a group's N is at most c times that bound: its numerator map adds
     bits(c - 1) to this width (``RationalSystem.numerator_map``).  The
     sphere integral of a symbol's own terms (``sphere_integral``) has no
-    right factor, norm_b = 0, and K = 0: its values are the numerators,
-    each within N(a).
+    right factor and takes no width from here: its values are the
+    numerators themselves, which the map sizes directly
+    (``RationalSystem.numerator_map``).
 
     Each factor x is below 2^bits(x), and n^s at most 2^(s ceil(log2 n)),
     so the width is one more than the sum of those bit counts.  Sizes enter
@@ -493,16 +517,20 @@ class Keys:
     may be ``bool``s equal to the ``int``s, and a tuple's entry ends with
     that decoded tuple.  A third memo, ``cone``, maps
     the alpha fields of a key to the monomial's value at a zero of xi_1^2 +
-    ... + xi_n^2 (``cone_weight``), and a fourth, ``sphere``, to its
-    integral over the unit sphere (``sphere_weight``).  Each memo holds up
-    to ``_MEMO_FIELDS`` fields and starts afresh when full.
+    ... + xi_n^2 (``cone_weight``), a fourth, ``sphere``, to its integral
+    over the unit sphere (``sphere_weight``), and a fifth, ``directions``,
+    maps the mode fields of a mode v to v and the steps of v . grad_xi
+    (``_direction``), and (mode fields, parities) to the steps of a
+    chain's last level cut by parity (``_parity_cut``), so both engines
+    build a mode's steps once per layout.  Each memo holds up to
+    ``_MEMO_FIELDS`` fields and starts afresh when full.
     """
 
     __slots__ = ("n", "width", "mask", "half", "offsets", "alpha_mask", "npow_shift",
                  "npow_unit", "degree_shift", "degree_unit", "degree_field", "group_of",
                  "mode_shifts", "mode_units", "peel", "spread", "times_r", "xi_steps",
                  "alpha_weights", "npow_weight", "modes", "alphas", "cone", "cone_point",
-                 "sphere", "memo_limit")
+                 "sphere", "directions", "memo_limit")
 
     def __init__(self, n: int, width: int):
         self.n = n
@@ -537,6 +565,7 @@ class Keys:
         self.cone: dict = {}
         self.cone_point = _null_point(n)
         self.sphere: dict = {}
+        self.directions: dict = {}
         self.memo_limit = max(1, _MEMO_FIELDS // n)
 
     def pack(self, bags) -> tuple[tuple[int, int, int], list[dict]]:
@@ -783,12 +812,13 @@ def mul_terms(system, n: int, left: dict, right: dict) -> dict:
 
 def partial_xi_terms(n: int, terms: dict, axis: int) -> dict:
     """d/d(xi_axis) of an n-dimensional tuple-keyed bag, termwise: |alpha| +
-    npow drops by one.  It is the directional derivative along the axis's
-    unit vector, the one kernel ``_along`` that composition walks; the bag
-    is packed on entry (``pack_terms``) and the derivative unpacked on
+    npow drops by one.  It is level 1 of the chain along the axis's unit
+    vector, built by the one kernel ``_chain`` that both engines walk; the
+    bag is packed on entry (``pack_terms``) and the derivative unpacked on
     return."""
     keys, (terms,) = pack_terms(n, (terms,), 1)
-    return keys.unpack_bag(_along(keys, terms, [(keys.width * axis, 1, *keys.xi_steps[axis])]))
+    step = (keys.width * axis, 1, *keys.xi_steps[axis])
+    return keys.unpack_bag(_chain(keys, terms, (step,), 1)[-1])
 
 
 def mode_deriv_terms(terms: dict, axis: int) -> dict:
@@ -1065,25 +1095,27 @@ def compose_components(
     v^gamma d_xi^gamma is (1/k!) (v . grad_xi)^k, exactly (the partials
     commute).  So the right factor's terms are grouped by mode, and for
     each left component and each right mode v it meets, one chain a, (v .
-    grad_xi) a, ... is built (``_along``) and shared by every right
-    component with that mode; level k meets the terms of mode v into the
-    emitted degree a_deg + b_deg - k.  An empty level ends the chain, and a
+    grad_xi) a, ... is built in one call (``_chain``), as deep as the
+    deepest level cap of the right components with that mode, and shared
+    by all of them; level k meets the terms of mode v into the emitted
+    degree a_deg + b_deg - k.  An empty level ends the chain, and a
     mode-zero right term meets only level 0.  The levels are kept raw, and
     each emitted degree is canonicalized once at the end, which suffices
     because the canonical form of a function is unique and
     ``canonical_terms`` accepts any homogeneous raw bag.
 
-    Each weight 1/k! is applied as the integer K!/k!, where K is the
-    deepest derivative order any pair of either ordering reaches
+    Each weight 1/k! is applied as the integer K!/k! (``_weights``), where
+    K is the deepest derivative order any pair of either ordering reaches
     (``_level_caps``).  The factors are packed once, under a layout that
-    covers order K (``pack_terms``), and the system's ``numerator_map`` puts
-    them on numerators over one denominator (one ``int`` each for Gaussian
-    ones, ``PackedGaussians``), so the whole sum runs on numerators over
-    that denominator times K!.  A commutator runs b o a on the same
-    numerators with the weights -K!/k! into the same raw bags.  Canonical
-    form reduces them as it groups the terms, certifies
-    (``canonical_terms``) and lowers each emitted degree group by group into
-    tuple keys and coefficients, dividing once.  A product is formed as in
+    covers order K (``pack_terms``), whose ``directions`` memo holds each
+    mode's steps, and the system's ``numerator_map`` puts them on
+    numerators over one denominator (one ``int`` each for Gaussian ones,
+    ``PackedGaussians``), so the whole sum runs on numerators over that
+    denominator times K!.  A commutator runs b o a on the same numerators
+    with the weights -K!/k! into the same raw bags.  Canonical form
+    reduces them as it groups the terms, certifies (``canonical_terms``)
+    and lowers each emitted degree group by group into tuple keys and
+    coefficients, dividing once.  A product is formed as in
     ``mul_terms``: left scalar first, then the system's phase.
     """
     orderings = [(0, 1, gamma_cap), (1, 0, None)] if commutator else [(0, 1, gamma_cap)]
@@ -1107,15 +1139,13 @@ def compose_components(
     left, right = packed[:len(comps_a)], packed[len(comps_a):]
     nums, den = system.numerator_map(left, right, n, sizes, deepest, len(orderings))
     sides = (list(zip(comps_a, left)), list(zip(comps_b, right)))
-    scale = math.factorial(deepest)
     m, h, offsets, first = keys.mask, keys.half, keys.offsets, keys.mode_shifts[0]
-    phase = system.phase
+    phase, directions = system.phase, keys.directions
     if phase is not None:
         second = keys.mode_shifts[1]
-    directions: dict[int, tuple] = {}
     out: dict[int, dict] = {}
     for (i, j, _cap), caps, sign in zip(orderings, level_caps, (1, -1)):
-        weights = [sign * scale // math.factorial(k) for k in range(deepest + 1)]
+        weights = _weights(deepest, sign)
         groups_b = []  # each right component's terms by mode (the mode fields of a key)
         for b_deg, b_terms in sides[j]:
             groups: dict[int, list] = {}
@@ -1123,19 +1153,23 @@ def compose_components(
                 groups.setdefault(key >> first, []).append((key - offsets, s))
             groups_b.append((b_deg, groups))
         for a_deg, a_terms in sides[i]:
-            chains: dict[int, list] = {}  # mode fields -> [a, (v . grad_xi) a, ...]
+            tops: dict[int, int] = {}  # mode fields -> the deepest cap of a right group
+            for b_deg, groups in groups_b:
+                kmax = caps.get((a_deg, b_deg))
+                if kmax is not None:
+                    for field in groups:
+                        if tops.get(field, -1) < kmax:
+                            tops[field] = kmax
+            chains = {}  # mode fields -> (v_0, [a, (v . grad_xi) a, ...])
+            for field, top in tops.items():
+                mode, steps = directions.get(field) or _direction(keys, field)
+                chains[field] = mode[0], _chain(keys, a_terms, steps, top)
             for b_deg, groups in groups_b:
                 kmax = caps.get((a_deg, b_deg))
                 if kmax is None:
                     continue
                 for field, terms in groups.items():
-                    mode, steps = directions.get(field) or _direction(keys, directions, field)
-                    u = mode[0]
-                    chain = chains.get(field)
-                    if chain is None:
-                        chain = chains[field] = [a_terms]
-                    while len(chain) <= kmax and chain[-1]:
-                        chain.append(_along(keys, chain[-1], steps))
+                    u, chain = chains[field]
                     for k, level in enumerate(chain[:kmax + 1]):
                         if not level:
                             break  # every later level vanishes, as after mode zero's level 0
@@ -1160,7 +1194,7 @@ def compose_components(
                                         bucket[key] = s
                                     else:
                                         del bucket[key]
-    den *= scale
+    den *= _weights(deepest, 1)[0]
     result = {}
     for d, raw in out.items():
         ct = canonical_terms(keys, d, raw, nums, den)
@@ -1169,45 +1203,58 @@ def compose_components(
     return result
 
 
-def _along(keys: Keys, terms: dict, steps, parity: int = 0) -> dict:
-    """v . grad_xi, termwise: one pass over the packed bag, summed as
-    ``bag_add`` does.  ``steps`` holds (shift of alpha_j, v_j, down, r_step)
-    for each axis j where v_j is nonzero, with the moves of
-    ``Keys.xi_steps``; each axis is d/d(xi_j) (``partial_xi_terms``) scaled
-    by v_j, and |alpha| + npow drops by one.  With a mask ``parity``,
-    ``steps`` maps key & parity to the steps a term takes, which cuts the
-    full step's bag to the keys they reach, its order and values kept."""
+def _chain(keys: Keys, bag: dict, steps, top: int, cut=None) -> list[dict]:
+    """The chain [bag, (v . grad_xi) bag, ..., (v . grad_xi)^top bag] of a
+    packed bag, each level one pass over the one before, summed as
+    ``bag_add`` does; an empty level ends it early.  ``steps`` holds (shift
+    of alpha_j, v_j, down, r_step) for each axis j where v_j is nonzero,
+    with the moves of ``Keys.xi_steps``: each axis is d/d(xi_j) scaled by
+    v_j, and |alpha| + npow drops by one.  With ``cut``, a pair (mask,
+    table), level ``top`` takes from each term only the steps
+    ``table.get(key & mask, ())``, which cuts the full level to the keys
+    they reach, its order and values kept.  This is the one xi-derivative
+    kernel: of ``compose_components``, ``_pairing_pass`` and
+    ``partial_xi_terms``."""
     m, h, ps = keys.mask, keys.half, keys.npow_shift
-    out: dict = {}
-    for key, s in terms.items():
-        p = (key >> ps & m) - h
-        for shift, v, down, r_step in steps[key & parity] if parity else steps:
-            a = (key >> shift & m) - h
-            if a:
-                k, x = key - down, s * (a * v)
-                cur = out.get(k)
-                if cur is None:
-                    if x:
-                        out[k] = x
-                else:
-                    x = cur + x
-                    if x:
-                        out[k] = x
+    chain = [bag]
+    for level in range(1, top + 1):
+        if not bag:
+            break
+        last = level == top and cut is not None
+        if last:
+            mask, table = cut
+        out: dict = {}
+        for key, s in bag.items():
+            p = (key >> ps & m) - h
+            for shift, v, down, r_step in table.get(key & mask, ()) if last else steps:
+                a = (key >> shift & m) - h
+                if a:
+                    k, x = key - down, s * (a * v)
+                    cur = out.get(k)
+                    if cur is None:
+                        if x:
+                            out[k] = x
                     else:
-                        del out[k]
-            if p:
-                k, x = key - r_step, s * (p * v)
-                cur = out.get(k)
-                if cur is None:
-                    if x:
-                        out[k] = x
-                else:
-                    x = cur + x
-                    if x:
-                        out[k] = x
+                        x = cur + x
+                        if x:
+                            out[k] = x
+                        else:
+                            del out[k]
+                if p:
+                    k, x = key - r_step, s * (p * v)
+                    cur = out.get(k)
+                    if cur is None:
+                        if x:
+                            out[k] = x
                     else:
-                        del out[k]
-    return out
+                        x = cur + x
+                        if x:
+                            out[k] = x
+                        else:
+                            del out[k]
+        chain.append(out)
+        bag = out
+    return chain
 
 
 def _check_tower(n: int, deepest: int, remedy: str) -> None:
@@ -1241,14 +1288,37 @@ def _level_caps(left: list, right: list, floor, gamma_cap) -> dict[tuple[int, in
     return caps
 
 
-def _direction(keys: Keys, directions: dict, field: int) -> tuple:
-    """(v, the steps of v . grad_xi for ``_along``) for the mode v whose mode
-    fields (``key >> mode_shifts[0]``) are ``field`` (from the layout's memo
-    if packed there), kept in ``directions``, the table of one engine call."""
+def _direction(keys: Keys, field: int) -> tuple:
+    """(v, the steps of v . grad_xi for ``_chain``) for the mode v whose mode
+    fields (``key >> mode_shifts[0]``) are ``field`` (read from the layout's
+    ``modes`` memo if packed there), remembered in its ``directions`` memo."""
     n, w = keys.n, keys.width
     v = keys.modes.get(field) or keys.fields(field << keys.mode_shifts[0], n + 2, 2 * n + 2)
-    entry = directions[field] = (v, [(w * j, x, *keys.xi_steps[j]) for j, x in enumerate(v) if x])
-    return entry
+    steps = tuple([(w * j, x, *keys.xi_steps[j]) for j, x in enumerate(v) if x])
+    return _remember(keys.directions, field, (v, steps), keys.memo_limit)
+
+
+def _parity_cut(keys: Keys, field: int, wanted: frozenset) -> dict:
+    """The steps of the chain's last level (``_chain``'s cut) along the mode
+    whose mode fields are ``field``, for right terms of the alpha parities
+    ``wanted`` (``key & odd`` in ``_pairing_pass``): a term of parity p takes
+    the steps, in order, whose flip of alpha_j's parity (the low bit of its
+    field) reaches a wanted parity.  Remembered in the layout's
+    ``directions`` memo under (``field``, ``wanted``)."""
+    table: dict[int, list] = {}
+    for step in (keys.directions.get(field) or _direction(keys, field))[1]:
+        for p in wanted:
+            table.setdefault(p ^ 1 << step[0], []).append(step)
+    table = {p: tuple(steps) for p, steps in table.items()}
+    return _remember(keys.directions, (field, wanted), table, keys.memo_limit)
+
+
+@lru_cache(maxsize=128)
+def _weights(depth: int, sign: int) -> tuple[int, ...]:
+    """The integer weights sign K!/k!, k = 0 .. K = ``depth``, of both
+    engines' chain levels; ``_weights(K, 1)[0]`` is K!."""
+    scale = math.factorial(depth)
+    return tuple([sign * scale // math.factorial(k) for k in range(depth + 1)])
 
 
 def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict], *,
@@ -1270,8 +1340,8 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     bounded (``_check_tower``, a o b first) before any numerator is formed.
     The layout covers the facing terms at the deeper depth K (the factors
     are planned again under a wider one when they or the modes need it).
-    Both orderings share the plans, one numerator map and one table of
-    directions, and run into one bag at depth K (``_pairing_pass``): a o b
+    Both orderings share the plans, one numerator map and the layout's
+    directions memo, and run into one bag at depth K (``_pairing_pass``): a o b
     with the weights K!/k!, b o a with -K!/k!, so the commutator is
     reduced, integrated and lowered once, and a single ordering is the same
     pass with one sign.
@@ -1291,17 +1361,15 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
                 _check_tower(n, depth, "lower the orders of the factors")
                 orderings.append([cuts[i][0], cuts[j][1], level_of])
                 deepest = max(deepest, depth)
-            sizes = tuple(max([g[x] for c in cuts for g in c[2]], default=0) for x in (1, 2, 3))
+            sizes = tuple(map(max, cuts[0][3], cuts[1][3]))
             width = (4 * (max(sizes) + deepest)).bit_length() + 1
             if width <= keys.width:
                 break
         keys = Keys(n, -(-width // _TIER) * _TIER)
-    nums, den = system.numerator_map([g[0] for g in cuts[0][2]], [g[0] for g in cuts[1][2]],
-                                     n, sizes, deepest)
-    scale = math.factorial(deepest)
+    nums, den = system.numerator_map(cuts[0][2], cuts[1][2], n, sizes, deepest)
     for ordering, sign in zip(orderings, (1, -1)):
-        ordering.append([sign * scale // math.factorial(k) for k in range(deepest + 1)])
-    return _pairing_pass(system, keys, nums, orderings, den * scale)
+        ordering.append(_weights(deepest, sign))
+    return _pairing_pass(system, keys, nums, orderings, den * _weights(deepest, 1)[0])
 
 
 def _plan(keys: Keys, comps: dict[int, dict]):
@@ -1339,21 +1407,30 @@ def _plan(keys: Keys, comps: dict[int, dict]):
 
 
 def _cut(plan: list, other: set, flip: int):
-    """(left, index, groups): the groups of a plan whose mode fields face one of
-    ``other`` (those of -u are ``flip`` minus those of u) as (degree, {mode
-    fields: group}, polynomial) entries, by mode fields, and in order."""
-    left, index, kept = [], {}, []
+    """(left, index, bags, sizes): the groups of a plan whose mode fields face
+    one of ``other`` (those of -u are ``flip`` minus those of u) as (degree,
+    {mode fields: group}, polynomial) entries, by mode fields, and their
+    packed bags, in order, with the largest of their sizes (F_xi, F_mode,
+    A)."""
+    left, index, bags = [], {}, []
+    f_xi = f_mode = f_alpha = 0
     for deg, groups, _moving in plan:
         faced, polynomial = {}, True
         for field, g in groups.items():
             if flip - field in other:
                 faced[field] = g
-                kept.append(g)
+                bags.append(g[0])
                 index.setdefault(field, []).append((deg, g))
                 polynomial = polynomial and g[4]
+                if g[1] > f_xi:
+                    f_xi = g[1]
+                if g[2] > f_mode:
+                    f_mode = g[2]
+                if g[3] > f_alpha:
+                    f_alpha = g[3]
         if faced:
             left.append((deg, faced, polynomial))
-    return left, index, kept
+    return left, index, bags, (f_xi, f_mode, f_alpha)
 
 
 def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
@@ -1363,7 +1440,8 @@ def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
 
     It runs on the chains of ``compose_components``: a left term of mode -v
     meets only right terms of mode v, so per left (degree, mode) one chain
-    a, (v . grad_xi) a, ... (``_along``) is walked, and its level k =
+    a, (v . grad_xi) a, ... is built in one call (``_chain``, with v's
+    steps from the layout's ``directions`` memo), and its level k =
     ``level_of[(a_deg, b_deg)]`` meets the right terms of mode v with the
     integer weight ``weights[k]``, +-K!/k!, left scalar first, then the
     phase.  A product with an odd exponent integrates to zero: one mask on
@@ -1371,12 +1449,13 @@ def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
     skips it, and the rest are summed on their alpha fields.  A step along
     xi_j flips the parity of alpha_j alone, so the chain's last level takes
     from each term only the steps that reach the parity of a right term it
-    meets.  The bag is integrated by ``sphere_integral``.
+    meets (the kernel's cut, a table from a term's parity to those steps).
+    The bag is integrated by ``sphere_integral``.
     """
     w, offsets, alpha_mask = keys.width, keys.offsets, keys.alpha_mask
     flip = 2 * (offsets >> keys.mode_shifts[0])  # the mode fields of -v are flip minus those of v
     odd = (offsets & alpha_mask) >> (w - 1)  # the low bit of each alpha field
-    phase, directions = system.phase, {}  # the call's table of ``_direction``
+    phase, directions = system.phase, keys.directions
     out: dict = {}
     for left, right, level_of, weights in orderings:
         for a_deg, by_mode, _polynomial in left:
@@ -1386,18 +1465,17 @@ def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
                          if (k := level_of.get((a_deg, b_deg))) is not None]
                 if not meets:
                     continue
-                v, steps = directions.get(partner) or _direction(keys, directions, partner)
+                v, steps = directions.get(partner) or _direction(keys, partner)
                 ph = None if phase is None else phase(-v[1], v[0])
-                # bag, (v . grad_xi) bag, ...; along v = 0 every step is empty
-                chain = [group[0]] if steps else [group[0], {}]
-                top = max(k for k, _terms in meets)
-                while len(chain) < top and chain[-1]:
-                    chain.append(_along(keys, chain[-1], steps))
-                if len(chain) == top and chain[-1]:  # the last level, cut by parity
-                    wanted = {key & odd for k, terms in meets if k == top for key in terms}
-                    chain.append(_along(keys, chain[-1], {
-                        p: [step for step in steps if p ^ 1 << step[0] in wanted]
-                        for p in {key & odd for key in chain[-1]}}, odd))
+                # along v = 0 every step is empty: only level 0 is built
+                top = max([k for k, _terms in meets]) if steps else 0
+                if top:  # the last level cut by parity, to the right terms' at level top
+                    wanted = frozenset([key & odd for k, terms in meets if k == top
+                                        for key in terms])
+                    table = directions.get((partner, wanted)) or _parity_cut(keys, partner, wanted)
+                    chain = _chain(keys, group[0], steps, top, (odd, table))
+                else:
+                    chain = [group[0]]
                 for k, terms in meets:
                     level = chain[k] if k < len(chain) else None
                     if not level:

@@ -20,6 +20,7 @@ from ncresidue.nctorus import (
     nc_v,
     semiclassical_check,
     to_euclidean,
+    _system_for,
 )
 from ncresidue.scalars import ComplexRational, PiGradedScalar
 from ncresidue.dsl import random_symbol
@@ -114,6 +115,32 @@ def test_a_non_number_scalar_is_a_type_error_at_both_twists(theta):
             sym.scale("2")
     assert (u * 2).coefficient(1, 0) == 2
     assert (u * Fraction(1, 2)).coefficient(1, 0) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12), 0.4])
+def test_a_symbol_coerces_each_coefficient_once(monkeypatch, theta):
+    """``NCSymbol`` coerces each input term's coefficient once, in the blocks'
+    order (a list block and a dict block with a repeated key), and builds the
+    symbol it builds from coefficients coerced beforehand."""
+    th = Theta.from_float(theta) if type(theta) is float else Theta.from_rational(theta)
+    system = _system_for(th)
+    terms = {0: [(1, (1, 0), (0, 0), 0), (Fraction(1, 2), (0, 1), (1, 0), -1),
+                 (-3, (1, 0), (0, 0), 0)],
+             -1: {((1, 1), (1, 0), -2): ComplexRational(2, -1), ((0, 0), (0, 1), -2): 3}}
+    coerced = {0: [(system.coerce(c), *key) for c, *key in terms[0]],
+               -1: {key: system.coerce(c) for key, c in terms[-1].items()}}
+    want = NCSymbol(th, 0, coerced, -2)
+    calls, coerce = [], system.coerce  # a float twist builds its system afresh
+
+    def counting(*args):  # (self, value) or (value,)
+        calls.append(args[-1])
+        return coerce(args[-1])
+
+    monkeypatch.setattr(type(system), "coerce", counting)
+    sym = NCSymbol(th, 0, terms, -2)
+    assert calls == [1, Fraction(1, 2), -3, ComplexRational(2, -1), 3]
+    assert sym == want and repr(sym) == repr(want)
+    assert len(sym.components[0]) == 2 and len(sym.components[-1]) == 2
 
 
 def test_algebra_elements_stay_unhashable_and_keep_their_names():

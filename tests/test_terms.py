@@ -366,16 +366,20 @@ def test_residue_pairing_differentiates_a_left_term_only_along_its_mode(monkeypa
         pairs = list(_twisted_residue_pairs(theta, 16, 77))
         cases.append((pairs[0][0]._system, 2, pairs))
     calls = []
-    along = T._along
+    chain_of = T._chain
 
-    def recording(keys, terms, steps, parity=0):
-        # a chain's last step takes, per parity of a term's alpha, a part of the steps
-        parts = steps.values() if parity else [steps]
-        axes = {shift // keys.width: v for part in parts for shift, v, _down, _r_step in part}
-        calls.append((axes, {keys.unpack(key)[0] for key in terms}, parity))
-        return along(keys, terms, steps, parity)
+    def recording(keys, bag, steps, top, cut=None):
+        chain = chain_of(keys, bag, steps, top, cut)
+        # one call per level built, from the level before it; a chain's last
+        # level takes, per parity of a term's alpha, a part of the steps
+        for k, terms in enumerate(chain[:-1]):
+            parity = cut is not None and k + 1 == top
+            parts = cut[1].values() if parity else [steps]
+            axes = {shift // keys.width: v for part in parts for shift, v, _down, _r_step in part}
+            calls.append((axes, {keys.unpack(key)[0] for key in terms}, parity))
+        return chain
 
-    monkeypatch.setattr(T, "_along", recording)
+    monkeypatch.setattr(T, "_chain", recording)
     for system, n, pairs in cases:
         for a, b in pairs:
             for s, t in ((a, b), (b, a)):
@@ -428,6 +432,36 @@ def test_nc_residue_is_the_residue_of_its_composition_with_one(theta):
             assert repr(got) == repr(want)
         nonzero += not got.is_zero()
     assert nonzero >= 5
+
+
+def _residue_through_the_two_factor_map(sigma, volume):
+    """``_normalized_residue`` with its numerators from the map of two factors
+    (the right one empty), sized by ``numerator_width``'s proof."""
+    n, system = sigma.n, sigma._system
+    bag = {key: s for key, s in sigma._term_bags().get(-n, {}).items() if not any(key[0])}
+    keys, [bag], sizes = T._pack_sized(n, [bag], 0)
+    nums, den = system.numerator_map([bag], [{}], n, sizes, 0)
+    return _sphere_sum(system, n, *T.sphere_integral(nums, keys, bag, den), volume=volume)
+
+
+@pytest.mark.parametrize("n, theta", [(2, None), (3, None), (2, Fraction(2, 5)),
+                                      (2, Fraction(5, 12)), (2, Fraction(7, 30)), (2, 0.4)])
+def test_a_residue_takes_the_lone_numerator_map_with_the_same_values(monkeypatch, n, theta):
+    """``residue`` and ``nc_residue`` of one symbol map its numerators with no
+    right factor: the exact map calls no ``numerator_width``, and every value
+    is byte-identical to the one the two-factor map gives."""
+    th = None if theta is None else (
+        Theta.from_float(theta) if type(theta) is float else Theta.from_rational(theta))
+    symbols = list(_residue_symbols(n, 60, 90 + n, th))
+    want = [repr(_residue_through_the_two_factor_map(sigma, theta is None)) for sigma in symbols]
+
+    def refused(*_args):
+        raise AssertionError("numerator_width called")
+
+    monkeypatch.setattr(T, "numerator_width", refused)
+    got = [repr((residue if theta is None else nc_residue)(sigma)) for sigma in symbols]
+    assert got == want
+    assert sum(text != repr(PiGradedScalar(0)) for text in got) >= 15
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -621,16 +655,19 @@ def test_trace_defect_at_the_deepest_towers_with_long_coefficients(monkeypatch):
     """The defect against both compositions at K = 43 (n = 2) and 16 (n = 3),
     and the Gaussian numerators of every pairing packed at the width the proof
     of ``numerator_width`` gives for the factors, with no bit dropped."""
-    calls, packed = [], []
+    calls, packed, pending = [], [], []
     width = T.numerator_width
 
     def recording(*args):
         calls.append((args, width(*args)))
+        pending.append(calls[-1][1])
         return calls[-1][1]
 
     class Recording(T.PackedGaussians):
         def __init__(self, w):
-            packed.append(w)
+            # (width, the width numerator_width gave it); a residue of one
+            # symbol has no right factor and sizes its map without one
+            packed.append((w, pending.pop() if pending else None))
             super().__init__(w)
 
     monkeypatch.setattr(T, "numerator_width", recording)
@@ -641,6 +678,7 @@ def test_trace_defect_at_the_deepest_towers_with_long_coefficients(monkeypatch):
         a, b = _deepest_residue_pair(rng, n)
         for s, t in ((a, b), (b, a)):
             calls.clear()
+            packed.clear()
             assert not _assert_defect_by_composing(s, t).is_zero()
             assert trace_defect(s, t).is_zero()
             pairings = [(args, w) for args, w in calls if args[-1] == k]
@@ -656,7 +694,11 @@ def test_trace_defect_at_the_deepest_towers_with_long_coefficients(monkeypatch):
                                  + depth * (f_xi + 3 * depth).bit_length()
                                  + math.factorial(depth).bit_length()
                                  + depth * f_mode.bit_length() + span * (n_ - 1).bit_length())
-            assert packed[-len(calls):] == [w for _args, w in calls]
+            # each width numerator_width gives packs the next map; the only
+            # other maps are those of the residues of the two compositions
+            assert [w for w, sized in packed if sized is not None] == [w for _args, w in calls]
+            assert all(w == sized for w, sized in packed if sized is not None)
+            assert [sized for _w, sized in packed].count(None) == 2
 
 
 def _raised(fn, *args):
@@ -832,11 +874,14 @@ def _both_orderings_added(passes):
     return mutant
 
 
-def _last_level_dropped(along):
-    """``_along`` with the step that only ``_pairing_pass`` takes, the last
+def _last_level_dropped(chain_of):
+    """``_chain`` with the level that only ``_pairing_pass`` builds, the last
     level of a chain cut by parity, left empty."""
-    def mutant(keys, terms, steps, parity=0):
-        return {} if parity else along(keys, terms, steps)
+    def mutant(keys, bag, steps, top, cut=None):
+        chain = chain_of(keys, bag, steps, top, cut)
+        if cut is not None and len(chain) > top:
+            chain[top] = {}
+        return chain
     return mutant
 
 
@@ -845,7 +890,7 @@ def _last_level_dropped(along):
 _MUTANTS = {
     "weight K!/1": ("_pairing_pass", _weights_from_level_zero, 0, {"residue"}),
     "phase entry": ("_pairing_pass", _phase_from_the_wrong_entry, 3, {"residue"}),
-    "level dropped": ("_along", _last_level_dropped, 0, {"residue"}),
+    "level dropped": ("_chain", _last_level_dropped, 0, {"residue"}),
     "sign": ("_pairing_pass", _both_orderings_added, 0, {"defect", "two-call"}),
 }
 
@@ -2269,22 +2314,142 @@ def _nc_trace_pool(seed):
                     yield sigma, tau
 
 
+def _counting_chain(built):
+    """``_chain`` that adds the terms of each level it builds to ``built``:
+    [terms of whole steps, terms of last steps cut by parity]."""
+    chain_of = T._chain
+
+    def counting(keys, bag, steps, top, cut=None):
+        chain = chain_of(keys, bag, steps, top, cut)
+        for k, level in enumerate(chain[1:], 1):
+            built[cut is not None and k == top] += len(level)
+        return chain
+    return counting
+
+
 def test_nc_trace_pool_builds_the_last_chain_level_by_parity(monkeypatch):
     """Op count of the single-ordering residues, both orders, of the 864
     pairs of the nc-trace pool at seed 7: the terms the chains build.  The
     last level of a chain is built only where it meets a right term's
     parity; built whole, as every other level is, the chains hold 9,834
     terms."""
-    along = T._along
     built = [0, 0]  # terms of whole steps, terms of last steps cut by parity
-
-    def counting(keys, terms, steps, parity=0):
-        out = along(keys, terms, steps, parity)
-        built[bool(parity)] += len(out)
-        return out
-
-    monkeypatch.setattr(T, "_along", counting)
+    monkeypatch.setattr(T, "_chain", _counting_chain(built))
     for sigma, tau in _nc_trace_pool(7):
         _nc_residue_of_composition(sigma, tau)
         _nc_residue_of_composition(tau, sigma)
     assert built == [3_265, 1_827]
+
+
+def _trace_n3_pool(seed):
+    """The pool the trace-n3 benchmark draws at ``seed``: n = 3, 32 pairs per
+    order pair (m1, m2) in -1 .. 2, each tau's terms moved onto the reflected
+    x-dependent (mode, alpha) of its sigma."""
+    rng = random.Random(seed)
+    for _ in range(32):
+        for m1 in range(-1, 3):
+            for m2 in range(-1, 3):
+                kw = dict(dim=3, depth=m1 + 3 + m2, max_mode=3, max_alpha=3)
+                sigma = random_symbol(rng.getrandbits(32), order=m1, **kw)
+                tau = random_symbol(rng.getrandbits(32), order=m2, **kw)
+                spots = sorted({(mode, alpha) for c in sigma.components.values()
+                                for mode, alpha, _p in c.raw_terms() if any(mode)})
+                if spots:
+                    comps = {}
+                    for deg, comp in sorted(tau.components.items()):
+                        terms = []
+                        for _key, s in sorted(comp.raw_terms().items()):
+                            mode, alpha = rng.choice(spots)
+                            terms.append((s, tuple(-k for k in mode), alpha, deg - sum(alpha)))
+                        comp = HomogeneousComponent(3, deg, terms)
+                        if not comp.is_zero():
+                            comps[deg] = comp
+                    tau = ClassicalSymbol(3, tau.order, comps, tau.trusted_floor)
+                yield sigma, tau
+
+
+def test_trace_n3_pool_builds_as_many_chain_terms_as_a_call_per_level(monkeypatch):
+    """Op count of the trace defects of the 512 pairs of the trace-n3 pool at
+    seed 7: the terms the chains build, whole levels and last levels cut by
+    parity, the same as when each level was built by a call of its own."""
+    built = [0, 0]
+    monkeypatch.setattr(T, "_chain", _counting_chain(built))
+    defects = [trace_defect(sigma, tau) for sigma, tau in _trace_n3_pool(7)]
+    assert len(defects) == 512 and all(d.is_zero() for d in defects)
+    assert built == [22_495, 4_868]
+
+
+def _fresh_direction(keys, field):
+    """(v, steps) for the mode fields ``field``, read and built with no memo;
+    for a key (field, wanted), the table of the last level cut by parity."""
+    if type(field) is tuple:
+        field, wanted = field
+        steps = _fresh_direction(keys, field)[1]
+        flips = {p ^ 1 << step[0] for p in wanted for step in steps}
+        return {p: tuple(step for step in steps if p ^ 1 << step[0] in wanted) for p in flips}
+    v = keys.fields(field << keys.mode_shifts[0], keys.n + 2, 2 * keys.n + 2)
+    return v, tuple((keys.width * j, x, *keys.xi_steps[j]) for j, x in enumerate(v) if x)
+
+
+def test_the_direction_memo_holds_fresh_steps_within_its_limit(monkeypatch):
+    """The layout's direction memo returns the steps, and the parity cuts of
+    a chain's last level, that a fresh table builds; it holds at most
+    ``memo_limit`` entries, starting afresh when full, with the same trace
+    defects and residues; and a wider layout built for one call writes only
+    its own memo, never the narrow layout's."""
+    pool = list(_trace_n3_pool(7))[::16]
+    want = [str(trace_defect(s, t)) + str(_residue_of_composition(s, t)) for s, t in pool]
+    narrow = T._narrow_layout(3)
+    assert {type(field) for field in narrow.directions} == {int, tuple}
+    for field, entry in narrow.directions.items():
+        assert entry == _fresh_direction(narrow, field) == _fresh_direction(T.Keys(3, 8), field)
+    sizes, direction, fields = [], T._direction, T._MEMO_FIELDS
+    monkeypatch.setattr(T, "_direction", lambda keys, field: sizes.append(
+        len(keys.directions)) or direction(keys, field))
+    T._MEMO_FIELDS = 3 * 4  # read when a layout is built: the narrow ones are built afresh
+    T._narrow_layout.cache_clear()
+    try:
+        got = [str(trace_defect(s, t)) + str(_residue_of_composition(s, t)) for s, t in pool]
+        small = T._narrow_layout(3)
+        assert small.memo_limit == 4 and len(small.directions) <= 4
+    finally:
+        T._MEMO_FIELDS = fields
+        T._narrow_layout.cache_clear()
+    assert len(sizes) > 8 and max(sizes) <= 4
+    assert got == want
+    # a mode entry of 100 needs 16-bit fields: the call builds a wider layout
+    cr = ComplexRational
+    a = ClassicalSymbol(2, 0, {0: HomogeneousComponent(2, 0, [(cr(2), (100, 1), (1, 0), -1)])})
+    b = ClassicalSymbol(2, -1, {-1: HomogeneousComponent(2, -1, [(cr(3), (-100, -1), (0, 0), -1)])},
+                        -2)
+    narrow = T._narrow_layout(2)
+    before = dict(narrow.directions)
+    layouts = []
+    passes = T._pairing_pass
+    monkeypatch.setattr(T, "_pairing_pass", lambda system, keys, *args: layouts.append(keys)
+                        or passes(system, keys, *args))
+    assert trace_defect(a, b).is_zero()
+    assert not _residue_of_composition(a, b).is_zero()
+    assert [keys.width for keys in layouts] == [16, 16]
+    assert narrow.directions == before
+    for keys in layouts:
+        assert keys.directions
+        for field, entry in keys.directions.items():
+            assert entry == _fresh_direction(keys, field)
+
+
+def test_a_second_trace_defect_over_the_same_modes_builds_no_steps(monkeypatch):
+    """The steps of each mode are built once per layout: with the narrow
+    layout's memo emptied, the defects of part of the trace-n3 pool build
+    them, and the same defects again build none."""
+    built = []
+    direction = T._direction
+    monkeypatch.setattr(T, "_direction", lambda keys, field: built.append(field)
+                        or direction(keys, field))
+    T._narrow_layout(3).directions.clear()
+    pool = list(_trace_n3_pool(7))[::8]
+    first = [trace_defect(s, t) for s, t in pool]
+    assert len(built) >= 10
+    built.clear()
+    second = [trace_defect(s, t) for s, t in pool]
+    assert built == [] and second == first

@@ -1,5 +1,6 @@
 """The command-line tools under tools/: the summaries of tools/bench_pairs.py and
-tools/rss_at_equal_ops.py, and the line counts of tools/code_size.py."""
+tools/rss_at_equal_ops.py, the line counts of tools/code_size.py and the stage
+timers of tools/stage_times.py."""
 
 import importlib.util
 import json
@@ -22,6 +23,7 @@ def _load(name):
 bench_pairs = _load("bench_pairs")
 code_size = _load("code_size")
 rss_at_equal_ops = _load("rss_at_equal_ops")
+stage_times = _load("stage_times")
 
 METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
 
@@ -330,3 +332,119 @@ def test_code_size_counts_no_docstring_and_each_deleted_statement(tmp_path, caps
     assert code_size.main([trees["parent"], trees["change"]]) == 0
     last = capsys.readouterr().out.splitlines()[-1].split()
     assert last == ["all", "22", "8", "22", "7", "+0", "-1"]
+
+
+# a stand-in for ncresidue.terms: stages reached through the module and a class
+_STUB_TERMS = '''
+class RationalSystem:
+    @staticmethod
+    def numerator_map(x):
+        return x
+
+
+class PackedGaussians:
+    def lower(self, x):
+        return x + 1
+
+
+def _plan(x):
+    return x
+
+
+def _chain(x):
+    return _plan(x) + 1
+
+
+def _pairing_pass(x):
+    return _chain(x) + PackedGaussians().lower(RationalSystem.numerator_map(x))
+'''
+
+_STUB_RUN = '''
+import workloads
+
+
+def set_up(workload, seed, workdir):
+    return workload.setup(None, seed, workdir)
+'''
+
+_STUB_WORKLOADS = '''
+import types
+
+TERMS = types.ModuleType("stub_terms")
+exec(SOURCE, TERMS.__dict__)
+
+
+class Op:
+    def __init__(self, fn):
+        self.fn = fn
+
+
+class Stub:
+    def setup(self, lib, seed, workdir):
+        return {"lib": types.SimpleNamespace(terms=TERMS), "seed": seed}
+
+    def arrange(self, inputs):
+        inputs["round"] = [Op(lambda: TERMS._pairing_pass(inputs["seed"]))] * 3
+
+
+WORKLOADS = {"stub": Stub()}
+'''
+
+
+def test_stage_times_counts_and_restores_each_stage():
+    terms = type(sys)("stub_terms")
+    exec(_STUB_TERMS, terms.__dict__)
+    before = {name: terms.__dict__[name] for name in ("_plan", "_chain", "_pairing_pass")}
+    static = vars(terms.RationalSystem)["numerator_map"]
+    ops = [lambda: terms._pairing_pass(2)] * 4
+    stages = ("_plan", "_chain", "_along", "RationalSystem.numerator_map",
+              "PackedGaussians.lower", "CyclotomicSystem.numerator_map", "_pairing_pass")
+    result = stage_times.measure(terms, ops, 3, stages)
+    assert len(result["bare"]) == len(result["wrapped"]) == 3
+    assert result["absent"] == ["_along", "CyclotomicSystem.numerator_map"]
+    for stage in ("_plan", "_chain", "RationalSystem.numerator_map", "PackedGaussians.lower",
+                  "_pairing_pass"):
+        runs = result["stages"][stage]
+        assert len(runs) == 3 and all(calls == 4 and seconds >= 0 for seconds, calls in runs)
+    # nested stages time inclusively: the pass holds the chain, which holds the plan
+    total = {stage: sum(s for s, _c in runs) for stage, runs in result["stages"].items()}
+    assert total["_pairing_pass"] >= total["_chain"] >= total["_plan"]
+    # every wrapper is taken out again, the staticmethod included
+    assert all(terms.__dict__[name] is fn for name, fn in before.items())
+    assert vars(terms.RationalSystem)["numerator_map"] is static
+    assert terms._pairing_pass(2) == 6
+    text = stage_times.report(result, "stub")
+    lines = text.splitlines()
+    assert lines[0] == "stub" and lines[1].startswith("bare round: median ")
+    assert "wrapper overhead" in lines[2]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
+    assert list(rows) == list(stages)
+    assert rows["_along"] == ["absent"] and rows["_plan"][0] == "4"
+
+
+def test_stage_times_runs_a_checkout_round(tmp_path, monkeypatch, capsys):
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text(_STUB_RUN)
+    (bench / "workloads.py").write_text(f"SOURCE = {_STUB_TERMS!r}\n" + _STUB_WORKLOADS)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    try:
+        assert stage_times.main([str(tmp_path), "--workload", "stub", "--seed", "5",
+                                 "--rounds", "2"]) == 0
+    finally:
+        for name in ("run", "workloads"):
+            sys.modules.pop(name, None)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"stub seed 5, 3 ops per round, {tmp_path}"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
+    assert list(rows) == list(stage_times.STAGES)
+    assert rows["_plan"][0] == rows["_chain"][0] == rows["PackedGaussians.lower"][0] == "3"
+    assert rows["canonical_terms"] == ["absent"] and rows["_along"] == ["absent"]
+
+
+def test_stage_times_refuses_bad_arguments(capsys):
+    for argv in (["c"], ["c", "--workload", "w", "--rounds", "0"], ["--workload", "w"]):
+        with pytest.raises(SystemExit) as info:
+            stage_times.main(argv)
+        assert info.value.code == 2
+    assert "error" in capsys.readouterr().err
