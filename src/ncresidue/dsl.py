@@ -408,8 +408,9 @@ class _Parser:
 
 
 def _build_symbol(dim: int, order: int, floor: int, theta: Theta | None, blocks: dict):
-    """The symbol of ``(mode, alpha, npow) -> coeff`` degree blocks, after
-    checking them against the header."""
+    """The symbol of ``(mode, alpha, npow) -> coeff`` degree blocks, whose
+    coefficients are already the system's, after checking them against the
+    header."""
     for deg in blocks:
         if deg > order:
             raise ValidationError(f"block degree {deg} exceeds order {order}")
@@ -878,6 +879,9 @@ def random_symbol(
             den = 1 + _below(bits, 3)  # randint(1, 3)
             coeff = _drawn_coefficient(num, den, uniform() < 0.25)
             T.bag_add(bag, (_shared_index(mode), _shared_index(tuple(alpha)), deg - total), coeff)
+    if theta is not None:  # the twist's system takes each summed exact draw once
+        coerce = _system_for(theta).coerce
+        blocks = {deg: {key: coerce(s) for key, s in bag.items()} for deg, bag in blocks.items()}
     return _build_symbol(dim, order, floor, theta, blocks)
 
 

@@ -206,14 +206,11 @@ class NCSymbol(_Twisted, _Symbol):
         trusted_floor: int | None = None,
     ):
         coerce = _system_for(theta).coerce
-        # each block is checked, its coefficients coerced once (by
-        # _checked_terms), and put in canonical form, before the degrees are
-        bags = []
-        for deg, block in (components or {}).items():
-            deg = deg if type(deg) is int else _index(deg, "degree")
-            raw = _checked_terms(2, _block_items(block), coerce)
-            bags.append((deg, T.canonical_terms(2, deg, raw)))
-        self._init(theta, order, bags, trusted_floor)
+        # a generator: each block is checked, then put in canonical form
+        blocks = ((deg if type(deg) is int else _index(deg, "degree"),
+                   _checked_terms(2, _block_items(block), coerce))
+                  for deg, block in (components or {}).items())
+        self._init_raw(theta, order, blocks, trusted_floor)
 
     def _check_composable(self, other: "NCSymbol") -> None:
         if self.theta != other.theta:

@@ -361,15 +361,14 @@ class _Symbol:
         _set_components(self, comps)
 
     def _init_raw(self, space, order: int, blocks: Iterable, trusted_floor: int | None) -> None:
-        """``_init`` from ``(degree, raw bag)`` pairs with checked keys, each
-        coefficient coerced by the system and each bag made canonical: the
-        construction path of the readers in ``dsl``.  ``NCSymbol`` builds
-        its bags the same way from ``_checked_terms``, which has coerced
-        them, so each of its coefficients is coerced once."""
-        _set_space(self, space)  # which n and _system read
-        n, coerce = self.n, self._system.coerce
-        bags = [(deg, T.canonical_terms(n, deg, {key: coerce(s) for key, s in raw.items()}))
-                for deg, raw in blocks]
+        """``_init`` from ``(degree, raw bag)`` pairs with checked keys and
+        coefficients of the system, each bag made canonical: the one
+        construction path of both calculi, which ``NCSymbol`` reaches after
+        ``_checked_terms`` and the readers in ``dsl`` directly.  Every
+        caller has coerced each coefficient once; none is coerced here."""
+        _set_space(self, space)  # which n reads
+        n = self.n
+        bags = [(deg, T.canonical_terms(n, deg, raw)) for deg, raw in blocks]
         self._init(space, order, bags, trusted_floor)
 
     def __setattr__(self, name, value):

@@ -131,29 +131,26 @@ class RationalSystem:
                 for s in bag.values():
                     lone.add(s.den)
                     top |= abs(s.a) | abs(s.b)
-            den = math.lcm(*lone)
-            ints = PackedGaussians(top.bit_length() + den.bit_length() + 1)
-            w = ints.width
-            for bag in left:
-                for key, s in bag.items():
-                    bag[key] = (s.a + (s.b << w)) * (den // s.den)
-            return ints, den
-        dens = []
-        for bags in (left, right):
-            norms: dict[int, int] = {}  # d -> the sum of |a| + |b| over the terms over d
-            for bag in bags:
-                for s in bag.values():
-                    norms[s.den] = norms.get(s.den, 0) + abs(s.a) + abs(s.b)
-            den = math.lcm(*norms)
-            dens.append((den, sum([den // d * t for d, t in norms.items()])))
-        ints = PackedGaussians(numerator_width(n, dens[0][1], dens[1][1], *sizes, depth)
-                               + (compositions - 1).bit_length())
+            dens = [math.lcm(*lone)]
+            width = top.bit_length() + dens[0].bit_length() + 1
+        else:
+            dens, totals = [], []
+            for bags in (left, right):
+                norms: dict[int, int] = {}  # d -> the sum of |a| + |b| over the terms over d
+                for bag in bags:
+                    for s in bag.values():
+                        norms[s.den] = norms.get(s.den, 0) + abs(s.a) + abs(s.b)
+                den = math.lcm(*norms)
+                dens.append(den)
+                totals.append(sum([den // d * t for d, t in norms.items()]))
+            width = numerator_width(n, *totals, *sizes, depth) + (compositions - 1).bit_length()
+        ints = PackedGaussians(width)
         w = ints.width
-        for bags, (den, _norm) in zip((left, right), dens):
+        for bags, den in zip((left, right), dens):  # the left factor alone when no right
             for bag in bags:
                 for key, s in bag.items():
                     bag[key] = (s.a + (s.b << w)) * (den // s.den)
-        return ints, dens[0][0] * dens[1][0]
+        return ints, math.prod(dens)
 
 
 class _SameNumerators:

@@ -796,3 +796,38 @@ def test_products_of_sums_past_the_limit_are_refused():
         parse_symbol(text)
     four = "dim 10 order 4 floor 4\ndeg 4 { " + " * ".join([sum10] * 4) + " }"
     assert len(parse_symbol(four).component(4).raw_terms()) > 0
+
+
+@pytest.mark.parametrize("theta", [None, Fraction(2, 5), 0.4])
+def test_each_reader_coerces_a_coefficient_at_most_once(monkeypatch, theta):
+    """``random_symbol`` has its twist's system take each summed draw once,
+    the text reader coerces each written term's coefficient once, and the
+    JSON reader a twisted one once and a classical one not at all (it is
+    read as the system's own scalar); every symbol is as built before."""
+    th = None if theta is None else (
+        Theta.from_float(theta) if type(theta) is float else Theta.from_rational(theta))
+    system = _system_for(th)
+    drawn = random_symbol(11, dim=2, order=1, depth=3, max_mode=2, max_alpha=2, theta=th)
+    terms = sum(len(bag) for bag in drawn._term_bags().values())
+    doc = symbol_to_json(drawn)
+    text = None if type(theta) is float else format_symbol(drawn)
+    plain = random_symbol(11, dim=2, order=1, depth=3, max_mode=2, max_alpha=2)
+    calls, coerce = [], system.coerce  # a float twist builds its system afresh
+
+    def counting(*args):  # (self, value) or (value,)
+        calls.append(args[-1])
+        return coerce(args[-1])
+
+    monkeypatch.setattr(type(system), "coerce", counting)
+    again = random_symbol(11, dim=2, order=1, depth=3, max_mode=2, max_alpha=2, theta=th)
+    assert repr(again) == repr(drawn)
+    # the draws are exact: each summed one is coerced, in the classical bags' order
+    assert len(calls) == (0 if th is None else terms)
+    assert calls == [s for bag in plain._term_bags().values() for s in bag.values()][:len(calls)]
+    del calls[:]
+    assert repr(symbol_from_json(doc)) == repr(drawn)
+    assert len(calls) == (0 if th is None else terms)
+    if text is not None:
+        del calls[:]
+        assert repr(parse_symbol(text)) == repr(drawn)
+        assert len(calls) == terms

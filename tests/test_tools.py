@@ -391,7 +391,7 @@ WORKLOADS = {"stub": Stub()}
 '''
 
 
-def test_stage_times_counts_and_restores_each_stage():
+def test_stage_times_counts_and_restores_each_stage(monkeypatch):
     terms = type(sys)("stub_terms")
     exec(_STUB_TERMS, terms.__dict__)
     before = {name: terms.__dict__[name] for name in ("_plan", "_chain", "_pairing_pass")}
@@ -399,7 +399,9 @@ def test_stage_times_counts_and_restores_each_stage():
     ops = [lambda: terms._pairing_pass(2)] * 4
     stages = ("_plan", "_chain", "_along", "RationalSystem.numerator_map",
               "PackedGaussians.lower", "CyclotomicSystem.numerator_map", "_pairing_pass")
-    result = stage_times.measure(terms, ops, 3, stages)
+    monkeypatch.setattr(stage_times, "ROUNDS", 3)
+    monkeypatch.setattr(stage_times, "STAGES", stages)
+    result = stage_times.measure(terms, ops)
     assert len(result["bare"]) == len(result["wrapped"]) == 3
     assert result["absent"] == ["_along", "CyclotomicSystem.numerator_map"]
     for stage in ("_plan", "_chain", "RationalSystem.numerator_map", "PackedGaussians.lower",
@@ -428,9 +430,9 @@ def test_stage_times_runs_a_checkout_round(tmp_path, monkeypatch, capsys):
     (bench / "run.py").write_text(_STUB_RUN)
     (bench / "workloads.py").write_text(f"SOURCE = {_STUB_TERMS!r}\n" + _STUB_WORKLOADS)
     monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(stage_times, "ROUNDS", 2)
     try:
-        assert stage_times.main([str(tmp_path), "--workload", "stub", "--seed", "5",
-                                 "--rounds", "2"]) == 0
+        assert stage_times.main([str(tmp_path), "--workload", "stub", "--seed", "5"]) == 0
     finally:
         for name in ("run", "workloads"):
             sys.modules.pop(name, None)
@@ -443,7 +445,10 @@ def test_stage_times_runs_a_checkout_round(tmp_path, monkeypatch, capsys):
 
 
 def test_stage_times_refuses_bad_arguments(capsys):
-    for argv in (["c"], ["c", "--workload", "w", "--rounds", "0"], ["--workload", "w"]):
+    for argv in (["c", "--seed", "1"],  # no workload
+                 ["c", "--workload", "w"],  # no seed
+                 ["--workload", "w", "--seed", "1"],  # no checkout
+                 ["c", "--workload", "w", "--seed", "1", "--rounds", "2"]):  # no such option
         with pytest.raises(SystemExit) as info:
             stage_times.main(argv)
         assert info.value.code == 2

@@ -1,14 +1,14 @@
 """Time the named stages of ``ncresidue.terms`` inside one benchmark round.
 
-    python3 tools/stage_times.py CHECKOUT --workload W --seed S [--rounds R]
+    python3 tools/stage_times.py CHECKOUT --workload W --seed S
 
 CHECKOUT is the root of a checkout.  The tool imports that checkout's own
 ``bench/run.py`` and ``bench/workloads.py``, unchanged, and the package
 from its ``src``; it sets the workload up for seed S in a temporary
 directory outside the checkout and arranges its round, as ``bench/run.py``
-does.  After one warm-up round it times R bare rounds and R rounds with
-each stage of ``STAGES`` wrapped by a timer, alternating, so drift reaches
-both alike.  A stage is a function of ``ncresidue.terms`` (``_plan``) or a
+does.  After one warm-up round it times ``ROUNDS`` bare rounds and as
+many rounds with each stage of ``STAGES`` wrapped by a timer,
+alternating, so drift reaches both alike.  A stage is a function of ``ncresidue.terms`` (``_plan``) or a
 method of one of its classes (``PackedGaussians.lower``); the wrappers are
 put in place before each timed round and taken out after it, and the
 engine reaches every stage through the module or the class, so each call
@@ -31,6 +31,8 @@ import statistics
 import sys
 import tempfile
 import time
+
+ROUNDS = 7
 
 STAGES = (
     "_plan",
@@ -109,12 +111,14 @@ def time_round(ops) -> float:
     return clock() - t0
 
 
-def measure(module, ops, rounds: int, stages=STAGES) -> dict:
+def measure(module, ops) -> dict:
     """Bare and wrapped round times and each stage's per-round seconds and
-    calls, after one warm-up round; absent stages are listed apart."""
+    calls over ``ROUNDS`` rounds of each, after one warm-up round; absent
+    stages are listed apart."""
+    stages = STAGES
     time_round(ops)
     bare, wrapped, per_stage = [], [], {}
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         bare.append(time_round(ops))
         totals: dict = {}
         undo = wrap(module, stages, totals)
@@ -150,24 +154,16 @@ def report(result: dict, title: str) -> str:
     return "\n".join(lines)
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", metavar="CHECKOUT")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rounds", type=_positive, default=7)
+    parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
     with tempfile.TemporaryDirectory() as workdir:
         module, ops = load(checkout, args.workload, args.seed, workdir)
-        result = measure(module, ops, args.rounds)
+        result = measure(module, ops)
     print(report(result, f"{args.workload} seed {args.seed}, {len(ops)} ops per round, "
                          f"{checkout}"))
     return 0
