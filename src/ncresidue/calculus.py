@@ -56,11 +56,10 @@ def _check_pair(sigma, tau) -> None:
     sigma._check_composable(tau)
 
 
-def _compose_impl(sigma, tau, floor: int | None, *, gamma_cap: int | None = None,
-                  commutator: bool = False):
+def _compose_impl(sigma, tau, floor: int | None, *, commutator: bool = False):
     """sigma o tau for either symbol class: ClassicalSymbol or NCSymbol; with
-    ``commutator``, sigma o tau - tau o sigma in one engine pass, ``gamma_cap``
-    truncating sigma o tau only (``terms.compose_components``).
+    ``commutator``, sigma o tau - tau o sigma in one engine pass
+    (``terms.compose_components``).
 
     Each class supplies its coefficient system, its term bags, the check
     that two of its symbols compose, and the wrapping of the result.
@@ -72,7 +71,6 @@ def _compose_impl(sigma, tau, floor: int | None, *, gamma_cap: int | None = None
         sigma._term_bags(),
         tau._term_bags(),
         floor,
-        gamma_cap=gamma_cap,
         commutator=commutator,
     )
     return sigma._with_term_bags(sigma.order + tau.order, bags, floor)
@@ -168,7 +166,9 @@ def commutator_exp(
     """Symbol of [T_sigma, T_e^(i x_l)] with the gamma series cut at ``depth``.
 
     Matches sum_{j=1..depth} (1/j!) (d_xi_l^j sigma) e^(i x_l) down to the
-    returned floor; the terms beyond ``depth`` live strictly below it.
+    returned floor; the terms beyond ``depth`` live strictly below it, so
+    the floor alone cuts the series.  With no floor, sigma is polynomial of
+    degree at most ``depth`` and its tower ends first.
 
     The result is trusted one degree deeper than sigma itself: the zeroth
     series term cancels between the two orderings, and every other term at
@@ -180,12 +180,12 @@ def commutator_exp(
     exp = exp_symbol(n, T._bump((0,) * n, _axis(n, direction), 1))
     top = max(sigma.degrees(), default=sigma.order)
     if sigma.trusted_floor is None and _symbol_polynomial(sigma) and depth >= max(top, 0):
-        floor = None  # the series provably terminates within the cap
+        floor = None  # the series provably terminates by order depth
     elif sigma.trusted_floor is None:
         floor = top - depth
     else:
         floor = max(sigma.trusted_floor - 1, top - depth)
-    return _compose_impl(sigma, exp, floor, gamma_cap=depth, commutator=True)
+    return _compose_impl(sigma, exp, floor, commutator=True)
 
 
 class _Record:

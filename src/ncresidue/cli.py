@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .calculus import (
 from .cyclotomic import CyclotomicScalar
 from .dsl import (
     MAX_DIMENSION,
-    _check_cyclotomic_order,
+    _check_twist_order,
     _coeff_to_json,
     format_nc_element,
     format_symbol,
@@ -168,7 +167,7 @@ def _cmd_trace_check(args) -> int:
         key, value = "dim", args.dim
     else:
         theta = Theta.from_rational(args.theta).exact
-        _check_cyclotomic_order(math.lcm(4, theta.denominator), f"theta {theta}")
+        _check_twist_order(theta)
         dim, defect_of = 2, nc_trace_defect
         key, value = "theta", str(theta)
     rng = random.Random(args.seed)

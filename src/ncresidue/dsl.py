@@ -136,6 +136,17 @@ def _check_cyclotomic_order(order: int, what: str) -> int:
     return order
 
 
+def _check_twist_order(theta: Fraction) -> int:
+    """The cyclotomic order of the exact twist ``theta``, lcm(4, its
+    denominator), held to ``MAX_CYCLOTOMIC_ORDER``."""
+    return _check_cyclotomic_order(math.lcm(4, theta.denominator), f"theta {theta}")
+
+
+def _check_twisted_dimension(dim: int) -> None:
+    if dim != 2:
+        raise ValidationError("twisted symbols require dim 2")
+
+
 def _check_dimension(dim: int) -> None:
     if dim < 2:
         raise ValidationError(f"dimension must be at least 2, got {dim}")
@@ -239,11 +250,8 @@ class _Parser:
             self.pos += 1
             negative = self.accept("-")
             theta = Theta.from_rational(self.ratio(self.expect("NUMBER")[1], negative))
-            if dim != 2:
-                raise ValidationError("twisted symbols require dim 2")
-            _check_cyclotomic_order(
-                math.lcm(4, theta.exact.denominator), f"theta {theta.exact}"
-            )
+            _check_twisted_dimension(dim)
+            _check_twist_order(theta.exact)
         self.set_kind(dim, theta)
         blocks: dict[int, dict] = {}
         while self.peek():
@@ -737,12 +745,9 @@ def symbol_from_json(data: dict):
                 raise ValidationError(f"bad theta {_brief(raw)}: {exc}") from None
         else:
             theta = Theta.from_float(raw)
-        if dim != 2:
-            raise ValidationError("twisted symbols require dim 2")
+        _check_twisted_dimension(dim)
         if theta.is_exact:
-            cyclotomic_order = _check_cyclotomic_order(
-                math.lcm(4, theta.exact.denominator), f"theta {theta.exact}"
-            )
+            cyclotomic_order = _check_twist_order(theta.exact)
     system = _system_for(theta)
     blocks: dict[int, dict] = {}
     count = 0
@@ -858,8 +863,7 @@ def random_symbol(
         if not isinstance(theta, Theta):
             theta = (_twist_of(theta) if isinstance(theta, (int, Fraction, float))
                      else Theta.from_float(theta))
-        if dim != 2:
-            raise ValidationError("twisted symbols require dim 2")
+        _check_twisted_dimension(dim)
     rng = random.Random(seed)
     bits, uniform = rng.getrandbits, rng.random
     floor = order - depth

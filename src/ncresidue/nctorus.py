@@ -15,9 +15,10 @@ This module keeps only what is particular to the twisted algebra.  The
 calculus itself is the commutative one with D_x replaced by delta_j:
 ``nc_compose``, ``nc_residue`` and ``nc_trace_defect`` call the composed-
 floor rule, composition and residue integral of ``calculus``, and
-``NCPolynomial`` is the Fourier-sum core of ``symbols`` with the twist as
-its space, whose products are the term engine's ``mul_terms`` with the
-backend's phase.
+``NCPolynomial`` is the Fourier sum of ``symbols`` (an order-0 symbol on
+the one symbol core) with the twist as its space, whose products are the
+term engine's ``mul_terms`` with the backend's phase and whose delta_j is
+the core's ``deriv_x``.
 """
 
 from __future__ import annotations
@@ -154,13 +155,13 @@ class NCPolynomial(_Twisted, _FourierSum):
         return cls(theta, {(m, n): coeff})
 
     def coefficient(self, m: int, n: int):
-        return self.coeffs.get((m, n), self._system.zero)
+        return self._coefficient((m, n))
 
     def delta(self, j: int) -> "NCPolynomial":
         """The basic derivation delta_j; scales a_mn by m (j=1) or n (j=2)."""
         if j not in (1, 2):
             raise ValidationError(f"derivation index must be 1 or 2, got {j}")
-        return self._from_terms(T.mode_deriv_terms(self._terms(), j - 1))
+        return self.deriv_x(j)
 
     def approximate(self) -> "NCPolynomial":
         """The same element with floating coefficients."""
@@ -197,6 +198,8 @@ class NCSymbol(_Twisted, _Symbol):
     """
 
     __slots__ = ()
+
+    __hash__ = None
 
     def __init__(
         self,
@@ -284,7 +287,7 @@ def nc_apply(sigma: NCSymbol, a: NCPolynomial) -> NCPolynomial:
         raise ValidationError("twist mismatch between symbol and argument")
     theta = Theta.from_float(sigma.theta.as_float())
     coerce = _system_for(theta).coerce
-    out = NCPolynomial.zero(theta)
+    out: dict = {}  # the sum, one mode at a time, in the order of a's modes
     for (m, n), coeff in a.coeffs.items():
         if (m, n) == (0, 0):
             continue
@@ -297,8 +300,9 @@ def nc_apply(sigma: NCSymbol, a: NCPolynomial) -> NCPolynomial:
                 continue
             values[mode] = values.get(mode, 0j) + coerce(s) * v
         sym_val = NCPolynomial(theta, values)
-        out = out + sym_val * NCPolynomial(theta, {(m, n): coeff})
-    return out
+        for mode, s in (sym_val * NCPolynomial(theta, {(m, n): coeff})).coeffs.items():
+            T.bag_add(out, mode, s)
+    return NCPolynomial(theta, out)
 
 
 def _all_terms(sigma: NCSymbol):

@@ -1,10 +1,13 @@
-"""Homogeneous components and classical symbols on the n-torus.
+"""Homogeneous components, classical symbols and Fourier sums on the n-torus.
 
 The symbol class is deliberately structural: trigonometric-polynomial
 dependence on x and xi^alpha |xi|^p dependence on xi.  It is closed under
 every operation of the calculus (xi-derivatives, x-derivatives, products,
 Euler antiderivatives) and admits exact sphere and torus integration, which
-is what turns the residue identities into decidable statements.
+is what turns the residue identities into decidable statements.  One core,
+``_Symbol``, stores and compares all of them; a Fourier sum
+(``TrigPolynomial``, and ``nctorus.NCPolynomial``) is the order-0 symbol of
+multiplication by it.
 """
 
 from __future__ import annotations
@@ -108,109 +111,6 @@ def _dimension(n: int) -> int:
     return n
 
 
-class _FourierSum:
-    """The core under both Fourier-sum classes: ``coeffs`` maps modes (n
-    ``int``s each) to nonzero coefficients.
-
-    ``_space`` is as for ``_Symbol``, and the subclass takes ``n``,
-    ``_system`` and ``_space_name`` from its space class, ``_Torus`` or
-    ``nctorus._Twisted``.  To the term engine a mode is a term with no xi
-    part: a product is one ``mul_terms`` call (with the system's phase;
-    the torus's system has none), a derivation one ``mode_deriv_terms``.
-    """
-
-    __slots__ = ("_space", "coeffs")
-
-    def __init__(self, space, coeffs: dict | None = None):
-        object.__setattr__(self, "_space", space)
-        n, coerce = self.n, self._system.coerce
-        clean = {}
-        for mode, c in (coeffs or {}).items():
-            mode, c = _indices(mode, n, "Fourier mode"), coerce(c)
-            if c:
-                clean[mode] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def _with(self, coeffs: dict):
-        out = object.__new__(type(self))
-        object.__setattr__(out, "_space", self._space)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def _check_space(self, other) -> None:
-        if self._space != other._space:
-            raise ValidationError(
-                f"{self._space_name} mismatch: {self._space!r} vs {other._space!r}"
-            )
-
-    def _terms(self) -> dict:
-        flat = (0,) * self.n
-        return {(mode, flat, 0): s for mode, s in self.coeffs.items()}
-
-    def _from_terms(self, bag: dict):
-        return self._with({key[0]: s for key, s in bag.items()})
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check_space(other)
-        return self._with(T.add_terms(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self):
-        return self._with({mode: -s for mode, s in self.coeffs.items()})
-
-    def scale(self, c):
-        c = self._system.coerce(c)
-        return self._with({mode: p for mode, s in self.coeffs.items() if (p := c * s)})
-
-    def __mul__(self, other):
-        if type(other) is type(self):
-            self._check_space(other)
-            return self._from_terms(
-                T.mul_terms(self._system, self.n, self._terms(), other._terms())
-            )
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    __rmul__ = __mul__  # a scalar multiple
-
-    def adjoint(self):
-        """The *-involution: (U^m V^n)* = e^(2 pi i theta m n) U^-m V^-n."""
-        phase = self._system.phase
-        out = {}
-        for mode, s in self.coeffs.items():
-            conj = s.conjugate()
-            # the phase of reordering V^-n U^-m into U^-m V^-n
-            ph = phase and phase(-mode[1], -mode[0])
-            out[tuple(-x for x in mode)] = conj if ph is None else conj * ph
-        return self._with(out)
-
-    def trace(self):
-        """The normalized trace: the mode-zero Fourier coefficient."""
-        return self.coeffs.get((0,) * self.n, self._system.zero)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._space == other._space and self.coeffs == other.coeffs
-
-
 class _Torus:
     """The torus classes' space: the dimension, under the rational system;
     the commutative twin of ``nctorus._Twisted``."""
@@ -223,27 +123,6 @@ class _Torus:
     @property
     def n(self) -> int:
         return self._space
-
-
-class TrigPolynomial(_Torus, _FourierSum):
-    """A finite Fourier sum on the n-torus with exact coefficients."""
-
-    __slots__ = ()
-
-    def hat(self, mode) -> ComplexRational:
-        return self.coeffs.get(tuple(mode), _SYS.zero)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            other = TrigPolynomial(self.n, {(0,) * self.n: other})  # a constant
-        return super().__eq__(other)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        inner = " + ".join(f"{c}*e{list(m)}" for m, c in sorted(self.coeffs.items()))
-        return f"<trigpoly n={self.n}: {inner or '0'}>"
 
 
 def euler_antiderivatives(component: HomogeneousComponent) -> list[HomogeneousComponent]:
@@ -323,7 +202,8 @@ class _Symbol:
     (which also coerces scalars) and ``_space_name`` from its space class,
     ``_Torus`` or ``nctorus._Twisted``.  D_x on the torus and delta_j on
     the twisted side both scale a term by its mode, so ``deriv_x`` serves
-    both.
+    both.  The Fourier sums are the order-0 symbols of multiplication by
+    them (``_FourierSum``), so this core serves them too.
     """
 
     __slots__ = ("_space", "order", "trusted_floor", "_components")
@@ -414,6 +294,10 @@ class _Symbol:
             and self._components == other._components
         )
 
+    def __hash__(self):
+        return hash((self._space, self.trusted_floor, frozenset(
+            (deg, frozenset(bag.items())) for deg, bag in self._components.items())))
+
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
@@ -469,11 +353,120 @@ _set_space, _set_order, _set_floor, _set_components = (
 )
 
 
+class _FourierSum(_Symbol):
+    """What a finite Fourier sum adds to the symbol core.
+
+    A function on the torus, or an element of the twisted algebra, is the
+    order-0 symbol of multiplication by it: one bag at degree 0 whose terms
+    ``(mode, (0,) * n, 0)`` carry no xi part, and no floor.  A bag of modes
+    alone is canonical.  The core's storage, zero test, equality, hash,
+    ``+``, ``-`` and ``deriv_x`` serve it; ``coeffs`` reads the bag as
+    mode -> coefficient.  The sum checks the space first, for the message
+    naming both spaces.  Negation and ``scale`` stay here: unary minus
+    keeps the sign of a float's zero part, which ``scale(-1)`` flips, and
+    ``scale`` drops a product that rounds to zero.  A product is one
+    ``mul_terms`` call with the system's phase (the torus's system has
+    none).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, space, coeffs: dict | None = None):
+        _set_space(self, space)  # which n and _system read
+        n, coerce = self.n, self._system.coerce
+        flat, bag = (0,) * n, {}
+        for mode, c in (coeffs or {}).items():
+            mode, c = _indices(mode, n, "Fourier mode"), coerce(c)
+            if c:
+                bag[(mode, flat, 0)] = c
+        self._init(space, 0, ((0, bag),), None)
+
+    def _from_bag(self, bag: dict):
+        return self._with_term_bags(0, {0: bag}, None)
+
+    @property
+    def coeffs(self) -> dict:
+        """Mode -> nonzero coefficient, read from the bag into a new dict."""
+        return {key[0]: s for key, s in self._bag(0).items()}
+
+    def _coefficient(self, mode: tuple):
+        return self._bag(0).get((mode, (0,) * self.n, 0), self._system.zero)
+
+    def __bool__(self) -> bool:
+        return bool(self._components)
+
+    def _check_space(self, other) -> None:
+        if self._space != other._space:
+            raise ValidationError(
+                f"{self._space_name} mismatch: {self._space!r} vs {other._space!r}"
+            )
+
+    def __add__(self, other):
+        if type(other) is type(self):
+            self._check_space(other)
+        return _Symbol.__add__(self, other)
+
+    def __neg__(self):
+        return self._from_bag({key: -s for key, s in self._bag(0).items()})
+
+    def scale(self, c):
+        c = self._system.coerce(c)
+        return self._from_bag({key: p for key, s in self._bag(0).items() if (p := c * s)})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            self._check_space(other)
+            return self._from_bag(
+                T.mul_terms(self._system, self.n, self._bag(0), other._bag(0))
+            )
+        try:
+            return self.scale(other)
+        except TypeError:
+            return NotImplemented
+
+    __rmul__ = __mul__  # a scalar multiple
+
+    def adjoint(self):
+        """The *-involution: (U^m V^n)* = e^(2 pi i theta m n) U^-m V^-n."""
+        phase = self._system.phase
+        out = {}
+        for (mode, flat, _p), s in self._bag(0).items():
+            conj = s.conjugate()
+            # the phase of reordering V^-n U^-m into U^-m V^-n
+            ph = phase and phase(-mode[1], -mode[0])
+            out[(tuple(-x for x in mode), flat, 0)] = conj if ph is None else conj * ph
+        return self._from_bag(out)
+
+    def trace(self):
+        """The normalized trace: the mode-zero Fourier coefficient."""
+        return self._coefficient((0,) * self.n)
+
+
+class TrigPolynomial(_Torus, _FourierSum):
+    """A finite Fourier sum on the n-torus with exact coefficients."""
+
+    __slots__ = ()
+
+    def hat(self, mode) -> ComplexRational:
+        return self._coefficient(tuple(mode))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction, ComplexRational)):
+            other = TrigPolynomial(self.n, {(0,) * self.n: other})  # a constant
+        return super().__eq__(other)
+
+    __hash__ = _Symbol.__hash__  # defining __eq__ unsets the inherited one
+
+    def __repr__(self) -> str:
+        inner = " + ".join(f"{c}*e{list(m)}" for m, c in sorted(self.coeffs.items()))
+        return f"<trigpoly n={self.n}: {inner or '0'}>"
+
+
 class HomogeneousComponent(_Torus, _Symbol):
     """A degree-d homogeneous function of (x, xi), kept in canonical form.
 
     It is a complete symbol of the one degree d: its one bag, when
-    nonzero, sits at its order d, so the core's equality (two zero
+    nonzero, sits at its order d, so the core's equality and hash (two zero
     components are equal at any degree), ``-``, negation, ``scale``,
     ``partial_xi`` and ``deriv_x`` serve it.  A sum refuses two nonzero
     summands of different degrees.
@@ -546,9 +539,6 @@ class HomogeneousComponent(_Torus, _Symbol):
         raw = T.mul_terms(_SYS, self.n, self._terms, other._terms)
         return HomogeneousComponent.from_raw(self.n, self.degree + other.degree, raw)
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items()) if self._terms else 0))
-
     def __repr__(self) -> str:
         inner = ", ".join(
             f"{s}*e{list(mode)}*xi^{list(alpha)}*r^{p}"
@@ -606,11 +596,6 @@ class ClassicalSymbol(_Torus, _Symbol):
 
     def component(self, degree: int) -> HomogeneousComponent:
         return HomogeneousComponent._from_canonical(self.n, degree, self._bag(degree))
-
-    def __hash__(self):
-        return hash(
-            (self.n, self.trusted_floor, frozenset(self.components.items()))
-        )
 
     def __repr__(self) -> str:
         comps = ", ".join(f"{d}: {c!r}" for d, c in sorted(self.components.items(), reverse=True))

@@ -1073,17 +1073,15 @@ def compose_components(
     comps_b: dict[int, dict],
     floor: int | None,
     *,
-    gamma_cap: int | None = None,
     commutator: bool = False,
 ) -> dict[int, dict]:
     """Components of sum_gamma (1/gamma!) (d_xi^gamma a) (D^gamma b); with
     ``commutator``, those of a o b - b o a.
 
-    ``floor`` bounds the emitted degrees from below; ``gamma_cap``
-    truncates the derivative order of a o b (not of b o a).  With neither,
-    the series terminates only when the left factor is polynomial in xi or
-    the right factor is free of modes; otherwise the loop would not end, so
-    it raises ``ValidationError`` instead.  Each ordering has its own level
+    ``floor`` bounds the emitted degrees from below.  With no floor, the
+    series terminates only when the left factor is polynomial in xi or the
+    right factor is free of modes; otherwise the loop would not end, so it
+    raises ``ValidationError`` instead.  Each ordering has its own level
     caps and is checked (termination, then ``_check_tower``) in turn, a o b
     first.
 
@@ -1115,19 +1113,19 @@ def compose_components(
     coefficients, dividing once.  A product is formed as in
     ``mul_terms``: left scalar first, then the system's phase.
     """
-    orderings = [(0, 1, gamma_cap), (1, 0, None)] if commutator else [(0, 1, gamma_cap)]
+    orderings = [(0, 1), (1, 0)] if commutator else [(0, 1)]
     factors = (comps_a, comps_b)
     level_caps, deepest = [], 0
-    for i, j, cap in orderings:
+    for i, j in orderings:
         left = [(d, t, terms_polynomial(t)) for d, t in factors[i].items() if t]
         right = [(d, t, any(any(mode) for mode, _a, _p in t)) for d, t in factors[j].items() if t]
-        if floor is None and cap is None and not (
+        if floor is None and not (
                 all(flag for *_c, flag in left) or not any(flag for *_c, flag in right)):
             raise ValidationError(
                 "composition of two complete symbols does not terminate here; "
                 "assign a finite trusted floor to one factor"
             )
-        caps = _level_caps(left, right, floor, cap)
+        caps = _level_caps(left, right, floor)
         depth = max(caps.values(), default=0)
         _check_tower(n, depth, "assign a higher trusted floor")
         level_caps.append(caps)
@@ -1141,7 +1139,7 @@ def compose_components(
     if phase is not None:
         second = keys.mode_shifts[1]
     out: dict[int, dict] = {}
-    for (i, j, _cap), caps, sign in zip(orderings, level_caps, (1, -1)):
+    for (i, j), caps, sign in zip(orderings, level_caps, (1, -1)):
         weights = _weights(deepest, sign)
         groups_b = []  # each right component's terms by mode (the mode fields of a key)
         for b_deg, b_terms in sides[j]:
@@ -1263,19 +1261,17 @@ def _check_tower(n: int, deepest: int, remedy: str) -> None:
         )
 
 
-def _level_caps(left: list, right: list, floor, gamma_cap) -> dict[tuple[int, int], int]:
+def _level_caps(left: list, right: list, floor) -> dict[tuple[int, int], int]:
     """The level rule of both engines: the deepest derivative order k of each
     pair (a_deg, b_deg) that reaches a level, from the components as (a_deg,
     terms, polynomial) and (b_deg, terms, moving).  The lowest emitted degree
-    ``floor`` sets a_deg + b_deg - k, ``gamma_cap`` caps k, the tower of a
-    polynomial left component vanishes past its degree, and D^gamma, gamma
-    != 0, kills a right component free of modes (``compose_components``'
-    termination check makes sure one applies)."""
+    ``floor`` sets a_deg + b_deg - k, the tower of a polynomial left
+    component vanishes past its degree, and D^gamma, gamma != 0, kills a
+    right component free of modes (``compose_components``' termination
+    check makes sure one applies)."""
     caps = {}
     for a_deg, _terms, polynomial in left:
         top = a_deg if polynomial else math.inf
-        if gamma_cap is not None and gamma_cap < top:
-            top = gamma_cap
         for b_deg, _terms, moving in right:
             k = top if floor is None or top < a_deg + b_deg - floor else a_deg + b_deg - floor
             if not moving and k > 0:
@@ -1352,7 +1348,7 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
             cuts = [_cut(plans[0][0], plans[1][1], flip), _cut(plans[1][0], plans[0][1], flip)]
             orderings, deepest = [], 0
             for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
-                caps = _level_caps(cuts[i][0], plans[j][0], -n, None)
+                caps = _level_caps(cuts[i][0], plans[j][0], -n)
                 level_of = {pair: k for pair, k in caps.items() if k == pair[0] + pair[1] + n}
                 depth = max(level_of.values(), default=0)
                 _check_tower(n, depth, "lower the orders of the factors")

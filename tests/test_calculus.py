@@ -429,7 +429,7 @@ def _commutator_symbols():
 
 def test_commutators_are_the_difference_of_the_two_compositions(monkeypatch):
     """One engine pass per commutator gives what composing in both orders and
-    subtracting gives: value, repr, order and floor; b o a takes no gamma cap."""
+    subtracting gives: value, repr, order and floor."""
     calls = []
     engine = T.compose_components
 
@@ -456,8 +456,7 @@ def test_commutators_are_the_difference_of_the_two_compositions(monkeypatch):
                 got = commutator_exp(s, direction, depth)
                 assert calls == [True]
                 low = got.trusted_floor
-                want = (_compose_impl(s, exp, low, gamma_cap=depth)
-                        - _compose_impl(exp, s, low))
+                want = _compose_impl(s, exp, low) - _compose_impl(exp, s, low)
                 assert (got, repr(got), got.order, got.trusted_floor) == (
                     want, repr(want), want.order, want.trusted_floor)
                 nonzero += not got.is_zero()
@@ -466,9 +465,8 @@ def test_commutators_are_the_difference_of_the_two_compositions(monkeypatch):
 
 def test_a_commutator_checks_each_ordering_in_turn():
     """The refusals of the two-compose route, a o b's first.  A complete
-    symbol that is not polynomial does not terminate before e^(i x_1)
-    unless that ordering is capped, and a o b's tower is refused before b o
-    a's termination is checked."""
+    symbol that is not polynomial does not terminate before e^(i x_1) in
+    either order, and a floor too deep for the tower is refused."""
     n = 2
     moving = ClassicalSymbol(n, 0, {-1: HomogeneousComponent(
         n, -1, [(1, (1, 0), (0, 0), -1)])}, None)
@@ -476,30 +474,8 @@ def test_a_commutator_checks_each_ordering_in_turn():
     for a, b in ((moving, exp), (exp, moving)):
         with pytest.raises(ValidationError, match="does not terminate"):
             _compose_impl(a, b, None, commutator=True)
-    got = _compose_impl(moving, exp, None, gamma_cap=2, commutator=True)
-    assert got == _compose_impl(moving, exp, None, gamma_cap=2) - _compose_impl(exp, moving, None)
-    assert not got.is_zero()
     with pytest.raises(ValidationError, match="multi-indices"):
-        _compose_impl(moving, moving, None, gamma_cap=60, commutator=True)
-
-
-def test_a_commutator_caps_only_a_o_b():
-    """``gamma_cap`` truncates a o b and leaves b o a whole, on pairs of
-    seeded symbols that both move and are not polynomial."""
-    syms = [s for s in _commutator_symbols() if s.trusted_floor is not None]
-    differs = 0
-    for s, t in zip(syms, syms[1:]):
-        if s.n != t.n:
-            continue
-        floor = max(s.trusted_floor + t.order, s.order + t.trusted_floor)
-        for cap in (0, 1):
-            got = _compose_impl(s, t, floor, gamma_cap=cap, commutator=True)
-            want = _compose_impl(s, t, floor, gamma_cap=cap) - _compose_impl(t, s, floor)
-            assert (got, repr(got)) == (want, repr(want))
-            both = _compose_impl(s, t, floor, gamma_cap=cap) - _compose_impl(
-                t, s, floor, gamma_cap=cap)
-            differs += got != both
-    assert differs >= 10
+        _compose_impl(moving, moving, -62, commutator=True)
 
 
 def test_a_commutator_packs_its_numerators_one_bit_wider(monkeypatch):

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from ncresidue.errors import (
     InsufficientExpansionError,
     ValidationError,
 )
-from ncresidue.nctorus import NCSymbol, Theta
+from ncresidue.nctorus import NCPolynomial, NCSymbol, Theta
 from ncresidue.scalars import ComplexRational
 from ncresidue.symbols import (
     ClassicalSymbol,
@@ -25,6 +27,7 @@ from ncresidue.symbols import (
     sphere_average,
     xi_symbol,
     zero_component,
+    _Symbol,
 )
 from ncresidue.dsl import random_symbol
 
@@ -395,6 +398,45 @@ def test_trig_polynomial_is_the_algebra_at_twist_zero():
     assert 2 * a == a * 2 == a.scale(2)
     assert not TrigPolynomial(2) and TrigPolynomial(2).is_zero()
     assert hash(a) == hash(TrigPolynomial(2, dict(a.coeffs)))
+
+
+def test_a_fourier_sum_is_an_order_0_symbol():
+    for poly in (TrigPolynomial(2), NCPolynomial(Theta.from_float(0.4))):
+        assert isinstance(poly, _Symbol) and (poly.order, poly.trusted_floor) == (0, None)
+
+
+def test_a_fourier_sum_keeps_its_own_float_steps_and_messages():
+    """What the symbol core would change for a Fourier sum: unary minus keeps
+    the sign of a float's zero part (``scale(-1)`` flips it), ``scale``
+    drops a product that rounds to zero, and a mismatch names both twists."""
+    th = Theta.from_float(0.4)
+    (neg,) = (-NCPolynomial(th, {(0, 1): 2})).coeffs.values()
+    assert neg == -2 and math.copysign(1, neg.imag) == -1
+    assert NCPolynomial(th, {(1, 0): 1e-300}).scale(1e-300).is_zero()
+    a = NCPolynomial(Theta.from_rational(Fraction(2, 5)), {(1, 0): 1})
+    b = NCPolynomial(Theta.from_rational(Fraction(1, 3)), {(1, 0): 1})
+    for op in (a.__add__, a.__sub__, a.__mul__):
+        with pytest.raises(ValidationError,
+                           match=re.escape("twist mismatch: Theta(2/5) vs Theta(1/3)")):
+            op(b)
+
+
+def test_equal_symbols_hash_equal_and_twisted_ones_stay_unhashable():
+    t = TrigPolynomial(2, {(1, 0): 2, (0, -1): Fraction(1, 3)})
+    assert hash(t) == hash(TrigPolynomial(2, {(0, -1): Fraction(1, 3), (1, 0): 2}))
+    # xi_1^2 + xi_2^2 and |xi|^2: one function, one canonical form
+    c = comp(2, 2, [(1, (1, 0), (2, 0), 0), (1, (1, 0), (0, 2), 0)])
+    d = comp(2, 2, [(1, (1, 0), (0, 0), 2)])
+    assert c == d and hash(c) == hash(d)
+    assert zero_component(2, 3) == zero_component(2, -1)
+    assert hash(zero_component(2, 3)) == hash(zero_component(2, -1))
+    # equality and the hash ignore the declared order
+    s, u = (ClassicalSymbol(2, order, {2: x}, 0) for order, x in ((2, c), (5, d)))
+    assert s == u and hash(s) == hash(u)
+    th = Theta.from_rational(Fraction(2, 5))
+    for x in (NCPolynomial(th, {(1, 0): 1}), NCSymbol(th, 0, {0: {((1, 0), (0, 0), 0): 1}})):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
 
 
 # -- term entries: plain ints, or a one-line refusal ----------------------------------

@@ -97,6 +97,12 @@ def _floor(a, b):
     return max(a.trusted_floor + b.order, a.order + b.trusted_floor)
 
 
+def _shallow_floor(ca, cb, depth):
+    """The floor at which the pairs of components of the largest degree sum
+    reach derivative order ``depth``, and every other pair less."""
+    return max(x + y for x in ca for y in cb) - depth
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_raw_tower_matches_per_level_canonical_reference(n):
     rng = random.Random(100 + n)
@@ -107,8 +113,9 @@ def test_raw_tower_matches_per_level_canonical_reference(n):
         kmax = max(x + y for x in ca for y in cb) - floor
         got = T.compose_components(system, n, ca, cb, floor)
         assert got == reference_compose(system, n, ca, cb, lambda d, k: d >= floor, kmax)
-        got = T.compose_components(system, n, ca, cb, None, gamma_cap=2)
-        assert got == reference_compose(system, n, ca, cb, lambda d, k: True, 2)
+        low = _shallow_floor(ca, cb, 2)
+        got = T.compose_components(system, n, ca, cb, low)
+        assert got == reference_compose(system, n, ca, cb, lambda d, k: d >= low, 2)
 
 
 @pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(5, 12)])
@@ -993,7 +1000,7 @@ def test_numerator_kernel_matches_unlifted_path(n):
         ca, cb = _coprime_bags(rng, raw_a), _coprime_bags(rng, raw_b)
         floor = _floor(a, b)
         emitted += len(_assert_same_as_unlifted(n, ca, cb, floor))
-        _assert_same_as_unlifted(n, ca, cb, None, gamma_cap=i % 3)
+        _assert_same_as_unlifted(n, ca, cb, _shallow_floor(ca, cb, i % 3))
         # a complete polynomial left factor, and a right factor free of modes
         poly = _coprime_bags(rng, _polynomial_bags(rng, n, 2 + i % 2))
         emitted += len(_assert_same_as_unlifted(n, poly, cb, None))
@@ -1092,10 +1099,10 @@ def test_cyclotomic_numerator_kernel_matches_unlifted_path(theta):
         system = a._system
         ca, cb = a._term_bags(), b._term_bags()
         floor = _floor(a, b)
-        for floor_, kw in ((floor, {}), (None, {"gamma_cap": i % 3})):
-            got = T.compose_components(system, 2, ca, cb, floor_, **kw)
+        for floor_ in (floor, _shallow_floor(ca, cb, i % 3)):
+            got = T.compose_components(system, 2, ca, cb, floor_)
             assert _sorted_repr(got) == _sorted_repr(
-                T.compose_components(unlifted, 2, ca, cb, floor_, **kw))
+                T.compose_components(unlifted, 2, ca, cb, floor_))
             assert all(type(s) is CyclotomicScalar for bag in got.values() for s in bag.values())
             emitted += sum(map(len, got.values()))
             stray |= {s.order for bag in got.values() for s in bag.values() if big % s.order}
@@ -1748,7 +1755,7 @@ def test_numerator_width_bounds_canonical_growth_by_alpha(monkeypatch):
          -1: {((0, 1), (1, 0), -2): cr(Fraction(1, 2))}}
     for s, t in ((a, b), (b, a)):
         assert _assert_same_as_unlifted(2, s, t, big - 3)
-        assert _assert_same_as_unlifted(2, s, t, None, gamma_cap=3)
+        assert _assert_same_as_unlifted(2, s, t, _shallow_floor(s, t, 3))
     assert len(widths) == 4
     assert all(new < 200 and old > 50_000 for new, old in widths)
 
@@ -1759,12 +1766,12 @@ def _large(rng, digits=300):
                     rng.choice([1, 3, 77, 2**64 + 13, 10**40 + 9]))
 
 
-def _assert_matches_reference(n, a, b, floor=None, gamma_cap=None):
+def _assert_matches_reference(n, a, b, floor=None):
     if floor is None:
-        keep, kmax = (lambda d, k: True), gamma_cap
+        keep, kmax = (lambda d, k: True), None
     else:
         keep, kmax = (lambda d, k: d >= floor), max(x + y for x in a for y in b) - floor
-    got = T.compose_components(T.RATIONAL_SYSTEM, n, a, b, floor, gamma_cap=gamma_cap)
+    got = T.compose_components(T.RATIONAL_SYSTEM, n, a, b, floor)
     assert got
     assert got == reference_compose(T.RATIONAL_SYSTEM, n, a, b, keep, kmax)
     return got
@@ -1821,7 +1828,7 @@ def test_compose_whose_canonical_form_expands_matches_the_reference(n, h):
     a = {2 * h + 1: {(z, (2 * h + 1,) + z[1:], 0): ComplexRational(1),
                      (e1, (0, 1) + z[2:], 2 * h): ComplexRational(1)}}
     b = {0: {(z, z, 0): ComplexRational(1), (tuple(-x for x in e1), z, 0): ComplexRational(1)}}
-    got = _assert_matches_reference(n, a, b, gamma_cap=0)
+    got = _assert_matches_reference(n, a, b, floor=_shallow_floor(a, b, 0))
     coefficient = max(abs(s.re) for s in got[2 * h + 1].values())
     assert coefficient == math.factorial(h) // prod(
         math.factorial(h // n + (j < h % n)) for j in range(n))
@@ -1930,13 +1937,13 @@ def test_compose_matches_the_literal_gamma_sum(n, theta):
                 for d, bag in _polynomial_bags(rng, n, 1 + i).items()}
         free = {d: {((0,) * n, al, p): s for (_m, al, p), s in bag.items()}
                 for d, bag in cb.items()}
-        cases = [(ca, cb, floor, None, max(x + y for x in ca for y in cb) - floor)]
-        cases += [(ca, cb, None, cap, cap) for cap in range(4)]
+        cases = [(ca, cb, floor, max(x + y for x in ca for y in cb) - floor)]
+        cases += [(ca, cb, _shallow_floor(ca, cb, depth), depth) for depth in range(4)]
         # complete: a polynomial left factor's tower ends, a mode-free right factor
         # meets level 0 only (the literal sum runs two levels past it, to zeros)
-        cases += [(poly, cb, None, None, None), (ca, free, None, None, 2)]
-        for s, t, fl, cap, kmax in cases:
-            got = T.compose_components(system, n, s, t, fl, gamma_cap=cap)
+        cases += [(poly, cb, None, None), (ca, free, None, 2)]
+        for s, t, fl, kmax in cases:
+            got = T.compose_components(system, n, s, t, fl)
             raw = _literal_gamma_sum(system, n, s, t, fl, kmax)
             assert got == _canonical_degrees(_reference_canonical, n, raw)
             assert _sorted_repr(got) == _sorted_repr(_canonical_degrees(T.canonical_terms, n, raw))

@@ -431,6 +431,10 @@ def test_stage_times_runs_a_checkout_round(tmp_path, monkeypatch, capsys):
     (bench / "workloads.py").write_text(f"SOURCE = {_STUB_TERMS!r}\n" + _STUB_WORKLOADS)
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(stage_times, "ROUNDS", 2)
+    # a session that also collected bench/ holds the repo's modules by these
+    # names: set them aside so the stubs load, and have them put back after
+    for name in ("run", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
     try:
         assert stage_times.main([str(tmp_path), "--workload", "stub", "--seed", "5"]) == 0
     finally:

@@ -75,10 +75,10 @@ It prints, on seeded inputs:
   width rule allows;
 - ``terms.compose_components`` in both calculi (dimensions 2 and 3, theta
   2/5 and 7/30) on right factors whose components hold several terms of
-  one mode and terms of mode zero: down to the composed floor, with
-  ``gamma_cap`` 0 to 3, and complete with a polynomial left factor or a
-  mode-free right one; and a left term xi_1 |xi|^(2^20) of mode (1, 0)
-  against a small partner, in both orders;
+  one mode and terms of mode zero: down to the composed floor, and
+  complete with a polynomial left factor or a mode-free right one; and a
+  left term xi_1 |xi|^(2^20) of mode (1, 0) against a small partner, in
+  both orders, down to a floor four orders below the top pair;
 - ``compose`` in both orders of classical pairs (n = 2, 3) whose products
   hold multiples of xi_1^2 + ... + xi_n^2, or shells that vanish at the
   point canonical form's certificate evaluates at without being multiples,
@@ -713,9 +713,9 @@ def _polynomial(rng, coerce, n, top):
 def dump_compositions_by_mode(lib, out):
     """``terms.compose_components`` in both calculi on right factors whose
     components hold several terms of one mode and terms of mode zero: down to
-    the composed floor, with ``gamma_cap`` 0 to 3, and complete (no floor, no
-    cap) with a polynomial left factor or a mode-free right one; and a left
-    term xi_1 |xi|^(2^20) of mode (1, 0) against a small partner."""
+    the composed floor, and complete (no floor) with a polynomial left factor
+    or a mode-free right one; and a left term xi_1 |xi|^(2^20) of mode (1, 0)
+    against a small partner."""
     T = lib.terms
     CR = lib.scalars.ComplexRational
     cases = [(f"n={n}", n, T.RATIONAL_SYSTEM, None) for n in (2, 3)]
@@ -733,13 +733,10 @@ def dump_compositions_by_mode(lib, out):
             free = {d: {((0,) * n, al, p): s for (_m, al, p), s in bag.items()}
                     for d, bag in cb.items()}
             poly = _polynomial(rng, system.coerce, n, 1 + k % 3)
-            runs = [("floor", ca, cb, floor, None)]
-            runs += [(f"cap {cap}", ca, cb, None, cap) for cap in range(4)]
-            runs += [("complete polynomial left", poly, cb, None, None),
-                     ("complete mode-free right", ca, free, None, None)]
-            for tag, s, t, fl, cap in runs:
-                got = _outcome(lambda: _bags_repr(
-                    T.compose_components(system, n, s, t, fl, gamma_cap=cap)))
+            runs = [("floor", ca, cb, floor), ("complete polynomial left", poly, cb, None),
+                    ("complete mode-free right", ca, free, None)]
+            for tag, s, t, fl in runs:
+                got = _outcome(lambda: _bags_repr(T.compose_components(system, n, s, t, fl)))
                 out(f"by mode {name} pair {k} {tag}: {got}")
         big = 2**20
         one = system.coerce(CR(1))
@@ -750,10 +747,9 @@ def dump_compositions_by_mode(lib, out):
         a, b = ({d: {(m + (0,) * (n - 2), al + (0,) * (n - 2), p): s for (m, al, p), s in bag.items()}
                  for d, bag in f.items()} for f in (a, b))
         for tag, s, t in (("ab", a, b), ("ba", b, a)):
-            for fl, cap in ((None, 3), (big - 3, None)):
-                got = _outcome(lambda: _bags_repr(
-                    T.compose_components(system, n, s, t, fl, gamma_cap=cap)))
-                out(f"by mode {name} |xi|^(2^20) {tag} floor {fl} cap {cap}: {got}")
+            got = _outcome(lambda: _bags_repr(T.compose_components(system, n, s, t, big - 3)))
+            # "cap None" keeps these lines as older dumps print them
+            out(f"by mode {name} |xi|^(2^20) {tag} floor {big - 3} cap None: {got}")
 
 
 # (label, n, sigma, tau): each factor (order, trusted floor, terms (re, im, mode,
