@@ -102,12 +102,12 @@ def _axis(n: int, direction: int) -> int:
     return direction - 1
 
 
-def _dimension(n: int) -> int:
-    """``n`` as an ``int``, refused below 2."""
+def _dimension(n: int, least: int = 2) -> int:
+    """``n`` as an ``int``, refused below ``least``."""
     if type(n) is not int:
         n = _index(n, "dimension")
-    if n < 2:
-        raise ValidationError(f"dimension must be at least 2, got {n}")
+    if n < least:
+        raise ValidationError(f"dimension must be at least {least}, got {n}")
     return n
 
 
@@ -443,9 +443,13 @@ class _FourierSum(_Symbol):
 
 
 class TrigPolynomial(_Torus, _FourierSum):
-    """A finite Fourier sum on the n-torus with exact coefficients."""
+    """A finite Fourier sum on the n-torus with exact coefficients; the
+    circle, n = 1, is admitted."""
 
     __slots__ = ()
+
+    def __init__(self, n: int, coeffs: dict | None = None):
+        super().__init__(_dimension(n, 1), coeffs)
 
     def hat(self, mode) -> ComplexRational:
         return self._coefficient(tuple(mode))

@@ -29,10 +29,16 @@ one call of the one xi-derivative kernel (``_chain``); level k meets the
 right terms of mode v with the integer weight K!/k! (``_weights``, one
 cache for both engines), K! going into the one denominator lowered at the
 end, so no ``Fraction`` is formed on the way.  ``residue_pairing`` plans
-each factor once, cuts it to the modes that face the other's, builds the
-same chains in the one direction whose products reach mode zero, the last
-level cut by parity inside the kernel, and sums the products by alpha,
-both orderings of a commutator into one bag with opposite signs.  Both
+each factor once and walks, per ordering, one list of the left groups
+with their meets (``_walks``): a right group of the facing mode, at the
+level the level rule gives, kept only when the parity rule lets that
+level reach an even product (a step along xi_j flips the parity of
+alpha_j alone, so a level-k term keeps its parities off the mode's
+support and changes their count on it by k mod 2; ``_parity_admits``).
+It builds the same chains in the one direction whose products reach mode
+zero, each only as deep as its deepest meet and its last level cut by
+parity inside the kernel, and sums the products by alpha, both orderings
+of a commutator into one bag with opposite signs.  Both
 engines share the level rule (``_level_caps``), the numerator map and the
 steps of each direction, which a layout keeps in its ``directions`` memo
 (``_direction``, and the parity cuts of ``_parity_cut``), so a mode's
@@ -454,13 +460,15 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
     into one bag at the deeper ordering's depth K.  Each ordering forms the
     chain levels, weighted right terms and products of the composition in
     that order at depth K (the bound is symmetric in the factors and grows
-    with K), restricted to the pairs that reach mode zero, negated for b o
-    a.  A sum over alpha in the bag is a partial sum of the products of a o
-    b plus one of b o a, so its N is at most twice the bound, which the
-    width covers, as the pass takes no canonical form: at K = 0 it charges
-    the count C(n, n) = 1 a bit, at K >= 1 and n >= 2 canonical form's n^s,
-    s = span >= 1, and at n = 1, where a pair of terms meets at one level k
-    of one gamma, the count K + 1 >= 2.  The sphere integral of the bag
+    with K), restricted to the pairs that reach mode zero and can reach an
+    even product (``_walks``: the norms and sizes are those of the groups
+    on its walk lists, which are all the call puts on numerators), negated
+    for b o a.  A sum over alpha in the bag is a partial sum of the
+    products of a o b plus one of b o a, so its N is at most twice the
+    bound, which the width covers, as the pass takes no canonical form: at
+    K = 0 it charges the count C(n, n) = 1 a bit, at K >= 1 and n >= 2
+    canonical form's n^s, s = span >= 1, and at n = 1, where a pair of
+    terms meets at one level k of one gamma, the count K + 1 >= 2.  The sphere integral of the bag
     sums the parts a and b of its balanced values as plain ``int``s, so it
     needs no width.  A ``compose_components`` commutator does take canonical
     form, of the sum of c = 2 compositions, each within the bound before it,
@@ -1327,15 +1335,17 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     sum stays raw and is never canonicalized.
 
     A call sets itself up once: one pass per factor packs and groups its
-    terms (``_plan``), each is cut to the groups whose mode faces one of the
-    other's (``_cut``), and components meet at level a_deg + b_deg + n when
-    the level rule admits it at floor -n; each ordering's deepest level is
-    bounded (``_check_tower``, a o b first) before any numerator is formed.
-    The layout covers the facing terms at the deeper depth K (the factors
-    are planned again under a wider one when they or the modes need it).
-    Both orderings share the plans, one numerator map and the layout's
-    directions memo, and run into one bag at depth K (``_pairing_pass``): a o b
-    with the weights K!/k!, b o a with -K!/k!, so the commutator is
+    terms (``_plan``), and each ordering gets one walk list (``_walks``):
+    the left groups, each with its meets, the right groups it reaches at
+    the level the level rule gives and where the parity rule lets a
+    product be even.  Each ordering's deepest level is bounded
+    (``_check_tower``, a o b first) before any numerator is formed.  The
+    layout covers the terms of the groups on a walk at the deeper depth K
+    (the factors are planned again under a wider one when they or the
+    modes need it), and only those groups are put on numerators.  Both
+    orderings share the plans, one numerator map and the layout's
+    directions memo, and run into one bag at depth K (``_pairing_pass``): a
+    o b with the weights K!/k!, b o a with -K!/k!, so the commutator is
     reduced, integrated and lowered once, and a single ordering is the same
     pass with one sign.
     """
@@ -1344,24 +1354,13 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
         plans = [_plan(keys, comps_a), _plan(keys, comps_b)]
         width = (4 * max(plans[0][2], plans[1][2])).bit_length() + 1
         if width <= keys.width:  # no two modes share their mode fields
-            flip = 2 * (keys.offsets >> keys.mode_shifts[0])
-            cuts = [_cut(plans[0][0], plans[1][1], flip), _cut(plans[1][0], plans[0][1], flip)]
-            orderings, deepest = [], 0
-            for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
-                caps = _level_caps(cuts[i][0], plans[j][0], -n)
-                level_of = {pair: k for pair, k in caps.items() if k == pair[0] + pair[1] + n}
-                depth = max(level_of.values(), default=0)
-                _check_tower(n, depth, "lower the orders of the factors")
-                orderings.append([cuts[i][0], cuts[j][1], level_of])
-                deepest = max(deepest, depth)
-            sizes = tuple(map(max, cuts[0][3], cuts[1][3]))
+            walks, deepest, bags, sizes = _walks(keys, n, plans, commutator)
             width = (4 * (max(sizes) + deepest)).bit_length() + 1
             if width <= keys.width:
                 break
         keys = Keys(n, -(-width // _TIER) * _TIER)
-    nums, den = system.numerator_map(cuts[0][2], cuts[1][2], n, sizes, deepest)
-    for ordering, sign in zip(orderings, (1, -1)):
-        ordering.append(_weights(deepest, sign))
+    nums, den = system.numerator_map(*bags, n, sizes, deepest)
+    orderings = [(walk, _weights(deepest, sign)) for walk, sign in zip(walks, (1, -1))]
     return _pairing_pass(system, keys, nums, orderings, den * _weights(deepest, 1)[0])
 
 
@@ -1369,9 +1368,10 @@ def _plan(keys: Keys, comps: dict[int, dict]):
     """(plan, fields, reach): a factor's terms packed as ``Keys.pack`` packs
     them and grouped by degree and mode, in one pass: (degree, {mode fields:
     group}, moving) per component, a group being [packed bag, F_xi, F_mode,
-    A, polynomial] (``pack_terms``' sizes, and whether every |xi| power is
-    even and nonnegative); the mode fields tell the modes apart when
-    ``reach``, the largest |mode entry|, is below the layout's ``half``."""
+    A, polynomial, walked] (``pack_terms``' sizes, whether every |xi| power
+    is even and nonnegative, and whether a walk list holds it, for
+    ``_walks``); the mode fields tell the modes apart when ``reach``, the
+    largest |mode entry|, is below the layout's ``half``."""
     modes, alphas, weight = keys.modes, keys.alphas, keys.npow_weight
     first = keys.mode_shifts[0]
     zero = keys.offsets >> first  # the mode fields of mode zero
@@ -1386,7 +1386,7 @@ def _plan(keys: Keys, comps: dict[int, dict]):
             field = zero + (m[1] >> first)
             g = groups.get(field)
             if g is None:
-                g = groups[field] = [{}, 0, m[0], 0, True]
+                g = groups[field] = [{}, 0, m[0], 0, True, False]
             g[0][a[1] + m[1] + npow * weight] = s
             if a[0] + abs(npow) > g[1]:
                 g[1] = a[0] + abs(npow)
@@ -1399,100 +1399,175 @@ def _plan(keys: Keys, comps: dict[int, dict]):
     return plan, fields, reach
 
 
-def _cut(plan: list, other: set, flip: int):
-    """(left, index, bags, sizes): the groups of a plan whose mode fields face
-    one of ``other`` (those of -u are ``flip`` minus those of u) as (degree,
-    {mode fields: group}, polynomial) entries, by mode fields, and their
-    packed bags, in order, with the largest of their sizes (F_xi, F_mode,
-    A)."""
-    left, index, bags = [], {}, []
+def _walks(keys: Keys, n: int, plans: list, commutator: bool):
+    """(walks, K, (bags of a, bags of b), (F_xi, F_mode, A)): the walk list
+    of each ordering of the ``plans`` (``_plan``), a o b first, its deepest
+    level K, and the packed bags of the groups on a walk, per factor, with
+    the largest of their sizes.
+
+    A left group of mode -v meets a right group of mode v (their mode
+    fields add to ``flip``) at level k = a_deg + b_deg + n when the level
+    rule (``_level_caps`` at floor -n, over the components cut to their
+    groups that face the other factor) admits that pair of degrees, and the
+    parity rule (``_parity_admits``) lets level k reach an even product.  A
+    walk list holds (mode fields of v, left bag, deepest k, [(k, right
+    bag), ...]) for each left group with a meet, in plan order, its meets
+    in the right factor's; a group on no walk is never put on numerators
+    and sizes nothing.  K is the deepest level the level rule admits,
+    whether or not its meets survive, so the weights, the denominator and
+    the tower bound are those of the full pairing.
+    """
+    flip = 2 * (keys.offsets >> keys.mode_shifts[0])
+    odd = (keys.offsets & keys.alpha_mask) >> (keys.width - 1)
+    directions = keys.directions
+    used: tuple[list, list] = ([], [])  # per factor, the groups on a walk
+    walks, deepest = [], 0
+    for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
+        other = plans[j][1]
+        left = []  # (degree, [(mode fields, group) facing one of the other's], polynomial)
+        for deg, groups, _moving in plans[i][0]:
+            faced, polynomial = [], True
+            for field, g in groups.items():
+                if flip - field in other:
+                    faced.append((field, g))
+                    polynomial = polynomial and g[4]
+            if faced:
+                left.append((deg, faced, polynomial))
+        rows: dict[int, dict] = {}  # a_deg -> {b_deg: k}, in the right factor's order
+        depth = 0
+        for (a_deg, b_deg), k in _level_caps(left, plans[j][0], -n).items():
+            if k == a_deg + b_deg + n:
+                rows.setdefault(a_deg, {})[b_deg] = k
+                if k > depth:
+                    depth = k
+        _check_tower(n, depth, "lower the orders of the factors")
+        if depth > deepest:
+            deepest = depth
+        right = {deg: groups for deg, groups, _moving in plans[j][0]}
+        walk, mine, theirs = [], used[i], used[j]
+        for a_deg, faced, _polynomial in left:
+            row = rows.get(a_deg)
+            if row is None:
+                continue
+            for field, g in faced:
+                partner, bag, supp, kept, top = flip - field, g[0], None, [], 0
+                for b_deg, k in row.items():
+                    h = right[b_deg].get(partner)
+                    if h is None:
+                        continue
+                    if supp is None:  # the parity bits of the axes where v is nonzero
+                        steps = (directions.get(partner) or _direction(keys, partner))[1]
+                        supp = sum([1 << step[0] for step in steps])
+                        off = odd ^ supp
+                    if _parity_admits(bag, h[0], supp, off, k):
+                        kept.append((k, h[0]))
+                        if k > top:
+                            top = k
+                        if not h[5]:
+                            h[5] = True
+                            theirs.append(h)
+                if kept:
+                    if not g[5]:
+                        g[5] = True
+                        mine.append(g)
+                    walk.append((partner, bag, top, kept))
+        walks.append(walk)
     f_xi = f_mode = f_alpha = 0
-    for deg, groups, _moving in plan:
-        faced, polynomial = {}, True
-        for field, g in groups.items():
-            if flip - field in other:
-                faced[field] = g
-                bags.append(g[0])
-                index.setdefault(field, []).append((deg, g))
-                polynomial = polynomial and g[4]
-                if g[1] > f_xi:
-                    f_xi = g[1]
-                if g[2] > f_mode:
-                    f_mode = g[2]
-                if g[3] > f_alpha:
-                    f_alpha = g[3]
-        if faced:
-            left.append((deg, faced, polynomial))
-    return left, index, bags, (f_xi, f_mode, f_alpha)
+    for groups in used:
+        for g in groups:
+            if g[1] > f_xi:
+                f_xi = g[1]
+            if g[2] > f_mode:
+                f_mode = g[2]
+            if g[3] > f_alpha:
+                f_alpha = g[3]
+    bags = tuple([[g[0] for g in groups] for groups in used])
+    return walks, deepest, bags, (f_xi, f_mode, f_alpha)
+
+
+def _parity_admits(left: dict, right: dict, supp: int, off: int, k: int) -> bool:
+    """The parity rule: whether level k of a chain along v from the packed
+    bag ``left`` can meet a term of the packed bag ``right`` in an even
+    product; ``supp`` and ``off`` hold the parity bits (the low bit of each
+    alpha field) of the axes where v is nonzero and of the others.  A step
+    of v . grad_xi along xi_j, v_j nonzero, flips the parity of alpha_j
+    alone, so a level-k term keeps its left term's parities off supp(v),
+    and its count of odd exponents on supp(v) changes by k mod 2.  A
+    product is even when its two terms' parities are equal: the parities
+    of some left and right term must differ on supp(v) alone, in a count of
+    bits of k's parity.  Along v = 0 no step is taken, so only level 0 is
+    built."""
+    if k and not supp:
+        return False
+    for p in left:
+        for q in right:
+            d = p ^ q
+            if not d & off and not ((d & supp).bit_count() + k) & 1:
+                return True
+    return False
 
 
 def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
     """The pair of ``residue_pairing`` over ``den``: the products of each
-    ordering (left components, right index (``_cut``), level_of, weights)
-    on the numerators ``nums``, summed into one bag.
+    ordering (walk list (``_walks``), weights) on the numerators ``nums``,
+    summed into one bag.
 
-    It runs on the chains of ``compose_components``: a left term of mode -v
-    meets only right terms of mode v, so per left (degree, mode) one chain
-    a, (v . grad_xi) a, ... is built in one call (``_chain``, with v's
-    steps from the layout's ``directions`` memo), and its level k =
-    ``level_of[(a_deg, b_deg)]`` meets the right terms of mode v with the
-    integer weight ``weights[k]``, +-K!/k!, left scalar first, then the
-    phase.  A product with an odd exponent integrates to zero: one mask on
-    the low bit of each alpha field (the offset 2^(width - 1) is even)
-    skips it, and the rest are summed on their alpha fields.  A step along
-    xi_j flips the parity of alpha_j alone, so the chain's last level takes
-    from each term only the steps that reach the parity of a right term it
-    meets (the kernel's cut, a table from a term's parity to those steps).
-    The bag is integrated by ``sphere_integral``.
+    It runs on the chains of ``compose_components``: a left group of mode
+    -v meets only right groups of mode v, so for each entry (v, left bag,
+    deepest k, meets) of a walk list one chain a, (v . grad_xi) a, ... is
+    built in one call (``_chain``, with v's steps from the layout's
+    ``directions`` memo), as deep as its deepest meet, and its level k
+    meets the right terms of that meet with the integer weight
+    ``weights[k]``, +-K!/k!, left scalar first, then the phase.  The walk
+    lists hold only meets that can reach an even product, and a mode-zero
+    group only at level 0, which needs no chain.  A product with an odd
+    exponent integrates to zero: one mask on the low bit of each alpha
+    field (the offset 2^(width - 1) is even) skips it, and the rest are
+    summed on their alpha fields.  A step along xi_j flips the parity of
+    alpha_j alone, so the chain's last level takes from each term only the
+    steps that reach the parity of a right term it meets (the kernel's cut,
+    a table from a term's parity to those steps).  The bag is integrated by
+    ``sphere_integral``.
     """
     w, offsets, alpha_mask = keys.width, keys.offsets, keys.alpha_mask
-    flip = 2 * (offsets >> keys.mode_shifts[0])  # the mode fields of -v are flip minus those of v
     odd = (offsets & alpha_mask) >> (w - 1)  # the low bit of each alpha field
     phase, directions = system.phase, keys.directions
     out: dict = {}
-    for left, right, level_of, weights in orderings:
-        for a_deg, by_mode, _polynomial in left:
-            for field, group in by_mode.items():
-                partner = flip - field
-                meets = [(k, g[0]) for b_deg, g in right[partner]
-                         if (k := level_of.get((a_deg, b_deg))) is not None]
-                if not meets:
-                    continue
-                v, steps = directions.get(partner) or _direction(keys, partner)
-                ph = None if phase is None else phase(-v[1], v[0])
-                # along v = 0 every step is empty: only level 0 is built
-                top = max([k for k, _terms in meets]) if steps else 0
-                if top:  # the last level cut by parity, to the right terms' at level top
-                    wanted = frozenset([key & odd for k, terms in meets if k == top
-                                        for key in terms])
-                    table = directions.get((partner, wanted)) or _parity_cut(keys, partner, wanted)
-                    chain = _chain(keys, group[0], steps, top, (odd, table))
-                else:
-                    chain = [group[0]]
-                for k, terms in meets:
-                    level = chain[k] if k < len(chain) else None
-                    if not level:
-                        continue  # the chain has ended
-                    for k2, s2 in terms.items():
-                        base, weighted = k2 - offsets, s2 * weights[k]
-                        for k1, s1 in level.items():
-                            key = k1 + base
-                            if key & odd:
-                                continue
-                            key &= alpha_mask
-                            s = s1 * weighted
-                            if ph is not None:
-                                s = s * ph
-                            cur = out.get(key)
-                            if cur is None:
-                                if s:
-                                    out[key] = s
+    for walk, weights in orderings:
+        for partner, bag, top, meets in walk:
+            v, steps = directions.get(partner) or _direction(keys, partner)
+            ph = None if phase is None else phase(-v[1], v[0])
+            if top:  # the last level cut by parity, to the right terms' at level top
+                wanted = frozenset([key & odd for k, terms in meets if k == top
+                                    for key in terms])
+                table = directions.get((partner, wanted)) or _parity_cut(keys, partner, wanted)
+                chain = _chain(keys, bag, steps, top, (odd, table))
+            else:
+                chain = [bag]
+            for k, terms in meets:
+                level = chain[k] if k < len(chain) else None
+                if not level:
+                    continue  # the chain has ended
+                for k2, s2 in terms.items():
+                    base, weighted = k2 - offsets, s2 * weights[k]
+                    for k1, s1 in level.items():
+                        key = k1 + base
+                        if key & odd:
+                            continue
+                        key &= alpha_mask
+                        s = s1 * weighted
+                        if ph is not None:
+                            s = s * ph
+                        cur = out.get(key)
+                        if cur is None:
+                            if s:
+                                out[key] = s
+                        else:
+                            s = cur + s
+                            if s:
+                                out[key] = s
                             else:
-                                s = cur + s
-                                if s:
-                                    out[key] = s
-                                else:
-                                    del out[key]
+                                del out[key]
     return sphere_integral(nums, keys, out, den)
 
 

@@ -385,6 +385,25 @@ def test_trig_polynomial_sum_across_dimensions_is_a_validation_error():
             op(b)
 
 
+def test_trig_polynomial_refuses_a_dimension_below_one_or_not_an_integer():
+    """A dimension below 1, or one that is not an integer, is refused when the
+    sum is built, so no later sum or product reaches the term engine with
+    it; the circle, n = 1, constructs, adds and multiplies."""
+    for n, coeffs, message in ((0, {(): 1}, "at least 1, got 0"), (-2, {}, "at least 1, got -2"),
+                               (2.0, {(0, 0): 1}, "2.0 is not an integer"),
+                               ("2", {}, "'2' is not an integer")):
+        with pytest.raises(ValidationError, match=message):
+            TrigPolynomial(n, coeffs)
+    a = TrigPolynomial(1, {(1,): 2, (0,): Fraction(1, 2)})
+    b = TrigPolynomial(1, {(-1,): ComplexRational(0, 1)})
+    assert a.n == 1 and a.hat((1,)) == 2
+    assert a + b == TrigPolynomial(
+        1, {(1,): 2, (0,): Fraction(1, 2), (-1,): ComplexRational(0, 1)})
+    assert (a - a).is_zero()
+    assert a * b == TrigPolynomial(1, {(0,): ComplexRational(0, 2),
+                                       (-1,): ComplexRational(0, Fraction(1, 2))})
+
+
 def test_trig_polynomial_is_the_algebra_at_twist_zero():
     # a commutative convolution algebra: the product is the convolution, the
     # adjoint conjugates and reflects, the trace is the mode-zero coefficient

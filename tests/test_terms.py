@@ -854,8 +854,8 @@ def test_trace_defect_vanishes_on_every_facing_monomial_pair(box):
 def _weights_from_level_zero(passes):
     """The pass with every level weighted K!/1, level 0's weight, for K!/k!."""
     def mutant(system, keys, nums, orderings, den):
-        return passes(system, keys, nums, [(left, right, levels, [w[0]] * len(w))
-                                           for left, right, levels, w in orderings], den)
+        return passes(system, keys, nums, [(walk, [w[0]] * len(w)) for walk, w in orderings],
+                      den)
     return mutant
 
 
@@ -876,8 +876,7 @@ def _both_orderings_added(passes):
     """The pass with b o a's weights +K!/k!, a o b's sign."""
     def mutant(system, keys, nums, orderings, den):
         return passes(system, keys, nums,
-                      [(left, right, levels, [abs(x) for x in w])
-                       for left, right, levels, w in orderings], den)
+                      [(walk, [abs(x) for x in w]) for walk, w in orderings], den)
     return mutant
 
 
@@ -892,6 +891,14 @@ def _last_level_dropped(chain_of):
     return mutant
 
 
+def _parity_one_level_deeper(admits):
+    """The parity rule read at level k + 1: it drops the meets whose level k
+    reaches an even product, and keeps those whose products are all odd."""
+    def mutant(left, right, supp, off, k):
+        return admits(left, right, supp, off, k + 1)
+    return mutant
+
+
 # each mutant of the one-bag defect: the function of ``terms`` it replaces,
 # how, the box it is swept on and the checks of the sweep it fails there
 _MUTANTS = {
@@ -899,6 +906,7 @@ _MUTANTS = {
     "phase entry": ("_pairing_pass", _phase_from_the_wrong_entry, 3, {"residue"}),
     "level dropped": ("_chain", _last_level_dropped, 0, {"residue"}),
     "sign": ("_pairing_pass", _both_orderings_added, 0, {"defect", "two-call"}),
+    "parity k + 1": ("_parity_admits", _parity_one_level_deeper, 0, {"residue"}),
 }
 
 
@@ -957,6 +965,66 @@ def test_a_term_that_faces_nothing_does_not_widen_the_residue_layout(monkeypatch
     assert len(widths) == 12 and set(widths) == {T._TIER} and not layouts
     monkeypatch.undo()
     assert _residue_of_composition(wide_a, wide_b) == residue(compose(wide_a, wide_b))
+
+
+def test_a_term_whose_meets_are_all_odd_builds_no_chain(monkeypatch):
+    """The left factor gets two terms past what the 8-bit layout holds, each
+    facing a small term of the other factor at level 1, where every product
+    has an odd exponent: one meets an odd alpha_0 off its mode's axis, the
+    other the same parities on its mode's axes, where level 1 flips one.
+    Neither meet survives the parity rule, so the residue path keeps the
+    narrow layout, hands the same bags to the numerator map and builds the
+    same chains as without those terms, and the residues are theirs."""
+    def sym(order, terms, floor):
+        return ClassicalSymbol(2, order, {order: HomogeneousComponent(2, order, terms)}, floor)
+
+    cr = ComplexRational
+    a_terms = [(cr(Fraction(3, 7), 2), (1, 0), (1, 0), -2)]
+    dead = [(cr(1, 1), (0, 2), (0, 40), -41), (cr(1, -1), (2, 1), (41, 0), -42)]
+    a, wide_a = sym(-1, a_terms, -3), sym(-1, a_terms + dead, -3)
+    b = sym(0, [(cr(-5), (-1, 0), (2, 0), -2), (cr(2), (0, -2), (1, 0), -1),
+                (cr(3), (-2, -1), (1, 0), -1)], -2)
+    assert (4 * 83).bit_length() + 1 > T._TIER
+    st, ts = _residue_of_composition(a, b), _residue_of_composition(b, a)
+    assert not st.is_zero() and not ts.is_zero()
+    calls, layouts = [], []
+    passes, mapping, chain_of, keys_class = (T._pairing_pass, T.RationalSystem.numerator_map,
+                                             T._chain, T.Keys)
+
+    def recording_pass(system, keys, *args):
+        calls.append(("width", keys.width))
+        return passes(system, keys, *args)
+
+    def recording_map(left, right, *args):
+        calls.append(("map", [list(bag.values()) for bag in left + right]))
+        return mapping(left, right, *args)
+
+    def recording_chain(keys, bag, steps, top, cut=None):
+        calls.append(("chain", len(bag), top))
+        return chain_of(keys, bag, steps, top, cut)
+
+    class Recording(keys_class):
+        def __init__(self, n, width):
+            layouts.append(width)
+            super().__init__(n, width)
+
+    def run(s, t):
+        calls.clear()
+        got = [_residue_of_composition(s, t), _residue_of_composition(t, s), trace_defect(s, t)]
+        return got, list(calls)
+
+    monkeypatch.setattr(T, "_pairing_pass", recording_pass)
+    monkeypatch.setattr(T.RationalSystem, "numerator_map", staticmethod(recording_map))
+    monkeypatch.setattr(T, "_chain", recording_chain)
+    monkeypatch.setattr(T, "Keys", Recording)
+    want, want_calls = run(a, b)
+    got, got_calls = run(wide_a, b)
+    assert want == got == [st, ts, st - ts]
+    assert got_calls == want_calls and not layouts
+    assert ("width", T._TIER) in got_calls and any(c[0] == "chain" for c in got_calls)
+    assert all(call[1] == T._TIER for call in got_calls if call[0] == "width")
+    monkeypatch.undo()
+    assert st == residue(compose(wide_a, b)) and ts == residue(compose(b, wide_a))
 
 
 def test_trace_defect_sets_each_factor_up_once(monkeypatch):
@@ -2336,16 +2404,18 @@ def _counting_chain(built):
 
 def test_nc_trace_pool_builds_the_last_chain_level_by_parity(monkeypatch):
     """Op count of the single-ordering residues, both orders, of the 864
-    pairs of the nc-trace pool at seed 7: the terms the chains build.  The
-    last level of a chain is built only where it meets a right term's
-    parity; built whole, as every other level is, the chains hold 9,834
-    terms."""
+    pairs of the nc-trace pool at seed 7: the terms the chains build.  A
+    chain is built only for a left group with a meet that can reach an even
+    product, and only as deep as its deepest such meet; its last level
+    only where it meets a right term's parity.  Built whole, as every other
+    level is, the chains hold 4,956 terms; walking every meet of the level
+    rule, with the last level cut, they held 3,265 + 1,827."""
     built = [0, 0]  # terms of whole steps, terms of last steps cut by parity
     monkeypatch.setattr(T, "_chain", _counting_chain(built))
     for sigma, tau in _nc_trace_pool(7):
         _nc_residue_of_composition(sigma, tau)
         _nc_residue_of_composition(tau, sigma)
-    assert built == [3_265, 1_827]
+    assert built == [2_006, 1_894]
 
 
 def _trace_n3_pool(seed):
@@ -2378,12 +2448,15 @@ def _trace_n3_pool(seed):
 def test_trace_n3_pool_builds_as_many_chain_terms_as_a_call_per_level(monkeypatch):
     """Op count of the trace defects of the 512 pairs of the trace-n3 pool at
     seed 7: the terms the chains build, whole levels and last levels cut by
-    parity, the same as when each level was built by a call of its own."""
+    parity, the same as when each level was built by a call of its own.
+    Only the walk lists' meets, which can reach an even product, build
+    chains, each as deep as its deepest meet; walking every meet of the
+    level rule, the chains built 22,495 + 4,868."""
     built = [0, 0]
     monkeypatch.setattr(T, "_chain", _counting_chain(built))
     defects = [trace_defect(sigma, tau) for sigma, tau in _trace_n3_pool(7)]
     assert len(defects) == 512 and all(d.is_zero() for d in defects)
-    assert built == [22_495, 4_868]
+    assert built == [11_535, 5_121]
 
 
 def _fresh_direction(keys, field):

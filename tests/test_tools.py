@@ -397,13 +397,13 @@ def test_stage_times_counts_and_restores_each_stage(monkeypatch):
     before = {name: terms.__dict__[name] for name in ("_plan", "_chain", "_pairing_pass")}
     static = vars(terms.RationalSystem)["numerator_map"]
     ops = [lambda: terms._pairing_pass(2)] * 4
-    stages = ("_plan", "_chain", "_along", "RationalSystem.numerator_map",
+    stages = ("_plan", "_chain", "_level_caps", "RationalSystem.numerator_map",
               "PackedGaussians.lower", "CyclotomicSystem.numerator_map", "_pairing_pass")
     monkeypatch.setattr(stage_times, "ROUNDS", 3)
     monkeypatch.setattr(stage_times, "STAGES", stages)
     result = stage_times.measure(terms, ops)
     assert len(result["bare"]) == len(result["wrapped"]) == 3
-    assert result["absent"] == ["_along", "CyclotomicSystem.numerator_map"]
+    assert result["absent"] == ["_level_caps", "CyclotomicSystem.numerator_map"]
     for stage in ("_plan", "_chain", "RationalSystem.numerator_map", "PackedGaussians.lower",
                   "_pairing_pass"):
         runs = result["stages"][stage]
@@ -421,7 +421,7 @@ def test_stage_times_counts_and_restores_each_stage(monkeypatch):
     assert "wrapper overhead" in lines[2]
     rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
     assert list(rows) == list(stages)
-    assert rows["_along"] == ["absent"] and rows["_plan"][0] == "4"
+    assert rows["_level_caps"] == ["absent"] and rows["_plan"][0] == "4"
 
 
 def test_stage_times_runs_a_checkout_round(tmp_path, monkeypatch, capsys):
@@ -445,7 +445,7 @@ def test_stage_times_runs_a_checkout_round(tmp_path, monkeypatch, capsys):
     rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
     assert list(rows) == list(stage_times.STAGES)
     assert rows["_plan"][0] == rows["_chain"][0] == rows["PackedGaussians.lower"][0] == "3"
-    assert rows["canonical_terms"] == ["absent"] and rows["_along"] == ["absent"]
+    assert rows["canonical_terms"] == ["absent"] and rows["_level_caps"] == ["absent"]
 
 
 def test_stage_times_refuses_bad_arguments(capsys):

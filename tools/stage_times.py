@@ -36,14 +36,13 @@ ROUNDS = 7
 
 STAGES = (
     "_plan",
-    "_cut",
+    "_walks",
     "_level_caps",
     "_direction",
     "RationalSystem.numerator_map",
     "CyclotomicSystem.numerator_map",
     "_pairing_pass",
     "_chain",
-    "_along",
     "sphere_integral",
     "canonical_terms",
     "PackedGaussians.lower",
