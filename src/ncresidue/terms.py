@@ -1368,8 +1368,9 @@ def _plan(keys: Keys, comps: dict[int, dict]):
     """(plan, fields, reach): a factor's terms packed as ``Keys.pack`` packs
     them and grouped by degree and mode, in one pass: (degree, {mode fields:
     group}, moving) per component, a group being [packed bag, F_xi, F_mode,
-    A, polynomial, walked] (``pack_terms``' sizes, whether every |xi| power
-    is even and nonnegative, and whether a walk list holds it, for
+    A, polynomial, walked, parities] (``pack_terms``' sizes, whether every
+    |xi| power is even and nonnegative, whether a walk list holds it, and
+    its alpha parity classes once ``_parities`` reads them, for
     ``_walks``); the mode fields tell the modes apart when ``reach``, the
     largest |mode entry|, is below the layout's ``half``."""
     modes, alphas, weight = keys.modes, keys.alphas, keys.npow_weight
@@ -1386,7 +1387,7 @@ def _plan(keys: Keys, comps: dict[int, dict]):
             field = zero + (m[1] >> first)
             g = groups.get(field)
             if g is None:
-                g = groups[field] = [{}, 0, m[0], 0, True, False]
+                g = groups[field] = [{}, 0, m[0], 0, True, False, None]
             g[0][a[1] + m[1] + npow * weight] = s
             if a[0] + abs(npow) > g[1]:
                 g[1] = a[0] + abs(npow)
@@ -1409,17 +1410,22 @@ def _walks(keys: Keys, n: int, plans: list, commutator: bool):
     fields add to ``flip``) at level k = a_deg + b_deg + n when the level
     rule (``_level_caps`` at floor -n, over the components cut to their
     groups that face the other factor) admits that pair of degrees, and the
-    parity rule (``_parity_admits``) lets level k reach an even product.  A
-    walk list holds (mode fields of v, left bag, deepest k, [(k, right
-    bag), ...]) for each left group with a meet, in plan order, its meets
-    in the right factor's; a group on no walk is never put on numerators
-    and sizes nothing.  K is the deepest level the level rule admits,
-    whether or not its meets survive, so the weights, the denominator and
-    the tower bound are those of the full pairing.
+    parity rule (``_parity_admits``) lets level k reach an even product.
+    The parity bits are read only from a layout that holds both groups'
+    alphas: a meet with a group of A >= ``half``, whose alpha fields may
+    carry into their neighbours, is kept, so that group sizes the width
+    and the wider layout's call decides it.  A walk list holds (mode
+    fields of v, left bag, deepest k, [(k, right bag), ...], the parity
+    classes of the right terms at the deepest k) for each left group with
+    a meet, in plan order, its meets in the right factor's; a group on no
+    walk is never put on numerators and sizes nothing.  K is the deepest
+    level the level rule admits, whether or not its meets survive, so the
+    weights, the denominator and the tower bound are those of the full
+    pairing.
     """
     flip = 2 * (keys.offsets >> keys.mode_shifts[0])
     odd = (keys.offsets & keys.alpha_mask) >> (keys.width - 1)
-    directions = keys.directions
+    directions, half = keys.directions, keys.half
     used: tuple[list, list] = ([], [])  # per factor, the groups on a walk
     walks, deepest = [], 0
     for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
@@ -1450,7 +1456,7 @@ def _walks(keys: Keys, n: int, plans: list, commutator: bool):
             if row is None:
                 continue
             for field, g in faced:
-                partner, bag, supp, kept, top = flip - field, g[0], None, [], 0
+                partner, supp, kept, top, wanted = flip - field, None, [], 0, None
                 for b_deg, k in row.items():
                     h = right[b_deg].get(partner)
                     if h is None:
@@ -1459,18 +1465,23 @@ def _walks(keys: Keys, n: int, plans: list, commutator: bool):
                         steps = (directions.get(partner) or _direction(keys, partner))[1]
                         supp = sum([1 << step[0] for step in steps])
                         off = odd ^ supp
-                    if _parity_admits(bag, h[0], supp, off, k):
-                        kept.append((k, h[0]))
-                        if k > top:
-                            top = k
-                        if not h[5]:
-                            h[5] = True
-                            theirs.append(h)
+                    if g[3] >= half or h[3] >= half:  # bits carried: kept, to size the width
+                        classes = frozenset()
+                    else:
+                        classes = _parities(h, odd)
+                        if not _parity_admits(_parities(g, odd), classes, supp, off, k):
+                            continue
+                    kept.append((k, h[0]))
+                    if k > top:  # one meet per level: k = a_deg + b_deg + n
+                        top, wanted = k, classes
+                    if not h[5]:
+                        h[5] = True
+                        theirs.append(h)
                 if kept:
                     if not g[5]:
                         g[5] = True
                         mine.append(g)
-                    walk.append((partner, bag, top, kept))
+                    walk.append((partner, g[0], top, kept, wanted))
         walks.append(walk)
     f_xi = f_mode = f_alpha = 0
     for groups in used:
@@ -1485,14 +1496,24 @@ def _walks(keys: Keys, n: int, plans: list, commutator: bool):
     return walks, deepest, bags, (f_xi, f_mode, f_alpha)
 
 
-def _parity_admits(left: dict, right: dict, supp: int, off: int, k: int) -> bool:
-    """The parity rule: whether level k of a chain along v from the packed
-    bag ``left`` can meet a term of the packed bag ``right`` in an even
-    product; ``supp`` and ``off`` hold the parity bits (the low bit of each
-    alpha field) of the axes where v is nonzero and of the others.  A step
-    of v . grad_xi along xi_j, v_j nonzero, flips the parity of alpha_j
-    alone, so a level-k term keeps its left term's parities off supp(v),
-    and its count of odd exponents on supp(v) changes by k mod 2.  A
+def _parities(group: list, odd: int) -> frozenset:
+    """The alpha parity classes (``key & odd``, the low bit of each alpha
+    field) of a ``_plan`` group's terms, read once and kept on the group."""
+    classes = group[6]
+    if classes is None:
+        classes = group[6] = frozenset([key & odd for key in group[0]])
+    return classes
+
+
+def _parity_admits(left: frozenset, right: frozenset, supp: int, off: int, k: int) -> bool:
+    """The parity rule: whether level k of a chain along v from a left
+    group can meet a term of a right group in an even product, from their
+    parity classes (``_parities``) ``left`` and ``right``; ``supp`` and
+    ``off`` hold the parity bits of the axes where v is nonzero and of the
+    others.  A step of v . grad_xi along xi_j, v_j nonzero, flips the
+    parity of alpha_j alone, so a level-k term keeps its left term's
+    parities off supp(v), and its count of odd exponents on supp(v)
+    changes by k mod 2.  A
     product is even when its two terms' parities are equal: the parities
     of some left and right term must differ on supp(v) alone, in a count of
     bits of k's parity.  Along v = 0 no step is taken, so only level 0 is
@@ -1514,8 +1535,8 @@ def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
 
     It runs on the chains of ``compose_components``: a left group of mode
     -v meets only right groups of mode v, so for each entry (v, left bag,
-    deepest k, meets) of a walk list one chain a, (v . grad_xi) a, ... is
-    built in one call (``_chain``, with v's steps from the layout's
+    deepest k, meets, parities) of a walk list one chain a, (v . grad_xi)
+    a, ... is built in one call (``_chain``, with v's steps from the layout's
     ``directions`` memo), as deep as its deepest meet, and its level k
     meets the right terms of that meet with the integer weight
     ``weights[k]``, +-K!/k!, left scalar first, then the phase.  The walk
@@ -1525,21 +1546,19 @@ def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
     field (the offset 2^(width - 1) is even) skips it, and the rest are
     summed on their alpha fields.  A step along xi_j flips the parity of
     alpha_j alone, so the chain's last level takes from each term only the
-    steps that reach the parity of a right term it meets (the kernel's cut,
-    a table from a term's parity to those steps).  The bag is integrated by
-    ``sphere_integral``.
+    steps that reach the parity of a right term it meets there (the
+    entry's parities; the kernel's cut, a table from a term's parity to
+    those steps).  The bag is integrated by ``sphere_integral``.
     """
     w, offsets, alpha_mask = keys.width, keys.offsets, keys.alpha_mask
     odd = (offsets & alpha_mask) >> (w - 1)  # the low bit of each alpha field
     phase, directions = system.phase, keys.directions
     out: dict = {}
     for walk, weights in orderings:
-        for partner, bag, top, meets in walk:
+        for partner, bag, top, meets, wanted in walk:
             v, steps = directions.get(partner) or _direction(keys, partner)
             ph = None if phase is None else phase(-v[1], v[0])
             if top:  # the last level cut by parity, to the right terms' at level top
-                wanted = frozenset([key & odd for k, terms in meets if k == top
-                                    for key in terms])
                 table = directions.get((partner, wanted)) or _parity_cut(keys, partner, wanted)
                 chain = _chain(keys, bag, steps, top, (odd, table))
             else:

@@ -1027,6 +1027,28 @@ def test_a_term_whose_meets_are_all_odd_builds_no_chain(monkeypatch):
     assert st == residue(compose(wide_a, b)) and ts == residue(compose(b, wide_a))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_term_past_the_narrow_layout_meets_by_its_true_parities(n):
+    """e^(i x_0) xi_0^130 |xi|^(-129 - n), of order 1 - n, meets e^(-i x_0)
+    xi_0 |xi|^-1 at level 1, where every product is even and the sphere sum
+    is not zero.  In the 8-bit layout alpha_0 = 130 carries into alpha_1's
+    low bit, which then reads odd: the parity rule must not read a layout
+    that does not hold the term, so the meet sizes the width and each
+    ordering's residue is that of the composition."""
+    def sym(order, terms):
+        return ClassicalSymbol(n, order, {order: HomogeneousComponent(n, order, terms)},
+                               order - n - 1)
+
+    e0 = (1,) + (0,) * (n - 1)
+    a = sym(1 - n, [(ComplexRational(1), e0, (130,) + (0,) * (n - 1), -129 - n)])
+    b = sym(0, [(ComplexRational(1), tuple(-x for x in e0), e0, -1)])
+    assert 130 >= T.Keys(n, T._TIER).half
+    st, ts = _residue_of_composition(a, b), _residue_of_composition(b, a)
+    assert not st.is_zero() and not ts.is_zero()
+    assert st == residue(compose(a, b)) and ts == residue(compose(b, a))
+    assert trace_defect(a, b) == st - ts
+
+
 def test_trace_defect_sets_each_factor_up_once(monkeypatch):
     """A ``trace_defect`` call packs and groups each factor in one pass, forms
     no ``GaussianInteger`` but the one sphere total of both orderings,
