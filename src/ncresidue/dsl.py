@@ -854,16 +854,34 @@ def random_symbol(
     the trusted floor is ``order - depth``.  The draw sequence does not
     depend on ``theta``, which keeps the integer data fixed when the same
     seed is instantiated at several twists, and is that of ``random.Random(seed)``.
+
+    The arguments are held, before anything is drawn, to the limits a
+    document is held to: ``dim`` to ``MAX_DIMENSION``, the up to two terms
+    of each of the ``depth + 1`` degrees to ``MAX_DOCUMENT_TERMS``,
+    ``max_alpha`` to ``MAX_EXPONENT`` and an exact twist's cyclotomic order
+    to ``MAX_CYCLOTOMIC_ORDER``; each count must be an ``int``.
     """
+    for name, value in (("dim", dim), ("order", order), ("depth", depth),
+                        ("max_mode", max_mode), ("max_alpha", max_alpha)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{name} must be an integer, got {_brief(value)}")
     if dim < 2:
         raise ValidationError(f"dim must be at least 2, got {dim}")
+    if dim > MAX_DIMENSION:
+        raise ValidationError(f"dimension {dim} is beyond the limit {MAX_DIMENSION}")
     if depth < 0 or max_mode < 0 or max_alpha < 0:
         raise ValidationError("depth, max_mode and max_alpha must be nonnegative")
+    if 2 * (depth + 1) > MAX_DOCUMENT_TERMS:
+        raise ValidationError(f"depth {depth} may draw more than {MAX_DOCUMENT_TERMS} terms")
+    if max_alpha > MAX_EXPONENT:
+        raise ValidationError(f"max_alpha {max_alpha} is beyond the limit {MAX_EXPONENT}")
     if theta is not None:
         if not isinstance(theta, Theta):
             theta = (_twist_of(theta) if isinstance(theta, (int, Fraction, float))
                      else Theta.from_float(theta))
         _check_twisted_dimension(dim)
+        if theta.is_exact:
+            _check_twist_order(theta.exact)
     rng = random.Random(seed)
     bits, uniform = rng.getrandbits, rng.random
     floor = order - depth

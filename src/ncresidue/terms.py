@@ -29,20 +29,23 @@ one call of the one xi-derivative kernel (``_chain``); level k meets the
 right terms of mode v with the integer weight K!/k! (``_weights``, one
 cache for both engines), K! going into the one denominator lowered at the
 end, so no ``Fraction`` is formed on the way.  ``residue_pairing`` plans
-each factor once and walks, per ordering, one list of the left groups
-with their meets (``_walks``): a right group of the facing mode, at the
-level the level rule gives, kept only when the parity rule lets that
-level reach an even product (a step along xi_j flips the parity of
-alpha_j alone, so a level-k term keeps its parities off the mode's
-support and changes their count on it by k mod 2; ``_parity_admits``).
+each factor once, with a mode index of its groups (``_plan``), and walks,
+per ordering, one list of the left groups with their meets (``_walks``):
+the right groups of the facing mode, read from the other factor's index,
+each at the level the level rule gives for its pair of degrees, kept only
+when the parity rule lets that level reach an even product (a step along
+xi_j flips the parity of alpha_j alone, so a level-k term keeps its
+parities off the mode's support and changes their count on it by k mod 2;
+``_parity_admits``).
 It builds the same chains in the one direction whose products reach mode
 zero, each only as deep as its deepest meet and its last level cut by
 parity inside the kernel, and sums the products by alpha, both orderings
 of a commutator into one bag with opposite signs.  Both
-engines share the level rule (``_level_caps``), the numerator map and the
-steps of each direction, which a layout keeps in its ``directions`` memo
-(``_direction``, and the parity cuts of ``_parity_cut``), so a mode's
-steps are built once per layout, not once per call.
+engines share the level rule, one function of a pair of components
+(``_level``), the numerator map and the steps of each direction, which a
+layout keeps in its ``directions`` memo (``_direction``, and the parity
+cuts of ``_parity_cut``), so a mode's steps are built once per layout,
+not once per call.
 
 Keys: tuples at the module boundary, packed ``int``s inside (``Keys``,
 whose layout and memos its docstring describes; ``pack_terms`` chooses a
@@ -524,10 +527,10 @@ class Keys:
     the alpha fields of a key to the monomial's value at a zero of xi_1^2 +
     ... + xi_n^2 (``cone_weight``), a fourth, ``sphere``, to its integral
     over the unit sphere (``sphere_weight``), and a fifth, ``directions``,
-    maps the mode fields of a mode v to v and the steps of v . grad_xi
-    (``_direction``), and (mode fields, parities) to the steps of a
-    chain's last level cut by parity (``_parity_cut``), so both engines
-    build a mode's steps once per layout.  Each memo holds up to
+    maps the mode fields of a mode v to v, the steps of v . grad_xi and
+    its support bits (``_direction``), and (mode fields, parities) to the
+    steps of a chain's last level cut by parity (``_parity_cut``), so both
+    engines build a mode's steps once per layout.  Each memo holds up to
     ``_MEMO_FIELDS`` fields and starts afresh when full.
     """
 
@@ -1089,9 +1092,8 @@ def compose_components(
     ``floor`` bounds the emitted degrees from below.  With no floor, the
     series terminates only when the left factor is polynomial in xi or the
     right factor is free of modes; otherwise the loop would not end, so it
-    raises ``ValidationError`` instead.  Each ordering has its own level
-    caps and is checked (termination, then ``_check_tower``) in turn, a o b
-    first.
+    raises ``ValidationError`` instead.  Each ordering is checked
+    (termination, then ``_check_tower``) in turn, a o b first.
 
     The sum is taken by directional derivatives.  D^gamma acts on a right
     term of mode v as v^gamma, and sum over |gamma| = k of (1/gamma!)
@@ -1099,17 +1101,18 @@ def compose_components(
     commute).  So the right factor's terms are grouped by mode, and for
     each left component and each right mode v it meets, one chain a, (v .
     grad_xi) a, ... is built in one call (``_chain``), as deep as the
-    deepest level cap of the right components with that mode, and shared
-    by all of them; level k meets the terms of mode v into the emitted
-    degree a_deg + b_deg - k.  An empty level ends the chain, and a
+    deepest level the level rule (``_level``) gives the left component
+    against the right components with that mode, and shared by all of
+    them; level k meets the terms of mode v into the emitted degree a_deg +
+    b_deg - k.  An empty level ends the chain, and a
     mode-zero right term meets only level 0.  The levels are kept raw, and
     each emitted degree is canonicalized once at the end, which suffices
     because the canonical form of a function is unique and
     ``canonical_terms`` accepts any homogeneous raw bag.
 
     Each weight 1/k! is applied as the integer K!/k! (``_weights``), where
-    K is the deepest derivative order any pair of either ordering reaches
-    (``_level_caps``).  The factors are packed once, under a layout that
+    K is the deepest derivative order any pair of components of either
+    ordering reaches (``_level``).  The factors are packed once, under a layout that
     covers order K (``pack_terms``), whose ``directions`` memo holds each
     mode's steps, and the system's ``numerator_map`` puts them on
     numerators over one denominator (one ``int`` each for Gaussian ones,
@@ -1123,54 +1126,50 @@ def compose_components(
     """
     orderings = [(0, 1), (1, 0)] if commutator else [(0, 1)]
     factors = (comps_a, comps_b)
-    level_caps, deepest = [], 0
+    flags, deepest = [], 0
     for i, j in orderings:
-        left = [(d, t, terms_polynomial(t)) for d, t in factors[i].items() if t]
-        right = [(d, t, any(any(mode) for mode, _a, _p in t)) for d, t in factors[j].items() if t]
-        if floor is None and not (
-                all(flag for *_c, flag in left) or not any(flag for *_c, flag in right)):
+        left = [(d, terms_polynomial(t)) for d, t in factors[i].items() if t]
+        right = [(d, any(any(mode) for mode, _a, _p in t)) for d, t in factors[j].items() if t]
+        if floor is None and not (all(p for _d, p in left) or not any(m for _d, m in right)):
             raise ValidationError(
                 "composition of two complete symbols does not terminate here; "
                 "assign a finite trusted floor to one factor"
             )
-        caps = _level_caps(left, right, floor)
-        depth = max(caps.values(), default=0)
+        depth = max([0] + [_level(a_deg, b_deg, polynomial, moving, floor)
+                           for a_deg, polynomial in left for b_deg, moving in right])
         _check_tower(n, depth, "assign a higher trusted floor")
-        level_caps.append(caps)
+        flags.append((left, right))
         deepest = max(deepest, depth)
     keys, packed, sizes = _pack_sized(n, [*comps_a.values(), *comps_b.values()], deepest)
     left, right = packed[:len(comps_a)], packed[len(comps_a):]
     nums, den = system.numerator_map(left, right, n, sizes, deepest, len(orderings))
-    sides = (list(zip(comps_a, left)), list(zip(comps_b, right)))
+    sides = (dict(zip(comps_a, left)), dict(zip(comps_b, right)))
     m, h, offsets, first = keys.mask, keys.half, keys.offsets, keys.mode_shifts[0]
     phase, directions = system.phase, keys.directions
     if phase is not None:
         second = keys.mode_shifts[1]
     out: dict[int, dict] = {}
-    for (i, j), caps, sign in zip(orderings, level_caps, (1, -1)):
+    for (i, j), (left, right), sign in zip(orderings, flags, (1, -1)):
         weights = _weights(deepest, sign)
-        groups_b = []  # each right component's terms by mode (the mode fields of a key)
-        for b_deg, b_terms in sides[j]:
+        groups_b = {}  # each right component's terms by mode (the mode fields of a key)
+        for b_deg, _moving in right:
             groups: dict[int, list] = {}
-            for key, s in b_terms.items():
+            for key, s in sides[j][b_deg].items():
                 groups.setdefault(key >> first, []).append((key - offsets, s))
-            groups_b.append((b_deg, groups))
-        for a_deg, a_terms in sides[i]:
-            tops: dict[int, int] = {}  # mode fields -> the deepest cap of a right group
-            for b_deg, groups in groups_b:
-                kmax = caps.get((a_deg, b_deg))
-                if kmax is not None:
-                    for field in groups:
-                        if tops.get(field, -1) < kmax:
-                            tops[field] = kmax
+            groups_b[b_deg] = groups
+        for a_deg, polynomial in left:
+            row = [(b_deg, k, groups_b[b_deg]) for b_deg, moving in right
+                   if (k := _level(a_deg, b_deg, polynomial, moving, floor)) >= 0]
+            tops: dict[int, int] = {}  # mode fields -> the deepest level of a right group
+            for _b_deg, kmax, groups in row:
+                for field in groups:
+                    if tops.get(field, -1) < kmax:
+                        tops[field] = kmax
             chains = {}  # mode fields -> (v_0, [a, (v . grad_xi) a, ...])
             for field, top in tops.items():
-                mode, steps = directions.get(field) or _direction(keys, field)
-                chains[field] = mode[0], _chain(keys, a_terms, steps, top)
-            for b_deg, groups in groups_b:
-                kmax = caps.get((a_deg, b_deg))
-                if kmax is None:
-                    continue
+                mode, steps, _supp = directions.get(field) or _direction(keys, field)
+                chains[field] = mode[0], _chain(keys, sides[i][a_deg], steps, top)
+            for b_deg, kmax, groups in row:
                 for field, terms in groups.items():
                     u, chain = chains[field]
                     for k, level in enumerate(chain[:kmax + 1]):
@@ -1269,34 +1268,34 @@ def _check_tower(n: int, deepest: int, remedy: str) -> None:
         )
 
 
-def _level_caps(left: list, right: list, floor) -> dict[tuple[int, int], int]:
-    """The level rule of both engines: the deepest derivative order k of each
-    pair (a_deg, b_deg) that reaches a level, from the components as (a_deg,
-    terms, polynomial) and (b_deg, terms, moving).  The lowest emitted degree
-    ``floor`` sets a_deg + b_deg - k, the tower of a polynomial left
-    component vanishes past its degree, and D^gamma, gamma != 0, kills a
-    right component free of modes (``compose_components``' termination
-    check makes sure one applies)."""
-    caps = {}
-    for a_deg, _terms, polynomial in left:
-        top = a_deg if polynomial else math.inf
-        for b_deg, _terms, moving in right:
-            k = top if floor is None or top < a_deg + b_deg - floor else a_deg + b_deg - floor
-            if not moving and k > 0:
-                k = 0
-            if k >= 0:
-                caps[(a_deg, b_deg)] = k
-    return caps
+def _level(a_deg: int, b_deg: int, polynomial: bool, moving: bool, floor) -> int:
+    """The level rule of both engines: the deepest derivative order k at
+    which a left component of degree ``a_deg`` reaches a level against a
+    right one of degree ``b_deg``, negative when it reaches none.  The
+    lowest emitted degree ``floor`` sets a_deg + b_deg - k, the tower of a
+    ``polynomial`` left component vanishes past its degree, and D^gamma,
+    gamma != 0, kills a right component that is not ``moving``, free of
+    modes (``compose_components``' termination check makes sure one
+    applies when there is no floor)."""
+    k = math.inf if floor is None else a_deg + b_deg - floor
+    if polynomial and a_deg < k:
+        k = a_deg
+    if not moving and k > 0:
+        k = 0
+    return k
 
 
 def _direction(keys: Keys, field: int) -> tuple:
-    """(v, the steps of v . grad_xi for ``_chain``) for the mode v whose mode
-    fields (``key >> mode_shifts[0]``) are ``field`` (read from the layout's
-    ``modes`` memo if packed there), remembered in its ``directions`` memo."""
+    """(v, the steps of v . grad_xi for ``_chain``, the support bits) for the
+    mode v whose mode fields (``key >> mode_shifts[0]``) are ``field`` (read
+    from the layout's ``modes`` memo if packed there), remembered in its
+    ``directions`` memo; the support bits are the low bits of the alpha
+    fields where v is nonzero, which the parity rule reads (``_walks``)."""
     n, w = keys.n, keys.width
     v = keys.modes.get(field) or keys.fields(field << keys.mode_shifts[0], n + 2, 2 * n + 2)
     steps = tuple([(w * j, x, *keys.xi_steps[j]) for j, x in enumerate(v) if x])
-    return _remember(keys.directions, field, (v, steps), keys.memo_limit)
+    supp = sum([1 << step[0] for step in steps])
+    return _remember(keys.directions, field, (v, steps, supp), keys.memo_limit)
 
 
 def _parity_cut(keys: Keys, field: int, wanted: frozenset) -> dict:
@@ -1365,18 +1364,21 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
 
 
 def _plan(keys: Keys, comps: dict[int, dict]):
-    """(plan, fields, reach): a factor's terms packed as ``Keys.pack`` packs
+    """(plan, index, reach): a factor's terms packed as ``Keys.pack`` packs
     them and grouped by degree and mode, in one pass: (degree, {mode fields:
     group}, moving) per component, a group being [packed bag, F_xi, F_mode,
     A, polynomial, walked, parities] (``pack_terms``' sizes, whether every
     |xi| power is even and nonnegative, whether a walk list holds it, and
     its alpha parity classes once ``_parities`` reads them, for
-    ``_walks``); the mode fields tell the modes apart when ``reach``, the
-    largest |mode entry|, is below the layout's ``half``."""
+    ``_walks``).  The mode index maps the mode fields of each group to its
+    [(degree, group, moving), ...], in component order, so the groups of
+    one mode are found by one lookup.  The mode fields tell the modes apart
+    when ``reach``, the largest |mode entry|, is below the layout's
+    ``half``."""
     modes, alphas, weight = keys.modes, keys.alphas, keys.npow_weight
     first = keys.mode_shifts[0]
     zero = keys.offsets >> first  # the mode fields of mode zero
-    reach, plan, fields = 0, [], set()
+    reach, plan, index = 0, [], {}
     for deg, bag in comps.items():
         groups: dict[int, list] = {}
         for (mode, alpha, npow), s in bag.items():
@@ -1395,9 +1397,11 @@ def _plan(keys: Keys, comps: dict[int, dict]):
                 g[3] = a[0]
             if npow < 0 or npow & 1:
                 g[4] = False
-        fields.update(groups)
-        plan.append((deg, groups, len(groups) > 1 or bool(groups) and zero not in groups))
-    return plan, fields, reach
+        moving = len(groups) > 1 or bool(groups) and zero not in groups
+        plan.append((deg, groups, moving))
+        for field, g in groups.items():
+            index.setdefault(field, []).append((deg, g, moving))
+    return plan, index, reach
 
 
 def _walks(keys: Keys, n: int, plans: list, commutator: bool):
@@ -1408,9 +1412,12 @@ def _walks(keys: Keys, n: int, plans: list, commutator: bool):
 
     A left group of mode -v meets a right group of mode v (their mode
     fields add to ``flip``) at level k = a_deg + b_deg + n when the level
-    rule (``_level_caps`` at floor -n, over the components cut to their
-    groups that face the other factor) admits that pair of degrees, and the
-    parity rule (``_parity_admits``) lets level k reach an even product.
+    rule (``_level`` at floor -n, the left component cut to its groups that
+    face the other factor) admits that pair of degrees, and the parity
+    rule (``_parity_admits``) lets level k reach an even product.  A faced
+    left group reads its partners, the right groups of mode v, from the
+    other factor's mode index (``_plan``), so only groups that exist are
+    visited, each admitted by the rule for its pair of degrees.
     The parity bits are read only from a layout that holds both groups'
     alphas: a meet with a group of A >= ``half``, whose alpha fields may
     carry into their neighbours, is kept, so that group sizes the width
@@ -1419,9 +1426,9 @@ def _walks(keys: Keys, n: int, plans: list, commutator: bool):
     classes of the right terms at the deepest k) for each left group with
     a meet, in plan order, its meets in the right factor's; a group on no
     walk is never put on numerators and sizes nothing.  K is the deepest
-    level the level rule admits, whether or not its meets survive, so the
-    weights, the denominator and the tower bound are those of the full
-    pairing.
+    level the level rule admits over the pairs of degrees, whether or not
+    a meet survives there, so the weights, the denominator and the tower
+    bound are those of the full pairing.
     """
     flip = 2 * (keys.offsets >> keys.mode_shifts[0])
     odd = (keys.offsets & keys.alpha_mask) >> (keys.width - 1)
@@ -1429,47 +1436,42 @@ def _walks(keys: Keys, n: int, plans: list, commutator: bool):
     used: tuple[list, list] = ([], [])  # per factor, the groups on a walk
     walks, deepest = [], 0
     for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
-        other = plans[j][1]
-        left = []  # (degree, [(mode fields, group) facing one of the other's], polynomial)
+        index = plans[j][1]
+        left = []  # (degree, [(partner fields, group, partners) of each faced group], polynomial)
         for deg, groups, _moving in plans[i][0]:
             faced, polynomial = [], True
             for field, g in groups.items():
-                if flip - field in other:
-                    faced.append((field, g))
+                partners = index.get(flip - field)
+                if partners is not None:
+                    faced.append((flip - field, g, partners))
                     polynomial = polynomial and g[4]
             if faced:
                 left.append((deg, faced, polynomial))
-        rows: dict[int, dict] = {}  # a_deg -> {b_deg: k}, in the right factor's order
-        depth = 0
-        for (a_deg, b_deg), k in _level_caps(left, plans[j][0], -n).items():
-            if k == a_deg + b_deg + n:
-                rows.setdefault(a_deg, {})[b_deg] = k
-                if k > depth:
+        depth = 0  # the deepest level the rule admits, over every pair of degrees
+        for a_deg, _faced, polynomial in left:
+            for b_deg, _groups, moving in plans[j][0]:
+                k = a_deg + b_deg + n
+                if k > depth and _level(a_deg, b_deg, polynomial, moving, -n) == k:
                     depth = k
         _check_tower(n, depth, "lower the orders of the factors")
         if depth > deepest:
             deepest = depth
-        right = {deg: groups for deg, groups, _moving in plans[j][0]}
         walk, mine, theirs = [], used[i], used[j]
-        for a_deg, faced, _polynomial in left:
-            row = rows.get(a_deg)
-            if row is None:
-                continue
-            for field, g in faced:
-                partner, supp, kept, top, wanted = flip - field, None, [], 0, None
-                for b_deg, k in row.items():
-                    h = right[b_deg].get(partner)
-                    if h is None:
+        for a_deg, faced, polynomial in left:
+            for partner, g, partners in faced:
+                supp, kept, top, wanted = None, [], 0, None
+                for b_deg, h, moving in partners:
+                    k = a_deg + b_deg + n
+                    if k < 0 or _level(a_deg, b_deg, polynomial, moving, -n) != k:
                         continue
                     if supp is None:  # the parity bits of the axes where v is nonzero
-                        steps = (directions.get(partner) or _direction(keys, partner))[1]
-                        supp = sum([1 << step[0] for step in steps])
+                        supp = (directions.get(partner) or _direction(keys, partner))[2]
                         off = odd ^ supp
                     if g[3] >= half or h[3] >= half:  # bits carried: kept, to size the width
                         classes = frozenset()
                     else:
-                        classes = _parities(h, odd)
-                        if not _parity_admits(_parities(g, odd), classes, supp, off, k):
+                        classes = h[6] or _parities(h, odd)
+                        if not _parity_admits(g[6] or _parities(g, odd), classes, supp, off, k):
                             continue
                     kept.append((k, h[0]))
                     if k > top:  # one meet per level: k = a_deg + b_deg + n
@@ -1483,25 +1485,15 @@ def _walks(keys: Keys, n: int, plans: list, commutator: bool):
                         mine.append(g)
                     walk.append((partner, g[0], top, kept, wanted))
         walks.append(walk)
-    f_xi = f_mode = f_alpha = 0
-    for groups in used:
-        for g in groups:
-            if g[1] > f_xi:
-                f_xi = g[1]
-            if g[2] > f_mode:
-                f_mode = g[2]
-            if g[3] > f_alpha:
-                f_alpha = g[3]
-    bags = tuple([[g[0] for g in groups] for groups in used])
-    return walks, deepest, bags, (f_xi, f_mode, f_alpha)
+    sizes = tuple([max([0] + [g[x] for groups in used for g in groups]) for x in (1, 2, 3)])
+    return walks, deepest, tuple([[g[0] for g in groups] for groups in used]), sizes
 
 
 def _parities(group: list, odd: int) -> frozenset:
     """The alpha parity classes (``key & odd``, the low bit of each alpha
-    field) of a ``_plan`` group's terms, read once and kept on the group."""
-    classes = group[6]
-    if classes is None:
-        classes = group[6] = frozenset([key & odd for key in group[0]])
+    field) of a ``_plan`` group's terms, kept on the group, where ``_walks``
+    reads them once they are set."""
+    classes = group[6] = frozenset(map(odd.__and__, group[0]))
     return classes
 
 
@@ -1556,7 +1548,7 @@ def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
     out: dict = {}
     for walk, weights in orderings:
         for partner, bag, top, meets, wanted in walk:
-            v, steps = directions.get(partner) or _direction(keys, partner)
+            v, steps, _supp = directions.get(partner) or _direction(keys, partner)
             ph = None if phase is None else phase(-v[1], v[0])
             if top:  # the last level cut by parity, to the right terms' at level top
                 table = directions.get((partner, wanted)) or _parity_cut(keys, partner, wanted)

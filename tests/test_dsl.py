@@ -368,6 +368,46 @@ def test_random_symbol_validation():
                       theta=Fraction(1, 2))
 
 
+class _Drawn(Exception):
+    """Raised in place of the first draw: the arguments were accepted."""
+
+
+def _no_draw(_seed):
+    raise _Drawn
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(dim=MAX_DIMENSION + 1), f"dimension {MAX_DIMENSION + 1} is beyond the limit"),
+    (dict(dim=10**6), "dimension 1000000 is beyond the limit"),
+    (dict(dim=2.0), "dim must be an integer, got 2.0"),
+    (dict(order=1.5), "order must be an integer, got 1.5"),
+    (dict(order=True), "order must be an integer, got True"),
+    (dict(depth=Fraction(2)), "depth must be an integer"),
+    (dict(max_mode="1"), "max_mode must be an integer"),
+    (dict(max_alpha=None), "max_alpha must be an integer"),
+    (dict(depth=MAX_DOCUMENT_TERMS // 2), f"more than {MAX_DOCUMENT_TERMS} terms"),
+    (dict(depth=10**6), f"more than {MAX_DOCUMENT_TERMS} terms"),
+    (dict(max_alpha=MAX_EXPONENT + 1), f"beyond the limit {MAX_EXPONENT}"),
+    (dict(theta=Fraction(1, 10**9)), f"beyond the limit {MAX_CYCLOTOMIC_ORDER}"),
+    (dict(theta=Theta.from_rational(Fraction(3, 40_001))), "cyclotomic order 160004"),
+])
+def test_random_symbol_refuses_what_a_document_may_not_hold(monkeypatch, kw, message):
+    """Each limit a document reader applies is applied before anything is drawn."""
+    monkeypatch.setattr(dsl.random, "Random", _no_draw)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        random_symbol(1, **dict(dim=2, order=0, depth=2, max_mode=1, max_alpha=1) | kw)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(dim=MAX_DIMENSION), dict(depth=MAX_DOCUMENT_TERMS // 2 - 1),
+    dict(max_alpha=MAX_EXPONENT), dict(theta=Fraction(1, MAX_CYCLOTOMIC_ORDER)),
+    dict(theta=1e-9)])
+def test_random_symbol_draws_just_inside_the_limits(monkeypatch, kw):
+    monkeypatch.setattr(dsl.random, "Random", _no_draw)
+    with pytest.raises(_Drawn):
+        random_symbol(1, **dict(dim=2, order=0, depth=2, max_mode=1, max_alpha=1) | kw)
+
+
 def test_random_symbol_theta_does_not_change_draws():
     base = random_symbol(77, dim=2, order=0, depth=2, max_mode=2, max_alpha=2,
                          theta=Fraction(0))

@@ -588,6 +588,23 @@ def test_residue_pairing_admits_what_compose_admits():
     assert _residue_of_composition(tau, sigma) == residue(compose(tau, sigma))
 
 
+def test_residue_pairing_meets_a_mode_free_factor_at_level_zero_only():
+    """D^gamma, gamma != 0, kills a right factor free of modes, so it meets
+    only level 0: xi_1 |xi|^-2 against |xi|^50 would meet at level -1 + 50 +
+    2 = 51, past the bound 43 at n = 2, and so would its level K enter the
+    weights.  The residues are those of the compositions, in both orders."""
+    cr = ComplexRational
+    sigma = ClassicalSymbol(2, -1, {-1: HomogeneousComponent(2, -1, [(1, (0, 0), (1, 0), -2)])})
+    tau = ClassicalSymbol(2, 50, {
+        50: HomogeneousComponent(2, 50, [(cr(2), (0, 0), (0, 0), 50)]),
+        -1: HomogeneousComponent(2, -1, [(cr(0, 3), (0, 0), (1, 0), -2)]),
+    })
+    st, ts = _residue_of_composition(sigma, tau), _residue_of_composition(tau, sigma)
+    assert not st.is_zero()
+    assert st == residue(compose(sigma, tau)) and ts == residue(compose(tau, sigma))
+    assert trace_defect(sigma, tau) == st - ts
+
+
 # -- the trace defect: both orderings in one pass -----------------------------------
 
 
@@ -1047,6 +1064,88 @@ def test_a_term_past_the_narrow_layout_meets_by_its_true_parities(n):
     assert not st.is_zero() and not ts.is_zero()
     assert st == residue(compose(a, b)) and ts == residue(compose(b, a))
     assert trace_defect(a, b) == st - ts
+
+
+def _reference_walks(keys, n, plans, commutator):
+    """``_walks`` by scanning: for each ordering, every pair of degrees that
+    the level rule admits at floor -n, against every pair of groups whose
+    modes face, the parity rule read from each group's terms, and a meet
+    with a group past the layout's ``half`` kept without it."""
+    flip = 2 * (keys.offsets >> keys.mode_shifts[0])
+    odd = (keys.offsets & keys.alpha_mask) >> (keys.width - 1)
+    used, walks, deepest = ([], []), [], 0
+    for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
+        right = plans[j][0]
+        fields = {field for _d, groups, _m in right for field in groups}
+        walk, depth = [], 0
+        for a_deg, groups, _m in plans[i][0]:
+            faced = [(field, g) for field, g in groups.items() if flip - field in fields]
+            polynomial = all(g[4] for _f, g in faced)
+            admitted = [(b_deg, rgroups) for b_deg, rgroups, moving in right
+                        if T._level(a_deg, b_deg, polynomial, moving, -n) == a_deg + b_deg + n
+                        >= 0] if faced else []
+            depth = max([depth] + [a_deg + b_deg + n for b_deg, _g in admitted])
+            for field, g in faced:
+                supp = sum(1 << keys.width * x for x, v in
+                           enumerate(keys.fields(flip - field << keys.mode_shifts[0], n + 2,
+                                                 2 * n + 2)) if v)
+                kept, top, wanted = [], 0, None
+                for b_deg, rgroups in admitted:
+                    h, k = rgroups.get(flip - field), a_deg + b_deg + n
+                    if h is None:
+                        continue
+                    classes = frozenset()
+                    if g[3] < keys.half and h[3] < keys.half:
+                        classes = frozenset(key & odd for key in h[0])
+                        if not T._parity_admits(frozenset(key & odd for key in g[0]), classes,
+                                                supp, odd ^ supp, k):
+                            continue
+                    kept.append((k, h[0]))
+                    if k > top:
+                        top, wanted = k, classes
+                    if all(x is not h for x in used[j]):
+                        used[j].append(h)
+                if kept:
+                    if all(x is not g for x in used[i]):
+                        used[i].append(g)
+                    walk.append((flip - field, g[0], top, kept, wanted))
+        walks.append(walk)
+        deepest = max(deepest, depth)
+    sizes = tuple(max([0] + [g[x] for side in used for g in side]) for x in (1, 2, 3))
+    return walks, deepest, tuple([g[0] for g in side] for side in used), sizes
+
+
+def _walk_pairs():
+    """(n, a, b): the seeded classical pairs at n = 2 and 3 and twisted ones
+    at theta 2/5, 5/12 and 7/30, both ways round."""
+    for n in (2, 3):
+        for a, b in _classical_residue_pairs(n, 12, 400 + n):
+            yield n, a._term_bags(), b._term_bags()
+            yield n, b._term_bags(), a._term_bags()
+    for theta in (Fraction(2, 5), Fraction(5, 12), Fraction(7, 30)):
+        for a, b in _twisted_residue_pairs(theta, 12, 91):
+            yield 2, a._term_bags(), b._term_bags()
+            yield 2, b._term_bags(), a._term_bags()
+
+
+def test_walk_lists_match_a_scan_of_every_admitted_pair():
+    """``_walks``, which finds each meet through the other factor's mode
+    index, keeps the entries, their order, each meet and its order, the
+    deepest level and parities of each entry, K, and the groups put on
+    numerators, in order, of a scan of every pair of degrees the level rule
+    admits against every pair of facing groups; for one ordering and for a
+    commutator."""
+    meets = 0
+    for n, comps_a, comps_b in _walk_pairs():
+        keys = T._narrow_layout(n)
+        for commutator in (False, True):
+            want = _reference_walks(keys, n, [T._plan(keys, comps_a), T._plan(keys, comps_b)],
+                                    commutator)
+            got = T._walks(keys, n, [T._plan(keys, comps_a), T._plan(keys, comps_b)],
+                           commutator)
+            assert got == want
+            meets += sum(len(entry[3]) for walk in got[0] for entry in walk)
+    assert meets >= 300
 
 
 def test_trace_defect_sets_each_factor_up_once(monkeypatch):
@@ -2482,15 +2581,17 @@ def test_trace_n3_pool_builds_as_many_chain_terms_as_a_call_per_level(monkeypatc
 
 
 def _fresh_direction(keys, field):
-    """(v, steps) for the mode fields ``field``, read and built with no memo;
-    for a key (field, wanted), the table of the last level cut by parity."""
+    """(v, steps, the low bit of each alpha field where v is nonzero) for the
+    mode fields ``field``, read and built with no memo; for a key (field,
+    wanted), the table of the last level cut by parity."""
     if type(field) is tuple:
         field, wanted = field
         steps = _fresh_direction(keys, field)[1]
         flips = {p ^ 1 << step[0] for p in wanted for step in steps}
         return {p: tuple(step for step in steps if p ^ 1 << step[0] in wanted) for p in flips}
     v = keys.fields(field << keys.mode_shifts[0], keys.n + 2, 2 * keys.n + 2)
-    return v, tuple((keys.width * j, x, *keys.xi_steps[j]) for j, x in enumerate(v) if x)
+    return (v, tuple((keys.width * j, x, *keys.xi_steps[j]) for j, x in enumerate(v) if x),
+            sum(1 << keys.width * j for j, x in enumerate(v) if x))
 
 
 def test_the_direction_memo_holds_fresh_steps_within_its_limit(monkeypatch):

@@ -131,6 +131,34 @@ def test_pairs_alternate_with_no_step_before_the_runs(monkeypatch, capsys, tmp_p
     assert "gain" in capsys.readouterr().out
 
 
+def test_probe_factors_are_shown_under_the_unscaled_throughput(monkeypatch, capsys, tmp_path):
+    # a run's probe factor is its scaled over its unscaled ops_per_s
+    root = pathlib.Path(__file__).parent.parent
+    runs = {"p": iter([(110.0, 100.0), (300.0, 250.0), (90.0, 100.0)]),
+            "c": iter([(130.0, 130.0), (105.0, 150.0), (140.0, 140.0)])}
+
+    def stub(checkout, workload, seed):
+        scaled, unscaled = next(runs[os.path.basename(checkout)])
+        values = {m["name"]: 1.0 for m in bench_pairs.end_to_end_metrics(str(root))}
+        values["ops_per_s"] = scaled
+        return {"values": values, "unscaled": unscaled, "correct": True, "failed": 0,
+                "attempted": 1}
+
+    for side in ("p", "c"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "run_once", stub)
+    assert bench_pairs.main([str(tmp_path / "p"), str(tmp_path / "c"), "--workload",
+                             "trace-n3", "--pairs", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "  unscaled ops_per_s median: parent 100, change 140, x1.400"
+    # factors 1.1, 1.2, 0.9 against 1.0, 0.7, 1.0
+    assert lines[-1] == ("  probe factor (scaled / unscaled ops_per_s) median: "
+                         "parent 1.1, change 1, x0.909")
+    assert bench_pairs.format_factors([1.07, 1.0], [0.5]) == (
+        "  probe factor (scaled / unscaled ops_per_s) median: parent 1.035, change 0.5, x0.483")
+
+
 def test_without_a_workload_every_listed_workload_gets_its_table(monkeypatch, capsys, tmp_path):
     root = pathlib.Path(__file__).parent.parent
     benchmark = json.loads((root / "BENCHMARK.json").read_text())
@@ -397,13 +425,13 @@ def test_stage_times_counts_and_restores_each_stage(monkeypatch):
     before = {name: terms.__dict__[name] for name in ("_plan", "_chain", "_pairing_pass")}
     static = vars(terms.RationalSystem)["numerator_map"]
     ops = [lambda: terms._pairing_pass(2)] * 4
-    stages = ("_plan", "_chain", "_level_caps", "RationalSystem.numerator_map",
+    stages = ("_plan", "_chain", "_walks", "RationalSystem.numerator_map",
               "PackedGaussians.lower", "CyclotomicSystem.numerator_map", "_pairing_pass")
     monkeypatch.setattr(stage_times, "ROUNDS", 3)
     monkeypatch.setattr(stage_times, "STAGES", stages)
     result = stage_times.measure(terms, ops)
     assert len(result["bare"]) == len(result["wrapped"]) == 3
-    assert result["absent"] == ["_level_caps", "CyclotomicSystem.numerator_map"]
+    assert result["absent"] == ["_walks", "CyclotomicSystem.numerator_map"]
     for stage in ("_plan", "_chain", "RationalSystem.numerator_map", "PackedGaussians.lower",
                   "_pairing_pass"):
         runs = result["stages"][stage]
@@ -421,7 +449,7 @@ def test_stage_times_counts_and_restores_each_stage(monkeypatch):
     assert "wrapper overhead" in lines[2]
     rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
     assert list(rows) == list(stages)
-    assert rows["_level_caps"] == ["absent"] and rows["_plan"][0] == "4"
+    assert rows["_walks"] == ["absent"] and rows["_plan"][0] == "4"
 
 
 def test_stage_times_runs_a_checkout_round(tmp_path, monkeypatch, capsys):
@@ -445,7 +473,7 @@ def test_stage_times_runs_a_checkout_round(tmp_path, monkeypatch, capsys):
     rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
     assert list(rows) == list(stage_times.STAGES)
     assert rows["_plan"][0] == rows["_chain"][0] == rows["PackedGaussians.lower"][0] == "3"
-    assert rows["canonical_terms"] == ["absent"] and rows["_level_caps"] == ["absent"]
+    assert rows["canonical_terms"] == ["absent"] and rows["_walks"] == ["absent"]
 
 
 def test_stage_times_refuses_bad_arguments(capsys):

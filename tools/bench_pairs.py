@@ -36,7 +36,10 @@ from the records alone, at the parent's median peak and count
 the bound before the runs are made.  Below that it
 prints each side's median unscaled ``ops_per_s``, the throughput as timed,
 before ``bench/run.py`` scales it to its reference machine speed, read from
-the record line a run prints before its metrics.  Only the standard
+the record line a run prints before its metrics, and below that each side's
+median probe factor, a run's scaled over its unscaled ``ops_per_s``, so a
+scaled ratio (the one a claim is judged on) that drifts from the timed one
+shows.  Only the standard
 library is used, and nothing under ``bench/`` is touched; the runs write
 only what ``bench/run.py`` itself writes.
 """
@@ -184,6 +187,14 @@ def format_unscaled(parent: list[float], change: list[float]) -> str:
             f"x{c / p if p else float('nan'):.3f}")
 
 
+def format_factors(parent: list[float], change: list[float]) -> str:
+    """Each side's median probe factor (a run's scaled over its unscaled
+    ``ops_per_s``) over the pairs, and their ratio."""
+    p, c = statistics.median(parent), statistics.median(change)
+    return (f"  probe factor (scaled / unscaled ops_per_s) median: parent {p:.4g}, "
+            f"change {c:.4g}, x{c / p if p else float('nan'):.3f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -214,6 +225,8 @@ def main(argv=None) -> int:
         print(format_rows(workload, rows, attempted))
         print(format_unscaled([r["unscaled"] for r in runs["parent"]],
                               [r["unscaled"] for r in runs["change"]]))
+        print(format_factors(*[[r["values"]["ops_per_s"] / r["unscaled"] for r in runs[side]]
+                               for side in ("parent", "change")]))
         correct = correct and all(r["correct"] for side in runs.values() for r in side)
     return 0 if correct else 1
 

@@ -37,7 +37,6 @@ ROUNDS = 7
 STAGES = (
     "_plan",
     "_walks",
-    "_level_caps",
     "_direction",
     "RationalSystem.numerator_map",
     "CyclotomicSystem.numerator_map",
