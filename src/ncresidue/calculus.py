@@ -27,6 +27,7 @@ from .symbols import (
     HomogeneousComponent,
     TrigPolynomial,
     _axis,
+    _index,
     _sphere_sum,
     euler_antiderivatives,
     exp_symbol,
@@ -174,6 +175,7 @@ def commutator_exp(
     series term cancels between the two orderings, and every other term at
     degree floor(sigma) - 1 differentiates a stored component.
     """
+    depth = _index(depth, "depth")
     if depth < 0:
         raise ValidationError(f"depth must be nonnegative, got {depth}")
     n = sigma.n

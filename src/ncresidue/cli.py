@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from .calculus import (
@@ -24,8 +23,7 @@ from .calculus import (
 )
 from .cyclotomic import CyclotomicScalar
 from .dsl import (
-    MAX_DIMENSION,
-    _check_twist_order,
+    _check_draw_space,
     _coeff_to_json,
     format_nc_element,
     format_symbol,
@@ -141,7 +139,7 @@ def _cmd_compose(args) -> int:
     return EXIT_OK
 
 
-def _random_pair(rng: random.Random, dim: int, theta: Fraction | None):
+def _random_pair(rng: random.Random, dim: int, theta: Theta | None):
     """A seeded pair of symbols whose composition reaches degree -dim."""
     top, size = (2, 3) if theta is None else (1, 2)
     m1 = rng.randint(-1, top)
@@ -161,15 +159,13 @@ def _cmd_trace_check(args) -> int:
     if args.trials < 0:
         raise ValidationError(f"--trials must be nonnegative, got {args.trials}")
     if args.command == "trace-check":
-        if args.dim > MAX_DIMENSION:
-            raise ValidationError(f"dimension {args.dim} is beyond the limit {MAX_DIMENSION}")
         dim, theta, defect_of = args.dim, None, trace_defect
         key, value = "dim", args.dim
     else:
-        theta = Theta.from_rational(args.theta).exact
-        _check_twist_order(theta)
+        theta = Theta.from_rational(args.theta)
         dim, defect_of = 2, nc_trace_defect
-        key, value = "theta", str(theta)
+        key, value = "theta", str(theta.exact)
+    _check_draw_space(dim, theta)
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):

@@ -859,29 +859,27 @@ def random_symbol(
     document is held to: ``dim`` to ``MAX_DIMENSION``, the up to two terms
     of each of the ``depth + 1`` degrees to ``MAX_DOCUMENT_TERMS``,
     ``max_alpha`` to ``MAX_EXPONENT`` and an exact twist's cyclotomic order
-    to ``MAX_CYCLOTOMIC_ORDER``; each count must be an ``int``.
+    to ``MAX_CYCLOTOMIC_ORDER`` (``_check_draw_space`` holds the space);
+    each count must be an ``int``.  The |xi| powers drawn, each a degree
+    minus its |alpha|, so from ``order`` down to ``order - depth -
+    max_alpha``, are not held to ``MAX_EXPONENT``: ``trace-check --dim 64``
+    draws floors near -70 and must keep running.  So a drawn symbol whose
+    |xi| power passes that limit is refused when its document is read back.
     """
     for name, value in (("dim", dim), ("order", order), ("depth", depth),
                         ("max_mode", max_mode), ("max_alpha", max_alpha)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(f"{name} must be an integer, got {_brief(value)}")
-    if dim < 2:
-        raise ValidationError(f"dim must be at least 2, got {dim}")
-    if dim > MAX_DIMENSION:
-        raise ValidationError(f"dimension {dim} is beyond the limit {MAX_DIMENSION}")
     if depth < 0 or max_mode < 0 or max_alpha < 0:
         raise ValidationError("depth, max_mode and max_alpha must be nonnegative")
     if 2 * (depth + 1) > MAX_DOCUMENT_TERMS:
         raise ValidationError(f"depth {depth} may draw more than {MAX_DOCUMENT_TERMS} terms")
     if max_alpha > MAX_EXPONENT:
         raise ValidationError(f"max_alpha {max_alpha} is beyond the limit {MAX_EXPONENT}")
-    if theta is not None:
-        if not isinstance(theta, Theta):
-            theta = (_twist_of(theta) if isinstance(theta, (int, Fraction, float))
-                     else Theta.from_float(theta))
-        _check_twisted_dimension(dim)
-        if theta.is_exact:
-            _check_twist_order(theta.exact)
+    if theta is not None and not isinstance(theta, Theta):
+        theta = (_twist_of(theta) if isinstance(theta, (int, Fraction, float))
+                 else Theta.from_float(theta))
+    _check_draw_space(dim, theta)
     rng = random.Random(seed)
     bits, uniform = rng.getrandbits, rng.random
     floor = order - depth
@@ -905,6 +903,20 @@ def random_symbol(
         coerce = _system_for(theta).coerce
         blocks = {deg: {key: coerce(s) for key, s in bag.items()} for deg, bag in blocks.items()}
     return _build_symbol(dim, order, floor, theta, blocks)
+
+
+def _check_draw_space(dim: int, theta: Theta | None) -> None:
+    """The space ``random_symbol`` draws in, held to the limits a document
+    is held to: ``dim`` to 2..``MAX_DIMENSION`` (2 with a twist), and an
+    exact twist's cyclotomic order to ``MAX_CYCLOTOMIC_ORDER``."""
+    if dim < 2:
+        raise ValidationError(f"dim must be at least 2, got {dim}")
+    if dim > MAX_DIMENSION:
+        raise ValidationError(f"dimension {dim} is beyond the limit {MAX_DIMENSION}")
+    if theta is not None:
+        _check_twisted_dimension(dim)
+        if theta.is_exact:
+            _check_twist_order(theta.exact)
 
 
 def format_nc_element(poly: NCPolynomial) -> str:

@@ -47,7 +47,7 @@ from .symbols import (
 )
 
 
-class Theta:
+class Theta(_Record):
     """The twist angle, either an exact rational or a floating value."""
 
     __slots__ = ("exact", "approximate")
@@ -57,11 +57,7 @@ class Theta:
             raise ValidationError("exactly one of exact/approximate must be set")
         if approximate is not None and not math.isfinite(approximate):
             raise ValidationError(f"bad theta {approximate!r}: not finite")
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "approximate", approximate)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Theta is immutable")
+        self._set(exact, approximate)
 
     @classmethod
     def from_rational(cls, value) -> "Theta":
@@ -84,14 +80,6 @@ class Theta:
     def as_float(self) -> float:
         return float(self.exact) if self.is_exact else self.approximate
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Theta):
-            return NotImplemented
-        return self.exact == other.exact and self.approximate == other.approximate
-
-    def __hash__(self):
-        return hash((self.exact, self.approximate))
-
     def __repr__(self) -> str:
         if self.is_exact:
             return f"Theta({self.exact})"
@@ -99,6 +87,14 @@ class Theta:
 
 
 THETA_ZERO = Theta.from_rational(0)
+
+
+def _twist(theta) -> Theta:
+    """``theta``, which a twisted class takes as its space: a ``Theta``,
+    or ``ValidationError``."""
+    if not isinstance(theta, Theta):
+        raise ValidationError(f"a twist must be a Theta, got {theta!r}")
+    return theta
 
 
 def _system_for(theta: Theta | None):
@@ -134,7 +130,7 @@ class _Twisted:
 
     @property
     def _system(self):
-        return _system_for(self.theta)
+        return _system_for(_twist(self.theta))
 
 
 class NCPolynomial(_Twisted, _FourierSum):
@@ -208,7 +204,7 @@ class NCSymbol(_Twisted, _Symbol):
         components: dict | None = None,
         trusted_floor: int | None = None,
     ):
-        coerce = _system_for(theta).coerce
+        coerce = _system_for(_twist(theta)).coerce
         # a generator: each block is checked, then put in canonical form
         blocks = ((deg if type(deg) is int else _index(deg, "degree"),
                    _checked_terms(2, _block_items(block), coerce))
@@ -247,10 +243,16 @@ class NCSymbol(_Twisted, _Symbol):
 
 
 def _block_items(block):
-    """The ``(coeff, mode, alpha, npow)`` terms of a dict or list block."""
-    if isinstance(block, dict):
-        return ((coeff, *key) for key, coeff in block.items())
-    return block
+    """The ``(coeff, mode, alpha, npow)`` terms of a dict or list block; a
+    dict key that is not a ``(mode, alpha, npow)`` tuple is refused."""
+    if not isinstance(block, dict):
+        return block
+    items = []
+    for key, coeff in block.items():
+        if type(key) is not tuple or len(key) != 3:
+            raise ValidationError(f"term key {key!r} is not a (mode, alpha, npow) tuple")
+        items.append((coeff, *key))
+    return items
 
 
 def nc_compose(sigma: NCSymbol, tau: NCSymbol) -> NCSymbol:

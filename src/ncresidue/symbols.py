@@ -51,9 +51,20 @@ def _checked_terms(n: int, items: Iterable, coerce) -> dict:
     """The raw term bag of ``(coeff, mode, alpha, npow)`` items: each key
     checked and made of plain ``int``s, each coefficient coerced with
     ``coerce`` before summing.  ``canonical_terms`` checks the homogeneity.
+    Items that are not iterable, or an item that is not four entries, are
+    a ``ValidationError``.
     """
     raw: dict = {}
-    for coeff, mode, alpha, npow in items:
+    try:
+        items = iter(items)
+    except TypeError:
+        raise ValidationError(f"terms {items!r} are not iterable") from None
+    for item in items:
+        try:
+            coeff, mode, alpha, npow = item
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"term {item!r} is not a (coeff, mode, alpha, npow) tuple") from None
         mode = _indices(mode, n, "Fourier mode")
         alpha = _indices(alpha, n, "xi multi-index")
         if min(alpha) < 0:
@@ -89,9 +100,15 @@ def _sum_bag(n: int, degree: int, a: dict, b: dict) -> dict:
     return T.canonical_terms(n, degree, T.add_terms(a, b))
 
 
-def _scale_bag(bag: dict, c) -> dict:
-    # a nonzero multiple of a canonical bag is canonical
-    return {k: c * s for k, s in bag.items()} if c else {}
+def _scale_bag(n: int, degree: int, bag: dict, c) -> dict:
+    """c times a canonical bag.  A nonzero multiple of it is canonical; a
+    float product that rounds to zero is dropped, as no zero term is
+    stored, and the rest is made canonical again, since the terms left may
+    be a multiple of xi_1^2 + ... + xi_n^2."""
+    if not c:
+        return {}
+    out = {k: p for k, s in bag.items() if (p := c * s)}
+    return out if len(out) == len(bag) else T.canonical_terms(n, degree, out)
 
 
 def _axis(n: int, direction: int) -> int:
@@ -204,6 +221,14 @@ class _Symbol:
     the twisted side both scale a term by its mode, so ``deriv_x`` serves
     both.  The Fourier sums are the order-0 symbols of multiplication by
     them (``_FourierSum``), so this core serves them too.
+
+    Every class is built through ``_init_raw`` or ``_init``, and the
+    arithmetic is written once here: ``+`` and ``-`` (a component adds
+    only its degree rule), negation term by term, ``scale`` (which drops a
+    float product that rounds to zero, ``_scale_bag``) and the pointwise
+    product of one-degree symbols (``_product``).  One
+    ``_check_space`` refuses a sum, a difference or a product across two
+    spaces, naming both.
     """
 
     __slots__ = ("_space", "order", "trusted_floor", "_components")
@@ -300,11 +325,16 @@ class _Symbol:
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _check_space(self, other) -> None:
+        if self._space != other._space:
+            raise ValidationError(
+                f"{self._space_name} mismatch: {self._space!r} vs {other._space!r}"
+            )
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self._space != other._space:
-            raise ValidationError(f"{self._space_name} mismatch in symbol addition")
+        self._check_space(other)
         floors = [f for f in (self.trusted_floor, other.trusted_floor) if f is not None]
         floor = max(floors) if floors else None
         a, b = self._components, other._components
@@ -321,12 +351,25 @@ class _Symbol:
         return self + -other
 
     def __neg__(self):
-        return self.scale(-1)
+        # term by term: a float's zero part keeps its sign, which scale(-1) flips
+        bags = {deg: {k: -s for k, s in bag.items()} for deg, bag in self._components.items()}
+        return self._with_term_bags(self.order, bags, self.trusted_floor)
 
     def scale(self, c):
         c = self._system.coerce(c)
-        bags = {deg: _scale_bag(bag, c) for deg, bag in self._components.items()}
+        bags = {deg: _scale_bag(self.n, deg, bag, c) for deg, bag in self._components.items()}
         return self._with_term_bags(self.order, bags, self.trusted_floor)
+
+    def _product(self, other):
+        """The pointwise product of two symbols of one degree each, complete:
+        one ``mul_terms`` call with the system's phase (the torus's system
+        has none), at the sum of the degrees."""
+        self._check_space(other)
+        order = self.order + other.order
+        raw = T.mul_terms(self._system, self.n, self._bag(self.order), other._bag(other.order))
+        out = object.__new__(type(self))
+        out._init_raw(self._space, order, ((order, raw),), None)
+        return out
 
     def deriv_x(self, direction: int):
         """D_x in the given 1-based direction: each term scales by its mode there."""
@@ -358,31 +401,21 @@ class _FourierSum(_Symbol):
 
     A function on the torus, or an element of the twisted algebra, is the
     order-0 symbol of multiplication by it: one bag at degree 0 whose terms
-    ``(mode, (0,) * n, 0)`` carry no xi part, and no floor.  A bag of modes
-    alone is canonical.  The core's storage, zero test, equality, hash,
-    ``+``, ``-`` and ``deriv_x`` serve it; ``coeffs`` reads the bag as
-    mode -> coefficient.  The sum checks the space first, for the message
-    naming both spaces.  Negation and ``scale`` stay here: unary minus
-    keeps the sign of a float's zero part, which ``scale(-1)`` flips, and
-    ``scale`` drops a product that rounds to zero.  A product is one
-    ``mul_terms`` call with the system's phase (the torus's system has
-    none).
+    ``(mode, (0,) * n, 0)`` carry no xi part, and no floor.  The core's
+    construction, storage, zero test, equality, hash, ``+``, ``-``,
+    negation, ``scale``, pointwise product and ``deriv_x`` serve it;
+    ``coeffs`` reads the bag as mode -> coefficient, and a product by
+    anything but a sum of the same class is a scalar multiple.
     """
 
     __slots__ = ()
 
     def __init__(self, space, coeffs: dict | None = None):
         _set_space(self, space)  # which n and _system read
-        n, coerce = self.n, self._system.coerce
-        flat, bag = (0,) * n, {}
-        for mode, c in (coeffs or {}).items():
-            mode, c = _indices(mode, n, "Fourier mode"), coerce(c)
-            if c:
-                bag[(mode, flat, 0)] = c
-        self._init(space, 0, ((0, bag),), None)
-
-    def _from_bag(self, bag: dict):
-        return self._with_term_bags(0, {0: bag}, None)
+        n = self.n
+        flat = (0,) * n
+        terms = ((c, mode, flat, 0) for mode, c in (coeffs or {}).items())
+        self._init_raw(space, 0, ((0, _checked_terms(n, terms, self._system.coerce)),), None)
 
     @property
     def coeffs(self) -> dict:
@@ -395,30 +428,9 @@ class _FourierSum(_Symbol):
     def __bool__(self) -> bool:
         return bool(self._components)
 
-    def _check_space(self, other) -> None:
-        if self._space != other._space:
-            raise ValidationError(
-                f"{self._space_name} mismatch: {self._space!r} vs {other._space!r}"
-            )
-
-    def __add__(self, other):
-        if type(other) is type(self):
-            self._check_space(other)
-        return _Symbol.__add__(self, other)
-
-    def __neg__(self):
-        return self._from_bag({key: -s for key, s in self._bag(0).items()})
-
-    def scale(self, c):
-        c = self._system.coerce(c)
-        return self._from_bag({key: p for key, s in self._bag(0).items() if (p := c * s)})
-
     def __mul__(self, other):
         if type(other) is type(self):
-            self._check_space(other)
-            return self._from_bag(
-                T.mul_terms(self._system, self.n, self._bag(0), other._bag(0))
-            )
+            return self._product(other)
         try:
             return self.scale(other)
         except TypeError:
@@ -435,7 +447,7 @@ class _FourierSum(_Symbol):
             # the phase of reordering V^-n U^-m into U^-m V^-n
             ph = phase and phase(-mode[1], -mode[0])
             out[(tuple(-x for x in mode), flat, 0)] = conj if ph is None else conj * ph
-        return self._from_bag(out)
+        return self._with_term_bags(0, {0: out}, None)
 
     def trace(self):
         """The normalized trace: the mode-zero Fourier coefficient."""
@@ -470,10 +482,10 @@ class HomogeneousComponent(_Torus, _Symbol):
     """A degree-d homogeneous function of (x, xi), kept in canonical form.
 
     It is a complete symbol of the one degree d: its one bag, when
-    nonzero, sits at its order d, so the core's equality and hash (two zero
-    components are equal at any degree), ``-``, negation, ``scale``,
-    ``partial_xi`` and ``deriv_x`` serve it.  A sum refuses two nonzero
-    summands of different degrees.
+    nonzero, sits at its order d, so the core's construction, equality and
+    hash (two zero components are equal at any degree), ``-``, negation,
+    ``scale``, pointwise product, ``partial_xi`` and ``deriv_x`` serve it.
+    A sum refuses two nonzero summands of different degrees.
     """
 
     __slots__ = ()
@@ -482,24 +494,19 @@ class HomogeneousComponent(_Torus, _Symbol):
         if type(n) is not int or type(degree) is not int:
             n, degree = _index(n, "dimension"), _index(degree, "degree")
         n = _dimension(n)
-        raw = _checked_terms(n, terms, _SYS.coerce)
-        self._set(n, degree, T.canonical_terms(n, degree, raw))
-
-    def _set(self, n: int, degree: int, canonical: dict) -> None:
-        _set_space(self, n)
-        _set_order(self, degree)
-        _set_floor(self, None)
-        _set_components(self, {degree: canonical} if canonical else {})
+        self._init_raw(n, degree, ((degree, _checked_terms(n, terms, _SYS.coerce)),), None)
 
     @classmethod
     def _from_canonical(cls, n: int, degree: int, canonical: dict) -> "HomogeneousComponent":
         self = object.__new__(cls)
-        self._set(n, degree, canonical)
+        self._init(n, degree, ((degree, canonical),), None)
         return self
 
     @classmethod
     def from_raw(cls, n: int, degree: int, raw: dict) -> "HomogeneousComponent":
-        return cls._from_canonical(n, degree, T.canonical_terms(n, degree, raw))
+        self = object.__new__(cls)
+        self._init_raw(n, degree, ((degree, raw),), None)
+        return self
 
     @property
     def degree(self) -> int:
@@ -522,26 +529,19 @@ class HomogeneousComponent(_Torus, _Symbol):
         return bool(self._terms)
 
     def __add__(self, other):
-        if not isinstance(other, HomogeneousComponent):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValidationError(f"dimension mismatch: {self.n} != {other.n}")
-        if self.degree != other.degree and self._terms and other._terms:
+        """The core's sum; of two summands of different degrees, one must be
+        zero, and the sum is the other one."""
+        if type(other) is not type(self) or self.degree == other.degree:
+            return _Symbol.__add__(self, other)
+        self._check_space(other)
+        if self._terms and other._terms:
             raise ValidationError(
                 f"cannot add components of degrees {self.degree} and {other.degree}"
             )
-        deg = self.degree if self._terms or not other._terms else other.degree
-        return HomogeneousComponent._from_canonical(
-            self.n, deg, _sum_bag(self.n, deg, self._terms, other._terms)
-        )
+        return other if other._terms else self
 
     def __mul__(self, other):
-        if not isinstance(other, HomogeneousComponent):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValidationError(f"dimension mismatch: {self.n} != {other.n}")
-        raw = T.mul_terms(_SYS, self.n, self._terms, other._terms)
-        return HomogeneousComponent.from_raw(self.n, self.degree + other.degree, raw)
+        return self._product(other) if type(other) is type(self) else NotImplemented
 
     def __repr__(self) -> str:
         inner = ", ".join(

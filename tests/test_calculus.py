@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -379,6 +380,16 @@ def test_commutator_exp_leading_term():
     got = commutator_exp(s, 2, 1)
     assert got.trusted_floor == -3
     assert got.component(-3) == comp(2, -3, [(-2, (0, 1), (0, 1), -4)])
+
+
+@pytest.mark.parametrize("depth, message", [(1.5, "depth 1.5 is not an integer"),
+                                            ("2", "depth '2' is not an integer"),
+                                            (-1, "depth must be nonnegative, got -1")])
+def test_commutator_exp_refuses_a_depth_that_is_not_a_nonnegative_integer(depth, message):
+    s = random_symbol(3, dim=2, order=1, depth=2, max_mode=1, max_alpha=2)
+    assert s.trusted_floor is not None  # so the depth meets arithmetic at once
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        commutator_exp(s, 1, depth)
 
 
 def _exp_series(sigma, direction, depth, floor):

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,10 +17,12 @@ import ncresidue.cli as cli
 from ncresidue.dsl import (
     MAX_DOCUMENT_TERMS,
     format_symbol,
+    parse_symbol,
     random_symbol,
     symbol_from_json,
     symbol_to_json,
 )
+from ncresidue.errors import ValidationError
 from ncresidue.nctorus import nc_compose
 from ncresidue.scalars import PiGradedScalar
 
@@ -429,6 +432,12 @@ def test_nc_trace_check_bad_theta_gives_one_line(capsys, theta):
     (["trace-check", "--trials", "-1"], "validation error: --trials must be nonnegative, got -1\n"),
     (["nc-trace-check", "--theta", "2/5", "--trials", "-1"],
      "validation error: --trials must be nonnegative, got -1\n"),
+    (["trace-check", "--dim", "1", "--trials", "0"],
+     "validation error: dim must be at least 2, got 1\n"),
+    (["trace-check", "--dim", "-3", "--trials", "0"],
+     "validation error: dim must be at least 2, got -3\n"),
+    (["trace-check", "--dim", "1", "--trials", "1"],
+     "validation error: dim must be at least 2, got 1\n"),
 ])
 def test_check_commands_hold_their_flags_to_the_document_limits(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
@@ -446,10 +455,24 @@ def test_check_commands_just_inside_the_limits_still_run(capsys):
     assert code == 0 and out == "trace-check: 0 trials, dim 64, 0 failures [ok]\n"
     code, out, _ = run(capsys, "nc-trace-check", "--theta", "1/10000", "--trials", "0")
     assert code == 0 and out == "nc-trace-check: 0 trials, theta 1/10000, 0 failures [ok]\n"
-    # a dimension below 2 is refused by the symbols, as before
+    # a dimension below 2 is refused with the message of random_symbol
     code, out, err = run(capsys, "trace-check", "--dim", "1", "--trials", "1")
     assert code == cli.EXIT_VALIDATION
     assert err == "validation error: dim must be at least 2, got 1\n"
+
+
+def test_random_symbols_may_draw_an_npow_their_documents_refuse(capsys):
+    """``random_symbol`` holds its drawn |xi| powers to no limit, so that
+    ``trace-check --dim 64`` keeps running; such a symbol's document is
+    refused when read back."""
+    sym = random_symbol(1, dim=2, order=100, depth=0, max_mode=1, max_alpha=1)
+    message = "term xi^[1, 0] |xi|^99 has an exponent beyond the limit 64"
+    for read_back in (lambda: parse_symbol(format_symbol(sym)),
+                      lambda: symbol_from_json(symbol_to_json(sym))):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_back()
+    code, out, err = run(capsys, "trace-check", "--dim", "64", "--trials", "1")
+    assert (code, out, err) == (0, "trace-check: 1 trials, dim 64, 0 failures [ok]\n", "")
 
 
 def test_main_builds_its_parser_once_and_not_at_import(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 import cmath
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from ncresidue.calculus import compose, residue
+from ncresidue.calculus import _Record, compose, residue
 from ncresidue.cyclotomic import CyclotomicScalar, cyclotomic_phase
 from ncresidue.errors import DomainError, InsufficientExpansionError, ValidationError
 from ncresidue.nctorus import (
@@ -100,6 +101,45 @@ def test_a_malformed_mode_is_a_validation_error(mode, message):
     for theta in (Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)):
         with pytest.raises(ValidationError, match=message):
             NCPolynomial(theta, {mode: 1})
+
+
+@pytest.mark.parametrize("block, message", [
+    ({((0, 0), (0, 0)): 1}, "term key ((0, 0), (0, 0)) is not a (mode, alpha, npow) tuple"),
+    ({((0, 0), (0, 0), 0, 0): 1},
+     "term key ((0, 0), (0, 0), 0, 0) is not a (mode, alpha, npow) tuple"),
+    ({5: 1}, "term key 5 is not a (mode, alpha, npow) tuple"),
+    (5, "terms 5 are not iterable"),
+])
+def test_a_malformed_block_is_a_validation_error(block, message):
+    for theta in (Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)):
+        with pytest.raises(ValidationError) as info:
+            NCSymbol(theta, 0, {0: block})
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("space", [None, Fraction(2, 5), 0.3, 0])
+def test_a_twisted_class_takes_only_a_theta(space):
+    """A twist that is not a ``Theta`` is refused by both twisted classes,
+    rather than building on another system."""
+    message = f"^a twist must be a Theta, got {re.escape(repr(space))}$"
+    for make in (lambda: NCSymbol(space, 0, {0: {((1, 0), (0, 0), 0): 1}}, 0),
+                 lambda: NCSymbol(space, 0), lambda: NCPolynomial(space, {(1, 0): 1}),
+                 lambda: NCPolynomial.one(space)):
+        with pytest.raises(ValidationError, match=message):
+            make()
+
+
+def test_theta_is_an_immutable_record():
+    theta = Theta.from_rational(Fraction(2, 5))
+    assert isinstance(theta, _Record)
+    assert theta == Theta(exact=Fraction(2, 5)) and theta != Theta.from_float(0.4)
+    assert hash(theta) == hash((Fraction(2, 5), None))
+    assert hash(Theta.from_float(0.0)) == hash(Theta.from_float(-0.0))
+    for change in (lambda: setattr(theta, "exact", Fraction(1, 3)),
+                   lambda: delattr(theta, "exact")):
+        with pytest.raises(AttributeError):
+            change()
+    assert theta.exact == Fraction(2, 5) and repr(theta) == "Theta(2/5)"
 
 
 @pytest.mark.parametrize("theta", [Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)])

@@ -24,6 +24,7 @@ from ncresidue.symbols import (
     canonicalize,
     euler_antiderivatives,
     monomial_symbol,
+    one_symbol,
     sphere_average,
     xi_symbol,
     zero_component,
@@ -425,18 +426,46 @@ def test_a_fourier_sum_is_an_order_0_symbol():
 
 
 def test_a_fourier_sum_keeps_its_own_float_steps_and_messages():
-    """What the symbol core would change for a Fourier sum: unary minus keeps
-    the sign of a float's zero part (``scale(-1)`` flips it), ``scale``
-    drops a product that rounds to zero, and a mismatch names both twists."""
+    """The symbol core's float steps and messages, which a Fourier sum and
+    every other symbol class share: unary minus keeps the sign of a float's
+    zero part (``scale(-1)`` flips it), ``scale`` drops a product that
+    rounds to zero, so the result equals the symbol built without that
+    term, and a mismatch names both spaces."""
     th = Theta.from_float(0.4)
     (neg,) = (-NCPolynomial(th, {(0, 1): 2})).coeffs.values()
     assert neg == -2 and math.copysign(1, neg.imag) == -1
     assert NCPolynomial(th, {(1, 0): 1e-300}).scale(1e-300).is_zero()
+    for theta in (Theta.from_float(0.3), th):
+        (neg,) = (-NCSymbol(theta, 0, {0: {((0, 1), (0, 0), 0): 2}})).components[0].values()
+        assert neg == -2 and math.copysign(1, neg.imag) == -1
+        tiny = NCSymbol(theta, 0, {0: {((1, 0), (0, 0), 0): 1e-200,
+                                       ((0, 1), (0, 0), 0): 1.0}}, 0)
+        assert tiny.scale(1e-200) == NCSymbol(theta, 0, {0: {((0, 1), (0, 0), 0): 1e-200}}, 0)
+        assert NCSymbol(theta, 0, {0: {((1, 0), (0, 0), 0): 1e-300}}).scale(1e-300).is_zero()
+        # the terms left are 1e-200 (xi_1^2 + xi_2^2) |xi|^-2, which is 1e-200
+        square = NCSymbol(theta, 0, {0: {((0, 0), (2, 0), -2): 1.0, ((0, 0), (0, 2), -2): 1.0,
+                                         ((0, 0), (1, 1), -2): 1e-200}})
+        assert square.scale(1e-200) == NCSymbol(theta, 0, {0: [(1e-200, (0, 0), (0, 0), 0)]})
     a = NCPolynomial(Theta.from_rational(Fraction(2, 5)), {(1, 0): 1})
     b = NCPolynomial(Theta.from_rational(Fraction(1, 3)), {(1, 0): 1})
     for op in (a.__add__, a.__sub__, a.__mul__):
         with pytest.raises(ValidationError,
                            match=re.escape("twist mismatch: Theta(2/5) vs Theta(1/3)")):
+            op(b)
+    a, b = (NCSymbol(x.theta, 0, {0: {((1, 0), (0, 0), 0): 1}}) for x in (a, b))
+    for op in (a.__add__, a.__sub__):
+        with pytest.raises(ValidationError,
+                           match=re.escape("twist mismatch: Theta(2/5) vs Theta(1/3)")):
+            op(b)
+    a, b = one_symbol(2), one_symbol(3)
+    for x, y in ((a, b), (b, a)):
+        for op in (x.__add__, x.__sub__):
+            with pytest.raises(ValidationError,
+                               match=f"^dimension mismatch: {x.n} vs {y.n}$"):
+                op(y)
+    a, b = (s.component(0) for s in (a, b))
+    for op in (a.__add__, a.__sub__, a.__mul__):
+        with pytest.raises(ValidationError, match="^dimension mismatch: 2 vs 3$"):
             op(b)
 
 
@@ -552,6 +581,27 @@ def test_the_public_constructors_refuse_a_malformed_term(mode, alpha, npow, degr
     for theta in (Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)):
         makers.append(lambda theta=theta: NCSymbol(theta, 1, {degree: term}))
         makers.append(lambda theta=theta: NCSymbol(theta, 1, {degree: {(mode, alpha, npow): 1}}))
+    for make in makers:
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert str(info.value) == message
+
+
+# terms that are not (coeff, mode, alpha, npow) items, and the refusal of both public constructors
+MALFORMED_TERM_SHAPES = [
+    ([(1, (0, 0))], "term (1, (0, 0)) is not a (coeff, mode, alpha, npow) tuple"),
+    ([(1, (0, 0), (0, 0), 0, 0)],
+     "term (1, (0, 0), (0, 0), 0, 0) is not a (coeff, mode, alpha, npow) tuple"),
+    ([5], "term 5 is not a (coeff, mode, alpha, npow) tuple"),
+    (5, "terms 5 are not iterable"),
+]
+
+
+@pytest.mark.parametrize("terms, message", MALFORMED_TERM_SHAPES)
+def test_the_public_constructors_refuse_a_term_of_the_wrong_shape(terms, message):
+    makers = [lambda: HomogeneousComponent(2, 0, terms)]
+    for theta in (Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.4)):
+        makers.append(lambda theta=theta: NCSymbol(theta, 1, {0: terms}))
     for make in makers:
         with pytest.raises(ValidationError) as info:
             make()

@@ -36,6 +36,13 @@ It prints, on seeded inputs:
   ``blocks`` and ``component_raw``; ``euler_antiderivatives``,
   ``sphere_average``, ``uniqueness_decompose``, ``commutator_xi``,
   ``commutator_exp``, ``to_euclidean`` and ``semiclassical_check``;
+- twisted symbol arithmetic at the float twists 0.3 and 0.4: unary ``-``,
+  ``scale(0.5)``, ``-`` of a symbol from itself and ``+`` of two seeded
+  symbols, and ``scale(1e-200)`` of a symbol holding a 1e-200
+  coefficient, with its equality to the symbol built without that term,
+  and of one whose other terms are left as a multiple of |xi|^2, each
+  result shown with its coefficients' ``repr`` (which shows the sign
+  of a zero part);
 - algebra elements at theta 0, 2/5, 5/12 and 7/30: ``NCPolynomial``
   products both ways, ``adjoint``, ``delta`` with indices 0..3, ``trace``
   and scalar multiples, each shown with its coefficients' ``repr``;
@@ -378,6 +385,34 @@ def dump_twisted_layer(lib, out):
             out(f"{label} semiclassical: {_outcome(N.semiclassical_check, sym)}")
             out(f"{label} residue: {_outcome(N.nc_residue, sym)}")
             dump_twisted_arithmetic(lib, out, label, sym, syms[(k + 1) % len(syms)])
+
+
+def dump_float_arithmetic(lib, out):
+    N = lib.nctorus
+    for i, th in enumerate((0.3, 0.4)):
+        rng = random.Random(80 + i)
+        theta = N.Theta.from_float(th)
+        sym, other = (lib.dsl.random_symbol(rng.getrandbits(32), dim=2,
+                                            order=rng.randint(-1, 1), depth=rng.randint(1, 4),
+                                            max_mode=2, max_alpha=2, theta=theta)
+                      for _ in range(2))
+        # 1e-200 * 1e-200 rounds to zero
+        tiny = N.NCSymbol(theta, 0, {0: {((1, 0), (0, 0), 0): 1e-200,
+                                         ((0, 1), (0, 0), 0): 1.0}}, 0)
+        without = N.NCSymbol(theta, 0, {0: {((0, 1), (0, 0), 0): 1e-200}}, 0)
+        # what is left of it is 1e-200 (xi_1^2 + xi_2^2) |xi|^-2, that is 1e-200
+        square = N.NCSymbol(theta, 0, {0: {((0, 0), (2, 0), -2): 1.0,
+                                           ((0, 0), (0, 2), -2): 1.0,
+                                           ((0, 0), (1, 1), -2): 1e-200}})
+        label = f"theta={th} float arithmetic"
+        for tag, fn in (("symbol", lambda: sym), ("other", lambda: other),
+                        ("neg", lambda: -sym), ("scale 0.5", lambda: sym.scale(0.5)),
+                        ("- self", lambda: sym - sym), ("+", lambda: sym + other),
+                        ("tiny scale 1e-200", lambda: tiny.scale(1e-200)),
+                        ("square scale 1e-200", lambda: square.scale(1e-200))):
+            out(f"{label} {tag}: {_nc_outcome(fn)}")
+        out(f"{label} tiny scale 1e-200 == built without the term: "
+            f"{_outcome(lambda: tiny.scale(1e-200) == without)}")
 
 
 def _nc_poly_repr(poly) -> str:
@@ -1235,6 +1270,7 @@ def main(argv=None) -> int:
     dump_residues_without_composing(lib, lines.append)
     dump_classical_layer(lib, lines.append)
     dump_twisted_layer(lib, lines.append)
+    dump_float_arithmetic(lib, lines.append)
     dump_nc_polynomials(lib, lines.append)
     dump_complex_rationals(lib, lines.append)
     dump_long_complex_rationals(lib, lines.append)
