@@ -23,7 +23,7 @@ from .calculus import (
 )
 from .cyclotomic import CyclotomicScalar
 from .dsl import (
-    _check_draw_space,
+    _check_space,
     _coeff_to_json,
     format_nc_element,
     format_symbol,
@@ -165,7 +165,7 @@ def _cmd_trace_check(args) -> int:
         theta = Theta.from_rational(args.theta)
         dim, defect_of = 2, nc_trace_defect
         key, value = "theta", str(theta.exact)
-    _check_draw_space(dim, theta)
+    _check_space(dim, theta)
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):

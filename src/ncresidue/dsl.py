@@ -17,6 +17,12 @@ use ``e(...)`` modes.  Root-of-unity coefficients of twisted symbols are
 rendered grammar-purely as commutator words ``V * U^t * V^-1 * U^-t``,
 which evaluate back to the same phase.
 
+Both readers hold a document to the same limits through the same checks:
+``_check_space`` for the header's dimension and twist (which
+``random_symbol`` and the check commands call too) and ``_check_term`` for
+each term's exponents and degree.  The JSON reader reads each term on one
+path for both calculi, and both readers build through ``_build_symbol``.
+
 Reading is one pass.  One ``finditer`` scan tokenizes a document, an
 unexpected character included; a token keeps its kind, text and offset,
 and the line and column of an error are worked out from the offset when
@@ -49,9 +55,9 @@ from functools import lru_cache
 from . import terms as T
 from .cyclotomic import CyclotomicInteger, CyclotomicScalar, decompose_root
 from .errors import DomainError, ParseError, ValidationError
-from .nctorus import NCPolynomial, NCSymbol, Theta, _system_for
+from .nctorus import NCPolynomial, NCSymbol, Theta, _system_for, _twist
 from .scalars import ComplexRational
-from .symbols import ClassicalSymbol
+from .symbols import ClassicalSymbol, _dimension
 
 
 # One scan reads a document: every match is optional whitespace followed by
@@ -136,29 +142,36 @@ def _check_cyclotomic_order(order: int, what: str) -> int:
     return order
 
 
-def _check_twist_order(theta: Fraction) -> int:
-    """The cyclotomic order of the exact twist ``theta``, lcm(4, its
-    denominator), held to ``MAX_CYCLOTOMIC_ORDER``."""
-    return _check_cyclotomic_order(math.lcm(4, theta.denominator), f"theta {theta}")
-
-
-def _check_twisted_dimension(dim: int) -> None:
-    if dim != 2:
-        raise ValidationError("twisted symbols require dim 2")
-
-
-def _check_dimension(dim: int) -> None:
-    if dim < 2:
-        raise ValidationError(f"dimension must be at least 2, got {dim}")
+def _check_space(dim: int, theta: Theta | None) -> int | None:
+    """The space of a document or a draw, held to the document limits:
+    ``dim`` at least 2 (``symbols._dimension``) and at most
+    ``MAX_DIMENSION``, exactly 2 under a twist, and an exact twist's
+    cyclotomic order, lcm(4, its denominator), at most
+    ``MAX_CYCLOTOMIC_ORDER``.  Returns that order, None without an exact
+    twist."""
+    _dimension(dim)
     if dim > MAX_DIMENSION:
         raise ValidationError(f"dimension {dim} is beyond the limit {MAX_DIMENSION}")
+    if theta is not None:
+        if dim != 2:
+            raise ValidationError("twisted symbols require dim 2")
+        if theta.is_exact:
+            q = theta.exact.denominator
+            return _check_cyclotomic_order(math.lcm(4, q), f"theta {theta.exact}")
+    return None
 
 
-def _check_exponents(alpha: tuple[int, ...], npow: int, where: str = "") -> None:
+def _check_term(alpha: tuple[int, ...], npow: int, deg: int, where: str = "") -> None:
+    """A term's exponents, held to ``MAX_EXPONENT``, and its degree, which
+    must be its block's ``deg``; ``where`` ends either message."""
     if max(map(abs, alpha), default=0) > MAX_EXPONENT or abs(npow) > MAX_EXPONENT:
         raise ValidationError(
             f"term xi^{list(alpha)} |xi|^{npow} has an exponent beyond the "
             f"limit {MAX_EXPONENT}{where}"
+        )
+    if sum(alpha) + npow != deg:
+        raise ValidationError(
+            f"term of degree {sum(alpha) + npow} in a block declared deg {deg}{where}"
         )
 
 
@@ -240,7 +253,6 @@ class _Parser:
     def parse_document(self):
         self.expect("NAME", "dim")
         dim = self.parse_int()
-        _check_dimension(dim)
         self.expect("NAME", "order")
         order = self.parse_int()
         self.expect("NAME", "floor")
@@ -250,8 +262,7 @@ class _Parser:
             self.pos += 1
             negative = self.accept("-")
             theta = Theta.from_rational(self.ratio(self.expect("NUMBER")[1], negative))
-            _check_twisted_dimension(dim)
-            _check_twist_order(theta.exact)
+        _check_space(dim, theta)
         self.set_kind(dim, theta)
         blocks: dict[int, dict] = {}
         while self.peek():
@@ -262,12 +273,9 @@ class _Parser:
             value = self.parse_expr()
             self.expect("}")
             for _m, alpha, npow in value:
+                # alpha is nonnegative; the position is worked out only for a refusal
                 if max(*alpha, abs(npow)) > MAX_EXPONENT or sum(alpha) + npow != deg:
-                    where = self.at(deg_tok)
-                    _check_exponents(alpha, npow, where)
-                    raise ValidationError(
-                        f"term of degree {sum(alpha) + npow} in a block declared deg {deg}{where}"
-                    )
+                    _check_term(alpha, npow, deg, self.at(deg_tok))
             bucket = blocks.setdefault(deg, {})
             for key, s in value.items():
                 T.bag_add(bucket, key, s)
@@ -416,9 +424,13 @@ class _Parser:
 
 
 def _build_symbol(dim: int, order: int, floor: int, theta: Theta | None, blocks: dict):
-    """The symbol of ``(mode, alpha, npow) -> coeff`` degree blocks, whose
-    coefficients are already the system's, after checking them against the
-    header."""
+    """The symbol of ``(mode, alpha, npow) -> coeff`` degree blocks, after
+    checking each block's degree against the header's order and floor.
+
+    Both readers and ``random_symbol`` end here, having checked the space
+    (``_check_space``) and each term (``_check_term``, or drawn within the
+    limits) and coerced each coefficient into the system once; the blocks
+    go to ``_init_raw`` as they stand."""
     for deg in blocks:
         if deg > order:
             raise ValidationError(f"block degree {deg} exceeds order {order}")
@@ -440,7 +452,7 @@ def parse_symbol(text: str):
 
 def parse_nc_element(text: str, theta: Theta) -> NCPolynomial:
     """Parse a bare algebra element (rationals, i, U, V) at the given twist."""
-    parser = _Parser(text, 2, theta)
+    parser = _Parser(text, 2, _twist(theta))
     try:
         value = parser.parse_expr()
     except RecursionError:
@@ -451,8 +463,9 @@ def parse_nc_element(text: str, theta: Theta) -> NCPolynomial:
     for _mode, alpha, npow in value:
         if any(alpha) or npow:
             raise ValidationError("algebra elements cannot contain xi or r factors")
-    # the keys of one bag are distinct, so each mode occurs once
-    return NCPolynomial(theta, {mode: s for (mode, _a, _p), s in value.items()})
+    poly = object.__new__(NCPolynomial)  # each coefficient was coerced as it was read
+    poly._init_raw(theta, 0, ((0, value),), None)
+    return poly
 
 
 # -- formatting ---------------------------------------------------------------
@@ -598,7 +611,7 @@ def _materialized_floor(sym) -> int:
     return min(degs) if degs else sym.order
 
 
-def _twist(sym, verb: str) -> Theta | None:
+def _symbol_twist(sym, verb: str) -> Theta | None:
     """The twist of a symbol, None for a commutative one."""
     if isinstance(sym, NCSymbol):
         return sym.theta
@@ -613,7 +626,7 @@ def _theta_text(theta: Theta) -> str:
 
 def format_symbol(sym) -> str:
     """Deterministic canonical rendering; parse(format(s)) == s on DSL symbols."""
-    theta = _twist(sym, "format")
+    theta = _symbol_twist(sym, "format")
     _check_text_twist(theta)
     header = f"dim {sym.n} order {sym.order} floor {_materialized_floor(sym)}"
     if theta is not None:
@@ -701,7 +714,7 @@ def _json_phase(value) -> tuple[int, int]:
 
 def symbol_to_json(sym) -> dict:
     """The JSON mirror of the text format, one object per degree block."""
-    theta = _twist(sym, "serialize")
+    theta = _symbol_twist(sym, "serialize")
     blocks = []
     for deg, bag in sorted(sym._term_bags().items(), reverse=True):
         terms = []
@@ -725,14 +738,21 @@ def symbol_to_json(sym) -> dict:
 
 
 def symbol_from_json(data: dict):
-    """Inverse of symbol_to_json; validates the same rules as the text parser."""
+    """Inverse of symbol_to_json; validates the same rules as the text parser.
+
+    Each term is read on one path.  The calculus picks only its mode field
+    (``mode`` of ``dim`` entries, or ``nc`` of two), the fields it refuses
+    with their messages (``nc`` and ``phase`` without a ``theta``, ``mode``
+    with one), and whether the coefficient is coerced: a twisted one into
+    the twist's system, once; a classical one is read as a
+    ``ComplexRational``, the system's own scalar.
+    """
     if not isinstance(data, dict):
         raise ValidationError("symbol JSON must be an object")
     try:
         dim, order, floor = (_json_int(data[key], key) for key in ("dim", "order", "floor"))
     except KeyError as exc:
         raise ValidationError(f"bad or missing header field: {exc}") from None
-    _check_dimension(dim)
     theta = None
     if "theta" in data and data["theta"] is not None:
         raw = data["theta"]
@@ -745,10 +765,15 @@ def symbol_from_json(data: dict):
                 raise ValidationError(f"bad theta {_brief(raw)}: {exc}") from None
         else:
             theta = Theta.from_float(raw)
-        _check_twisted_dimension(dim)
-        if theta.is_exact:
-            cyclotomic_order = _check_twist_order(theta.exact)
-    system = _system_for(theta)
+    cyclotomic_order = _check_space(dim, theta)
+    if theta is None:
+        field, width, what, coerce, exact = "mode", dim, "Fourier mode", None, True
+        refused = {"nc": "nc terms require a theta field",
+                   "phase": "phase terms require a theta field"}
+    else:
+        field, width, what = "nc", 2, "U/V exponents"
+        coerce, exact = _system_for(theta).coerce, theta.is_exact
+        refused = {"mode": "e-modes cannot appear in a twisted symbol"}
     blocks: dict[int, dict] = {}
     count = 0
     block_list = data.get("blocks", [])
@@ -770,38 +795,26 @@ def symbol_from_json(data: dict):
             if len(alpha) != dim or any(a < 0 for a in alpha):
                 raise ValidationError(f"bad xi multi-index {list(alpha)}")
             npow = _json_int(term.get("npow", 0), "npow")
-            _check_exponents(alpha, npow)
-            if sum(alpha) + npow != deg:
-                raise ValidationError(
-                    f"term of degree {sum(alpha) + npow} in a block declared deg {deg}"
-                )
-            has_mode = "mode" in term
-            has_nc = "nc" in term
-            if theta is None:
-                if has_nc:
-                    raise ValidationError("nc terms require a theta field")
-                mode = _json_ints(term.get("mode", (0,) * dim), "mode")
-                if len(mode) != dim:
-                    raise ValidationError(f"bad Fourier mode {term.get('mode')}")
-                coeff = _coeff_from_json(term["coeff"], exact=True)
-                T.bag_add(bucket, (mode, alpha, npow), coeff)
-            else:
-                if has_mode:
-                    raise ValidationError("e-modes cannot appear in a twisted symbol")
-                mode = _json_ints(term.get("nc", (0, 0)), "nc")
-                if len(mode) != 2:
-                    raise ValidationError(f"bad U/V exponents {term.get('nc')}")
-                scalar = system.coerce(_coeff_from_json(term["coeff"], exact=theta.is_exact))
-                if "phase" in term:
-                    q, b = _json_phase(term["phase"])
-                    if theta.is_exact:
-                        cyclotomic_order = _check_cyclotomic_order(
-                            math.lcm(cyclotomic_order, q), f"phase {[q, b]}"
-                        )
-                        scalar = scalar * CyclotomicScalar.root_of_unity(q, b)
-                    else:
-                        scalar = scalar * cmath.exp(2j * cmath.pi * (b % q) / q)
-                T.bag_add(bucket, (mode, alpha, npow), scalar)
+            _check_term(alpha, npow, deg)
+            for key, message in refused.items():
+                if key in term:
+                    raise ValidationError(message)
+            mode = _json_ints(term.get(field, (0,) * width), field)
+            if len(mode) != width:
+                raise ValidationError(f"bad {what} {term.get(field)}")
+            scalar = _coeff_from_json(term["coeff"], exact)
+            if coerce is not None:
+                scalar = coerce(scalar)
+            if "phase" in term:
+                q, b = _json_phase(term["phase"])
+                if exact:
+                    cyclotomic_order = _check_cyclotomic_order(
+                        math.lcm(cyclotomic_order, q), f"phase {[q, b]}"
+                    )
+                    scalar = scalar * CyclotomicScalar.root_of_unity(q, b)
+                else:
+                    scalar = scalar * cmath.exp(2j * cmath.pi * (b % q) / q)
+            T.bag_add(bucket, (mode, alpha, npow), scalar)
     return _build_symbol(dim, order, floor, theta, blocks)
 
 
@@ -856,11 +869,13 @@ def random_symbol(
     seed is instantiated at several twists, and is that of ``random.Random(seed)``.
 
     The arguments are held, before anything is drawn, to the limits a
-    document is held to: ``dim`` to ``MAX_DIMENSION``, the up to two terms
-    of each of the ``depth + 1`` degrees to ``MAX_DOCUMENT_TERMS``,
-    ``max_alpha`` to ``MAX_EXPONENT`` and an exact twist's cyclotomic order
-    to ``MAX_CYCLOTOMIC_ORDER`` (``_check_draw_space`` holds the space);
-    each count must be an ``int``.  The |xi| powers drawn, each a degree
+    document is held to: each count is read as a JSON integer is
+    (``_json_int``: an ``int`` of at most ``MAX_DIGITS`` digits), the up to
+    two terms of each of the ``depth + 1`` degrees are held to
+    ``MAX_DOCUMENT_TERMS``, ``max_alpha`` to ``MAX_EXPONENT``, and the space
+    goes through the readers' one check, ``_check_space``: ``dim`` from 2
+    to ``MAX_DIMENSION`` (2 with a twist) and an exact twist's cyclotomic
+    order to ``MAX_CYCLOTOMIC_ORDER``.  The |xi| powers drawn, each a degree
     minus its |alpha|, so from ``order`` down to ``order - depth -
     max_alpha``, are not held to ``MAX_EXPONENT``: ``trace-check --dim 64``
     draws floors near -70 and must keep running.  So a drawn symbol whose
@@ -868,8 +883,7 @@ def random_symbol(
     """
     for name, value in (("dim", dim), ("order", order), ("depth", depth),
                         ("max_mode", max_mode), ("max_alpha", max_alpha)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{name} must be an integer, got {_brief(value)}")
+        _json_int(value, name)
     if depth < 0 or max_mode < 0 or max_alpha < 0:
         raise ValidationError("depth, max_mode and max_alpha must be nonnegative")
     if 2 * (depth + 1) > MAX_DOCUMENT_TERMS:
@@ -879,7 +893,7 @@ def random_symbol(
     if theta is not None and not isinstance(theta, Theta):
         theta = (_twist_of(theta) if isinstance(theta, (int, Fraction, float))
                  else Theta.from_float(theta))
-    _check_draw_space(dim, theta)
+    _check_space(dim, theta)
     rng = random.Random(seed)
     bits, uniform = rng.getrandbits, rng.random
     floor = order - depth
@@ -903,20 +917,6 @@ def random_symbol(
         coerce = _system_for(theta).coerce
         blocks = {deg: {key: coerce(s) for key, s in bag.items()} for deg, bag in blocks.items()}
     return _build_symbol(dim, order, floor, theta, blocks)
-
-
-def _check_draw_space(dim: int, theta: Theta | None) -> None:
-    """The space ``random_symbol`` draws in, held to the limits a document
-    is held to: ``dim`` to 2..``MAX_DIMENSION`` (2 with a twist), and an
-    exact twist's cyclotomic order to ``MAX_CYCLOTOMIC_ORDER``."""
-    if dim < 2:
-        raise ValidationError(f"dim must be at least 2, got {dim}")
-    if dim > MAX_DIMENSION:
-        raise ValidationError(f"dimension {dim} is beyond the limit {MAX_DIMENSION}")
-    if theta is not None:
-        _check_twisted_dimension(dim)
-        if theta.is_exact:
-            _check_twist_order(theta.exact)
 
 
 def format_nc_element(poly: NCPolynomial) -> str:

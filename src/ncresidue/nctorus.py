@@ -43,6 +43,7 @@ from .symbols import (
     _checked_terms,
     _FourierSum,
     _index,
+    _items,
     _Symbol,
 )
 
@@ -208,7 +209,7 @@ class NCSymbol(_Twisted, _Symbol):
         # a generator: each block is checked, then put in canonical form
         blocks = ((deg if type(deg) is int else _index(deg, "degree"),
                    _checked_terms(2, _block_items(block), coerce))
-                  for deg, block in (components or {}).items())
+                  for deg, block in _items(components, "components"))
         self._init_raw(theta, order, blocks, trusted_floor)
 
     def _check_composable(self, other: "NCSymbol") -> None:
@@ -295,12 +296,17 @@ def nc_apply(sigma: NCSymbol, a: NCPolynomial) -> NCPolynomial:
             continue
         norm_sq = m * m + n * n
         values: dict = {}
-        for (mode, alpha, p), s in _all_terms(sigma):
-            radial = norm_sq ** (p // 2) if p % 2 == 0 else math.sqrt(norm_sq) ** p
-            v = (m ** alpha[0]) * (n ** alpha[1]) * radial
-            if v == 0:
-                continue
-            values[mode] = values.get(mode, 0j) + coerce(s) * v
+        try:
+            for (mode, alpha, p), s in _all_terms(sigma):
+                radial = norm_sq ** (p // 2) if p % 2 == 0 else math.sqrt(norm_sq) ** p
+                v = (m ** alpha[0]) * (n ** alpha[1]) * radial
+                if v == 0:
+                    continue
+                values[mode] = values.get(mode, 0j) + coerce(s) * v
+        except OverflowError:
+            raise ValidationError(
+                "the symbol's value at a lattice point of the element is past the float range"
+            ) from None
         sym_val = NCPolynomial(theta, values)
         for mode, s in (sym_val * NCPolynomial(theta, {(m, n): coeff})).coeffs.items():
             T.bag_add(out, mode, s)

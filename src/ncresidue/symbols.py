@@ -93,6 +93,17 @@ def _indices(entries, n: int, what: str) -> tuple[int, ...]:
     return out
 
 
+def _items(value, what: str):
+    """The ``items()`` of a dict argument, ``None`` read as an empty dict;
+    an argument with no ``items`` (a list, say) is a ``ValidationError``."""
+    if value is None:
+        return ()
+    try:
+        return value.items()
+    except AttributeError:
+        raise ValidationError(f"{what} {value!r} must be a dict") from None
+
+
 def _sum_bag(n: int, degree: int, a: dict, b: dict) -> dict:
     """The canonical bag of a + b, two canonical bags of one degree."""
     if not a or not b:
@@ -414,7 +425,7 @@ class _FourierSum(_Symbol):
         _set_space(self, space)  # which n and _system read
         n = self.n
         flat = (0,) * n
-        terms = ((c, mode, flat, 0) for mode, c in (coeffs or {}).items())
+        terms = ((c, mode, flat, 0) for mode, c in _items(coeffs, "coefficients"))
         self._init_raw(space, 0, ((0, _checked_terms(n, terms, self._system.coerce)),), None)
 
     @property
@@ -583,7 +594,7 @@ class ClassicalSymbol(_Torus, _Symbol):
         trusted_floor: int | None = None,
     ):
         n = _dimension(n)
-        self._init(n, order, _component_bags(n, components or {}), trusted_floor)
+        self._init(n, order, _component_bags(n, _items(components, "components")), trusted_floor)
 
     def _check_composable(self, other: "ClassicalSymbol") -> None:
         if self.n != other.n:
@@ -609,9 +620,10 @@ class ClassicalSymbol(_Torus, _Symbol):
         )
 
 
-def _component_bags(n: int, components: dict):
-    """The ``(degree, bag)`` pairs of a dict of components, each checked."""
-    for deg, comp in components.items():
+def _component_bags(n: int, items):
+    """The ``(degree, bag)`` pairs of the items of a dict of components,
+    each checked."""
+    for deg, comp in items:
         if not isinstance(comp, HomogeneousComponent):
             raise TypeError("components must be HomogeneousComponent values")
         if comp.n != n:

@@ -240,6 +240,21 @@ def test_apply_refuses_a_phase_exponent_past_the_float_range(tmp_path, capsys):
     assert code == 0 and "U^2*V^4" in out
 
 
+def test_apply_refuses_a_lattice_point_past_the_float_range(tmp_path, capsys):
+    # |xi|^-2 at the mode (N, 0) of U^N, N = 10^160, needs N^2 as a float:
+    # one line and exit 2, not a traceback
+    doc = tmp_path / "doc.sym"
+    doc.write_text("dim 2 order -2 floor -2 theta 2/5\n"
+                   "deg -2 { r^-2 * U^0 * V^0 + xi1 * r^-3 * U }")
+    for element in (f"U^{10**160}", f"2 * U^{10**160} + V"):
+        code, out, err = run(capsys, "apply", "--element", element, str(doc))
+        assert (code, out) == (2, "")
+        assert err == ("validation error: the symbol's value at a lattice point "
+                       "of the element is past the float range\n")
+    code, out, _ = run(capsys, "apply", "--element", f"U^{10**10}", str(doc))
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("option", ["--th", "--the", "--thet"])
 def test_nc_trace_check_theta_prefix_with_leading_minus(capsys, option):
     want = run(capsys, "nc-trace-check", "--theta=-1/3", "--trials", "2", "--seed", "1")
@@ -433,11 +448,11 @@ def test_nc_trace_check_bad_theta_gives_one_line(capsys, theta):
     (["nc-trace-check", "--theta", "2/5", "--trials", "-1"],
      "validation error: --trials must be nonnegative, got -1\n"),
     (["trace-check", "--dim", "1", "--trials", "0"],
-     "validation error: dim must be at least 2, got 1\n"),
+     "validation error: dimension must be at least 2, got 1\n"),
     (["trace-check", "--dim", "-3", "--trials", "0"],
-     "validation error: dim must be at least 2, got -3\n"),
+     "validation error: dimension must be at least 2, got -3\n"),
     (["trace-check", "--dim", "1", "--trials", "1"],
-     "validation error: dim must be at least 2, got 1\n"),
+     "validation error: dimension must be at least 2, got 1\n"),
 ])
 def test_check_commands_hold_their_flags_to_the_document_limits(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
@@ -455,10 +470,10 @@ def test_check_commands_just_inside_the_limits_still_run(capsys):
     assert code == 0 and out == "trace-check: 0 trials, dim 64, 0 failures [ok]\n"
     code, out, _ = run(capsys, "nc-trace-check", "--theta", "1/10000", "--trials", "0")
     assert code == 0 and out == "nc-trace-check: 0 trials, theta 1/10000, 0 failures [ok]\n"
-    # a dimension below 2 is refused with the message of random_symbol
+    # a dimension below 2 is refused with the message a document's dim gets
     code, out, err = run(capsys, "trace-check", "--dim", "1", "--trials", "1")
     assert code == cli.EXIT_VALIDATION
-    assert err == "validation error: dim must be at least 2, got 1\n"
+    assert err == "validation error: dimension must be at least 2, got 1\n"
 
 
 def test_random_symbols_may_draw_an_npow_their_documents_refuse(capsys):

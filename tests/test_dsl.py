@@ -340,6 +340,19 @@ def test_json_validation():
                 ],
             }
         )
+    # a phase needs a theta, as nc does; it is not dropped
+    with pytest.raises(ValidationError, match="^phase terms require a theta field$"):
+        symbol_from_json(
+            {
+                "dim": 2,
+                "order": 0,
+                "floor": 0,
+                "blocks": [
+                    {"deg": 0, "terms": [{"coeff": {"re": "1", "im": "0"},
+                                          "alpha": [0, 0], "npow": 0, "phase": [4, 1]}]}
+                ],
+            }
+        )
 
 
 # -- random generation ----------------------------------------------------------------
@@ -841,9 +854,10 @@ def test_products_of_sums_past_the_limit_are_refused():
 @pytest.mark.parametrize("theta", [None, Fraction(2, 5), 0.4])
 def test_each_reader_coerces_a_coefficient_at_most_once(monkeypatch, theta):
     """``random_symbol`` has its twist's system take each summed draw once,
-    the text reader coerces each written term's coefficient once, and the
+    the text reader coerces each written term's coefficient once, the
     JSON reader a twisted one once and a classical one not at all (it is
-    read as the system's own scalar); every symbol is as built before."""
+    read as the system's own scalar), and the element reader each term's
+    coefficient once; every symbol and element is as built before."""
     th = None if theta is None else (
         Theta.from_float(theta) if type(theta) is float else Theta.from_rational(theta))
     system = _system_for(th)
@@ -852,6 +866,7 @@ def test_each_reader_coerces_a_coefficient_at_most_once(monkeypatch, theta):
     doc = symbol_to_json(drawn)
     text = None if type(theta) is float else format_symbol(drawn)
     plain = random_symbol(11, dim=2, order=1, depth=3, max_mode=2, max_alpha=2)
+    element = None if th is None else parse_nc_element("U*V + 2 - 3*i*V^2", th)
     calls, coerce = [], system.coerce  # a float twist builds its system afresh
 
     def counting(*args):  # (self, value) or (value,)
@@ -871,3 +886,7 @@ def test_each_reader_coerces_a_coefficient_at_most_once(monkeypatch, theta):
         del calls[:]
         assert repr(parse_symbol(text)) == repr(drawn)
         assert len(calls) == terms
+    if element is not None:
+        del calls[:]
+        assert parse_nc_element("U*V + 2 - 3*i*V^2", th) == element
+        assert len(calls) == 3

@@ -117,6 +117,21 @@ def test_a_malformed_block_is_a_validation_error(block, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda theta: NCPolynomial(theta, [((1, 0), 1)]), "coefficients [((1, 0), 1)] must be a dict"),
+    (lambda theta: NCSymbol(theta, 0, [5]), "components [5] must be a dict"),
+])
+def test_a_list_in_place_of_a_dict_is_a_validation_error(make, message):
+    """The tables above put their input inside the dict argument; a list in
+    place of that dict is refused too, where ``.items()`` once raised a bare
+    ``AttributeError``."""
+    for theta in (Theta.from_rational(Fraction(2, 5)), Theta.from_float(0.3)):
+        with pytest.raises(ValidationError) as info:
+            make(theta)
+        assert str(info.value) == message
+    assert NCSymbol(Theta.from_float(0.3), 0, None).is_zero()
+
+
 @pytest.mark.parametrize("space", [None, Fraction(2, 5), 0.3, 0])
 def test_a_twisted_class_takes_only_a_theta(space):
     """A twist that is not a ``Theta`` is refused by both twisted classes,

@@ -142,7 +142,10 @@ def test_zero_components_of_different_degrees_are_equal():
     (lambda: HomogeneousComponent(1, 0), "dimension must be at least 2, got 1"),
     (lambda: HomogeneousComponent(1, 1.5), "degree 1.5 is not an integer"),
     (lambda: HomogeneousComponent(1.5, 0), "dimension 1.5 is not an integer"),
-    (lambda: ClassicalSymbol(1, 0), "dimension must be at least 2, got 1")])
+    (lambda: ClassicalSymbol(1, 0), "dimension must be at least 2, got 1"),
+    # a list in place of the dict of coefficients or components
+    (lambda: TrigPolynomial(2, [((1, 0), 1)]), r"coefficients \[\(\(1, 0\), 1\)\] must be a dict"),
+    (lambda: ClassicalSymbol(2, 0, [5]), r"components \[5\] must be a dict")])
 def test_a_bad_header_is_refused_with_its_message(make, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         make()

@@ -114,7 +114,11 @@ It prints, on seeded inputs:
   raises, also placed after tabs, blank lines and CRLF line ends so the
   line and column show; and ``parse_nc_element`` of seeded and
   hand-written elements, trailing tokens included.  The twists of this
-  section are exact ones.
+  section are exact ones;
+- JSON documents read by ``symbol_from_json``: the ``repr`` of the symbol
+  and its term bags, or the exception class and message, for valid
+  documents of both calculi (exact, float, and with a ``phase``) and one
+  document for each refusal of the header and the terms.
 
 Half of the pairs have part of the right factor moved onto the reflected
 modes of the left one, so most residues are nonzero, and some twisted
@@ -1151,6 +1155,60 @@ def dump_documents(lib, out):
             out(f"element theta={th} {label}: {_outcome(read, text)}")
 
 
+def _json_doc(terms, *, dim=2, order=0, floor=0, deg=0, theta=None):
+    """A JSON document of one block of ``(re, im, fields)`` terms."""
+    doc = {"dim": dim, "order": order, "floor": floor, "blocks": [{"deg": deg, "terms": [
+        {"coeff": {"re": re, "im": im}, **fields} for re, im, fields in terms]}]}
+    if theta is not None:
+        doc["theta"] = theta
+    return doc
+
+
+# (label, document) pairs, read by symbol_from_json
+JSON_DOCUMENTS = [
+    ("classical exact", {"dim": 3, "order": 1, "floor": -1, "blocks": [
+        {"deg": 1, "terms": [
+            {"coeff": {"re": "-3/4", "im": "1/2"}, "mode": [1, -2, 0], "alpha": [2, 0, 1], "npow": -2},
+            {"coeff": {"re": 2, "im": "0"}, "alpha": [0, 1, 0], "npow": 0},
+            {"coeff": {"re": "1e-3", "im": "-7"}, "mode": [1, -2, 0], "alpha": [2, 0, 1], "npow": -2}]},
+        {"deg": -1, "terms": [{"coeff": {"re": "5", "im": "0"}, "npow": -1}]}]}),
+    ("twisted exact", {"dim": 2, "order": 0, "floor": -2, "theta": "2/5", "blocks": [
+        {"deg": 0, "terms": [
+            {"coeff": {"re": "1", "im": "-2"}, "nc": [2, -1], "alpha": [1, 0], "npow": -1},
+            {"coeff": {"re": "3", "im": "0"}, "nc": [0, 0], "alpha": [0, 0], "npow": 0}]},
+        {"deg": -2, "terms": [{"coeff": {"re": "1/2", "im": "0"}, "nc": [1, 1], "npow": -2}]}]}),
+    ("twisted exact with phases", _json_doc(
+        [("1", "0", {"nc": [1, 0], "phase": [12, 5]}), ("0", "2", {"nc": [0, 1], "phase": [7, 3]}),
+         ("-1", "1", {"nc": [1, 0], "phase": [4, 1]})], theta="5/12")),
+    ("twisted float", _json_doc(
+        [(0.5, -1.25, {"nc": [1, -1], "alpha": [0, 1], "npow": -1}),
+         (1.0, 0.0, {"nc": [0, 0]})], theta=0.3)),
+    ("twisted float with a phase", _json_doc(
+        [(1.0, 0.0, {"nc": [2, 0], "phase": [7, 2]}), (0.0, -0.5, {"nc": [0, 1], "phase": [4, 3]})],
+        theta=0.4)),
+    ("nc without a theta", _json_doc([("1", "0", {"nc": [1, 0]})])),
+    ("mode in a twisted document", _json_doc([("1", "0", {"mode": [1, 0]})], theta="1/3")),
+    ("phase without a theta", _json_doc([("1", "0", {"mode": [1, 0], "phase": [4, 1]})])),
+    ("mode of the wrong length, classical", _json_doc([("1", "0", {"mode": [1, 2]})], dim=3)),
+    ("mode of the wrong length, twisted", _json_doc([("1", "0", {"nc": [1, 2, 3]})], theta="1/3")),
+    ("exponent past the limit", _json_doc([("1", "0", {"alpha": [65, 0], "npow": -65})])),
+    ("degree mismatch", _json_doc([("1", "0", {"alpha": [1, 0], "npow": -1})], floor=-1, deg=-1)),
+    ("block above the order", _json_doc([("1", "0", {})], order=-1, floor=-2)),
+    ("block below the floor", _json_doc([("1", "0", {"npow": -2})], floor=-1, deg=-2)),
+    ("dimension 1", _json_doc([], dim=1)),
+    ("dimension 65", _json_doc([], dim=65)),
+    ("twist in dimension 3", _json_doc([("1", "0", {"nc": [1, 0]})], dim=3, theta="1/3")),
+    ("theta 1/10007", _json_doc([("1", "0", {"nc": [1, 0]})], theta="1/10007")),
+    ("phase past the cyclotomic-order limit",
+     _json_doc([("1", "0", {"nc": [1, 0], "phase": [40001, 1]})], theta="1/4")),
+]
+
+
+def dump_json_documents(lib, out):
+    for label, doc in JSON_DOCUMENTS:
+        out(f"json document {label}: {_nc_outcome(lambda: lib.dsl.symbol_from_json(doc))}")
+
+
 def _run_cli(lib, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -1284,6 +1342,7 @@ def main(argv=None) -> int:
     dump_term_order(lib, lines.append)
     dump_random_symbols(lib, lines.append)
     dump_documents(lib, lines.append)
+    dump_json_documents(lib, lines.append)
     with tempfile.TemporaryDirectory() as workdir:
         dump_cli(lib, lines.append, docs, workdir)
     sys.stdout.write("".join(line + "\n" for line in lines))
