@@ -50,11 +50,15 @@ def _symbol_polynomial(sym: ClassicalSymbol) -> bool:
 
 
 def _check_pair(sigma, tau) -> None:
-    if type(sigma) is not type(tau):
+    """Refuse, with ``TypeError``, a pair that is not two symbols of one
+    class, ``ClassicalSymbol`` or ``NCSymbol`` (the classes that say when
+    two of their symbols compose), then ask that class."""
+    check = getattr(type(sigma), "_check_composable", None)
+    if check is None or type(sigma) is not type(tau):
         raise TypeError(
             f"cannot compose {type(sigma).__name__} with {type(tau).__name__}"
         )
-    sigma._check_composable(tau)
+    check(sigma, tau)
 
 
 def _compose_impl(sigma, tau, floor: int | None, *, commutator: bool = False):

@@ -737,6 +737,20 @@ def symbol_to_json(sym) -> dict:
     return out
 
 
+# the fields symbol_to_json writes, and the only ones symbol_from_json reads
+_HEADER_FIELDS = frozenset(["dim", "order", "floor", "theta", "blocks"])
+_BLOCK_FIELDS = frozenset(["deg", "terms"])
+_TERM_FIELDS = frozenset(["coeff", "alpha", "npow", "mode", "nc", "phase"])
+
+
+def _check_fields(obj: dict, known: frozenset, what: str) -> None:
+    """Refuse a field of a JSON object that is not one of ``known``, by name,
+    so a misspelt field is not silently dropped."""
+    if not known.issuperset(obj):
+        field = next(key for key in obj if key not in known)
+        raise ValidationError(f"unknown {what} field {_brief(field)}")
+
+
 def symbol_from_json(data: dict):
     """Inverse of symbol_to_json; validates the same rules as the text parser.
 
@@ -745,10 +759,12 @@ def symbol_from_json(data: dict):
     with their messages (``nc`` and ``phase`` without a ``theta``, ``mode``
     with one), and whether the coefficient is coerced: a twisted one into
     the twist's system, once; a classical one is read as a
-    ``ComplexRational``, the system's own scalar.
+    ``ComplexRational``, the system's own scalar.  A header, block or term
+    field that ``symbol_to_json`` does not write is refused by name.
     """
     if not isinstance(data, dict):
         raise ValidationError("symbol JSON must be an object")
+    _check_fields(data, _HEADER_FIELDS, "header")
     try:
         dim, order, floor = (_json_int(data[key], key) for key in ("dim", "order", "floor"))
     except KeyError as exc:
@@ -782,6 +798,7 @@ def symbol_from_json(data: dict):
     for block in block_list:
         if not isinstance(block, dict) or "deg" not in block:
             raise ValidationError("each block must be an object with a deg field")
+        _check_fields(block, _BLOCK_FIELDS, "block")
         deg = _json_int(block["deg"], "block deg")
         bucket = blocks.setdefault(deg, {})
         term_list = block.get("terms", [])
@@ -791,6 +808,7 @@ def symbol_from_json(data: dict):
         for term in term_list:
             if not isinstance(term, dict) or "coeff" not in term:
                 raise ValidationError("each term must be an object with a coeff field")
+            _check_fields(term, _TERM_FIELDS, "term")
             alpha = _json_ints(term.get("alpha", (0,) * dim), "alpha")
             if len(alpha) != dim or any(a < 0 for a in alpha):
                 raise ValidationError(f"bad xi multi-index {list(alpha)}")
@@ -813,7 +831,8 @@ def symbol_from_json(data: dict):
                     )
                     scalar = scalar * CyclotomicScalar.root_of_unity(q, b)
                 else:
-                    scalar = scalar * cmath.exp(2j * cmath.pi * (b % q) / q)
+                    # the angle (b mod q)/q rounded once: q and b may be past the float range
+                    scalar = scalar * cmath.exp(2j * cmath.pi * float(Fraction(b % q, q)))
             T.bag_add(bucket, (mode, alpha, npow), scalar)
     return _build_symbol(dim, order, floor, theta, blocks)
 

@@ -23,29 +23,35 @@ Composition by directional derivatives.  On the torus D_x^gamma acts on a
 right term of Fourier mode v as v^gamma, so by the multinomial theorem
 the terms |gamma| = k of sum_gamma (1/gamma!) (d_xi^gamma a) (D^gamma b)
 on that term are one directional derivative, (1/k!) (v . grad_xi)^k a.
-``compose_components`` groups the right factor's terms by mode and builds,
-per left component and right mode v, the chain a, (v . grad_xi) a, ... in
-one call of the one xi-derivative kernel (``_chain``); level k meets the
-right terms of mode v with the integer weight K!/k! (``_weights``, one
-cache for both engines), K! going into the one denominator lowered at the
-end, so no ``Fraction`` is formed on the way.  ``residue_pairing`` plans
-each factor once, with a mode index of its groups (``_plan``), and walks,
-per ordering, one list of the left groups with their meets (``_walks``):
-the right groups of the facing mode, read from the other factor's index,
-each at the level the level rule gives for its pair of degrees, kept only
-when the parity rule lets that level reach an even product (a step along
-xi_j flips the parity of alpha_j alone, so a level-k term keeps its
-parities off the mode's support and changes their count on it by k mod 2;
-``_parity_admits``).
-It builds the same chains in the one direction whose products reach mode
-zero, each only as deep as its deepest meet and its last level cut by
-parity inside the kernel, and sums the products by alpha, both orderings
-of a commutator into one bag with opposite signs.  Both
-engines share the level rule, one function of a pair of components
-(``_level``), the numerator map and the steps of each direction, which a
-layout keeps in its ``directions`` memo (``_direction``, and the parity
-cuts of ``_parity_cut``), so a mode's steps are built once per layout,
-not once per call.
+One engine computes this sum for both of its clients, the symbol of a o b
+(``compose_components``) and the part of it that the residue integrates
+(``residue_pairing``), in three steps.  The set-up (``_set_up``) plans
+each factor once into (degree, mode) groups (``_plan``), asks the
+client's walk builder for one walk list per ordering, sizes the layout
+and the numerator map on the groups on a walk, and gives each ordering
+its integer weights +-K!/k! (``_weights``), K! going into the one
+denominator lowered at the end, so no ``Fraction`` is formed on the way.
+A walk list holds one entry per left group and right mode v it meets:
+for composition (``_compose_walks``) the right groups of mode v of every
+component the level rule admits, each at the levels 0 .. k into degree
+a_deg + b_deg - k; for the residue (``_walks``) only the right groups of
+the facing mode, read from an index of the other factor's groups, each
+at the one level that lands at degree -n, kept only when the parity rule
+lets that level reach an even product (a step along xi_j flips the
+parity of alpha_j alone, so a level-k term keeps its parities off the
+mode's support and changes their count on it by k mod 2;
+``_parity_admits``).  The one pass (``_pairing_pass``) builds per entry
+the chain a, (v . grad_xi) a, ... in one call of the one xi-derivative
+kernel (``_chain``), as deep as its deepest meet (for the residue, its
+last level cut by parity inside the kernel), and sums the products per
+emitted degree, both orderings of a commutator into the same bags with
+opposite signs.  Composition canonicalizes each emitted degree; the
+residue integrates its degree -n bag over the unit sphere.  Both clients
+share the level rule, one function of a pair of components (``_level``),
+and the steps of each direction, which a layout keeps in its
+``directions`` memo (``_direction``, and the parity cuts of
+``_parity_cut``), so a mode's steps are built once per layout, not once
+per call.
 
 Keys: tuples at the module boundary, packed ``int``s inside (``Keys``,
 whose layout and memos its docstring describes; ``pack_terms`` chooses a
@@ -420,11 +426,17 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
     (the sum of |re| + |im| over every numerator), F_xi = ``f_xi`` bounds
     |alpha| + |npow|, F_mode = ``f_mode`` bounds |mode entry| and A =
     ``f_alpha`` bounds |alpha| over their terms, and K = ``depth`` is the
-    deepest derivative order.  Every Gaussian value the call forms (chain
+    deepest derivative order.  Both engines take these over the groups on
+    their walk lists, the only terms a call puts on numerators
+    (``_set_up``), and every chain and product is formed from those: for
+    ``compose_components`` the (degree, mode) groups of each left component
+    that the level rule lets meet a right one, and each right group of
+    every component it meets (``_compose_walks``); for ``residue_pairing``
+    the groups of ``_walks``.  Every Gaussian value the call forms (chain
     level, weighted right term, product, bucket sum, canonical shell or
     quotient, result) has parts of absolute value below 2^(w - 1), which is
-    what ``PackedGaussians`` needs.  Proof, in the L1 norm N of a bag, which
-    bounds every part of every value in it, and is subadditive and
+    what ``PackedGaussians`` needs.  Proof, in the L1 norm N of a bag,
+    which bounds every part of every value in it, and is subadditive and
     submultiplicative (|z1 z2|_1 <= |z1|_1 |z2|_1):
 
     - a derivative step d/d(xi_j) scales a term by alpha_j and by npow, and
@@ -464,23 +476,22 @@ def numerator_width(n: int, norm_a: int, norm_b: int, f_xi: int, f_mode: int, f_
     chain levels, weighted right terms and products of the composition in
     that order at depth K (the bound is symmetric in the factors and grows
     with K), restricted to the pairs that reach mode zero and can reach an
-    even product (``_walks``: the norms and sizes are those of the groups
-    on its walk lists, which are all the call puts on numerators), negated
-    for b o a.  A sum over alpha in the bag is a partial sum of the
-    products of a o b plus one of b o a, so its N is at most twice the
-    bound, which the width covers, as the pass takes no canonical form: at
-    K = 0 it charges the count C(n, n) = 1 a bit, at K >= 1 and n >= 2
-    canonical form's n^s, s = span >= 1, and at n = 1, where a pair of
-    terms meets at one level k of one gamma, the count K + 1 >= 2.  The sphere integral of the bag
-    sums the parts a and b of its balanced values as plain ``int``s, so it
-    needs no width.  A ``compose_components`` commutator does take canonical
-    form, of the sum of c = 2 compositions, each within the bound before it,
-    so a group's N is at most c times that bound: its numerator map adds
-    bits(c - 1) to this width (``RationalSystem.numerator_map``).  The
-    sphere integral of a symbol's own terms (``sphere_integral``) has no
-    right factor and takes no width from here: its values are the
-    numerators themselves, which the map sizes directly
-    (``RationalSystem.numerator_map``).
+    even product (``_walks``), negated for b o a.  Every product lands at
+    degree -n and mode zero, so a key of the bag is one alpha, and its
+    value is a partial sum of the products of a o b plus one of b o a,
+    whose N is at most twice the bound, which the width covers, as the pass
+    takes no canonical form: at K = 0 it charges the count C(n, n) = 1 a
+    bit, at K >= 1 and n >= 2 canonical form's n^s, s = span >= 1, and
+    at n = 1, where a pair of terms meets at one level k of one gamma, the
+    count K + 1 >= 2.  The sphere integral of the bag sums the parts a and b of
+    its balanced values as plain ``int``s, so it needs no width.  A
+    ``compose_components`` commutator does take canonical form, of the sum
+    of c = 2 compositions, each within the bound before it, so a group's N
+    is at most c times that bound: its numerator map adds bits(c - 1) to
+    this width (``RationalSystem.numerator_map``).  The sphere integral of
+    a symbol's own terms (``sphere_integral``) has no right factor and
+    takes no width from here: its values are the numerators themselves,
+    which the map sizes directly (``RationalSystem.numerator_map``).
 
     Each factor x is below 2^bits(x), and n^s at most 2^(s ceil(log2 n)),
     so the width is one more than the sum of those bit counts.  Sizes enter
@@ -517,21 +528,22 @@ class Keys:
 
     A layout remembers the modes and the alphas it has packed or read, in
     two memos that map both ways: ``modes`` maps a mode to (its largest
-    |entry|, its share of a key) and the mode fields of a key (``key >>
-    mode_shifts[0]``) to the mode; ``alphas`` maps an alpha to (|alpha|,
-    its share of a key, offsets included) and the alpha fields of a key
-    (``key & alpha_mask``) to the alpha.  Tuples and ints never collide as
-    dict keys.  Both map a decoded tuple, never a caller's, whose entries
-    may be ``bool``s equal to the ``int``s, and a tuple's entry ends with
-    that decoded tuple.  A third memo, ``cone``, maps
-    the alpha fields of a key to the monomial's value at a zero of xi_1^2 +
-    ... + xi_n^2 (``cone_weight``), a fourth, ``sphere``, to its integral
-    over the unit sphere (``sphere_weight``), and a fifth, ``directions``,
-    maps the mode fields of a mode v to v, the steps of v . grad_xi and
-    its support bits (``_direction``), and (mode fields, parities) to the
-    steps of a chain's last level cut by parity (``_parity_cut``), so both
-    engines build a mode's steps once per layout.  Each memo holds up to
-    ``_MEMO_FIELDS`` fields and starts afresh when full.
+    |entry|, its share of a key, the mode, its mode fields) and the mode
+    fields of a key (``key >> mode_shifts[0]``) to the mode; ``alphas``
+    maps an alpha to (|alpha|, its share of a key, offsets included) and
+    the alpha fields of a key (``key & alpha_mask``) to the alpha.  Tuples
+    and ints never collide as dict keys.  Both map a decoded tuple, never a
+    caller's, whose entries may be ``bool``s equal to the ``int``s, and a
+    tuple's entry holds that decoded tuple.  A third memo, ``cone``,
+    maps the alpha fields of a key to the monomial's value at a zero of
+    xi_1^2 + ... + xi_n^2 (``cone_weight``), a fourth, ``sphere``, to its
+    integral over the unit sphere (``sphere_weight``), and a fifth,
+    ``directions``, maps the mode fields of a mode v to v, the steps of
+    v . grad_xi and its support bits (``_direction``), and (mode fields,
+    parities) to the steps of a chain's last level cut by parity
+    (``_parity_cut``), so both engines build a mode's steps once per
+    layout.  Each memo holds up to ``_MEMO_FIELDS`` fields and starts
+    afresh when full.
     """
 
     __slots__ = ("n", "width", "mask", "half", "offsets", "alpha_mask", "npow_shift",
@@ -614,16 +626,18 @@ class Keys:
         alpha = self.unpack(part)[1]  # decoded, so its entries are ints
         return _remember(self.alphas, alpha, (size, part, alpha), self.memo_limit)
 
-    def pack_mode(self, mode: tuple) -> tuple[int, int, tuple]:
-        """(largest |entry|, its share of a key, the mode), checked."""
+    def pack_mode(self, mode: tuple) -> tuple[int, int, tuple, int]:
+        """(largest |entry|, its share of a key, the mode, its mode fields),
+        checked."""
         if len(mode) != self.n:
             raise ValidationError(f"Fourier mode {mode} has length != {self.n}")
         size = max(max(mode), -min(mode))
         part = sum(map(operator.mul, mode, self.mode_units))
+        field = (self.offsets + part) >> self.mode_shifts[0]
         if size >= self.half:
-            return size, part, mode
+            return size, part, mode, field
         mode = self.unpack(self.offsets + part)[0]  # decoded, so its entries are ints
-        return _remember(self.modes, mode, (size, part, mode), self.memo_limit)
+        return _remember(self.modes, mode, (size, part, mode, field), self.memo_limit)
 
     def fields(self, key: int, start: int, stop: int) -> tuple[int, ...]:
         """The values of fields start .. stop - 1 of ``key``.
@@ -1098,107 +1112,26 @@ def compose_components(
     The sum is taken by directional derivatives.  D^gamma acts on a right
     term of mode v as v^gamma, and sum over |gamma| = k of (1/gamma!)
     v^gamma d_xi^gamma is (1/k!) (v . grad_xi)^k, exactly (the partials
-    commute).  So the right factor's terms are grouped by mode, and for
-    each left component and each right mode v it meets, one chain a, (v .
-    grad_xi) a, ... is built in one call (``_chain``), as deep as the
-    deepest level the level rule (``_level``) gives the left component
-    against the right components with that mode, and shared by all of
-    them; level k meets the terms of mode v into the emitted degree a_deg +
-    b_deg - k.  An empty level ends the chain, and a
-    mode-zero right term meets only level 0.  The levels are kept raw, and
-    each emitted degree is canonicalized once at the end, which suffices
-    because the canonical form of a function is unique and
-    ``canonical_terms`` accepts any homogeneous raw bag.
-
-    Each weight 1/k! is applied as the integer K!/k! (``_weights``), where
-    K is the deepest derivative order any pair of components of either
-    ordering reaches (``_level``).  The factors are packed once, under a layout that
-    covers order K (``pack_terms``), whose ``directions`` memo holds each
-    mode's steps, and the system's ``numerator_map`` puts them on
-    numerators over one denominator (one ``int`` each for Gaussian ones,
-    ``PackedGaussians``), so the whole sum runs on numerators over that
-    denominator times K!.  A commutator runs b o a on the same numerators
-    with the weights -K!/k! into the same raw bags.  Canonical form
-    reduces them as it groups the terms, certifies (``canonical_terms``)
-    and lowers each emitted degree group by group into tuple keys and
-    coefficients, dividing once.  A product is formed as in
-    ``mul_terms``: left scalar first, then the system's phase.
+    commute).  It runs on the residue's engine: the factors are planned
+    and set up once (``_set_up``), each ordering gets one walk list
+    (``_compose_walks``), and one pass (``_pairing_pass``) builds, per
+    left (degree, mode) group and right mode v it meets, one chain a, (v .
+    grad_xi) a, ..., whose level k meets the right groups of mode v into
+    the emitted degree a_deg + b_deg - k, with the integer weight K!/k! (K
+    the deepest level of either ordering, K! going into the one
+    denominator) and a o b's sign, and b o a's products with -K!/k! into
+    the same raw bags.  The levels are kept raw, and each emitted degree
+    is canonicalized once at the end, which suffices because the canonical
+    form of a function is unique and ``canonical_terms`` accepts any
+    homogeneous raw bag: canonical form reduces the numerators as it
+    groups the terms, certifies and lowers each emitted degree group by
+    group into tuple keys and coefficients, dividing once.
     """
-    orderings = [(0, 1), (1, 0)] if commutator else [(0, 1)]
-    factors = (comps_a, comps_b)
-    flags, deepest = [], 0
-    for i, j in orderings:
-        left = [(d, terms_polynomial(t)) for d, t in factors[i].items() if t]
-        right = [(d, any(any(mode) for mode, _a, _p in t)) for d, t in factors[j].items() if t]
-        if floor is None and not (all(p for _d, p in left) or not any(m for _d, m in right)):
-            raise ValidationError(
-                "composition of two complete symbols does not terminate here; "
-                "assign a finite trusted floor to one factor"
-            )
-        depth = max([0] + [_level(a_deg, b_deg, polynomial, moving, floor)
-                           for a_deg, polynomial in left for b_deg, moving in right])
-        _check_tower(n, depth, "assign a higher trusted floor")
-        flags.append((left, right))
-        deepest = max(deepest, depth)
-    keys, packed, sizes = _pack_sized(n, [*comps_a.values(), *comps_b.values()], deepest)
-    left, right = packed[:len(comps_a)], packed[len(comps_a):]
-    nums, den = system.numerator_map(left, right, n, sizes, deepest, len(orderings))
-    sides = (dict(zip(comps_a, left)), dict(zip(comps_b, right)))
-    m, h, offsets, first = keys.mask, keys.half, keys.offsets, keys.mode_shifts[0]
-    phase, directions = system.phase, keys.directions
-    if phase is not None:
-        second = keys.mode_shifts[1]
-    out: dict[int, dict] = {}
-    for (i, j), (left, right), sign in zip(orderings, flags, (1, -1)):
-        weights = _weights(deepest, sign)
-        groups_b = {}  # each right component's terms by mode (the mode fields of a key)
-        for b_deg, _moving in right:
-            groups: dict[int, list] = {}
-            for key, s in sides[j][b_deg].items():
-                groups.setdefault(key >> first, []).append((key - offsets, s))
-            groups_b[b_deg] = groups
-        for a_deg, polynomial in left:
-            row = [(b_deg, k, groups_b[b_deg]) for b_deg, moving in right
-                   if (k := _level(a_deg, b_deg, polynomial, moving, floor)) >= 0]
-            tops: dict[int, int] = {}  # mode fields -> the deepest level of a right group
-            for _b_deg, kmax, groups in row:
-                for field in groups:
-                    if tops.get(field, -1) < kmax:
-                        tops[field] = kmax
-            chains = {}  # mode fields -> (v_0, [a, (v . grad_xi) a, ...])
-            for field, top in tops.items():
-                mode, steps, _supp = directions.get(field) or _direction(keys, field)
-                chains[field] = mode[0], _chain(keys, sides[i][a_deg], steps, top)
-            for b_deg, kmax, groups in row:
-                for field, terms in groups.items():
-                    u, chain = chains[field]
-                    for k, level in enumerate(chain[:kmax + 1]):
-                        if not level:
-                            break  # every later level vanishes, as after mode zero's level 0
-                        bucket = out.setdefault(a_deg + b_deg - k, {})
-                        w = weights[k]
-                        for base, s2 in terms:
-                            weighted = s2 * w
-                            for k1, s1 in level.items():
-                                s = s1 * weighted
-                                if phase is not None:
-                                    ph = phase((k1 >> second & m) - h, u)
-                                    if ph is not None:
-                                        s = s * ph
-                                key = k1 + base
-                                cur = bucket.get(key)
-                                if cur is None:
-                                    if s:
-                                        bucket[key] = s
-                                else:
-                                    s = cur + s
-                                    if s:
-                                        bucket[key] = s
-                                    else:
-                                        del bucket[key]
-    den *= _weights(deepest, 1)[0]
+    keys, nums, orderings, den = _set_up(
+        system, n, comps_a, comps_b, commutator, lambda *args: _compose_walks(*args, floor),
+        "assign a higher trusted floor", 1 + commutator)
     result = {}
-    for d, raw in out.items():
+    for d, raw in _pairing_pass(system, keys, orderings).items():
         ct = canonical_terms(keys, d, raw, nums, den)
         if ct:
             result[d] = ct
@@ -1215,7 +1148,7 @@ def _chain(keys: Keys, bag: dict, steps, top: int, cut=None) -> list[dict]:
     table), level ``top`` takes from each term only the steps
     ``table.get(key & mask, ())``, which cuts the full level to the keys
     they reach, its order and values kept.  This is the one xi-derivative
-    kernel: of ``compose_components``, ``_pairing_pass`` and
+    kernel: of ``_pairing_pass``, for both engines, and of
     ``partial_xi_terms``."""
     m, h, ps = keys.mask, keys.half, keys.npow_shift
     chain = [bag]
@@ -1275,8 +1208,8 @@ def _level(a_deg: int, b_deg: int, polynomial: bool, moving: bool, floor) -> int
     lowest emitted degree ``floor`` sets a_deg + b_deg - k, the tower of a
     ``polynomial`` left component vanishes past its degree, and D^gamma,
     gamma != 0, kills a right component that is not ``moving``, free of
-    modes (``compose_components``' termination check makes sure one
-    applies when there is no floor)."""
+    modes (``_compose_walks``' termination check makes sure one applies
+    when there is no floor)."""
     k = math.inf if floor is None else a_deg + b_deg - floor
     if polynomial and a_deg < k:
         k = a_deg
@@ -1333,63 +1266,89 @@ def residue_pairing(system, n: int, comps_a: dict[int, dict], comps_b: dict[int,
     keeps, and drops the |xi| power: on the unit sphere |xi| = 1, so the
     sum stays raw and is never canonicalized.
 
-    A call sets itself up once: one pass per factor packs and groups its
-    terms (``_plan``), and each ordering gets one walk list (``_walks``):
-    the left groups, each with its meets, the right groups it reaches at
-    the level the level rule gives and where the parity rule lets a
-    product be even.  Each ordering's deepest level is bounded
-    (``_check_tower``, a o b first) before any numerator is formed.  The
-    layout covers the terms of the groups on a walk at the deeper depth K
-    (the factors are planned again under a wider one when they or the
-    modes need it), and only those groups are put on numerators.  Both
-    orderings share the plans, one numerator map and the layout's
-    directions memo, and run into one bag at depth K (``_pairing_pass``): a
-    o b with the weights K!/k!, b o a with -K!/k!, so the commutator is
-    reduced, integrated and lowered once, and a single ordering is the same
-    pass with one sign.
+    It is ``compose_components``' engine with other walk lists: a call is
+    set up once (``_set_up``), and each ordering gets one walk list
+    (``_walks``): the left groups, each with its meets, the right groups it
+    reaches at the one level the level rule gives towards degree -n and
+    where the parity rule lets a product be even.  Each ordering's deepest
+    level is bounded (``_check_tower``, a o b first) before any numerator
+    is formed.  Both orderings run into one bag at depth K
+    (``_pairing_pass``, one key per alpha): a o b with the weights K!/k!,
+    b o a with -K!/k!, so the commutator is reduced, integrated
+    (``sphere_integral``, which leaves out the odd alphas by their zero
+    weight) and lowered once, and a single ordering is the same pass with
+    one sign.
     """
+    keys, nums, orderings, den = _set_up(system, n, comps_a, comps_b, commutator, _walks,
+                                         "lower the orders of the factors")
+    return sphere_integral(nums, keys, _pairing_pass(system, keys, orderings).get(-n, {}),
+                           den)
+
+
+def _set_up(system, n: int, comps_a: dict[int, dict], comps_b: dict[int, dict],
+            commutator: bool, walk_list, remedy: str, compositions: int = 1):
+    """(layout, numerator map, orderings, den): the set-up of both engines.
+
+    Each factor is planned once (``_plan``), and each ordering, a o b
+    first, gets its walk list from ``walk_list(keys, left plan, right
+    plan, left groups, right groups)`` (``_walks`` or ``_compose_walks``),
+    which notes each group it walks once, per factor, and returns the list
+    and its deepest level; that level is bounded (``_check_tower``, with
+    ``remedy``) before the next ordering is walked.  The layout covers the
+    terms of the groups on a walk at the deeper depth K, and no two modes
+    share their mode fields; when it does not, the factors are planned
+    again under a wider one.  Only the groups on a walk are put on
+    numerators, by the system's ``numerator_map``, sized on their largest
+    (F_xi, F_mode, A) and on ``compositions``, the count of compositions
+    canonical form sums.  Each ordering gets its walk list and the weights
+    sign K!/k! (``_weights``), a o b +, b o a -, and den takes the K! the
+    weights scale by."""
     keys = _narrow_layout(n)
     while True:
         plans = [_plan(keys, comps_a), _plan(keys, comps_b)]
-        width = (4 * max(plans[0][2], plans[1][2])).bit_length() + 1
+        width = (4 * max(plans[0][1], plans[1][1])).bit_length() + 1
         if width <= keys.width:  # no two modes share their mode fields
-            walks, deepest, bags, sizes = _walks(keys, n, plans, commutator)
+            used, walks, deepest = ([], []), [], 0
+            for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
+                walk, depth = walk_list(keys, plans[i][0], plans[j][0], used[i], used[j])
+                _check_tower(n, depth, remedy)
+                walks.append(walk)
+                deepest = max(deepest, depth)
+            sizes = tuple([max([0] + [g[x] for groups in used for g in groups])
+                           for x in (1, 2, 3)])
             width = (4 * (max(sizes) + deepest)).bit_length() + 1
             if width <= keys.width:
                 break
         keys = Keys(n, -(-width // _TIER) * _TIER)
-    nums, den = system.numerator_map(*bags, n, sizes, deepest)
+    bags = [[g[0] for g in groups] for groups in used]
+    nums, den = system.numerator_map(*bags, n, sizes, deepest, compositions)
     orderings = [(walk, _weights(deepest, sign)) for walk, sign in zip(walks, (1, -1))]
-    return _pairing_pass(system, keys, nums, orderings, den * _weights(deepest, 1)[0])
+    return keys, nums, orderings, den * _weights(deepest, 1)[0]
 
 
 def _plan(keys: Keys, comps: dict[int, dict]):
-    """(plan, index, reach): a factor's terms packed as ``Keys.pack`` packs
-    them and grouped by degree and mode, in one pass: (degree, {mode fields:
+    """(plan, reach): a factor's terms packed as ``Keys.pack`` packs them
+    and grouped by degree and mode, in one pass: (degree, {mode fields:
     group}, moving) per component, a group being [packed bag, F_xi, F_mode,
-    A, polynomial, walked, parities] (``pack_terms``' sizes, whether every
-    |xi| power is even and nonnegative, whether a walk list holds it, and
-    its alpha parity classes once ``_parities`` reads them, for
-    ``_walks``).  The mode index maps the mode fields of each group to its
-    [(degree, group, moving), ...], in component order, so the groups of
-    one mode are found by one lookup.  The mode fields tell the modes apart
-    when ``reach``, the largest |mode entry|, is below the layout's
-    ``half``."""
+    A, polynomial, walked, parities, mode] (``pack_terms``' sizes, whether
+    every |xi| power is even and nonnegative, whether a walk list holds it,
+    its alpha parity classes once ``_parities`` reads them, for ``_walks``,
+    and the mode, whose phase ``_pairing_pass`` reads).  The mode fields
+    tell the modes apart when ``reach``, the largest |mode entry|, is below
+    the layout's ``half``."""
     modes, alphas, weight = keys.modes, keys.alphas, keys.npow_weight
-    first = keys.mode_shifts[0]
-    zero = keys.offsets >> first  # the mode fields of mode zero
-    reach, plan, index = 0, [], {}
+    zero = keys.offsets >> keys.mode_shifts[0]  # the mode fields of mode zero
+    reach, plan = 0, []
     for deg, bag in comps.items():
         groups: dict[int, list] = {}
         for (mode, alpha, npow), s in bag.items():
             a = alphas.get(alpha) or keys.pack_alpha(alpha)
             m = modes.get(mode) or keys.pack_mode(mode)
-            if m[0] > reach:
-                reach = m[0]
-            field = zero + (m[1] >> first)
-            g = groups.get(field)
+            g = groups.get(m[3])
             if g is None:
-                g = groups[field] = [{}, 0, m[0], 0, True, False, None]
+                g = groups[m[3]] = [{}, 0, m[0], 0, True, False, None, m[2]]
+                if m[0] > reach:
+                    reach = m[0]
             g[0][a[1] + m[1] + npow * weight] = s
             if a[0] + abs(npow) > g[1]:
                 g[1] = a[0] + abs(npow)
@@ -1397,96 +1356,158 @@ def _plan(keys: Keys, comps: dict[int, dict]):
                 g[3] = a[0]
             if npow < 0 or npow & 1:
                 g[4] = False
-        moving = len(groups) > 1 or bool(groups) and zero not in groups
-        plan.append((deg, groups, moving))
-        for field, g in groups.items():
-            index.setdefault(field, []).append((deg, g, moving))
-    return plan, index, reach
+        plan.append((deg, groups, len(groups) > 1 or bool(groups) and zero not in groups))
+    return plan, reach
 
 
-def _walks(keys: Keys, n: int, plans: list, commutator: bool):
-    """(walks, K, (bags of a, bags of b), (F_xi, F_mode, A)): the walk list
-    of each ordering of the ``plans`` (``_plan``), a o b first, its deepest
-    level K, and the packed bags of the groups on a walk, per factor, with
-    the largest of their sizes.
+# the levels a mode-zero right group meets: (v . grad_xi)^k vanishes for k >= 1 at v = 0
+_LEVEL_ZERO = slice(0, 1)
+
+
+def _compose_walks(keys: Keys, left_plan: list, right_plan: list, mine: list, theirs: list,
+                   floor) -> tuple[list, int]:
+    """(walk list, deepest level) of one ordering of ``compose_components``,
+    from the left and right factors' plans (``_plan``), each group it walks
+    noted once in ``mine`` (left) or ``theirs`` (right).
+
+    The ordering is first checked: with no ``floor``, every left component
+    must be polynomial or every right one free of modes (the flags of the
+    plans), or the series does not terminate.  Its deepest level is the
+    level rule's (``_level``) over every pair of components.  A walk list
+    holds (mode fields of v, left group, deepest k, meets, None) for each
+    left group and each right mode v that a right group of an admitted
+    component has, in plan order; a meet is (the slice of levels 0 .. k,
+    a_deg + b_deg, right bag), k the level the rule gives the pair of
+    components, or level 0 alone for a mode-zero right group, whose later
+    levels vanish.  The meets of one left component and mode are built
+    once and shared by its groups; the groups on a walk are those of every
+    left component with a meet and every right group met.
+    """
+    zero = keys.offsets >> keys.mode_shifts[0]  # the mode fields of mode zero
+    left = [(deg, groups, all([g[4] for g in groups.values()]))
+            for deg, groups, _moving in left_plan if groups]
+    right = [component for component in right_plan if component[1]]
+    if floor is None and not (all([p for *_x, p in left]) or not any([m for *_x, m in right])):
+        raise ValidationError(
+            "composition of two complete symbols does not terminate here; "
+            "assign a finite trusted floor to one factor"
+        )
+    walk, depth = [], 0
+    for a_deg, groups, polynomial in left:
+        tops: dict[int, list] = {}  # mode fields of v -> [deepest k, meets]
+        for b_deg, right_groups, moving in right:
+            k = _level(a_deg, b_deg, polynomial, moving, floor)
+            if k < 0:
+                continue
+            if k > depth:
+                depth = k
+            levels, d = slice(0, k + 1), a_deg + b_deg
+            for field, h in right_groups.items():
+                if field == zero:
+                    meet, reach = (_LEVEL_ZERO, d, h[0]), 0
+                else:
+                    meet, reach = (levels, d, h[0]), k
+                top = tops.get(field)
+                if top is None:
+                    tops[field] = [reach, [meet]]
+                else:
+                    if reach > top[0]:
+                        top[0] = reach
+                    top[1].append(meet)
+                if not h[5]:
+                    h[5] = True
+                    theirs.append(h)
+        if tops:
+            entries = [(field, top, meets) for field, (top, meets) in tops.items()]
+            for g in groups.values():
+                if not g[5]:
+                    g[5] = True
+                    mine.append(g)
+                walk += [(field, g, top, meets, None) for field, top, meets in entries]
+    return walk, depth
+
+
+def _walks(keys: Keys, left_plan: list, right_plan: list, mine: list,
+           theirs: list) -> tuple[list, int]:
+    """(walk list, deepest level K) of one ordering of ``residue_pairing``,
+    from the left and right factors' plans (``_plan``), each group it walks
+    noted once in ``mine`` (left) or ``theirs`` (right).
 
     A left group of mode -v meets a right group of mode v (their mode
     fields add to ``flip``) at level k = a_deg + b_deg + n when the level
     rule (``_level`` at floor -n, the left component cut to its groups that
     face the other factor) admits that pair of degrees, and the parity
     rule (``_parity_admits``) lets level k reach an even product.  A faced
-    left group reads its partners, the right groups of mode v, from the
-    other factor's mode index (``_plan``), so only groups that exist are
-    visited, each admitted by the rule for its pair of degrees.
+    left group reads its partners, the right groups of mode v, from an
+    index of the right factor's groups by mode fields, in component order,
+    so only groups that exist are visited, each admitted by the rule for
+    its pair of degrees.
     The parity bits are read only from a layout that holds both groups'
     alphas: a meet with a group of A >= ``half``, whose alpha fields may
     carry into their neighbours, is kept, so that group sizes the width
     and the wider layout's call decides it.  A walk list holds (mode
-    fields of v, left bag, deepest k, [(k, right bag), ...], the parity
-    classes of the right terms at the deepest k) for each left group with
-    a meet, in plan order, its meets in the right factor's; a group on no
-    walk is never put on numerators and sizes nothing.  K is the deepest
-    level the level rule admits over the pairs of degrees, whether or not
-    a meet survives there, so the weights, the denominator and the tower
-    bound are those of the full pairing.
+    fields of v, left group, deepest k, meets, the parity classes of the
+    right terms at the deepest k, None at k = 0) for each left group with
+    a meet, in plan order, a meet being (the slice of level k alone,
+    a_deg + b_deg, right bag), in the right factor's order, so each lands
+    at degree -n; a group on no walk is never put on numerators and sizes
+    nothing.  K is the
+    deepest level the level rule admits over the pairs of degrees,
+    whether or not a meet survives there, so the weights, the denominator
+    and the tower bound are those of the full pairing.
     """
-    flip = 2 * (keys.offsets >> keys.mode_shifts[0])
+    n, flip = keys.n, 2 * (keys.offsets >> keys.mode_shifts[0])
     odd = (keys.offsets & keys.alpha_mask) >> (keys.width - 1)
     directions, half = keys.directions, keys.half
-    used: tuple[list, list] = ([], [])  # per factor, the groups on a walk
-    walks, deepest = [], 0
-    for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
-        index = plans[j][1]
-        left = []  # (degree, [(partner fields, group, partners) of each faced group], polynomial)
-        for deg, groups, _moving in plans[i][0]:
-            faced, polynomial = [], True
-            for field, g in groups.items():
-                partners = index.get(flip - field)
-                if partners is not None:
-                    faced.append((flip - field, g, partners))
-                    polynomial = polynomial and g[4]
-            if faced:
-                left.append((deg, faced, polynomial))
-        depth = 0  # the deepest level the rule admits, over every pair of degrees
-        for a_deg, _faced, polynomial in left:
-            for b_deg, _groups, moving in plans[j][0]:
+    index = {}  # the right factor's mode fields -> [(degree, group, moving), ...]
+    for deg, groups, moving in right_plan:
+        for field, g in groups.items():
+            index.setdefault(field, []).append((deg, g, moving))
+    left = []  # (degree, [(partner fields, group, partners) of each faced group], polynomial)
+    for deg, groups, _moving in left_plan:
+        faced, polynomial = [], True
+        for field, g in groups.items():
+            partners = index.get(flip - field)
+            if partners is not None:
+                faced.append((flip - field, g, partners))
+                polynomial = polynomial and g[4]
+        if faced:
+            left.append((deg, faced, polynomial))
+    depth = 0  # the deepest level the rule admits, over every pair of degrees
+    for a_deg, _faced, polynomial in left:
+        for b_deg, _groups, moving in right_plan:
+            k = a_deg + b_deg + n
+            if k > depth and _level(a_deg, b_deg, polynomial, moving, -n) == k:
+                depth = k
+    walk = []
+    for a_deg, faced, polynomial in left:
+        for partner, g, partners in faced:
+            supp, kept, top, wanted = None, [], 0, None
+            for b_deg, h, moving in partners:
                 k = a_deg + b_deg + n
-                if k > depth and _level(a_deg, b_deg, polynomial, moving, -n) == k:
-                    depth = k
-        _check_tower(n, depth, "lower the orders of the factors")
-        if depth > deepest:
-            deepest = depth
-        walk, mine, theirs = [], used[i], used[j]
-        for a_deg, faced, polynomial in left:
-            for partner, g, partners in faced:
-                supp, kept, top, wanted = None, [], 0, None
-                for b_deg, h, moving in partners:
-                    k = a_deg + b_deg + n
-                    if k < 0 or _level(a_deg, b_deg, polynomial, moving, -n) != k:
+                if k < 0 or _level(a_deg, b_deg, polynomial, moving, -n) != k:
+                    continue
+                if supp is None:  # the parity bits of the axes where v is nonzero
+                    supp = (directions.get(partner) or _direction(keys, partner))[2]
+                    off = odd ^ supp
+                if g[3] >= half or h[3] >= half:  # bits carried: kept, to size the width
+                    classes = frozenset()
+                else:
+                    classes = h[6] or _parities(h, odd)
+                    if not _parity_admits(g[6] or _parities(g, odd), classes, supp, off, k):
                         continue
-                    if supp is None:  # the parity bits of the axes where v is nonzero
-                        supp = (directions.get(partner) or _direction(keys, partner))[2]
-                        off = odd ^ supp
-                    if g[3] >= half or h[3] >= half:  # bits carried: kept, to size the width
-                        classes = frozenset()
-                    else:
-                        classes = h[6] or _parities(h, odd)
-                        if not _parity_admits(g[6] or _parities(g, odd), classes, supp, off, k):
-                            continue
-                    kept.append((k, h[0]))
-                    if k > top:  # one meet per level: k = a_deg + b_deg + n
-                        top, wanted = k, classes
-                    if not h[5]:
-                        h[5] = True
-                        theirs.append(h)
-                if kept:
-                    if not g[5]:
-                        g[5] = True
-                        mine.append(g)
-                    walk.append((partner, g[0], top, kept, wanted))
-        walks.append(walk)
-    sizes = tuple([max([0] + [g[x] for groups in used for g in groups]) for x in (1, 2, 3)])
-    return walks, deepest, tuple([[g[0] for g in groups] for groups in used]), sizes
+                kept.append((slice(k, k + 1), a_deg + b_deg, h[0]))
+                if k > top:  # one meet per level: k = a_deg + b_deg + n
+                    top, wanted = k, classes
+                if not h[5]:
+                    h[5] = True
+                    theirs.append(h)
+            if kept:
+                if not g[5]:
+                    g[5] = True
+                    mine.append(g)
+                walk.append((partner, g, top, kept, wanted))
+    return walk, depth
 
 
 def _parities(group: list, odd: int) -> frozenset:
@@ -1520,66 +1541,69 @@ def _parity_admits(left: frozenset, right: frozenset, supp: int, off: int, k: in
     return False
 
 
-def _pairing_pass(system, keys: Keys, nums, orderings: list, den: int):
-    """The pair of ``residue_pairing`` over ``den``: the products of each
-    ordering (walk list (``_walks``), weights) on the numerators ``nums``,
-    summed into one bag.
+def _pairing_pass(system, keys: Keys, orderings: list) -> dict:
+    """The products of both engines, {emitted degree: raw packed bag}: those
+    of each ordering (walk list, weights) on the numerators the set-up put
+    in the walked groups (``_set_up``), summed per emitted degree on their
+    keys.
 
-    It runs on the chains of ``compose_components``: a left group of mode
-    -v meets only right groups of mode v, so for each entry (v, left bag,
-    deepest k, meets, parities) of a walk list one chain a, (v . grad_xi)
-    a, ... is built in one call (``_chain``, with v's steps from the layout's
-    ``directions`` memo), as deep as its deepest meet, and its level k
-    meets the right terms of that meet with the integer weight
-    ``weights[k]``, +-K!/k!, left scalar first, then the phase.  The walk
-    lists hold only meets that can reach an even product, and a mode-zero
-    group only at level 0, which needs no chain.  A product with an odd
-    exponent integrates to zero: one mask on the low bit of each alpha
-    field (the offset 2^(width - 1) is even) skips it, and the rest are
-    summed on their alpha fields.  A step along xi_j flips the parity of
-    alpha_j alone, so the chain's last level takes from each term only the
-    steps that reach the parity of a right term it meets there (the
-    entry's parities; the kernel's cut, a table from a term's parity to
-    those steps).  The bag is integrated by ``sphere_integral``.
+    A left group of mode u meets the right groups of one mode v, so for
+    each entry (v, left group, deepest k, meets, parities) of a walk list
+    (``_walks`` or ``_compose_walks``) one chain a, (v . grad_xi) a, ... is
+    built in one call (``_chain``, with v's steps from the layout's
+    ``directions`` memo), as deep as its deepest meet; its phase is read
+    once, from u's second entry and v's first.  Each level k of a meet
+    (levels, a slice of the chain; d; right bag) meets the right terms
+    with the integer weight ``weights[k]``, +-K!/k!, left scalar first,
+    then the phase, into the bag of degree d - k; an empty level ends the
+    chain.  An entry that
+    carries parities (the residue's) has the chain's last level cut by
+    them: a step along xi_j flips the parity of alpha_j alone, so it takes
+    from each term only the steps that reach the parity of a right term it
+    meets there (the kernel's cut, a table from a term's parity to those
+    steps).  The residue's bag, of degree -n and mode zero, holds one key
+    per alpha (|alpha| + npow = -n), and ``sphere_integral`` leaves out
+    the odd ones, which the parity rules make rare.
     """
-    w, offsets, alpha_mask = keys.width, keys.offsets, keys.alpha_mask
-    odd = (offsets & alpha_mask) >> (w - 1)  # the low bit of each alpha field
-    phase, directions = system.phase, keys.directions
-    out: dict = {}
+    odd = (keys.offsets & keys.alpha_mask) >> (keys.width - 1)  # each alpha field's low bit
+    offsets, phase, directions = keys.offsets, system.phase, keys.directions
+    out: dict[int, dict] = {}
     for walk, weights in orderings:
-        for partner, bag, top, meets, wanted in walk:
+        for partner, g, top, meets, wanted in walk:
             v, steps, _supp = directions.get(partner) or _direction(keys, partner)
-            ph = None if phase is None else phase(-v[1], v[0])
-            if top:  # the last level cut by parity, to the right terms' at level top
+            ph = None if phase is None else phase(g[7][1], v[0])
+            if not top:
+                chain = [g[0]]
+            elif wanted is None:
+                chain = _chain(keys, g[0], steps, top)
+            else:  # the last level cut by parity, to the right terms' at level top
                 table = directions.get((partner, wanted)) or _parity_cut(keys, partner, wanted)
-                chain = _chain(keys, bag, steps, top, (odd, table))
-            else:
-                chain = [bag]
-            for k, terms in meets:
-                level = chain[k] if k < len(chain) else None
-                if not level:
-                    continue  # the chain has ended
-                for k2, s2 in terms.items():
-                    base, weighted = k2 - offsets, s2 * weights[k]
-                    for k1, s1 in level.items():
-                        key = k1 + base
-                        if key & odd:
-                            continue
-                        key &= alpha_mask
-                        s = s1 * weighted
-                        if ph is not None:
-                            s = s * ph
-                        cur = out.get(key)
-                        if cur is None:
-                            if s:
-                                out[key] = s
-                        else:
-                            s = cur + s
-                            if s:
-                                out[key] = s
+                chain = _chain(keys, g[0], steps, top, (odd, table))
+            for levels, d, terms in meets:
+                for k, level in enumerate(chain[levels], levels.start):
+                    if not level:
+                        break  # the chain has ended
+                    bucket = out.get(d - k)
+                    if bucket is None:
+                        bucket = out[d - k] = {}
+                    for k2, s2 in terms.items():
+                        base, weighted = k2 - offsets, s2 * weights[k]
+                        for k1, s1 in level.items():
+                            s = s1 * weighted
+                            if ph is not None:
+                                s = s * ph
+                            key = k1 + base
+                            cur = bucket.get(key)
+                            if cur is None:
+                                if s:
+                                    bucket[key] = s
                             else:
-                                del out[key]
-    return sphere_integral(nums, keys, out, den)
+                                s = cur + s
+                                if s:
+                                    bucket[key] = s
+                                else:
+                                    del bucket[key]
+    return out
 
 
 def sphere_integral(nums, keys: Keys, bag: dict, den: int):

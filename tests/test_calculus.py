@@ -329,6 +329,23 @@ def test_residue_of_composition_refuses_mixed_symbol_classes():
         _nc_residue_of_composition(twisted, classical)
 
 
+def test_composing_what_is_not_a_symbol_is_a_type_error():
+    """Only two symbols of one class compose: a component or a trigonometric
+    polynomial, on either side, is refused with the TypeError of mixed
+    classes, not an AttributeError."""
+    classical = random_symbol(507, dim=2, order=0, depth=2, max_mode=1, max_alpha=2)
+    component = classical.component(0)
+    trig = TrigPolynomial(2, {(1, 0): ComplexRational(1)})
+    assert type(component) is HomogeneousComponent
+    pairs = [(component, component), (component, classical), (classical, component),
+             (trig, trig), (classical, trig), (trig, component)]
+    for operation in (compose, trace_defect, _residue_of_composition):
+        for s, t in pairs:
+            message = f"cannot compose {type(s).__name__} with {type(t).__name__}"
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                operation(s, t)
+
+
 # -- commutators -------------------------------------------------------------------------
 
 

@@ -128,6 +128,30 @@ _ZETA7_DOC = {
 }
 
 
+def test_a_float_phase_past_the_float_range_reads(tmp_path, capsys):
+    """A float-twist document whose phase has a root order past the float
+    range reads: nc-residue exits 0 with nothing on stderr, as it does for
+    an exponent past that range."""
+    for phase in ([10**400, 1], [7, 10**400]):
+        p = tmp_path / "phase.json"
+        p.write_text(json.dumps({"dim": 2, "order": 0, "floor": -2, "theta": 0.3, "blocks": [
+            {"deg": -2, "terms": [{"coeff": {"re": 1.0, "im": 0.0}, "nc": [0, 0],
+                                   "alpha": [0, 0], "npow": -2, "phase": phase}]}]}))
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "nc-residue", *extra, str(p))
+            assert (code, err) == (0, "") and out
+
+
+def test_a_misspelt_json_field_is_refused_in_one_line(tmp_path, capsys):
+    p = tmp_path / "phaze.json"
+    p.write_text(json.dumps({"dim": 2, "order": 0, "floor": -2, "theta": "1/4", "blocks": [
+        {"deg": -2, "terms": [{"coeff": {"re": "1", "im": "0"}, "nc": [0, 0], "npow": -2,
+                               "phaze": [4, 1]}]}]}))
+    code, out, err = run(capsys, "nc-residue", str(p))
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == "validation error: unknown term field 'phaze'\n"
+
+
 def test_nc_compose_json_writes_a_root_outside_the_twist(tmp_path, capsys):
     # zeta_7 is no i^a zeta_5^b: the text format cannot write it, the JSON one can
     p = tmp_path / "zeta7.json"

@@ -312,6 +312,24 @@ def test_json_phase_at_float_theta():
             symbol_from_json(doc)
 
 
+def test_json_float_phase_of_a_root_order_past_the_float_range():
+    """A float twist takes a phase's angle from the exact fraction (b mod q)/q,
+    so a root order or an exponent past the float range reads."""
+    def doc(phase):
+        term = {"coeff": {"re": 2.0, "im": 0.0}, "nc": [1, 0], "alpha": [0, 0], "npow": 0}
+        if phase is not None:
+            term["phase"] = phase
+        return {"dim": 2, "order": 0, "floor": 0, "theta": 0.3,
+                "blocks": [{"deg": 0, "terms": [term]}]}
+
+    plain = symbol_from_json(doc(None))
+    assert symbol_from_json(doc([10**400, 1])) == plain  # the angle 2 pi / 10^400 rounds to 0
+    [value] = symbol_from_json(doc([10**400, 10**400 - 1])).component_raw(0).values()
+    assert abs(value - 2) < 1e-15
+    [value] = symbol_from_json(doc([7, 10**400])).component_raw(0).values()
+    assert abs(value - 2 * cmath.exp(2j * cmath.pi * (10**400 % 7) / 7)) < 1e-15
+
+
 def test_json_validation():
     with pytest.raises(ValidationError):
         symbol_from_json({"dim": 2, "order": 0})
@@ -340,6 +358,19 @@ def test_json_validation():
                 ],
             }
         )
+    # a field the reader does not know is refused by name, not dropped
+    misspelt = [
+        ("term", {"dim": 2, "order": 0, "floor": 0, "theta": "1/4", "blocks": [
+            {"deg": 0, "terms": [{"coeff": {"re": "1", "im": "0"}, "nc": [1, 0],
+                                  "phaze": [4, 1]}]}]}, "phaze"),
+        ("header", {"dim": 2, "order": 0, "floor": 0, "thetta": "1/4", "blocks": [
+            {"deg": 0, "terms": [{"coeff": {"re": "1", "im": "0"}, "modes": [1, 0]}]}]}, "thetta"),
+        ("block", {"dim": 2, "order": 0, "floor": 0, "blocks": [{"deg": 0, "trems": []}]},
+         "trems"),
+    ]
+    for what, data, field in misspelt:
+        with pytest.raises(ValidationError, match=f"^unknown {what} field '{field}'$"):
+            symbol_from_json(data)
     # a phase needs a theta, as nc does; it is not dropped
     with pytest.raises(ValidationError, match="^phase terms require a theta field$"):
         symbol_from_json(

@@ -258,15 +258,18 @@ def _pairing(system, n, comps_a, comps_b, commutator=False):
 
     It is read through a recording weight lookup.  With the layouts' memos
     dropped and the lookup remembering nothing, every alpha a pass weights
-    is looked up afresh, in the order of the numerators it then sums, so
+    is looked up afresh, in the order of its numerators, and those of
+    nonzero weight are the ones it then sums (an odd alpha weighs 0), so
     the two line up.  The integrated pair is checked against the recorded
     bag's own sphere integral."""
     looked_up, bags = [], []
     sphere_total = T.sphere_total
 
     def weight(keys, part):
-        looked_up.append(keys.alpha_of(part))
-        w = sphere_monomial_integral(looked_up[-1], keys.n).coeff
+        alpha = keys.alpha_of(part)
+        w = sphere_monomial_integral(alpha, keys.n).coeff
+        if w.a:
+            looked_up.append(alpha)
         return w.a, w.den
 
     def recording_total(nums, values, weights, den):
@@ -870,9 +873,8 @@ def test_trace_defect_vanishes_on_every_facing_monomial_pair(box):
 
 def _weights_from_level_zero(passes):
     """The pass with every level weighted K!/1, level 0's weight, for K!/k!."""
-    def mutant(system, keys, nums, orderings, den):
-        return passes(system, keys, nums, [(walk, [w[0]] * len(w)) for walk, w in orderings],
-                      den)
+    def mutant(system, keys, orderings):
+        return passes(system, keys, [(walk, [w[0]] * len(w)) for walk, w in orderings])
     return mutant
 
 
@@ -891,9 +893,8 @@ def _phase_from_the_wrong_entry(passes):
 
 def _both_orderings_added(passes):
     """The pass with b o a's weights +K!/k!, a o b's sign."""
-    def mutant(system, keys, nums, orderings, den):
-        return passes(system, keys, nums,
-                      [(walk, [abs(x) for x in w]) for walk, w in orderings], den)
+    def mutant(system, keys, orderings):
+        return passes(system, keys, [(walk, [abs(x) for x in w]) for walk, w in orderings])
     return mutant
 
 
@@ -931,14 +932,29 @@ _MUTANTS = {
 def test_each_mutant_of_the_one_bag_defect_fails_the_sweep(monkeypatch, mutant):
     """The sweep catches each mutant of the residue path, injected by
     replacing a function of ``terms`` with a mutated form that only that
-    path reaches: the weights K!/1 in place of K!/k!, the phase read from
-    the wrong mode entry, the last level of each chain (the step that
-    ``_pairing_pass`` alone cuts by parity) dropped, and b o a added in
-    place of subtracted.  The first three change both orderings alike, so
-    they cancel in the defect and show only against the composition; the
-    last shows only in the defect."""
+    path reaches (``_pairing_pass`` serves both engines, so it is replaced
+    inside the residue's calls alone, and the composition stays the
+    reference): the weights K!/1 in place of K!/k!, the phase read from
+    the wrong mode entry, the last level of each chain (the level that
+    the residue's walk entries alone cut by parity) dropped, and b o a
+    added in place of subtracted.  The first three change both orderings
+    alike, so they cancel in the defect and show only against the
+    composition; the last shows only in the defect."""
     name, make, box, caught = _MUTANTS[mutant]
-    monkeypatch.setattr(T, name, make(getattr(T, name)))
+    original = getattr(T, name)
+    mutated = make(original)
+    if name == "_pairing_pass":  # both engines' pass: mutated in the residue's calls alone
+        pairing = T.residue_pairing
+
+        def residue_pairing(*args, **kw):
+            T._pairing_pass = mutated
+            try:
+                return pairing(*args, **kw)
+            finally:
+                T._pairing_pass = original
+        monkeypatch.setattr(T, "residue_pairing", residue_pairing)
+    else:
+        monkeypatch.setattr(T, name, mutated)
     _pairs, _nonzero, failures = _sweep(_MONOMIAL_BOXES[box])
     assert failures.keys() == caught
 
@@ -1100,7 +1116,7 @@ def _reference_walks(keys, n, plans, commutator):
                         if not T._parity_admits(frozenset(key & odd for key in g[0]), classes,
                                                 supp, odd ^ supp, k):
                             continue
-                    kept.append((k, h[0]))
+                    kept.append((slice(k, k + 1), a_deg + b_deg, h[0]))
                     if k > top:
                         top, wanted = k, classes
                     if all(x is not h for x in used[j]):
@@ -1108,11 +1124,31 @@ def _reference_walks(keys, n, plans, commutator):
                 if kept:
                     if all(x is not g for x in used[i]):
                         used[i].append(g)
-                    walk.append((flip - field, g[0], top, kept, wanted))
+                    walk.append((flip - field, g, top, kept, wanted))
         walks.append(walk)
         deepest = max(deepest, depth)
+    return walks, deepest, used
+
+
+def _walk_view(walks, deepest, used):
+    """What a set-up takes from walk lists: each entry with its left group's
+    bag and mode in place of the group, whose flags the builder sets, K,
+    and the bags and largest (F_xi, F_mode, A) of the groups on a walk."""
+    view = [[(v, g[0], g[7], top, meets, wanted) for v, g, top, meets, wanted in walk]
+            for walk in walks]
     sizes = tuple(max([0] + [g[x] for side in used for g in side]) for x in (1, 2, 3))
-    return walks, deepest, tuple([g[0] for g in side] for side in used), sizes
+    return view, deepest, [[g[0] for g in side] for side in used], sizes
+
+
+def _both_orderings(walk_list, keys, plans, commutator):
+    """(walk lists, K, the groups on a walk per factor) of a o b, and of
+    b o a with ``commutator``, each walked as ``_set_up`` walks it."""
+    used, walks, deepest = ([], []), [], 0
+    for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
+        walk, depth = walk_list(keys, plans[i][0], plans[j][0], used[i], used[j])
+        walks.append(walk)
+        deepest = max(deepest, depth)
+    return walks, deepest, used
 
 
 def _walk_pairs():
@@ -1141,11 +1177,70 @@ def test_walk_lists_match_a_scan_of_every_admitted_pair():
         for commutator in (False, True):
             want = _reference_walks(keys, n, [T._plan(keys, comps_a), T._plan(keys, comps_b)],
                                     commutator)
-            got = T._walks(keys, n, [T._plan(keys, comps_a), T._plan(keys, comps_b)],
-                           commutator)
-            assert got == want
+            got = _both_orderings(T._walks, keys,
+                                  [T._plan(keys, comps_a), T._plan(keys, comps_b)], commutator)
+            assert _walk_view(*got) == _walk_view(*want)
             meets += sum(len(entry[3]) for walk in got[0] for entry in walk)
     assert meets >= 300
+
+
+def _reference_compose_walks(keys, n, comps, plans, floor, commutator):
+    """``_compose_walks`` by scanning: for each ordering and each left group,
+    every right group of every component the level rule admits against
+    the left group's component, at levels 0 .. k (level 0 alone for a
+    mode-zero right group), into degree a_deg + b_deg - k; the flags read
+    from the tuple-keyed terms."""
+    zero = keys.offsets >> keys.mode_shifts[0]
+    used, walks, deepest = ([], []), [], 0
+    for i, j in ((0, 1), (1, 0)) if commutator else ((0, 1),):
+        left = [(d, groups, T.terms_polynomial(comps[i][d]))
+                for d, groups, _m in plans[i][0] if groups]
+        right = [(d, groups, any(any(mode) for mode, _a, _p in comps[j][d]))
+                 for d, groups, _m in plans[j][0] if groups]
+        deepest = max([deepest] + [T._level(a_deg, b_deg, p, m, floor)
+                                   for a_deg, _g, p in left for b_deg, _h, m in right])
+        walk = []
+        for a_deg, groups, polynomial in left:
+            for g in groups.values():
+                by_mode = {}
+                for b_deg, rgroups, moving in right:
+                    k = T._level(a_deg, b_deg, polynomial, moving, floor)
+                    if k < 0:
+                        continue
+                    for field, h in rgroups.items():
+                        levels = slice(0, 1 if field == zero else k + 1)
+                        by_mode.setdefault(field, []).append((levels, a_deg + b_deg, h[0]))
+                        if all(x is not h for x in used[j]):
+                            used[j].append(h)
+                if by_mode and all(x is not g for x in used[i]):
+                    used[i].append(g)
+                walk.extend((field, g, max(levels.stop - 1 for levels, _d, _b in meets), meets,
+                             None) for field, meets in by_mode.items())
+        walks.append(walk)
+    return walks, deepest, used
+
+
+def test_compose_walk_lists_match_a_scan_of_every_admitted_pair():
+    """``_compose_walks`` keeps the entries, their order, each meet, its
+    levels, degree and order, the deepest level of each entry, K, and the
+    groups put on numerators, in order, of a scan of every (left group,
+    right group, level) the level rule admits, at the composed floor and
+    at shallower ones; for one ordering and for a commutator."""
+    meets = 0
+    for n, comps_a, comps_b in _walk_pairs():
+        keys = T._narrow_layout(n)
+        top = max(x + y for x in comps_a for y in comps_b)
+        for floor in (top - n - 2, top - 1):
+            for commutator in (False, True):
+                comps = (comps_a, comps_b)
+                want = _reference_compose_walks(
+                    keys, n, comps, [T._plan(keys, c) for c in comps], floor, commutator)
+                got = _both_orderings(lambda *args: T._compose_walks(*args, floor), keys,
+                                      [T._plan(keys, c) for c in comps], commutator)
+                assert _walk_view(*got) == _walk_view(*want)
+                meets += sum(levels.stop - levels.start for walk in got[0] for entry in walk
+                             for levels, _d, _b in entry[3])
+    assert meets >= 10000
 
 
 def test_trace_defect_sets_each_factor_up_once(monkeypatch):
@@ -1178,6 +1273,34 @@ def test_trace_defect_sets_each_factor_up_once(monkeypatch):
             counts[key] = 0
         assert trace_defect(a, b).is_zero()
         assert counts == {"plan": 2, "pack": 0, "gaussian": 1, "graded": 0}
+
+
+def test_compose_sets_each_factor_up_once(monkeypatch):
+    """A ``compose`` call, on the residue path's engine, plans each factor
+    once and packs nothing on its own (``_pack_sized``), whatever the
+    number of terms, in one ordering and in a commutator."""
+    counts = dict.fromkeys(["plan", "pack"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    pairs = list(_classical_residue_pairs(3, 12, 303))
+    assert max(len(bag) for a, _b in pairs for bag in a._term_bags().values()) >= 2
+    monkeypatch.setattr(T, "_plan", counting("plan", T._plan))
+    monkeypatch.setattr(T, "_pack_sized", counting("pack", T._pack_sized))
+    for a, b in pairs:
+        for commutator in (False, True):
+            for key in counts:
+                counts[key] = 0
+            T.compose_components(a._system, 3, a._term_bags(), b._term_bags(), _floor(a, b),
+                                 commutator=commutator)
+            assert counts == {"plan": 2, "pack": 0}
+        counts["plan"] = 0
+        compose(a, b)
+        assert counts == {"plan": 2, "pack": 0}
 
 
 @pytest.mark.parametrize("n", [2, 3])

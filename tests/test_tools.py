@@ -474,6 +474,7 @@ def test_stage_times_runs_a_checkout_round(tmp_path, monkeypatch, capsys):
     assert list(rows) == list(stage_times.STAGES)
     assert rows["_plan"][0] == rows["_chain"][0] == rows["PackedGaussians.lower"][0] == "3"
     assert rows["canonical_terms"] == ["absent"] and rows["_walks"] == ["absent"]
+    assert rows["_set_up"] == rows["_compose_walks"] == ["absent"]
 
 
 def test_stage_times_refuses_bad_arguments(capsys):

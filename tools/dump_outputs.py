@@ -1201,6 +1201,13 @@ JSON_DOCUMENTS = [
     ("theta 1/10007", _json_doc([("1", "0", {"nc": [1, 0]})], theta="1/10007")),
     ("phase past the cyclotomic-order limit",
      _json_doc([("1", "0", {"nc": [1, 0], "phase": [40001, 1]})], theta="1/4")),
+    ("float phase of a root order past the float range",
+     _json_doc([(1.0, 0.0, {"nc": [1, 0], "phase": [10**400, 1]})], theta=0.3)),
+    ("float phase of an exponent past the float range",
+     _json_doc([(1.0, 0.0, {"nc": [1, 0], "phase": [7, 10**400]})], theta=0.3)),
+    ("misspelt term field", _json_doc([("1", "0", {"nc": [1, 0], "phaze": [4, 1]})], theta="1/4")),
+    ("misspelt header field", {**_json_doc([("1", "0", {"modes": [1, 0]})]), "thetta": "1/4"}),
+    ("misspelt block field", {"dim": 2, "order": 0, "floor": 0, "blocks": [{"deg": 0, "trems": []}]}),
 ]
 
 

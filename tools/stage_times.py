@@ -35,8 +35,10 @@ import time
 ROUNDS = 7
 
 STAGES = (
+    "_set_up",
     "_plan",
     "_walks",
+    "_compose_walks",
     "_direction",
     "RationalSystem.numerator_map",
     "CyclotomicSystem.numerator_map",
